@@ -15,11 +15,11 @@
 //! the MWOE-selection strategy. Unlike the Monte-Carlo core, this baseline
 //! is deterministic and exact.
 
+use crate::engine::EngineConfig;
 use crate::messages::{id_bits, EdgeKey, Label, Payload};
 use crate::proxy::ProxyScheme;
+use crate::session::{Cluster, EdgeBoruvka, EdgeBoruvkaConfig, Problem};
 use kgraph::graph::Edge;
-use kgraph::{Graph, ShardedGraph};
-use kmachine::bandwidth::Bandwidth;
 use kmachine::bsp::Bsp;
 use kmachine::det;
 use kmachine::message::Envelope;
@@ -69,296 +69,289 @@ struct Comp {
     ptr_done: bool,
 }
 
-/// Runs edge-checking Borůvka over `k` machines with [`CheckMode::BatchedPush`].
-///
-/// Deprecated-in-place: a thin shim over the session API
-/// ([`crate::session::EdgeBoruvka`]); bit-identical to the session path.
-pub fn edge_boruvka_mst(g: &Graph, k: usize, seed: u64, bandwidth: Bandwidth) -> EdgeBoruvkaOutput {
-    edge_boruvka_mst_mode(g, k, seed, bandwidth, CheckMode::BatchedPush)
-}
+impl Problem for EdgeBoruvka {
+    type Config = EdgeBoruvkaConfig;
+    type Output = EdgeBoruvkaOutput;
+    const NAME: &'static str = "edge-boruvka";
 
-/// Runs edge-checking Borůvka over `k` machines in the given mode.
-///
-/// Deprecated-in-place: a thin shim over the session API
-/// ([`crate::session::EdgeBoruvka`]); bit-identical to running on a
-/// [`crate::session::Cluster`] built with the same `(k, seed)`.
-pub fn edge_boruvka_mst_mode(
-    g: &Graph,
-    k: usize,
-    seed: u64,
-    bandwidth: Bandwidth,
-    mode: CheckMode,
-) -> EdgeBoruvkaOutput {
-    use crate::session::{Cluster, EdgeBoruvka, EdgeBoruvkaConfig, Problem};
-    Cluster::builder(k)
-        .seed(seed)
-        .ingest_graph(g)
-        .run(EdgeBoruvka::with(EdgeBoruvkaConfig { bandwidth, mode }))
-        .output
-}
+    fn with(cfg: EdgeBoruvkaConfig) -> Self {
+        EdgeBoruvka { cfg }
+    }
 
-/// Runs edge-checking Borůvka directly on sharded storage.
-pub fn edge_boruvka_sharded(
-    sg: &ShardedGraph,
-    seed: u64,
-    bandwidth: Bandwidth,
-    mode: CheckMode,
-) -> EdgeBoruvkaOutput {
-    let part = sg.partition();
-    let k = sg.k();
-    let n = sg.n();
-    let l = id_bits(n);
-    let shared = SharedRandomness::new(seed);
-    let scheme = ProxyScheme::new(shared, k);
-    let mut bsp: Bsp<Payload> = Bsp::new(NetworkConfig::new(k, bandwidth, n));
-    let mut labels: Vec<Label> = (0..n as Label).collect();
-    // Each machine's cache of neighbor labels starts exact for free: at
-    // phase 0 every label is the vertex id, which hashing makes public.
-    let mut mst: Vec<Edge> = Vec::new();
-    let mut notification_bits = 0u64;
-    // PerEdgeTest: each machine counts its shard's cross-machine edges per
-    // ordered machine pair (the per-phase test traffic is data-independent).
-    let mut cross: FxHashMap<(usize, usize), u64> = FxHashMap::default();
-    if mode == CheckMode::PerEdgeTest {
-        for m in 0..k {
-            for e in sg.view(m).local_edges() {
-                let (hu, hv) = (part.home(e.u), part.home(e.v));
-                if hu != hv {
-                    *cross.entry((hu, hv)).or_insert(0) += 1;
-                    *cross.entry((hv, hu)).or_insert(0) += 1;
+    fn config_from(d: &EngineConfig) -> EdgeBoruvkaConfig {
+        EdgeBoruvkaConfig {
+            bandwidth: d.bandwidth,
+            mode: CheckMode::BatchedPush,
+        }
+    }
+
+    fn solve(&self, cluster: &Cluster) -> EdgeBoruvkaOutput {
+        let (sg, seed) = (cluster.sharded(), cluster.seed());
+        let EdgeBoruvkaConfig { bandwidth, mode } = self.cfg;
+        let part = sg.partition();
+        let k = sg.k();
+        let n = sg.n();
+        let l = id_bits(n);
+        let shared = SharedRandomness::new(seed);
+        let scheme = ProxyScheme::new(shared, k);
+        let mut bsp: Bsp<Payload> = Bsp::new(NetworkConfig::new(k, bandwidth, n));
+        let mut labels: Vec<Label> = (0..n as Label).collect();
+        // Each machine's cache of neighbor labels starts exact for free: at
+        // phase 0 every label is the vertex id, which hashing makes public.
+        let mut mst: Vec<Edge> = Vec::new();
+        let mut notification_bits = 0u64;
+        // PerEdgeTest: each machine counts its shard's cross-machine edges per
+        // ordered machine pair (the per-phase test traffic is data-independent).
+        let mut cross: FxHashMap<(usize, usize), u64> = FxHashMap::default();
+        if mode == CheckMode::PerEdgeTest {
+            for m in 0..k {
+                for e in sg.view(m).local_edges() {
+                    let (hu, hv) = (part.home(e.u), part.home(e.v));
+                    if hu != hv {
+                        *cross.entry((hu, hv)).or_insert(0) += 1;
+                        *cross.entry((hv, hu)).or_insert(0) += 1;
+                    }
                 }
             }
         }
-    }
-    let max_phases = 12 * l as u32 + 2;
-    let mut phases = 0;
-    for p in 0..max_phases {
-        phases = p + 1;
-        // --- PerEdgeTest: every phase after the first, each machine tests
-        //     each incident cross-machine edge individually (test + reply
-        //     of Θ(log n) bits) — the Θ(m)-bits-per-phase regime. Phase-0
-        //     labels are vertex ids, computable from public hashing. ---
-        if mode == CheckMode::PerEdgeTest && p > 0 {
-            for _direction in 0..2 {
-                let mut msgs = Vec::new();
-                for ((i, j), &c) in det::sorted_entries(&cross) {
-                    let payload = Payload::TestBatch { count: c };
+        let max_phases = 12 * l as u32 + 2;
+        let mut phases = 0;
+        for p in 0..max_phases {
+            phases = p + 1;
+            // --- PerEdgeTest: every phase after the first, each machine tests
+            //     each incident cross-machine edge individually (test + reply
+            //     of Θ(log n) bits) — the Θ(m)-bits-per-phase regime. Phase-0
+            //     labels are vertex ids, computable from public hashing. ---
+            if mode == CheckMode::PerEdgeTest && p > 0 {
+                for _direction in 0..2 {
+                    let mut msgs = Vec::new();
+                    for ((i, j), &c) in det::sorted_entries(&cross) {
+                        let payload = Payload::TestBatch { count: c };
+                        let bits = payload.wire_bits_lw(l, l);
+                        notification_bits += bits;
+                        // Tests flow i→j; the second pass carries the replies
+                        // (the map is symmetric, so reversing roles is free).
+                        msgs.push(Envelope::with_bits(i, j, payload, bits));
+                    }
+                    bsp.superstep(msgs);
+                    let _ = bsp.take_all_inboxes();
+                }
+            }
+            // --- Local MWOE candidates from cached labels (exact). ---
+            let mut proxies: Vec<FxHashMap<Label, Comp>> =
+                (0..k).map(|_| FxHashMap::default()).collect();
+            let mut out = Vec::new();
+            for m in 0..k {
+                let view = sg.view(m);
+                let mut local_best: FxHashMap<Label, (EdgeKey, Label)> = FxHashMap::default();
+                for &v in view.verts() {
+                    let lv = labels[v as usize];
+                    for &(nb, w) in view.neighbors(v) {
+                        let lnb = labels[nb as usize]; // cache is exact each phase
+                        if lnb != lv {
+                            let (a, b) = if v < nb { (v, nb) } else { (nb, v) };
+                            let key = (w, a, b);
+                            let entry = local_best.entry(lv).or_insert((key, lnb));
+                            if key < entry.0 {
+                                *entry = (key, lnb);
+                            }
+                        }
+                    }
+                }
+                for (label, (key, to_label)) in det::into_sorted_entries(local_best) {
+                    let dst = scheme.proxy_of(part, p, 0, label);
+                    let payload = Payload::Candidate {
+                        label,
+                        key,
+                        to_label,
+                    };
+                    let bits = payload.wire_bits_lw(l, l);
+                    out.push(Envelope::with_bits(m, dst, payload, bits));
+                }
+            }
+            let any = !out.is_empty();
+            bsp.superstep(out);
+            let inboxes = bsp.take_all_inboxes();
+            // Convergence flags (counted like the core algorithm's).
+            flag_exchange(&mut bsp, k, l);
+            if !any {
+                break;
+            }
+            for (m, inbox) in inboxes.into_iter().enumerate() {
+                for env in inbox {
+                    if let Payload::Candidate {
+                        label,
+                        key,
+                        to_label,
+                    } = env.payload
+                    {
+                        let comp = proxies[m].entry(label).or_insert(Comp {
+                            parts: Vec::new(),
+                            best: None,
+                            parent: None,
+                            ptr: label,
+                            ptr_done: true,
+                        });
+                        if !comp.parts.contains(&(env.src as u16)) {
+                            comp.parts.push(env.src as u16);
+                        }
+                        if comp.best.is_none_or(|(bk, _)| key < bk) {
+                            comp.best = Some((key, to_label));
+                        }
+                    }
+                }
+            }
+            // --- DRR parents from shared ranks; MST edges at merging comps. ---
+            for proxy in &mut proxies {
+                for (&label, c) in proxy.iter_mut() {
+                    if let Some((key, to)) = c.best {
+                        if scheme.connects(p, label, to) {
+                            c.parent = Some(to);
+                            c.ptr = to;
+                            c.ptr_done = false;
+                            mst.push(Edge::new(key.1, key.2, key.0));
+                        }
+                    }
+                }
+            }
+            // --- Pointer jumping (same schedule as the core engine). ---
+            let depth_bound = 6 * (id_bits(n + 1) as u32) + 2;
+            let iters = 32 - (2 * depth_bound).leading_zeros() + 1;
+            for _ in 0..iters {
+                if !proxies.iter().any(|px| px.values().any(|c| !c.ptr_done)) {
+                    flag_exchange(&mut bsp, k, l);
+                    break;
+                }
+                flag_exchange(&mut bsp, k, l);
+                let mut queries = Vec::new();
+                for (m, proxy) in proxies.iter().enumerate() {
+                    for (&label, c) in proxy {
+                        if !c.ptr_done {
+                            let payload = Payload::PtrQuery {
+                                asker: label,
+                                target: c.ptr,
+                            };
+                            let bits = payload.wire_bits_lw(l, l);
+                            queries.push(Envelope::with_bits(
+                                m,
+                                scheme.proxy_of(part, p, 0, c.ptr),
+                                payload,
+                                bits,
+                            ));
+                        }
+                    }
+                }
+                bsp.superstep(queries);
+                let inboxes = bsp.take_all_inboxes();
+                let mut replies = Vec::new();
+                for (m, inbox) in inboxes.into_iter().enumerate() {
+                    for env in inbox {
+                        if let Payload::PtrQuery { asker, target } = env.payload {
+                            // A target with no candidates this phase is a root.
+                            let (ptr, done) = proxies[m]
+                                .get(&target)
+                                .map_or((target, true), |t| (t.ptr, t.ptr_done));
+                            let payload = Payload::PtrReply { asker, ptr, done };
+                            let bits = payload.wire_bits_lw(l, l);
+                            replies.push(Envelope::with_bits(m, env.src, payload, bits));
+                        }
+                    }
+                }
+                bsp.superstep(replies);
+                let inboxes = bsp.take_all_inboxes();
+                for (m, inbox) in inboxes.into_iter().enumerate() {
+                    for env in inbox {
+                        if let Payload::PtrReply { asker, ptr, done } = env.payload {
+                            if let Some(c) = proxies[m].get_mut(&asker) {
+                                c.ptr = ptr;
+                                c.ptr_done = done;
+                            }
+                        }
+                    }
+                }
+            }
+            // --- Relabel parts. ---
+            let mut relabels = Vec::new();
+            for (m, proxy) in proxies.iter().enumerate() {
+                for (&label, c) in proxy {
+                    if c.parent.is_some() && c.ptr != label {
+                        for &pm in &c.parts {
+                            let payload = Payload::Relabel {
+                                old: label,
+                                new: c.ptr,
+                            };
+                            let bits = payload.wire_bits_lw(l, l);
+                            relabels.push(Envelope::with_bits(m, pm as usize, payload, bits));
+                        }
+                    }
+                }
+            }
+            bsp.superstep(relabels);
+            let inboxes = bsp.take_all_inboxes();
+            let mut map: FxHashMap<Label, Label> = FxHashMap::default();
+            for inbox in inboxes {
+                for env in inbox {
+                    if let Payload::Relabel { old, new } = env.payload {
+                        map.insert(old, new);
+                    }
+                }
+            }
+            // --- Apply relabels; under BatchedPush additionally push every
+            //     changed vertex label once per neighboring machine (keeps
+            //     every cache exact for the next phase). ---
+            let mut notify: FxHashMap<(usize, usize), Vec<(u32, Label)>> = FxHashMap::default();
+            for home in 0..k {
+                let view = sg.view(home);
+                for &v in view.verts() {
+                    let old = labels[v as usize];
+                    if let Some(&new) = map.get(&old) {
+                        labels[v as usize] = new;
+                        if mode == CheckMode::BatchedPush {
+                            let mut dsts: FxHashSet<usize> = FxHashSet::default();
+                            for &(nb, _) in view.neighbors(v) {
+                                let h = part.home(nb);
+                                if h != home {
+                                    dsts.insert(h);
+                                }
+                            }
+                            for dst in det::sorted_members(&dsts) {
+                                notify.entry((home, dst)).or_default().push((v, new));
+                            }
+                        }
+                    }
+                }
+            }
+            if mode == CheckMode::BatchedPush {
+                let mut notes = Vec::new();
+                for ((src, dst), updates) in det::into_sorted_entries(notify) {
+                    let payload = Payload::FloodLabels { updates };
                     let bits = payload.wire_bits_lw(l, l);
                     notification_bits += bits;
-                    // Tests flow i→j; the second pass carries the replies
-                    // (the map is symmetric, so reversing roles is free).
-                    msgs.push(Envelope::with_bits(i, j, payload, bits));
+                    notes.push(Envelope::with_bits(src, dst, payload, bits));
                 }
-                bsp.superstep(msgs);
+                bsp.superstep(notes);
                 let _ = bsp.take_all_inboxes();
             }
         }
-        // --- Local MWOE candidates from cached labels (exact). ---
-        let mut proxies: Vec<FxHashMap<Label, Comp>> =
-            (0..k).map(|_| FxHashMap::default()).collect();
-        let mut out = Vec::new();
-        for m in 0..k {
-            let view = sg.view(m);
-            let mut local_best: FxHashMap<Label, (EdgeKey, Label)> = FxHashMap::default();
-            for &v in view.verts() {
-                let lv = labels[v as usize];
-                for &(nb, w) in view.neighbors(v) {
-                    let lnb = labels[nb as usize]; // cache is exact each phase
-                    if lnb != lv {
-                        let (a, b) = if v < nb { (v, nb) } else { (nb, v) };
-                        let key = (w, a, b);
-                        let entry = local_best.entry(lv).or_insert((key, lnb));
-                        if key < entry.0 {
-                            *entry = (key, lnb);
-                        }
-                    }
-                }
-            }
-            for (label, (key, to_label)) in det::into_sorted_entries(local_best) {
-                let dst = scheme.proxy_of(part, p, 0, label);
-                let payload = Payload::Candidate {
-                    label,
-                    key,
-                    to_label,
-                };
-                let bits = payload.wire_bits_lw(l, l);
-                out.push(Envelope::with_bits(m, dst, payload, bits));
-            }
-        }
-        let any = !out.is_empty();
-        bsp.superstep(out);
-        let inboxes = bsp.take_all_inboxes();
-        // Convergence flags (counted like the core algorithm's).
-        flag_exchange(&mut bsp, k, l);
-        if !any {
-            break;
-        }
-        for (m, inbox) in inboxes.into_iter().enumerate() {
-            for env in inbox {
-                if let Payload::Candidate {
-                    label,
-                    key,
-                    to_label,
-                } = env.payload
-                {
-                    let comp = proxies[m].entry(label).or_insert(Comp {
-                        parts: Vec::new(),
-                        best: None,
-                        parent: None,
-                        ptr: label,
-                        ptr_done: true,
-                    });
-                    if !comp.parts.contains(&(env.src as u16)) {
-                        comp.parts.push(env.src as u16);
-                    }
-                    if comp.best.is_none_or(|(bk, _)| key < bk) {
-                        comp.best = Some((key, to_label));
-                    }
-                }
-            }
-        }
-        // --- DRR parents from shared ranks; MST edges at merging comps. ---
-        for proxy in &mut proxies {
-            for (&label, c) in proxy.iter_mut() {
-                if let Some((key, to)) = c.best {
-                    if scheme.connects(p, label, to) {
-                        c.parent = Some(to);
-                        c.ptr = to;
-                        c.ptr_done = false;
-                        mst.push(Edge::new(key.1, key.2, key.0));
-                    }
-                }
-            }
-        }
-        // --- Pointer jumping (same schedule as the core engine). ---
-        let depth_bound = 6 * (id_bits(n + 1) as u32) + 2;
-        let iters = 32 - (2 * depth_bound).leading_zeros() + 1;
-        for _ in 0..iters {
-            if !proxies.iter().any(|px| px.values().any(|c| !c.ptr_done)) {
-                flag_exchange(&mut bsp, k, l);
-                break;
-            }
-            flag_exchange(&mut bsp, k, l);
-            let mut queries = Vec::new();
-            for (m, proxy) in proxies.iter().enumerate() {
-                for (&label, c) in proxy {
-                    if !c.ptr_done {
-                        let payload = Payload::PtrQuery {
-                            asker: label,
-                            target: c.ptr,
-                        };
-                        let bits = payload.wire_bits_lw(l, l);
-                        queries.push(Envelope::with_bits(
-                            m,
-                            scheme.proxy_of(part, p, 0, c.ptr),
-                            payload,
-                            bits,
-                        ));
-                    }
-                }
-            }
-            bsp.superstep(queries);
-            let inboxes = bsp.take_all_inboxes();
-            let mut replies = Vec::new();
-            for (m, inbox) in inboxes.into_iter().enumerate() {
-                for env in inbox {
-                    if let Payload::PtrQuery { asker, target } = env.payload {
-                        // A target with no candidates this phase is a root.
-                        let (ptr, done) = proxies[m]
-                            .get(&target)
-                            .map_or((target, true), |t| (t.ptr, t.ptr_done));
-                        let payload = Payload::PtrReply { asker, ptr, done };
-                        let bits = payload.wire_bits_lw(l, l);
-                        replies.push(Envelope::with_bits(m, env.src, payload, bits));
-                    }
-                }
-            }
-            bsp.superstep(replies);
-            let inboxes = bsp.take_all_inboxes();
-            for (m, inbox) in inboxes.into_iter().enumerate() {
-                for env in inbox {
-                    if let Payload::PtrReply { asker, ptr, done } = env.payload {
-                        if let Some(c) = proxies[m].get_mut(&asker) {
-                            c.ptr = ptr;
-                            c.ptr_done = done;
-                        }
-                    }
-                }
-            }
-        }
-        // --- Relabel parts. ---
-        let mut relabels = Vec::new();
-        for (m, proxy) in proxies.iter().enumerate() {
-            for (&label, c) in proxy {
-                if c.parent.is_some() && c.ptr != label {
-                    for &pm in &c.parts {
-                        let payload = Payload::Relabel {
-                            old: label,
-                            new: c.ptr,
-                        };
-                        let bits = payload.wire_bits_lw(l, l);
-                        relabels.push(Envelope::with_bits(m, pm as usize, payload, bits));
-                    }
-                }
-            }
-        }
-        bsp.superstep(relabels);
-        let inboxes = bsp.take_all_inboxes();
-        let mut map: FxHashMap<Label, Label> = FxHashMap::default();
-        for inbox in inboxes {
-            for env in inbox {
-                if let Payload::Relabel { old, new } = env.payload {
-                    map.insert(old, new);
-                }
-            }
-        }
-        // --- Apply relabels; under BatchedPush additionally push every
-        //     changed vertex label once per neighboring machine (keeps
-        //     every cache exact for the next phase). ---
-        let mut notify: FxHashMap<(usize, usize), Vec<(u32, Label)>> = FxHashMap::default();
-        for home in 0..k {
-            let view = sg.view(home);
-            for &v in view.verts() {
-                let old = labels[v as usize];
-                if let Some(&new) = map.get(&old) {
-                    labels[v as usize] = new;
-                    if mode == CheckMode::BatchedPush {
-                        let mut dsts: FxHashSet<usize> = FxHashSet::default();
-                        for &(nb, _) in view.neighbors(v) {
-                            let h = part.home(nb);
-                            if h != home {
-                                dsts.insert(h);
-                            }
-                        }
-                        for dst in det::sorted_members(&dsts) {
-                            notify.entry((home, dst)).or_default().push((v, new));
-                        }
-                    }
-                }
-            }
-        }
-        if mode == CheckMode::BatchedPush {
-            let mut notes = Vec::new();
-            for ((src, dst), updates) in det::into_sorted_entries(notify) {
-                let payload = Payload::FloodLabels { updates };
-                let bits = payload.wire_bits_lw(l, l);
-                notification_bits += bits;
-                notes.push(Envelope::with_bits(src, dst, payload, bits));
-            }
-            bsp.superstep(notes);
-            let _ = bsp.take_all_inboxes();
+        let mut edges = mst;
+        edges.sort_unstable_by_key(|e| (e.u, e.v));
+        edges.dedup();
+        let total_weight = edges.iter().map(|e| e.w as u128).sum();
+        EdgeBoruvkaOutput {
+            edges,
+            total_weight,
+            stats: bsp.into_stats(),
+            phases,
+            notification_bits,
         }
     }
-    let mut edges = mst;
-    edges.sort_unstable_by_key(|e| (e.u, e.v));
-    edges.dedup();
-    let total_weight = edges.iter().map(|e| e.w as u128).sum();
-    EdgeBoruvkaOutput {
-        edges,
-        total_weight,
-        stats: bsp.into_stats(),
-        phases,
-        notification_bits,
+
+    fn stats(out: &EdgeBoruvkaOutput) -> &CommStats {
+        &out.stats
+    }
+
+    fn phases(out: &EdgeBoruvkaOutput) -> u32 {
+        out.phases
     }
 }
 
@@ -380,10 +373,11 @@ fn flag_exchange(bsp: &mut Bsp<Payload>, k: usize, l: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kgraph::{generators, refalgo};
+    use kgraph::{generators, refalgo, Graph};
 
     fn check(g: &Graph, k: usize, seed: u64) -> EdgeBoruvkaOutput {
-        let out = edge_boruvka_mst(g, k, seed, Bandwidth::default());
+        let cluster = Cluster::builder(k).seed(seed).ingest_graph(g);
+        let out = cluster.run(EdgeBoruvka::default()).output;
         let reference = refalgo::kruskal(g);
         assert!(refalgo::is_spanning_forest(g, &out.edges));
         assert_eq!(out.total_weight, refalgo::forest_weight(&reference));
@@ -408,7 +402,12 @@ mod tests {
     #[test]
     fn per_edge_test_mode_is_exact_and_pays_theta_m_per_phase() {
         let g = generators::randomize_weights(&generators::gnm(200, 3000, 21), 500, 22);
-        let out = edge_boruvka_mst_mode(&g, 4, 23, Bandwidth::default(), CheckMode::PerEdgeTest);
+        let cluster = Cluster::builder(4).seed(23).ingest_graph(&g);
+        let per_edge = EdgeBoruvkaConfig {
+            mode: CheckMode::PerEdgeTest,
+            ..EdgeBoruvkaConfig::default()
+        };
+        let out = cluster.run(EdgeBoruvka::with(per_edge)).output;
         let reference = refalgo::kruskal(&g);
         assert!(refalgo::is_spanning_forest(&g, &out.edges));
         assert_eq!(out.total_weight, refalgo::forest_weight(&reference));
@@ -423,7 +422,7 @@ mod tests {
             out.phases
         );
         // And it must dwarf the batched variant on the same input.
-        let batched = edge_boruvka_mst(&g, 4, 23, Bandwidth::default());
+        let batched = cluster.run(EdgeBoruvka::default()).output;
         assert!(out.notification_bits > 3 * batched.notification_bits);
     }
 

@@ -14,8 +14,10 @@
 //! from its own shard (a reverse index built once, for free, at start-up),
 //! never by peeking at remote adjacency.
 
+use crate::engine::EngineConfig;
 use crate::messages::{id_bits, Label, Payload};
-use kgraph::{Graph, Partition, ShardedGraph};
+use crate::session::{Cluster, Flooding, Problem};
+use kgraph::ShardedGraph;
 use kmachine::bandwidth::Bandwidth;
 use kmachine::bsp::Bsp;
 use kmachine::det;
@@ -61,280 +63,129 @@ fn remote_in_index(sg: &ShardedGraph, m: usize) -> FxHashMap<u32, Vec<u32>> {
     idx
 }
 
-/// Runs flooding connectivity over `k` machines.
-///
-/// Deprecated-in-place: a thin shim over the session API
-/// ([`crate::session::Flooding`]); bit-identical to running on a
-/// [`crate::session::Cluster`] built with the same `(k, seed)`.
-pub fn flooding_connectivity(
-    g: &Graph,
-    k: usize,
-    seed: u64,
-    bandwidth: Bandwidth,
-) -> FloodingOutput {
-    use crate::session::{Cluster, Flooding, Problem};
-    Cluster::builder(k)
-        .seed(seed)
-        .ingest_graph(g)
-        .run(Flooding::with(bandwidth))
-        .output
-}
+impl Problem for Flooding {
+    type Config = Bandwidth;
+    type Output = FloodingOutput;
+    const NAME: &'static str = "flooding";
 
-/// Runs flooding with an explicit partition — the harness path; everyone
-/// else goes through [`crate::session::Cluster`].
-pub fn flooding_with_partition(
-    g: &Graph,
-    part: &Partition,
-    bandwidth: Bandwidth,
-) -> FloodingOutput {
-    let sg = ShardedGraph::from_graph(g, part);
-    flooding_sharded(&sg, bandwidth)
-}
-
-/// Runs flooding directly on sharded storage.
-#[allow(clippy::needless_range_loop)] // machine ids index several parallel structures
-pub fn flooding_sharded(sg: &ShardedGraph, bandwidth: Bandwidth) -> FloodingOutput {
-    let part = sg.partition();
-    let k = part.k();
-    let n = sg.n();
-    let l = id_bits(n);
-    let mut bsp: Bsp<Payload> = Bsp::new(NetworkConfig::new(k, bandwidth, n));
-    let mut labels: Vec<Label> = (0..n as Label).collect();
-    let remote_in: Vec<FxHashMap<u32, Vec<u32>>> = (0..k).map(|m| remote_in_index(sg, m)).collect();
-    // Per machine: the frontier of vertices whose labels changed.
-    let mut frontier: Vec<Vec<u32>> = vec![Vec::new(); k];
-    for m in 0..k {
-        frontier[m].extend_from_slice(sg.view(m).verts());
+    fn with(bandwidth: Bandwidth) -> Self {
+        Flooding { bandwidth }
     }
-    let mut graph_rounds = 0;
-    loop {
-        graph_rounds += 1;
-        // Intra-machine fixpoint over each machine's frontier (free).
+
+    fn config_from(d: &EngineConfig) -> Bandwidth {
+        d.bandwidth
+    }
+
+    #[allow(clippy::needless_range_loop)] // machine ids index several parallel structures
+    fn solve(&self, cluster: &Cluster) -> FloodingOutput {
+        let sg = cluster.sharded();
+        let part = sg.partition();
+        let k = part.k();
+        let n = sg.n();
+        let l = id_bits(n);
+        let mut bsp: Bsp<Payload> = Bsp::new(NetworkConfig::new(k, self.bandwidth, n));
+        let mut labels: Vec<Label> = (0..n as Label).collect();
+        let remote_in: Vec<FxHashMap<u32, Vec<u32>>> =
+            (0..k).map(|m| remote_in_index(sg, m)).collect();
+        // Per machine: the frontier of vertices whose labels changed.
+        let mut frontier: Vec<Vec<u32>> = vec![Vec::new(); k];
         for m in 0..k {
-            let view = sg.view(m);
-            let mut queue = std::mem::take(&mut frontier[m]);
-            let mut pos = 0;
-            while pos < queue.len() {
-                let v = queue[pos];
-                pos += 1;
-                let lv = labels[v as usize];
-                for &(nb, _) in view.neighbors(v) {
-                    if part.home(nb) == m && labels[nb as usize] > lv {
-                        labels[nb as usize] = lv;
-                        queue.push(nb);
+            frontier[m].extend_from_slice(sg.view(m).verts());
+        }
+        let mut graph_rounds = 0;
+        loop {
+            graph_rounds += 1;
+            // Intra-machine fixpoint over each machine's frontier (free).
+            for m in 0..k {
+                let view = sg.view(m);
+                let mut queue = std::mem::take(&mut frontier[m]);
+                let mut pos = 0;
+                while pos < queue.len() {
+                    let v = queue[pos];
+                    pos += 1;
+                    let lv = labels[v as usize];
+                    for &(nb, _) in view.neighbors(v) {
+                        if part.home(nb) == m && labels[nb as usize] > lv {
+                            labels[nb as usize] = lv;
+                            queue.push(nb);
+                        }
                     }
                 }
+                frontier[m] = queue;
             }
-            frontier[m] = queue;
-        }
-        // Cross-machine announcements: for every frontier vertex, tell each
-        // remote neighbor machine its (possibly improved) label, dedup per
-        // (destination, vertex).
-        let mut out = Vec::new();
-        let mut any_remote = false;
-        for m in 0..k {
-            let view = sg.view(m);
-            let mut per_dst: FxHashMap<usize, FxHashMap<u32, Label>> = FxHashMap::default();
-            let mut seen: FxHashSet<u32> = FxHashSet::default();
-            for &v in &frontier[m] {
-                if !seen.insert(v) {
-                    continue;
-                }
-                let lv = labels[v as usize];
-                for &(nb, _) in view.neighbors(v) {
-                    let h = part.home(nb);
-                    if h != m {
-                        per_dst.entry(h).or_default().insert(v, lv);
+            // Cross-machine announcements: for every frontier vertex, tell each
+            // remote neighbor machine its (possibly improved) label, dedup per
+            // (destination, vertex).
+            let mut out = Vec::new();
+            let mut any_remote = false;
+            for m in 0..k {
+                let view = sg.view(m);
+                let mut per_dst: FxHashMap<usize, FxHashMap<u32, Label>> = FxHashMap::default();
+                let mut seen: FxHashSet<u32> = FxHashSet::default();
+                for &v in &frontier[m] {
+                    if !seen.insert(v) {
+                        continue;
+                    }
+                    let lv = labels[v as usize];
+                    for &(nb, _) in view.neighbors(v) {
+                        let h = part.home(nb);
+                        if h != m {
+                            per_dst.entry(h).or_default().insert(v, lv);
+                        }
                     }
                 }
+                for (dst, updates) in det::into_sorted_entries(per_dst) {
+                    let payload = Payload::FloodLabels {
+                        updates: det::into_sorted_entries(updates),
+                    };
+                    let bits = payload.wire_bits_lw(l, l);
+                    out.push(Envelope::with_bits(m, dst, payload, bits));
+                    any_remote = true;
+                }
+                frontier[m].clear();
             }
-            for (dst, updates) in det::into_sorted_entries(per_dst) {
-                let payload = Payload::FloodLabels {
-                    updates: det::into_sorted_entries(updates),
-                };
-                let bits = payload.wire_bits_lw(l, l);
-                out.push(Envelope::with_bits(m, dst, payload, bits));
-                any_remote = true;
+            if !any_remote {
+                // Convergence: one final counted flag exchange (all machines
+                // report "no change" to M0, M0 confirms).
+                charge_flag_exchange(&mut bsp, k, l);
+                break;
             }
-            frontier[m].clear();
-        }
-        if !any_remote {
-            // Convergence: one final counted flag exchange (all machines
-            // report "no change" to M0, M0 confirms).
-            charge_flag_exchange(&mut bsp, k, l);
-            break;
-        }
-        bsp.superstep(out);
-        let inboxes = bsp.take_all_inboxes();
-        for (m, inbox) in inboxes.into_iter().enumerate() {
-            for env in inbox {
-                if let Payload::FloodLabels { updates } = env.payload {
-                    for (v, lab) in updates {
-                        // Apply to the local neighbors of the remote vertex
-                        // `v`, found through this machine's reverse index.
-                        if let Some(locals) = remote_in[m].get(&v) {
-                            for &nb in locals {
-                                if labels[nb as usize] > lab {
-                                    labels[nb as usize] = lab;
-                                    frontier[m].push(nb);
+            bsp.superstep(out);
+            let inboxes = bsp.take_all_inboxes();
+            for (m, inbox) in inboxes.into_iter().enumerate() {
+                for env in inbox {
+                    if let Payload::FloodLabels { updates } = env.payload {
+                        for (v, lab) in updates {
+                            // Apply to the local neighbors of the remote vertex
+                            // `v`, found through this machine's reverse index.
+                            if let Some(locals) = remote_in[m].get(&v) {
+                                for &nb in locals {
+                                    if labels[nb as usize] > lab {
+                                        labels[nb as usize] = lab;
+                                        frontier[m].push(nb);
+                                    }
                                 }
                             }
                         }
                     }
                 }
             }
+            // Per-graph-round convergence flag (counted).
+            charge_flag_exchange(&mut bsp, k, l);
         }
-        // Per-graph-round convergence flag (counted).
-        charge_flag_exchange(&mut bsp, k, l);
-    }
-    FloodingOutput {
-        labels,
-        stats: bsp.into_stats(),
-        graph_rounds,
-    }
-}
-
-/// One machine of the event-driven flooding variant (runs on the
-/// fine-grained [`kmachine::program::Runner`] instead of BSP supersteps).
-/// Labels pipeline through the network as soon as they improve, so the
-/// event-driven execution can beat the graph-round batching. Holds only
-/// its own shard view plus the reverse index over its side of the cut.
-struct FloodMachine<'g> {
-    id: usize,
-    sg: &'g ShardedGraph,
-    l: u64,
-    labels: FxHashMap<u32, Label>,
-    remote_in: FxHashMap<u32, Vec<u32>>,
-    /// Local vertices whose labels changed and have not been announced.
-    frontier: Vec<u32>,
-}
-
-impl FloodMachine<'_> {
-    /// Improves local vertex `x` to `lx` (if smaller) and propagates the
-    /// intra-machine fixpoint (free local computation).
-    fn improve(&mut self, x: u32, lx: Label) {
-        {
-            let cur = self.labels.get_mut(&x).expect("local vertex");
-            if *cur <= lx {
-                return;
-            }
-            *cur = lx;
-        }
-        self.frontier.push(x);
-        self.propagate(x);
-    }
-
-    /// Pushes `x`'s current label outward through local edges.
-    fn propagate(&mut self, x: u32) {
-        let view = self.sg.view(self.id);
-        let part = self.sg.partition();
-        let mut queue = vec![(x, self.labels[&x])];
-        while let Some((y, ly)) = queue.pop() {
-            for &(nb, _) in view.neighbors(y) {
-                if part.home(nb) == self.id {
-                    let cur = self.labels.get_mut(&nb).expect("local vertex");
-                    if *cur > ly {
-                        *cur = ly;
-                        self.frontier.push(nb);
-                        queue.push((nb, ly));
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl kmachine::program::Program<Payload> for FloodMachine<'_> {
-    fn round(
-        &mut self,
-        _round: u64,
-        inbox: Vec<Envelope<Payload>>,
-        out: &mut Vec<Envelope<Payload>>,
-    ) {
-        for env in inbox {
-            if let Payload::FloodLabels { updates } = env.payload {
-                for (v, lab) in updates {
-                    // `v` is remote: route the improvement through the
-                    // reverse index to the local endpoints of its edges.
-                    if let Some(locals) = self.remote_in.get(&v) {
-                        for nb in locals.clone() {
-                            self.improve(nb, lab);
-                        }
-                    }
-                }
-            }
-        }
-        // Announce the frontier: one batch per destination machine.
-        let frontier = std::mem::take(&mut self.frontier);
-        let view = self.sg.view(self.id);
-        let part = self.sg.partition();
-        let mut per_dst: FxHashMap<usize, FxHashMap<u32, Label>> = FxHashMap::default();
-        for v in frontier {
-            let lv = self.labels[&v];
-            for &(nb, _) in view.neighbors(v) {
-                let h = part.home(nb);
-                if h != self.id {
-                    per_dst.entry(h).or_default().insert(v, lv);
-                }
-            }
-        }
-        for (dst, updates) in det::into_sorted_entries(per_dst) {
-            let payload = Payload::FloodLabels {
-                updates: det::into_sorted_entries(updates),
-            };
-            let bits = payload.wire_bits_lw(self.l, self.l);
-            out.push(Envelope::with_bits(self.id, dst, payload, bits));
+        FloodingOutput {
+            labels,
+            stats: bsp.into_stats(),
+            graph_rounds,
         }
     }
 
-    fn passive(&self) -> bool {
-        self.frontier.is_empty()
+    fn stats(out: &FloodingOutput) -> &CommStats {
+        &out.stats
     }
-}
 
-/// Event-driven flooding on the fine-grained network. Produces the same
-/// labels as [`flooding_with_partition`]; rounds may differ (pipelining vs
-/// batching) but stay in the same `Θ(n/k + D)` regime.
-pub fn flooding_event_driven(g: &Graph, part: &Partition, bandwidth: Bandwidth) -> FloodingOutput {
-    let sg = ShardedGraph::from_graph(g, part);
-    let k = part.k();
-    let n = sg.n();
-    let l = id_bits(n);
-    let machines: Vec<FloodMachine> = (0..k)
-        .map(|id| {
-            let verts = sg.view(id).verts();
-            let mut m = FloodMachine {
-                id,
-                sg: &sg,
-                l,
-                labels: verts.iter().map(|&v| (v, v as Label)).collect(),
-                remote_in: remote_in_index(&sg, id),
-                frontier: Vec::new(),
-            };
-            // Initial frontier: every vertex announces its own id, after a
-            // free local fixpoint.
-            for &v in verts {
-                m.frontier.push(v);
-                m.propagate(v);
-            }
-            m
-        })
-        .collect();
-    let cfg = kmachine::network::NetworkConfig::new(k, bandwidth, n);
-    let mut runner = kmachine::program::Runner::new(cfg, machines);
-    let rounds = runner.run(u64::MAX);
-    let mut labels = vec![0 as Label; n];
-    for m in runner.programs() {
-        for (&v, &lab) in &m.labels {
-            labels[v as usize] = lab;
-        }
-    }
-    let mut stats = runner.stats().clone();
-    stats.rounds = rounds;
-    FloodingOutput {
-        labels,
-        stats,
-        graph_rounds: rounds as u32,
+    fn phases(out: &FloodingOutput) -> u32 {
+        out.graph_rounds
     }
 }
 
@@ -361,10 +212,11 @@ fn charge_flag_exchange(bsp: &mut Bsp<Payload>, k: usize, l: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kgraph::{generators, refalgo};
+    use kgraph::{generators, refalgo, Graph};
 
     fn check(g: &Graph, k: usize, seed: u64) -> FloodingOutput {
-        let out = flooding_connectivity(g, k, seed, Bandwidth::default());
+        let cluster = Cluster::builder(k).seed(seed).ingest_graph(g);
+        let out = cluster.run(Flooding::default()).output;
         let truth = refalgo::connected_components(g);
         for (v, &t) in truth.iter().enumerate() {
             assert_eq!(out.labels[v], t as Label, "vertex {v}");
@@ -388,8 +240,9 @@ mod tests {
     fn flooding_runs_directly_from_a_stream() {
         // End-to-end streamed ingestion: no materialized Graph anywhere on
         // the flooding path.
-        let sg = ShardedGraph::from_stream(generators::random_connected_stream(500, 400, 7), 5, 8);
-        let out = flooding_sharded(&sg, Bandwidth::default());
+        let stream = generators::random_connected_stream(500, 400, 7);
+        let cluster = Cluster::builder(5).seed(8).ingest_stream(stream);
+        let out = cluster.run(Flooding::default()).output;
         assert_eq!(out.component_count(), 1);
         // Cross-check against the materialized oracle.
         let g = generators::random_connected(500, 400, 7);
@@ -416,37 +269,6 @@ mod tests {
             out2.graph_rounds <= 4,
             "a clique floods in O(1) graph-rounds, got {}",
             out2.graph_rounds
-        );
-    }
-
-    #[test]
-    fn event_driven_flooding_matches_bsp_labels() {
-        for (g, k, seed) in [
-            (generators::path(150), 4usize, 1u64),
-            (generators::gnp(250, 0.02, 2), 6, 3),
-            (generators::planted_components(200, 3, 4, 4), 4, 5),
-        ] {
-            let part = Partition::random_vertex(&g, k, seed);
-            let bsp = flooding_with_partition(&g, &part, Bandwidth::default());
-            let evt = flooding_event_driven(&g, &part, Bandwidth::default());
-            assert_eq!(bsp.labels, evt.labels, "k={k} seed={seed}");
-            assert!(evt.stats.rounds > 0);
-        }
-    }
-
-    #[test]
-    fn event_driven_pipelining_is_not_slower_than_batching() {
-        // Without per-graph-round convergence flags, the event-driven run
-        // should finish in at most the BSP variant's rounds on a path.
-        let g = generators::path(300);
-        let part = Partition::random_vertex(&g, 4, 9);
-        let bsp = flooding_with_partition(&g, &part, Bandwidth::default());
-        let evt = flooding_event_driven(&g, &part, Bandwidth::default());
-        assert!(
-            evt.stats.rounds <= bsp.stats.rounds,
-            "event-driven {} vs BSP {}",
-            evt.stats.rounds,
-            bsp.stats.rounds
         );
     }
 

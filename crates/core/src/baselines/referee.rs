@@ -6,9 +6,11 @@
 //! homed there, so no edge is sent twice); the referee reassembles a local
 //! graph from what it received plus its own shard and solves for free.
 
+use crate::engine::EngineConfig;
 use crate::messages::{id_bits, Payload};
+use crate::session::{Cluster, Problem, Referee};
 use kgraph::graph::Edge;
-use kgraph::{refalgo, Graph, ShardedGraph};
+use kgraph::{refalgo, Graph};
 use kmachine::bandwidth::Bandwidth;
 use kmachine::bsp::Bsp;
 use kmachine::message::Envelope;
@@ -24,52 +26,57 @@ pub struct RefereeOutput {
     pub stats: CommStats,
 }
 
-/// Collects all edges at machine 0 and solves connectivity there.
-///
-/// Deprecated-in-place: a thin shim over the session API
-/// ([`crate::session::Referee`]); bit-identical to running on a
-/// [`crate::session::Cluster`] built with the same `(k, seed)`.
-pub fn referee_connectivity(g: &Graph, k: usize, seed: u64, bandwidth: Bandwidth) -> RefereeOutput {
-    use crate::session::{Cluster, Problem, Referee};
-    Cluster::builder(k)
-        .seed(seed)
-        .ingest_graph(g)
-        .run(Referee::with(bandwidth))
-        .output
-}
+impl Problem for Referee {
+    type Config = Bandwidth;
+    type Output = RefereeOutput;
+    const NAME: &'static str = "referee";
 
-/// Referee collection directly on sharded storage.
-pub fn referee_sharded(sg: &ShardedGraph, bandwidth: Bandwidth) -> RefereeOutput {
-    let k = sg.k();
-    let n = sg.n();
-    let l = id_bits(n);
-    let mut bsp: Bsp<Payload> = Bsp::new(NetworkConfig::new(k, bandwidth, n));
-    // Each machine batches the edges its shard owns; the referee's own
-    // slice stays local (free).
-    let mut collected: Vec<Edge> = sg.view(0).local_edges().collect();
-    let mut out = Vec::new();
-    for m in 1..k {
-        let edges: Vec<(u32, u32, u64)> =
-            sg.view(m).local_edges().map(|e| (e.u, e.v, e.w)).collect();
-        if !edges.is_empty() {
-            let payload = Payload::EdgeList { edges };
-            let bits = payload.wire_bits_lw(l, l);
-            out.push(Envelope::with_bits(m, 0, payload, bits));
+    fn with(bandwidth: Bandwidth) -> Self {
+        Referee { bandwidth }
+    }
+
+    fn config_from(d: &EngineConfig) -> Bandwidth {
+        d.bandwidth
+    }
+
+    /// Collects all edges at machine 0 and solves connectivity there.
+    fn solve(&self, cluster: &Cluster) -> RefereeOutput {
+        let sg = cluster.sharded();
+        let k = sg.k();
+        let n = sg.n();
+        let l = id_bits(n);
+        let mut bsp: Bsp<Payload> = Bsp::new(NetworkConfig::new(k, self.bandwidth, n));
+        // Each machine batches the edges its shard owns; the referee's own
+        // slice stays local (free).
+        let mut collected: Vec<Edge> = sg.view(0).local_edges().collect();
+        let mut out = Vec::new();
+        for m in 1..k {
+            let edges: Vec<(u32, u32, u64)> =
+                sg.view(m).local_edges().map(|e| (e.u, e.v, e.w)).collect();
+            if !edges.is_empty() {
+                let payload = Payload::EdgeList { edges };
+                let bits = payload.wire_bits_lw(l, l);
+                out.push(Envelope::with_bits(m, 0, payload, bits));
+            }
+        }
+        bsp.superstep(out);
+        let inboxes = bsp.take_all_inboxes();
+        for env in inboxes.into_iter().flatten() {
+            if let Payload::EdgeList { edges } = env.payload {
+                collected.extend(edges.into_iter().map(|(u, v, w)| Edge::new(u, v, w)));
+            }
+        }
+        // Local solve at the referee is free in the model.
+        let assembled = Graph::from_dedup_edges(n, collected);
+        let labels = refalgo::connected_components(&assembled);
+        RefereeOutput {
+            labels,
+            stats: bsp.into_stats(),
         }
     }
-    bsp.superstep(out);
-    let inboxes = bsp.take_all_inboxes();
-    for env in inboxes.into_iter().flatten() {
-        if let Payload::EdgeList { edges } = env.payload {
-            collected.extend(edges.into_iter().map(|(u, v, w)| Edge::new(u, v, w)));
-        }
-    }
-    // Local solve at the referee is free in the model.
-    let assembled = Graph::from_dedup_edges(n, collected);
-    let labels = refalgo::connected_components(&assembled);
-    RefereeOutput {
-        labels,
-        stats: bsp.into_stats(),
+
+    fn stats(out: &RefereeOutput) -> &CommStats {
+        &out.stats
     }
 }
 
@@ -81,7 +88,8 @@ mod tests {
     #[test]
     fn referee_answers_correctly_and_pays_collection() {
         let g = generators::gnm(400, 2000, 1);
-        let out = referee_connectivity(&g, 8, 2, Bandwidth::Bits(256));
+        let cluster = Cluster::builder(8).seed(2).ingest_graph(&g);
+        let out = cluster.run(Referee::with(Bandwidth::Bits(256))).output;
         assert_eq!(out.labels, kgraph::refalgo::connected_components(&g));
         // Machine 0 receives ~all edges over 7 links.
         assert!(out.stats.recv_bits[0] > 0);
@@ -93,8 +101,12 @@ mod tests {
         let w = Bandwidth::Bits(512);
         let g1 = generators::gnm(500, 2000, 3);
         let g2 = generators::gnm(500, 8000, 4);
-        let r1 = referee_connectivity(&g1, 8, 5, w).stats.rounds;
-        let r2 = referee_connectivity(&g2, 8, 5, w).stats.rounds;
+        let builder = Cluster::builder(8).seed(5);
+        let rounds = |g| {
+            let cluster = builder.ingest_graph(g);
+            cluster.run(Referee::with(w)).output.stats.rounds
+        };
+        let (r1, r2) = (rounds(&g1), rounds(&g2));
         assert!(
             r2 > 3 * r1,
             "4x the edges should cost ~4x the rounds: {r1} vs {r2}"

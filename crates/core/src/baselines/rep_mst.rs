@@ -11,23 +11,24 @@
 //!    spread over `k` links — `O~(n/k)` rounds. This is the dominant term.
 //! 3. **Finish.** Run the fast RVP MST algorithm on the filtered union.
 //!
-//! Like the other baselines, the real entry point is the sharded one
-//! ([`rep_mst_sharded`], also reachable as the session problem
-//! [`crate::session::RepMst`]): REP edge ownership is a public hash of the
+//! Like the other baselines it runs on the cluster's RVP shards
+//! ([`crate::session::RepMst`]): REP edge ownership is a public hash of the
 //! canonical edge key, so each machine re-routes the edges its RVP shard
-//! owns to their REP owners without any global edge list. The `&Graph`
-//! front end shards first and is bit-identical.
+//! owns to their REP owners without any global edge list.
 //!
 //! Experiment E12 contrasts the measured `Θ~(n/k)` here with the RVP
 //! model's `Θ~(n/k²)`.
 
+use crate::engine::EngineConfig;
 use crate::messages::{id_bits, Payload};
-use crate::mst::{minimum_spanning_tree_with_partition, MstConfig, MstOutput};
+use crate::mst::{minimum_spanning_tree_sharded, MstConfig, MstOutput};
+use crate::session::{Cluster, Mst, Problem, RepMst};
 use kgraph::graph::Edge;
 use kgraph::unionfind::UnionFind;
 use kgraph::{Graph, Partition, ShardedGraph};
 use kmachine::bsp::Bsp;
 use kmachine::message::Envelope;
+use kmachine::metrics::CommStats;
 use kmachine::network::NetworkConfig;
 
 /// Result of the REP-model MST (same shape as the RVP result, plus the
@@ -41,92 +42,103 @@ pub struct RepMstOutput {
     /// The REP→RVP routing stage in isolation — the `Θ~(n/k)` term that
     /// separates the REP model from RVP (experiment E12): its rounds scale
     /// as `1/k` while the post-filter core run scales as `1/k²`.
-    pub routing: kmachine::metrics::CommStats,
+    pub routing: CommStats,
 }
 
-/// Runs the REP-model MST over `k` machines.
-///
-/// Deprecated-in-place: a thin shim over the session API
-/// ([`crate::session::RepMst`]); bit-identical to [`rep_mst_sharded`] on a
-/// [`crate::session::Cluster`] built with the same `(k, seed)`.
-pub fn rep_mst(g: &Graph, k: usize, seed: u64, cfg: &MstConfig) -> RepMstOutput {
-    use crate::session::{Cluster, Problem, RepMst};
-    Cluster::builder(k)
-        .seed(seed)
-        .ingest_graph(g)
-        .run(RepMst::with(cfg.clone()))
-        .output
-}
+impl Problem for RepMst {
+    type Config = MstConfig;
+    type Output = RepMstOutput;
+    const NAME: &'static str = "rep-mst";
 
-/// Runs the REP-model MST directly on sharded storage.
-///
-/// The model's random *edge* partition is realized by a public hash of the
-/// canonical edge key (streamed shards have no global edge index), so every
-/// machine can compute any edge's REP owner locally — the same
-/// shared-hashing device the RVP home partition uses.
-pub fn rep_mst_sharded(sg: &ShardedGraph, seed: u64, cfg: &MstConfig) -> RepMstOutput {
-    let rvp = sg.partition();
-    let k = sg.k();
-    let n = sg.n();
-    let l = id_bits(n);
-    // Step 0 (ingestion): each RVP shard re-routes the edges it owns to
-    // their hashed REP owners — one pass over per-machine storage, no
-    // machine ever sees the full edge set. This models the §1.3 input
-    // assignment itself and is therefore not charged. Ownership is the
-    // same public hash `Partition::random_edge` uses, so the REP partition
-    // abstraction and this streamed path cannot drift apart.
-    let rep_prf = Partition::rep_owner_prf(seed);
-    let mut local: Vec<Vec<Edge>> = vec![Vec::new(); k];
-    for m in 0..k {
-        for e in sg.view(m).local_edges() {
-            local[Partition::rep_edge_owner(&rep_prf, n, k, e.u, e.v)].push(e);
-        }
+    fn with(cfg: MstConfig) -> Self {
+        RepMst { cfg }
     }
-    // Step 1: local cycle-property filtering (free local computation).
-    let mut kept: Vec<Vec<Edge>> = Vec::with_capacity(k);
-    for mut shard in local {
-        shard.sort_unstable_by_key(Graph::edge_key);
-        let mut uf = UnionFind::new(n);
-        let mut keep = Vec::new();
-        for e in shard {
-            if uf.union(e.u, e.v) {
-                keep.push(e);
+
+    fn config_from(d: &EngineConfig) -> MstConfig {
+        Mst::config_from(d)
+    }
+
+    /// The model's random *edge* partition is realized by a public hash of
+    /// the canonical edge key (streamed shards have no global edge index),
+    /// so every machine can compute any edge's REP owner locally — the same
+    /// shared-hashing device the RVP home partition uses.
+    fn solve(&self, cluster: &Cluster) -> RepMstOutput {
+        let (sg, seed, cfg) = (cluster.sharded(), cluster.seed(), &self.cfg);
+        let rvp = sg.partition();
+        let k = sg.k();
+        let n = sg.n();
+        let l = id_bits(n);
+        // Step 0 (ingestion): each RVP shard re-routes the edges it owns to
+        // their hashed REP owners — one pass over per-machine storage, no
+        // machine ever sees the full edge set. This models the §1.3 input
+        // assignment itself and is therefore not charged. Ownership is the
+        // same public hash `Partition::random_edge` uses, so the REP partition
+        // abstraction and this streamed path cannot drift apart.
+        let rep_prf = Partition::rep_owner_prf(seed);
+        let mut local: Vec<Vec<Edge>> = vec![Vec::new(); k];
+        for m in 0..k {
+            for e in sg.view(m).local_edges() {
+                local[Partition::rep_edge_owner(&rep_prf, n, k, e.u, e.v)].push(e);
             }
         }
-        kept.push(keep);
-    }
-    // Step 2: route surviving edges to RVP homes (one superstep, counted).
-    let mut bsp: Bsp<Payload> = Bsp::new(NetworkConfig::new(k, cfg.bandwidth, n));
-    let mut out = Vec::new();
-    for (m, edges) in kept.iter().enumerate() {
-        let mut per_dst: Vec<Vec<(u32, u32, u64)>> = vec![Vec::new(); k];
-        for e in edges {
-            per_dst[rvp.home(e.u)].push((e.u, e.v, e.w));
+        // Step 1: local cycle-property filtering (free local computation).
+        let mut kept: Vec<Vec<Edge>> = Vec::with_capacity(k);
+        for mut shard in local {
+            shard.sort_unstable_by_key(Graph::edge_key);
+            let mut uf = UnionFind::new(n);
+            let mut keep = Vec::new();
+            for e in shard {
+                if uf.union(e.u, e.v) {
+                    keep.push(e);
+                }
+            }
+            kept.push(keep);
         }
-        for (dst, batch) in per_dst.into_iter().enumerate() {
-            if dst != m && !batch.is_empty() {
-                let payload = Payload::EdgeList { edges: batch };
-                let bits = payload.wire_bits_lw(l, l);
-                out.push(Envelope::with_bits(m, dst, payload, bits));
+        // Step 2: route surviving edges to RVP homes (one superstep, counted).
+        let mut bsp: Bsp<Payload> = Bsp::new(NetworkConfig::new(k, cfg.bandwidth, n));
+        let mut out = Vec::new();
+        for (m, edges) in kept.iter().enumerate() {
+            let mut per_dst: Vec<Vec<(u32, u32, u64)>> = vec![Vec::new(); k];
+            for e in edges {
+                per_dst[rvp.home(e.u)].push((e.u, e.v, e.w));
+            }
+            for (dst, batch) in per_dst.into_iter().enumerate() {
+                if dst != m && !batch.is_empty() {
+                    let payload = Payload::EdgeList { edges: batch };
+                    let bits = payload.wire_bits_lw(l, l);
+                    out.push(Envelope::with_bits(m, dst, payload, bits));
+                }
             }
         }
+        bsp.superstep(out);
+        let _ = bsp.take_all_inboxes();
+        let routing = bsp.into_stats();
+        // Step 3: the RVP algorithm on the filtered union (MST-preserving by
+        // the cycle property; REP assigns each edge once so there are no dups).
+        let union: Vec<Edge> = kept.into_iter().flatten().collect();
+        let filtered_edges = union.len();
+        let filtered = Graph::from_dedup_edges(n, union);
+        let mut mst = minimum_spanning_tree_sharded(
+            &ShardedGraph::from_graph(&filtered, rvp),
+            seed ^ 0x9E9,
+            cfg,
+        );
+        let mut combined = routing.clone();
+        combined.absorb(&mst.stats);
+        mst.stats = combined;
+        RepMstOutput {
+            mst,
+            filtered_edges,
+            routing,
+        }
     }
-    bsp.superstep(out);
-    let _ = bsp.take_all_inboxes();
-    let routing = bsp.into_stats();
-    // Step 3: the RVP algorithm on the filtered union (MST-preserving by
-    // the cycle property; REP assigns each edge once so there are no dups).
-    let union: Vec<Edge> = kept.into_iter().flatten().collect();
-    let filtered_edges = union.len();
-    let filtered = Graph::from_dedup_edges(n, union);
-    let mut mst = minimum_spanning_tree_with_partition(&filtered, rvp, seed ^ 0x9E9, cfg);
-    let mut combined = routing.clone();
-    combined.absorb(&mst.stats);
-    mst.stats = combined;
-    RepMstOutput {
-        mst,
-        filtered_edges,
-        routing,
+
+    fn stats(out: &RepMstOutput) -> &CommStats {
+        &out.mst.stats
+    }
+
+    fn phases(out: &RepMstOutput) -> u32 {
+        out.mst.phases
     }
 }
 
@@ -138,7 +150,8 @@ mod tests {
     #[test]
     fn filtering_preserves_the_mst() {
         let g = generators::randomize_weights(&generators::random_connected(120, 300, 1), 500, 2);
-        let out = rep_mst(&g, 4, 3, &MstConfig::default());
+        let cluster = Cluster::builder(4).seed(3).ingest_graph(&g);
+        let out = cluster.run(RepMst::default()).output;
         let reference = refalgo::kruskal(&g);
         assert!(refalgo::is_spanning_forest(&g, &out.mst.edges));
         assert_eq!(out.mst.total_weight, refalgo::forest_weight(&reference));
@@ -147,7 +160,8 @@ mod tests {
     #[test]
     fn filtering_shrinks_dense_graphs() {
         let g = generators::randomize_weights(&generators::gnm(200, 8000, 4), 300, 5);
-        let out = rep_mst(&g, 8, 6, &MstConfig::default());
+        let cluster = Cluster::builder(8).seed(6).ingest_graph(&g);
+        let out = cluster.run(RepMst::default()).output;
         // Each of 8 machines keeps < n edges.
         assert!(out.filtered_edges < 8 * 200);
         assert!(out.filtered_edges < g.m());
@@ -156,24 +170,10 @@ mod tests {
     #[test]
     fn disconnected_inputs_yield_spanning_forests() {
         let g = generators::randomize_weights(&generators::planted_components(100, 4, 5, 7), 50, 8);
-        let out = rep_mst(&g, 4, 9, &MstConfig::default());
+        let cluster = Cluster::builder(4).seed(9).ingest_graph(&g);
+        let out = cluster.run(RepMst::default()).output;
         assert_eq!(out.mst.edges.len(), 100 - 4);
         assert!(refalgo::is_spanning_forest(&g, &out.mst.edges));
-    }
-
-    #[test]
-    fn sharded_and_graph_front_ends_agree_bit_for_bit() {
-        let g = generators::randomize_weights(&generators::gnm(150, 600, 11), 400, 12);
-        let (k, seed) = (5, 13);
-        let a = rep_mst(&g, k, seed, &MstConfig::default());
-        let part = Partition::random_vertex(&g, k, seed);
-        let sg = ShardedGraph::from_graph(&g, &part);
-        let b = rep_mst_sharded(&sg, seed, &MstConfig::default());
-        assert_eq!(a.mst.edges, b.mst.edges);
-        assert_eq!(a.mst.stats.rounds, b.mst.stats.rounds);
-        assert_eq!(a.mst.stats.total_bits, b.mst.stats.total_bits);
-        assert_eq!(a.filtered_edges, b.filtered_edges);
-        assert_eq!(a.routing.rounds, b.routing.rounds);
     }
 
     #[test]
@@ -184,7 +184,8 @@ mod tests {
         // one owner: a dropped edge would shrink it, a double assignment
         // would inflate it.
         let g = generators::randomize_weights(&generators::random_tree(240, 15), 100, 16);
-        let out = rep_mst(&g, 4, 17, &MstConfig::default());
+        let cluster = Cluster::builder(4).seed(17).ingest_graph(&g);
+        let out = cluster.run(RepMst::default()).output;
         assert_eq!(
             out.filtered_edges,
             g.m(),

@@ -4,102 +4,30 @@
 //! Monte-Carlo: with the default sketch repetitions the output labels match
 //! the true connected components with high probability; every output is
 //! cheap to validate against [`kgraph::refalgo::connected_components`].
+//!
+//! ```
+//! use kconn::session::{Cluster, Connectivity, Problem};
+//! use kconn::ConnectivityConfig;
+//! use kgraph::generators;
+//!
+//! // Two planted components over 4 machines.
+//! let g = generators::planted_components(120, 2, 3, 7);
+//! let cluster = Cluster::builder(4).seed(7).ingest_graph(&g);
+//! let out = cluster.run(Connectivity::with(ConnectivityConfig::default())).output;
+//! assert_eq!(out.component_count(), 2);
+//! assert!(out.stats.rounds > 0); // every round is accounted
+//! ```
 
-use crate::engine::{Engine, EngineConfig, EngineResult, MergeStrategy, Mode, RecoveryPolicy};
+use crate::engine::{Engine, EngineConfig, EngineResult, Mode};
 use crate::messages::Label;
-use kgraph::{Graph, Partition, ShardedGraph};
-use kmachine::bandwidth::Bandwidth;
-use kmachine::fault::FaultPlan;
-use kmachine::message::Encoding;
+use crate::session::{Cluster, Connectivity, Problem};
+use kgraph::ShardedGraph;
 use kmachine::metrics::CommStats;
 use kmachine::trace::Tracer;
-use kmachine::transport::TransportSel;
 
-/// Configuration for a connectivity run.
-#[derive(Clone, Debug)]
-pub struct ConnectivityConfig {
-    /// Per-link bandwidth policy (default: `8·log²n` bits per round).
-    pub bandwidth: Bandwidth,
-    /// Sketch repetitions (default 5).
-    pub reps: u32,
-    /// Charge the §2.2 shared-randomness distribution cost (default true).
-    pub charge_shared_randomness: bool,
-    /// Run the §2.6 component-counting output protocol (default true).
-    pub run_output_protocol: bool,
-    /// Optional hard phase cap (default: the paper's `12 log₂ n`).
-    pub max_phases: Option<u32>,
-    /// Merge-partner rule: DRR ranks (§2.5, default) or footnote 9's
-    /// coin flips (the E17 ablation).
-    pub merge: MergeStrategy,
-    /// Which §1.1 communication restriction to charge rounds under
-    /// (per-link default; per-machine for the E19 equivalence check).
-    pub cost_model: kmachine::bandwidth::CostModel,
-    /// Phases per iteration-0 sketch-function epoch (incremental sketch
-    /// reuse; `0` rebuilds everything every phase — the ablation).
-    pub sketch_reuse_period: u32,
-    /// Deterministic fault-injection plan the run must survive (`None` —
-    /// the default — keeps the fault-free behaviour bit for bit).
-    pub faults: Option<FaultPlan>,
-    /// How injected faults are survived (ack/retransmit + phase
-    /// checkpoints, both on by default).
-    pub recovery: RecoveryPolicy,
-    /// Supergraph contraction after phase 0 (DESIGN.md §3.11; default
-    /// `false` — the paper's sketch path, kept as the pinned ablation).
-    pub contract: bool,
-    /// Wire encoding the superstep layer charges bandwidth under (default
-    /// per-message [`Encoding::Naive`]; [`Encoding::Varint`] batch-encodes
-    /// each link's traffic). Accounting only — never the trajectory.
-    pub encoding: Encoding,
-    /// Byte transport carrying each superstep window (default
-    /// [`TransportSel::Sim`], the in-process oracle; see DESIGN.md §3.12).
-    pub transport: TransportSel,
-    /// Structured event tracer (DESIGN.md §3.14; default off). Never
-    /// changes outputs or [`CommStats`].
-    pub trace: Tracer,
-}
-
-impl Default for ConnectivityConfig {
-    fn default() -> Self {
-        let e = EngineConfig::default();
-        ConnectivityConfig {
-            bandwidth: e.bandwidth,
-            reps: e.reps,
-            charge_shared_randomness: e.charge_shared_randomness,
-            run_output_protocol: e.run_output_protocol,
-            max_phases: e.max_phases,
-            merge: e.merge,
-            cost_model: e.cost_model,
-            sketch_reuse_period: e.sketch_reuse_period,
-            faults: e.faults,
-            recovery: e.recovery,
-            contract: e.contract,
-            encoding: e.encoding,
-            transport: e.transport,
-            trace: e.trace,
-        }
-    }
-}
-
-impl ConnectivityConfig {
-    fn engine(&self) -> EngineConfig {
-        EngineConfig {
-            bandwidth: self.bandwidth,
-            reps: self.reps,
-            charge_shared_randomness: self.charge_shared_randomness,
-            run_output_protocol: self.run_output_protocol,
-            max_phases: self.max_phases,
-            merge: self.merge,
-            cost_model: self.cost_model,
-            sketch_reuse_period: self.sketch_reuse_period,
-            faults: self.faults.clone(),
-            recovery: self.recovery,
-            contract: self.contract,
-            encoding: self.encoding,
-            transport: self.transport,
-            trace: self.trace.clone(),
-        }
-    }
-}
+/// Configuration for a connectivity run: the engine's own knobs, all of
+/// them (Theorem 1 *is* the engine in [`Mode::Connectivity`]).
+pub type ConnectivityConfig = EngineConfig;
 
 /// The result of a connectivity run.
 #[derive(Clone, Debug)]
@@ -152,74 +80,61 @@ impl From<EngineResult> for ConnectivityOutput {
     }
 }
 
-/// Runs the connectivity algorithm on `g` over `k` machines under a random
-/// vertex partition derived from `seed`.
-///
-/// Deprecated-in-place: a thin shim over the session API — it builds a
-/// single-use [`crate::session::Cluster`] and runs
-/// [`crate::session::Connectivity`] on it, so it is bit-identical to the
-/// session path. New code that runs more than one algorithm on the same
-/// input should build the cluster once and reuse it.
-///
-/// ```
-/// use kconn::connectivity::{connected_components, ConnectivityConfig};
-/// use kgraph::generators;
-///
-/// // Two planted components over 4 machines.
-/// let g = generators::planted_components(120, 2, 3, 7);
-/// let out = connected_components(&g, 4, 7, &ConnectivityConfig::default());
-/// assert_eq!(out.component_count(), 2);
-/// assert!(out.stats.rounds > 0); // every round is accounted
-/// ```
-pub fn connected_components(
-    g: &Graph,
-    k: usize,
-    seed: u64,
-    cfg: &ConnectivityConfig,
-) -> ConnectivityOutput {
-    use crate::session::{Cluster, Connectivity, Problem};
-    Cluster::builder(k)
-        .seed(seed)
-        .ingest_graph(g)
-        .run(Connectivity::with(cfg.clone()))
-        .output
-}
-
-/// Runs the connectivity algorithm with an explicit partition — the
-/// harness path for callers that carry their own partition (the
-/// bipartiteness double-cover reduction, the §4 cut simulation); everyone
-/// else goes through [`crate::session::Cluster`]. Shards the graph first —
-/// the engine itself only ever sees per-machine views.
-pub fn connected_components_with_partition(
-    g: &Graph,
-    part: &Partition,
-    seed: u64,
-    cfg: &ConnectivityConfig,
-) -> ConnectivityOutput {
-    let sg = ShardedGraph::from_graph(g, part);
-    connected_components_sharded(&sg, seed, cfg)
-}
-
-/// Runs the connectivity algorithm directly on sharded storage — the
-/// streaming ingestion path (`ShardedGraph::from_stream`), with no central
-/// `Graph` anywhere in the pipeline.
-pub fn connected_components_sharded(
+/// Runs the connectivity algorithm on sharded storage. Crate-private: the
+/// way in is [`Cluster::run`]; min cut's probes and the verification
+/// problems compose it directly on shards they build themselves.
+pub(crate) fn connected_components_sharded(
     sg: &ShardedGraph,
     seed: u64,
     cfg: &ConnectivityConfig,
 ) -> ConnectivityOutput {
-    Engine::new(sg, Mode::Connectivity, seed, cfg.engine())
+    Engine::new(sg, Mode::Connectivity, seed, cfg.clone())
         .run()
         .into()
+}
+
+impl Problem for Connectivity {
+    type Config = ConnectivityConfig;
+    type Output = ConnectivityOutput;
+    const NAME: &'static str = "conn";
+
+    fn with(cfg: ConnectivityConfig) -> Self {
+        Connectivity { cfg }
+    }
+
+    fn config_from(d: &EngineConfig) -> ConnectivityConfig {
+        d.clone()
+    }
+
+    fn tracer(&self) -> Tracer {
+        self.cfg.trace.clone()
+    }
+
+    fn solve(&self, cluster: &Cluster) -> ConnectivityOutput {
+        connected_components_sharded(cluster.sharded(), cluster.seed(), &self.cfg)
+    }
+
+    fn stats(out: &ConnectivityOutput) -> &CommStats {
+        &out.stats
+    }
+
+    fn phases(out: &ConnectivityOutput) -> u32 {
+        out.phases
+    }
+
+    fn sketch_counters(out: &ConnectivityOutput) -> (u64, u64) {
+        (out.sketch_builds, out.sketch_cache_hits)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kgraph::{generators, refalgo};
+    use kgraph::{generators, refalgo, Graph};
 
     fn check(g: &Graph, k: usize, seed: u64) -> ConnectivityOutput {
-        let out = connected_components(g, k, seed, &ConnectivityConfig::default());
+        let cluster = Cluster::builder(k).seed(seed).ingest_graph(g);
+        let out = cluster.run(Connectivity::default()).output;
         let truth = refalgo::connected_components(g);
         // Labels must induce exactly the true partition into components.
         for e in g.edges() {
@@ -306,8 +221,9 @@ mod tests {
     #[test]
     fn deterministic_in_seed() {
         let g = generators::gnp(200, 0.02, 17);
-        let a = connected_components(&g, 4, 42, &ConnectivityConfig::default());
-        let b = connected_components(&g, 4, 42, &ConnectivityConfig::default());
+        let cluster = Cluster::builder(4).seed(42).ingest_graph(&g);
+        let a = cluster.run(Connectivity::default()).output;
+        let b = cluster.run(Connectivity::default()).output;
         assert_eq!(a.labels, b.labels);
         assert_eq!(a.stats.rounds, b.stats.rounds);
     }
@@ -317,9 +233,11 @@ mod tests {
         // The headline claim (E1 smoke test): quadrupling k should cut
         // rounds by much more than 4 on a big enough instance.
         let g = generators::gnm(4000, 12_000, 19);
-        let cfg = ConnectivityConfig::default();
-        let r4 = connected_components(&g, 4, 21, &cfg).stats.rounds;
-        let r16 = connected_components(&g, 16, 21, &cfg).stats.rounds;
+        let rounds = |k| {
+            let cluster = Cluster::builder(k).seed(21).ingest_graph(&g);
+            cluster.run(Connectivity::default()).report.stats.rounds
+        };
+        let (r4, r16) = (rounds(4), rounds(16));
         // Linear scaling would give exactly 4x; the additive polylog terms
         // (pointer jumping, convergence flags) blunt the full 16x at this
         // instance size, but the ratio must clearly exceed linear.
@@ -348,7 +266,8 @@ mod tests {
             sketch_reuse_period: 0,
             ..ConnectivityConfig::default()
         };
-        let without = connected_components(&g, 4, 29, &cfg);
+        let cluster = Cluster::builder(4).seed(29).ingest_graph(&g);
+        let without = cluster.run(Connectivity::with(cfg)).output;
         assert_eq!(without.sketch_cache_hits, 0);
         assert_eq!(
             without.component_count(),

@@ -756,20 +756,8 @@ impl DynamicCluster {
         let started = Instant::now();
         let mark = self.cfg.trace.mark();
         let ecfg = EngineConfig {
-            bandwidth: cfg.bandwidth,
-            reps: cfg.reps,
-            charge_shared_randomness: cfg.charge_shared_randomness,
             run_output_protocol: false,
-            max_phases: cfg.max_phases,
-            merge: cfg.merge,
-            cost_model: cfg.cost_model,
-            sketch_reuse_period: cfg.sketch_reuse_period,
-            faults: cfg.faults.clone(),
-            recovery: cfg.recovery,
-            contract: cfg.contract,
-            encoding: cfg.encoding,
-            transport: cfg.transport,
-            trace: cfg.trace.clone(),
+            ..cfg.clone()
         };
         let r = self.refresh(ecfg);
         let report = self.report("conn", &r, started, mark);

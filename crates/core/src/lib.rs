@@ -5,14 +5,13 @@
 //! simulated machine holds only its `~n/k` home vertices and their
 //! incident edges, never a copy of the graph (DESIGN.md §3.7).
 //!
-//! The primary way in is the [`session`] API, which mirrors the model
-//! itself: build a [`session::Cluster`] once (k machines, bandwidth, seed,
-//! one ingestion of a graph or edge stream into per-machine shards), then
-//! run any number of [`session::Problem`]s against it — every run returns
-//! its typed output plus a common [`session::RunReport`]. The per-problem
-//! free functions (`connected_components`, `minimum_spanning_tree`, …)
-//! survive as thin shims over the session path and stay bit-identical to
-//! it; the `*_sharded` entry points accept streamed shards directly.
+//! The one way in is the [`session`] API, which mirrors the model itself:
+//! build a [`session::Cluster`] once (k machines, seed, one ingestion of a
+//! graph or edge stream into per-machine shards — or
+//! [`session::ClusterBuilder::adopt`] shards built under a partition of
+//! your own), then run any number of [`session::Problem`]s against it —
+//! every run returns its typed output plus a common
+//! [`session::RunReport`].
 //!
 //! * [`session`] — the cluster/problem session layer: ingest once, run
 //!   many algorithms, one report shape for all of them.
@@ -48,10 +47,10 @@ pub mod session;
 pub mod st;
 pub mod verify;
 
-pub use connectivity::{connected_components, ConnectivityConfig, ConnectivityOutput};
+pub use connectivity::{ConnectivityConfig, ConnectivityOutput};
 pub use dynamic::{DynConfig, DynamicCluster, UpdateBatch, UpdateError, UpdateOp};
 pub use engine::RecoveryPolicy;
-pub use mincut::{approx_min_cut, MinCutConfig, MinCutOutput};
-pub use mst::{minimum_spanning_tree, MstConfig, MstOutput, OutputCriterion};
+pub use mincut::{MinCutConfig, MinCutOutput};
+pub use mst::{MstConfig, MstOutput, OutputCriterion};
 pub use session::{Cluster, ClusterBuilder, Problem, Run, RunReport};
-pub use st::{spanning_forest, SpanningForestOutput};
+pub use st::SpanningForestOutput;

@@ -9,7 +9,7 @@
 //! in `b`, and `rounds · k² · W` upper-bounds the cut traffic.
 
 use crate::connectivity::ConnectivityConfig;
-use crate::engine::{Engine, EngineConfig, Mode};
+use crate::engine::{Engine, Mode};
 use crate::lowerbound::disjointness::DisjointnessInstance;
 use crate::lowerbound::figure1::scs_gadget;
 use kgraph::Partition;
@@ -57,23 +57,7 @@ pub fn simulate_scs_two_party(
     let h = g.edge_subgraph(&h_edges);
     let part = Partition::random_vertex(&g, k, seed);
     let sh = kgraph::ShardedGraph::from_graph(&h, &part);
-    let engine_cfg = EngineConfig {
-        bandwidth: cfg.bandwidth,
-        reps: cfg.reps,
-        charge_shared_randomness: cfg.charge_shared_randomness,
-        run_output_protocol: cfg.run_output_protocol,
-        max_phases: cfg.max_phases,
-        merge: cfg.merge,
-        cost_model: cfg.cost_model,
-        sketch_reuse_period: cfg.sketch_reuse_period,
-        faults: cfg.faults.clone(),
-        recovery: cfg.recovery,
-        contract: cfg.contract,
-        encoding: cfg.encoding,
-        transport: cfg.transport,
-        trace: cfg.trace.clone(),
-    };
-    let mut engine = Engine::new(&sh, Mode::Connectivity, seed, engine_cfg);
+    let mut engine = Engine::new(&sh, Mode::Connectivity, seed, cfg.clone());
     engine.set_cut((0..k).map(|m| m < k / 2).collect());
     let result = engine.run();
     let verdict = result.component_count() == 1;

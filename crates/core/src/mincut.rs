@@ -13,9 +13,25 @@
 //! ([`kgraph::ShardedGraph::filter_edges`]), never centrally. Integer
 //! weights are treated as edge multiplicities: an edge of weight `w`
 //! survives with probability `1 − (1−p)^w`.
+//!
+//! ```
+//! use kconn::session::{Cluster, MinCut, Problem};
+//! use kconn::MinCutConfig;
+//! use kgraph::generators;
+//!
+//! // Two dense blocks joined by 2 unit bridges: lambda = 2.
+//! let g = generators::barbell(16, 2, 1, 5);
+//! let cluster = Cluster::builder(4).seed(5).ingest_graph(&g);
+//! let out = cluster.run(MinCut::with(MinCutConfig::default())).output;
+//! // The estimate is within the Theorem-3 O(log n) factor of 2.
+//! let ratio = (out.estimate.max(1) as f64 / 2.0).max(2.0 / out.estimate.max(1) as f64);
+//! assert!(ratio <= 4.0 * (g.n() as f64).log2());
+//! ```
 
 use crate::connectivity::{connected_components_sharded, ConnectivityConfig};
-use kgraph::{Graph, ShardedGraph};
+use crate::engine::EngineConfig;
+use crate::session::{Cluster, MinCut, Problem};
+use kgraph::ShardedGraph;
 use kmachine::bandwidth::Bandwidth;
 use kmachine::message::Encoding;
 use kmachine::metrics::CommStats;
@@ -81,89 +97,99 @@ pub struct MinCutOutput {
     pub stats: CommStats,
 }
 
-/// Approximates the min cut of a *connected* graph `g` over `k` machines.
-///
-/// Returns `estimate = 0` immediately (after one probe) if `g` is already
-/// disconnected.
-///
-/// Deprecated-in-place: a thin shim over the session API
-/// ([`crate::session::MinCut`]); bit-identical to running on a
-/// [`crate::session::Cluster`] built with the same `(k, seed)`.
-///
-/// ```
-/// use kconn::mincut::{approx_min_cut, MinCutConfig};
-/// use kgraph::generators;
-///
-/// // Two dense blocks joined by 2 unit bridges: lambda = 2.
-/// let g = generators::barbell(16, 2, 1, 5);
-/// let out = approx_min_cut(&g, 4, 5, &MinCutConfig::default());
-/// // The estimate is within the Theorem-3 O(log n) factor of 2.
-/// let ratio = (out.estimate.max(1) as f64 / 2.0).max(2.0 / out.estimate.max(1) as f64);
-/// assert!(ratio <= 4.0 * (g.n() as f64).log2());
-/// ```
-pub fn approx_min_cut(g: &Graph, k: usize, seed: u64, cfg: &MinCutConfig) -> MinCutOutput {
-    use crate::session::{Cluster, MinCut, Problem};
-    Cluster::builder(k)
-        .seed(seed)
-        .ingest_graph(g)
-        .run(MinCut::with(cfg.clone()))
-        .output
-}
+impl Problem for MinCut {
+    type Config = MinCutConfig;
+    type Output = MinCutOutput;
+    const NAME: &'static str = "mincut";
 
-/// Approximates the min cut directly on sharded storage (the streaming
-/// ingestion path; see [`approx_min_cut`] for semantics).
-pub fn approx_min_cut_sharded(sg: &ShardedGraph, seed: u64, cfg: &MinCutConfig) -> MinCutOutput {
-    let k = sg.k();
-    let shared = SharedRandomness::new(seed ^ 0xC07);
-    let conn_cfg = ConnectivityConfig {
-        bandwidth: cfg.bandwidth,
-        reps: cfg.reps,
-        charge_shared_randomness: cfg.charge_shared_randomness,
-        run_output_protocol: true,
-        faults: cfg.faults.clone(),
-        recovery: cfg.recovery,
-        contract: cfg.contract,
-        encoding: cfg.encoding,
-        transport: cfg.transport,
-        trace: cfg.trace.clone(),
-        ..ConnectivityConfig::default()
-    };
-    let mut stats = CommStats::new(k);
-    // Probe i = 0 is p = 1 (the input graph itself). Each machine knows its
-    // local maximum weight; the global max is free to aggregate in-model.
-    let max_w = (0..k)
-        .filter_map(|i| {
-            let view = sg.view(i);
-            view.verts()
-                .iter()
-                .flat_map(move |&v| view.neighbors(v).iter().map(|&(_, w)| w))
-                .max()
-        })
-        .max()
-        .unwrap_or(1);
-    let max_probe = 2 + 64 - max_w.leading_zeros() + kmachine::bandwidth::ceil_log2(sg.n().max(2));
-    let mut disconnecting = None;
-    let mut probes = 0;
-    for i in 0..max_probe {
-        probes += 1;
-        let sampled = sample_sharded(sg, &shared, i);
-        let out = connected_components_sharded(&sampled, seed ^ (i as u64) << 32, &conn_cfg);
-        stats.absorb(&out.stats);
-        if out.component_count() > 1 {
-            disconnecting = Some(i);
-            break;
+    fn with(cfg: MinCutConfig) -> Self {
+        MinCut { cfg }
+    }
+
+    fn config_from(d: &EngineConfig) -> MinCutConfig {
+        MinCutConfig {
+            bandwidth: d.bandwidth,
+            reps: d.reps,
+            charge_shared_randomness: d.charge_shared_randomness,
+            faults: d.faults.clone(),
+            recovery: d.recovery,
+            contract: d.contract,
+            encoding: d.encoding,
+            transport: d.transport,
+            trace: d.trace.clone(),
         }
     }
-    let i_star = disconnecting.unwrap_or(max_probe);
-    // λ is localized around 2^{i*} · Θ(log n); report the geometric pivot.
-    // With p = 2^{-i*} the graph disconnected, so λ ≲ 2^{i*} · O(log n);
-    // with p = 2^{-(i*-1)} it stayed connected, so λ ≳ 2^{i*-1} / O(log n).
-    let estimate = if i_star == 0 { 0 } else { 1u64 << (i_star - 1) };
-    MinCutOutput {
-        estimate,
-        disconnecting_probe: i_star,
-        probes,
-        stats,
+
+    fn tracer(&self) -> Tracer {
+        self.cfg.trace.clone()
+    }
+
+    /// Approximates the min cut of a *connected* input; returns
+    /// `estimate = 0` immediately (after one probe) if it is already
+    /// disconnected.
+    fn solve(&self, cluster: &Cluster) -> MinCutOutput {
+        let (sg, seed, cfg) = (cluster.sharded(), cluster.seed(), &self.cfg);
+        let k = sg.k();
+        let shared = SharedRandomness::new(seed ^ 0xC07);
+        let conn_cfg = ConnectivityConfig {
+            bandwidth: cfg.bandwidth,
+            reps: cfg.reps,
+            charge_shared_randomness: cfg.charge_shared_randomness,
+            run_output_protocol: true,
+            faults: cfg.faults.clone(),
+            recovery: cfg.recovery,
+            contract: cfg.contract,
+            encoding: cfg.encoding,
+            transport: cfg.transport,
+            trace: cfg.trace.clone(),
+            ..ConnectivityConfig::default()
+        };
+        let mut stats = CommStats::new(k);
+        // Probe i = 0 is p = 1 (the input graph itself). Each machine knows its
+        // local maximum weight; the global max is free to aggregate in-model.
+        let max_w = (0..k)
+            .filter_map(|i| {
+                let view = sg.view(i);
+                view.verts()
+                    .iter()
+                    .flat_map(move |&v| view.neighbors(v).iter().map(|&(_, w)| w))
+                    .max()
+            })
+            .max()
+            .unwrap_or(1);
+        let max_probe =
+            2 + 64 - max_w.leading_zeros() + kmachine::bandwidth::ceil_log2(sg.n().max(2));
+        let mut disconnecting = None;
+        let mut probes = 0;
+        for i in 0..max_probe {
+            probes += 1;
+            let sampled = sample_sharded(sg, &shared, i);
+            let out = connected_components_sharded(&sampled, seed ^ (i as u64) << 32, &conn_cfg);
+            stats.absorb(&out.stats);
+            if out.component_count() > 1 {
+                disconnecting = Some(i);
+                break;
+            }
+        }
+        let i_star = disconnecting.unwrap_or(max_probe);
+        // λ is localized around 2^{i*} · Θ(log n); report the geometric pivot.
+        // With p = 2^{-i*} the graph disconnected, so λ ≲ 2^{i*} · O(log n);
+        // with p = 2^{-(i*-1)} it stayed connected, so λ ≳ 2^{i*-1} / O(log n).
+        let estimate = if i_star == 0 { 0 } else { 1u64 << (i_star - 1) };
+        MinCutOutput {
+            estimate,
+            disconnecting_probe: i_star,
+            probes,
+            stats,
+        }
+    }
+
+    fn stats(out: &MinCutOutput) -> &CommStats {
+        &out.stats
+    }
+
+    fn phases(out: &MinCutOutput) -> u32 {
+        out.probes
     }
 }
 
@@ -195,7 +221,7 @@ fn sample_sharded(sg: &ShardedGraph, shared: &SharedRandomness, probe: u32) -> S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kgraph::{generators, mincut, refalgo};
+    use kgraph::{generators, mincut, refalgo, Graph};
 
     fn shard(g: &Graph, k: usize, seed: u64) -> ShardedGraph {
         ShardedGraph::from_graph(g, &kgraph::Partition::random_vertex(g, k, seed))
@@ -240,7 +266,8 @@ mod tests {
         let g = generators::barbell(24, 4, 1, 7);
         let lambda = mincut::stoer_wagner(&g).unwrap();
         assert_eq!(lambda, 4);
-        let out = approx_min_cut(&g, 4, 9, &MinCutConfig::default());
+        let cluster = Cluster::builder(4).seed(9).ingest_graph(&g);
+        let out = cluster.run(MinCut::default()).output;
         let logn = (g.n() as f64).log2();
         let est = out.estimate.max(1) as f64;
         let ratio = (est / lambda as f64).max(lambda as f64 / est);
@@ -257,8 +284,9 @@ mod tests {
         // disconnecting probe index must not decrease.
         let sparse = generators::random_connected(128, 30, 11);
         let dense = generators::random_connected(128, 1500, 12);
-        let a = approx_min_cut(&sparse, 4, 13, &MinCutConfig::default());
-        let b = approx_min_cut(&dense, 4, 13, &MinCutConfig::default());
+        let builder = Cluster::builder(4).seed(13);
+        let a = builder.ingest_graph(&sparse).run(MinCut::default()).output;
+        let b = builder.ingest_graph(&dense).run(MinCut::default()).output;
         assert!(
             b.disconnecting_probe >= a.disconnecting_probe,
             "denser graph disconnects later: {} vs {}",
@@ -271,7 +299,8 @@ mod tests {
     fn disconnected_input_estimates_zero() {
         let g = generators::planted_components(60, 2, 4, 15);
         assert!(refalgo::component_count(&g) > 1);
-        let out = approx_min_cut(&g, 4, 16, &MinCutConfig::default());
+        let cluster = Cluster::builder(4).seed(16).ingest_graph(&g);
+        let out = cluster.run(MinCut::default()).output;
         assert_eq!(out.estimate, 0);
         assert_eq!(out.disconnecting_probe, 0);
     }

@@ -14,11 +14,25 @@
 //!   `Ω~(n/k)` lower bound of \[22\] (a machine hosting a high-degree vertex
 //!   must receive the status of all its edges); the extra routing step
 //!   reproduces exactly that bottleneck on star-like graphs (E8).
+//!
+//! ```
+//! use kconn::session::{Cluster, Mst, Problem};
+//! use kconn::MstConfig;
+//! use kgraph::{generators, refalgo};
+//!
+//! let g = generators::randomize_weights(&generators::grid(5, 6), 100, 3);
+//! let cluster = Cluster::builder(4).seed(3).ingest_graph(&g);
+//! let out = cluster.run(Mst::with(MstConfig::default())).output;
+//! assert!(refalgo::is_spanning_forest(&g, &out.edges));
+//! let kruskal = refalgo::kruskal(&g);
+//! assert_eq!(out.total_weight, refalgo::forest_weight(&kruskal));
+//! ```
 
 use crate::engine::{Engine, EngineConfig, EngineResult, Mode};
 use crate::messages::{id_bits, Payload};
+use crate::session::{Cluster, Mst, Problem};
 use kgraph::graph::Edge;
-use kgraph::{Graph, Partition, ShardedGraph};
+use kgraph::ShardedGraph;
 use kmachine::bandwidth::Bandwidth;
 use kmachine::bsp::Bsp;
 use kmachine::message::{Encoding, Envelope};
@@ -109,49 +123,56 @@ pub struct MstOutput {
     pub endpoint_routing: Option<CommStats>,
 }
 
-/// Runs the MST algorithm on a weighted graph over `k` machines.
-///
-/// Deprecated-in-place: a thin shim over the session API
-/// ([`crate::session::Mst`]); bit-identical to running on a
-/// [`crate::session::Cluster`] built with the same `(k, seed)`.
-///
-/// ```
-/// use kconn::mst::{minimum_spanning_tree, MstConfig};
-/// use kgraph::{generators, refalgo};
-///
-/// let g = generators::randomize_weights(&generators::grid(5, 6), 100, 3);
-/// let out = minimum_spanning_tree(&g, 4, 3, &MstConfig::default());
-/// assert!(refalgo::is_spanning_forest(&g, &out.edges));
-/// let kruskal = refalgo::kruskal(&g);
-/// assert_eq!(out.total_weight, refalgo::forest_weight(&kruskal));
-/// ```
-pub fn minimum_spanning_tree(g: &Graph, k: usize, seed: u64, cfg: &MstConfig) -> MstOutput {
-    use crate::session::{Cluster, Mst, Problem};
-    Cluster::builder(k)
-        .seed(seed)
-        .ingest_graph(g)
-        .run(Mst::with(cfg.clone()))
-        .output
+impl Problem for Mst {
+    type Config = MstConfig;
+    type Output = MstOutput;
+    const NAME: &'static str = "mst";
+
+    fn with(cfg: MstConfig) -> Self {
+        Mst { cfg }
+    }
+
+    fn config_from(d: &EngineConfig) -> MstConfig {
+        MstConfig {
+            bandwidth: d.bandwidth,
+            reps: d.reps,
+            charge_shared_randomness: d.charge_shared_randomness,
+            criterion: OutputCriterion::AnyMachine,
+            max_phases: d.max_phases,
+            faults: d.faults.clone(),
+            recovery: d.recovery,
+            contract: d.contract,
+            encoding: d.encoding,
+            transport: d.transport,
+            trace: d.trace.clone(),
+        }
+    }
+
+    fn tracer(&self) -> Tracer {
+        self.cfg.trace.clone()
+    }
+
+    fn solve(&self, cluster: &Cluster) -> MstOutput {
+        minimum_spanning_tree_sharded(cluster.sharded(), cluster.seed(), &self.cfg)
+    }
+
+    fn stats(out: &MstOutput) -> &CommStats {
+        &out.stats
+    }
+
+    fn phases(out: &MstOutput) -> u32 {
+        out.phases
+    }
 }
 
-/// Runs the MST algorithm with an explicit partition — the harness path
-/// for callers that carry their own partition (e.g. the REP baseline's
-/// post-filter core run); everyone else goes through
-/// [`crate::session::Cluster`]. Shards first — the engine only ever sees
-/// per-machine views.
-pub fn minimum_spanning_tree_with_partition(
-    g: &Graph,
-    part: &Partition,
+/// Runs the MST algorithm on sharded storage. Crate-private: the way in is
+/// [`Cluster::run`]; the dynamic layer's full re-solve and the REP
+/// baseline's post-filter core run compose it directly.
+pub(crate) fn minimum_spanning_tree_sharded(
+    sg: &ShardedGraph,
     seed: u64,
     cfg: &MstConfig,
 ) -> MstOutput {
-    let sg = ShardedGraph::from_graph(g, part);
-    minimum_spanning_tree_sharded(&sg, seed, cfg)
-}
-
-/// Runs the MST algorithm directly on sharded storage (the streaming
-/// ingestion path).
-pub fn minimum_spanning_tree_sharded(sg: &ShardedGraph, seed: u64, cfg: &MstConfig) -> MstOutput {
     let engine_cfg = EngineConfig {
         bandwidth: cfg.bandwidth,
         reps: cfg.reps,
@@ -254,10 +275,11 @@ pub(crate) fn route_edges_to_endpoints(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kgraph::{generators, refalgo};
+    use kgraph::{generators, refalgo, Graph};
 
     fn check(g: &Graph, k: usize, seed: u64) -> MstOutput {
-        let out = minimum_spanning_tree(g, k, seed, &MstConfig::default());
+        let cluster = Cluster::builder(k).seed(seed).ingest_graph(g);
+        let out = cluster.run(Mst::default()).output;
         let reference = refalgo::kruskal(g);
         assert!(
             refalgo::is_spanning_forest(g, &out.edges),
@@ -317,24 +339,16 @@ mod tests {
     #[test]
     fn both_endpoints_criterion_costs_more() {
         let g = generators::randomize_weights(&generators::star(256), 50, 17);
-        let a = minimum_spanning_tree(
-            &g,
-            8,
-            18,
-            &MstConfig {
-                criterion: OutputCriterion::AnyMachine,
+        let cluster = Cluster::builder(8).seed(18).ingest_graph(&g);
+        let run = |criterion| {
+            let cfg = MstConfig {
+                criterion,
                 ..MstConfig::default()
-            },
-        );
-        let b = minimum_spanning_tree(
-            &g,
-            8,
-            18,
-            &MstConfig {
-                criterion: OutputCriterion::BothEndpoints,
-                ..MstConfig::default()
-            },
-        );
+            };
+            cluster.run(Mst::with(cfg)).output
+        };
+        let a = run(OutputCriterion::AnyMachine);
+        let b = run(OutputCriterion::BothEndpoints);
         assert_eq!(a.total_weight, b.total_weight);
         assert!(
             b.stats.rounds > a.stats.rounds,
@@ -349,8 +363,9 @@ mod tests {
     #[test]
     fn deterministic_in_seed() {
         let g = generators::randomize_weights(&generators::gnm(100, 300, 19), 77, 20);
-        let a = minimum_spanning_tree(&g, 4, 21, &MstConfig::default());
-        let b = minimum_spanning_tree(&g, 4, 21, &MstConfig::default());
+        let cluster = Cluster::builder(4).seed(21).ingest_graph(&g);
+        let a = cluster.run(Mst::default()).output;
+        let b = cluster.run(Mst::default()).output;
         assert_eq!(a.edges, b.edges);
         assert_eq!(a.stats.rounds, b.stats.rounds);
     }

@@ -32,30 +32,28 @@
 //! tests — dispatches generically over `P: Problem` instead of hand-rolling
 //! one match arm per algorithm.
 //!
-//! **Determinism.** A cluster built with `(k, seed)` from a graph `g` holds
-//! exactly the shards the legacy one-shot entry points
-//! (e.g. [`crate::connectivity::connected_components`]) build internally,
-//! and `run` hands each problem the same `seed` — so running several
-//! algorithms against one ingested cluster is bit-identical to running each
-//! one-shot, which is property-tested across the scenario matrix in
-//! `tests/session.rs`. The one-shot free functions survive as thin shims
-//! over this module.
+//! **Determinism.** A run is a pure function of the cluster's shards, its
+//! `seed` and the problem's config — so running several algorithms against
+//! one ingested cluster is bit-identical to running each on a fresh
+//! single-use cluster built with the same `(k, seed)`, which is pinned
+//! across the scenario matrix in `tests/session.rs`.
+//!
+//! [`Cluster::run`] is the only way in. Each problem's `impl Problem` —
+//! its `solve` is the algorithm — lives in the algorithm's own module
+//! ([`crate::connectivity`], [`crate::mst`], [`crate::st`],
+//! [`crate::mincut`], [`crate::baselines`]); this module declares the
+//! problem types so they all import from one place.
 
-use crate::baselines::edge_boruvka::{edge_boruvka_sharded, CheckMode, EdgeBoruvkaOutput};
-use crate::baselines::flooding::{flooding_sharded, FloodingOutput};
-use crate::baselines::referee::{referee_sharded, RefereeOutput};
-use crate::baselines::rep_mst::{rep_mst_sharded, RepMstOutput};
-use crate::connectivity::{connected_components_sharded, ConnectivityConfig, ConnectivityOutput};
+use crate::baselines::edge_boruvka::CheckMode;
+use crate::connectivity::ConnectivityConfig;
 use crate::engine::EngineConfig;
-use crate::mincut::{approx_min_cut_sharded, MinCutConfig, MinCutOutput};
-use crate::mst::{minimum_spanning_tree_sharded, MstConfig, MstOutput, OutputCriterion};
-use crate::st::{spanning_forest_sharded, SpanningForestOutput};
+use crate::mincut::MinCutConfig;
+use crate::mst::MstConfig;
 use kgraph::stream::EdgeStream;
 use kgraph::{Graph, Partition, ShardedGraph};
-use kmachine::bandwidth::{Bandwidth, CostModel};
+use kmachine::bandwidth::Bandwidth;
 use kmachine::metrics::CommStats;
 use kmachine::trace::{PhaseSummary, Tracer};
-use kmachine::transport::TransportSel;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -63,12 +61,13 @@ use std::time::{Duration, Instant};
 // Builder
 // ---------------------------------------------------------------------
 
-/// Builds a [`Cluster`]: the model parameters (`k`, seed, bandwidth and the
-/// other [`EngineConfig`] knobs) plus one ingestion call.
+/// Builds a [`Cluster`]: the model parameters (`k`, seed and the default
+/// [`EngineConfig`] knobs) plus one ingestion call.
 ///
-/// The knobs set here become the cluster's *defaults*, used by
-/// [`Cluster::run_default`]; a [`Problem`] constructed with an explicit
-/// config ([`Problem::with`]) carries its own settings and ignores them.
+/// The [`ClusterBuilder::engine`] knobs become the cluster's *defaults*,
+/// used by [`Cluster::run_default`]; a [`Problem`] constructed with an
+/// explicit config ([`Problem::with`]) carries its own settings and
+/// ignores them.
 #[derive(Clone, Debug)]
 pub struct ClusterBuilder {
     k: usize,
@@ -89,61 +88,22 @@ impl ClusterBuilder {
     }
 
     /// Master seed: drives the vertex partition, the shared randomness and
-    /// every Monte-Carlo choice, exactly as the one-shot entry points.
+    /// every Monte-Carlo choice.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
     }
 
-    /// Default per-link bandwidth policy for [`Cluster::run_default`].
-    pub fn bandwidth(mut self, bandwidth: Bandwidth) -> Self {
-        self.defaults.bandwidth = bandwidth;
-        self
-    }
-
-    /// Default sketch repetitions.
-    pub fn reps(mut self, reps: u32) -> Self {
-        self.defaults.reps = reps;
-        self
-    }
-
-    /// Whether default configs charge the §2.2 shared-randomness cost.
-    pub fn charge_shared_randomness(mut self, charge: bool) -> Self {
-        self.defaults.charge_shared_randomness = charge;
-        self
-    }
-
-    /// Default §1.1 communication cost model.
-    pub fn cost_model(mut self, cost_model: CostModel) -> Self {
-        self.defaults.cost_model = cost_model;
-        self
-    }
-
-    /// Default phases-per-epoch for incremental sketch reuse.
-    pub fn sketch_reuse_period(mut self, period: u32) -> Self {
-        self.defaults.sketch_reuse_period = period;
-        self
-    }
-
-    /// Which byte transport carries superstep windows (DESIGN.md §3.12):
-    /// the in-process simulator ([`TransportSel::Sim`], the default and the
-    /// accounting oracle) or one OS worker process per machine
-    /// ([`TransportSel::Proc`]). Outputs and logical stats are
-    /// transport-independent — pinned by `tests/transport.rs`.
-    pub fn transport(mut self, transport: TransportSel) -> Self {
-        self.defaults.transport = transport;
-        self
-    }
-
-    /// Replaces the whole default [`EngineConfig`] at once.
+    /// Sets the default [`EngineConfig`] (bandwidth, reps, cost model,
+    /// transport, …) that [`Cluster::run_default`] and the dynamic layer
+    /// read.
     pub fn engine(mut self, defaults: EngineConfig) -> Self {
         self.defaults = defaults;
         self
     }
 
     /// Ingests a materialized graph: shards it under the hash-based random
-    /// vertex partition derived from `(k, seed)` — the same partition every
-    /// legacy `&Graph` front end used, so results are bit-identical.
+    /// vertex partition derived from `(k, seed)`.
     pub fn ingest_graph(&self, g: &Graph) -> Cluster {
         let part = Partition::random_vertex(g, self.k, self.seed);
         self.adopt(ShardedGraph::from_graph(g, &part))
@@ -155,8 +115,9 @@ impl ClusterBuilder {
         self.adopt(ShardedGraph::from_stream(stream, self.k, self.seed))
     }
 
-    /// Adopts pre-sharded storage (must match the builder's `k`). Useful
-    /// when shards were built elsewhere — e.g. by a subsampling pass.
+    /// Adopts pre-sharded storage (must match the builder's `k`) — the path
+    /// for callers that carry their own partition:
+    /// `adopt(ShardedGraph::from_graph(g, &part))`.
     pub fn adopt(&self, sg: ShardedGraph) -> Cluster {
         assert_eq!(
             sg.k(),
@@ -214,8 +175,8 @@ impl Cluster {
     }
 
     /// Runs `problem` on this cluster, returning its typed output plus the
-    /// common [`RunReport`]. Reusing a cluster is bit-identical to the
-    /// one-shot entry points: the shards, partition and seed are the same.
+    /// common [`RunReport`]. Reusing a cluster is bit-identical to a fresh
+    /// one: the shards, partition and seed are the same.
     pub fn run<P: Problem>(&self, problem: P) -> Run<P::Output> {
         let trace = problem.tracer();
         let mark = trace.mark();
@@ -246,8 +207,8 @@ impl Cluster {
         Run { output, report }
     }
 
-    /// Runs `P` configured from the cluster defaults (the builder's
-    /// bandwidth / reps / cost-model knobs).
+    /// Runs `P` configured from the cluster defaults
+    /// ([`ClusterBuilder::engine`]).
     pub fn run_default<P: Problem>(&self) -> Run<P::Output> {
         self.run(P::with(P::config_from(&self.defaults)))
     }
@@ -418,102 +379,11 @@ pub struct Connectivity {
     pub cfg: ConnectivityConfig,
 }
 
-impl Problem for Connectivity {
-    type Config = ConnectivityConfig;
-    type Output = ConnectivityOutput;
-    const NAME: &'static str = "conn";
-
-    fn with(cfg: ConnectivityConfig) -> Self {
-        Connectivity { cfg }
-    }
-
-    fn config_from(d: &EngineConfig) -> ConnectivityConfig {
-        ConnectivityConfig {
-            bandwidth: d.bandwidth,
-            reps: d.reps,
-            charge_shared_randomness: d.charge_shared_randomness,
-            run_output_protocol: d.run_output_protocol,
-            max_phases: d.max_phases,
-            merge: d.merge,
-            cost_model: d.cost_model,
-            sketch_reuse_period: d.sketch_reuse_period,
-            faults: d.faults.clone(),
-            recovery: d.recovery,
-            contract: d.contract,
-            encoding: d.encoding,
-            transport: d.transport,
-            trace: d.trace.clone(),
-        }
-    }
-
-    fn tracer(&self) -> Tracer {
-        self.cfg.trace.clone()
-    }
-
-    fn solve(&self, cluster: &Cluster) -> ConnectivityOutput {
-        connected_components_sharded(cluster.sharded(), cluster.seed(), &self.cfg)
-    }
-
-    fn stats(out: &ConnectivityOutput) -> &CommStats {
-        &out.stats
-    }
-
-    fn phases(out: &ConnectivityOutput) -> u32 {
-        out.phases
-    }
-
-    fn sketch_counters(out: &ConnectivityOutput) -> (u64, u64) {
-        (out.sketch_builds, out.sketch_cache_hits)
-    }
-}
-
 /// Theorem 2: minimum spanning tree (criterion (a) or (b)).
 #[derive(Clone, Debug, Default)]
 pub struct Mst {
     /// The run configuration.
     pub cfg: MstConfig,
-}
-
-impl Problem for Mst {
-    type Config = MstConfig;
-    type Output = MstOutput;
-    const NAME: &'static str = "mst";
-
-    fn with(cfg: MstConfig) -> Self {
-        Mst { cfg }
-    }
-
-    fn config_from(d: &EngineConfig) -> MstConfig {
-        MstConfig {
-            bandwidth: d.bandwidth,
-            reps: d.reps,
-            charge_shared_randomness: d.charge_shared_randomness,
-            criterion: OutputCriterion::AnyMachine,
-            max_phases: d.max_phases,
-            faults: d.faults.clone(),
-            recovery: d.recovery,
-            contract: d.contract,
-            encoding: d.encoding,
-            transport: d.transport,
-            trace: d.trace.clone(),
-        }
-    }
-
-    fn tracer(&self) -> Tracer {
-        self.cfg.trace.clone()
-    }
-
-    fn solve(&self, cluster: &Cluster) -> MstOutput {
-        minimum_spanning_tree_sharded(cluster.sharded(), cluster.seed(), &self.cfg)
-    }
-
-    fn stats(out: &MstOutput) -> &CommStats {
-        &out.stats
-    }
-
-    fn phases(out: &MstOutput) -> u32 {
-        out.phases
-    }
 }
 
 /// §3.1: a spanning forest without the MWOE elimination overhead.
@@ -524,81 +394,11 @@ pub struct SpanningForest {
     pub cfg: MstConfig,
 }
 
-impl Problem for SpanningForest {
-    type Config = MstConfig;
-    type Output = SpanningForestOutput;
-    const NAME: &'static str = "st";
-
-    fn with(cfg: MstConfig) -> Self {
-        SpanningForest { cfg }
-    }
-
-    fn config_from(d: &EngineConfig) -> MstConfig {
-        Mst::config_from(d)
-    }
-
-    fn tracer(&self) -> Tracer {
-        self.cfg.trace.clone()
-    }
-
-    fn solve(&self, cluster: &Cluster) -> SpanningForestOutput {
-        spanning_forest_sharded(cluster.sharded(), cluster.seed(), &self.cfg)
-    }
-
-    fn stats(out: &SpanningForestOutput) -> &CommStats {
-        &out.stats
-    }
-
-    fn phases(out: &SpanningForestOutput) -> u32 {
-        out.phases
-    }
-}
-
 /// Theorem 3: `O(log n)`-approximate min cut via sampling probes.
 #[derive(Clone, Debug, Default)]
 pub struct MinCut {
     /// The run configuration.
     pub cfg: MinCutConfig,
-}
-
-impl Problem for MinCut {
-    type Config = MinCutConfig;
-    type Output = MinCutOutput;
-    const NAME: &'static str = "mincut";
-
-    fn with(cfg: MinCutConfig) -> Self {
-        MinCut { cfg }
-    }
-
-    fn config_from(d: &EngineConfig) -> MinCutConfig {
-        MinCutConfig {
-            bandwidth: d.bandwidth,
-            reps: d.reps,
-            charge_shared_randomness: d.charge_shared_randomness,
-            faults: d.faults.clone(),
-            recovery: d.recovery,
-            contract: d.contract,
-            encoding: d.encoding,
-            transport: d.transport,
-            trace: d.trace.clone(),
-        }
-    }
-
-    fn tracer(&self) -> Tracer {
-        self.cfg.trace.clone()
-    }
-
-    fn solve(&self, cluster: &Cluster) -> MinCutOutput {
-        approx_min_cut_sharded(cluster.sharded(), cluster.seed(), &self.cfg)
-    }
-
-    fn stats(out: &MinCutOutput) -> &CommStats {
-        &out.stats
-    }
-
-    fn phases(out: &MinCutOutput) -> u32 {
-        out.probes
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -612,59 +412,11 @@ pub struct Flooding {
     pub bandwidth: Bandwidth,
 }
 
-impl Problem for Flooding {
-    type Config = Bandwidth;
-    type Output = FloodingOutput;
-    const NAME: &'static str = "flooding";
-
-    fn with(bandwidth: Bandwidth) -> Self {
-        Flooding { bandwidth }
-    }
-
-    fn config_from(d: &EngineConfig) -> Bandwidth {
-        d.bandwidth
-    }
-
-    fn solve(&self, cluster: &Cluster) -> FloodingOutput {
-        flooding_sharded(cluster.sharded(), self.bandwidth)
-    }
-
-    fn stats(out: &FloodingOutput) -> &CommStats {
-        &out.stats
-    }
-
-    fn phases(out: &FloodingOutput) -> u32 {
-        out.graph_rounds
-    }
-}
-
 /// §2 warm-up baseline: collect the whole graph at one machine, `Ω(m/k)`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Referee {
     /// Per-link bandwidth policy.
     pub bandwidth: Bandwidth,
-}
-
-impl Problem for Referee {
-    type Config = Bandwidth;
-    type Output = RefereeOutput;
-    const NAME: &'static str = "referee";
-
-    fn with(bandwidth: Bandwidth) -> Self {
-        Referee { bandwidth }
-    }
-
-    fn config_from(d: &EngineConfig) -> Bandwidth {
-        d.bandwidth
-    }
-
-    fn solve(&self, cluster: &Cluster) -> RefereeOutput {
-        referee_sharded(cluster.sharded(), self.bandwidth)
-    }
-
-    fn stats(out: &RefereeOutput) -> &CommStats {
-        &out.stats
-    }
 }
 
 /// Configuration of the [`EdgeBoruvka`] baseline.
@@ -692,71 +444,11 @@ pub struct EdgeBoruvka {
     pub cfg: EdgeBoruvkaConfig,
 }
 
-impl Problem for EdgeBoruvka {
-    type Config = EdgeBoruvkaConfig;
-    type Output = EdgeBoruvkaOutput;
-    const NAME: &'static str = "edge-boruvka";
-
-    fn with(cfg: EdgeBoruvkaConfig) -> Self {
-        EdgeBoruvka { cfg }
-    }
-
-    fn config_from(d: &EngineConfig) -> EdgeBoruvkaConfig {
-        EdgeBoruvkaConfig {
-            bandwidth: d.bandwidth,
-            mode: CheckMode::BatchedPush,
-        }
-    }
-
-    fn solve(&self, cluster: &Cluster) -> EdgeBoruvkaOutput {
-        edge_boruvka_sharded(
-            cluster.sharded(),
-            cluster.seed(),
-            self.cfg.bandwidth,
-            self.cfg.mode,
-        )
-    }
-
-    fn stats(out: &EdgeBoruvkaOutput) -> &CommStats {
-        &out.stats
-    }
-
-    fn phases(out: &EdgeBoruvkaOutput) -> u32 {
-        out.phases
-    }
-}
-
 /// §1.3 baseline: MST under the random *edge* partition (REP), `Θ~(n/k)`.
 #[derive(Clone, Debug, Default)]
 pub struct RepMst {
     /// The run configuration (shares [`MstConfig`]).
     pub cfg: MstConfig,
-}
-
-impl Problem for RepMst {
-    type Config = MstConfig;
-    type Output = RepMstOutput;
-    const NAME: &'static str = "rep-mst";
-
-    fn with(cfg: MstConfig) -> Self {
-        RepMst { cfg }
-    }
-
-    fn config_from(d: &EngineConfig) -> MstConfig {
-        Mst::config_from(d)
-    }
-
-    fn solve(&self, cluster: &Cluster) -> RepMstOutput {
-        rep_mst_sharded(cluster.sharded(), cluster.seed(), &self.cfg)
-    }
-
-    fn stats(out: &RepMstOutput) -> &CommStats {
-        &out.mst.stats
-    }
-
-    fn phases(out: &RepMstOutput) -> u32 {
-        out.mst.phases
-    }
 }
 
 #[cfg(test)]
@@ -765,19 +457,19 @@ mod tests {
     use kgraph::{generators, refalgo};
 
     #[test]
-    fn cluster_reuse_matches_one_shot_paths() {
+    fn cluster_reuse_matches_fresh_clusters() {
         let g = generators::randomize_weights(&generators::gnm(150, 400, 3), 500, 4);
-        let (k, seed) = (4, 9);
-        let cluster = Cluster::builder(k).seed(seed).ingest_graph(&g);
+        let builder = Cluster::builder(4).seed(9);
+        let cluster = builder.ingest_graph(&g);
         let conn = cluster.run(Connectivity::default());
         let mst = cluster.run(Mst::default());
-        let one_shot_conn =
-            crate::connectivity::connected_components(&g, k, seed, &ConnectivityConfig::default());
-        let one_shot_mst = crate::mst::minimum_spanning_tree(&g, k, seed, &MstConfig::default());
-        assert_eq!(conn.output.labels, one_shot_conn.labels);
-        assert_eq!(conn.report.stats.rounds, one_shot_conn.stats.rounds);
-        assert_eq!(mst.output.edges, one_shot_mst.edges);
-        assert_eq!(mst.report.stats.total_bits, one_shot_mst.stats.total_bits);
+        let fresh_mst = builder.ingest_graph(&g).run(Mst::default());
+        assert_eq!(conn.output.component_count(), refalgo::component_count(&g));
+        assert_eq!(mst.output.edges, fresh_mst.output.edges);
+        assert_eq!(
+            mst.report.stats.total_bits,
+            fresh_mst.report.stats.total_bits
+        );
         assert_eq!(cluster.runs(), 2);
     }
 
@@ -798,7 +490,10 @@ mod tests {
         let g = generators::cycle(48);
         let cluster = Cluster::builder(3)
             .seed(5)
-            .bandwidth(Bandwidth::Bits(64))
+            .engine(EngineConfig {
+                bandwidth: Bandwidth::Bits(64),
+                ..EngineConfig::default()
+            })
             .ingest_graph(&g);
         let by_default = cluster.run_default::<Connectivity>();
         let explicit = cluster.run(Connectivity::with(ConnectivityConfig {

@@ -7,12 +7,25 @@
 //! weight-elimination overhead (unlike MST, which pays a `Θ(log n)` factor
 //! for MWOEs). Output follows Theorem 2(a)'s relaxed criterion: each forest
 //! edge is output by at least one machine (the proxy that chose it).
+//!
+//! ```
+//! use kconn::session::{Cluster, Problem, SpanningForest};
+//! use kconn::MstConfig;
+//! use kgraph::{generators, refalgo};
+//!
+//! let g = generators::cycle(40);
+//! let cluster = Cluster::builder(4).seed(1).ingest_graph(&g);
+//! let out = cluster.run(SpanningForest::with(MstConfig::default())).output;
+//! assert_eq!(out.edges.len(), 39);
+//! assert!(refalgo::is_spanning_forest(&g, &out.edges));
+//! ```
 
 use crate::engine::{Engine, EngineConfig, Mode};
 use crate::mst::MstConfig;
+use crate::session::{Cluster, Mst, Problem, SpanningForest};
 use kgraph::graph::Edge;
-use kgraph::{Graph, Partition, ShardedGraph};
 use kmachine::metrics::CommStats;
+use kmachine::trace::Tracer;
 
 /// The result of a spanning-forest run.
 #[derive(Clone, Debug)]
@@ -27,89 +40,78 @@ pub struct SpanningForestOutput {
     pub edges_per_machine: Vec<usize>,
 }
 
-/// Computes a spanning forest of `g` over `k` machines (one spanning tree
-/// per connected component).
-///
-/// Deprecated-in-place: a thin shim over the session API
-/// ([`crate::session::SpanningForest`]); bit-identical to running on a
-/// [`crate::session::Cluster`] built with the same `(k, seed)`.
-///
-/// ```
-/// use kconn::st::spanning_forest;
-/// use kconn::mst::MstConfig;
-/// use kgraph::{generators, refalgo};
-///
-/// let g = generators::cycle(40);
-/// let out = spanning_forest(&g, 4, 1, &MstConfig::default());
-/// assert_eq!(out.edges.len(), 39);
-/// assert!(refalgo::is_spanning_forest(&g, &out.edges));
-/// ```
-pub fn spanning_forest(g: &Graph, k: usize, seed: u64, cfg: &MstConfig) -> SpanningForestOutput {
-    use crate::session::{Cluster, Problem, SpanningForest};
-    Cluster::builder(k)
-        .seed(seed)
-        .ingest_graph(g)
-        .run(SpanningForest::with(cfg.clone()))
-        .output
-}
+impl Problem for SpanningForest {
+    type Config = MstConfig;
+    type Output = SpanningForestOutput;
+    const NAME: &'static str = "st";
 
-/// Computes a spanning forest with an explicit partition — the harness
-/// path; everyone else goes through [`crate::session::Cluster`].
-pub fn spanning_forest_with_partition(
-    g: &Graph,
-    part: &Partition,
-    seed: u64,
-    cfg: &MstConfig,
-) -> SpanningForestOutput {
-    let sg = ShardedGraph::from_graph(g, part);
-    spanning_forest_sharded(&sg, seed, cfg)
-}
+    fn with(cfg: MstConfig) -> Self {
+        SpanningForest { cfg }
+    }
 
-/// Computes a spanning forest directly on sharded storage (the streaming
-/// ingestion path).
-pub fn spanning_forest_sharded(
-    sg: &ShardedGraph,
-    seed: u64,
-    cfg: &MstConfig,
-) -> SpanningForestOutput {
-    let engine_cfg = EngineConfig {
-        bandwidth: cfg.bandwidth,
-        reps: cfg.reps,
-        charge_shared_randomness: cfg.charge_shared_randomness,
-        run_output_protocol: false,
-        max_phases: cfg.max_phases,
-        faults: cfg.faults.clone(),
-        recovery: cfg.recovery,
-        contract: cfg.contract,
-        encoding: cfg.encoding,
-        transport: cfg.transport,
-        trace: cfg.trace.clone(),
-        ..EngineConfig::default()
-    };
-    let result = Engine::new(sg, Mode::SpanningForest, seed, engine_cfg).run();
-    let mut edges: Vec<Edge> = result
-        .mst_edges
-        .iter()
-        .map(|&(u, v, w)| Edge::new(u, v, w))
-        .collect();
-    edges.sort_unstable_by_key(|e| (e.u, e.v));
-    edges.dedup();
-    SpanningForestOutput {
-        edges,
-        stats: result.stats,
-        phases: result.phases,
-        edges_per_machine: result.mst_edges_per_machine,
+    fn config_from(d: &EngineConfig) -> MstConfig {
+        Mst::config_from(d)
+    }
+
+    fn tracer(&self) -> Tracer {
+        self.cfg.trace.clone()
+    }
+
+    fn solve(&self, cluster: &Cluster) -> SpanningForestOutput {
+        let cfg = &self.cfg;
+        let engine_cfg = EngineConfig {
+            bandwidth: cfg.bandwidth,
+            reps: cfg.reps,
+            charge_shared_randomness: cfg.charge_shared_randomness,
+            run_output_protocol: false,
+            max_phases: cfg.max_phases,
+            faults: cfg.faults.clone(),
+            recovery: cfg.recovery,
+            contract: cfg.contract,
+            encoding: cfg.encoding,
+            transport: cfg.transport,
+            trace: cfg.trace.clone(),
+            ..EngineConfig::default()
+        };
+        let result = Engine::new(
+            cluster.sharded(),
+            Mode::SpanningForest,
+            cluster.seed(),
+            engine_cfg,
+        )
+        .run();
+        let mut edges: Vec<Edge> = result
+            .mst_edges
+            .iter()
+            .map(|&(u, v, w)| Edge::new(u, v, w))
+            .collect();
+        edges.sort_unstable_by_key(|e| (e.u, e.v));
+        edges.dedup();
+        SpanningForestOutput {
+            edges,
+            stats: result.stats,
+            phases: result.phases,
+            edges_per_machine: result.mst_edges_per_machine,
+        }
+    }
+
+    fn stats(out: &SpanningForestOutput) -> &CommStats {
+        &out.stats
+    }
+
+    fn phases(out: &SpanningForestOutput) -> u32 {
+        out.phases
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mst::minimum_spanning_tree;
-    use kgraph::{generators, refalgo};
+    use kgraph::{generators, refalgo, Graph};
 
     fn check(g: &Graph, k: usize, seed: u64) -> SpanningForestOutput {
-        let out = spanning_forest(g, k, seed, &MstConfig::default());
+        let cluster = Cluster::builder(k).seed(seed).ingest_graph(g);
+        let out = cluster.run(SpanningForest::default()).output;
         assert!(
             refalgo::is_spanning_forest(g, &out.edges),
             "output must span each component acyclically"
@@ -137,8 +139,9 @@ mod tests {
         // No elimination loop: the spanning forest must cost well under the
         // MST run on the same input.
         let g = generators::randomize_weights(&generators::gnm(1024, 4096, 7), 1_000_000, 8);
-        let st = spanning_forest(&g, 8, 9, &MstConfig::default());
-        let mst = minimum_spanning_tree(&g, 8, 9, &MstConfig::default());
+        let cluster = Cluster::builder(8).seed(9).ingest_graph(&g);
+        let st = cluster.run(SpanningForest::default()).output;
+        let mst = cluster.run(Mst::default()).output;
         assert!(
             2 * st.stats.rounds < mst.stats.rounds,
             "ST {} rounds should be ≪ MST {} rounds",

@@ -15,8 +15,8 @@
 //! Every function returns the verdict plus the combined communication
 //! statistics, so the E11 experiments can report rounds per problem.
 
-use crate::connectivity::{connected_components_with_partition, ConnectivityConfig};
-use kgraph::{Graph, Partition};
+use crate::connectivity::{connected_components_sharded, ConnectivityConfig};
+use kgraph::{Graph, Partition, ShardedGraph};
 use kmachine::metrics::CommStats;
 use rustc_hash::FxHashSet;
 
@@ -35,7 +35,7 @@ fn run_conn(
     seed: u64,
     cfg: &ConnectivityConfig,
 ) -> (Vec<u64>, usize, CommStats) {
-    let out = connected_components_with_partition(g, part, seed, cfg);
+    let out = connected_components_sharded(&ShardedGraph::from_graph(g, part), seed, cfg);
     let count = out.component_count();
     (out.labels, count, out.stats)
 }

@@ -55,9 +55,7 @@ impl LargeScenario {
     }
 
     /// Ingests the stream into a reusable session [`Cluster`]: the shards
-    /// are built once and any number of algorithms run against them
-    /// (bit-identical to [`LargeScenario::shard`] + the `*_sharded` entry
-    /// points, since builder and scenario share `(k, seed)`).
+    /// are built once and any number of algorithms run against them.
     pub fn cluster(&self) -> Cluster {
         Cluster::builder(self.k)
             .seed(self.seed)

@@ -1,7 +1,8 @@
 #![warn(missing_docs)]
 //! Experiment harness: workload definitions and result records shared by
 //! the `tables` binary (which regenerates every table/figure series of
-//! DESIGN.md §4) and the Criterion benches.
+//! DESIGN.md §4) and the ledger-envelope family tests. Wall-clock numbers
+//! come from the stand-alone `bench/` package, not from here.
 
 pub mod chaos;
 pub mod contraction;
@@ -9,8 +10,6 @@ pub mod dynamic;
 pub mod experiments;
 pub mod large;
 pub mod table;
-pub mod trace;
-pub mod transport;
 
 pub use chaos::ChaosScenario;
 pub use dynamic::DynScenario;

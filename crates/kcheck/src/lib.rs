@@ -116,6 +116,11 @@ pub struct Report {
     pub diags: Vec<Diagnostic>,
     /// Allowlist entries that matched nothing — stale, and an error.
     pub stale_allow: Vec<AllowEntry>,
+    /// [`Config`] scope entries that match no scanned file — a scope
+    /// naming a deleted file rots exactly like a stale allow entry, and is
+    /// an error for the same reason. (`exhaustive[].file` is covered by
+    /// KC03's own "file not found" diagnostic.)
+    pub stale_scopes: Vec<String>,
     /// How many diagnostics the allowlist suppressed.
     pub suppressed: usize,
     /// How many files were scanned.
@@ -123,9 +128,10 @@ pub struct Report {
 }
 
 impl Report {
-    /// Clean means zero live diagnostics *and* zero stale allow entries.
+    /// Clean means zero live diagnostics *and* zero stale allow entries
+    /// or scopes.
     pub fn clean(&self) -> bool {
-        self.diags.is_empty() && self.stale_allow.is_empty()
+        self.diags.is_empty() && self.stale_allow.is_empty() && self.stale_scopes.is_empty()
     }
 }
 
@@ -156,9 +162,28 @@ pub fn check_files(files: &[SourceFile], cfg: &Config, allow: &Allowlist) -> Rep
         .filter(|&(_, &u)| !u)
         .map(|(e, _)| e.clone())
         .collect();
+    let stale_scopes = [
+        &cfg.det_scope,
+        &cfg.det_exempt,
+        &cfg.charge_scope,
+        &cfg.charge_exempt,
+        &cfg.unwrap_scope,
+        &cfg.index_scope,
+        &cfg.print_scope,
+    ]
+    .into_iter()
+    .flatten()
+    .filter(|&scope| {
+        !files
+            .iter()
+            .any(|f| Config::in_scope(std::slice::from_ref(scope), &f.rel))
+    })
+    .cloned()
+    .collect();
     Report {
         diags,
         stale_allow,
+        stale_scopes,
         suppressed,
         files_scanned: files.len(),
     }

@@ -179,6 +179,23 @@ fn allowlist_suppresses_matches_and_reports_stale_entries() {
 }
 
 #[test]
+fn scope_naming_a_missing_file_is_stale() {
+    let files = collect_files(&fixtures_root()).expect("fixture corpus readable");
+    let clean = check_files(&files, &fixture_config(), &Allowlist::default());
+    assert!(clean.stale_scopes.is_empty(), "{:?}", clean.stale_scopes);
+
+    let mut cfg = fixture_config();
+    cfg.unwrap_scope.push("transport/deleted_link.rs".into());
+    cfg.det_exempt.push("det/gone.rs".into());
+    let report = check_files(&files, &cfg, &Allowlist::default());
+    assert_eq!(
+        report.stale_scopes,
+        ["det/gone.rs", "transport/deleted_link.rs"]
+    );
+    assert!(!report.clean(), "stale scopes keep the run red");
+}
+
+#[test]
 fn walker_never_lints_fixture_or_test_trees() {
     // Rooted at the crate, the walker must skip `tests/` (and thus the
     // deliberately-bad corpus): a live `kmm check` run can never trip on it.
@@ -212,8 +229,9 @@ fn live_workspace_is_clean_under_its_own_allowlist() {
         .collect();
     assert!(
         report.clean(),
-        "live workspace must check clean (stale allow entries: {}):\n{}",
+        "live workspace must check clean (stale allow entries: {}, stale scopes: {:?}):\n{}",
         report.stale_allow.len(),
+        report.stale_scopes,
         rendered.join("\n")
     );
     assert!(

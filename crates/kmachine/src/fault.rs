@@ -10,20 +10,14 @@
 //! the chaos conformance suite pin bit-identical outputs against
 //! fault-free runs.
 //!
-//! The plan is consumed by two layers:
-//!
-//! * [`crate::bsp::Bsp`] — the production path. With a plan installed the
-//!   superstep layer runs a per-superstep ack/retransmit protocol
-//!   (DESIGN.md §3.10): lost messages are retransmitted in *recovery
-//!   rounds* until everything arrives, duplicates are discarded by
-//!   sequence number, and the inbox is reassembled in canonical sequence
-//!   order — so the application observes exactly the fault-free inbox
-//!   while [`crate::metrics::CommStats`] records what the masking cost
-//!   (`faults_injected`, `retransmit_bits`, `recovery_rounds`).
-//! * [`crate::network::Network`] / [`crate::link::Link`] — the
-//!   fine-grained per-round lab, which applies the same decisions to
-//!   individual link transmissions (best-effort: no recovery protocol),
-//!   used to unit-test the fault decisions themselves.
+//! The plan is consumed by [`crate::bsp::Bsp`]. With a plan installed the
+//! superstep layer runs a per-superstep ack/retransmit protocol
+//! (DESIGN.md §3.10): lost messages are retransmitted in *recovery
+//! rounds* until everything arrives, duplicates are discarded by
+//! sequence number, and the inbox is reassembled in canonical sequence
+//! order — so the application observes exactly the fault-free inbox
+//! while [`crate::metrics::CommStats`] records what the masking cost
+//! (`faults_injected`, `retransmit_bits`, `recovery_rounds`).
 
 /// One scheduled machine crash: at the start of the given superstep the
 /// machine loses its volatile state and every message to or from it in
@@ -33,8 +27,7 @@
 /// `core::engine::RecoveryPolicy`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CrashEvent {
-    /// The 0-based superstep index at which the crash fires. For the
-    /// fine-grained [`crate::network::Network`] this is a round index.
+    /// The 0-based superstep index at which the crash fires.
     pub superstep: u64,
     /// The machine that crashes.
     pub machine: usize,

@@ -9,23 +9,21 @@
 //! communication metric the experiments need (total bits, per-link maxima,
 //! per-machine send/receive loads).
 //!
-//! Two execution layers are provided:
+//! There is one execution layer, [`bsp::Bsp`], a superstep runner: all
+//! messages of a batch are routed and the step is charged
+//! `max_link ⌈bits/W⌉` rounds, which is exactly the number of rounds a
+//! round-by-round store-and-forward drain of the same batch over per-link
+//! FIFO queues takes (checked against such a reference in
+//! `tests/model_properties.rs` and `tests/conformance.rs`; DESIGN.md
+//! §3.1). The paper's algorithms are sequences of such batches (Lemma 1
+//! message schedules), so the BSP layer charges exactly what the paper's
+//! analysis counts.
 //!
-//! * [`network::Network`] — a fine-grained per-round stepper with per-link
-//!   FIFO queues and partial transmission of oversized messages.
-//! * [`bsp::Bsp`] — a superstep runner: all messages of a batch are routed
-//!   and the step is charged `max_link ⌈bits/W⌉` rounds, which is provably
-//!   the number of rounds the fine-grained network needs for the same batch
-//!   (property-tested in this crate). The paper's algorithms are sequences
-//!   of such batches (Lemma 1 message schedules), so the BSP layer charges
-//!   exactly what the paper's analysis counts.
-//!
-//! Both layers accept a deterministic [`fault::FaultPlan`] — seeded
-//! per-message drop/duplicate/reorder/delay decisions plus scheduled
-//! machine crashes. The BSP layer masks an installed plan with a
-//! per-superstep ack/retransmit protocol whose cost lands in the
-//! `faults_injected` / `retransmit_bits` / `recovery_rounds` counters of
-//! [`metrics::CommStats`] (DESIGN.md §3.10).
+//! It accepts a deterministic [`fault::FaultPlan`] — seeded per-message
+//! drop/duplicate/reorder/delay decisions plus scheduled machine crashes
+//! — and masks it with a per-superstep ack/retransmit protocol whose cost
+//! lands in the `faults_injected` / `retransmit_bits` / `recovery_rounds`
+//! counters of [`metrics::CommStats`] (DESIGN.md §3.10).
 //!
 //! How a window's bytes travel is pluggable ([`transport::Transport`],
 //! DESIGN.md §3.12): the in-process simulator (the accounting oracle,
@@ -45,12 +43,10 @@ pub mod bandwidth;
 pub mod bsp;
 pub mod det;
 pub mod fault;
-pub mod link;
 pub mod message;
 pub mod metrics;
 pub mod network;
 pub mod par;
-pub mod program;
 pub mod trace;
 pub mod transport;
 
@@ -59,7 +55,5 @@ pub use bsp::Bsp;
 pub use fault::{CrashEvent, FaultPlan};
 pub use message::{Envelope, WireCodec, WireSize};
 pub use metrics::CommStats;
-pub use network::Network;
-pub use program::{Program, Runner};
 pub use trace::{PhysEvent, PhysRecord, TraceEvent, TraceRecord, TraceSink, Tracer};
 pub use transport::{ProcTransport, SimTransport, Transport, TransportKind, TransportSel};

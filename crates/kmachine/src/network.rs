@@ -1,16 +1,8 @@
-//! Fine-grained network: per-round stepping over a complete topology.
-
-#![warn(clippy::unwrap_used, clippy::expect_used)]
-// ^ window-protocol / worker-path panic hygiene (kcheck KC05): a
-// panic here kills a worker mid-window instead of failing the
-// attempt cleanly. Tests opt back in below.
+//! The model parameters of a k-machine network: `k`, the per-link
+//! bandwidth policy and how [`crate::bsp::Bsp`] charges for it.
 
 use crate::bandwidth::{Bandwidth, CostModel};
-use crate::fault::FaultPlan;
-use crate::link::{Link, LinkFault};
-use crate::message::{put_varint, Encoding, Envelope, WireCodec, WireReader};
-use crate::metrics::CommStats;
-use crate::transport::{CodecBridge, Frame, PhysStats, Transport, TransportKind};
+use crate::message::Encoding;
 
 /// Configuration of a k-machine network.
 #[derive(Clone, Copy, Debug)]
@@ -21,13 +13,9 @@ pub struct NetworkConfig {
     pub bandwidth: Bandwidth,
     /// Instance size `n` (resolves polylog bandwidth).
     pub n: usize,
-    /// Which §1.1 restriction the BSP layer charges rounds under. The
-    /// fine-grained [`Network`] stepper always transmits per link.
+    /// Which §1.1 restriction the BSP layer charges rounds under.
     pub cost_model: CostModel,
-    /// Which wire encoding the BSP layer charges bandwidth under. The
-    /// fine-grained [`Network`] stepper always charges per message (it
-    /// transmits messages one at a time, so there is no batch to encode);
-    /// only [`crate::bsp::Bsp`] supersteps batch-encode.
+    /// Which wire encoding the BSP layer charges bandwidth under.
     pub encoding: Encoding,
 }
 
@@ -46,373 +34,5 @@ impl NetworkConfig {
     /// The resolved per-link bits-per-round budget `W`.
     pub fn link_bits(&self) -> u64 {
         self.bandwidth.bits_per_round(self.n)
-    }
-
-    /// Number of directed links in the complete topology.
-    pub fn directed_links(&self) -> u64 {
-        (self.k as u64) * (self.k as u64 - 1)
-    }
-}
-
-/// A complete network of `k` machines with per-round transmission.
-pub struct Network<M> {
-    cfg: NetworkConfig,
-    w: u64,
-    /// Directed link `(i, j)`, `i != j`, stored at `i * k + j`.
-    links: Vec<Link<M>>,
-    stats: CommStats,
-    round: u64,
-    /// Installed fault plan (crash events are keyed by *round* here), plus
-    /// a monotone per-message decision counter.
-    faults: Option<FaultPlan>,
-    fault_seq: u64,
-    /// Installed byte transport, if any (see [`Network::set_transport`]).
-    bridge: Option<CodecBridge<M>>,
-}
-
-impl<M> Network<M> {
-    /// Creates an idle network.
-    pub fn new(cfg: NetworkConfig) -> Self {
-        assert!(cfg.k >= 2, "the model requires k >= 2");
-        let links = (0..cfg.k * cfg.k).map(|_| Link::default()).collect();
-        Network {
-            w: cfg.link_bits(),
-            links,
-            stats: CommStats::new(cfg.k),
-            round: 0,
-            faults: None,
-            fault_seq: 0,
-            bridge: None,
-            cfg,
-        }
-    }
-
-    /// Installs a byte transport (DESIGN.md §3.12). With a
-    /// [`TransportKind::Proc`] transport every enqueued message's bytes
-    /// physically cross the worker mesh as a single-frame window at
-    /// [`Network::send`] time (the fine-grained stepper models per-round
-    /// *timing*, so the byte motion happens at enqueue and the decoded
-    /// arrival is what enters the link queue). A sim transport (or none)
-    /// keeps the historical in-process path untouched.
-    pub fn set_transport(&mut self, transport: Box<dyn Transport>)
-    where
-        M: WireCodec,
-    {
-        self.bridge = Some(CodecBridge::new(transport));
-    }
-
-    /// The installed transport's physical-layer counters, if any.
-    pub fn phys_stats(&self) -> Option<&PhysStats> {
-        self.bridge.as_ref().map(|b| b.transport.phys())
-    }
-
-    /// Installs a deterministic [`FaultPlan`] applied per transmitted
-    /// message in [`Network::step`] (through [`Link::transmit_with`]).
-    /// Unlike the [`crate::bsp::Bsp`] path there is no recovery protocol
-    /// here: drops are final, duplicates arrive twice, delayed messages
-    /// re-queue for a fresh transmission, and a [`crate::fault::CrashEvent`]
-    /// at round `r` discards everything its machine's links deliver that
-    /// round. The fine-grained network is the lab for the fault decisions
-    /// themselves; `delay` must stay below 1 or [`Network::drain`] could
-    /// never finish.
-    pub fn install_faults(&mut self, plan: FaultPlan) {
-        if let Err(e) = plan.validate() {
-            panic!("invalid fault plan: {e}");
-        }
-        assert!(plan.delay < 1.0, "delay=1 re-queues forever on a link");
-        for c in &plan.crashes {
-            assert!(
-                c.machine < self.cfg.k,
-                "crash event machine {} out of range (k = {})",
-                c.machine,
-                self.cfg.k
-            );
-        }
-        self.faults = Some(plan);
-    }
-
-    /// The network configuration.
-    pub fn config(&self) -> &NetworkConfig {
-        &self.cfg
-    }
-
-    /// Enqueues a message. Local (self-addressed) messages are delivered
-    /// immediately by the caller and never touch a link; passing one here
-    /// is a bug.
-    pub fn send(&mut self, env: Envelope<M>) {
-        assert!(
-            env.src < self.cfg.k && env.dst < self.cfg.k,
-            "bad machine id"
-        );
-        assert!(!env.is_local(), "local messages do not use links");
-        let env = self.through_transport(env);
-        self.stats.messages += 1;
-        self.stats.total_bits += env.bits;
-        self.stats.naive_bits += env.bits;
-        self.stats.sent_bits[env.src] += env.bits;
-        self.stats.recv_bits[env.dst] += env.bits;
-        let idx = env.src * self.cfg.k + env.dst;
-        self.links[idx].push(env);
-    }
-
-    /// Round-trips one envelope through the installed process transport
-    /// (identity otherwise): what enters the link queue is what physically
-    /// arrived at the destination worker.
-    fn through_transport(&mut self, env: Envelope<M>) -> Envelope<M> {
-        let Some(bridge) = self.bridge.as_mut() else {
-            return env;
-        };
-        if bridge.transport.kind() != TransportKind::Proc {
-            return env;
-        }
-        let mut payload = Vec::new();
-        put_varint(&mut payload, env.bits);
-        (bridge.enc)(&env.payload, &mut payload);
-        let frames =
-            bridge
-                .transport
-                .exchange(vec![Frame::new(env.src as u32, env.dst as u32, payload)]);
-        assert_eq!(frames.len(), 1, "single-frame window must round-trip");
-        let f = &frames[0];
-        let mut r = WireReader::new(&f.payload);
-        let (bits, payload) = (|| {
-            let bits = r.varint("msg.bits")?;
-            let payload = (bridge.dec)(&mut r)?;
-            Ok::<_, crate::message::WireError>((bits, payload))
-        })()
-        .unwrap_or_else(|e| panic!("transport frame {}→{}: {e}", f.src, f.dst));
-        let restarts = bridge.transport.phys().worker_restarts;
-        self.stats.machine_crashes += restarts - bridge.restarts_seen;
-        bridge.restarts_seen = restarts;
-        Envelope::with_bits(f.src as usize, f.dst as usize, payload, bits)
-    }
-
-    /// Advances one synchronous round: every directed link transmits up to
-    /// `W` bits. Returns all messages delivered this round (after applying
-    /// the installed fault plan, if any).
-    pub fn step(&mut self) -> Vec<Envelope<M>>
-    where
-        M: Clone,
-    {
-        let step_index = self.round;
-        self.round += 1;
-        self.stats.rounds += 1;
-        let mut delivered = Vec::new();
-        match self.faults.take() {
-            None => {
-                for l in &mut self.links {
-                    delivered.extend(l.transmit(self.w));
-                }
-            }
-            Some(plan) => {
-                let crashed = plan.crashes_at(step_index);
-                for _ in &crashed {
-                    self.stats.machine_crashes += 1;
-                    self.stats.faults_injected += 1;
-                }
-                let w = self.w;
-                let stats = &mut self.stats;
-                let fault_seq = &mut self.fault_seq;
-                for l in &mut self.links {
-                    delivered.extend(l.transmit_with(w, |env| {
-                        let seq = *fault_seq;
-                        *fault_seq += 1;
-                        if crashed.binary_search(&env.src).is_ok()
-                            || crashed.binary_search(&env.dst).is_ok()
-                        {
-                            // The crash event is the counted fault; its
-                            // machine's in-flight traffic is gone.
-                            return LinkFault::Drop;
-                        }
-                        if plan.drops(step_index, 0, seq) {
-                            stats.faults_injected += 1;
-                            return LinkFault::Drop;
-                        }
-                        if plan.delays(step_index, seq) {
-                            stats.faults_injected += 1;
-                            return LinkFault::Delay;
-                        }
-                        if plan.duplicates(step_index, seq) {
-                            stats.faults_injected += 1;
-                            stats.retransmit_bits += env.bits.max(1);
-                            return LinkFault::Dup;
-                        }
-                        LinkFault::None
-                    }));
-                }
-                // Reorder: flagged messages drift to the back of this
-                // round's delivery batch (stable partition).
-                let mut scrambled = Vec::new();
-                let mut kept = Vec::with_capacity(delivered.len());
-                for (i, env) in delivered.into_iter().enumerate() {
-                    if plan.reorders(step_index, i as u64) {
-                        self.stats.faults_injected += 1;
-                        scrambled.push(env);
-                    } else {
-                        kept.push(env);
-                    }
-                }
-                kept.extend(scrambled);
-                delivered = kept;
-                self.faults = Some(plan);
-            }
-        }
-        delivered
-    }
-
-    /// Steps until all queues drain; returns everything delivered.
-    pub fn drain(&mut self) -> Vec<Envelope<M>>
-    where
-        M: Clone,
-    {
-        let mut out = Vec::new();
-        while !self.idle() {
-            out.extend(self.step());
-        }
-        out
-    }
-
-    /// Whether all link queues are empty.
-    pub fn idle(&self) -> bool {
-        self.links.iter().all(super::link::Link::is_empty)
-    }
-
-    /// The current round number.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// Communication statistics so far.
-    pub fn stats(&self) -> &CommStats {
-        &self.stats
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used)]
-    use super::*;
-    use crate::message::WireSize;
-
-    #[derive(Clone, Debug)]
-    struct B(u64);
-    impl WireSize for B {
-        fn wire_bits(&self) -> u64 {
-            self.0
-        }
-    }
-
-    fn cfg(k: usize, w: u64) -> NetworkConfig {
-        NetworkConfig::new(k, Bandwidth::Bits(w), 1024)
-    }
-
-    #[test]
-    fn drain_time_matches_max_link_load() {
-        let mut net: Network<B> = Network::new(cfg(4, 10));
-        // Link (0,1): 35 bits -> 4 rounds. Link (2,3): 10 bits -> 1 round.
-        net.send(Envelope::new(0, 1, B(20)));
-        net.send(Envelope::new(0, 1, B(15)));
-        net.send(Envelope::new(2, 3, B(10)));
-        let out = net.drain();
-        assert_eq!(out.len(), 3);
-        assert_eq!(net.round(), 4);
-    }
-
-    #[test]
-    fn parallel_links_do_not_interfere() {
-        let k = 6;
-        let mut net: Network<B> = Network::new(cfg(k, 8));
-        // Every ordered pair sends one 8-bit message: one round suffices.
-        for i in 0..k {
-            for j in 0..k {
-                if i != j {
-                    net.send(Envelope::new(i, j, B(8)));
-                }
-            }
-        }
-        let out = net.drain();
-        assert_eq!(out.len(), k * (k - 1));
-        assert_eq!(net.round(), 1);
-    }
-
-    #[test]
-    fn stats_track_bits_and_machines() {
-        let mut net: Network<B> = Network::new(cfg(3, 100));
-        net.send(Envelope::new(0, 1, B(40)));
-        net.send(Envelope::new(0, 2, B(60)));
-        net.send(Envelope::new(1, 0, B(5)));
-        net.drain();
-        let s = net.stats();
-        assert_eq!(s.messages, 3);
-        assert_eq!(s.total_bits, 105);
-        assert_eq!(s.sent_bits, vec![100, 5, 0]);
-        assert_eq!(s.recv_bits, vec![5, 40, 60]);
-    }
-
-    #[test]
-    fn installed_faults_thin_and_duplicate_the_delivery() {
-        use crate::fault::FaultPlan;
-        let send_all = |net: &mut Network<B>| {
-            for i in 0..200u64 {
-                net.send(Envelope::new(
-                    (i % 2) as usize,
-                    ((i + 1) % 2) as usize,
-                    B(8),
-                ));
-            }
-        };
-        let mut clean: Network<B> = Network::new(cfg(2, 1 << 16));
-        send_all(&mut clean);
-        let clean_out = clean.drain();
-        let mut faulty: Network<B> = Network::new(cfg(2, 1 << 16));
-        faulty.install_faults(FaultPlan::new(3).with_drop(0.3).with_dup(0.2));
-        send_all(&mut faulty);
-        let faulty_out = faulty.drain();
-        let s = faulty.stats();
-        assert!(s.faults_injected > 0, "the plan must fire");
-        assert!(s.retransmit_bits > 0, "duplicates are counted traffic");
-        assert_ne!(
-            faulty_out.len(),
-            clean_out.len(),
-            "drops and dups must change the delivered count"
-        );
-    }
-
-    #[test]
-    fn delayed_messages_arrive_in_a_later_round() {
-        use crate::fault::FaultPlan;
-        let mut net: Network<B> = Network::new(cfg(2, 100));
-        net.install_faults(FaultPlan::new(1).with_delay(0.9));
-        for _ in 0..30 {
-            net.send(Envelope::new(0, 1, B(1)));
-        }
-        net.drain();
-        assert!(
-            net.round() > 1,
-            "w.h.p. some message is re-queued past round 1 (took {})",
-            net.round()
-        );
-        assert!(net.stats().faults_injected > 0);
-    }
-
-    #[test]
-    fn crash_round_discards_the_machines_inflight_traffic() {
-        use crate::fault::FaultPlan;
-        let mut net: Network<B> = Network::new(cfg(3, 10));
-        // Machine 2 crashes at round 0: its arrivals that round are lost.
-        net.install_faults(FaultPlan::new(1).with_crash(2, 0));
-        net.send(Envelope::new(0, 2, B(10)));
-        net.send(Envelope::new(0, 1, B(10)));
-        let out = net.drain();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].dst, 1);
-        assert_eq!(net.stats().machine_crashes, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "local messages")]
-    fn local_send_is_rejected() {
-        let mut net: Network<B> = Network::new(cfg(2, 10));
-        net.send(Envelope::new(1, 1, B(1)));
     }
 }

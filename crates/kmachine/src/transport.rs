@@ -1,8 +1,7 @@
 //! Pluggable byte transports: the boundary between the model's accounting
 //! and the machinery that actually moves bytes (DESIGN.md §3.12).
 //!
-//! The three network layers ([`crate::bsp::Bsp`], [`crate::network::Network`],
-//! [`crate::link::Link`]) charge rounds and bits analytically; *how* a
+//! [`crate::bsp::Bsp`] charges rounds and bits analytically; *how* a
 //! superstep's bytes travel is delegated to a [`Transport`]:
 //!
 //! * [`SimTransport`] — the in-process simulator, the accounting oracle.
@@ -181,8 +180,8 @@ pub struct PhysStats {
     pub worker_restarts: u64,
 }
 
-/// A byte transport for delivery windows. Object-safe so the network layers
-/// can hold `Box<dyn Transport>` regardless of payload type.
+/// A byte transport for delivery windows. Object-safe so the superstep
+/// layer can hold `Box<dyn Transport>` regardless of payload type.
 pub trait Transport: Send {
     /// Which backend this is.
     fn kind(&self) -> TransportKind;
@@ -196,8 +195,7 @@ pub trait Transport: Send {
 
 /// The in-process backend: frames loop back unchanged. The BSP layer never
 /// even encodes under this kind (the simulator is the oracle and must stay
-/// byte-identical); the loopback exists so the trait is total and the
-/// fine-grained [`crate::network::Network`] can route through it.
+/// byte-identical); the loopback exists so the trait is total.
 #[derive(Debug, Default)]
 pub struct SimTransport {
     phys: PhysStats,
@@ -976,8 +974,8 @@ impl Drop for ProcTransport {
 
 /// A transport plus the monomorphized [`crate::message::WireCodec`] hooks
 /// for one payload type, captured at install time. Keeping the codec as fn
-/// pointers means the network layers' hot entry points need no `WireCodec`
-/// bound — payload types that never leave the simulator are untouched.
+/// pointers means the superstep layer's hot entry points need no
+/// `WireCodec` bound — payload types that never leave the simulator are untouched.
 pub(crate) struct CodecBridge<M> {
     pub(crate) transport: Box<dyn Transport>,
     pub(crate) enc: fn(&M, &mut Vec<u8>),

@@ -24,7 +24,8 @@ fn main() {
 
     // --- Theorem 3: O(log n)-approximate min cut. ---
     let exact = kmm::graph::mincut::stoer_wagner(&g).expect("connected");
-    let approx = approx_min_cut(&g, k, seed, &MinCutConfig::default());
+    let cluster = Cluster::builder(k).seed(seed).ingest_graph(&g);
+    let approx = cluster.run(MinCut::default()).output;
     println!("exact min cut (Stoer–Wagner reference): {exact}");
     println!(
         "approximate min cut:  {} (probe {} of {}, {} rounds)",

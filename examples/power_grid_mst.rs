@@ -21,19 +21,22 @@ fn main() {
         k
     );
 
+    // Ingest once; both criteria run on the same shards.
+    let cluster = Cluster::builder(k).seed(seed).ingest_graph(&g);
+
     // Criterion (a): each chosen line known by at least one machine.
     let cfg_a = MstConfig {
         criterion: OutputCriterion::AnyMachine,
         ..MstConfig::default()
     };
-    let a = minimum_spanning_tree(&g, k, seed, &cfg_a);
+    let a = cluster.run(Mst::with(cfg_a)).output;
 
     // Criterion (b): both endpoint machines must learn each line.
     let cfg_b = MstConfig {
         criterion: OutputCriterion::BothEndpoints,
         ..MstConfig::default()
     };
-    let b = minimum_spanning_tree(&g, k, seed, &cfg_b);
+    let b = cluster.run(Mst::with(cfg_b)).output;
 
     let reference = refalgo::kruskal(&g);
     println!("MST lines chosen:       {}", a.edges.len());

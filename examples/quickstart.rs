@@ -14,7 +14,8 @@ fn main() {
     println!("input: n = {}, m = {}, k = {} machines", g.n(), g.m(), k);
 
     // Run the O~(n/k²)-round connectivity algorithm.
-    let out = connected_components(&g, k, seed, &ConnectivityConfig::default());
+    let cluster = Cluster::builder(k).seed(seed).ingest_graph(&g);
+    let out = cluster.run(Connectivity::default()).output;
 
     println!("components found:       {}", out.component_count());
     println!(

@@ -11,8 +11,6 @@
 //!
 //! Run with: `cargo run --release --example social_components`
 
-use kmm::algo::baselines::flooding::flooding_connectivity;
-use kmm::machine::Bandwidth;
 use kmm::prelude::*;
 
 fn run_case(name: &str, g: &kmm::graph::Graph, truth: usize) {
@@ -24,9 +22,10 @@ fn run_case(name: &str, g: &kmm::graph::Graph, truth: usize) {
     println!("{}", "-".repeat(52));
     let mut prev = None;
     for k in [8usize, 16, 32] {
-        let ours = connected_components(g, k, 7, &ConnectivityConfig::default());
+        let cluster = Cluster::builder(k).seed(7).ingest_graph(g);
+        let ours = cluster.run(Connectivity::default()).output;
         assert_eq!(ours.component_count(), truth);
-        let flood = flooding_connectivity(g, k, 7, Bandwidth::default());
+        let flood = cluster.run(Flooding::default()).output;
         assert_eq!(flood.component_count(), truth);
         let winner = if ours.stats.rounds < flood.stats.rounds {
             "sketch"

@@ -506,7 +506,8 @@ fn run_trace_tool(argv: &[String]) -> ExitCode {
 /// `kmm check [--root DIR] [--allow FILE]` — the kcheck static pass
 /// (DESIGN.md §3.13). Scans the workspace sources, applies the audited
 /// exceptions in `kcheck.allow`, prints rustc-style diagnostics, and exits
-/// nonzero if any violation (or stale allowlist entry) remains.
+/// nonzero if any violation (or stale allowlist entry or lint scope)
+/// remains.
 fn run_check(args: &Args) -> ExitCode {
     let root = std::path::PathBuf::from(args.get("root").unwrap_or("."));
     if !root.join("Cargo.toml").exists() {
@@ -533,17 +534,17 @@ fn run_check(args: &Args) -> ExitCode {
             e.line, e.code, e.file, e.needle
         );
     }
+    for s in &report.stale_scopes {
+        eprintln!("error[scope]: lint scope `{s}` matches no source file (stale entry)");
+    }
+    let stale = report.stale_allow.len() + report.stale_scopes.len();
     eprintln!(
         "kmm check: {} files, {} violation(s), {} suppressed by kcheck.allow, {} stale entr{}",
         report.files_scanned,
         report.diags.len(),
         report.suppressed,
-        report.stale_allow.len(),
-        if report.stale_allow.len() == 1 {
-            "y"
-        } else {
-            "ies"
-        },
+        stale,
+        if stale == 1 { "y" } else { "ies" },
     );
     if report.clean() {
         ExitCode::SUCCESS

@@ -60,22 +60,17 @@ pub use ksketch as sketch;
 
 /// Common imports for examples and downstream users.
 pub mod prelude {
-    pub use kconn::connectivity::{
-        connected_components, connected_components_sharded, ConnectivityConfig, ConnectivityOutput,
-    };
+    pub use kconn::connectivity::{ConnectivityConfig, ConnectivityOutput};
     pub use kconn::dynamic::{
         DynConfig, DynamicCluster, RefreshKind, UpdateBatch, UpdateError, UpdateOp, UpdateReport,
     };
-    pub use kconn::engine::RecoveryPolicy;
-    pub use kconn::mincut::{approx_min_cut, approx_min_cut_sharded, MinCutConfig};
-    pub use kconn::mst::{
-        minimum_spanning_tree, minimum_spanning_tree_sharded, MstConfig, OutputCriterion,
-    };
+    pub use kconn::engine::{EngineConfig, RecoveryPolicy};
+    pub use kconn::mincut::MinCutConfig;
+    pub use kconn::mst::{MstConfig, OutputCriterion};
     pub use kconn::session::{
         Cluster, ClusterBuilder, Connectivity, EdgeBoruvka, EdgeBoruvkaConfig, Flooding, MinCut,
         Mst, Problem, Referee, RepMst, Run, RunReport, SpanningForest,
     };
-    pub use kconn::st::{spanning_forest, spanning_forest_sharded};
     pub use kconn::verify;
     pub use kgraph::stream::{DynEdgeStream, EdgeStream};
     pub use kgraph::{generators, refalgo, Graph, Partition, PartitionKind, ShardedGraph};

@@ -157,7 +157,7 @@ fn snapshot_pin_is_present_and_covers_the_session_layer() {
         "pub struct ClusterBuilder",
         "pub trait Problem",
         "pub struct RunReport",
-        "pub fn rep_mst_sharded",
+        "pub fn adopt",
         "pub fn ingest_count",
     ] {
         assert!(

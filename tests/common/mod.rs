@@ -36,9 +36,9 @@ pub struct Scenario {
 
 impl Scenario {
     /// A session [`Cluster`] for this cell: the scenario graph ingested
-    /// once under the cell's `(k, seed)`. Bit-identical to the one-shot
-    /// entry points, so conformance tests dispatch every algorithm through
-    /// it and may reuse one cluster across several algorithms.
+    /// once under the cell's `(k, seed)`. Conformance tests dispatch every
+    /// algorithm through it and may reuse one cluster across several
+    /// algorithms.
     pub fn cluster(&self) -> Cluster {
         Cluster::builder(self.k)
             .seed(self.seed)
@@ -233,6 +233,37 @@ pub fn assert_stats_sane(id: &str, stats: &CommStats, k: usize) {
             "{id}: superstep {i} link max exceeds the cumulative max"
         );
     }
+}
+
+/// The DESIGN.md §3.1 reference for `Bsp::superstep`'s round charge: a
+/// round-by-round store-and-forward drain of one batch `(src, dst, bits)`
+/// over per-directed-link FIFO queues. Every round each link transmits up
+/// to `w` bits from the head of its queue; a message that does not fit in
+/// what is left of the round's budget is sent partially and carries over.
+/// Returns `(rounds until every queue is empty, total bits)`. It steps
+/// rounds on purpose — computing `⌈bits/W⌉` here would re-derive the
+/// formula under test instead of checking it.
+pub fn fifo_drain(k: usize, w: u64, msgs: &[(usize, usize, u64)]) -> (u64, u64) {
+    let mut links = vec![std::collections::VecDeque::new(); k * k];
+    for &(src, dst, bits) in msgs {
+        links[src * k + dst].push_back(bits);
+    }
+    let mut rounds = 0;
+    while links.iter().any(|q| !q.is_empty()) {
+        rounds += 1;
+        for q in &mut links {
+            let mut budget = w;
+            while let Some(head) = q.front_mut() {
+                if *head > budget {
+                    *head -= budget;
+                    break;
+                }
+                budget -= *head;
+                q.pop_front();
+            }
+        }
+    }
+    (rounds, msgs.iter().map(|m| m.2).sum())
 }
 
 /// Whether two labelings induce the same partition of `0..n` (labels may

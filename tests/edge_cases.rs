@@ -7,16 +7,17 @@ use kmm::prelude::*;
 #[test]
 fn k_equals_two_works_everywhere() {
     let g = generators::randomize_weights(&generators::random_connected(80, 60, 1), 100, 2);
-    let conn = connected_components(&g, 2, 3, &ConnectivityConfig::default());
+    let cluster = Cluster::builder(2).seed(3).ingest_graph(&g);
+    let conn = cluster.run(Connectivity::default()).output;
     assert_eq!(conn.component_count(), 1);
-    let mst = minimum_spanning_tree(&g, 2, 3, &MstConfig::default());
+    let mst = cluster.run(Mst::default()).output;
     assert_eq!(
         mst.total_weight,
         refalgo::forest_weight(&refalgo::kruskal(&g))
     );
-    let st = spanning_forest(&g, 2, 3, &MstConfig::default());
+    let st = cluster.run(SpanningForest::default()).output;
     assert_eq!(st.edges.len(), 79);
-    let cut = approx_min_cut(&g, 2, 3, &MinCutConfig::default());
+    let cut = cluster.run(MinCut::default()).output;
     assert!(cut.estimate >= 1);
 }
 
@@ -28,7 +29,8 @@ fn one_bit_links_still_terminate_correctly() {
         bandwidth: Bandwidth::Bits(1),
         ..ConnectivityConfig::default()
     };
-    let out = connected_components(&g, 4, 6, &cfg);
+    let cluster = Cluster::builder(4).seed(6).ingest_graph(&g);
+    let out = cluster.run(Connectivity::with(cfg)).output;
     assert_eq!(out.component_count(), 2);
     // Rounds explode (every bit is a round) but stay finite and exact.
     assert!(out.stats.rounds >= out.stats.max_link_bits);
@@ -37,15 +39,18 @@ fn one_bit_links_still_terminate_correctly() {
 #[test]
 fn single_vertex_and_tiny_graphs() {
     let g1 = Graph::unweighted(1, []);
-    let out = connected_components(&g1, 2, 7, &ConnectivityConfig::default());
+    let cluster = Cluster::builder(2).seed(7).ingest_graph(&g1);
+    let out = cluster.run(Connectivity::default()).output;
     assert_eq!(out.component_count(), 1);
     assert_eq!(out.counted_components, Some(1));
 
     let g2 = Graph::unweighted(2, [(0, 1)]);
-    let out = connected_components(&g2, 2, 8, &ConnectivityConfig::default());
+    let cluster = Cluster::builder(2).seed(8).ingest_graph(&g2);
+    let out = cluster.run(Connectivity::default()).output;
     assert_eq!(out.component_count(), 1);
 
-    let mst = minimum_spanning_tree(&g2, 2, 9, &MstConfig::default());
+    let cluster = Cluster::builder(2).seed(9).ingest_graph(&g2);
+    let mst = cluster.run(Mst::default()).output;
     assert_eq!(mst.edges.len(), 1);
 }
 
@@ -53,7 +58,8 @@ fn single_vertex_and_tiny_graphs() {
 fn k_larger_than_n_is_fine() {
     // More machines than vertices: most machines hold nothing.
     let g = generators::cycle(12);
-    let out = connected_components(&g, 32, 10, &ConnectivityConfig::default());
+    let cluster = Cluster::builder(32).seed(10).ingest_graph(&g);
+    let out = cluster.run(Connectivity::default()).output;
     assert_eq!(out.component_count(), 1);
 }
 
@@ -66,7 +72,8 @@ fn phase_cap_yields_partial_but_sound_labels() {
         run_output_protocol: false,
         ..ConnectivityConfig::default()
     };
-    let out = connected_components(&g, 4, 12, &cfg);
+    let cluster = Cluster::builder(4).seed(12).ingest_graph(&g);
+    let out = cluster.run(Connectivity::with(cfg)).output;
     let truth = refalgo::connected_components(&g);
     let mut rep: std::collections::HashMap<u64, u32> = Default::default();
     for (v, &t) in truth.iter().enumerate() {
@@ -84,8 +91,13 @@ fn cost_models_agree_on_outputs_and_order() {
         cost_model: model,
         ..ConnectivityConfig::default()
     };
-    let link = connected_components(&g, 8, 14, &mk(CostModel::PerLink));
-    let machine = connected_components(&g, 8, 14, &mk(CostModel::PerMachine));
+    let cluster = Cluster::builder(8).seed(14).ingest_graph(&g);
+    let link = cluster
+        .run(Connectivity::with(mk(CostModel::PerLink)))
+        .output;
+    let machine = cluster
+        .run(Connectivity::with(mk(CostModel::PerMachine)))
+        .output;
     assert_eq!(
         link.labels, machine.labels,
         "cost model must not change outputs"
@@ -106,7 +118,8 @@ fn huge_weights_do_not_overflow() {
         (0, 2, u64::MAX / 2),
     ];
     let g = Graph::from_edges(3, edges);
-    let mst = minimum_spanning_tree(&g, 2, 15, &MstConfig::default());
+    let cluster = Cluster::builder(2).seed(15).ingest_graph(&g);
+    let mst = cluster.run(Mst::default()).output;
     assert_eq!(mst.edges.len(), 2);
     assert_eq!(mst.total_weight, (u64::MAX / 4) as u128 * 2);
 }
@@ -133,7 +146,8 @@ fn coin_flip_merging_is_correct_end_to_end() {
         merge: MergeStrategy::CoinFlip,
         ..ConnectivityConfig::default()
     };
-    let out = connected_components(&g, 4, 19, &cfg);
+    let cluster = Cluster::builder(4).seed(19).ingest_graph(&g);
+    let out = cluster.run(Connectivity::with(cfg)).output;
     assert_eq!(out.component_count(), 3);
     // Coin-flip trees are stars: recorded depths never exceed 1.
     assert!(
@@ -146,8 +160,9 @@ fn coin_flip_merging_is_correct_end_to_end() {
 #[test]
 fn spanning_forest_weight_is_at_least_mst_weight() {
     let g = generators::randomize_weights(&generators::gnm(300, 1200, 20), 10_000, 21);
-    let st = spanning_forest(&g, 4, 22, &MstConfig::default());
-    let mst = minimum_spanning_tree(&g, 4, 22, &MstConfig::default());
+    let cluster = Cluster::builder(4).seed(22).ingest_graph(&g);
+    let st = cluster.run(SpanningForest::default()).output;
+    let mst = cluster.run(Mst::default()).output;
     let st_weight: u128 = st.edges.iter().map(|e| e.w as u128).sum();
     assert!(st_weight >= mst.total_weight);
     assert_eq!(st.edges.len(), mst.edges.len());

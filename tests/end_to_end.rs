@@ -2,11 +2,6 @@
 //! against its exact sequential reference across graph families, machine
 //! counts, and seeds.
 
-use kmm::algo::baselines::edge_boruvka::edge_boruvka_mst;
-use kmm::algo::baselines::flooding::flooding_connectivity;
-use kmm::algo::baselines::referee::referee_connectivity;
-use kmm::algo::baselines::rep_mst::rep_mst;
-use kmm::machine::Bandwidth;
 use kmm::prelude::*;
 
 mod common;
@@ -21,7 +16,8 @@ fn families(seed: u64) -> Vec<(&'static str, Graph)> {
 fn connectivity_matches_union_find_across_families_and_k() {
     for (name, g) in families(11) {
         for k in [2usize, 5, 8] {
-            let out = connected_components(&g, k, 1000 + k as u64, &ConnectivityConfig::default());
+            let cluster = Cluster::builder(k).seed(1000 + k as u64).ingest_graph(&g);
+            let out = cluster.run(Connectivity::default()).output;
             let truth = refalgo::connected_components(&g);
             // Same-label iff same true component.
             let mut rep: std::collections::HashMap<u64, u32> = Default::default();
@@ -48,7 +44,8 @@ fn mst_matches_kruskal_across_families_and_k() {
     for (name, g) in families(23) {
         let g = generators::randomize_weights(&g, 5000, 77);
         for k in [2usize, 6] {
-            let out = minimum_spanning_tree(&g, k, 2000 + k as u64, &MstConfig::default());
+            let cluster = Cluster::builder(k).seed(2000 + k as u64).ingest_graph(&g);
+            let out = cluster.run(Mst::default()).output;
             let reference = refalgo::kruskal(&g);
             assert!(
                 refalgo::is_spanning_forest(&g, &out.edges),
@@ -67,11 +64,12 @@ fn mst_matches_kruskal_across_families_and_k() {
 fn all_connectivity_algorithms_agree() {
     let g = generators::planted_components(300, 3, 6, 5);
     let truth = refalgo::component_count(&g);
-    let sketch = connected_components(&g, 6, 9, &ConnectivityConfig::default());
+    let cluster = Cluster::builder(6).seed(9).ingest_graph(&g);
+    let sketch = cluster.run(Connectivity::default()).output;
     assert_eq!(sketch.component_count(), truth);
-    let flood = flooding_connectivity(&g, 6, 9, Bandwidth::default());
+    let flood = cluster.run(Flooding::default()).output;
     assert_eq!(flood.component_count(), truth);
-    let referee = referee_connectivity(&g, 6, 9, Bandwidth::default());
+    let referee = cluster.run(Referee::default()).output;
     let mut labels = referee.labels.clone();
     labels.sort_unstable();
     labels.dedup();
@@ -82,11 +80,12 @@ fn all_connectivity_algorithms_agree() {
 fn all_mst_algorithms_agree_on_weight() {
     let g = generators::randomize_weights(&generators::random_connected(200, 400, 3), 999, 4);
     let expect = refalgo::forest_weight(&refalgo::kruskal(&g));
-    let core = minimum_spanning_tree(&g, 4, 5, &MstConfig::default());
+    let cluster = Cluster::builder(4).seed(5).ingest_graph(&g);
+    let core = cluster.run(Mst::default()).output;
     assert_eq!(core.total_weight, expect, "sketch MST");
-    let ghs = edge_boruvka_mst(&g, 4, 5, Bandwidth::default());
+    let ghs = cluster.run(EdgeBoruvka::default()).output;
     assert_eq!(ghs.total_weight, expect, "edge-checking Borůvka");
-    let rep = rep_mst(&g, 4, 5, &MstConfig::default());
+    let rep = cluster.run(RepMst::default()).output;
     assert_eq!(rep.mst.total_weight, expect, "REP-model MST");
 }
 
@@ -114,7 +113,8 @@ fn mincut_approximation_is_within_theorem3_bound() {
         let g = generators::barbell(block, bridges, w, seed);
         let lambda = kmm::graph::mincut::stoer_wagner(&g).unwrap();
         assert_eq!(lambda, bridges as u64 * w);
-        let out = approx_min_cut(&g, 4, seed + 50, &MinCutConfig::default());
+        let cluster = Cluster::builder(4).seed(seed + 50).ingest_graph(&g);
+        let out = cluster.run(MinCut::default()).output;
         let logn = (g.n() as f64).log2();
         let est = out.estimate.max(1) as f64;
         let ratio = (est / lambda as f64).max(lambda as f64 / est);
@@ -128,12 +128,14 @@ fn mincut_approximation_is_within_theorem3_bound() {
 #[test]
 fn runs_are_deterministic_and_seed_sensitive() {
     let g = generators::gnp(300, 0.015, 42);
-    let a = connected_components(&g, 6, 7, &ConnectivityConfig::default());
-    let b = connected_components(&g, 6, 7, &ConnectivityConfig::default());
+    let cluster = Cluster::builder(6).seed(7).ingest_graph(&g);
+    let a = cluster.run(Connectivity::default()).output;
+    let b = cluster.run(Connectivity::default()).output;
     assert_eq!(a.labels, b.labels);
     assert_eq!(a.stats.rounds, b.stats.rounds);
     assert_eq!(a.stats.total_bits, b.stats.total_bits);
-    let c = connected_components(&g, 6, 8, &ConnectivityConfig::default());
+    let reseeded = Cluster::builder(6).seed(8).ingest_graph(&g);
+    let c = reseeded.run(Connectivity::default()).output;
     // Different seed: same answer, different execution.
     assert_eq!(a.component_count(), c.component_count());
     assert_ne!(
@@ -146,7 +148,8 @@ fn runs_are_deterministic_and_seed_sensitive() {
 #[test]
 fn stats_invariants_hold() {
     let g = generators::gnm(400, 1200, 13);
-    let out = connected_components(&g, 8, 14, &ConnectivityConfig::default());
+    let cluster = Cluster::builder(8).seed(14).ingest_graph(&g);
+    let out = cluster.run(Connectivity::default()).output;
     let s = &out.stats;
     let sent: u64 = s.sent_bits.iter().sum();
     let recv: u64 = s.recv_bits.iter().sum();
@@ -174,7 +177,8 @@ fn monte_carlo_failure_injection_degrades_gracefully() {
         reps: 1,
         ..ConnectivityConfig::default()
     };
-    let out = connected_components(&g, 4, 16, &cfg);
+    let cluster = Cluster::builder(4).seed(16).ingest_graph(&g);
+    let out = cluster.run(Connectivity::with(cfg)).output;
     let truth = refalgo::connected_components(&g);
     for e in g.edges() {
         // Edges within a true component may end up split (missed merges),
@@ -192,24 +196,16 @@ fn monte_carlo_failure_injection_degrades_gracefully() {
 #[test]
 fn mst_both_criteria_agree_on_the_tree() {
     let g = generators::randomize_weights(&generators::grid(10, 10), 500, 17);
-    let a = minimum_spanning_tree(
-        &g,
-        4,
-        18,
-        &MstConfig {
-            criterion: OutputCriterion::AnyMachine,
+    let cluster = Cluster::builder(4).seed(18).ingest_graph(&g);
+    let run = |criterion| {
+        let cfg = MstConfig {
+            criterion,
             ..MstConfig::default()
-        },
-    );
-    let b = minimum_spanning_tree(
-        &g,
-        4,
-        18,
-        &MstConfig {
-            criterion: OutputCriterion::BothEndpoints,
-            ..MstConfig::default()
-        },
-    );
+        };
+        cluster.run(Mst::with(cfg)).output
+    };
+    let a = run(OutputCriterion::AnyMachine);
+    let b = run(OutputCriterion::BothEndpoints);
     assert_eq!(a.edges, b.edges);
     assert!(b.stats.rounds >= a.stats.rounds);
 }

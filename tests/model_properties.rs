@@ -1,10 +1,12 @@
 //! Property-based tests of the model substrate and the paper's invariants.
 
+mod common;
+
 use kmm::algo::lowerbound::{scs_gadget, DisjointnessInstance};
 use kmm::machine::bandwidth::Bandwidth;
 use kmm::machine::bsp::Bsp;
 use kmm::machine::message::{BatchWire, Envelope, WireSize};
-use kmm::machine::network::{Network, NetworkConfig};
+use kmm::machine::network::NetworkConfig;
 use kmm::prelude::*;
 use kmm::randomness::shared::SharedRandomness;
 use kmm::sketch::{L0Sketch, SketchFns, SketchParams};
@@ -27,8 +29,8 @@ fn net_cfg(k: usize, w: u64) -> NetworkConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The BSP analytic round charge equals the fine-grained network's
-    /// drain time for any batch (DESIGN.md §3.1).
+    /// The BSP analytic round charge equals the round-by-round
+    /// store-and-forward drain time for any batch (DESIGN.md §3.1).
     #[test]
     fn bsp_equals_fine_grained_rounds(
         k in 2usize..8,
@@ -46,13 +48,9 @@ proptest! {
             .collect();
         let mut bsp: Bsp<Blob> = Bsp::new(net_cfg(k, w));
         bsp.superstep(msgs.iter().map(|&(s, d, b)| Envelope::new(s, d, Blob(b))).collect());
-        let mut net: Network<Blob> = Network::new(net_cfg(k, w));
-        for &(s, d, b) in &msgs {
-            net.send(Envelope::new(s, d, Blob(b)));
-        }
-        net.drain();
-        prop_assert_eq!(bsp.stats().rounds, net.round());
-        prop_assert_eq!(bsp.stats().total_bits, net.stats().total_bits);
+        let (rounds, total_bits) = common::fifo_drain(k, w, &msgs);
+        prop_assert_eq!(bsp.stats().rounds, rounds);
+        prop_assert_eq!(bsp.stats().total_bits, total_bits);
     }
 
     /// RVP partitions are balanced within the w.h.p. bound (§1.1).
@@ -149,7 +147,8 @@ proptest! {
     ) {
         let m = (n * (density + 1) / 2).min(n * (n - 1) / 2);
         let g = generators::gnm(n, m, seed);
-        let out = connected_components(&g, k, seed ^ 0xABC, &ConnectivityConfig::default());
+        let cluster = Cluster::builder(k).seed(seed ^ 0xABC).ingest_graph(&g);
+        let out = cluster.run(Connectivity::default()).output;
         prop_assert_eq!(out.component_count(), refalgo::component_count(&g));
     }
 
@@ -163,7 +162,8 @@ proptest! {
     ) {
         let g = generators::randomize_weights(
             &generators::random_connected(n, extra, seed), 1000, seed ^ 7);
-        let out = minimum_spanning_tree(&g, k, seed ^ 0xDEF, &MstConfig::default());
+        let cluster = Cluster::builder(k).seed(seed ^ 0xDEF).ingest_graph(&g);
+        let out = cluster.run(Mst::default()).output;
         prop_assert!(refalgo::is_spanning_forest(&g, &out.edges));
         prop_assert_eq!(
             out.total_weight,

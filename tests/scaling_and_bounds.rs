@@ -3,14 +3,14 @@
 //! balance), Theorem 1 (superlinear k-scaling), and the Theorem 2(b)
 //! bottleneck.
 
-use kmm::machine::Bandwidth;
 use kmm::prelude::*;
 
 #[test]
 fn lemma7_phase_count_is_logarithmic() {
     for (n, seed) in [(512usize, 1u64), (1024, 2), (2048, 3)] {
         let g = generators::random_connected(n, n, seed);
-        let out = connected_components(&g, 8, seed + 10, &ConnectivityConfig::default());
+        let cluster = Cluster::builder(8).seed(seed + 10).ingest_graph(&g);
+        let out = cluster.run(Connectivity::default()).output;
         let log = (n as f64).log2();
         assert!(
             (out.phases as f64) <= 2.5 * log,
@@ -29,7 +29,8 @@ fn lemma7_phase_count_is_logarithmic() {
 fn lemma6_drr_depth_is_logarithmic() {
     // Adversarially chain-able workload: a long path.
     let g = generators::path(4096);
-    let out = connected_components(&g, 8, 5, &ConnectivityConfig::default());
+    let cluster = Cluster::builder(8).seed(5).ingest_graph(&g);
+    let out = cluster.run(Connectivity::default()).output;
     let bound = 6.0 * (4096f64 + 1.0).log2();
     for (i, &d) in out.drr_depths.iter().enumerate() {
         assert!(
@@ -45,7 +46,8 @@ fn lemma1_proxy_routing_is_balanced() {
     // of the mean (Lemma 1's w.h.p. guarantee).
     let g = generators::gnm(4000, 10_000, 7);
     let k = 8;
-    let out = connected_components(&g, k, 8, &ConnectivityConfig::default());
+    let cluster = Cluster::builder(k).seed(8).ingest_graph(&g);
+    let out = cluster.run(Connectivity::default()).output;
     let links = (k * (k - 1)) as u64;
     // Only supersteps moving at least one sketch per link on average.
     let imbalance = out.stats.link_imbalance(links, 100_000);
@@ -58,10 +60,12 @@ fn lemma1_proxy_routing_is_balanced() {
 #[test]
 fn theorem1_rounds_scale_superlinearly_in_k() {
     let g = generators::gnm(6000, 18_000, 9);
-    let cfg = ConnectivityConfig::default();
     let rounds: Vec<u64> = [4usize, 8, 16]
         .iter()
-        .map(|&k| connected_components(&g, k, 10, &cfg).stats.rounds)
+        .map(|&k| {
+            let cluster = Cluster::builder(k).seed(10).ingest_graph(&g);
+            cluster.run(Connectivity::default()).report.stats.rounds
+        })
         .collect();
     // Doubling k must beat halving (superlinear).
     assert!(
@@ -83,15 +87,12 @@ fn theorem2b_star_bottleneck_appears() {
     // receives only Θ(n/k): the Ω~(n/k) bottleneck of [22].
     let g = generators::randomize_weights(&generators::star(2000), 100, 11);
     let k = 8;
-    let b = minimum_spanning_tree(
-        &g,
-        k,
-        12,
-        &MstConfig {
-            criterion: OutputCriterion::BothEndpoints,
-            ..MstConfig::default()
-        },
-    );
+    let both_endpoints = MstConfig {
+        criterion: OutputCriterion::BothEndpoints,
+        ..MstConfig::default()
+    };
+    let cluster = Cluster::builder(k).seed(12).ingest_graph(&g);
+    let b = cluster.run(Mst::with(both_endpoints.clone())).output;
     let routing = b.endpoint_routing.expect("criterion (b) ran");
     let max = routing.max_machine_recv_bits() as f64;
     let mean = routing.recv_bits.iter().sum::<u64>() as f64 / routing.recv_bits.len() as f64;
@@ -101,15 +102,8 @@ fn theorem2b_star_bottleneck_appears() {
     );
     // Sanity: on a path the same stage stays balanced.
     let p = generators::randomize_weights(&generators::path(2000), 100, 13);
-    let bp = minimum_spanning_tree(
-        &p,
-        k,
-        14,
-        &MstConfig {
-            criterion: OutputCriterion::BothEndpoints,
-            ..MstConfig::default()
-        },
-    );
+    let cluster = Cluster::builder(k).seed(14).ingest_graph(&p);
+    let bp = cluster.run(Mst::with(both_endpoints)).output;
     let routing_p = bp.endpoint_routing.expect("criterion (b) ran");
     let max_p = routing_p.max_machine_recv_bits() as f64;
     let mean_p = routing_p.recv_bits.iter().sum::<u64>() as f64 / routing_p.recv_bits.len() as f64;
@@ -121,20 +115,21 @@ fn theorem2b_star_bottleneck_appears() {
 
 #[test]
 fn flooding_beats_sketches_only_on_low_diameter() {
-    use kmm::algo::baselines::flooding::flooding_connectivity;
     let k = 16;
     // Low diameter: flooding wins.
     let low_d = generators::planted_components(3000, 6, 400, 13);
-    let s1 = connected_components(&low_d, k, 14, &ConnectivityConfig::default());
-    let f1 = flooding_connectivity(&low_d, k, 14, Bandwidth::default());
+    let cluster = Cluster::builder(k).seed(14).ingest_graph(&low_d);
+    let s1 = cluster.run(Connectivity::default()).output;
+    let f1 = cluster.run(Flooding::default()).output;
     assert!(
         f1.stats.rounds < s1.stats.rounds,
         "low-D: flooding should win"
     );
     // High diameter: sketches win.
     let high_d = generators::path(3000);
-    let s2 = connected_components(&high_d, k, 15, &ConnectivityConfig::default());
-    let f2 = flooding_connectivity(&high_d, k, 15, Bandwidth::default());
+    let cluster = Cluster::builder(k).seed(15).ingest_graph(&high_d);
+    let s2 = cluster.run(Connectivity::default()).output;
+    let f2 = cluster.run(Flooding::default()).output;
     assert!(
         s2.stats.rounds < f2.stats.rounds,
         "high-D: sketches should win ({} vs {})",
@@ -146,24 +141,15 @@ fn flooding_beats_sketches_only_on_low_diameter() {
 #[test]
 fn shared_randomness_charge_is_visible_and_ablatable() {
     let g = generators::gnm(2000, 6000, 17);
-    let with = connected_components(
-        &g,
-        8,
-        18,
-        &ConnectivityConfig {
-            charge_shared_randomness: true,
+    let cluster = Cluster::builder(8).seed(18).ingest_graph(&g);
+    let run = |charge_shared_randomness| {
+        let cfg = ConnectivityConfig {
+            charge_shared_randomness,
             ..ConnectivityConfig::default()
-        },
-    );
-    let without = connected_components(
-        &g,
-        8,
-        18,
-        &ConnectivityConfig {
-            charge_shared_randomness: false,
-            ..ConnectivityConfig::default()
-        },
-    );
+        };
+        cluster.run(Connectivity::with(cfg)).output
+    };
+    let (with, without) = (run(true), run(false));
     assert_eq!(
         with.labels, without.labels,
         "charging must not change outputs"
@@ -176,11 +162,10 @@ fn shared_randomness_charge_is_visible_and_ablatable() {
 
 #[test]
 fn rep_model_pays_the_n_over_k_routing() {
-    use kmm::algo::baselines::rep_mst::rep_mst;
     let g = generators::randomize_weights(&generators::gnm(3000, 9000, 19), 777, 20);
-    let cfg = MstConfig::default();
-    let rvp = minimum_spanning_tree(&g, 16, 21, &cfg);
-    let rep = rep_mst(&g, 16, 21, &cfg);
+    let cluster = Cluster::builder(16).seed(21).ingest_graph(&g);
+    let rvp = cluster.run(Mst::default()).output;
+    let rep = cluster.run(RepMst::default()).output;
     assert_eq!(rep.mst.total_weight, rvp.total_weight);
     // REP total includes the Θ~(n/k) conversion; at k=16 it should clearly
     // exceed the RVP run on the (already filtered, smaller) graph.

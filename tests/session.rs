@@ -1,17 +1,14 @@
 //! The session API contract (ISSUE 3 acceptance):
 //!
-//! (a) **Cluster reuse is bit-identical to the one-shot entry points.**
-//!     Running connectivity, then MST, then spanning forest on *one*
-//!     ingested `Cluster` produces exactly the labels, edges, rounds and
-//!     bits of the legacy per-call entry points — and of the `*_sharded`
-//!     functions on independently built shards — on every graph family of
-//!     the scenario matrix (`sub_matrix` provably keeps every family, `k`,
-//!     bandwidth and seed represented).
+//! (a) **Cluster reuse is bit-identical to single-use clusters.** Running
+//!     connectivity, then MST, then spanning forest, then flooding on *one*
+//!     ingested `Cluster` produces exactly the labels, edges and full
+//!     `CommStats` of running each on a fresh cluster of its own — built
+//!     through `ingest_graph` or by adopting independently built shards —
+//!     on every graph family of the scenario matrix (`sub_matrix` provably
+//!     keeps every family, `k`, bandwidth and seed represented).
 //!
-//! (b) **Shims and sessions agree on `RunReport` comm stats**, field by
-//!     field, not just on the answer.
-//!
-//! (c) **Ingestion happens exactly once per cluster**, however many
+//! (b) **Ingestion happens exactly once per cluster**, however many
 //!     algorithms run on it — pinned via the thread-local shard-build
 //!     counter `kgraph::sharded::ingest_count`.
 
@@ -21,9 +18,20 @@ use common::{assert_stats_sane, sub_matrix};
 use kmm::graph::sharded::ingest_count;
 use kmm::prelude::*;
 
-/// (a): one cluster, three algorithms, bit-for-bit against both the legacy
-/// one-shot front ends and the `*_sharded` entry points on shards built
-/// independently of the session layer.
+/// Every ledger field two runs must share to count as the same run.
+fn assert_same_stats(id: &str, what: &str, a: &CommStats, b: &CommStats) {
+    assert_eq!(a.rounds, b.rounds, "{id}: {what} rounds");
+    assert_eq!(a.supersteps, b.supersteps, "{id}: {what} supersteps");
+    assert_eq!(a.messages, b.messages, "{id}: {what} messages");
+    assert_eq!(a.total_bits, b.total_bits, "{id}: {what} total bits");
+    assert_eq!(a.max_link_bits, b.max_link_bits, "{id}: {what} max link");
+    assert_eq!(a.sent_bits, b.sent_bits, "{id}: {what} per-machine sent");
+    assert_eq!(a.recv_bits, b.recv_bits, "{id}: {what} per-machine recv");
+}
+
+/// (a): four runs on one cluster ≡ four fresh single-use clusters, bit for
+/// bit — outputs and `CommStats` — whichever way the fresh cluster got its
+/// shards.
 #[test]
 fn cluster_reuse_is_bit_identical_to_one_shot_paths() {
     for s in sub_matrix(4, 1) {
@@ -31,55 +39,53 @@ fn cluster_reuse_is_bit_identical_to_one_shot_paths() {
         let conn = cluster.run(Connectivity::with(s.conn_cfg()));
         let mst = cluster.run(Mst::with(s.mst_cfg()));
         let st = cluster.run(SpanningForest::with(s.mst_cfg()));
-        assert_eq!(cluster.runs(), 3, "{}: three runs recorded", s.id);
+        let flood = cluster.run(Flooding::with(s.bandwidth));
+        assert_eq!(cluster.runs(), 4, "{}: four runs recorded", s.id);
+        assert_eq!(conn.report.problem, "conn", "{}: report name", s.id);
+        assert_eq!(conn.report.phases, conn.output.phases, "{}: phases", s.id);
+        assert_eq!(
+            flood.report.phases, flood.output.graph_rounds,
+            "{}: flooding graph-rounds surface as report phases",
+            s.id
+        );
 
-        // The legacy one-shot front ends (each re-ingests internally).
-        let conn1 = connected_components(&s.g, s.k, s.seed, &s.conn_cfg());
-        let mst1 = minimum_spanning_tree(&s.g, s.k, s.seed, &s.mst_cfg());
-        let st1 = spanning_forest(&s.g, s.k, s.seed, &s.mst_cfg());
-        assert_eq!(conn.output.labels, conn1.labels, "{}: conn labels", s.id);
-        assert_eq!(
-            conn.output.stats.rounds, conn1.stats.rounds,
-            "{}: conn rounds",
-            s.id
-        );
-        assert_eq!(
-            conn.output.stats.total_bits, conn1.stats.total_bits,
-            "{}: conn bits",
-            s.id
-        );
+        // One fresh single-use cluster per problem.
+        let conn1 = s.cluster().run(Connectivity::with(s.conn_cfg()));
+        let mst1 = s.cluster().run(Mst::with(s.mst_cfg()));
+        let st1 = s.cluster().run(SpanningForest::with(s.mst_cfg()));
+        let flood1 = s.cluster().run(Flooding::with(s.bandwidth));
+        assert_eq!(conn.output.labels, conn1.output.labels, "{}: labels", s.id);
         assert_eq!(
             (conn.output.sketch_builds, conn.output.sketch_cache_hits),
-            (conn1.sketch_builds, conn1.sketch_cache_hits),
+            (conn1.output.sketch_builds, conn1.output.sketch_cache_hits),
             "{}: conn sketch counters",
             s.id
         );
-        assert_eq!(mst.output.edges, mst1.edges, "{}: MST edges", s.id);
-        assert_eq!(
-            mst.output.stats.rounds, mst1.stats.rounds,
-            "{}: MST rounds",
-            s.id
-        );
-        assert_eq!(st.output.edges, st1.edges, "{}: forest edges", s.id);
-        assert_eq!(
-            st.output.stats.total_bits, st1.stats.total_bits,
-            "{}: forest bits",
-            s.id
-        );
+        assert_eq!(mst.output.edges, mst1.output.edges, "{}: MST edges", s.id);
+        assert_eq!(st.output.edges, st1.output.edges, "{}: forest edges", s.id);
+        assert_eq!(flood.output.labels, flood1.output.labels, "{}: flood", s.id);
+        assert_same_stats(&s.id, "conn", &conn.report.stats, &conn1.report.stats);
+        assert_same_stats(&s.id, "MST", &mst.report.stats, &mst1.report.stats);
+        assert_same_stats(&s.id, "forest", &st.report.stats, &st1.report.stats);
+        assert_same_stats(&s.id, "flood", &flood.report.stats, &flood1.report.stats);
 
-        // The sharded entry points on shards built without the session
-        // layer — the path that existed before this API.
+        // Shards built without the session layer, then adopted — the path
+        // for callers that carry their own partition.
         let part = Partition::random_vertex(&s.g, s.k, s.seed);
-        let sg = ShardedGraph::from_graph(&s.g, &part);
-        let conn2 = connected_components_sharded(&sg, s.seed, &s.conn_cfg());
-        let mst2 = minimum_spanning_tree_sharded(&sg, s.seed, &s.mst_cfg());
-        assert_eq!(conn.output.labels, conn2.labels, "{}: sharded conn", s.id);
-        assert_eq!(mst.output.edges, mst2.edges, "{}: sharded MST", s.id);
-        assert_eq!(
-            mst.output.stats.rounds, mst2.stats.rounds,
-            "{}: sharded MST rounds",
-            s.id
+        let adopted = Cluster::builder(s.k)
+            .seed(s.seed)
+            .adopt(ShardedGraph::from_graph(&s.g, &part));
+        let conn2 = adopted.run(Connectivity::with(s.conn_cfg()));
+        let mst2 = adopted.run(Mst::with(s.mst_cfg()));
+        assert_eq!(conn.output.labels, conn2.output.labels, "{}: adopted", s.id);
+        assert_eq!(mst.output.edges, mst2.output.edges, "{}: adopted MST", s.id);
+        assert_same_stats(
+            &s.id,
+            "adopted conn",
+            &conn.report.stats,
+            &conn2.report.stats,
         );
+        assert_same_stats(&s.id, "adopted MST", &mst.report.stats, &mst2.report.stats);
 
         // Every report passes the model-accounting invariants.
         assert_stats_sane(&s.id, &conn.report.stats, s.k);
@@ -88,48 +94,7 @@ fn cluster_reuse_is_bit_identical_to_one_shot_paths() {
     }
 }
 
-/// (b): the shim output's stats and the session `RunReport` stats agree
-/// field by field (including the per-machine vectors), for a headliner and
-/// for a baseline.
-#[test]
-fn shims_and_session_agree_on_run_report_comm_stats() {
-    for s in sub_matrix(5, 2) {
-        let cluster = s.cluster();
-        let run = cluster.run(Connectivity::with(s.conn_cfg()));
-        let shim = connected_components(&s.g, s.k, s.seed, &s.conn_cfg());
-        let (a, b) = (&run.report.stats, &shim.stats);
-        assert_eq!(a.rounds, b.rounds, "{}: rounds", s.id);
-        assert_eq!(a.supersteps, b.supersteps, "{}: supersteps", s.id);
-        assert_eq!(a.messages, b.messages, "{}: messages", s.id);
-        assert_eq!(a.total_bits, b.total_bits, "{}: total bits", s.id);
-        assert_eq!(a.max_link_bits, b.max_link_bits, "{}: max link", s.id);
-        assert_eq!(a.sent_bits, b.sent_bits, "{}: per-machine sent", s.id);
-        assert_eq!(a.recv_bits, b.recv_bits, "{}: per-machine recv", s.id);
-        assert_eq!(run.report.problem, "conn", "{}: report name", s.id);
-        assert_eq!(run.report.phases, shim.phases, "{}: report phases", s.id);
-
-        let flood_run = cluster.run(Flooding::with(s.bandwidth));
-        let flood_shim =
-            kmm::algo::baselines::flooding::flooding_connectivity(&s.g, s.k, s.seed, s.bandwidth);
-        assert_eq!(
-            flood_run.report.stats.rounds, flood_shim.stats.rounds,
-            "{}: flooding rounds",
-            s.id
-        );
-        assert_eq!(
-            flood_run.report.stats.total_bits, flood_shim.stats.total_bits,
-            "{}: flooding bits",
-            s.id
-        );
-        assert_eq!(
-            flood_run.report.phases, flood_shim.graph_rounds,
-            "{}: flooding graph-rounds surface as report phases",
-            s.id
-        );
-    }
-}
-
-/// (c): the shard-build counter advances exactly once per cluster, however
+/// (b): the shard-build counter advances exactly once per cluster, however
 /// many problems run on it. (The counter is thread-local, so concurrently
 /// running tests in this binary cannot interfere.)
 #[test]
@@ -155,15 +120,6 @@ fn cluster_ingests_exactly_once() {
         "running seven problems must not re-shard the input"
     );
     assert_eq!(cluster.runs(), 7);
-
-    // Contrast: each legacy one-shot call pays one ingestion.
-    let _ = connected_components(&g, 4, 9, &ConnectivityConfig::default());
-    let _ = minimum_spanning_tree(&g, 4, 9, &MstConfig::default());
-    assert_eq!(
-        ingest_count(),
-        before + 3,
-        "one-shot front ends re-ingest per call — the cost the session API amortizes"
-    );
 }
 
 /// Streamed and materialized ingestion build the same cluster: same shard
@@ -184,8 +140,8 @@ fn streamed_and_materialized_clusters_agree() {
     assert_eq!(ma.output.edges, mb.output.edges);
 }
 
-/// The REP baseline's new sharded path flows through the session too, and
-/// still matches the Kruskal oracle on a reused cluster.
+/// The REP baseline flows through the session too, and matches the Kruskal
+/// oracle on a reused cluster.
 #[test]
 fn rep_mst_runs_on_a_reused_cluster() {
     let g = generators::randomize_weights(&generators::gnm(180, 700, 13), 300, 14);
@@ -198,8 +154,4 @@ fn rep_mst_runs_on_a_reused_cluster() {
     // The REP pipeline pays its Θ~(n/k) routing stage on top.
     assert!(rep.output.routing.rounds > 0);
     assert_eq!(rep.report.problem, "rep-mst");
-    // And the shim agrees bit for bit.
-    let shim = kmm::algo::baselines::rep_mst::rep_mst(&g, 6, 15, &MstConfig::default());
-    assert_eq!(shim.mst.edges, rep.output.mst.edges);
-    assert_eq!(shim.mst.stats.rounds, rep.output.mst.stats.rounds);
 }

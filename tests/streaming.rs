@@ -1,10 +1,12 @@
 //! Streaming-ingestion conformance: every generator family must yield
 //! bit-identical graphs through the lazy `EdgeStream` path and the
-//! materialized path, shards must agree with central adjacency, and no
-//! shard may store more than `O(m/k + Δ)` edges.
+//! materialized path, shards must agree with central adjacency, no shard
+//! may store more than `O(m/k + Δ)` edges, and the three ways to build a
+//! cluster — stream, materialized graph, adopted shards — must run every
+//! algorithm identically.
 
-use kmm::graph::stream::{materialize, DynEdgeStream};
-use kmm::graph::{generators, refalgo, Graph, Partition, ShardedGraph};
+use kmm::graph::stream::materialize;
+use kmm::prelude::*;
 use proptest::prelude::*;
 
 /// Every generator family as (name, stream, materialized) for one seed.
@@ -105,6 +107,62 @@ fn every_family_shards_identically_from_stream_and_graph() {
     }
 }
 
+/// stream ≡ materialized ≡ `adopt(from_graph)` through `Cluster::run`:
+/// however the shards were built, the same `(k, seed)` gives the same
+/// answers and the same ledger, on every family.
+#[test]
+fn every_family_runs_identically_however_the_cluster_was_built() {
+    let (k, seed) = (4, 11u64);
+    let builder = Cluster::builder(k).seed(seed);
+    for (name, stream, graph) in families(seed) {
+        let part = Partition::random_vertex(&graph, k, seed);
+        let clusters = [
+            builder.ingest_stream(stream),
+            builder.ingest_graph(&graph),
+            builder.adopt(ShardedGraph::from_graph(&graph, &part)),
+        ];
+        let runs: Vec<_> = clusters
+            .iter()
+            .map(|c| (c.run(Connectivity::default()), c.run(Mst::default())))
+            .collect();
+        let ledger = |s: &CommStats| {
+            (
+                s.rounds,
+                s.supersteps,
+                s.messages,
+                s.total_bits,
+                s.max_link_bits,
+                s.sent_bits.clone(),
+                s.recv_bits.clone(),
+            )
+        };
+        let (conn, mst) = &runs[0];
+        assert_eq!(
+            conn.output.component_count(),
+            refalgo::component_count(&graph),
+            "{name}: components"
+        );
+        assert!(
+            refalgo::is_spanning_forest(&graph, &mst.output.edges),
+            "{name}: forest"
+        );
+        for (how, (c, m)) in ["graph", "adopt"].iter().zip(&runs[1..]) {
+            assert_eq!(c.output.labels, conn.output.labels, "{name}/{how}: labels");
+            assert_eq!(m.output.edges, mst.output.edges, "{name}/{how}: MST edges");
+            assert_eq!(
+                ledger(&c.report.stats),
+                ledger(&conn.report.stats),
+                "{name}/{how}: connectivity ledger"
+            );
+            assert_eq!(
+                ledger(&m.report.stats),
+                ledger(&mst.report.stats),
+                "{name}/{how}: MST ledger"
+            );
+        }
+    }
+}
+
 #[test]
 fn shard_storage_stays_within_fair_share_plus_max_degree() {
     // The O(m/k + Δ) storage bound, on a balanced random graph and on the
@@ -134,35 +192,33 @@ fn streamed_shard_runs_headliners_against_oracles() {
     // End-to-end: stream → shards → algorithms, checked against the
     // sequential oracles on the (separately materialized) same graph.
     let seed = 17u64;
-    let sg = ShardedGraph::from_stream(generators::gnm_stream(1500, 3000, seed), 8, seed);
+    let cluster = Cluster::builder(8)
+        .seed(seed)
+        .ingest_stream(generators::gnm_stream(1500, 3000, seed));
     let g = generators::gnm(1500, 3000, seed);
-    let conn = kmm::algo::connectivity::connected_components_sharded(
-        &sg,
-        seed,
-        &ConnectivityConfig::default(),
-    );
+    let conn = cluster.run(Connectivity::default()).output;
     assert_eq!(conn.component_count(), refalgo::component_count(&g));
 
     let wseed = 19u64;
-    let wsg = ShardedGraph::from_stream(
-        generators::weighted_stream(generators::random_connected_stream(600, 900, wseed), 500, 3),
-        6,
-        wseed,
-    );
+    let wcluster = Cluster::builder(6)
+        .seed(wseed)
+        .ingest_stream(generators::weighted_stream(
+            generators::random_connected_stream(600, 900, wseed),
+            500,
+            3,
+        ));
     let wg = generators::randomize_weights(&generators::random_connected(600, 900, wseed), 500, 3);
-    let mst = kmm::algo::mst::minimum_spanning_tree_sharded(&wsg, wseed, &MstConfig::default());
+    let mst = wcluster.run(Mst::default()).output;
     assert!(refalgo::is_spanning_forest(&wg, &mst.edges));
     assert_eq!(
         mst.total_weight,
         refalgo::forest_weight(&refalgo::kruskal(&wg))
     );
 
-    let st = kmm::algo::st::spanning_forest_sharded(&wsg, wseed, &MstConfig::default());
+    let st = wcluster.run(SpanningForest::default()).output;
     assert!(refalgo::is_spanning_forest(&wg, &st.edges));
     assert_eq!(st.edges.len(), wg.n() - refalgo::component_count(&wg));
 }
-
-use kmm::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]

@@ -209,9 +209,9 @@ fn min_cut_and_spanning_forest_are_bit_identical() {
 
 #[test]
 fn session_builder_selects_the_proc_backend() {
-    // `ClusterBuilder::transport` threads the selection through
-    // `EngineConfig` defaults, so `run_default` exercises the same path
-    // the CLI's `--transport proc` takes.
+    // `ClusterBuilder::engine` threads the selection through the
+    // cluster's `EngineConfig` defaults, so `run_default` exercises the
+    // same path the CLI's `--transport proc` takes.
     use_test_worker_exe();
     let g = generators::planted_components(120, 2, 4, 0x63);
     let sim = Cluster::builder(4)
@@ -220,7 +220,10 @@ fn session_builder_selects_the_proc_backend() {
         .run_default::<Connectivity>();
     let phys = Cluster::builder(4)
         .seed(5)
-        .transport(TransportSel::Proc)
+        .engine(EngineConfig {
+            transport: TransportSel::Proc,
+            ..Default::default()
+        })
         .ingest_graph(&g)
         .run_default::<Connectivity>();
     assert_eq!(sim.output.labels, phys.output.labels, "builder labels");
