@@ -1097,40 +1097,6 @@ mod tests {
     }
 
     #[test]
-    fn every_variant_is_unchanged_at_equal_widths() {
-        // `wire_bits(l)` must stay the historical accounting: the lw
-        // generalization may not move a single bit when lw == l.
-        let payloads = vec![
-            Payload::EdgeProbeReply {
-                comp: 1,
-                vertex: 2,
-                label: 3,
-                exists: true,
-                weight: 4,
-            },
-            Payload::Threshold {
-                label: 1,
-                key: Some((2, 3, 4)),
-            },
-            Payload::Candidate {
-                label: 1,
-                key: (2, 3, 4),
-                to_label: 5,
-            },
-            Payload::FloodLabels {
-                updates: vec![(1, 2), (3, 4)],
-            },
-            Payload::LabelAnnounce { label: 7 },
-            Payload::Relabel { old: 1, new: 2 },
-        ];
-        for p in payloads {
-            for l in [1u64, 10, 21] {
-                assert_eq!(p.wire_bits_lw(l, l), p.wire_bits(l), "{p:?} at l={l}");
-            }
-        }
-    }
-
-    #[test]
     fn batched_relabels_share_one_tag_and_compress_ids() {
         let l = 20;
         let batch: Vec<Envelope<Payload>> = (0..50u64)
@@ -1289,6 +1255,42 @@ mod tests {
                 to_piece: 5,
             },
         ]
+    }
+
+    /// The whole ledger and codec, pinned: per exemplar its trace kind, the
+    /// fixed-width charge at two `(l, lw)` points, the varint price of a
+    /// three-copy run and the encoded bytes; then one mixed batch holding
+    /// every exemplar twice. The fixture was generated from the hand-written
+    /// per-variant matches this table replaced — regenerate it by hand, and
+    /// only in a PR that means to move the ledger.
+    #[test]
+    fn ledger_and_codec_match_the_golden_fixture() {
+        let all = one_of_each();
+        let envelope = |p: &Payload| Envelope::with_bits(0, 1, p.clone(), p.wire_bits_lw(12, 12));
+        let batch_bits =
+            |envs: &[Envelope<Payload>]| Payload::batch_wire_bits(&envs.iter().collect::<Vec<_>>());
+        let mut actual = String::new();
+        for p in &all {
+            assert_eq!(p.wire_bits(12), p.wire_bits_lw(12, 12), "{p:?}");
+            let mut bytes = Vec::new();
+            p.encode(&mut bytes);
+            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            actual.push_str(&format!(
+                "{} {} {} {} {hex}\n",
+                p.kind_name(),
+                p.wire_bits_lw(12, 12),
+                p.wire_bits_lw(20, 7),
+                batch_bits(&[envelope(p), envelope(p), envelope(p)]),
+            ));
+        }
+        let twice: Vec<_> = all.iter().chain(&all).map(envelope).collect();
+        actual.push_str(&format!("all_twice {}\n", batch_bits(&twice)));
+        assert_eq!(actual, include_str!("../fixtures/payload_ledger.txt"));
+
+        let mut kinds: Vec<_> = all.iter().map(BatchWire::kind_name).collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(kinds.len(), N_TAGS, "one_of_each() misses a variant");
     }
 
     #[test]
