@@ -22,7 +22,6 @@ use crate::session::{Cluster, EdgeBoruvka, EdgeBoruvkaConfig, Problem};
 use kgraph::graph::Edge;
 use kmachine::bsp::Bsp;
 use kmachine::det;
-use kmachine::message::Envelope;
 use kmachine::metrics::CommStats;
 use kmachine::network::NetworkConfig;
 use krand::shared::SharedRandomness;
@@ -126,12 +125,11 @@ impl Problem for EdgeBoruvka {
                 for _direction in 0..2 {
                     let mut msgs = Vec::new();
                     for ((i, j), &c) in det::sorted_entries(&cross) {
-                        let payload = Payload::TestBatch { count: c };
-                        let bits = payload.wire_bits_lw(l, l);
-                        notification_bits += bits;
                         // Tests flow i→j; the second pass carries the replies
                         // (the map is symmetric, so reversing roles is free).
-                        msgs.push(Envelope::with_bits(i, j, payload, bits));
+                        let env = Payload::TestBatch { count: c }.envelope(i, j, l, l);
+                        notification_bits += env.bits;
+                        msgs.push(env);
                     }
                     bsp.superstep(msgs);
                     let _ = bsp.take_all_inboxes();
@@ -165,8 +163,7 @@ impl Problem for EdgeBoruvka {
                         key,
                         to_label,
                     };
-                    let bits = payload.wire_bits_lw(l, l);
-                    out.push(Envelope::with_bits(m, dst, payload, bits));
+                    out.push(payload.envelope(m, dst, l, l));
                 }
             }
             let any = !out.is_empty();
@@ -231,12 +228,11 @@ impl Problem for EdgeBoruvka {
                                 asker: label,
                                 target: c.ptr,
                             };
-                            let bits = payload.wire_bits_lw(l, l);
-                            queries.push(Envelope::with_bits(
+                            queries.push(payload.envelope(
                                 m,
                                 scheme.proxy_of(part, p, 0, c.ptr),
-                                payload,
-                                bits,
+                                l,
+                                l,
                             ));
                         }
                     }
@@ -251,9 +247,9 @@ impl Problem for EdgeBoruvka {
                             let (ptr, done) = proxies[m]
                                 .get(&target)
                                 .map_or((target, true), |t| (t.ptr, t.ptr_done));
-                            let payload = Payload::PtrReply { asker, ptr, done };
-                            let bits = payload.wire_bits_lw(l, l);
-                            replies.push(Envelope::with_bits(m, env.src, payload, bits));
+                            replies.push(
+                                Payload::PtrReply { asker, ptr, done }.envelope(m, env.src, l, l),
+                            );
                         }
                     }
                 }
@@ -280,8 +276,7 @@ impl Problem for EdgeBoruvka {
                                 old: label,
                                 new: c.ptr,
                             };
-                            let bits = payload.wire_bits_lw(l, l);
-                            relabels.push(Envelope::with_bits(m, pm as usize, payload, bits));
+                            relabels.push(payload.envelope(m, pm as usize, l, l));
                         }
                     }
                 }
@@ -324,10 +319,9 @@ impl Problem for EdgeBoruvka {
             if mode == CheckMode::BatchedPush {
                 let mut notes = Vec::new();
                 for ((src, dst), updates) in det::into_sorted_entries(notify) {
-                    let payload = Payload::FloodLabels { updates };
-                    let bits = payload.wire_bits_lw(l, l);
-                    notification_bits += bits;
-                    notes.push(Envelope::with_bits(src, dst, payload, bits));
+                    let env = Payload::FloodLabels { updates }.envelope(src, dst, l, l);
+                    notification_bits += env.bits;
+                    notes.push(env);
                 }
                 bsp.superstep(notes);
                 let _ = bsp.take_all_inboxes();
@@ -360,10 +354,8 @@ fn flag_exchange(bsp: &mut Bsp<Payload>, k: usize, l: u64) {
     for dir in 0..2 {
         let mut msgs = Vec::new();
         for m in 1..k {
-            let payload = Payload::Flag { bit: true };
-            let bits = payload.wire_bits_lw(l, l);
             let (s, d) = if dir == 0 { (m, 0) } else { (0, m) };
-            msgs.push(Envelope::with_bits(s, d, payload, bits));
+            msgs.push(Payload::Flag { bit: true }.envelope(s, d, l, l));
         }
         bsp.superstep(msgs);
         let _ = bsp.take_all_inboxes();

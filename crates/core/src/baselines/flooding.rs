@@ -21,7 +21,6 @@ use kgraph::ShardedGraph;
 use kmachine::bandwidth::Bandwidth;
 use kmachine::bsp::Bsp;
 use kmachine::det;
-use kmachine::message::Envelope;
 use kmachine::metrics::CommStats;
 use kmachine::network::NetworkConfig;
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -138,8 +137,7 @@ impl Problem for Flooding {
                     let payload = Payload::FloodLabels {
                         updates: det::into_sorted_entries(updates),
                     };
-                    let bits = payload.wire_bits_lw(l, l);
-                    out.push(Envelope::with_bits(m, dst, payload, bits));
+                    out.push(payload.envelope(m, dst, l, l));
                     any_remote = true;
                 }
                 frontier[m].clear();
@@ -193,17 +191,13 @@ impl Problem for Flooding {
 fn charge_flag_exchange(bsp: &mut Bsp<Payload>, k: usize, l: u64) {
     let mut up = Vec::new();
     for m in 1..k {
-        let payload = Payload::Flag { bit: true };
-        let bits = payload.wire_bits_lw(l, l);
-        up.push(Envelope::with_bits(m, 0, payload, bits));
+        up.push(Payload::Flag { bit: true }.envelope(m, 0, l, l));
     }
     bsp.superstep(up);
     let _ = bsp.take_all_inboxes();
     let mut down = Vec::new();
     for m in 1..k {
-        let payload = Payload::Flag { bit: true };
-        let bits = payload.wire_bits_lw(l, l);
-        down.push(Envelope::with_bits(0, m, payload, bits));
+        down.push(Payload::Flag { bit: true }.envelope(0, m, l, l));
     }
     bsp.superstep(down);
     let _ = bsp.take_all_inboxes();

@@ -13,7 +13,6 @@ use kgraph::graph::Edge;
 use kgraph::{refalgo, Graph};
 use kmachine::bandwidth::Bandwidth;
 use kmachine::bsp::Bsp;
-use kmachine::message::Envelope;
 use kmachine::metrics::CommStats;
 use kmachine::network::NetworkConfig;
 
@@ -54,9 +53,7 @@ impl Problem for Referee {
             let edges: Vec<(u32, u32, u64)> =
                 sg.view(m).local_edges().map(|e| (e.u, e.v, e.w)).collect();
             if !edges.is_empty() {
-                let payload = Payload::EdgeList { edges };
-                let bits = payload.wire_bits_lw(l, l);
-                out.push(Envelope::with_bits(m, 0, payload, bits));
+                out.push(Payload::EdgeList { edges }.envelope(m, 0, l, l));
             }
         }
         bsp.superstep(out);

@@ -27,7 +27,6 @@ use kgraph::graph::Edge;
 use kgraph::unionfind::UnionFind;
 use kgraph::{Graph, Partition, ShardedGraph};
 use kmachine::bsp::Bsp;
-use kmachine::message::Envelope;
 use kmachine::metrics::CommStats;
 use kmachine::network::NetworkConfig;
 
@@ -104,9 +103,7 @@ impl Problem for RepMst {
             }
             for (dst, batch) in per_dst.into_iter().enumerate() {
                 if dst != m && !batch.is_empty() {
-                    let payload = Payload::EdgeList { edges: batch };
-                    let bits = payload.wire_bits_lw(l, l);
-                    out.push(Envelope::with_bits(m, dst, payload, bits));
+                    out.push(Payload::EdgeList { edges: batch }.envelope(m, dst, l, l));
                 }
             }
         }

@@ -73,7 +73,6 @@ use kgraph::graph::Edge;
 use kgraph::Partition;
 use kmachine::bsp::Bsp;
 use kmachine::det;
-use kmachine::message::Envelope;
 use kmachine::metrics::CommStats;
 use kmachine::network::NetworkConfig;
 use kmachine::trace::{phase_breakdown, TraceEvent, Tracer};
@@ -669,13 +668,7 @@ impl DynamicCluster {
                     weight: w,
                     insert,
                 };
-                let bits = payload.wire_bits_lw(l, l);
-                envelopes.push(Envelope::with_bits(
-                    COORDINATOR,
-                    self.home.home(vertex),
-                    payload,
-                    bits,
-                ));
+                envelopes.push(payload.envelope(COORDINATOR, self.home.home(vertex), l, l));
             }
             if let Some(state) = &mut self.state {
                 state.touched.insert(state.labels[u as usize]);
@@ -1066,8 +1059,7 @@ impl DynamicCluster {
                         v: e.v,
                         weight: e.w,
                     };
-                    let bits = payload.wire_bits_lw(l, l);
-                    route.push(Envelope::with_bits(COORDINATOR, owner, payload, bits));
+                    route.push(payload.envelope(COORDINATOR, owner, l, l));
                     let mut evicted = None;
                     let mut accept = true;
                     if uf.connected(e.u, e.v) {
@@ -1098,8 +1090,7 @@ impl DynamicCluster {
                         new_edges.push((owner, (e.u, e.v, e.w)));
                     }
                     let reply = Payload::MstSwap { comp, evicted };
-                    let rbits = reply.wire_bits_lw(l, l);
-                    replies.push(Envelope::with_bits(owner, COORDINATOR, reply, rbits));
+                    replies.push(reply.envelope(owner, COORDINATOR, l, l));
                 }
             }
             let mut bsp = self.dyn_bsp(ecfg);
@@ -1161,8 +1152,7 @@ impl DynamicCluster {
                             piece,
                             sketch: Box::new(sk),
                         };
-                        let bits = payload.wire_bits_lw(l, l);
-                        sketch_env.push(Envelope::with_bits(i, referee, payload, bits));
+                        sketch_env.push(payload.envelope(i, referee, l, l));
                     }
                 }
                 plans.push(CutPlan {
@@ -1222,8 +1212,7 @@ impl DynamicCluster {
                             key,
                             to_piece: plan.other,
                         };
-                        let bits = payload.wire_bits_lw(l, l);
-                        cand_env.push(Envelope::with_bits(i, referee, payload, bits));
+                        cand_env.push(payload.envelope(i, referee, l, l));
                     }
                 }
             }
@@ -1568,13 +1557,7 @@ impl DynamicCluster {
                     label,
                     sketch: Box::new(sketch),
                 };
-                let bits = payload.wire_bits_lw(l, l);
-                envelopes.push(Envelope::with_bits(
-                    i,
-                    self.home.home(label as u32),
-                    payload,
-                    bits,
-                ));
+                envelopes.push(payload.envelope(i, self.home.home(label as u32), l, l));
             }
         }
         bsp.superstep(envelopes);
@@ -1594,17 +1577,9 @@ impl DynamicCluster {
             }
             verdicts[i] = det::any_value(&sums, |s| !s.is_zero());
         }
-        let flag_bits = Payload::Flag { bit: false }.wire_bits_lw(l, l);
         bsp.superstep(
             (1..k)
-                .map(|i| {
-                    Envelope::with_bits(
-                        i,
-                        COORDINATOR,
-                        Payload::Flag { bit: verdicts[i] },
-                        flag_bits,
-                    )
-                })
+                .map(|i| Payload::Flag { bit: verdicts[i] }.envelope(i, COORDINATOR, l, l))
                 .collect(),
         );
         let bad = verdicts.iter().any(|&b| b);
@@ -1793,13 +1768,7 @@ impl DynamicCluster {
                         weight: e.w,
                         insert: true,
                     };
-                    let bits = payload.wire_bits_lw(l, l);
-                    envelopes.push(Envelope::with_bits(
-                        COORDINATOR,
-                        self.home.home(vertex),
-                        payload,
-                        bits,
-                    ));
+                    envelopes.push(payload.envelope(COORDINATOR, self.home.home(vertex), l, l));
                 }
             }
         }

@@ -1129,8 +1129,7 @@ impl<'g> Engine<'g> {
                     label,
                     sketch: Box::new(sk),
                 };
-                let bits = payload.wire_bits_lw(l, lw);
-                st.outbox.push(Envelope::with_bits(id, dst, payload, bits));
+                st.outbox.push(payload.envelope(id, dst, l, lw));
             }
         });
         self.machines = machines;
@@ -1190,8 +1189,7 @@ impl<'g> Engine<'g> {
                             ask,
                             other,
                         };
-                        let bits = payload.wire_bits_lw(l, lw);
-                        out.push(Envelope::with_bits(id, part.home(ask), payload, bits));
+                        out.push(payload.envelope(id, part.home(ask), l, lw));
                     }
                 }
             }
@@ -1217,9 +1215,7 @@ impl<'g> Engine<'g> {
                         exists: weight.is_some(),
                         weight: weight.unwrap_or(0),
                     };
-                    let bits = payload.wire_bits_lw(l, lw);
-                    st.outbox
-                        .push(Envelope::with_bits(id, env.src, payload, bits));
+                    st.outbox.push(payload.envelope(id, env.src, l, lw));
                 }
             }
         });
@@ -1263,9 +1259,7 @@ impl<'g> Engine<'g> {
                 }
                 let key = c.best;
                 for &m in &c.parts {
-                    let payload = Payload::Threshold { label, key };
-                    let bits = payload.wire_bits_lw(l, lw);
-                    out.push(Envelope::with_bits(id, m as usize, payload, bits));
+                    out.push(Payload::Threshold { label, key }.envelope(id, m as usize, l, lw));
                 }
             }
             st.outbox.extend(out);
@@ -1320,75 +1314,75 @@ impl<'g> Engine<'g> {
     fn pointer_jump(&mut self, p: u32) {
         let depth_bound = 6 * (id_bits(self.n + 1) as u32) + 2;
         let iters = 32 - (2 * depth_bound).leading_zeros() + 1;
+        let part = self.g.partition();
+        let scheme = self.scheme.clone();
         for _ in 0..iters {
             if !self.aggregate_flag(|st| det::any_value(&st.proxied, |c| !c.ptr_done)) {
                 break;
             }
-            let part = self.g.partition();
-            let scheme = &self.scheme;
-            let l = self.l;
-            let lw = self.lw;
-            // Queries out.
-            let mut machines = std::mem::take(&mut self.machines);
-            par_for_each_state(&mut machines, |id, st| {
-                let mut out = Vec::new();
-                for (label, c) in det::sorted_entries(&st.proxied) {
-                    if !c.ptr_done {
-                        let payload = Payload::PtrQuery {
-                            asker: label,
-                            target: c.ptr,
-                        };
-                        let bits = payload.wire_bits_lw(l, lw);
-                        out.push(Envelope::with_bits(
-                            id,
-                            scheme.proxy_of(part, p, 0, c.ptr),
-                            payload,
-                            bits,
-                        ));
-                    }
-                }
-                st.outbox.extend(out);
-            });
-            self.machines = machines;
-            self.flush();
-            // Answers back (reads only pre-iteration state: replies are
-            // computed before any update is applied).
-            let mut machines = std::mem::take(&mut self.machines);
-            par_for_each_state(&mut machines, |id, st| {
-                let inbox = std::mem::take(&mut st.inbox);
-                let mut out = Vec::new();
-                for env in inbox {
-                    if let Payload::PtrQuery { asker, target } = env.payload {
-                        let t = st
-                            .proxied
-                            .get(&target)
-                            .expect("pointer target must be proxied here");
-                        let payload = Payload::PtrReply {
-                            asker,
-                            ptr: t.ptr,
-                            done: t.ptr_done,
-                        };
-                        let bits = payload.wire_bits_lw(l, lw);
-                        out.push(Envelope::with_bits(id, env.src, payload, bits));
-                    }
-                }
-                st.outbox.extend(out);
-            });
-            self.machines = machines;
-            self.flush();
-            // Apply updates.
-            par_for_each_state(&mut self.machines, |_, st| {
-                let inbox = std::mem::take(&mut st.inbox);
-                for env in inbox {
-                    if let Payload::PtrReply { asker, ptr, done } = env.payload {
-                        if let Some(c) = st.proxied.get_mut(&asker) {
-                            c.ptr = ptr;
-                            c.ptr_done = done;
-                        }
-                    }
-                }
-            });
+            self.jump_round(|target| scheme.proxy_of(part, p, 0, target));
         }
+    }
+
+    /// One pointer-doubling round, shared by [`Engine::pointer_jump`] and
+    /// [`Engine::super_pointer_jump`]: every unfinished component asks the
+    /// machine `route(ptr)` holding its pointer target's state for that
+    /// target's pointer, and adopts the answer. Two supersteps.
+    fn jump_round(&mut self, route: impl Fn(Label) -> usize + Sync) {
+        let l = self.l;
+        let lw = self.lw;
+        // Queries out.
+        let mut machines = std::mem::take(&mut self.machines);
+        par_for_each_state(&mut machines, |id, st| {
+            let mut out = Vec::new();
+            for (label, c) in det::sorted_entries(&st.proxied) {
+                if !c.ptr_done {
+                    let payload = Payload::PtrQuery {
+                        asker: label,
+                        target: c.ptr,
+                    };
+                    out.push(payload.envelope(id, route(c.ptr), l, lw));
+                }
+            }
+            st.outbox.extend(out);
+        });
+        self.machines = machines;
+        self.flush();
+        // Answers back (reads only pre-iteration state: replies are
+        // computed before any update is applied).
+        let mut machines = std::mem::take(&mut self.machines);
+        par_for_each_state(&mut machines, |id, st| {
+            let inbox = std::mem::take(&mut st.inbox);
+            let mut out = Vec::new();
+            for env in inbox {
+                if let Payload::PtrQuery { asker, target } = env.payload {
+                    let t = st
+                        .proxied
+                        .get(&target)
+                        .expect("pointer target's state lives where its query was routed");
+                    let payload = Payload::PtrReply {
+                        asker,
+                        ptr: t.ptr,
+                        done: t.ptr_done,
+                    };
+                    out.push(payload.envelope(id, env.src, l, lw));
+                }
+            }
+            st.outbox.extend(out);
+        });
+        self.machines = machines;
+        self.flush();
+        // Apply updates.
+        par_for_each_state(&mut self.machines, |_, st| {
+            for env in std::mem::take(&mut st.inbox) {
+                if let Payload::PtrReply { asker, ptr, done } = env.payload {
+                    if let Some(c) = st.proxied.get_mut(&asker) {
+                        c.ptr = ptr;
+                        c.ptr_done = done;
+                    }
+                }
+            }
+        });
     }
 
     /// Step 4: proxies broadcast relabel commands; machines apply them.
@@ -1413,8 +1407,7 @@ impl<'g> Engine<'g> {
                                 old: label,
                                 new: c.ptr,
                             };
-                            let bits = payload.wire_bits_lw(l, lw);
-                            out.push(Envelope::with_bits(id, m as usize, payload, bits));
+                            out.push(payload.envelope(id, m as usize, l, lw));
                         }
                     }
                 }
@@ -1486,8 +1479,7 @@ impl<'g> Engine<'g> {
                         weight: w,
                         label: lab,
                     };
-                    let bits = payload.wire_bits_lw(l, lw);
-                    out.push(Envelope::with_bits(id, part.home(nb), payload, bits));
+                    out.push(payload.envelope(id, part.home(nb), l, lw));
                 }
             }
             st.outbox.extend(out);
@@ -1520,8 +1512,7 @@ impl<'g> Engine<'g> {
                                 ou,
                                 ov,
                             };
-                            let bits = payload.wire_bits_lw(l, lw);
-                            out.push(Envelope::with_bits(id, part.home(a as u32), payload, bits));
+                            out.push(payload.envelope(id, part.home(a as u32), l, lw));
                         }
                     }
                 }
@@ -1533,13 +1524,7 @@ impl<'g> Engine<'g> {
                     label: lab,
                     parts: vec![id as u16],
                 };
-                let bits = payload.wire_bits_lw(l, lw);
-                out.push(Envelope::with_bits(
-                    id,
-                    part.home(lab as u32),
-                    payload,
-                    bits,
-                ));
+                out.push(payload.envelope(id, part.home(lab as u32), l, lw));
             }
             st.outbox.extend(out);
         });
@@ -1600,8 +1585,7 @@ impl<'g> Engine<'g> {
             let payload = Payload::CountReport {
                 count: st.supers.len() as u64,
             };
-            let bits = payload.wire_bits_lw(l, lw);
-            st.outbox.push(Envelope::with_bits(st.id, 0, payload, bits));
+            st.outbox.push(payload.envelope(st.id, 0, l, lw));
         }
         self.machines = machines;
         self.flush();
@@ -1618,9 +1602,8 @@ impl<'g> Engine<'g> {
             let total: u64 = counts.iter().sum();
             let mut base = 0u64;
             for (dst, &c) in counts.iter().enumerate() {
-                let payload = Payload::DenseBase { base, total };
-                let bits = payload.wire_bits_lw(l, lw);
-                st0.outbox.push(Envelope::with_bits(0, dst, payload, bits));
+                st0.outbox
+                    .push(Payload::DenseBase { base, total }.envelope(0, dst, l, lw));
                 base += c;
             }
         }
@@ -1650,14 +1633,10 @@ impl<'g> Engine<'g> {
                 dsts.sort_unstable();
                 dsts.dedup();
                 for dst in dsts {
-                    let payload = Payload::SuperRelabel { old, new };
-                    let bits = payload.wire_bits_lw(l, lw);
-                    out.push(Envelope::with_bits(st.id, dst, payload, bits));
+                    out.push(Payload::SuperRelabel { old, new }.envelope(st.id, dst, l, lw));
                 }
                 for &m in &node.parts {
-                    let payload = Payload::Relabel { old, new };
-                    let bits = payload.wire_bits_lw(l, lw);
-                    out.push(Envelope::with_bits(st.id, m as usize, payload, bits));
+                    out.push(Payload::Relabel { old, new }.envelope(st.id, m as usize, l, lw));
                 }
             }
             st.outbox.extend(out);
@@ -1690,13 +1669,7 @@ impl<'g> Engine<'g> {
                     parts: renamed.parts,
                     adj,
                 };
-                let bits = payload.wire_bits_lw(l, lw);
-                out.push(Envelope::with_bits(
-                    id,
-                    part.home(new as u32),
-                    payload,
-                    bits,
-                ));
+                out.push(payload.envelope(id, part.home(new as u32), l, lw));
             }
             st.outbox.extend(out);
         });
@@ -1774,67 +1747,11 @@ impl<'g> Engine<'g> {
     /// acyclic and doubling converges in `O(log depth)` iterations.
     fn super_pointer_jump(&mut self, _p: u32) {
         let part = self.g.partition();
-        let l = self.l;
-        let lw = self.lw;
         let mut safety = 0u32;
         while self.aggregate_flag(|st| det::any_value(&st.proxied, |c| !c.ptr_done)) {
             safety += 1;
             assert!(safety <= 72, "super pointer jumping failed to converge");
-            let mut machines = std::mem::take(&mut self.machines);
-            par_for_each_state(&mut machines, |id, st| {
-                let mut out = Vec::new();
-                for (label, c) in det::sorted_entries(&st.proxied) {
-                    if !c.ptr_done {
-                        let payload = Payload::PtrQuery {
-                            asker: label,
-                            target: c.ptr,
-                        };
-                        let bits = payload.wire_bits_lw(l, lw);
-                        out.push(Envelope::with_bits(
-                            id,
-                            part.home(c.ptr as u32),
-                            payload,
-                            bits,
-                        ));
-                    }
-                }
-                st.outbox.extend(out);
-            });
-            self.machines = machines;
-            self.flush();
-            let mut machines = std::mem::take(&mut self.machines);
-            par_for_each_state(&mut machines, |id, st| {
-                let inbox = std::mem::take(&mut st.inbox);
-                let mut out = Vec::new();
-                for env in inbox {
-                    if let Payload::PtrQuery { asker, target } = env.payload {
-                        let t = st
-                            .proxied
-                            .get(&target)
-                            .expect("pointer target must be owned here");
-                        let payload = Payload::PtrReply {
-                            asker,
-                            ptr: t.ptr,
-                            done: t.ptr_done,
-                        };
-                        let bits = payload.wire_bits_lw(l, lw);
-                        out.push(Envelope::with_bits(id, env.src, payload, bits));
-                    }
-                }
-                st.outbox.extend(out);
-            });
-            self.machines = machines;
-            self.flush();
-            par_for_each_state(&mut self.machines, |_, st| {
-                for env in std::mem::take(&mut st.inbox) {
-                    if let Payload::PtrReply { asker, ptr, done } = env.payload {
-                        if let Some(c) = st.proxied.get_mut(&asker) {
-                            c.ptr = ptr;
-                            c.ptr_done = done;
-                        }
-                    }
-                }
-            });
+            self.jump_round(|target| part.home(target as u32));
         }
     }
 
@@ -1882,16 +1799,14 @@ impl<'g> Engine<'g> {
                         old: label,
                         new: root,
                     };
-                    let bits = payload.wire_bits_lw(l, lw);
-                    out.push(Envelope::with_bits(id, dst, payload, bits));
+                    out.push(payload.envelope(id, dst, l, lw));
                 }
                 for &m in &node.parts {
                     let payload = Payload::Relabel {
                         old: label,
                         new: root,
                     };
-                    let bits = payload.wire_bits_lw(l, lw);
-                    out.push(Envelope::with_bits(id, m as usize, payload, bits));
+                    out.push(payload.envelope(id, m as usize, l, lw));
                 }
             }
             st.mst_out.extend(emitted);
@@ -1925,13 +1840,7 @@ impl<'g> Engine<'g> {
                             parts: renamed.parts,
                             adj,
                         };
-                        let bits = payload.wire_bits_lw(l, lw);
-                        out.push(Envelope::with_bits(
-                            id,
-                            part.home(root as u32),
-                            payload,
-                            bits,
-                        ));
+                        out.push(payload.envelope(id, part.home(root as u32), l, lw));
                     }
                     None => {
                         keep.insert(old, renamed);
@@ -2002,9 +1911,8 @@ impl<'g> Engine<'g> {
         let mut machines = std::mem::take(&mut self.machines);
         for st in &mut machines {
             if st.id != 0 {
-                let payload = Payload::Flag { bit: st.flag };
-                let bits = payload.wire_bits_lw(l, lw);
-                st.outbox.push(Envelope::with_bits(st.id, 0, payload, bits));
+                st.outbox
+                    .push(Payload::Flag { bit: st.flag }.envelope(st.id, 0, l, lw));
             }
         }
         self.machines = machines;
@@ -2024,9 +1932,8 @@ impl<'g> Engine<'g> {
         {
             let st0 = &mut machines[0];
             for dst in 1..self.k {
-                let payload = Payload::Flag { bit: global };
-                let bits = payload.wire_bits_lw(l, lw);
-                st0.outbox.push(Envelope::with_bits(0, dst, payload, bits));
+                st0.outbox
+                    .push(Payload::Flag { bit: global }.envelope(0, dst, l, lw));
             }
         }
         self.machines = machines;
@@ -2053,13 +1960,11 @@ impl<'g> Engine<'g> {
             distinct.extend(det::sorted_values(&st.labels));
             let mut out = Vec::new();
             for lab in det::sorted_members(&distinct) {
-                let payload = Payload::LabelAnnounce { label: lab };
-                let bits = payload.wire_bits_lw(l, lw);
-                out.push(Envelope::with_bits(
+                out.push(Payload::LabelAnnounce { label: lab }.envelope(
                     id,
                     scheme.proxy_of(part, p, 1, lab),
-                    payload,
-                    bits,
+                    l,
+                    lw,
                 ));
             }
             st.outbox.extend(out);
@@ -2080,8 +1985,7 @@ impl<'g> Engine<'g> {
             let payload = Payload::CountReport {
                 count: distinct.len() as u64,
             };
-            let bits = payload.wire_bits_lw(l2, lw2);
-            st.outbox.push(Envelope::with_bits(id, 0, payload, bits));
+            st.outbox.push(payload.envelope(id, 0, l2, lw2));
         });
         self.machines = machines;
         self.flush();

@@ -1,13 +1,16 @@
 //! Message payloads of the distributed algorithms, with explicit wire sizes.
 //!
-//! Wire sizes follow the paper's encodings: vertex ids cost `⌈log₂ n⌉`
-//! bits, component labels `⌈log₂ n'⌉` bits where `n'` is the size of the
-//! current (possibly contracted) label space, weights 32 bits, sketches
-//! their `polylog(n)` size ([`ksketch::SketchParams::wire_bits`]), plus a
-//! flat 16-bit type tag per message. Sizes are computed once per message by
-//! [`Payload::wire_bits_lw`], which needs the vertex id width
+//! Every message is one row of the [`Payload`] table. A row names each
+//! field's *kind* once, and a kind says what the field costs and how it is
+//! written: vertex ids cost `⌈log₂ n⌉` bits, component labels `⌈log₂ n'⌉`
+//! bits where `n'` is the size of the current (possibly contracted) label
+//! space, weights 32 bits, sketches their `polylog(n)` size
+//! ([`ksketch::SketchParams::wire_bits`]), plus a flat 16-bit type tag per
+//! message. From the row the table generates the fixed-width charge
+//! [`Payload::wire_bits_lw`] — which needs the vertex id width
 //! `L = ⌈log₂ n⌉` and the label width `Lw = ⌈log₂ n'⌉` as context
-//! ([`Payload::wire_bits`] is the uncontracted `Lw = L` special case).
+//! ([`Payload::wire_bits`] is the uncontracted `Lw = L` special case) — the
+//! byte codec, the wire tag and the trace kind name.
 //!
 //! Under [`kmachine::message::Encoding::Varint`] a directed link's batch is
 //! charged by [`kmachine::message::BatchWire`] instead: per-variant runs
@@ -28,256 +31,653 @@ pub type Label = u64;
 /// An MST comparison key: `(weight, u, v)` — the tie-free total order.
 pub type EdgeKey = (u64, u32, u32);
 
-/// Every message any of the algorithms sends.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Payload {
-    /// A component part's combined sketch, machine → component proxy (§2.4).
-    PartSketch {
-        /// The component label this part belongs to.
-        label: Label,
-        /// The part's combined sketch (sum of its vertices' sketches).
-        sketch: Box<L0Sketch>,
-    },
-    /// Proxy asks `home(ask)` about endpoint `ask` of candidate edge
-    /// `{ask, other}`: current label, edge existence, and weight.
-    EdgeProbe {
-        /// Component on whose behalf the proxy asks.
-        comp: Label,
-        /// The endpoint whose home machine is being asked.
-        ask: u32,
-        /// The other endpoint of the candidate edge.
-        other: u32,
-    },
-    /// Home machine's answer to an [`Payload::EdgeProbe`].
-    EdgeProbeReply {
-        /// Component the probe belonged to.
-        comp: Label,
-        /// The endpoint that was asked about.
-        vertex: u32,
-        /// Its current component label.
-        label: Label,
-        /// Whether the probed edge exists in `G`.
-        exists: bool,
-        /// The edge weight (0 if absent).
-        weight: u64,
-    },
-    /// MST elimination broadcast: parts must rebuild sketches filtered to
-    /// edges with key strictly below `key`; `None` means the component is
-    /// done eliminating (its MWOE is fixed).
-    Threshold {
-        /// The component label.
-        label: Label,
-        /// The new strict upper bound, or `None` when done.
-        key: Option<EdgeKey>,
-    },
-    /// Pointer-jumping query, proxy(asker) → proxy(target) (§2.5).
-    PtrQuery {
-        /// The component doing the jump.
-        asker: Label,
-        /// The component whose pointer is requested.
-        target: Label,
-    },
-    /// Pointer-jumping reply.
-    PtrReply {
-        /// The component doing the jump.
-        asker: Label,
-        /// The target's current pointer.
-        ptr: Label,
-        /// Whether the target's pointer is already a root.
-        done: bool,
-    },
-    /// Merge command, proxy → machines holding parts of `old`.
-    Relabel {
-        /// The label being retired.
-        old: Label,
-        /// The root label that replaces it.
-        new: Label,
-    },
-    /// A one-bit control flag (convergence detection).
-    Flag {
-        /// The bit.
-        bit: bool,
-    },
-    /// Output protocol (§2.6 end): a machine announces a label it holds.
-    LabelAnnounce {
-        /// The label.
-        label: Label,
-    },
-    /// Output protocol: a proxy reports how many distinct labels it proxies.
-    CountReport {
-        /// Number of distinct labels.
-        count: u64,
-    },
-    /// Flooding baseline: batched `(vertex, new label)` updates addressed to
-    /// a machine hosting neighbors of those vertices.
-    FloodLabels {
-        /// The updates.
-        updates: Vec<(u32, Label)>,
-    },
-    /// A batch of edges (referee collection, REP routing).
-    EdgeList {
-        /// `(u, v, w)` triples.
-        edges: Vec<(u32, u32, u64)>,
-    },
-    /// Edge-checking Borůvka: a part's local MWOE candidate for `label`.
-    Candidate {
-        /// The component label.
-        label: Label,
-        /// The candidate edge key.
-        key: EdgeKey,
-        /// The label on the other side of the candidate edge.
-        to_label: Label,
-    },
-    /// Final s–t comparison result exchanged between two home machines.
-    StDone {
-        /// Whether both endpoints carried the same label.
-        same: bool,
-    },
-    /// Per-edge status tests of the GHS-style baseline, aggregated per
-    /// machine pair for simulation efficiency: `count` individual tests of
-    /// `3·⌈log₂ n⌉` bits each (edge id + queried label).
-    TestBatch {
-        /// Number of individual edge tests carried.
-        count: u64,
-    },
-    /// Dynamic update routed from the ingest coordinator to an endpoint's
-    /// home machine: the home XORs the edge contribution into (insert) or
-    /// out of (delete) the endpoint's incidence sketch and stages the
-    /// half-edge delta.
-    EdgeUpdate {
-        /// The endpoint homed at the destination machine.
-        vertex: u32,
-        /// The other endpoint of the updated edge.
-        other: u32,
-        /// The edge weight (0 for deletions).
-        weight: u64,
-        /// Insert (`true`) or delete (`false`).
-        insert: bool,
-    },
-    /// Dynamic certification: a machine's aggregated incidence sketch for
-    /// one of the component labels it hosts, sent to the label's referee
-    /// (the representative vertex's home). Linearity makes the per-label
-    /// sum cancel to exactly zero iff the label class has no outgoing edge.
-    CertSketch {
-        /// The component label being certified.
-        label: Label,
-        /// The sum of the machine's local vertex sketches for that label.
-        sketch: Box<L0Sketch>,
-    },
-    /// Supergraph build (§3.11): `home(u)` pushes endpoint `u`'s label
-    /// along edge `{u, v}` to `home(v)`, which sees both labels and keeps
-    /// the edge iff they differ.
-    LabelPush {
-        /// The endpoint whose label is being pushed.
-        u: u32,
-        /// The other endpoint (homed at the destination machine).
-        v: u32,
-        /// The edge weight.
-        weight: u64,
-        /// `u`'s current component label.
-        label: Label,
-    },
-    /// Supergraph build: a surviving inter-component edge, routed to a
-    /// component endpoint's owner. The original endpoints ride along so
-    /// MST/spanning-forest output stays in original edge ids.
-    SuperEdge {
-        /// The component whose owner this copy is addressed to.
-        a: Label,
-        /// The component on the other side.
-        b: Label,
-        /// The edge weight.
-        weight: u64,
-        /// Original endpoint on `a`'s side.
-        ou: u32,
-        /// Original endpoint on `b`'s side.
-        ov: u32,
-    },
-    /// Supergraph build/maintenance: a machine announces it hosts original
-    /// vertices of component `label` (so merge results can be broadcast
-    /// back into the vertex space).
-    SuperParts {
-        /// The component label.
-        label: Label,
-        /// Machines hosting parts of the component.
-        parts: Vec<u16>,
-    },
-    /// Supergraph maintenance: component `old` is now addressed as `new`
-    /// (after a merge or a dense renaming), sent to owners storing `old`
-    /// in an adjacency list.
-    SuperRelabel {
-        /// The label being retired.
-        old: Label,
-        /// Its replacement.
-        new: Label,
-    },
-    /// Supergraph re-homing: a supernode's full owner state moves to the
-    /// machine that owns its (new) label.
-    SuperMove {
-        /// The supernode's label (already in the destination's space).
-        label: Label,
-        /// Machines hosting original vertices of the component.
-        parts: Vec<u16>,
-        /// Deduped adjacency: `(neighbor label, weight, ou, ov)` of the
-        /// lightest original edge crossing to that neighbor.
-        adj: Vec<(Label, u64, u32, u32)>,
-    },
-    /// Dense renaming: the coordinator assigns each machine the base of
-    /// its contiguous block of new labels, and the new label-space size.
-    DenseBase {
-        /// First new label owned by the destination machine.
-        base: u64,
-        /// Total number of live components (the new `n'`).
-        total: u64,
-    },
-    /// Incremental MST insert pass: a freshly inserted edge routed to its
-    /// component's owner for cycle-edge replacement (find the max-weight
-    /// edge on the tree cycle the insert closes, swap if heavier).
-    MstCycleEdge {
-        /// The MST component both endpoints belong to.
-        comp: Label,
-        /// One endpoint of the inserted edge.
-        u: u32,
-        /// The other endpoint.
-        v: u32,
-        /// The inserted edge's weight.
-        weight: u64,
-    },
-    /// Incremental MST insert pass: the owner's verdict on one cycle
-    /// replacement — the tree edge evicted by the insert, or `None` when
-    /// the insert lost (the cycle's max edge was the insert itself).
-    MstSwap {
-        /// The MST component the swap happened in.
-        comp: Label,
-        /// The evicted tree edge's key, or `None` for no swap.
-        evicted: Option<EdgeKey>,
-    },
-    /// Incremental MST delete pass: a machine's aggregated incidence
-    /// sketch for one side of a tree split, sent to the piece's referee so
-    /// the linear per-piece sum can witness whether any crossing edge
-    /// survives (zero sum ⇔ a genuine component split).
-    MstCutSketch {
-        /// The split piece (labelled by its minimum vertex).
-        piece: Label,
-        /// The machine's summed vertex sketches for the piece.
-        sketch: Box<L0Sketch>,
-    },
-    /// Incremental MST delete pass: a machine's minimum-weight candidate
-    /// edge crossing out of a split piece, min-reduced at the referee to
-    /// pick the replacement edge.
-    MstCandidate {
-        /// The split piece the candidate leaves.
-        piece: Label,
-        /// The candidate edge key.
-        key: EdgeKey,
-        /// The piece on the candidate's far side.
-        to_piece: Label,
-    },
-}
-
 /// Flat per-message type tag cost.
 const TAG_BITS: u64 = 16;
-/// Weight field cost.
-const W_BITS: u64 = 32;
+
+/// One variant's run inside a directed link's batch under
+/// [`kmachine::message::Encoding::Varint`].
+#[derive(Default)]
+struct Run {
+    /// Messages in the run.
+    count: u64,
+    /// Every message's [`By`] field; the run ships them delta-sorted.
+    sorted: Vec<u64>,
+    /// Varint bits of all other fields.
+    plain: u64,
+}
+
+/// What a field of type `T` costs and how it is written. Each kind below
+/// decides this once; [`payload_table!`] folds the four functions over a
+/// row's fields to get the message's charge, run price and codec.
+trait Kind<T> {
+    /// Bits under the fixed-width model: vertex ids `l` wide, labels `lw`.
+    fn naive(v: &T, l: u64, lw: u64) -> u64;
+    /// Adds the field to its variant's varint run.
+    fn varint(v: &T, run: &mut Run);
+    /// Appends the field's bytes — the *physical* encoding of the process
+    /// mesh (DESIGN.md §3.12). Its byte count may differ from the charge:
+    /// the ledger is computed from the decoded envelopes on every backend.
+    fn put(v: &T, out: &mut Vec<u8>);
+    /// Reads back what [`Kind::put`] wrote; `field` names the row's field
+    /// in decode errors.
+    fn get(r: &mut WireReader<'_>, field: &'static str) -> Result<T, WireError>;
+}
+
+/// Reads one varint and narrows it to the field's integer type.
+fn narrow<T: TryFrom<u64>>(
+    r: &mut WireReader<'_>,
+    field: &'static str,
+    reason: &'static str,
+) -> Result<T, WireError> {
+    T::try_from(r.varint(field)?).map_err(|_| WireError::new(r.offset(), field, reason))
+}
+
+/// An unsigned integer kind: a fixed width under the naive model, one
+/// LEB128 varint in a run and on the mesh.
+macro_rules! uint_kind {
+    ($(#[$doc:meta])* $Kind:ident($T:ident) = |$l:ident, $lw:ident| $bits:expr) => {
+        $(#[$doc])*
+        struct $Kind;
+        impl Kind<$T> for $Kind {
+            fn naive(_: &$T, $l: u64, $lw: u64) -> u64 {
+                $bits
+            }
+            fn varint(v: &$T, run: &mut Run) {
+                run.plain += varint_bits(u64::from(*v));
+            }
+            fn put(v: &$T, out: &mut Vec<u8>) {
+                put_varint(out, u64::from(*v));
+            }
+            fn get(r: &mut WireReader<'_>, field: &'static str) -> Result<$T, WireError> {
+                narrow(r, field, concat!("value overflows ", stringify!($T)))
+            }
+        }
+    };
+}
+
+uint_kind! {
+    /// A component label: `lw = ⌈log₂ n'⌉` bits.
+    LabelId(u64) = |_l, lw| lw
+}
+uint_kind! {
+    /// An original vertex id: `l = ⌈log₂ n⌉` bits.
+    VertexId(u32) = |l, _lw| l
+}
+uint_kind! {
+    /// An edge weight or a counter: 32 bits.
+    Weight(u64) = |_l, _lw| 32
+}
+uint_kind! {
+    /// A machine id: 16 bits whatever `k` is.
+    MachineId(u16) = |_l, _lw| 16
+}
+
+/// Marks the one field per row that the destination groups by: a varint
+/// run ships it delta-sorted instead of as a plain varint. Everything else
+/// about the field is `K`'s.
+struct By<K>(K);
+
+impl<T: Copy + Into<u64>, K: Kind<T>> Kind<T> for By<K> {
+    fn naive(v: &T, l: u64, lw: u64) -> u64 {
+        K::naive(v, l, lw)
+    }
+    fn varint(v: &T, run: &mut Run) {
+        run.sorted.push((*v).into());
+    }
+    fn put(v: &T, out: &mut Vec<u8>) {
+        K::put(v, out);
+    }
+    fn get(r: &mut WireReader<'_>, field: &'static str) -> Result<T, WireError> {
+        K::get(r, field)
+    }
+}
+
+/// A flag: one bit charged, one byte on the mesh.
+struct Bit;
+
+impl Kind<bool> for Bit {
+    fn naive(_: &bool, _l: u64, _lw: u64) -> u64 {
+        1
+    }
+    fn varint(_: &bool, run: &mut Run) {
+        run.plain += 1;
+    }
+    fn put(v: &bool, out: &mut Vec<u8>) {
+        out.push(u8::from(*v));
+    }
+    fn get(r: &mut WireReader<'_>, field: &'static str) -> Result<bool, WireError> {
+        match r.u8(field)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(WireError::new(r.offset(), field, "flag byte is not 0/1")),
+        }
+    }
+}
+
+/// A sketch: its own `polylog(n)` [`L0Sketch::wire_bits`] in both charged
+/// encodings (cells are dense field elements, varints would not shrink
+/// them); on the mesh, its parameters then every cell with the signed sums
+/// zigzag-coded.
+struct Sketch;
+
+impl Kind<Box<L0Sketch>> for Sketch {
+    fn naive(s: &Box<L0Sketch>, _l: u64, _lw: u64) -> u64 {
+        s.wire_bits()
+    }
+    fn varint(s: &Box<L0Sketch>, run: &mut Run) {
+        run.plain += s.wire_bits();
+    }
+    fn put(s: &Box<L0Sketch>, out: &mut Vec<u8>) {
+        let p = s.params();
+        put_varint(out, p.n as u64);
+        put_varint(out, u64::from(p.levels));
+        put_varint(out, u64::from(p.reps));
+        put_varint(out, p.independence as u64);
+        for c in s.cell_slice() {
+            put_signed(out, c.count);
+            put_signed128(out, c.index_sum);
+            put_varint(out, c.fingerprint.value());
+        }
+    }
+    fn get(r: &mut WireReader<'_>, _field: &'static str) -> Result<Box<L0Sketch>, WireError> {
+        let params = SketchParams {
+            n: r.varint("sketch.n")? as usize,
+            levels: narrow(r, "sketch.levels", "value overflows u32")?,
+            reps: narrow(r, "sketch.reps", "value overflows u32")?,
+            independence: r.varint("sketch.independence")? as usize,
+        };
+        let cells = (0..params.cells())
+            .map(|_| {
+                Ok(Cell {
+                    count: r.signed("cell.count")?,
+                    index_sum: r.signed128("cell.index_sum")?,
+                    fingerprint: M61::new(r.varint("cell.fingerprint")?),
+                })
+            })
+            .collect::<Result<Vec<_>, WireError>>()?;
+        Ok(Box::new(L0Sketch::from_cells(params, cells)))
+    }
+}
+
+/// An optional field: a presence bit, then `K` when present.
+struct Opt<K>(K);
+
+impl<T, K: Kind<T>> Kind<Option<T>> for Opt<K> {
+    fn naive(v: &Option<T>, l: u64, lw: u64) -> u64 {
+        1 + v.as_ref().map_or(0, |x| K::naive(x, l, lw))
+    }
+    fn varint(v: &Option<T>, run: &mut Run) {
+        run.plain += 1;
+        if let Some(x) = v {
+            K::varint(x, run);
+        }
+    }
+    fn put(v: &Option<T>, out: &mut Vec<u8>) {
+        Bit::put(&v.is_some(), out);
+        if let Some(x) = v {
+            K::put(x, out);
+        }
+    }
+    fn get(r: &mut WireReader<'_>, field: &'static str) -> Result<Option<T>, WireError> {
+        Bit::get(r, field)?.then(|| K::get(r, field)).transpose()
+    }
+}
+
+/// A list field: charged as the sum of its elements with **no length** in
+/// either charged encoding (a known under-charge of the varint model,
+/// DESIGN.md §3.11); length-prefixed on the mesh, which has to delimit it.
+struct List<K>(K);
+
+impl<T, K: Kind<T>> Kind<Vec<T>> for List<K> {
+    fn naive(v: &Vec<T>, l: u64, lw: u64) -> u64 {
+        v.iter().map(|x| K::naive(x, l, lw)).sum()
+    }
+    fn varint(v: &Vec<T>, run: &mut Run) {
+        for x in v {
+            K::varint(x, run);
+        }
+    }
+    fn put(v: &Vec<T>, out: &mut Vec<u8>) {
+        put_varint(out, v.len() as u64);
+        for x in v {
+            K::put(x, out);
+        }
+    }
+    fn get(r: &mut WireReader<'_>, field: &'static str) -> Result<Vec<T>, WireError> {
+        (0..r.varint(field)?).map(|_| K::get(r, field)).collect()
+    }
+}
+
+/// A tuple field is its elements in order.
+macro_rules! tuple_kind {
+    ($($T:ident $K:ident $i:tt),+) => {
+        impl<$($T, $K: Kind<$T>),+> Kind<($($T,)+)> for ($($K,)+) {
+            fn naive(v: &($($T,)+), l: u64, lw: u64) -> u64 {
+                [$($K::naive(&v.$i, l, lw)),+].iter().sum()
+            }
+            fn varint(v: &($($T,)+), run: &mut Run) {
+                $($K::varint(&v.$i, run);)+
+            }
+            fn put(v: &($($T,)+), out: &mut Vec<u8>) {
+                $($K::put(&v.$i, out);)+
+            }
+            fn get(r: &mut WireReader<'_>, field: &'static str) -> Result<($($T,)+), WireError> {
+                Ok(($($K::get(r, field)?,)+))
+            }
+        }
+    };
+}
+
+tuple_kind!(A KA 0, B KB 1);
+tuple_kind!(A KA 0, B KB 1, C KC 2);
+tuple_kind!(A KA 0, B KB 1, C KC 2, D KD 3);
+
+/// An [`EdgeKey`]: `(weight, u, v)`.
+type Key = (Weight, VertexId, VertexId);
+
+/// `Candidate.key` — irregular: an [`EdgeKey`] charged one extra `l` under
+/// the fixed-width model only (DESIGN.md §3.11 records the over-charge;
+/// removing it moves the edge-checking baseline's ledger).
+struct CandidateKey;
+
+impl Kind<EdgeKey> for CandidateKey {
+    fn naive(v: &EdgeKey, l: u64, lw: u64) -> u64 {
+        <Key>::naive(v, l, lw) + l
+    }
+    fn varint(v: &EdgeKey, run: &mut Run) {
+        <Key>::varint(v, run);
+    }
+    fn put(v: &EdgeKey, out: &mut Vec<u8>) {
+        <Key>::put(v, out);
+    }
+    fn get(r: &mut WireReader<'_>, field: &'static str) -> Result<EdgeKey, WireError> {
+        <Key>::get(r, field)
+    }
+}
+
+/// `TestBatch.count` — irregular: the message stands for `count` edge tests
+/// of `3·l` bits each, so it is already an aggregate and never joins a
+/// varint run ([`varint_batch_bits`] charges it its fixed-width bits).
+struct Tests;
+
+impl Kind<u64> for Tests {
+    fn naive(count: &u64, l: u64, _lw: u64) -> u64 {
+        count * 3 * l
+    }
+    fn varint(_: &u64, _: &mut Run) {
+        unreachable!("a TestBatch is charged its envelope bits, not run-encoded")
+    }
+    fn put(count: &u64, out: &mut Vec<u8>) {
+        Weight::put(count, out);
+    }
+    fn get(r: &mut WireReader<'_>, field: &'static str) -> Result<u64, WireError> {
+        Weight::get(r, field)
+    }
+}
+
+/// Generates everything per-variant from one table. Each row reads
+/// `Variant = "trace_kind" { field: Type as Kind, .. }` and yields the enum
+/// variant itself, its wire tag (row order — never reorder rows), its
+/// [`BatchWire::kind_name`], and one arm each of [`Payload::wire_bits_lw`],
+/// the varint run fold, [`WireCodec::encode`] and [`WireCodec::decode`].
+macro_rules! payload_table {
+    (
+        $(#[$emeta:meta])*
+        $vis:vis enum $Payload:ident {$(
+            $(#[$vmeta:meta])*
+            $Variant:ident = $kind:literal {$(
+                $(#[$fmeta:meta])*
+                $field:ident: $T:ty as $K:ty,
+            )+},
+        )+}
+    ) => {
+        $(#[$emeta])*
+        $vis enum $Payload {$(
+            $(#[$vmeta])*
+            $Variant {$(
+                $(#[$fmeta])*
+                $field: $T,
+            )+},
+        )+}
+
+        /// Row order: the tag byte on the mesh and the run index in a batch.
+        #[repr(u8)]
+        enum Tag {$($Variant,)+}
+
+        /// The tag bytes as constants, so `decode` is a `match`.
+        #[allow(non_upper_case_globals)]
+        mod tag {$(pub(super) const $Variant: u8 = super::Tag::$Variant as u8;)+}
+
+        /// Number of rows.
+        const N_KINDS: usize = [$($kind),+].len();
+
+        impl $Payload {
+            /// The wire size given the vertex id width `l = ⌈log₂ n⌉` and the
+            /// component label width `lw = ⌈log₂ n'⌉`. After supergraph
+            /// contraction the live label space shrinks to `n' ≤ n` components, so
+            /// every label field is charged `lw` bits while original vertex ids
+            /// (which MST outputs and probes still need) stay at `l` bits.
+            /// Charging labels the full `l` after contraction overstates the bits
+            /// — the satellite-audit bug this signature exists to prevent.
+            pub fn wire_bits_lw(&self, l: u64, lw: u64) -> u64 {
+                match self {$(
+                    $Payload::$Variant {$($field,)+} => {
+                        TAG_BITS $(+ <$K as Kind<$T>>::naive($field, l, lw))+
+                    }
+                )+}
+            }
+
+            /// Adds this message to its variant's run.
+            fn join_run(&self, runs: &mut [Run; N_KINDS]) {
+                match self {$(
+                    $Payload::$Variant {$($field,)+} => {
+                        let run = &mut runs[Tag::$Variant as usize];
+                        run.count += 1;
+                        $(<$K as Kind<$T>>::varint($field, run);)+
+                    }
+                )+}
+            }
+        }
+
+        impl BatchWire for $Payload {
+            /// Stable snake_case variant name for [`kmachine::trace`] superstep
+            /// payload-kind histograms.
+            fn kind_name(&self) -> &'static str {
+                match self {$($Payload::$Variant { .. } => $kind,)+}
+            }
+
+            /// One directed link's batch, encoded as per-variant runs: each run
+            /// pays the 16-bit tag once plus a varint count; its `By` field (the
+            /// label or vertex the destination groups by) travels delta-sorted
+            /// as a varint stream, every other field as a plain varint; flags
+            /// are one bit; sketches keep their raw wire size.
+            /// [`Payload::TestBatch`] is already an aggregate: it opens no run
+            /// and pays its fixed-width envelope bits.
+            ///
+            /// No id-width context is needed, which is what makes this the
+            /// *charged* size rather than a model bound — but it is not a
+            /// decodable format: list fields are priced as the sum of their
+            /// elements with no per-message length, which the byte codec does
+            /// have to write (DESIGN.md §3.11).
+            fn batch_wire_bits(batch: &[&Envelope<Self>]) -> u64 {
+                varint_batch_bits(batch)
+            }
+        }
+
+        impl WireCodec for $Payload {
+            /// One leading tag byte (the row's index) followed by the row's
+            /// fields in order, each written by its kind: ids, labels and
+            /// weights as LEB128 varints, flags as one byte, lists
+            /// length-prefixed, sketch cells zigzag-coded. This is what
+            /// actually crosses the process mesh.
+            fn encode(&self, out: &mut Vec<u8>) {
+                match self {$(
+                    $Payload::$Variant {$($field,)+} => {
+                        out.push(Tag::$Variant as u8);
+                        $(<$K as Kind<$T>>::put($field, out);)+
+                    }
+                )+}
+            }
+
+            fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+                match r.u8("payload.tag")? {
+                    $(tag::$Variant => Ok($Payload::$Variant {
+                        $($field: <$K as Kind<$T>>::get(r, stringify!($field))?,)+
+                    }),)+
+                    _ => Err(WireError::new(r.offset(), "payload.tag", "unknown payload tag")),
+                }
+            }
+        }
+    };
+}
+
+payload_table! {
+    /// Every message any of the algorithms sends.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum Payload {
+        /// A component part's combined sketch, machine → component proxy (§2.4).
+        PartSketch = "part_sketch" {
+            /// The component label this part belongs to.
+            label: Label as By<LabelId>,
+            /// The part's combined sketch (sum of its vertices' sketches).
+            sketch: Box<L0Sketch> as Sketch,
+        },
+        /// Proxy asks `home(ask)` about endpoint `ask` of candidate edge
+        /// `{ask, other}`: current label, edge existence, and weight.
+        EdgeProbe = "edge_probe" {
+            /// Component on whose behalf the proxy asks.
+            comp: Label as By<LabelId>,
+            /// The endpoint whose home machine is being asked.
+            ask: u32 as VertexId,
+            /// The other endpoint of the candidate edge.
+            other: u32 as VertexId,
+        },
+        /// Home machine's answer to an [`Payload::EdgeProbe`].
+        EdgeProbeReply = "edge_probe_reply" {
+            /// Component the probe belonged to.
+            comp: Label as By<LabelId>,
+            /// The endpoint that was asked about.
+            vertex: u32 as VertexId,
+            /// Its current component label.
+            label: Label as LabelId,
+            /// Whether the probed edge exists in `G`.
+            exists: bool as Bit,
+            /// The edge weight (0 if absent).
+            weight: u64 as Weight,
+        },
+        /// MST elimination broadcast: parts must rebuild sketches filtered to
+        /// edges with key strictly below `key`; `None` means the component is
+        /// done eliminating (its MWOE is fixed).
+        Threshold = "threshold" {
+            /// The component label.
+            label: Label as By<LabelId>,
+            /// The new strict upper bound, or `None` when done.
+            key: Option<EdgeKey> as Opt<Key>,
+        },
+        /// Pointer-jumping query, proxy(asker) → proxy(target) (§2.5).
+        PtrQuery = "ptr_query" {
+            /// The component doing the jump.
+            asker: Label as LabelId,
+            /// The component whose pointer is requested.
+            target: Label as By<LabelId>,
+        },
+        /// Pointer-jumping reply.
+        PtrReply = "ptr_reply" {
+            /// The component doing the jump.
+            asker: Label as By<LabelId>,
+            /// The target's current pointer.
+            ptr: Label as LabelId,
+            /// Whether the target's pointer is already a root.
+            done: bool as Bit,
+        },
+        /// Merge command, proxy → machines holding parts of `old`.
+        Relabel = "relabel" {
+            /// The label being retired.
+            old: Label as By<LabelId>,
+            /// The root label that replaces it.
+            new: Label as LabelId,
+        },
+        /// A one-bit control flag (convergence detection).
+        Flag = "flag" {
+            /// The bit.
+            bit: bool as Bit,
+        },
+        /// Output protocol (§2.6 end): a machine announces a label it holds.
+        LabelAnnounce = "label_announce" {
+            /// The label.
+            label: Label as By<LabelId>,
+        },
+        /// Output protocol: a proxy reports how many distinct labels it proxies.
+        CountReport = "count_report" {
+            /// Number of distinct labels.
+            count: u64 as Weight,
+        },
+        /// Flooding baseline: batched `(vertex, new label)` updates addressed to
+        /// a machine hosting neighbors of those vertices.
+        FloodLabels = "flood_labels" {
+            /// The updates.
+            updates: Vec<(u32, Label)> as List<(VertexId, LabelId)>,
+        },
+        /// A batch of edges (referee collection, REP routing).
+        EdgeList = "edge_list" {
+            /// `(u, v, w)` triples.
+            edges: Vec<(u32, u32, u64)> as List<(VertexId, VertexId, Weight)>,
+        },
+        /// Edge-checking Borůvka: a part's local MWOE candidate for `label`.
+        Candidate = "candidate" {
+            /// The component label.
+            label: Label as By<LabelId>,
+            /// The candidate edge key.
+            key: EdgeKey as CandidateKey,
+            /// The label on the other side of the candidate edge.
+            to_label: Label as LabelId,
+        },
+        /// Final s–t comparison result exchanged between two home machines.
+        StDone = "st_done" {
+            /// Whether both endpoints carried the same label.
+            same: bool as Bit,
+        },
+        /// Per-edge status tests of the GHS-style baseline, aggregated per
+        /// machine pair for simulation efficiency: `count` individual tests of
+        /// `3·⌈log₂ n⌉` bits each (edge id + queried label).
+        TestBatch = "test_batch" {
+            /// Number of individual edge tests carried.
+            count: u64 as Tests,
+        },
+        /// Dynamic update routed from the ingest coordinator to an endpoint's
+        /// home machine: the home XORs the edge contribution into (insert) or
+        /// out of (delete) the endpoint's incidence sketch and stages the
+        /// half-edge delta.
+        EdgeUpdate = "edge_update" {
+            /// The endpoint homed at the destination machine.
+            vertex: u32 as By<VertexId>,
+            /// The other endpoint of the updated edge.
+            other: u32 as VertexId,
+            /// The edge weight (0 for deletions).
+            weight: u64 as Weight,
+            /// Insert (`true`) or delete (`false`).
+            insert: bool as Bit,
+        },
+        /// Dynamic certification: a machine's aggregated incidence sketch for
+        /// one of the component labels it hosts, sent to the label's referee
+        /// (the representative vertex's home). Linearity makes the per-label
+        /// sum cancel to exactly zero iff the label class has no outgoing edge.
+        CertSketch = "cert_sketch" {
+            /// The component label being certified.
+            label: Label as By<LabelId>,
+            /// The sum of the machine's local vertex sketches for that label.
+            sketch: Box<L0Sketch> as Sketch,
+        },
+        /// Supergraph build (§3.11): `home(u)` pushes endpoint `u`'s label
+        /// along edge `{u, v}` to `home(v)`, which sees both labels and keeps
+        /// the edge iff they differ.
+        LabelPush = "label_push" {
+            /// The endpoint whose label is being pushed.
+            u: u32 as VertexId,
+            /// The other endpoint (homed at the destination machine).
+            v: u32 as By<VertexId>,
+            /// The edge weight.
+            weight: u64 as Weight,
+            /// `u`'s current component label.
+            label: Label as LabelId,
+        },
+        /// Supergraph build: a surviving inter-component edge, routed to a
+        /// component endpoint's owner. The original endpoints ride along so
+        /// MST/spanning-forest output stays in original edge ids.
+        SuperEdge = "super_edge" {
+            /// The component whose owner this copy is addressed to.
+            a: Label as By<LabelId>,
+            /// The component on the other side.
+            b: Label as LabelId,
+            /// The edge weight.
+            weight: u64 as Weight,
+            /// Original endpoint on `a`'s side.
+            ou: u32 as VertexId,
+            /// Original endpoint on `b`'s side.
+            ov: u32 as VertexId,
+        },
+        /// Supergraph build/maintenance: a machine announces it hosts original
+        /// vertices of component `label` (so merge results can be broadcast
+        /// back into the vertex space).
+        SuperParts = "super_parts" {
+            /// The component label.
+            label: Label as By<LabelId>,
+            /// Machines hosting parts of the component.
+            parts: Vec<u16> as List<MachineId>,
+        },
+        /// Supergraph maintenance: component `old` is now addressed as `new`
+        /// (after a merge or a dense renaming), sent to owners storing `old`
+        /// in an adjacency list.
+        SuperRelabel = "super_relabel" {
+            /// The label being retired.
+            old: Label as By<LabelId>,
+            /// Its replacement.
+            new: Label as LabelId,
+        },
+        /// Supergraph re-homing: a supernode's full owner state moves to the
+        /// machine that owns its (new) label.
+        SuperMove = "super_move" {
+            /// The supernode's label (already in the destination's space).
+            label: Label as By<LabelId>,
+            /// Machines hosting original vertices of the component.
+            parts: Vec<u16> as List<MachineId>,
+            /// Deduped adjacency: `(neighbor label, weight, ou, ov)` of the
+            /// lightest original edge crossing to that neighbor.
+            adj: Vec<(Label, u64, u32, u32)> as List<(LabelId, Weight, VertexId, VertexId)>,
+        },
+        /// Dense renaming: the coordinator assigns each machine the base of
+        /// its contiguous block of new labels, and the new label-space size.
+        DenseBase = "dense_base" {
+            /// First new label owned by the destination machine.
+            base: u64 as LabelId,
+            /// Total number of live components (the new `n'`).
+            total: u64 as LabelId,
+        },
+        /// Incremental MST insert pass: a freshly inserted edge routed to its
+        /// component's owner for cycle-edge replacement (find the max-weight
+        /// edge on the tree cycle the insert closes, swap if heavier).
+        MstCycleEdge = "mst_cycle_edge" {
+            /// The MST component both endpoints belong to.
+            comp: Label as By<LabelId>,
+            /// One endpoint of the inserted edge.
+            u: u32 as VertexId,
+            /// The other endpoint.
+            v: u32 as VertexId,
+            /// The inserted edge's weight.
+            weight: u64 as Weight,
+        },
+        /// Incremental MST insert pass: the owner's verdict on one cycle
+        /// replacement — the tree edge evicted by the insert, or `None` when
+        /// the insert lost (the cycle's max edge was the insert itself).
+        MstSwap = "mst_swap" {
+            /// The MST component the swap happened in.
+            comp: Label as By<LabelId>,
+            /// The evicted tree edge's key, or `None` for no swap.
+            evicted: Option<EdgeKey> as Opt<Key>,
+        },
+        /// Incremental MST delete pass: a machine's aggregated incidence
+        /// sketch for one side of a tree split, sent to the piece's referee so
+        /// the linear per-piece sum can witness whether any crossing edge
+        /// survives (zero sum ⇔ a genuine component split).
+        MstCutSketch = "mst_cut_sketch" {
+            /// The split piece (labelled by its minimum vertex).
+            piece: Label as By<LabelId>,
+            /// The machine's summed vertex sketches for the piece.
+            sketch: Box<L0Sketch> as Sketch,
+        },
+        /// Incremental MST delete pass: a machine's minimum-weight candidate
+        /// edge crossing out of a split piece, min-reduced at the referee to
+        /// pick the replacement edge.
+        MstCandidate = "mst_candidate" {
+            /// The split piece the candidate leaves.
+            piece: Label as By<LabelId>,
+            /// The candidate edge key.
+            key: EdgeKey as Key,
+            /// The piece on the candidate's far side.
+            to_piece: Label as LabelId,
+        },
+    }
+}
 
 impl Payload {
     /// The wire size given the id width `l = ⌈log₂ n⌉` bits, with labels
@@ -286,718 +686,31 @@ impl Payload {
         self.wire_bits_lw(l, l)
     }
 
-    /// The wire size given the vertex id width `l = ⌈log₂ n⌉` and the
-    /// component label width `lw = ⌈log₂ n'⌉`. After supergraph
-    /// contraction the live label space shrinks to `n' ≤ n` components, so
-    /// every label field is charged `lw` bits while original vertex ids
-    /// (which MST outputs and probes still need) stay at `l` bits.
-    /// Charging labels the full `l` after contraction overstates the bits
-    /// — the satellite-audit bug this signature exists to prevent.
-    pub fn wire_bits_lw(&self, l: u64, lw: u64) -> u64 {
-        TAG_BITS
-            + match self {
-                Payload::PartSketch { sketch, .. } => lw + sketch.wire_bits(),
-                Payload::EdgeProbe { .. } => lw + 2 * l,
-                Payload::EdgeProbeReply { .. } => 2 * lw + l + 1 + W_BITS,
-                Payload::Threshold { key, .. } => lw + 1 + key.map_or(0, |_| 2 * l + W_BITS),
-                Payload::PtrQuery { .. } => 2 * lw,
-                Payload::PtrReply { .. } => 2 * lw + 1,
-                Payload::Relabel { .. } => 2 * lw,
-                Payload::Flag { .. } => 1,
-                Payload::LabelAnnounce { .. } => lw,
-                Payload::CountReport { .. } => 32,
-                Payload::FloodLabels { updates } => updates.len() as u64 * (l + lw),
-                Payload::EdgeList { edges } => edges.len() as u64 * (2 * l + W_BITS),
-                Payload::Candidate { .. } => 2 * lw + (2 * l + W_BITS) + l,
-                Payload::StDone { .. } => 1,
-                Payload::TestBatch { count } => count * 3 * l,
-                Payload::EdgeUpdate { .. } => 2 * l + W_BITS + 1,
-                Payload::CertSketch { sketch, .. } => lw + sketch.wire_bits(),
-                Payload::LabelPush { .. } => 2 * l + W_BITS + lw,
-                Payload::SuperEdge { .. } => 2 * lw + W_BITS + 2 * l,
-                Payload::SuperParts { parts, .. } => lw + 16 * parts.len() as u64,
-                Payload::SuperRelabel { .. } => 2 * lw,
-                Payload::SuperMove { parts, adj, .. } => {
-                    lw + 16 * parts.len() as u64 + (lw + W_BITS + 2 * l) * adj.len() as u64
-                }
-                Payload::DenseBase { .. } => 2 * lw,
-                Payload::MstCycleEdge { .. } => lw + 2 * l + W_BITS,
-                Payload::MstSwap { evicted, .. } => lw + 1 + evicted.map_or(0, |_| 2 * l + W_BITS),
-                Payload::MstCutSketch { sketch, .. } => lw + sketch.wire_bits(),
-                Payload::MstCandidate { .. } => 2 * lw + (2 * l + W_BITS),
-            }
+    /// Wraps the payload for the link `src → dst`, capturing its
+    /// [`Payload::wire_bits_lw`] charge — the one place a message and its
+    /// price are put together.
+    pub fn envelope(self, src: usize, dst: usize, l: u64, lw: u64) -> Envelope<Payload> {
+        let bits = self.wire_bits_lw(l, lw);
+        Envelope::with_bits(src, dst, self, bits)
     }
+}
 
-    /// A dense per-variant index for batch-run bucketing.
-    fn tag_index(&self) -> usize {
-        match self {
-            Payload::PartSketch { .. } => 0,
-            Payload::EdgeProbe { .. } => 1,
-            Payload::EdgeProbeReply { .. } => 2,
-            Payload::Threshold { .. } => 3,
-            Payload::PtrQuery { .. } => 4,
-            Payload::PtrReply { .. } => 5,
-            Payload::Relabel { .. } => 6,
-            Payload::Flag { .. } => 7,
-            Payload::LabelAnnounce { .. } => 8,
-            Payload::CountReport { .. } => 9,
-            Payload::FloodLabels { .. } => 10,
-            Payload::EdgeList { .. } => 11,
-            Payload::Candidate { .. } => 12,
-            Payload::StDone { .. } => 13,
-            Payload::TestBatch { .. } => 14,
-            Payload::EdgeUpdate { .. } => 15,
-            Payload::CertSketch { .. } => 16,
-            Payload::LabelPush { .. } => 17,
-            Payload::SuperEdge { .. } => 18,
-            Payload::SuperParts { .. } => 19,
-            Payload::SuperRelabel { .. } => 20,
-            Payload::SuperMove { .. } => 21,
-            Payload::DenseBase { .. } => 22,
-            Payload::MstCycleEdge { .. } => 23,
-            Payload::MstSwap { .. } => 24,
-            Payload::MstCutSketch { .. } => 25,
-            Payload::MstCandidate { .. } => 26,
+/// [`BatchWire::batch_wire_bits`] for [`Payload`]: written out rather than
+/// generated because of its one named special case.
+fn varint_batch_bits(batch: &[&Envelope<Payload>]) -> u64 {
+    let mut runs: [Run; N_KINDS] = std::array::from_fn(|_| Run::default());
+    let mut bits = 0u64;
+    for e in batch {
+        if let Payload::TestBatch { .. } = e.payload {
+            bits += e.bits.max(1);
+        } else {
+            e.payload.join_run(&mut runs);
         }
     }
-}
-
-/// Number of [`Payload`] variants (batch-run buckets).
-const N_TAGS: usize = 27;
-
-impl BatchWire for Payload {
-    /// Stable snake_case variant name for [`kmachine::trace`] superstep
-    /// payload-kind histograms.
-    fn kind_name(&self) -> &'static str {
-        match self {
-            Payload::PartSketch { .. } => "part_sketch",
-            Payload::EdgeProbe { .. } => "edge_probe",
-            Payload::EdgeProbeReply { .. } => "edge_probe_reply",
-            Payload::Threshold { .. } => "threshold",
-            Payload::PtrQuery { .. } => "ptr_query",
-            Payload::PtrReply { .. } => "ptr_reply",
-            Payload::Relabel { .. } => "relabel",
-            Payload::Flag { .. } => "flag",
-            Payload::LabelAnnounce { .. } => "label_announce",
-            Payload::CountReport { .. } => "count_report",
-            Payload::FloodLabels { .. } => "flood_labels",
-            Payload::EdgeList { .. } => "edge_list",
-            Payload::Candidate { .. } => "candidate",
-            Payload::StDone { .. } => "st_done",
-            Payload::TestBatch { .. } => "test_batch",
-            Payload::EdgeUpdate { .. } => "edge_update",
-            Payload::CertSketch { .. } => "cert_sketch",
-            Payload::LabelPush { .. } => "label_push",
-            Payload::SuperEdge { .. } => "super_edge",
-            Payload::SuperParts { .. } => "super_parts",
-            Payload::SuperRelabel { .. } => "super_relabel",
-            Payload::SuperMove { .. } => "super_move",
-            Payload::DenseBase { .. } => "dense_base",
-            Payload::MstCycleEdge { .. } => "mst_cycle_edge",
-            Payload::MstSwap { .. } => "mst_swap",
-            Payload::MstCutSketch { .. } => "mst_cut_sketch",
-            Payload::MstCandidate { .. } => "mst_candidate",
-        }
+    for run in runs.iter_mut().filter(|run| run.count > 0) {
+        bits += TAG_BITS + varint_bits(run.count) + delta_varint_bits(&mut run.sorted) + run.plain;
     }
-
-    /// One directed link's batch, encoded as per-variant runs: each run
-    /// pays the 16-bit tag once plus a varint count; its primary id field
-    /// (the label or vertex the destination groups by) travels delta-sorted
-    /// as a varint stream, every other field as a plain varint; flags are
-    /// one bit; sketches keep their raw wire size. [`Payload::TestBatch`]
-    /// is already an aggregate and falls back to its naive per-message
-    /// size. The encoding is self-describing — no id-width context needed,
-    /// which is what makes it the *charged* size rather than a model bound.
-    fn batch_wire_bits(batch: &[&Envelope<Self>]) -> u64 {
-        let mut primary: Vec<Vec<u64>> = vec![Vec::new(); N_TAGS];
-        let mut sec = [0u64; N_TAGS];
-        let mut cnt = [0u64; N_TAGS];
-        let v32 = |x: u32| varint_bits(u64::from(x));
-        for e in batch {
-            let t = e.payload.tag_index();
-            cnt[t] += 1;
-            match &e.payload {
-                Payload::PartSketch { label, sketch } => {
-                    primary[t].push(*label);
-                    sec[t] += sketch.wire_bits();
-                }
-                Payload::EdgeProbe { comp, ask, other } => {
-                    primary[t].push(*comp);
-                    sec[t] += v32(*ask) + v32(*other);
-                }
-                Payload::EdgeProbeReply {
-                    comp,
-                    vertex,
-                    label,
-                    weight,
-                    ..
-                } => {
-                    primary[t].push(*comp);
-                    sec[t] += v32(*vertex) + varint_bits(*label) + 1 + varint_bits(*weight);
-                }
-                Payload::Threshold { label, key } => {
-                    primary[t].push(*label);
-                    sec[t] += 1 + key.map_or(0, |(w, u, v)| varint_bits(w) + v32(u) + v32(v));
-                }
-                Payload::PtrQuery { asker, target } => {
-                    primary[t].push(*target);
-                    sec[t] += varint_bits(*asker);
-                }
-                Payload::PtrReply { asker, ptr, .. } => {
-                    primary[t].push(*asker);
-                    sec[t] += varint_bits(*ptr) + 1;
-                }
-                Payload::Relabel { old, new } => {
-                    primary[t].push(*old);
-                    sec[t] += varint_bits(*new);
-                }
-                Payload::Flag { .. } => sec[t] += 1,
-                Payload::LabelAnnounce { label } => primary[t].push(*label),
-                Payload::CountReport { count } => sec[t] += varint_bits(*count),
-                Payload::FloodLabels { updates } => {
-                    sec[t] += updates
-                        .iter()
-                        .map(|&(v, lab)| v32(v) + varint_bits(lab))
-                        .sum::<u64>();
-                }
-                Payload::EdgeList { edges } => {
-                    sec[t] += edges
-                        .iter()
-                        .map(|&(u, v, w)| v32(u) + v32(v) + varint_bits(w))
-                        .sum::<u64>();
-                }
-                Payload::Candidate {
-                    label,
-                    key: (w, u, v),
-                    to_label,
-                } => {
-                    primary[t].push(*label);
-                    sec[t] += varint_bits(*w) + v32(*u) + v32(*v) + varint_bits(*to_label);
-                }
-                Payload::StDone { .. } => sec[t] += 1,
-                Payload::TestBatch { .. } => sec[t] += e.bits.max(1),
-                Payload::EdgeUpdate {
-                    vertex,
-                    other,
-                    weight,
-                    ..
-                } => {
-                    primary[t].push(u64::from(*vertex));
-                    sec[t] += v32(*other) + varint_bits(*weight) + 1;
-                }
-                Payload::CertSketch { label, sketch } => {
-                    primary[t].push(*label);
-                    sec[t] += sketch.wire_bits();
-                }
-                Payload::LabelPush {
-                    u,
-                    v,
-                    weight,
-                    label,
-                } => {
-                    primary[t].push(u64::from(*v));
-                    sec[t] += v32(*u) + varint_bits(*weight) + varint_bits(*label);
-                }
-                Payload::SuperEdge {
-                    a,
-                    b,
-                    weight,
-                    ou,
-                    ov,
-                } => {
-                    primary[t].push(*a);
-                    sec[t] += varint_bits(*b) + varint_bits(*weight) + v32(*ou) + v32(*ov);
-                }
-                Payload::SuperParts { label, parts } => {
-                    primary[t].push(*label);
-                    sec[t] += parts
-                        .iter()
-                        .map(|&p| varint_bits(u64::from(p)))
-                        .sum::<u64>();
-                }
-                Payload::SuperRelabel { old, new } => {
-                    primary[t].push(*old);
-                    sec[t] += varint_bits(*new);
-                }
-                Payload::SuperMove { label, parts, adj } => {
-                    primary[t].push(*label);
-                    sec[t] += parts
-                        .iter()
-                        .map(|&p| varint_bits(u64::from(p)))
-                        .sum::<u64>();
-                    sec[t] += adj
-                        .iter()
-                        .map(|&(nb, w, ou, ov)| {
-                            varint_bits(nb) + varint_bits(w) + v32(ou) + v32(ov)
-                        })
-                        .sum::<u64>();
-                }
-                Payload::DenseBase { base, total } => {
-                    sec[t] += varint_bits(*base) + varint_bits(*total);
-                }
-                Payload::MstCycleEdge { comp, u, v, weight } => {
-                    primary[t].push(*comp);
-                    sec[t] += v32(*u) + v32(*v) + varint_bits(*weight);
-                }
-                Payload::MstSwap { comp, evicted } => {
-                    primary[t].push(*comp);
-                    sec[t] += 1 + evicted.map_or(0, |(w, u, v)| varint_bits(w) + v32(u) + v32(v));
-                }
-                Payload::MstCutSketch { piece, sketch } => {
-                    primary[t].push(*piece);
-                    sec[t] += sketch.wire_bits();
-                }
-                Payload::MstCandidate {
-                    piece,
-                    key: (w, u, v),
-                    to_piece,
-                } => {
-                    primary[t].push(*piece);
-                    sec[t] += varint_bits(*w) + v32(*u) + v32(*v) + varint_bits(*to_piece);
-                }
-            }
-        }
-        let mut bits = 0u64;
-        for t in 0..N_TAGS {
-            if cnt[t] == 0 {
-                continue;
-            }
-            if t == 14 {
-                // TestBatch: naive fallback, no shared run header.
-                bits += sec[t];
-                continue;
-            }
-            bits += TAG_BITS + varint_bits(cnt[t]) + delta_varint_bits(&mut primary[t]) + sec[t];
-        }
-        bits
-    }
-}
-
-/// Byte-level helpers of the transport codec (DESIGN.md §3.12). These are
-/// the *physical* encoding used by the multi-process backend; the logical
-/// bandwidth charge stays [`Payload::wire_bits_lw`] /
-/// [`Payload::batch_wire_bits`], computed from the decoded envelopes — the
-/// simulator remains the accounting oracle whatever the bytes cost.
-fn put_sketch(s: &L0Sketch, out: &mut Vec<u8>) {
-    let p = s.params();
-    put_varint(out, p.n as u64);
-    put_varint(out, u64::from(p.levels));
-    put_varint(out, u64::from(p.reps));
-    put_varint(out, p.independence as u64);
-    for c in s.cell_slice() {
-        put_signed(out, c.count);
-        put_signed128(out, c.index_sum);
-        put_varint(out, c.fingerprint.value());
-    }
-}
-
-fn get_sketch(r: &mut WireReader<'_>) -> Result<L0Sketch, WireError> {
-    let params = SketchParams {
-        n: r.varint("sketch.n")? as usize,
-        levels: get_u32(r, "sketch.levels")?,
-        reps: get_u32(r, "sketch.reps")?,
-        independence: r.varint("sketch.independence")? as usize,
-    };
-    let cells = (0..params.cells())
-        .map(|_| {
-            Ok(Cell {
-                count: r.signed("cell.count")?,
-                index_sum: r.signed128("cell.index_sum")?,
-                fingerprint: M61::new(r.varint("cell.fingerprint")?),
-            })
-        })
-        .collect::<Result<Vec<_>, WireError>>()?;
-    Ok(L0Sketch::from_cells(params, cells))
-}
-
-fn get_u32(r: &mut WireReader<'_>, field: &'static str) -> Result<u32, WireError> {
-    u32::try_from(r.varint(field)?)
-        .map_err(|_| WireError::new(r.offset(), field, "value overflows u32"))
-}
-
-fn get_u16(r: &mut WireReader<'_>, field: &'static str) -> Result<u16, WireError> {
-    u16::try_from(r.varint(field)?)
-        .map_err(|_| WireError::new(r.offset(), field, "value overflows u16"))
-}
-
-fn put_bool(out: &mut Vec<u8>, b: bool) {
-    out.push(u8::from(b));
-}
-
-fn get_bool(r: &mut WireReader<'_>, field: &'static str) -> Result<bool, WireError> {
-    match r.u8(field)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(WireError::new(r.offset(), field, "flag byte is not 0/1")),
-    }
-}
-
-impl WireCodec for Payload {
-    /// One leading tag byte (the variant's `tag_index`) followed by the
-    /// variant's fields as LEB128 varints — ids and labels plain, signed
-    /// sketch-cell sums zigzag-coded, collections length-prefixed. This is
-    /// what actually crosses the process mesh; see the sketch helpers
-    /// below for why its byte count is allowed to differ from the charged
-    /// bits.
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(self.tag_index() as u8);
-        match self {
-            Payload::PartSketch { label, sketch } | Payload::CertSketch { label, sketch } => {
-                put_varint(out, *label);
-                put_sketch(sketch, out);
-            }
-            Payload::EdgeProbe { comp, ask, other } => {
-                put_varint(out, *comp);
-                put_varint(out, u64::from(*ask));
-                put_varint(out, u64::from(*other));
-            }
-            Payload::EdgeProbeReply {
-                comp,
-                vertex,
-                label,
-                exists,
-                weight,
-            } => {
-                put_varint(out, *comp);
-                put_varint(out, u64::from(*vertex));
-                put_varint(out, *label);
-                put_bool(out, *exists);
-                put_varint(out, *weight);
-            }
-            Payload::Threshold { label, key } => {
-                put_varint(out, *label);
-                put_bool(out, key.is_some());
-                if let Some((w, u, v)) = key {
-                    put_varint(out, *w);
-                    put_varint(out, u64::from(*u));
-                    put_varint(out, u64::from(*v));
-                }
-            }
-            Payload::PtrQuery { asker, target } => {
-                put_varint(out, *asker);
-                put_varint(out, *target);
-            }
-            Payload::PtrReply { asker, ptr, done } => {
-                put_varint(out, *asker);
-                put_varint(out, *ptr);
-                put_bool(out, *done);
-            }
-            Payload::Relabel { old, new } | Payload::SuperRelabel { old, new } => {
-                put_varint(out, *old);
-                put_varint(out, *new);
-            }
-            Payload::Flag { bit } => put_bool(out, *bit),
-            Payload::LabelAnnounce { label } => put_varint(out, *label),
-            Payload::CountReport { count } => put_varint(out, *count),
-            Payload::FloodLabels { updates } => {
-                put_varint(out, updates.len() as u64);
-                for (v, lab) in updates {
-                    put_varint(out, u64::from(*v));
-                    put_varint(out, *lab);
-                }
-            }
-            Payload::EdgeList { edges } => {
-                put_varint(out, edges.len() as u64);
-                for (u, v, w) in edges {
-                    put_varint(out, u64::from(*u));
-                    put_varint(out, u64::from(*v));
-                    put_varint(out, *w);
-                }
-            }
-            Payload::Candidate {
-                label,
-                key: (w, u, v),
-                to_label,
-            } => {
-                put_varint(out, *label);
-                put_varint(out, *w);
-                put_varint(out, u64::from(*u));
-                put_varint(out, u64::from(*v));
-                put_varint(out, *to_label);
-            }
-            Payload::StDone { same } => put_bool(out, *same),
-            Payload::TestBatch { count } => put_varint(out, *count),
-            Payload::EdgeUpdate {
-                vertex,
-                other,
-                weight,
-                insert,
-            } => {
-                put_varint(out, u64::from(*vertex));
-                put_varint(out, u64::from(*other));
-                put_varint(out, *weight);
-                put_bool(out, *insert);
-            }
-            Payload::LabelPush {
-                u,
-                v,
-                weight,
-                label,
-            } => {
-                put_varint(out, u64::from(*u));
-                put_varint(out, u64::from(*v));
-                put_varint(out, *weight);
-                put_varint(out, *label);
-            }
-            Payload::SuperEdge {
-                a,
-                b,
-                weight,
-                ou,
-                ov,
-            } => {
-                put_varint(out, *a);
-                put_varint(out, *b);
-                put_varint(out, *weight);
-                put_varint(out, u64::from(*ou));
-                put_varint(out, u64::from(*ov));
-            }
-            Payload::SuperParts { label, parts } => {
-                put_varint(out, *label);
-                put_varint(out, parts.len() as u64);
-                for p in parts {
-                    put_varint(out, u64::from(*p));
-                }
-            }
-            Payload::SuperMove { label, parts, adj } => {
-                put_varint(out, *label);
-                put_varint(out, parts.len() as u64);
-                for p in parts {
-                    put_varint(out, u64::from(*p));
-                }
-                put_varint(out, adj.len() as u64);
-                for (nb, w, ou, ov) in adj {
-                    put_varint(out, *nb);
-                    put_varint(out, *w);
-                    put_varint(out, u64::from(*ou));
-                    put_varint(out, u64::from(*ov));
-                }
-            }
-            Payload::DenseBase { base, total } => {
-                put_varint(out, *base);
-                put_varint(out, *total);
-            }
-            Payload::MstCycleEdge { comp, u, v, weight } => {
-                put_varint(out, *comp);
-                put_varint(out, u64::from(*u));
-                put_varint(out, u64::from(*v));
-                put_varint(out, *weight);
-            }
-            Payload::MstSwap { comp, evicted } => {
-                put_varint(out, *comp);
-                put_bool(out, evicted.is_some());
-                if let Some((w, u, v)) = evicted {
-                    put_varint(out, *w);
-                    put_varint(out, u64::from(*u));
-                    put_varint(out, u64::from(*v));
-                }
-            }
-            Payload::MstCutSketch { piece, sketch } => {
-                put_varint(out, *piece);
-                put_sketch(sketch, out);
-            }
-            Payload::MstCandidate {
-                piece,
-                key: (w, u, v),
-                to_piece,
-            } => {
-                put_varint(out, *piece);
-                put_varint(out, *w);
-                put_varint(out, u64::from(*u));
-                put_varint(out, u64::from(*v));
-                put_varint(out, *to_piece);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let tag = r.u8("payload.tag")?;
-        Ok(match tag {
-            0 | 16 => {
-                let label = r.varint("label")?;
-                let sketch = Box::new(get_sketch(r)?);
-                if tag == 0 {
-                    Payload::PartSketch { label, sketch }
-                } else {
-                    Payload::CertSketch { label, sketch }
-                }
-            }
-            1 => Payload::EdgeProbe {
-                comp: r.varint("comp")?,
-                ask: get_u32(r, "ask")?,
-                other: get_u32(r, "other")?,
-            },
-            2 => Payload::EdgeProbeReply {
-                comp: r.varint("comp")?,
-                vertex: get_u32(r, "vertex")?,
-                label: r.varint("label")?,
-                exists: get_bool(r, "exists")?,
-                weight: r.varint("weight")?,
-            },
-            3 => Payload::Threshold {
-                label: r.varint("label")?,
-                key: if get_bool(r, "key.some")? {
-                    Some((
-                        r.varint("key.w")?,
-                        get_u32(r, "key.u")?,
-                        get_u32(r, "key.v")?,
-                    ))
-                } else {
-                    None
-                },
-            },
-            4 => Payload::PtrQuery {
-                asker: r.varint("asker")?,
-                target: r.varint("target")?,
-            },
-            5 => Payload::PtrReply {
-                asker: r.varint("asker")?,
-                ptr: r.varint("ptr")?,
-                done: get_bool(r, "done")?,
-            },
-            6 | 20 => {
-                let old = r.varint("old")?;
-                let new = r.varint("new")?;
-                if tag == 6 {
-                    Payload::Relabel { old, new }
-                } else {
-                    Payload::SuperRelabel { old, new }
-                }
-            }
-            7 => Payload::Flag {
-                bit: get_bool(r, "bit")?,
-            },
-            8 => Payload::LabelAnnounce {
-                label: r.varint("label")?,
-            },
-            9 => Payload::CountReport {
-                count: r.varint("count")?,
-            },
-            10 => {
-                let n = r.varint("updates.len")?;
-                let updates = (0..n)
-                    .map(|_| Ok((get_u32(r, "update.v")?, r.varint("update.label")?)))
-                    .collect::<Result<Vec<_>, WireError>>()?;
-                Payload::FloodLabels { updates }
-            }
-            11 => {
-                let n = r.varint("edges.len")?;
-                let edges = (0..n)
-                    .map(|_| {
-                        Ok((
-                            get_u32(r, "edge.u")?,
-                            get_u32(r, "edge.v")?,
-                            r.varint("edge.w")?,
-                        ))
-                    })
-                    .collect::<Result<Vec<_>, WireError>>()?;
-                Payload::EdgeList { edges }
-            }
-            12 => Payload::Candidate {
-                label: r.varint("label")?,
-                key: (
-                    r.varint("key.w")?,
-                    get_u32(r, "key.u")?,
-                    get_u32(r, "key.v")?,
-                ),
-                to_label: r.varint("to_label")?,
-            },
-            13 => Payload::StDone {
-                same: get_bool(r, "same")?,
-            },
-            14 => Payload::TestBatch {
-                count: r.varint("count")?,
-            },
-            15 => Payload::EdgeUpdate {
-                vertex: get_u32(r, "vertex")?,
-                other: get_u32(r, "other")?,
-                weight: r.varint("weight")?,
-                insert: get_bool(r, "insert")?,
-            },
-            17 => Payload::LabelPush {
-                u: get_u32(r, "u")?,
-                v: get_u32(r, "v")?,
-                weight: r.varint("weight")?,
-                label: r.varint("label")?,
-            },
-            18 => Payload::SuperEdge {
-                a: r.varint("a")?,
-                b: r.varint("b")?,
-                weight: r.varint("weight")?,
-                ou: get_u32(r, "ou")?,
-                ov: get_u32(r, "ov")?,
-            },
-            19 => {
-                let label = r.varint("label")?;
-                let n = r.varint("parts.len")?;
-                let parts = (0..n)
-                    .map(|_| get_u16(r, "part"))
-                    .collect::<Result<Vec<_>, WireError>>()?;
-                Payload::SuperParts { label, parts }
-            }
-            21 => {
-                let label = r.varint("label")?;
-                let np = r.varint("parts.len")?;
-                let parts = (0..np)
-                    .map(|_| get_u16(r, "part"))
-                    .collect::<Result<Vec<_>, WireError>>()?;
-                let na = r.varint("adj.len")?;
-                let adj = (0..na)
-                    .map(|_| {
-                        Ok((
-                            r.varint("adj.nb")?,
-                            r.varint("adj.w")?,
-                            get_u32(r, "adj.ou")?,
-                            get_u32(r, "adj.ov")?,
-                        ))
-                    })
-                    .collect::<Result<Vec<_>, WireError>>()?;
-                Payload::SuperMove { label, parts, adj }
-            }
-            22 => Payload::DenseBase {
-                base: r.varint("base")?,
-                total: r.varint("total")?,
-            },
-            23 => Payload::MstCycleEdge {
-                comp: r.varint("comp")?,
-                u: get_u32(r, "u")?,
-                v: get_u32(r, "v")?,
-                weight: r.varint("weight")?,
-            },
-            24 => Payload::MstSwap {
-                comp: r.varint("comp")?,
-                evicted: if get_bool(r, "evicted.some")? {
-                    Some((
-                        r.varint("evicted.w")?,
-                        get_u32(r, "evicted.u")?,
-                        get_u32(r, "evicted.v")?,
-                    ))
-                } else {
-                    None
-                },
-            },
-            25 => Payload::MstCutSketch {
-                piece: r.varint("piece")?,
-                sketch: Box::new(get_sketch(r)?),
-            },
-            26 => Payload::MstCandidate {
-                piece: r.varint("piece")?,
-                key: (
-                    r.varint("key.w")?,
-                    get_u32(r, "key.u")?,
-                    get_u32(r, "key.v")?,
-                ),
-                to_piece: r.varint("to_piece")?,
-            },
-            _ => {
-                return Err(WireError::new(
-                    r.offset(),
-                    "payload.tag",
-                    "unknown payload tag",
-                ))
-            }
-        })
-    }
+    bits
 }
 
 /// The id width for an `n`-vertex instance.
@@ -1290,7 +1003,7 @@ mod tests {
         let mut kinds: Vec<_> = all.iter().map(BatchWire::kind_name).collect();
         kinds.sort_unstable();
         kinds.dedup();
-        assert_eq!(kinds.len(), N_TAGS, "one_of_each() misses a variant");
+        assert_eq!(kinds.len(), N_KINDS, "one_of_each() misses a variant");
     }
 
     #[test]

@@ -35,7 +35,7 @@ use kgraph::graph::Edge;
 use kgraph::ShardedGraph;
 use kmachine::bandwidth::Bandwidth;
 use kmachine::bsp::Bsp;
-use kmachine::message::{Encoding, Envelope};
+use kmachine::message::Encoding;
 use kmachine::metrics::CommStats;
 use kmachine::network::NetworkConfig;
 use kmachine::trace::Tracer;
@@ -253,8 +253,7 @@ pub(crate) fn route_edges_to_endpoints(
             let payload = Payload::EdgeList {
                 edges: vec![(u, v, w)],
             };
-            let bits = payload.wire_bits_lw(l, l);
-            out.push(Envelope::with_bits(machine, dst, payload, bits));
+            out.push(payload.envelope(machine, dst, l, l));
         }
     }
     bsp.superstep(out);

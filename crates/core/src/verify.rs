@@ -130,7 +130,6 @@ fn final_compare_cost(
 ) -> CommStats {
     use crate::messages::{id_bits, Payload};
     use kmachine::bsp::Bsp;
-    use kmachine::message::Envelope;
     use kmachine::network::NetworkConfig;
     let mut bsp: Bsp<Payload> = Bsp::new(NetworkConfig::new(part.k(), cfg.bandwidth, g.n()));
     crate::engine::attach_transport(&mut bsp, cfg.transport, part.k());
@@ -139,9 +138,8 @@ fn final_compare_cost(
     }
     let (hs, ht) = (part.home(s), part.home(t));
     if hs != ht {
-        let payload = Payload::StDone { same: true };
-        let bits = payload.wire_bits_lw(id_bits(g.n()), id_bits(g.n()));
-        bsp.superstep(vec![Envelope::with_bits(hs, ht, payload, bits)]);
+        let l = id_bits(g.n());
+        bsp.superstep(vec![Payload::StDone { same: true }.envelope(hs, ht, l, l)]);
         let _ = bsp.take_all_inboxes();
     }
     bsp.into_stats()

@@ -8,8 +8,7 @@
 //! answers are identical to the fault-free run and the only difference is
 //! the costed overhead (`retransmit_bits`, `recovery_rounds`). The
 //! `tables` binary renders E22 from these measurements and
-//! `tests/chaos_family.rs` pins the guarantee plus an overhead envelope,
-//! writing the `BENCH_PR5.json` perf snapshot.
+//! `tests/chaos_family.rs` pins the guarantee plus an overhead envelope.
 
 use crate::experiments::ExperimentRecord;
 use kconn::session::{Cluster, Connectivity, Problem, SpanningForest};
@@ -137,7 +136,7 @@ impl ChaosMeasurement {
         self.recovery_rounds as f64 / self.base_rounds.max(1) as f64
     }
 
-    /// Serializable record for `results/` snapshots.
+    /// The machine-readable record of this cell for the E22 report.
     pub fn record(&self, experiment: &str, s: &ChaosScenario) -> ExperimentRecord {
         ExperimentRecord {
             experiment: experiment.into(),

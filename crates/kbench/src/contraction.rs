@@ -10,10 +10,8 @@
 //! the per-message naive sum in [`kmachine::metrics::CommStats::naive_bits`]
 //! as the oracle).
 //! `tests/contraction_family.rs` pins the E20 bits envelope (contracted +
-//! varint ≤ 0.5× the naive baseline) and writes `BENCH_PR6.json`.
+//! varint ≤ 0.5× the naive baseline).
 
-use crate::experiments::ExperimentRecord;
-use crate::large::LargeScenario;
 use kconn::session::{Cluster, Connectivity, Problem};
 use kconn::ConnectivityConfig;
 use kmachine::message::Encoding;
@@ -95,28 +93,6 @@ impl ContractionMeasurement {
     pub fn bits_ratio(&self, baseline: &ContractionMeasurement) -> f64 {
         self.total_bits as f64 / baseline.total_bits.max(1) as f64
     }
-
-    /// Serializable record for `results/` snapshots.
-    pub fn record(&self, experiment: &str, s: &LargeScenario) -> ExperimentRecord {
-        ExperimentRecord {
-            experiment: experiment.into(),
-            label: format!("{}/{}", s.id, self.cell),
-            params: [("n".to_string(), s.n as f64), ("k".to_string(), s.k as f64)]
-                .into_iter()
-                .collect(),
-            metrics: [
-                ("identical".to_string(), f64::from(u8::from(self.identical))),
-                ("rounds".to_string(), self.rounds as f64),
-                ("total_bits".to_string(), self.total_bits as f64),
-                ("naive_bits".to_string(), self.naive_bits as f64),
-                ("max_link_bits".to_string(), self.max_link_bits as f64),
-                ("phases".to_string(), f64::from(self.phases)),
-                ("wall_ms".to_string(), self.wall_ms),
-            ]
-            .into_iter()
-            .collect(),
-        }
-    }
 }
 
 /// Runs the connectivity headliner under every grid cell on one shared
@@ -154,6 +130,7 @@ pub fn measure(cluster: &Cluster) -> Vec<ContractionMeasurement> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::large::LargeScenario;
 
     #[test]
     fn grid_covers_all_four_cells_baseline_first() {

@@ -6,8 +6,7 @@
 //! set) — for both connectivity ([`measure`]) and MST maintenance
 //! ([`measure_mst`]). The `tables` binary renders E21 from these
 //! measurements and `tests/dynamic_family.rs` pins the headline claim
-//! (incremental ≪ full) and writes the `BENCH_PR4.json` /
-//! `BENCH_PR10.json` perf snapshots.
+//! (incremental ≪ full).
 
 use kconn::dynamic::{DynConfig, DynamicCluster, RefreshKind, UpdateBatch, UpdateOp};
 use kconn::session::{Cluster, Connectivity, Mst, Problem};
@@ -281,9 +280,7 @@ impl DynMeasurement {
         }
     }
 
-    /// The standard machine-readable record for this batch, shared by the
-    /// E21 report and the `BENCH_PR4.json` snapshot so the two never
-    /// drift.
+    /// The machine-readable record of this batch for the E21 report.
     pub fn record(&self, experiment: &str, s: &DynScenario) -> crate::ExperimentRecord {
         let to_map = |kv: &[(&str, f64)]| {
             kv.iter()

@@ -5,12 +5,10 @@
 //! must hold — contracted + varint total bits ≤ 0.5× the uncontracted
 //! naive baseline. The contracted path must also compose with the PR 5
 //! chaos plans (checkpoints snapshot the supergraph, so faulted contracted
-//! runs replay exactly). All measurements land in `results/BENCH_PR6.json`
-//! so the bits trajectory of the PR is captured as an artifact.
+//! runs replay exactly).
 
 use kbench::chaos::plans;
 use kbench::contraction::measure;
-use kbench::experiments::{records_to_json, ExperimentRecord};
 use kbench::large::family;
 use kconn::session::{Connectivity, Problem};
 use kconn::ConnectivityConfig;
@@ -18,8 +16,6 @@ use kmachine::message::Encoding;
 
 #[test]
 fn contraction_ablations_hold_the_bits_envelope_and_compose_with_chaos() {
-    let mut records: Vec<ExperimentRecord> = Vec::new();
-
     // ---- The E20 rung: the 2×2 ablation grid on the streamed family. ----
     let s = &family(true)[0]; // n = 50_000, k = 16
     let ms = measure(&s.cluster());
@@ -30,7 +26,6 @@ fn contraction_ablations_hold_the_bits_envelope_and_compose_with_chaos() {
             "{}/{}: answers diverged from the baseline cell",
             s.id, m.cell
         );
-        records.push(m.record("BENCH_PR6", s));
     }
     // The naive cells charge exactly their oracle, and each varint cell
     // carries the matching naive cell's charge (same trajectory, same
@@ -96,44 +91,5 @@ fn contraction_ablations_hold_the_bits_envelope_and_compose_with_chaos() {
             clean.report.stats.total_bits,
             "chaos/{plan_name}: recovery bits must separate exactly"
         );
-        records.push(ExperimentRecord {
-            experiment: "BENCH_PR6".into(),
-            label: format!("chaos/{plan_name}/n{n}/k{k}/contract+varint"),
-            params: [("n".to_string(), n as f64), ("k".to_string(), k as f64)]
-                .into_iter()
-                .collect(),
-            metrics: [
-                (
-                    "clean_bits".to_string(),
-                    clean.report.stats.total_bits as f64,
-                ),
-                (
-                    "faulted_bits".to_string(),
-                    faulted.report.stats.total_bits as f64,
-                ),
-                (
-                    "retransmit_bits".to_string(),
-                    faulted.report.stats.retransmit_bits as f64,
-                ),
-                (
-                    "recovery_rounds".to_string(),
-                    faulted.report.stats.recovery_rounds as f64,
-                ),
-                (
-                    "faults_injected".to_string(),
-                    faulted.report.faults_injected as f64,
-                ),
-            ]
-            .into_iter()
-            .collect(),
-        });
     }
-
-    // The snapshot lands in the repo-root results/ directory (gitignored;
-    // created on a fresh checkout), alongside the earlier PR snapshots.
-    let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
-    let out = dir.join("BENCH_PR6.json");
-    std::fs::write(&out, records_to_json(&records))
-        .unwrap_or_else(|e| panic!("write {}: {e}", out.display()));
 }

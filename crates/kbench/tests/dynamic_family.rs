@@ -1,31 +1,14 @@
 //! CI pin for the dynamic scenario family (DESIGN.md §4, E21): every
 //! update batch's incremental path — connectivity AND MST — must move
 //! measurably fewer bits than a full re-ingest + re-solve of the mutated
-//! edge set, and the measurements are written to `results/BENCH_PR4.json`
-//! (connectivity) and `results/BENCH_PR10.json` (MST) so the bench
-//! trajectory of each PR is captured as an artifact.
+//! edge set.
 
 use kbench::dynamic::{family, measure, measure_mst};
-use kbench::experiments::records_to_json;
 use kconn::dynamic::RefreshKind;
-use std::path::PathBuf;
 
-/// Writes a perf snapshot into the repo-root results/ directory (the same
-/// place the tables binary writes experiments.json). results/ is
-/// gitignored, so it must be created on a fresh checkout.
-fn write_snapshot(name: &str, records: &[kbench::ExperimentRecord]) {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
-    let out = dir.join(name);
-    std::fs::write(&out, records_to_json(records))
-        .unwrap_or_else(|e| panic!("write {}: {e}", out.display()));
-}
-
-/// The headline claim of the dynamic subsystem, asserted per batch, plus
-/// the perf snapshot the CI workflow uploads.
+/// The headline claim of the dynamic subsystem, asserted per batch.
 #[test]
 fn incremental_updates_undercut_full_reingest_and_resolve() {
-    let mut records = Vec::new();
     for s in family(true) {
         let measurements = measure(&s);
         assert!(!measurements.is_empty(), "{}: no batches measured", s.id);
@@ -50,20 +33,17 @@ fn incremental_updates_undercut_full_reingest_and_resolve() {
                 s.id,
                 m.batch
             );
-            records.push(m.record("BENCH_PR4", &s));
         }
     }
-    write_snapshot("BENCH_PR4.json", &records);
 }
 
 /// The MST twin of the pin above: the maintained-forest path (cycle
 /// replacement / sketch replacement-search / restricted re-run +
 /// certification) must undercut a full re-ingest + fresh static MST on
 /// every batch of every profile — the same <1× ratio the connectivity
-/// path achieves — and the snapshot lands in `results/BENCH_PR10.json`.
+/// path achieves.
 #[test]
 fn incremental_mst_undercuts_full_reingest_and_resolve() {
-    let mut records = Vec::new();
     for s in family(true) {
         let measurements = measure_mst(&s);
         assert!(!measurements.is_empty(), "{}: no batches measured", s.id);
@@ -82,8 +62,6 @@ fn incremental_mst_undercuts_full_reingest_and_resolve() {
                 s.id,
                 m.batch
             );
-            records.push(m.record("BENCH_PR10", &s));
         }
     }
-    write_snapshot("BENCH_PR10.json", &records);
 }

@@ -7,32 +7,6 @@
 //! or `fixtures/` directory, so scopes here only carve up live library and
 //! binary code.
 
-/// One function that must pattern-match every variant of a watched enum.
-#[derive(Clone, Debug)]
-pub struct ArmSpec {
-    /// Needle identifying the surrounding `impl` block header (e.g.
-    /// `"WireCodec for Payload"`); empty means search the whole file.
-    pub impl_needle: String,
-    /// Function name inside that impl.
-    pub fn_name: String,
-    /// Whether a `_ =>` arm is tolerated (only the decode direction, whose
-    /// input is an untrusted numeric tag, may have an unknown-tag arm).
-    pub allow_wildcard: bool,
-}
-
-/// A cross-file exhaustiveness obligation: every variant of `enum_name`
-/// (defined in `file`) must appear as `EnumName::Variant` inside each of
-/// the listed function bodies.
-#[derive(Clone, Debug)]
-pub struct ExhaustiveSpec {
-    /// File defining the enum (and, today, all its match sites).
-    pub file: String,
-    /// The enum's name.
-    pub enum_name: String,
-    /// The functions that must each name every variant.
-    pub arms: Vec<ArmSpec>,
-}
-
 /// Full lint configuration.
 #[derive(Clone, Debug, Default)]
 pub struct Config {
@@ -41,8 +15,6 @@ pub struct Config {
     /// Files exempt from KC01 (the sanctioned sorted-iteration helpers —
     /// they necessarily iterate the containers they canonicalize).
     pub det_exempt: Vec<String>,
-    /// KC03 obligations.
-    pub exhaustive: Vec<ExhaustiveSpec>,
     /// KC04 scope: crates whose envelope charges must price label fields
     /// at the live contracted width.
     pub charge_scope: Vec<String>,
@@ -75,39 +47,6 @@ impl Config {
                 "crates/krand/src",
             ]),
             det_exempt: owned(&["crates/kmachine/src/det.rs"]),
-            exhaustive: vec![ExhaustiveSpec {
-                file: "crates/core/src/messages.rs".into(),
-                enum_name: "Payload".into(),
-                arms: vec![
-                    ArmSpec {
-                        impl_needle: "impl Payload".into(),
-                        fn_name: "wire_bits_lw".into(),
-                        allow_wildcard: false,
-                    },
-                    ArmSpec {
-                        impl_needle: "impl Payload".into(),
-                        fn_name: "tag_index".into(),
-                        allow_wildcard: false,
-                    },
-                    ArmSpec {
-                        impl_needle: "BatchWire for Payload".into(),
-                        fn_name: "batch_wire_bits".into(),
-                        allow_wildcard: false,
-                    },
-                    ArmSpec {
-                        impl_needle: "WireCodec for Payload".into(),
-                        fn_name: "encode".into(),
-                        allow_wildcard: false,
-                    },
-                    ArmSpec {
-                        impl_needle: "WireCodec for Payload".into(),
-                        fn_name: "decode".into(),
-                        // decode consumes an untrusted numeric tag; its
-                        // `_ =>` arm is the unknown-tag error path.
-                        allow_wildcard: true,
-                    },
-                ],
-            }],
             charge_scope: owned(&["crates/core/src"]),
             charge_exempt: owned(&["crates/core/src/messages.rs"]),
             unwrap_scope: owned(&[

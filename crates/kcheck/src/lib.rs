@@ -11,10 +11,6 @@
 //!   accounting paths; the sanctioned route is `kmachine::det`.
 //! * **KC02 wall-clock-and-rng** — no `Instant`/`SystemTime`/ambient RNG
 //!   in those paths outside audited report/deadline fields.
-//! * **KC03 payload-exhaustiveness** — every `Payload` variant has a
-//!   charge arm (`wire_bits_lw`), a tag (`tag_index`), a batch price
-//!   (`batch_wire_bits`), an encode arm and a decode arm; wildcards that
-//!   would absorb a future variant are rejected.
 //! * **KC04 charge-site-discipline** — envelope charges in `kconn` use
 //!   `wire_bits_lw(l, lw)`, never raw `wire_bits(l)`.
 //! * **KC05 panic-hygiene** — no `unwrap`/`expect`/slice-indexing in the
@@ -36,7 +32,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 pub use allow::{AllowEntry, Allowlist};
-pub use config::{ArmSpec, Config, ExhaustiveSpec};
+pub use config::Config;
 pub use diag::{Diagnostic, Lint};
 
 /// One loaded source file, pre-blanked for the lints.
@@ -118,8 +114,7 @@ pub struct Report {
     pub stale_allow: Vec<AllowEntry>,
     /// [`Config`] scope entries that match no scanned file — a scope
     /// naming a deleted file rots exactly like a stale allow entry, and is
-    /// an error for the same reason. (`exhaustive[].file` is covered by
-    /// KC03's own "file not found" diagnostic.)
+    /// an error for the same reason.
     pub stale_scopes: Vec<String>,
     /// How many diagnostics the allowlist suppressed.
     pub suppressed: usize,

@@ -1,4 +1,4 @@
-//! The six invariant lints.
+//! The five invariant lints.
 //!
 //! All of them work on blanked text (see [`crate::scan`]): substring hits
 //! cannot come from comments or string literals, and brace matching is
@@ -7,7 +7,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::config::{ArmSpec, Config};
+use crate::config::Config;
 use crate::diag::{Diagnostic, Lint};
 use crate::scan::{self, find_word, is_ident_byte};
 use crate::SourceFile;
@@ -84,9 +84,6 @@ pub fn run_all(files: &[SourceFile], cfg: &Config) -> Vec<Diagnostic> {
         if Config::in_scope(&cfg.print_scope, &f.rel) {
             print_macros(f, &mut out);
         }
-    }
-    for spec in &cfg.exhaustive {
-        exhaustive(files, spec, &mut out);
     }
     out.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.lint.code()).cmp(&(b.file.as_str(), b.line, b.lint.code()))
@@ -332,164 +329,6 @@ fn wall_clock(f: &SourceFile, out: &mut Vec<Diagnostic>) {
             );
         }
     }
-}
-
-// ---------------------------------------------------------------- KC03 --
-
-/// Variant names of `enum <name>` in `blanked`, or `None` if not found.
-fn enum_variants(blanked: &str, name: &str) -> Option<Vec<String>> {
-    let pat = format!("enum {name}");
-    let pos = find_word(blanked, &pat, 0)?;
-    let open = pos + blanked[pos..].find('{')?;
-    let end = scan::match_brace(blanked, open);
-    let body = &blanked[open + 1..end.saturating_sub(1)];
-    let b = body.as_bytes();
-    let mut depth = 0i32;
-    let mut variants = Vec::new();
-    let mut i = 0;
-    while i < b.len() {
-        match b[i] {
-            b'{' | b'(' | b'[' => depth += 1,
-            b'}' | b')' | b']' => depth -= 1,
-            c if depth == 0 && is_ident_byte(c) && !c.is_ascii_digit() => {
-                let start = i;
-                while i < b.len() && is_ident_byte(b[i]) {
-                    i += 1;
-                }
-                variants.push(body[start..i].to_string());
-                continue;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    Some(variants)
-}
-
-fn exhaustive(
-    files: &[SourceFile],
-    spec: &crate::config::ExhaustiveSpec,
-    out: &mut Vec<Diagnostic>,
-) {
-    let Some(f) = files.iter().find(|f| f.rel == spec.file) else {
-        out.push(Diagnostic {
-            lint: Lint::Exhaustive,
-            file: spec.file.clone(),
-            line: 1,
-            message: format!(
-                "file declaring enum `{}` not found in workspace",
-                spec.enum_name
-            ),
-            snippet: String::new(),
-        });
-        return;
-    };
-    let Some(variants) = enum_variants(&f.blanked, &spec.enum_name) else {
-        push(
-            out,
-            f,
-            Lint::Exhaustive,
-            0,
-            format!("enum `{}` not found", spec.enum_name),
-        );
-        return;
-    };
-    for arm in &spec.arms {
-        check_arm(f, &spec.enum_name, &variants, arm, out);
-    }
-}
-
-fn check_arm(
-    f: &SourceFile,
-    enum_name: &str,
-    variants: &[String],
-    arm: &ArmSpec,
-    out: &mut Vec<Diagnostic>,
-) {
-    let scope = if arm.impl_needle.is_empty() {
-        (0, f.blanked.len())
-    } else {
-        match scan::impl_body(&f.blanked, &arm.impl_needle) {
-            Some(s) => s,
-            None => {
-                push(
-                    out,
-                    f,
-                    Lint::Exhaustive,
-                    0,
-                    format!("impl block `{}` not found", arm.impl_needle),
-                );
-                return;
-            }
-        }
-    };
-    let Some((lo, hi)) = scan::fn_body(&f.blanked, &arm.fn_name, scope) else {
-        push(
-            out,
-            f,
-            Lint::Exhaustive,
-            scope.0,
-            format!("`fn {}` not found in `{}`", arm.fn_name, arm.impl_needle),
-        );
-        return;
-    };
-    let body = &f.blanked[lo..hi];
-    for v in variants {
-        let needle = format!("{enum_name}::{v}");
-        if find_word(body, &needle, 0).is_none() {
-            push(
-                out,
-                f,
-                Lint::Exhaustive,
-                lo,
-                format!(
-                    "variant `{needle}` has no arm in `fn {}` ({}): charge, codec \
-                     and tag maps must stay exhaustive",
-                    arm.fn_name,
-                    if arm.impl_needle.is_empty() {
-                        "file scope"
-                    } else {
-                        &arm.impl_needle
-                    }
-                ),
-            );
-        }
-    }
-    if !arm.allow_wildcard {
-        if let Some(pos) = wildcard_arm(body) {
-            push(
-                out,
-                f,
-                Lint::Exhaustive,
-                lo + pos,
-                format!(
-                    "`_ =>` arm in `fn {}`: a wildcard here would silently absorb a \
-                     future `{enum_name}` variant",
-                    arm.fn_name
-                ),
-            );
-        }
-    }
-}
-
-/// Offset of a bare `_ =>` match arm in `body`, if any.
-fn wildcard_arm(body: &str) -> Option<usize> {
-    let b = body.as_bytes();
-    for (i, &c) in b.iter().enumerate() {
-        if c != b'_' {
-            continue;
-        }
-        let ok_before = i == 0 || !is_ident_byte(b[i - 1]);
-        let ok_after = i + 1 >= b.len() || !is_ident_byte(b[i + 1]);
-        if !(ok_before && ok_after) {
-            continue;
-        }
-        let rest = body[i + 1..].trim_start();
-        if rest.starts_with("=>") {
-            return Some(i);
-        }
-    }
-    None
 }
 
 // ---------------------------------------------------------------- KC04 --

@@ -274,45 +274,6 @@ pub fn in_spans(spans: &[(usize, usize)], offset: usize) -> bool {
     spans.iter().any(|&(s, e)| offset >= s && offset < e)
 }
 
-/// Find the body `{ ... }` of `fn <name>` inside `blanked[scope]`,
-/// returning absolute `(body_start, body_end)` offsets (exclusive of the
-/// braces themselves). `scope` lets callers restrict the search to a
-/// particular `impl` block when the fn name is ambiguous file-wide.
-pub fn fn_body(blanked: &str, name: &str, scope: (usize, usize)) -> Option<(usize, usize)> {
-    let (lo, hi) = scope;
-    let region = &blanked[lo..hi];
-    let pat = format!("fn {name}");
-    let pos = find_word(region, &pat, 0)?;
-    let open_rel = region[pos..].find('{')?;
-    let open = lo + pos + open_rel;
-    let end = match_brace(blanked, open);
-    Some((open + 1, end.saturating_sub(1)))
-}
-
-/// Find the span of `impl <header> {` whose header line contains
-/// `header_needle`, returning the absolute body span.
-pub fn impl_body(blanked: &str, header_needle: &str) -> Option<(usize, usize)> {
-    let mut at = 0;
-    while let Some(rel) = blanked[at..].find("impl") {
-        let pos = at + rel;
-        let b = blanked.as_bytes();
-        let boundary = (pos == 0 || !is_ident_byte(b[pos - 1]))
-            && !is_ident_byte(*b.get(pos + 4).unwrap_or(&b' '));
-        if boundary {
-            if let Some(open_rel) = blanked[pos..].find('{') {
-                let header = &blanked[pos..pos + open_rel];
-                if header.contains(header_needle) {
-                    let open = pos + open_rel;
-                    let end = match_brace(blanked, open);
-                    return Some((open + 1, end.saturating_sub(1)));
-                }
-            }
-        }
-        at = pos + 4;
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,18 +331,6 @@ mod tests {
         assert!(in_spans(&spans, out.find("a.unwrap").unwrap()));
         assert!(!in_spans(&spans, out.find("b.unwrap").unwrap()));
         assert!(!in_spans(&spans, out.find("c.unwrap").unwrap()));
-    }
-
-    #[test]
-    fn fn_and_impl_bodies_resolve() {
-        let src = "impl Alpha { fn go(&self) { 1 } }\nimpl Wire for Alpha { fn go(&self) { 2 } }\n";
-        let out = blank(src);
-        let a = impl_body(&out, "impl Alpha").unwrap();
-        let w = impl_body(&out, "Wire for Alpha").unwrap();
-        let (s1, e1) = fn_body(&out, "go", a).unwrap();
-        let (s2, e2) = fn_body(&out, "go", w).unwrap();
-        assert!(out[s1..e1].contains('1'));
-        assert!(out[s2..e2].contains('2'));
     }
 
     #[test]

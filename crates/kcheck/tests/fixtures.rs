@@ -5,9 +5,7 @@
 
 use std::path::{Path, PathBuf};
 
-use kcheck::{
-    check_files, check_workspace, collect_files, Allowlist, ArmSpec, Config, ExhaustiveSpec, Lint,
-};
+use kcheck::{check_files, check_workspace, collect_files, Allowlist, Config, Lint};
 
 fn fixtures_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
@@ -24,40 +22,6 @@ fn fixture_config() -> Config {
     Config {
         det_scope: owned(&["det"]),
         det_exempt: vec![],
-        exhaustive: vec![
-            ExhaustiveSpec {
-                file: "payload/bad_messages.rs".into(),
-                enum_name: "Payload".into(),
-                arms: vec![
-                    ArmSpec {
-                        impl_needle: "impl Payload".into(),
-                        fn_name: "wire_bits_lw".into(),
-                        allow_wildcard: false,
-                    },
-                    ArmSpec {
-                        impl_needle: "impl Payload".into(),
-                        fn_name: "tag_index".into(),
-                        allow_wildcard: false,
-                    },
-                ],
-            },
-            ExhaustiveSpec {
-                file: "payload/good_messages.rs".into(),
-                enum_name: "Payload".into(),
-                arms: vec![
-                    ArmSpec {
-                        impl_needle: "impl Payload".into(),
-                        fn_name: "wire_bits_lw".into(),
-                        allow_wildcard: false,
-                    },
-                    ArmSpec {
-                        impl_needle: "impl Payload".into(),
-                        fn_name: "decode".into(),
-                        allow_wildcard: true,
-                    },
-                ],
-            },
-        ],
         charge_scope: owned(&["charge"]),
         charge_exempt: vec![],
         unwrap_scope: owned(&["transport"]),
@@ -93,17 +57,6 @@ fn bad_fixtures_are_flagged_and_good_twins_pass() {
         kc02.len() >= 3 && kc02.iter().all(|&c| c == "KC02"),
         "det/bad_clock.rs: want >= 3 KC02 (Instant, SystemTime, thread_rng), got {kc02:?}"
     );
-    let kc03 = codes_for(&report, "payload/bad_messages.rs");
-    assert!(
-        kc03.len() >= 2 && kc03.iter().all(|&c| c == "KC03"),
-        "payload/bad_messages.rs: want >= 2 KC03 (missing Stop arm, \
-         forbidden wildcard), got {kc03:?}"
-    );
-    let missing_stop = report
-        .diags
-        .iter()
-        .any(|d| d.file == "payload/bad_messages.rs" && d.message.contains("Stop"));
-    assert!(missing_stop, "the missing `Stop` arm is called out by name");
     let kc04 = codes_for(&report, "charge/bad_charge.rs");
     assert_eq!(kc04, vec!["KC04"], "charge/bad_charge.rs");
     let kc05 = codes_for(&report, "transport/bad_panic.rs");
@@ -123,7 +76,6 @@ fn bad_fixtures_are_flagged_and_good_twins_pass() {
     for good in [
         "det/good_iter.rs",
         "det/good_clock.rs",
-        "payload/good_messages.rs",
         "charge/good_charge.rs",
         "transport/good_panic.rs",
         "print/good_print.rs",
