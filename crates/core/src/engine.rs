@@ -76,6 +76,7 @@ use kmachine::transport::{make_transport, TransportSel};
 use krand::shared::{SharedRandomness, Use};
 use ksketch::{L0Sketch, SketchFns, SketchParams};
 use rustc_hash::{FxHashMap, FxHashSet};
+use std::sync::Arc;
 
 /// What the engine is computing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -295,8 +296,8 @@ struct PhaseCheckpoint {
     /// (instead of re-deriving) keeps the §2.2 distribution charge exactly
     /// where the fault-free run pays it: function seeds are part of each
     /// machine's durable checkpoint, so a re-entered phase never
-    /// re-distributes mid-epoch.
-    cached_fns: Option<(u32, SketchFns)>,
+    /// re-distributes mid-epoch. Shared, not copied: the tables are `Θ(n)`.
+    cached_fns: Option<(u32, Arc<SketchFns>)>,
     /// Per-machine supergraph shards (§3.11). A crashed contracted phase
     /// must restore the supernodes too — labels alone cannot reconstruct
     /// the deduped contracted edge set.
@@ -495,7 +496,7 @@ pub struct Engine<'g> {
     machines: Vec<MachineState>,
     params: SketchParams,
     /// The iteration-0 sketch functions of the current epoch, keyed by tag.
-    cached_fns: Option<(u32, SketchFns)>,
+    cached_fns: Option<(u32, Arc<SketchFns>)>,
     /// Bumped by the termination guard to force fresh epoch functions.
     epoch_salt: u32,
     phase_components: Vec<usize>,
@@ -929,7 +930,6 @@ impl<'g> Engine<'g> {
             p, &fns, /*only_thresholded=*/ false, /*cacheable=*/ true,
         );
         self.proxy_merge_sketches(p, &fns);
-        self.cached_fns = Some((self.iter0_tag(p), fns));
         self.probe_candidates(p);
         if self.mode != Mode::Mst {
             // Single sample: the verified candidate is the chosen edge.
@@ -1038,18 +1038,19 @@ impl<'g> Engine<'g> {
     /// reuse disabled) derives fresh functions, charges their §2.2
     /// distribution cost, and drops every cached part sketch — stale
     /// sketches from old functions must never be merged with new ones.
-    fn iter0_fns(&mut self, p: u32) -> SketchFns {
+    fn iter0_fns(&mut self, p: u32) -> Arc<SketchFns> {
         let tag = self.iter0_tag(p);
-        if let Some((t, fns)) = self.cached_fns.take() {
-            if t == tag {
-                return fns;
+        if let Some((t, fns)) = &self.cached_fns {
+            if *t == tag {
+                return Arc::clone(fns);
             }
         }
-        let fns = SketchFns::new(&self.shared, tag, self.params);
+        let fns = Arc::new(SketchFns::new(&self.shared, tag, self.params));
         self.charge_fns_distribution(&fns);
         for st in &mut self.machines {
             st.part_cache.clear();
         }
+        self.cached_fns = Some((tag, Arc::clone(&fns)));
         fns
     }
 

@@ -18,8 +18,8 @@
 //! a delta-sorted varint stream — see [`Payload::batch_wire_bits`].
 
 use kmachine::message::{
-    delta_varint_bits, put_signed, put_signed128, put_varint, varint_bits, BatchWire, Envelope,
-    WireCodec, WireError, WireReader,
+    delta_varint_bits, put_signed, put_varint, varint_bits, BatchWire, Envelope, WireCodec,
+    WireError, WireReader,
 };
 use krand::m61::M61;
 use ksketch::{Cell, L0Sketch, SketchParams};
@@ -175,7 +175,7 @@ impl Kind<Box<L0Sketch>> for Sketch {
         put_varint(out, p.independence as u64);
         for c in s.cell_slice() {
             put_signed(out, c.count);
-            put_signed128(out, c.index_sum);
+            put_signed(out, c.index_sum as i64);
             put_varint(out, c.fingerprint.value());
         }
     }
@@ -190,7 +190,7 @@ impl Kind<Box<L0Sketch>> for Sketch {
             .map(|_| {
                 Ok(Cell {
                     count: r.signed("cell.count")?,
-                    index_sum: r.signed128("cell.index_sum")?,
+                    index_sum: r.signed("cell.index_sum")? as u64,
                     fingerprint: M61::new(r.varint("cell.fingerprint")?),
                 })
             })

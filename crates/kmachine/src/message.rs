@@ -130,30 +130,9 @@ impl<'a> WireReader<'a> {
         unreachable!()
     }
 
-    /// Reads a 128-bit LEB128 varint (sketch cell index sums).
-    pub fn varint128(&mut self, field: &'static str) -> Result<u128, WireError> {
-        let mut x = 0u128;
-        for shift in (0..).step_by(7) {
-            if shift >= 128 {
-                return Err(self.err(field, "varint overflows u128"));
-            }
-            let b = self.u8(field)?;
-            x |= u128::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                return Ok(x);
-            }
-        }
-        unreachable!()
-    }
-
     /// Reads a zigzag-coded signed varint.
     pub fn signed(&mut self, field: &'static str) -> Result<i64, WireError> {
         Ok(unzigzag64(self.varint(field)?))
-    }
-
-    /// Reads a zigzag-coded signed 128-bit varint.
-    pub fn signed128(&mut self, field: &'static str) -> Result<i128, WireError> {
-        Ok(unzigzag128(self.varint128(field)?))
     }
 
     /// Reads exactly `n` raw bytes.
@@ -183,19 +162,6 @@ pub fn put_varint(out: &mut Vec<u8>, mut x: u64) {
     }
 }
 
-/// Appends a 128-bit LEB128 varint.
-pub fn put_varint128(out: &mut Vec<u8>, mut x: u128) {
-    loop {
-        let b = (x & 0x7f) as u8;
-        x >>= 7;
-        if x == 0 {
-            out.push(b);
-            return;
-        }
-        out.push(b | 0x80);
-    }
-}
-
 /// Appends a zigzag-coded signed varint.
 pub fn put_signed(out: &mut Vec<u8>, x: i64) {
     put_varint(out, zigzag64(x));
@@ -210,21 +176,6 @@ pub fn zigzag64(x: i64) -> u64 {
 /// Inverse of [`zigzag64`].
 pub fn unzigzag64(x: u64) -> i64 {
     ((x >> 1) as i64) ^ -((x & 1) as i64)
-}
-
-/// Appends a zigzag-coded signed 128-bit varint.
-pub fn put_signed128(out: &mut Vec<u8>, x: i128) {
-    put_varint128(out, zigzag128(x));
-}
-
-/// 128-bit [`zigzag64`].
-pub fn zigzag128(x: i128) -> u128 {
-    ((x << 1) ^ (x >> 127)) as u128
-}
-
-/// Inverse of [`zigzag128`].
-pub fn unzigzag128(x: u128) -> i128 {
-    ((x >> 1) as i128) ^ -((x & 1) as i128)
 }
 
 /// Which wire encoding the superstep layer charges bandwidth under.
@@ -457,17 +408,6 @@ mod tests {
         let bad = [0xffu8; 11];
         let e = WireReader::new(&bad).varint("id").unwrap_err();
         assert_eq!(e.reason, "varint overflows u64");
-    }
-
-    #[test]
-    fn varint128_round_trips_wide_values() {
-        for x in [0u128, 1, u64::MAX as u128, u128::MAX, 1 << 100] {
-            let mut buf = Vec::new();
-            put_varint128(&mut buf, x);
-            let mut r = WireReader::new(&buf);
-            assert_eq!(r.varint128("w").unwrap(), x);
-            assert!(r.is_empty());
-        }
     }
 
     #[test]

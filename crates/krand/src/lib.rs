@@ -24,6 +24,6 @@ pub mod shared;
 
 pub use m61::M61;
 pub use pairwise::PairwiseHash;
-pub use poly::PolyHash;
+pub use poly::{PolyBatch, PolyHash};
 pub use prf::{split_mix64, Prf};
 pub use shared::SharedRandomness;

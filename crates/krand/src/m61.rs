@@ -80,11 +80,21 @@ impl M61 {
         }
     }
 
-    /// Field multiplication via 128-bit product and Mersenne reduction.
+    /// Field multiplication: `self · rhs`.
     #[inline]
     pub fn mul(self, rhs: M61) -> M61 {
-        let prod = self.0 as u128 * rhs.0 as u128;
-        M61::from_u128(prod)
+        self.mul_add(rhs, M61::ZERO)
+    }
+
+    /// Fused multiply-add `self · m + a` (one Horner step) with a single
+    /// Mersenne fold: `t = self · m + a ≤ p·(p − 1) < 2^122`, so
+    /// `(t mod 2^61) + ⌊t / 2^61⌋ ≡ t (mod p)` is below `2p` and one
+    /// conditional subtraction makes it canonical.
+    #[inline]
+    pub fn mul_add(self, m: M61, a: M61) -> M61 {
+        let t = self.0 as u128 * m.0 as u128 + a.0 as u128;
+        let v = (t as u64 & P) + (t >> 61) as u64;
+        M61(if v >= P { v - P } else { v })
     }
 
     /// Fast exponentiation `self^e`.
@@ -169,17 +179,35 @@ mod tests {
     }
 
     #[test]
-    fn mul_matches_u128_reference() {
-        let cases = [
-            (0u64, 17u64),
-            (1, P - 1),
-            (P - 1, P - 1),
-            (123_456_789, 987_654_321),
-            (1 << 60, (1 << 60) + 12345),
+    fn mul_and_mul_add_match_u128_reference() {
+        // Every pair and triple over the edge values 0, 1, p − 1 (where the
+        // single fold lands exactly on p or 2p − 2) plus generic operands.
+        let vals = [
+            0u64,
+            1,
+            2,
+            P - 2,
+            P - 1,
+            123_456_789,
+            1 << 60,
+            (1 << 60) + 12345,
         ];
-        for (x, y) in cases {
-            let expect = ((x as u128 % P as u128) * (y as u128 % P as u128) % P as u128) as u64;
-            assert_eq!(M61::new(x).mul(M61::new(y)).value(), expect);
+        for x in vals {
+            for y in vals {
+                let prod = x as u128 * y as u128;
+                assert_eq!(
+                    M61::new(x).mul(M61::new(y)).value(),
+                    (prod % P as u128) as u64,
+                    "{x} * {y}"
+                );
+                for a in vals {
+                    assert_eq!(
+                        M61::new(x).mul_add(M61::new(y), M61::new(a)).value(),
+                        ((prod + a as u128) % P as u128) as u64,
+                        "{x} * {y} + {a}"
+                    );
+                }
+            }
         }
     }
 

@@ -48,19 +48,13 @@ impl PolyHash {
         self.coeffs.len()
     }
 
-    /// Number of truly random bits this function consumes (for the §2.2
-    /// shared-randomness cost model): `d` coefficients of `61` bits each.
-    pub fn random_bits(&self) -> u64 {
-        self.coeffs.len() as u64 * 61
-    }
-
     /// Evaluates the polynomial at `x` by Horner's rule.
     #[inline]
     pub fn eval(&self, x: u64) -> u64 {
         let x = M61::new(x);
         let mut acc = M61::ZERO;
         for &c in self.coeffs.iter().rev() {
-            acc = acc.mul(x).add(c);
+            acc = acc.mul_add(x, c);
         }
         acc.value()
     }
@@ -70,6 +64,70 @@ impl PolyHash {
     pub fn eval_mod(&self, x: u64, m: u64) -> u64 {
         debug_assert!(m > 0 && m < P);
         self.eval(x) % m
+    }
+}
+
+/// Most polynomials a [`PolyBatch`] advances together: their accumulators
+/// must all stay in registers.
+const LANES: usize = 8;
+
+/// Several [`PolyHash`] functions of one degree, evaluated at a common point
+/// in one pass. One Horner chain is latency-bound (each step waits for the
+/// previous multiply-add), so the coefficients are stored coefficient-major
+/// (`coeffs[j · reps + rep]`) and up to eight chains advance in lock-step
+/// — a throughput-bound loop yielding exactly [`PolyHash::eval`]'s values.
+#[derive(Clone, Debug)]
+pub struct PolyBatch {
+    reps: usize,
+    coeffs: Vec<M61>,
+}
+
+impl PolyBatch {
+    /// Interleaves `polys`, which must all have the same independence.
+    pub fn new(polys: &[PolyHash]) -> Self {
+        let d = polys.first().map_or(0, PolyHash::independence);
+        assert!(polys.iter().all(|h| h.independence() == d));
+        let coeffs = (0..d).flat_map(|j| polys.iter().map(move |h| h.coeffs[j]));
+        PolyBatch {
+            reps: polys.len(),
+            coeffs: coeffs.collect(),
+        }
+    }
+
+    /// Calls `f(rep, h_rep(x))` for every polynomial, in order of `rep`.
+    #[inline]
+    pub fn eval_each(&self, x: u64, mut f: impl FnMut(usize, u64)) {
+        let x = M61::new(x);
+        for base in (0..self.reps).step_by(LANES) {
+            let width = (self.reps - base).min(LANES);
+            let mut h = [M61::ZERO; LANES];
+            // A compile-time width per arm is what unrolls the lanes.
+            match width {
+                1 => self.horner::<1>(x, base, &mut h),
+                2 => self.horner::<2>(x, base, &mut h),
+                3 => self.horner::<3>(x, base, &mut h),
+                4 => self.horner::<4>(x, base, &mut h),
+                5 => self.horner::<5>(x, base, &mut h),
+                6 => self.horner::<6>(x, base, &mut h),
+                7 => self.horner::<7>(x, base, &mut h),
+                _ => self.horner::<LANES>(x, base, &mut h),
+            }
+            for (i, h) in h[..width].iter().enumerate() {
+                f(base + i, h.value());
+            }
+        }
+    }
+
+    /// Horner's rule on polynomials `base .. base + W`, in lock-step.
+    #[inline]
+    fn horner<const W: usize>(&self, x: M61, base: usize, out: &mut [M61; LANES]) {
+        let mut acc = [M61::ZERO; W];
+        for row in self.coeffs.chunks_exact(self.reps).rev() {
+            for (a, &c) in acc.iter_mut().zip(&row[base..base + W]) {
+                *a = a.mul_add(x, c);
+            }
+        }
+        out[..W].copy_from_slice(&acc);
     }
 }
 
@@ -127,10 +185,19 @@ mod tests {
     }
 
     #[test]
-    fn random_bits_accounting() {
-        let prf = Prf::new(1);
-        let h = PolyHash::from_prf(&prf, 0, 20);
-        assert_eq!(h.independence(), 20);
-        assert_eq!(h.random_bits(), 20 * 61);
+    fn batch_matches_scalar_eval_across_the_lane_width() {
+        let prf = Prf::new(5);
+        for reps in 0..=2 * LANES + 1 {
+            let polys: Vec<PolyHash> = (0..reps as u64)
+                .map(|rep| PolyHash::from_prf(&prf, rep, 11))
+                .collect();
+            let batch = PolyBatch::new(&polys);
+            for x in [0, 1, 77, P - 1, P, u64::MAX] {
+                let mut got = Vec::new();
+                batch.eval_each(x, |rep, h| got.push((rep, h)));
+                let want: Vec<_> = polys.iter().map(|h| h.eval(x)).enumerate().collect();
+                assert_eq!(got, want, "reps = {reps}, x = {x}");
+            }
+        }
     }
 }

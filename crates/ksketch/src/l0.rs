@@ -4,7 +4,7 @@ use crate::incidence::{decode_edge, domain, encode_edge};
 use crate::onesparse::Cell;
 use kmachine::bandwidth::ceil_log2;
 use krand::m61::M61;
-use krand::poly::PolyHash;
+use krand::poly::{PolyBatch, PolyHash};
 use krand::shared::{SharedRandomness, Use};
 
 /// Shape parameters of a sketch. All sketches that are merged together must
@@ -59,68 +59,59 @@ impl SketchParams {
 /// The shared hash functions of one phase: all machines derive identical
 /// [`SketchFns`] from [`SharedRandomness`], so sketches built on different
 /// machines are summable.
+/// Laid out for [`L0Sketch::add_incident_edge`]: what one edge needs from all
+/// repetitions sits together (DESIGN.md §3.3).
 #[derive(Clone, Debug)]
 pub struct SketchFns {
     params: SketchParams,
-    /// Per repetition: the d-wise independent level hash.
-    level_hash: Vec<PolyHash>,
-    /// Per repetition: the fingerprint key `z` (shared across that
-    /// repetition's levels; soundness is per-cell polynomial identity
-    /// testing and does not need per-level keys).
-    z: Vec<M61>,
-    /// Per repetition: `lo[v] = z^v` for `v < n` — with [`Self::hi`] this
-    /// turns the per-insertion exponentiation `z^(u·n+v)` into one field
-    /// multiplication.
-    lo: Vec<Vec<M61>>,
-    /// Per repetition: `hi[u] = z^(u·n)` for `u < n`.
-    hi: Vec<Vec<M61>>,
+    /// The d-wise independent level hash of every repetition.
+    level_hash: PolyBatch,
+    /// `lo[v · reps + rep] = z_rep^v` for `v < n`; with [`Self::hi`] this
+    /// turns the exponentiation `z^(u·n+v)` into one field multiplication.
+    lo: Vec<M61>,
+    /// `hi[u · reps + rep] = z_rep^(u·n)` for `u < n`.
+    hi: Vec<M61>,
+}
+
+/// The fingerprint key `z` of repetition `rep` (shared across its levels:
+/// soundness is per-cell polynomial identity testing).
+fn fingerprint_key(shared: &SharedRandomness, phase: u32, rep: u32) -> M61 {
+    let level = 0;
+    let raw = shared
+        .prf(Use::SketchFingerprint { phase, rep, level })
+        .eval(0, 0);
+    // Avoid the degenerate keys 0 and 1.
+    M61::new(raw % (krand::m61::P - 2) + 2)
+}
+
+/// `table[i · step.len() + rep] = step[rep]^i` for `i < n`.
+fn power_table(step: &[M61], n: usize) -> Vec<M61> {
+    let mut table = Vec::with_capacity(n * step.len());
+    let mut acc = vec![M61::ONE; step.len()];
+    for _ in 0..n {
+        table.extend_from_slice(&acc);
+        for (a, &s) in acc.iter_mut().zip(step) {
+            *a = a.mul(s);
+        }
+    }
+    table
 }
 
 impl SketchFns {
     /// Derives the phase-`phase` sketch functions.
     pub fn new(shared: &SharedRandomness, phase: u32, params: SketchParams) -> Self {
-        let level_hash = (0..params.reps)
+        let polys: Vec<PolyHash> = (0..params.reps)
             .map(|rep| shared.poly(Use::SketchLevel { phase, rep }, params.independence))
             .collect();
         let z: Vec<M61> = (0..params.reps)
-            .map(|rep| {
-                let raw = shared
-                    .prf(Use::SketchFingerprint {
-                        phase,
-                        rep,
-                        level: 0,
-                    })
-                    .eval(0, 0);
-                // Avoid the degenerate keys 0 and 1.
-                M61::new(raw % (krand::m61::P - 2) + 2)
-            })
+            .map(|rep| fingerprint_key(shared, phase, rep))
             .collect();
-        let n = params.n;
-        let mut lo = Vec::with_capacity(z.len());
-        let mut hi = Vec::with_capacity(z.len());
-        for &zr in &z {
-            let mut lo_r = Vec::with_capacity(n);
-            let mut acc = M61::ONE;
-            for _ in 0..n {
-                lo_r.push(acc);
-                acc = acc.mul(zr);
-            }
-            let zn = zr.pow(n as u64);
-            let mut hi_r = Vec::with_capacity(n);
-            let mut acc = M61::ONE;
-            for _ in 0..n {
-                hi_r.push(acc);
-                acc = acc.mul(zn);
-            }
-            lo.push(lo_r);
-            hi.push(hi_r);
-        }
+        let zn: Vec<M61> = z.iter().map(|zr| zr.pow(params.n as u64)).collect();
         SketchFns {
             params,
-            level_hash,
-            z,
-            lo,
-            hi,
+            level_hash: PolyBatch::new(&polys),
+            lo: power_table(&z, params.n),
+            hi: power_table(&zn, params.n),
         }
     }
 
@@ -129,23 +120,10 @@ impl SketchFns {
         self.params
     }
 
-    /// Geometric depth of index `e` under repetition `rep`:
-    /// `P(depth ≥ ℓ) ≈ 2^−ℓ` via trailing zeros of the hash value.
-    #[inline]
-    fn depth(&self, rep: usize, e: u64) -> u32 {
-        let h = self.level_hash[rep].eval(e);
-        h.trailing_zeros().min(self.params.levels - 1)
-    }
-
-    /// True random bits these functions consume (for the §2.2 shared
-    /// randomness cost model).
+    /// True random bits these functions consume (§2.2 cost model): per
+    /// repetition, the hash coefficients and the fingerprint key.
     pub fn random_bits(&self) -> u64 {
-        let poly: u64 = self
-            .level_hash
-            .iter()
-            .map(krand::PolyHash::random_bits)
-            .sum();
-        poly + self.z.len() as u64 * 61
+        u64::from(self.params.reps) * (self.params.independence as u64 + 1) * 61
     }
 }
 
@@ -217,16 +195,19 @@ impl L0Sketch {
             (neighbor, vertex, -1i8)
         };
         let e = encode_edge(a, b, self.params.n);
-        let levels = self.params.levels as usize;
-        for rep in 0..self.params.reps as usize {
+        let (levels, reps) = (self.params.levels as usize, self.params.reps as usize);
+        let hi = &fns.hi[a as usize * reps..][..reps];
+        let lo = &fns.lo[b as usize * reps..][..reps];
+        fns.level_hash.eval_each(e, |rep, h| {
             // z^(a·n+b) = hi[a] · lo[b]: one multiplication per (edge, rep).
-            let z_pow = fns.hi[rep][a as usize].mul(fns.lo[rep][b as usize]);
-            let depth = fns.depth(rep, e) as usize;
-            let base = rep * levels;
-            for cell in &mut self.cells[base..=base + depth] {
-                cell.add(e, sign, z_pow);
+            let mut entry = Cell::default();
+            entry.add(e, sign, hi[rep].mul(lo[rep]));
+            // Geometric depth: `P(depth ≥ ℓ) ≈ 2^−ℓ` via trailing zeros.
+            let depth = (h.trailing_zeros() as usize).min(levels - 1);
+            for cell in &mut self.cells[rep * levels..=rep * levels + depth] {
+                cell.merge(&entry);
             }
-        }
+        });
     }
 
     /// Removes the incidence-vector entry of the edge `{vertex, neighbor}`
@@ -268,20 +249,21 @@ impl L0Sketch {
     /// Monte-Carlo contract of the paper).
     pub fn query(&self, fns: &SketchFns) -> Option<(u32, u32)> {
         debug_assert_eq!(fns.params, self.params);
-        let dom = domain(self.params.n);
-        let levels = self.params.levels as usize;
-        for rep in 0..self.params.reps as usize {
-            let z = fns.z[rep];
-            let base = rep * levels;
-            for l in (0..levels).rev() {
-                if let Some((e, _sign)) = self.cells[base + l].recover(z, dom) {
-                    if let Some((u, v)) = decode_edge(e, self.params.n) {
-                        return Some((u, v));
-                    }
-                }
-            }
-        }
-        None
+        let n = self.params.n;
+        let dom = domain(n);
+        let (levels, reps) = (self.params.levels as usize, self.params.reps as usize);
+        (0..reps).find_map(|rep| {
+            // `idx < n²` when asked, so both table rows exist.
+            let z_pow = |idx: u64| {
+                let (u, v) = ((idx / n as u64) as usize, (idx % n as u64) as usize);
+                fns.hi[u * reps + rep].mul(fns.lo[v * reps + rep])
+            };
+            let row = &self.cells[rep * levels..][..levels];
+            row.iter().rev().find_map(|cell| {
+                let (e, _sign) = cell.recover(dom, z_pow)?;
+                decode_edge(e, n)
+            })
+        })
     }
 
     /// Wire size in bits (see [`SketchParams::wire_bits`]).
@@ -484,6 +466,66 @@ mod tests {
         );
     }
 
+    /// Order-sensitive fold of every cell's three counters.
+    fn cell_digest(s: &L0Sketch) -> u64 {
+        s.cells.iter().fold(0, |acc, c| {
+            [c.count as u64, c.index_sum, c.fingerprint.value()]
+                .into_iter()
+                .fold(acc, |acc, x| krand::split_mix64(acc ^ x))
+        })
+    }
+
+    #[test]
+    fn seeded_sketch_cells_match_the_committed_digest() {
+        // One seeded sketch, pinned: a rewrite of the kernel (hash layout,
+        // field reduction, power tables, cell width) that changes any cell
+        // fails here rather than in a ledger pin three crates downstream.
+        // The value was taken from the per-repetition `PolyHash::eval` +
+        // `i128` index-sum implementation this kernel replaced.
+        let p = SketchParams::for_graph(1000, 7);
+        let fns = SketchFns::new(&shared(), 12, p);
+        assert_eq!(fns.random_bits(), 4697, "§2.2 charge: 7 · (10 + 1) · 61");
+        let edge = |i: u32| {
+            let u = i * 37 % 1000;
+            (u, (u + 1 + i * 91 % 999) % 1000)
+        };
+        let mut s = L0Sketch::new(p);
+        for (u, v) in (0..400).map(edge) {
+            s.add_incident_edge(&fns, u, v);
+        }
+        for (u, v) in (0..50).map(edge) {
+            s.remove_incident_edge(&fns, u, v);
+        }
+        assert_eq!(cell_digest(&s), 0x3304_646C_C437_CCC7);
+    }
+
+    #[test]
+    fn index_sums_wrapped_past_two_to_the_64_still_cancel_and_recover() {
+        // A cell is exactly its charged 64 + 64 + 61 bits: the index sum
+        // lives mod 2^64. Bias every cell to the top of the range so each
+        // add overflows, then check linearity survives the wrap — what
+        // `core::dynamic`'s zero-sketch certification relies on.
+        let p = params(64);
+        let fns = SketchFns::new(&shared(), 9, p);
+        let biased = |index_sum: u64| {
+            let cell = Cell {
+                index_sum,
+                ..Cell::default()
+            };
+            L0Sketch::from_cells(p, vec![cell; p.cells()])
+        };
+        let mut s = biased(u64::MAX - 2);
+        s.merge(&vertex_sketch(&fns, 5, &[9, 11, 13]));
+        assert!(s.cells[0].index_sum < 64 * 64, "level 0 must have wrapped");
+        s.remove_incident_edge(&fns, 5, 9);
+        s.remove_incident_edge(&fns, 5, 13);
+        s.merge(&biased(3)); // −(2^64 − 3)
+        assert_eq!(s.cells, vertex_sketch(&fns, 5, &[11]).cells);
+        assert_eq!(s.query(&fns), Some((5, 11)));
+        s.add_incident_edge(&fns, 11, 5);
+        assert!(s.is_zero());
+    }
+
     #[test]
     #[should_panic(expected = "different shapes")]
     fn merging_mismatched_shapes_panics() {
@@ -570,6 +612,51 @@ mod proptests {
             let mut a_bc = a.clone();
             a_bc.merge(&bc);
             prop_assert_eq!(&ab_c.cells, &a_bc.cells);
+        }
+
+        /// The interleaved kernel equals the scalar definition cell for
+        /// cell: per repetition, depth from `PolyHash::eval` and the
+        /// fingerprint power from `z.pow(e)`. `reps` crosses the batch's
+        /// lane width, and `levels` runs from shapes where every depth is
+        /// clamped up to the 61-level maximum.
+        #[test]
+        fn batched_kernel_equals_scalar_reference(
+            n in 2usize..300,
+            reps in 1u32..=17,
+            independence in 8usize..=24,
+            levels_pick in 0usize..5,
+            raw_edges in prop::collection::vec((0u32..300, 0u32..300), 1..40),
+            phase in 0u32..1000,
+            seed in 0u64..1000,
+        ) {
+            let levels = [1, 2, 5, SketchParams::for_graph(n, reps).levels, 61][levels_pick];
+            let p = SketchParams { n, levels, reps, independence };
+            let shared = SharedRandomness::new(seed);
+            let fns = SketchFns::new(&shared, phase, p);
+            let edges: Vec<(u32, u32)> = raw_edges
+                .into_iter()
+                .map(|(u, v)| (u % n as u32, v % n as u32))
+                .filter(|(u, v)| u != v)
+                .collect();
+            let mut fast = L0Sketch::new(p);
+            for &(u, v) in &edges {
+                fast.add_incident_edge(&fns, u, v);
+            }
+            let mut want = vec![Cell::default(); p.cells()];
+            for rep in 0..reps {
+                let h = shared.poly(Use::SketchLevel { phase, rep }, independence);
+                let z = fingerprint_key(&shared, phase, rep);
+                for &(u, v) in &edges {
+                    let sign = if u < v { 1 } else { -1 };
+                    let e = encode_edge(u.min(v), u.max(v), n);
+                    let depth = h.eval(e).trailing_zeros().min(levels - 1);
+                    let first = (rep * levels) as usize;
+                    for cell in &mut want[first..=first + depth as usize] {
+                        cell.add(e, sign, z.pow(e));
+                    }
+                }
+            }
+            prop_assert_eq!(&fast.cells, &want);
         }
 
         /// A vertex's sketch plus the same edges from the other endpoints'
