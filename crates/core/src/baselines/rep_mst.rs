@@ -22,7 +22,7 @@
 use crate::engine::EngineConfig;
 use crate::messages::{id_bits, Payload};
 use crate::mst::{minimum_spanning_tree_sharded, MstConfig, MstOutput};
-use crate::session::{Cluster, Mst, Problem, RepMst};
+use crate::session::{Cluster, Problem, RepMst};
 use kgraph::graph::Edge;
 use kgraph::unionfind::UnionFind;
 use kgraph::{Graph, Partition, ShardedGraph};
@@ -54,7 +54,7 @@ impl Problem for RepMst {
     }
 
     fn config_from(d: &EngineConfig) -> MstConfig {
-        Mst::config_from(d)
+        d.clone()
     }
 
     /// The model's random *edge* partition is realized by a public hash of

@@ -260,21 +260,6 @@ mod tests {
             with.sketch_builds,
             with.sketch_cache_hits
         );
-        // The ablation rebuilds everything every phase — and still matches
-        // the oracle (both paths are checked by `check`).
-        let cfg = ConnectivityConfig {
-            sketch_reuse_period: 0,
-            ..ConnectivityConfig::default()
-        };
-        let cluster = Cluster::builder(4).seed(29).ingest_graph(&g);
-        let without = cluster.run(Connectivity::with(cfg)).output;
-        assert_eq!(without.sketch_cache_hits, 0);
-        assert_eq!(
-            without.component_count(),
-            refalgo::component_count(&g),
-            "reuse-disabled ablation must also be correct"
-        );
-        assert!(without.sketch_builds >= with.sketch_builds);
     }
 
     #[test]

@@ -75,12 +75,11 @@ use kmachine::bsp::Bsp;
 use kmachine::det;
 use kmachine::metrics::CommStats;
 use kmachine::network::NetworkConfig;
-use kmachine::trace::{phase_breakdown, TraceEvent, Tracer};
+use kmachine::trace::{phase_breakdown, Stopwatch, TraceEvent, Tracer};
 use krand::shared::SharedRandomness;
 use ksketch::{L0Sketch, SketchFns, SketchParams};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// Sketch-function tag of the dynamic incidence sketches: disjoint from
 /// every engine tag (`phase·64 + iter` elimination tags and the `2³⁰`-based
@@ -361,10 +360,6 @@ pub struct DynConfig {
     /// half-edge count reaches this bound (solves always compact first, so
     /// this only limits storage between solves).
     pub compaction_threshold: usize,
-    /// Run the sketch certification exchange after every incremental
-    /// re-solve (one superstep of per-label incidence-sketch sums; a
-    /// non-zero sum escalates to a full re-solve).
-    pub certify: bool,
     /// Deterministic fault plan applied to the dynamic layer's own
     /// supersteps (update routing and certification); solves carry their
     /// plan in their [`ConnectivityConfig`]/[`MstConfig`]. Masked by the
@@ -381,7 +376,6 @@ impl Default for DynConfig {
     fn default() -> Self {
         DynConfig {
             compaction_threshold: 1024,
-            certify: true,
             faults: None,
             trace: Tracer::off(),
         }
@@ -454,16 +448,10 @@ type MstPendingNet = (Option<u64>, Option<u64>);
 /// forest choice): maintained structure is only reusable under the same
 /// key — a solve with different knobs forces a full refresh. Bandwidth,
 /// cost model and the §2.2 charge only affect accounting, not answers.
-type TrajectoryKey = (u32, crate::engine::MergeStrategy, u32, Option<u32>, bool);
+type TrajectoryKey = (u32, crate::engine::MergeStrategy, Option<u32>, bool);
 
 fn trajectory_key(ecfg: &EngineConfig) -> TrajectoryKey {
-    (
-        ecfg.reps,
-        ecfg.merge,
-        ecfg.sketch_reuse_period,
-        ecfg.max_phases,
-        ecfg.contract,
-    )
+    (ecfg.reps, ecfg.merge, ecfg.max_phases, ecfg.contract)
 }
 
 /// Everything a structure refresh produced (the solve-facing slice of an
@@ -675,12 +663,7 @@ impl DynamicCluster {
                 state.touched.insert(state.labels[v as usize]);
             }
         }
-        let mut bsp: Bsp<Payload> = Bsp::new(self.network());
-        crate::engine::attach_transport(&mut bsp, self.inner.defaults().transport, self.k());
-        bsp.set_tracer(self.cfg.trace.clone());
-        if let Some(plan) = self.cfg.faults.clone() {
-            bsp.install_faults(plan, true);
-        }
+        let mut bsp = self.dyn_bsp(self.inner.defaults());
         bsp.superstep(envelopes);
         let stats = bsp.into_stats();
         self.epoch_rounds += stats.rounds;
@@ -742,11 +725,11 @@ impl DynamicCluster {
     /// [`crate::session::Connectivity`] on the mutated edge set.
     ///
     /// The maintained structure is keyed by the trajectory-shaping knobs
-    /// (`reps`, `merge`, `sketch_reuse_period`, `max_phases`): solving
+    /// (`reps`, `merge`, `max_phases`, `contract`): solving
     /// with different knobs than the previous solve forces a full refresh
     /// instead of splicing answers from two different merge histories.
     pub fn connectivity(&mut self, cfg: &ConnectivityConfig) -> Run<ConnectivityOutput> {
-        let started = Instant::now();
+        let started = Stopwatch::start();
         let mark = self.cfg.trace.mark();
         let ecfg = EngineConfig {
             run_output_protocol: false,
@@ -784,21 +767,11 @@ impl DynamicCluster {
     /// [`crate::session::SpanningForest`] on the mutated edge set. Keyed
     /// by the same trajectory knobs as [`DynamicCluster::connectivity`].
     pub fn spanning_forest(&mut self, cfg: &MstConfig) -> Run<SpanningForestOutput> {
-        let started = Instant::now();
+        let started = Stopwatch::start();
         let mark = self.cfg.trace.mark();
         let ecfg = EngineConfig {
-            bandwidth: cfg.bandwidth,
-            reps: cfg.reps,
-            charge_shared_randomness: cfg.charge_shared_randomness,
             run_output_protocol: false,
-            max_phases: cfg.max_phases,
-            faults: cfg.faults.clone(),
-            recovery: cfg.recovery,
-            contract: cfg.contract,
-            encoding: cfg.encoding,
-            transport: cfg.transport,
-            trace: cfg.trace.clone(),
-            ..EngineConfig::default()
+            ..cfg.clone()
         };
         let r = self.refresh(ecfg);
         let report = self.report("st", &r, started, mark);
@@ -843,23 +816,9 @@ impl DynamicCluster {
     /// the incremental path `edges_per_machine` reports the maintained
     /// forest's distribution over the `u`-endpoint homes.
     pub fn mst(&mut self, cfg: &MstConfig) -> Run<crate::mst::MstOutput> {
-        let started = Instant::now();
+        let started = Stopwatch::start();
         let mark = self.cfg.trace.mark();
         self.compact_now();
-        let ecfg = EngineConfig {
-            bandwidth: cfg.bandwidth,
-            reps: cfg.reps,
-            charge_shared_randomness: cfg.charge_shared_randomness,
-            run_output_protocol: false,
-            max_phases: cfg.max_phases,
-            faults: cfg.faults.clone(),
-            recovery: cfg.recovery,
-            contract: cfg.contract,
-            encoding: cfg.encoding,
-            transport: cfg.transport,
-            trace: cfg.trace.clone(),
-            ..EngineConfig::default()
-        };
         // Net out the update log: an edge whose current weight equals its
         // weight at the last MST solve contributes nothing (insert-then-
         // delete, delete-then-reinsert at the same weight, …).
@@ -896,7 +855,7 @@ impl DynamicCluster {
                     None,
                 )
             }
-            Some(state) => self.mst_incremental(state, net_deletes, net_inserts, cfg, &ecfg, mark),
+            Some(state) => self.mst_incremental(state, net_deletes, net_inserts, cfg, mark),
             None => self.mst_full(cfg),
         };
         let report = self.report("mst", &r, started, mark);
@@ -950,7 +909,6 @@ impl DynamicCluster {
         net_deletes: Vec<Edge>,
         net_inserts: Vec<Edge>,
         cfg: &MstConfig,
-        ecfg: &EngineConfig,
         mark: usize,
     ) -> (Refresh, Option<CommStats>) {
         let (n, k) = (self.n(), self.k());
@@ -1093,7 +1051,7 @@ impl DynamicCluster {
                     replies.push(reply.envelope(owner, COORDINATOR, l, l));
                 }
             }
-            let mut bsp = self.dyn_bsp(ecfg);
+            let mut bsp = self.dyn_bsp(cfg);
             bsp.superstep(route);
             let _ = bsp.take_all_inboxes();
             bsp.superstep(replies);
@@ -1122,7 +1080,7 @@ impl DynamicCluster {
                 other_set: FxHashSet<u32>,
                 del: Edge,
             }
-            let mut bsp = self.dyn_bsp(ecfg);
+            let mut bsp = self.dyn_bsp(cfg);
             let mut sketch_env = Vec::new();
             let mut plans = Vec::new();
             for del in tier_cut {
@@ -1262,13 +1220,14 @@ impl DynamicCluster {
                 .iter()
                 .map(|lab| engine_label_set.contains(lab))
                 .collect();
-            let mut engine = Engine::new(self.inner.sharded(), Mode::Mst, self.inner.seed(), {
-                let mut c = ecfg.clone();
-                // Contraction densifies label ids but the MST is unique
-                // either way; the restricted run keeps the plain path.
-                c.contract = false;
-                c
-            });
+            // Contraction densifies label ids but the MST is unique either
+            // way; the restricted run keeps the plain path.
+            let ecfg = EngineConfig {
+                run_output_protocol: false,
+                contract: false,
+                ..cfg.clone()
+            };
+            let mut engine = Engine::new(self.inner.sharded(), Mode::Mst, self.inner.seed(), ecfg);
             engine.restrict(&mask);
             let result = engine.run();
             stats.absorb(&result.stats);
@@ -1298,21 +1257,9 @@ impl DynamicCluster {
             .collect();
         let active_count = affected.iter().filter(|&&a| a).count();
         self.mst_state = Some(MstDynState { forest, labels });
-        let certified = if self.cfg.certify {
-            let st = self.mst_state.as_ref().expect("state was just set");
-            let fresh_labels: FxHashSet<Label> = st
-                .labels
-                .iter()
-                .zip(&affected)
-                .filter(|&(_, &a)| a)
-                .map(|(&lab, _)| lab)
-                .collect();
-            let (ok, cert_stats) = self.certify(&fresh_labels, &st.labels, ecfg);
-            stats.absorb(&cert_stats);
-            ok
-        } else {
-            true
-        };
+        let st = self.mst_state.as_ref().expect("state was just set");
+        let (certified, cert_stats) = self.certify(&affected, &st.labels, cfg);
+        stats.absorb(&cert_stats);
         if !certified {
             // Same escape hatch as the connectivity path: record the
             // aborted attempt as a rolled-back breakdown span and
@@ -1460,19 +1407,8 @@ impl DynamicCluster {
                     .filter(|e| !mask[e.u as usize])
                     .collect();
                 let forest = splice_forest(&result.mst_edges, survivors);
-                let certified = if self.cfg.certify {
-                    let fresh_labels: FxHashSet<Label> = labels
-                        .iter()
-                        .zip(&mask)
-                        .filter(|&(_, &a)| a)
-                        .map(|(&lab, _)| lab)
-                        .collect();
-                    let (ok, cert_stats) = self.certify(&fresh_labels, &labels, &ecfg);
-                    stats.absorb(&cert_stats);
-                    ok
-                } else {
-                    true
-                };
+                let (certified, cert_stats) = self.certify(&mask, &labels, &ecfg);
+                stats.absorb(&cert_stats);
                 self.state = Some(DynState {
                     labels,
                     forest,
@@ -1525,22 +1461,29 @@ impl DynamicCluster {
         }
     }
 
-    /// The certification exchange: every machine sums the incidence
-    /// sketches of its home vertices per refreshed label and ships the sum
-    /// to the label's referee — the home machine of the canonical
-    /// representative (labels *are* vertex ids). Linearity cancels intra-
-    /// component edges exactly, so each referee sees zero iff its label
-    /// class has no outgoing edge; the per-machine verdicts are OR-reduced
-    /// at the coordinator with 1-bit flags.
+    /// The certification exchange, run after every incremental re-solve:
+    /// every machine sums the incidence sketches of its home vertices per
+    /// refreshed label (one that some `refreshed[v]` vertex carries) and
+    /// ships the sum to the label's referee — the home machine of the
+    /// canonical representative (labels *are* vertex ids). Linearity
+    /// cancels intra-component edges exactly, so each referee sees zero iff
+    /// its label class has no outgoing edge; the per-machine verdicts are
+    /// OR-reduced at the coordinator with 1-bit flags.
     fn certify(
         &self,
-        fresh_labels: &FxHashSet<Label>,
+        refreshed: &[bool],
         labels: &[Label],
-        ecfg: &EngineConfig,
+        cfg: &EngineConfig,
     ) -> (bool, CommStats) {
+        let fresh_labels: FxHashSet<Label> = labels
+            .iter()
+            .zip(refreshed)
+            .filter(|&(_, &r)| r)
+            .map(|(&lab, _)| lab)
+            .collect();
         let k = self.k();
         let l = id_bits(self.n());
-        let mut bsp = self.dyn_bsp(ecfg);
+        let mut bsp = self.dyn_bsp(cfg);
         let mut envelopes = Vec::new();
         for (i, per_machine) in self.sketches.iter().enumerate() {
             let mut agg: FxHashMap<Label, L0Sketch> = FxHashMap::default();
@@ -1598,9 +1541,10 @@ impl DynamicCluster {
         (!bad, stats)
     }
 
-    /// A superstep runner for the dynamic layer's own exchanges
-    /// (certification, cycle replacement, replacement-edge search): the
-    /// solve's network/encoding/transport envelope, the dynamic tracer,
+    /// A superstep runner for the dynamic layer's own exchanges (update
+    /// routing, under the cluster defaults; certification, cycle
+    /// replacement, replacement-edge search, under the solve's config): its
+    /// network/encoding/transport envelope, the dynamic tracer,
     /// and the dynamic layer's fault plan — so chaos plans exercise these
     /// supersteps through the same reliable delivery as the engine's.
     fn dyn_bsp(&self, ecfg: &EngineConfig) -> Bsp<Payload> {
@@ -1631,7 +1575,7 @@ impl DynamicCluster {
         &mut self,
         problem: &'static str,
         r: &Refresh,
-        started: Instant,
+        started: Stopwatch,
         mark: usize,
     ) -> RunReport {
         // Bracketing the whole solve with the dynamic tracer yields a

@@ -32,18 +32,16 @@
 //! directly.
 //!
 //! **Incremental sketch reuse** (DESIGN.md §3.7): the iteration-0 sketch
-//! functions are re-derived only once per *epoch* of
-//! [`EngineConfig::sketch_reuse_period`] phases, so a part whose component
-//! label did not change since its sketch was built resends its cached
-//! sketch instead of re-hashing every incident edge. Relabels invalidate
+//! functions are re-derived only once per *epoch* of `SKETCH_REUSE_PERIOD`
+//! phases, so a part whose component label did not change since its sketch
+//! was built resends its cached sketch instead of re-hashing every
+//! incident edge. Relabels invalidate
 //! exactly the parts they touch; epoch rollover invalidates everything
 //! (fresh randomness bounds any correlation between a failed sample and
 //! later phases). Sketches themselves are still *sent* every phase at full
 //! wire cost; what is amortized is the local rebuild work (the hot path)
 //! **and** the §2.2 `Θ(log² n)`-bit function-seed distribution charge,
 //! which is paid once per epoch — reused functions need no redistribution.
-//! Set [`EngineConfig::sketch_reuse_period`] to `0` to recover the
-//! per-phase charging and rebuilds of the pre-sharding design.
 //!
 //! All communication flows through [`kmachine::Bsp`], so every round and
 //! bit is accounted exactly as in the paper's Lemma-1 analysis.
@@ -57,10 +55,10 @@
 //! crashed machine re-reads its shard from durable storage
 //! ([`kgraph::ShardedGraph::rebuild_shard`]), and the interrupted phase is
 //! re-entered — replaying the exact fault-free trajectory, so outputs are
-//! bit-identical to the fault-free run ([`RecoveryPolicy`],
-//! `tests/chaos.rs`).
+//! bit-identical to the fault-free run (`tests/chaos.rs`).
 
 use crate::messages::{id_bits, EdgeKey, Label, Payload};
+use crate::mst::OutputCriterion;
 use crate::proxy::ProxyScheme;
 use kgraph::ShardedGraph;
 use kmachine::bandwidth::Bandwidth;
@@ -107,105 +105,57 @@ pub enum MergeStrategy {
     CoinFlip,
 }
 
-/// Default epoch length (in phases) for iteration-0 sketch-function reuse.
-pub const DEFAULT_SKETCH_REUSE_PERIOD: u32 = 4;
+/// Epoch length (in phases) of iteration-0 sketch-function reuse.
+const SKETCH_REUSE_PERIOD: u32 = 4;
 
-/// How the engine survives an injected [`FaultPlan`] (DESIGN.md §3.10).
-///
-/// Two independent mechanisms, both on by default:
-///
-/// * **Ack/retransmit** — every superstep runs the
-///   [`kmachine::bsp::Bsp`] reliable-delivery protocol, masking message
-///   drops/duplicates/reorders/delays at the cost of `retransmit_bits`
-///   and `recovery_rounds`. Disabling it lets the plan's faults through
-///   verbatim (the ablation showing recovery is load-bearing — runs may
-///   then diverge or panic on missing state).
-/// * **Phase checkpoints** — labels, emitted forest edges and the
-///   sketch-function epoch are snapshotted at every Borůvka phase
-///   boundary; when a machine crash fires mid-phase, the crashed
-///   machine's graph shard is re-read from durable storage
-///   ([`kgraph::ShardedGraph::rebuild_shard`]), every machine rolls back
-///   to the checkpoint, and the engine re-enters the interrupted phase —
-///   replaying the exact trajectory of the fault-free run, so outputs
-///   stay bit-identical. Disabling it degrades crash events to
-///   message-level faults only (in-flight loss, still masked by
-///   ack/retransmit).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RecoveryPolicy {
-    /// Run the per-superstep ack/retransmit protocol on lossy links.
-    pub ack_retransmit: bool,
-    /// Checkpoint at phase boundaries and re-enter a crashed phase.
-    pub phase_checkpoints: bool,
-    /// How many times one phase may be re-entered after crashes before
-    /// the run gives up (a plan can schedule several crashes into the
-    /// same phase; each event fires once, so retries are bounded by the
-    /// plan — this is the safety valve).
-    pub max_phase_retries: u32,
-}
+/// How many times one phase may be re-entered after crashes before the run
+/// gives up. Each crash event fires once, so retries are bounded by the
+/// plan — this is the safety valve.
+const MAX_PHASE_RETRIES: u32 = 8;
 
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            ack_retransmit: true,
-            phase_checkpoints: true,
-            max_phase_retries: 8,
-        }
-    }
-}
-
-/// Engine configuration shared by connectivity and MST.
+/// The run configuration of every engine-backed problem — connectivity,
+/// MST, spanning forest, min cut, REP-MST and the dynamic layer's solves
+/// all take this one struct (`ConnectivityConfig`, `MstConfig` and
+/// `MinCutConfig` are aliases of it). DESIGN.md §3.15 tabulates each
+/// knob's default, its reader, and what exercises a non-default value.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Per-link bandwidth policy.
     pub bandwidth: Bandwidth,
     /// Sketch repetitions (failure probability decays exponentially).
     pub reps: u32,
-    /// Charge the §2.2 shared-randomness distribution cost (E15 ablation).
+    /// Charge the §2.2 shared-randomness distribution cost.
     pub charge_shared_randomness: bool,
-    /// Run the §2.6 component-counting output protocol at the end.
+    /// Run the §2.6 component-counting output protocol at the end. Read by
+    /// connectivity only: the forest problems never run it and min cut's
+    /// probes always do.
     pub run_output_protocol: bool,
-    /// Hard phase cap; defaults to the paper's `12 log₂ n`.
+    /// Hard phase cap; `None` is the paper's `12 log₂ n`.
     pub max_phases: Option<u32>,
     /// Merge-partner selection rule (§2.5 vs footnote 9).
     pub merge: MergeStrategy,
     /// Which §1.1 communication restriction to charge rounds under.
     pub cost_model: kmachine::bandwidth::CostModel,
-    /// How many phases share one set of iteration-0 sketch functions, so
-    /// unchanged parts can reuse their cached sketches. `0` disables reuse
-    /// (fresh functions and full rebuilds every phase — the pre-sharding
-    /// behaviour, kept as an ablation).
-    pub sketch_reuse_period: u32,
-    /// Deterministic fault-injection plan the run must survive (`None`
-    /// keeps the historical fault-free behaviour bit for bit).
+    /// Deterministic fault-injection plan the run must survive
+    /// (DESIGN.md §3.10). Always installed reliable; phase checkpoints
+    /// are armed whenever the plan schedules a crash.
     pub faults: Option<FaultPlan>,
-    /// How injected faults are survived (see [`RecoveryPolicy`]).
-    pub recovery: RecoveryPolicy,
-    /// Supergraph contraction (DESIGN.md §3.11): after phase 0's merges,
-    /// contract each component to an explicit supernode, drop
-    /// intra-component edges, dedup multi-edges keeping the lightest (the
-    /// original endpoints ride along so MST output stays exact), and run
-    /// later phases on the contracted edge set with `⌈log₂ n'⌉`-bit
-    /// labels. Contracted phases compute exact local MWOEs — no sketches —
-    /// so the paper's sketch-based path (the default, `false`) is the
-    /// ablation that keeps the Õ(n/k²) analysis pinned.
+    /// Supergraph contraction after phase 0 (DESIGN.md §3.11): later
+    /// phases compute exact local MWOEs on the deduped supergraph with
+    /// `⌈log₂ n'⌉`-bit labels — same outputs, no sketches.
     pub contract: bool,
-    /// Which wire encoding the superstep layer charges bandwidth under
-    /// (per-message [`Encoding::Naive`], the historical default, or
-    /// per-link batch [`Encoding::Varint`]). Changes only the charged
-    /// sizes, never the trajectory or outputs.
+    /// Wire encoding the superstep layer charges bandwidth under.
+    /// Accounting only — never the trajectory or outputs.
     pub encoding: Encoding,
-    /// Which byte transport carries each superstep window (DESIGN.md
-    /// §3.12): the in-process simulator (default — the accounting oracle)
-    /// or one OS worker process per machine exchanging frames over
-    /// Unix-domain sockets. Outputs and logical [`CommStats`] are
-    /// transport-independent (pinned by `tests/transport.rs`); only the
-    /// physical byte counters differ.
+    /// Byte transport carrying each superstep window (DESIGN.md §3.12).
+    /// Outputs and logical [`CommStats`] are transport-independent.
     pub transport: TransportSel,
-    /// Structured event tracer (DESIGN.md §3.14). Off by default; when on,
-    /// the engine narrates setup/phase/rollback/output segments and the
-    /// superstep layer narrates per-superstep loads and fault waves into
-    /// the shared logical stream. Never changes outputs or [`CommStats`].
+    /// Structured event tracer (DESIGN.md §3.14). Never changes outputs
+    /// or [`CommStats`].
     pub trace: Tracer,
+    /// Which Theorem 2 output criterion MST satisfies. Read by the MST
+    /// problems only.
+    pub criterion: OutputCriterion,
 }
 
 impl Default for EngineConfig {
@@ -218,13 +168,12 @@ impl Default for EngineConfig {
             max_phases: None,
             merge: MergeStrategy::Drr,
             cost_model: Default::default(),
-            sketch_reuse_period: DEFAULT_SKETCH_REUSE_PERIOD,
             faults: None,
-            recovery: RecoveryPolicy::default(),
             contract: false,
             encoding: Encoding::Naive,
             transport: TransportSel::Sim,
             trace: Tracer::off(),
+            criterion: OutputCriterion::AnyMachine,
         }
     }
 }
@@ -518,7 +467,7 @@ impl<'g> Engine<'g> {
         };
         let mut bsp = Bsp::new(net);
         if let Some(plan) = cfg.faults.clone() {
-            bsp.install_faults(plan, cfg.recovery.ack_retransmit);
+            bsp.install_faults(plan, true);
         }
         attach_transport(&mut bsp, cfg.transport, k);
         bsp.set_tracer(cfg.trace.clone());
@@ -636,12 +585,11 @@ impl<'g> Engine<'g> {
         // crashed phase can be rolled back and re-entered. Only armed when
         // the plan actually schedules crashes — message-level faults are
         // fully masked inside the superstep layer and need no checkpoints.
-        let recovery_on = self.cfg.recovery.phase_checkpoints
-            && self
-                .cfg
-                .faults
-                .as_ref()
-                .is_some_and(|f| !f.crashes.is_empty());
+        let recovery_on = self
+            .cfg
+            .faults
+            .as_ref()
+            .is_some_and(|f| !f.crashes.is_empty());
         // Once every scheduled crash superstep lies in the past no rollback
         // can ever be needed: stop refreshing the (O(n)-clone) checkpoint.
         let last_crash_superstep = self
@@ -680,12 +628,11 @@ impl<'g> Engine<'g> {
                 contracted,
             });
             let mut progressed = self.run_phase(p);
-            if !progressed && p >= 1 && self.cfg.sketch_reuse_period != 0 && !self.contracted {
-                // Termination guard (reuse epochs only): with cached
-                // iteration-0 functions a failed Monte-Carlo sample would
-                // repeat identically next phase, so "no outgoing edge
-                // anywhere" must be confirmed once with fresh functions
-                // before the run may stop.
+            if !progressed && p >= 1 && !self.contracted {
+                // Termination guard: with cached iteration-0 functions a
+                // failed Monte-Carlo sample would repeat identically next
+                // phase, so "no outgoing edge anywhere" must be confirmed
+                // once with fresh functions before the run may stop.
                 self.epoch_salt += 1;
                 self.cached_fns = None;
                 for st in &mut self.machines {
@@ -712,9 +659,8 @@ impl<'g> Engine<'g> {
                 // absolute superstep), so retries terminate.
                 retries += 1;
                 assert!(
-                    retries <= self.cfg.recovery.max_phase_retries,
-                    "phase {p} was re-entered {retries} times after crashes \
-                     (RecoveryPolicy::max_phase_retries)"
+                    retries <= MAX_PHASE_RETRIES,
+                    "phase {p} was re-entered {retries} times after crashes"
                 );
                 let crashed = self.bsp.crashed_since(crash_mark);
                 self.phase_components.truncate(comp_mark);
@@ -926,9 +872,7 @@ impl<'g> Engine<'g> {
         // unchanged parts can serve their cached sketches.
         let mut iter = 0u32;
         let fns = self.iter0_fns(p);
-        self.build_and_send_sketches(
-            p, &fns, /*only_thresholded=*/ false, /*cacheable=*/ true,
-        );
+        self.build_and_send_sketches(p, &fns, /*only_thresholded=*/ false);
         self.proxy_merge_sketches(p, &fns);
         self.probe_candidates(p);
         if self.mode != Mode::Mst {
@@ -963,9 +907,7 @@ impl<'g> Engine<'g> {
             // cacheable.
             let fns = self.sketch_fns(p, iter);
             self.charge_fns_distribution(&fns);
-            self.build_and_send_sketches(
-                p, &fns, /*only_thresholded=*/ true, /*cacheable=*/ false,
-            );
+            self.build_and_send_sketches(p, &fns, /*only_thresholded=*/ true);
             self.proxy_merge_sketches(p, &fns);
             self.probe_candidates(p);
         }
@@ -1022,22 +964,18 @@ impl<'g> Engine<'g> {
     }
 
     /// Tag of the iteration-0 sketch functions for phase `p ≥ 1`: one tag
-    /// per (reuse epoch, termination-guard salt), or the per-phase tag when
-    /// reuse is disabled.
+    /// per (reuse epoch, termination-guard salt).
     fn iter0_tag(&self, p: u32) -> u32 {
         /// Disjoint from every `p * 64 + iter` elimination tag.
         const EPOCH_TAG_BASE: u32 = 1 << 30;
-        match self.cfg.sketch_reuse_period {
-            0 => p * 64,
-            period => EPOCH_TAG_BASE + ((p - 1) / period) * 1024 + self.epoch_salt,
-        }
+        EPOCH_TAG_BASE + ((p - 1) / SKETCH_REUSE_PERIOD) * 1024 + self.epoch_salt
     }
 
     /// The iteration-0 sketch functions for phase `p`, reusing the cached
-    /// epoch functions when the tag matches. On epoch rollover (or with
-    /// reuse disabled) derives fresh functions, charges their §2.2
-    /// distribution cost, and drops every cached part sketch — stale
-    /// sketches from old functions must never be merged with new ones.
+    /// epoch functions when the tag matches. On epoch rollover derives
+    /// fresh functions, charges their §2.2 distribution cost, and drops
+    /// every cached part sketch — stale sketches from old functions must
+    /// never be merged with new ones.
     fn iter0_fns(&mut self, p: u32) -> Arc<SketchFns> {
         let tag = self.iter0_tag(p);
         if let Some((t, fns)) = &self.cached_fns {
@@ -1066,23 +1004,16 @@ impl<'g> Engine<'g> {
 
     /// Builds part sketches and sends them to proxies. With
     /// `only_thresholded`, only parts that received an elimination threshold
-    /// participate, and their sketches keep only edges strictly below it.
-    /// With `cacheable` (the iteration-0 epoch-function path), unfiltered
-    /// part sketches are served from / inserted into the per-machine cache.
-    fn build_and_send_sketches(
-        &mut self,
-        p: u32,
-        fns: &SketchFns,
-        only_thresholded: bool,
-        cacheable: bool,
-    ) {
+    /// participate, and their sketches keep only edges strictly below it;
+    /// otherwise (the iteration-0 epoch-function path) unfiltered part
+    /// sketches are served from / inserted into the per-machine cache.
+    fn build_and_send_sketches(&mut self, p: u32, fns: &SketchFns, only_thresholded: bool) {
         let g = self.g;
         let part = self.g.partition();
         let scheme = &self.scheme;
         let l = self.l;
         let lw = self.lw;
         let params = self.params;
-        let use_cache = cacheable && self.cfg.sketch_reuse_period != 0;
         let mut machines = std::mem::take(&mut self.machines);
         par_for_each_state(&mut machines, |id, st| {
             let view = g.view(id);
@@ -1113,7 +1044,7 @@ impl<'g> Engine<'g> {
                     }
                     sk
                 };
-                let sk = if use_cache && thr.is_none() {
+                let sk = if !only_thresholded && thr.is_none() {
                     if let Some(cached) = st.part_cache.get(&label) {
                         st.sketch_cache_hits += 1;
                         cached.clone()
@@ -1568,15 +1499,12 @@ impl<'g> Engine<'g> {
     /// re-homes every supernode to `home(dense id)`. Protocol: per-machine
     /// supernode counts to M0; M0 replies with each machine's contiguous
     /// base block and the new label-space size; each machine assigns
-    /// `dense = base + rank` by sorted old label, announces the rename to
-    /// every neighbor's owner (symmetric adjacency guarantees each owner
-    /// hears about exactly the labels in its adjacency lists) and the
-    /// vertex-space relabel to the hosting machines — all *before* any
-    /// state moves — then ships each supernode to its dense home. The
-    /// whole exchange is charged at the pre-densification label width;
-    /// `lw` shrinks to `⌈log₂ n'⌉` only once the new space is live.
+    /// `dense = base + rank` by sorted old label, and
+    /// [`Engine::rename_and_move`] announces the renames and ships each
+    /// supernode to its dense home. The whole exchange is charged at the
+    /// pre-densification label width; `lw` shrinks to `⌈log₂ n'⌉` only once
+    /// the new space is live.
     fn densify_and_rehome(&mut self, _p: u32) {
-        let part = self.g.partition();
         let l = self.l;
         let lw = self.lw;
         let k = self.k;
@@ -1609,11 +1537,11 @@ impl<'g> Engine<'g> {
             }
         }
         self.flush();
-        // Superstep C: assign dense ids, announce renames (supergraph and
-        // vertex space) under the old homes.
+        // Every machine assigns `dense = base + rank` by sorted old label;
+        // every supernode is renamed, so every supernode moves.
         let mut total = 0u64;
-        let mut machines = std::mem::take(&mut self.machines);
-        for st in &mut machines {
+        let mut renames = Vec::with_capacity(k);
+        for st in &mut self.machines {
             let mut base = 0u64;
             for env in std::mem::take(&mut st.inbox) {
                 if let Payload::DenseBase { base: b, total: t } = env.payload {
@@ -1622,78 +1550,9 @@ impl<'g> Engine<'g> {
                 }
             }
             let labs: Vec<Label> = det::sorted_keys(&st.supers);
-            let mut out = Vec::new();
-            for (rank, &old) in labs.iter().enumerate() {
-                let new = base + rank as u64;
-                let node = &st.supers[&old];
-                let mut dsts: Vec<usize> = det::sorted_keys(&node.adj)
-                    .into_iter()
-                    .map(|nb| part.home(nb as u32))
-                    .collect();
-                dsts.push(st.id); // our own adjacency lists rename too
-                dsts.sort_unstable();
-                dsts.dedup();
-                for dst in dsts {
-                    out.push(Payload::SuperRelabel { old, new }.envelope(st.id, dst, l, lw));
-                }
-                for &m in &node.parts {
-                    out.push(Payload::Relabel { old, new }.envelope(st.id, m as usize, l, lw));
-                }
-            }
-            st.outbox.extend(out);
+            renames.push(labs.into_iter().zip(base..).collect());
         }
-        self.machines = machines;
-        self.flush();
-        // Superstep D: apply the renames, then ship every supernode to its
-        // dense home.
-        let mut machines = std::mem::take(&mut self.machines);
-        par_for_each_state(&mut machines, |id, st| {
-            let (smap, vmap) = drain_rename_maps(st);
-            det::for_each_value_mut(&mut st.labels, |lab| {
-                if let Some(&nl) = vmap.get(lab) {
-                    *lab = nl;
-                }
-            });
-            let mut items: Vec<(Label, SuperNode)> =
-                std::mem::take(&mut st.supers).into_iter().collect();
-            items.sort_unstable_by_key(|(lab, _)| *lab);
-            let mut out = Vec::new();
-            for (old, node) in items {
-                let new = smap[&old];
-                let renamed = rename_adj(node, &smap);
-                let adj: Vec<(Label, u64, u32, u32)> = det::sorted_entries(&renamed.adj)
-                    .into_iter()
-                    .map(|(nb, &(w, ou, ov))| (nb, w, ou, ov))
-                    .collect();
-                let payload = Payload::SuperMove {
-                    label: new,
-                    parts: renamed.parts,
-                    adj,
-                };
-                out.push(payload.envelope(id, part.home(new as u32), l, lw));
-            }
-            st.outbox.extend(out);
-        });
-        self.machines = machines;
-        self.flush();
-        par_for_each_state(&mut self.machines, |_, st| {
-            for env in std::mem::take(&mut st.inbox) {
-                if let Payload::SuperMove {
-                    label,
-                    parts,
-                    adj: moved_adj,
-                } = env.payload
-                {
-                    let node = st.supers.entry(label).or_default();
-                    for m in parts {
-                        node.add_part(m);
-                    }
-                    for (nb, w, ou, ov) in moved_adj {
-                        node.add_edge(nb, w, ou, ov);
-                    }
-                }
-            }
-        });
+        self.rename_and_move(renames);
         self.n_active = total.max(1) as usize;
         self.lw = id_bits(self.n_active);
     }
@@ -1704,7 +1563,7 @@ impl<'g> Engine<'g> {
     /// instrumentation as the sketch path, owner-routed pointer jumping run
     /// to *full* convergence (merges move supernode state, so relabeling to
     /// a non-root ancestor — harmless in the sketch path — would strand
-    /// state at a node that is itself moving), a two-stage rename-then-move
+    /// state at a node that is itself moving), a rename-then-move
     /// merge, and a re-densification so the next phase addresses
     /// `⌈log₂ n'⌉`-bit ids.
     fn run_super_phase(&mut self, p: u32) -> bool {
@@ -1756,25 +1615,14 @@ impl<'g> Engine<'g> {
         }
     }
 
-    /// Two-stage supergraph merge. Stage 1 travels among the *old* owners:
-    /// each merging supernode emits its output edge (original endpoints),
-    /// tells every neighbor's owner its root (`SuperRelabel`), and tells
-    /// its hosting machines the vertex-space relabel. Stage 2: every owner
-    /// rewrites its adjacency lists under the received renames — distinct
-    /// old keys may collapse onto one root and min-merge — and only then do
-    /// the merging supernodes ship their state to the root's owner. Stage
-    /// 3: roots absorb the moves and drop the self-loops the merge created
-    /// (edges whose two sides merged into the same root — exactly the
-    /// intra-component edges contraction discards).
+    /// Supergraph merge: each merging supernode emits its output edge
+    /// (original endpoints) and is renamed to its root — whose owner absorbs
+    /// its state — through [`Engine::rename_and_move`].
     fn super_merge(&mut self, _p: u32) {
-        let part = self.g.partition();
-        let l = self.l;
-        let lw = self.lw;
         let mode = self.mode;
-        let mut machines = std::mem::take(&mut self.machines);
-        par_for_each_state(&mut machines, |id, st| {
-            let mut out = Vec::new();
-            let mut emitted = Vec::new();
+        let mut renames = Vec::with_capacity(self.k);
+        for st in &mut self.machines {
+            let mut merging = Vec::new();
             for (label, c) in det::sorted_entries(&st.proxied) {
                 if c.parent.is_none() {
                     continue;
@@ -1783,11 +1631,41 @@ impl<'g> Engine<'g> {
                 debug_assert!(c.ptr != label, "a merging component cannot be its own root");
                 if mode != Mode::Connectivity {
                     if let Some(e) = c.chosen {
-                        emitted.push(e);
+                        st.mst_out.push(e);
                     }
                 }
-                let root = c.ptr;
-                let node = st.supers.get(&label).expect("merging supernode owned here");
+                merging.push((label, c.ptr));
+            }
+            renames.push(merging);
+        }
+        self.rename_and_move(renames);
+    }
+
+    /// The announce → rename → ship → absorb exchange behind both
+    /// [`Engine::super_merge`] (merging supernodes take their root's label)
+    /// and [`Engine::densify_and_rehome`] (every supernode takes its dense
+    /// id). `renames[m]` lists machine `m`'s `(old, new)` pairs for
+    /// supernodes it owns, in sorted `old` order. Superstep 1 travels among
+    /// the *old* owners: each renamed supernode tells every neighbor's
+    /// owner its new label (`SuperRelabel` — symmetric adjacency guarantees
+    /// each owner hears about exactly the labels in its adjacency lists)
+    /// and its hosting machines the vertex-space relabel — all *before* any
+    /// state moves. Superstep 2: every owner rewrites its adjacency lists
+    /// under the received renames — distinct old keys may collapse onto one
+    /// new label and min-merge — and only then do the renamed supernodes
+    /// ship their state to `home(new)`. Finally the new owners absorb the
+    /// moves and drop the self-loops a merge created (edges whose two sides
+    /// took the same label — exactly the intra-component edges contraction
+    /// discards).
+    fn rename_and_move(&mut self, renames: Vec<Vec<(Label, Label)>>) {
+        let part = self.g.partition();
+        let l = self.l;
+        let lw = self.lw;
+        let mut machines = std::mem::take(&mut self.machines);
+        par_for_each_state(&mut machines, |id, st| {
+            let mut out = Vec::new();
+            for &(old, new) in &renames[id] {
+                let node = st.supers.get(&old).expect("renamed supernode owned here");
                 let mut dsts: Vec<usize> = det::sorted_keys(&node.adj)
                     .into_iter()
                     .map(|nb| part.home(nb as u32))
@@ -1796,21 +1674,12 @@ impl<'g> Engine<'g> {
                 dsts.sort_unstable();
                 dsts.dedup();
                 for dst in dsts {
-                    let payload = Payload::SuperRelabel {
-                        old: label,
-                        new: root,
-                    };
-                    out.push(payload.envelope(id, dst, l, lw));
+                    out.push(Payload::SuperRelabel { old, new }.envelope(id, dst, l, lw));
                 }
                 for &m in &node.parts {
-                    let payload = Payload::Relabel {
-                        old: label,
-                        new: root,
-                    };
-                    out.push(payload.envelope(id, m as usize, l, lw));
+                    out.push(Payload::Relabel { old, new }.envelope(id, m as usize, l, lw));
                 }
             }
-            st.mst_out.extend(emitted);
             st.outbox.extend(out);
         });
         self.machines = machines;
@@ -1826,29 +1695,27 @@ impl<'g> Engine<'g> {
             let mut items: Vec<(Label, SuperNode)> =
                 std::mem::take(&mut st.supers).into_iter().collect();
             items.sort_unstable_by_key(|(lab, _)| *lab);
-            let mut keep: FxHashMap<Label, SuperNode> = FxHashMap::default();
             let mut out = Vec::new();
             for (old, node) in items {
                 let renamed = rename_adj(node, &smap);
                 match smap.get(&old) {
-                    Some(&root) => {
+                    Some(&new) => {
                         let adj: Vec<(Label, u64, u32, u32)> = det::sorted_entries(&renamed.adj)
                             .into_iter()
                             .map(|(nb, &(w, ou, ov))| (nb, w, ou, ov))
                             .collect();
                         let payload = Payload::SuperMove {
-                            label: root,
+                            label: new,
                             parts: renamed.parts,
                             adj,
                         };
-                        out.push(payload.envelope(id, part.home(root as u32), l, lw));
+                        out.push(payload.envelope(id, part.home(new as u32), l, lw));
                     }
                     None => {
-                        keep.insert(old, renamed);
+                        st.supers.insert(old, renamed);
                     }
                 }
             }
-            st.supers = keep;
             st.outbox.extend(out);
         });
         self.machines = machines;
@@ -1870,14 +1737,9 @@ impl<'g> Engine<'g> {
                     }
                 }
             }
-            let labs: Vec<Label> = det::sorted_keys(&st.supers);
-            for lab in labs {
-                st.supers
-                    .get_mut(&lab)
-                    .expect("just listed")
-                    .adj
-                    .remove(&lab);
-            }
+            det::for_each_entry_mut(&mut st.supers, |lab, node| {
+                node.adj.remove(&lab);
+            });
             st.proxied.clear();
         });
     }

@@ -49,7 +49,6 @@ pub mod verify;
 
 pub use connectivity::{ConnectivityConfig, ConnectivityOutput};
 pub use dynamic::{DynConfig, DynamicCluster, UpdateBatch, UpdateError, UpdateOp};
-pub use engine::RecoveryPolicy;
 pub use mincut::{MinCutConfig, MinCutOutput};
 pub use mst::{MstConfig, MstOutput, OutputCriterion};
 pub use session::{Cluster, ClusterBuilder, Problem, Run, RunReport};

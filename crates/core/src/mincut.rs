@@ -28,61 +28,18 @@
 //! assert!(ratio <= 4.0 * (g.n() as f64).log2());
 //! ```
 
-use crate::connectivity::{connected_components_sharded, ConnectivityConfig};
+use crate::connectivity::connected_components_sharded;
 use crate::engine::EngineConfig;
 use crate::session::{Cluster, MinCut, Problem};
 use kgraph::ShardedGraph;
-use kmachine::bandwidth::Bandwidth;
-use kmachine::message::Encoding;
 use kmachine::metrics::CommStats;
 use kmachine::trace::Tracer;
-use kmachine::transport::TransportSel;
 use krand::shared::{SharedRandomness, Use};
 
-/// Configuration for the min-cut approximation.
-#[derive(Clone, Debug)]
-pub struct MinCutConfig {
-    /// Per-link bandwidth policy.
-    pub bandwidth: Bandwidth,
-    /// Sketch repetitions for the inner connectivity runs.
-    pub reps: u32,
-    /// Charge the §2.2 shared-randomness distribution cost.
-    pub charge_shared_randomness: bool,
-    /// Deterministic fault-injection plan every connectivity probe must
-    /// survive (`None` — the default — keeps fault-free behaviour).
-    pub faults: Option<kmachine::fault::FaultPlan>,
-    /// How injected faults are survived (see
-    /// [`crate::engine::RecoveryPolicy`]).
-    pub recovery: crate::engine::RecoveryPolicy,
-    /// Supergraph contraction in the inner connectivity probes
-    /// (DESIGN.md §3.11; default `false`).
-    pub contract: bool,
-    /// Wire encoding the superstep layer charges bandwidth under (default
-    /// per-message [`Encoding::Naive`]). Accounting only.
-    pub encoding: Encoding,
-    /// Byte transport for the inner connectivity probes (default
-    /// [`TransportSel::Sim`]; see DESIGN.md §3.12).
-    pub transport: TransportSel,
-    /// Structured event tracer shared by all inner connectivity probes
-    /// (DESIGN.md §3.14; default off).
-    pub trace: Tracer,
-}
-
-impl Default for MinCutConfig {
-    fn default() -> Self {
-        MinCutConfig {
-            bandwidth: Bandwidth::default(),
-            reps: 5,
-            charge_shared_randomness: true,
-            faults: None,
-            recovery: crate::engine::RecoveryPolicy::default(),
-            contract: false,
-            encoding: Encoding::Naive,
-            transport: TransportSel::Sim,
-            trace: Tracer::off(),
-        }
-    }
-}
+/// Configuration for the min-cut approximation: the engine's knobs, handed
+/// to every inner connectivity probe (which always runs the §2.6 output
+/// protocol, whatever `run_output_protocol` says).
+pub type MinCutConfig = EngineConfig;
 
 /// The result of a min-cut approximation run.
 #[derive(Clone, Debug)]
@@ -107,17 +64,7 @@ impl Problem for MinCut {
     }
 
     fn config_from(d: &EngineConfig) -> MinCutConfig {
-        MinCutConfig {
-            bandwidth: d.bandwidth,
-            reps: d.reps,
-            charge_shared_randomness: d.charge_shared_randomness,
-            faults: d.faults.clone(),
-            recovery: d.recovery,
-            contract: d.contract,
-            encoding: d.encoding,
-            transport: d.transport,
-            trace: d.trace.clone(),
-        }
+        d.clone()
     }
 
     fn tracer(&self) -> Tracer {
@@ -131,18 +78,9 @@ impl Problem for MinCut {
         let (sg, seed, cfg) = (cluster.sharded(), cluster.seed(), &self.cfg);
         let k = sg.k();
         let shared = SharedRandomness::new(seed ^ 0xC07);
-        let conn_cfg = ConnectivityConfig {
-            bandwidth: cfg.bandwidth,
-            reps: cfg.reps,
-            charge_shared_randomness: cfg.charge_shared_randomness,
+        let conn_cfg = EngineConfig {
             run_output_protocol: true,
-            faults: cfg.faults.clone(),
-            recovery: cfg.recovery,
-            contract: cfg.contract,
-            encoding: cfg.encoding,
-            transport: cfg.transport,
-            trace: cfg.trace.clone(),
-            ..ConnectivityConfig::default()
+            ..cfg.clone()
         };
         let mut stats = CommStats::new(k);
         // Probe i = 0 is p = 1 (the input graph itself). Each machine knows its

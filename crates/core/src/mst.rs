@@ -33,13 +33,10 @@ use crate::messages::{id_bits, Payload};
 use crate::session::{Cluster, Mst, Problem};
 use kgraph::graph::Edge;
 use kgraph::ShardedGraph;
-use kmachine::bandwidth::Bandwidth;
 use kmachine::bsp::Bsp;
-use kmachine::message::Encoding;
 use kmachine::metrics::CommStats;
 use kmachine::network::NetworkConfig;
 use kmachine::trace::Tracer;
-use kmachine::transport::TransportSel;
 
 /// Which output criterion of Theorem 2 to satisfy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,58 +47,9 @@ pub enum OutputCriterion {
     BothEndpoints,
 }
 
-/// Configuration for an MST run.
-#[derive(Clone, Debug)]
-pub struct MstConfig {
-    /// Per-link bandwidth policy.
-    pub bandwidth: Bandwidth,
-    /// Sketch repetitions.
-    pub reps: u32,
-    /// Charge the §2.2 shared-randomness distribution cost.
-    pub charge_shared_randomness: bool,
-    /// Which Theorem 2 output criterion to satisfy.
-    pub criterion: OutputCriterion,
-    /// Optional hard phase cap.
-    pub max_phases: Option<u32>,
-    /// Deterministic fault-injection plan the run must survive (`None` —
-    /// the default — keeps the fault-free behaviour bit for bit).
-    pub faults: Option<kmachine::fault::FaultPlan>,
-    /// How injected faults are survived (see
-    /// [`crate::engine::RecoveryPolicy`]).
-    pub recovery: crate::engine::RecoveryPolicy,
-    /// Supergraph contraction after phase 0 (DESIGN.md §3.11; default
-    /// `false`). Contracted phases compute exact local MWOEs on the
-    /// deduped supergraph — the output forest is the same unique MST
-    /// (tie-free edge keys), reached without the elimination loop.
-    pub contract: bool,
-    /// Wire encoding the superstep layer charges bandwidth under (default
-    /// per-message [`Encoding::Naive`]). Accounting only.
-    pub encoding: Encoding,
-    /// Byte transport carrying each superstep window (default
-    /// [`TransportSel::Sim`], the in-process oracle; see DESIGN.md §3.12).
-    pub transport: TransportSel,
-    /// Structured event tracer (DESIGN.md §3.14; default off). Never
-    /// changes outputs or [`CommStats`].
-    pub trace: Tracer,
-}
-
-impl Default for MstConfig {
-    fn default() -> Self {
-        MstConfig {
-            bandwidth: Bandwidth::default(),
-            reps: 5,
-            charge_shared_randomness: true,
-            criterion: OutputCriterion::AnyMachine,
-            max_phases: None,
-            faults: None,
-            recovery: crate::engine::RecoveryPolicy::default(),
-            contract: false,
-            encoding: Encoding::Naive,
-            transport: TransportSel::Sim,
-            trace: Tracer::off(),
-        }
-    }
-}
+/// Configuration for an MST run: the engine's knobs, of which MST reads
+/// [`EngineConfig::criterion`] on top and ignores `run_output_protocol`.
+pub type MstConfig = EngineConfig;
 
 /// The result of an MST run.
 #[derive(Clone, Debug)]
@@ -133,19 +81,7 @@ impl Problem for Mst {
     }
 
     fn config_from(d: &EngineConfig) -> MstConfig {
-        MstConfig {
-            bandwidth: d.bandwidth,
-            reps: d.reps,
-            charge_shared_randomness: d.charge_shared_randomness,
-            criterion: OutputCriterion::AnyMachine,
-            max_phases: d.max_phases,
-            faults: d.faults.clone(),
-            recovery: d.recovery,
-            contract: d.contract,
-            encoding: d.encoding,
-            transport: d.transport,
-            trace: d.trace.clone(),
-        }
+        d.clone()
     }
 
     fn tracer(&self) -> Tracer {
@@ -174,20 +110,8 @@ pub(crate) fn minimum_spanning_tree_sharded(
     cfg: &MstConfig,
 ) -> MstOutput {
     let engine_cfg = EngineConfig {
-        bandwidth: cfg.bandwidth,
-        reps: cfg.reps,
-        charge_shared_randomness: cfg.charge_shared_randomness,
         run_output_protocol: false,
-        max_phases: cfg.max_phases,
-        merge: Default::default(),
-        cost_model: Default::default(),
-        faults: cfg.faults.clone(),
-        recovery: cfg.recovery,
-        contract: cfg.contract,
-        encoding: cfg.encoding,
-        transport: cfg.transport,
-        trace: cfg.trace.clone(),
-        ..EngineConfig::default()
+        ..cfg.clone()
     };
     let result = Engine::new(sg, Mode::Mst, seed, engine_cfg).run();
     let mut stats = result.stats.clone();

@@ -53,9 +53,9 @@ use kgraph::stream::EdgeStream;
 use kgraph::{Graph, Partition, ShardedGraph};
 use kmachine::bandwidth::Bandwidth;
 use kmachine::metrics::CommStats;
-use kmachine::trace::{PhaseSummary, Tracer};
+use kmachine::trace::{PhaseSummary, Stopwatch, Tracer};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 // ---------------------------------------------------------------------
 // Builder
@@ -180,7 +180,7 @@ impl Cluster {
     pub fn run<P: Problem>(&self, problem: P) -> Run<P::Output> {
         let trace = problem.tracer();
         let mark = trace.mark();
-        let started = Instant::now();
+        let started = Stopwatch::start();
         let output = problem.solve(self);
         let wall = started.elapsed();
         self.runs.fetch_add(1, Ordering::Relaxed);
@@ -455,6 +455,7 @@ pub struct RepMst {
 mod tests {
     use super::*;
     use kgraph::{generators, refalgo};
+    use kmachine::bandwidth::CostModel;
 
     #[test]
     fn cluster_reuse_matches_fresh_clusters() {
@@ -485,23 +486,75 @@ mod tests {
         assert_eq!(ra.report.stats.rounds, rb.report.stats.rounds);
     }
 
+    /// `run_default::<P>()` must equal `P::with(the cluster defaults)` and
+    /// must differ from a run that drops the cost model.
+    fn assert_defaults_arrive<P: Problem<Config = EngineConfig>>(cluster: &Cluster) {
+        let knobs = cluster.defaults().clone();
+        let per_link = EngineConfig {
+            cost_model: CostModel::PerLink,
+            ..knobs.clone()
+        };
+        let by_default = cluster.run_default::<P>().report.stats.rounds;
+        let explicit = cluster.run(P::with(knobs)).report.stats.rounds;
+        let dropped = cluster.run(P::with(per_link)).report.stats.rounds;
+        assert_eq!(by_default, explicit, "{}: defaults vs explicit", P::NAME);
+        assert_ne!(
+            by_default,
+            dropped,
+            "{}: the cost model never arrived",
+            P::NAME
+        );
+    }
+
     #[test]
     fn run_default_uses_builder_knobs() {
-        let g = generators::cycle(48);
-        let cluster = Cluster::builder(3)
+        let g = generators::randomize_weights(&generators::random_connected(160, 320, 3), 100, 4);
+        let cluster = Cluster::builder(4)
             .seed(5)
             .engine(EngineConfig {
                 bandwidth: Bandwidth::Bits(64),
+                cost_model: CostModel::PerMachine,
                 ..EngineConfig::default()
             })
             .ingest_graph(&g);
-        let by_default = cluster.run_default::<Connectivity>();
-        let explicit = cluster.run(Connectivity::with(ConnectivityConfig {
-            bandwidth: Bandwidth::Bits(64),
-            ..ConnectivityConfig::default()
-        }));
-        assert_eq!(by_default.output.labels, explicit.output.labels);
-        assert_eq!(by_default.report.stats.rounds, explicit.report.stats.rounds);
+        assert_defaults_arrive::<Connectivity>(&cluster);
+        assert_defaults_arrive::<Mst>(&cluster);
+        assert_defaults_arrive::<SpanningForest>(&cluster);
+        assert_defaults_arrive::<MinCut>(&cluster);
+    }
+
+    #[test]
+    fn engine_config_defaults_are_pinned() {
+        // Exhaustive on purpose (no `..`): a new knob cannot land without
+        // touching this pin and DESIGN.md §3.15's knob table.
+        let EngineConfig {
+            bandwidth,
+            reps,
+            charge_shared_randomness,
+            run_output_protocol,
+            max_phases,
+            merge,
+            cost_model,
+            faults,
+            contract,
+            encoding,
+            transport,
+            trace,
+            criterion,
+        } = EngineConfig::default();
+        assert_eq!(bandwidth, Bandwidth::default());
+        assert_eq!(reps, 5);
+        assert!(charge_shared_randomness);
+        assert!(run_output_protocol);
+        assert_eq!(max_phases, None);
+        assert_eq!(merge, crate::engine::MergeStrategy::Drr);
+        assert_eq!(cost_model, CostModel::PerLink);
+        assert!(faults.is_none());
+        assert!(!contract);
+        assert_eq!(encoding, kmachine::message::Encoding::Naive);
+        assert_eq!(transport, kmachine::transport::TransportSel::Sim);
+        assert!(!trace.is_on());
+        assert_eq!(criterion, crate::mst::OutputCriterion::AnyMachine);
     }
 
     #[test]

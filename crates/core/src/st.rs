@@ -22,7 +22,7 @@
 
 use crate::engine::{Engine, EngineConfig, Mode};
 use crate::mst::MstConfig;
-use crate::session::{Cluster, Mst, Problem, SpanningForest};
+use crate::session::{Cluster, Problem, SpanningForest};
 use kgraph::graph::Edge;
 use kmachine::metrics::CommStats;
 use kmachine::trace::Tracer;
@@ -50,7 +50,7 @@ impl Problem for SpanningForest {
     }
 
     fn config_from(d: &EngineConfig) -> MstConfig {
-        Mst::config_from(d)
+        d.clone()
     }
 
     fn tracer(&self) -> Tracer {
@@ -58,20 +58,9 @@ impl Problem for SpanningForest {
     }
 
     fn solve(&self, cluster: &Cluster) -> SpanningForestOutput {
-        let cfg = &self.cfg;
         let engine_cfg = EngineConfig {
-            bandwidth: cfg.bandwidth,
-            reps: cfg.reps,
-            charge_shared_randomness: cfg.charge_shared_randomness,
             run_output_protocol: false,
-            max_phases: cfg.max_phases,
-            faults: cfg.faults.clone(),
-            recovery: cfg.recovery,
-            contract: cfg.contract,
-            encoding: cfg.encoding,
-            transport: cfg.transport,
-            trace: cfg.trace.clone(),
-            ..EngineConfig::default()
+            ..self.cfg.clone()
         };
         let result = Engine::new(
             cluster.sharded(),
@@ -107,6 +96,7 @@ impl Problem for SpanningForest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::Mst;
     use kgraph::{generators, refalgo, Graph};
 
     fn check(g: &Graph, k: usize, seed: u64) -> SpanningForestOutput {

@@ -134,7 +134,7 @@ fn final_compare_cost(
     let mut bsp: Bsp<Payload> = Bsp::new(NetworkConfig::new(part.k(), cfg.bandwidth, g.n()));
     crate::engine::attach_transport(&mut bsp, cfg.transport, part.k());
     if let Some(plan) = cfg.faults.clone() {
-        bsp.install_faults(plan, cfg.recovery.ack_retransmit);
+        bsp.install_faults(plan, true);
     }
     let (hs, ht) = (part.home(s), part.home(t));
     if hs != ht {

@@ -30,7 +30,7 @@ use crate::fault::FaultPlan;
 use crate::message::{put_varint, BatchWire, Encoding, Envelope, WireCodec, WireError, WireReader};
 use crate::metrics::{CommStats, SuperstepLoad};
 use crate::network::NetworkConfig;
-use crate::trace::{PhysEvent, TraceEvent, Tracer};
+use crate::trace::{PhysEvent, Stopwatch, TraceEvent, Tracer};
 use crate::transport::{CodecBridge, Frame, PhysStats, Transport, TransportKind};
 use rustc_hash::FxHashMap;
 use std::collections::BTreeMap;
@@ -213,7 +213,7 @@ impl<M> Bsp<M> {
         let phys_mark = self
             .trace
             .is_on()
-            .then(|| (bridge.transport.phys().clone(), std::time::Instant::now()));
+            .then(|| (bridge.transport.phys().clone(), Stopwatch::start()));
         for f in bridge.transport.exchange(frames) {
             let mut r = WireReader::new(&f.payload);
             let n = r

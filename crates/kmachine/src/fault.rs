@@ -23,8 +23,8 @@
 /// machine loses its volatile state and every message to or from it in
 /// that superstep's first delivery attempt. The machine restarts before
 /// the first recovery round (crash-stop with immediate restart); rebuilding
-/// its *algorithm* state is the engine's job (phase checkpoints,
-/// `core::engine::RecoveryPolicy`).
+/// its *algorithm* state is the engine's job (the phase checkpoints of
+/// `core::engine`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CrashEvent {
     /// The 0-based superstep index at which the crash fires.

@@ -243,6 +243,25 @@ pub struct PhysRecord {
     pub event: PhysEvent,
 }
 
+/// The workspace's one wall clock: the single `Instant::now()` that
+/// `kcheck.allow` admits under KC02. Report-only elapsed fields, physical
+/// liveness deadlines and [`PhysEvent`] timings read it; nothing that feeds
+/// algorithm state, message content, accounting or the logical stream may.
+#[derive(Clone, Copy, Debug)]
+pub struct Stopwatch(std::time::Instant);
+
+impl Stopwatch {
+    /// Starts timing now.
+    pub fn start() -> Self {
+        Stopwatch(std::time::Instant::now())
+    }
+
+    /// Wall-clock time since [`Stopwatch::start`].
+    pub fn elapsed(&self) -> std::time::Duration {
+        self.0.elapsed()
+    }
+}
+
 // ---------------------------------------------------------------------
 // Sinks and the tracer
 // ---------------------------------------------------------------------

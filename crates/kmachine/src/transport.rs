@@ -46,6 +46,7 @@
 // attempt cleanly. Tests opt back in below.
 
 use crate::message::{put_varint, WireReader};
+use crate::trace::Stopwatch;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -53,7 +54,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Which backend a [`Transport`] is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -707,7 +708,7 @@ impl ProcTransport {
     /// Accepts control connections until every machine in `pending` has
     /// said hello, installing the fresh control streams.
     fn await_hellos(&mut self, pending: &[usize]) -> std::io::Result<()> {
-        let deadline = Instant::now() + SPAWN_TIMEOUT;
+        let waited = Stopwatch::start();
         let mut missing: Vec<usize> = pending.to_vec();
         while !missing.is_empty() {
             match self.listener.accept() {
@@ -737,7 +738,7 @@ impl ProcTransport {
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
+                    if waited.elapsed() >= SPAWN_TIMEOUT {
                         return Err(std::io::Error::new(
                             std::io::ErrorKind::TimedOut,
                             format!("workers {missing:?} never said hello"),
@@ -950,13 +951,13 @@ impl Drop for ProcTransport {
         for w in &mut self.workers {
             let _ = write_msg(&mut w.ctrl, &Msg::Shutdown);
         }
-        let deadline = Instant::now() + Duration::from_millis(500);
+        let draining = Stopwatch::start();
         for w in &mut self.workers {
             if let WorkerHandle::Process(child) = &mut w.handle {
                 loop {
                     match child.try_wait() {
                         Ok(Some(_)) => break,
-                        Ok(None) if Instant::now() < deadline => {
+                        Ok(None) if draining.elapsed() < Duration::from_millis(500) => {
                             std::thread::sleep(Duration::from_millis(5));
                         }
                         _ => {

@@ -292,17 +292,7 @@ fn run_problem<P: Problem>(
 /// batches, and print a per-batch trailer (components, forest size, the
 /// maintained MST's weight/size/refresh path, solve and update-phase
 /// costs) — JSON lines under `--report json`.
-#[allow(clippy::too_many_arguments)]
-fn run_dyn(
-    args: &Args,
-    k: usize,
-    seed: u64,
-    faults: Option<FaultPlan>,
-    contract: bool,
-    encoding: Encoding,
-    transport: TransportSel,
-    trace: &Tracer,
-) -> ExitCode {
+fn run_dyn(args: &Args, k: usize, seed: u64, cfg: &EngineConfig) -> ExitCode {
     let Some(path) = args.get("trace") else {
         return fail("dyn needs --trace FILE (`+ u v [w]` / `- u v` / `---` per line)");
     };
@@ -325,29 +315,13 @@ fn run_dyn(
     let mut dc = DynamicCluster::wrap(
         cluster,
         DynConfig {
-            faults: faults.clone(),
-            trace: trace.clone(),
+            faults: cfg.faults.clone(),
+            trace: cfg.trace.clone(),
             ..DynConfig::default()
         },
     );
-    let conn_cfg = ConnectivityConfig {
-        faults: faults.clone(),
-        contract,
-        encoding,
-        transport,
-        trace: trace.clone(),
-        ..ConnectivityConfig::default()
-    };
-    let mst_cfg = MstConfig {
-        faults,
-        contract,
-        encoding,
-        transport,
-        trace: trace.clone(),
-        ..MstConfig::default()
-    };
     let emit = |batch: usize, up: Option<&UpdateReport>, dc: &mut DynamicCluster| {
-        let conn = dc.connectivity(&conn_cfg);
+        let conn = dc.connectivity(cfg);
         // Read the refresh kind now: the follow-up spanning-forest call is
         // served from the structure the connectivity solve just refreshed.
         let refresh = match dc.last_refresh() {
@@ -357,8 +331,8 @@ fn run_dyn(
             }
             RefreshKind::Full => "full".to_string(),
         };
-        let st = dc.spanning_forest(&mst_cfg);
-        let mst = dc.mst(&mst_cfg);
+        let st = dc.spanning_forest(cfg);
+        let mst = dc.mst(cfg);
         let mst_refresh = match dc.last_refresh() {
             RefreshKind::Cached => "cached".to_string(),
             RefreshKind::Incremental { active_vertices } => {
@@ -583,7 +557,6 @@ fn main() -> ExitCode {
         Ok(f) => f,
         Err(e) => return fail(&format!("--faults: {e}")),
     };
-    let contract = args.flag("contract");
     let encoding = match args.get("encoding") {
         None | Some("naive") => Encoding::Naive,
         Some("varint") => Encoding::Varint,
@@ -598,76 +571,61 @@ fn main() -> ExitCode {
         Ok(t) => t,
         Err(e) => return fail(&e),
     };
+    // The one run configuration every subcommand reads.
+    let cfg = EngineConfig {
+        faults,
+        contract: args.flag("contract"),
+        encoding,
+        transport,
+        trace,
+        criterion: if args.flag("both-endpoints") {
+            OutputCriterion::BothEndpoints
+        } else {
+            OutputCriterion::AnyMachine
+        },
+        ..EngineConfig::default()
+    };
     let code = match args.cmd.as_str() {
         "conn" => run_problem(
             &args,
             k,
             seed,
             transport,
-            Connectivity::with(ConnectivityConfig {
-                faults: faults.clone(),
-                contract,
-                encoding,
-                transport,
-                trace: trace.clone(),
-                ..ConnectivityConfig::default()
-            }),
+            Connectivity::with(cfg.clone()),
             |out| vec![("components", out.component_count().to_string())],
             |_, out| {
                 println!("components: {}", out.component_count());
                 println!("phases:     {}", out.phases);
             },
         ),
-        "mst" => {
-            let cfg = MstConfig {
-                criterion: if args.flag("both-endpoints") {
-                    OutputCriterion::BothEndpoints
-                } else {
-                    OutputCriterion::AnyMachine
-                },
-                faults: faults.clone(),
-                contract,
-                encoding,
-                transport,
-                trace: trace.clone(),
-                ..MstConfig::default()
-            };
-            run_problem(
-                &args,
-                k,
-                seed,
-                transport,
-                Mst::with(cfg),
-                |out| {
-                    vec![
-                        ("forest_edges", out.edges.len().to_string()),
-                        ("total_weight", out.total_weight.to_string()),
-                    ]
-                },
-                |args, out| {
-                    println!("forest edges: {}", out.edges.len());
-                    println!("total weight: {}", out.total_weight);
-                    if args.flag("print-edges") {
-                        for e in &out.edges {
-                            println!("{} {} {}", e.u, e.v, e.w);
-                        }
+        "mst" => run_problem(
+            &args,
+            k,
+            seed,
+            transport,
+            Mst::with(cfg.clone()),
+            |out| {
+                vec![
+                    ("forest_edges", out.edges.len().to_string()),
+                    ("total_weight", out.total_weight.to_string()),
+                ]
+            },
+            |args, out| {
+                println!("forest edges: {}", out.edges.len());
+                println!("total weight: {}", out.total_weight);
+                if args.flag("print-edges") {
+                    for e in &out.edges {
+                        println!("{} {} {}", e.u, e.v, e.w);
                     }
-                },
-            )
-        }
+                }
+            },
+        ),
         "st" => run_problem(
             &args,
             k,
             seed,
             transport,
-            SpanningForest::with(MstConfig {
-                faults: faults.clone(),
-                contract,
-                encoding,
-                transport,
-                trace: trace.clone(),
-                ..MstConfig::default()
-            }),
+            SpanningForest::with(cfg.clone()),
             |out| vec![("forest_edges", out.edges.len().to_string())],
             |_, out| {
                 println!("forest edges: {}", out.edges.len());
@@ -678,14 +636,7 @@ fn main() -> ExitCode {
             k,
             seed,
             transport,
-            MinCut::with(MinCutConfig {
-                faults: faults.clone(),
-                contract,
-                encoding,
-                transport,
-                trace: trace.clone(),
-                ..MinCutConfig::default()
-            }),
+            MinCut::with(cfg.clone()),
             |out| {
                 vec![
                     ("estimate", out.estimate.to_string()),
@@ -697,9 +648,7 @@ fn main() -> ExitCode {
                 println!("probes:   {}", out.probes);
             },
         ),
-        "dyn" => run_dyn(
-            &args, k, seed, faults, contract, encoding, transport, &trace,
-        ),
+        "dyn" => run_dyn(&args, k, seed, &cfg),
         "stcon" => {
             let g = match load_graph(&args) {
                 Ok(g) => g,
@@ -711,22 +660,9 @@ fn main() -> ExitCode {
             if s as usize >= g.n() || t as usize >= g.n() {
                 return fail("--s/--t out of range");
             }
-            let cfg = ConnectivityConfig {
-                faults: faults.clone(),
-                contract,
-                encoding,
-                transport,
-                ..ConnectivityConfig::default()
-            };
             let v = verify::st_connectivity(&g, s, t, k, seed, &cfg);
             println!("connected: {}", v.holds);
-            println!("rounds:    {}", v.stats.rounds);
-            if faults.is_some() {
-                println!(
-                    "faults:    {} injected, recovery {} rounds",
-                    v.stats.faults_injected, v.stats.recovery_rounds
-                );
-            }
+            print_verdict_costs(&v, &cfg);
             ExitCode::SUCCESS
         }
         "bipart" => {
@@ -734,22 +670,9 @@ fn main() -> ExitCode {
                 Ok(g) => g,
                 Err(e) => return fail(&e),
             };
-            let cfg = ConnectivityConfig {
-                faults: faults.clone(),
-                contract,
-                encoding,
-                transport,
-                ..ConnectivityConfig::default()
-            };
             let v = verify::bipartiteness(&g, k, seed, &cfg);
             println!("bipartite: {}", v.holds);
-            println!("rounds:    {}", v.stats.rounds);
-            if faults.is_some() {
-                println!(
-                    "faults:    {} injected, recovery {} rounds",
-                    v.stats.faults_injected, v.stats.recovery_rounds
-                );
-            }
+            print_verdict_costs(&v, &cfg);
             ExitCode::SUCCESS
         }
         "gen" => {
@@ -800,8 +723,19 @@ fn main() -> ExitCode {
             usage()
         }
     };
-    trace.flush();
+    cfg.trace.flush();
     code
+}
+
+/// The cost trailer shared by `stcon` and `bipart`.
+fn print_verdict_costs(v: &verify::Verdict, cfg: &EngineConfig) {
+    println!("rounds:    {}", v.stats.rounds);
+    if cfg.faults.is_some() {
+        println!(
+            "faults:    {} injected, recovery {} rounds",
+            v.stats.faults_injected, v.stats.recovery_rounds
+        );
+    }
 }
 
 fn fail(msg: &str) -> ExitCode {

@@ -64,7 +64,7 @@ pub mod prelude {
     pub use kconn::dynamic::{
         DynConfig, DynamicCluster, RefreshKind, UpdateBatch, UpdateError, UpdateOp, UpdateReport,
     };
-    pub use kconn::engine::{EngineConfig, RecoveryPolicy};
+    pub use kconn::engine::EngineConfig;
     pub use kconn::mincut::MinCutConfig;
     pub use kconn::mst::{MstConfig, OutputCriterion};
     pub use kconn::session::{

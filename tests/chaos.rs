@@ -5,11 +5,10 @@
 //!
 //! The recovery machinery under test: the per-superstep ack/retransmit
 //! protocol of `kmachine::bsp` (masks message-level faults and reassembles
-//! canonical inboxes) and the engine's phase checkpoints
-//! (`kconn::engine::RecoveryPolicy`), which roll a crashed phase back and
-//! re-enter it, replaying the exact fault-free trajectory. Fault counters
-//! are pinned both ways: active plans must fire and report their masking
-//! cost; fault-free runs must report exactly zero.
+//! canonical inboxes) and the engine's phase checkpoints, which roll a
+//! crashed phase back and re-enter it, replaying the exact fault-free
+//! trajectory. Fault counters are pinned both ways: active plans must fire
+//! and report their masking cost; fault-free runs must report exactly zero.
 
 mod common;
 
@@ -339,35 +338,6 @@ fn crash_recovery_reads_shards_back_from_durable_storage() {
         faulted.report.stats.rounds > baseline.report.stats.rounds,
         "aborted phase attempts and restores must cost rounds"
     );
-}
-
-/// Disabling phase checkpoints degrades crashes to message-level faults:
-/// still bit-identical (the simulator's reliable layer masks the in-flight
-/// loss) but without any shard rebuilds — the ablation that shows which
-/// mechanism does what.
-#[test]
-fn disabling_checkpoints_skips_the_restore_path() {
-    use kmm::algo::engine::RecoveryPolicy;
-    let g = generators::planted_components(400, 2, 3, 47);
-    let cluster = Cluster::builder(4).seed(47).ingest_graph(&g);
-    let baseline = cluster.run(Connectivity::default());
-    let plan = FaultPlan::new(5).with_crash(1, 4).with_crash(2, 12);
-    let rebuilds_before = kmm::graph::sharded::rebuild_count();
-    let faulted = cluster.run(Connectivity::with(ConnectivityConfig {
-        faults: Some(plan),
-        recovery: RecoveryPolicy {
-            phase_checkpoints: false,
-            ..RecoveryPolicy::default()
-        },
-        ..ConnectivityConfig::default()
-    }));
-    assert_eq!(faulted.output.labels, baseline.output.labels);
-    assert_eq!(
-        kmm::graph::sharded::rebuild_count(),
-        rebuilds_before,
-        "checkpoints off: no durable restore may run"
-    );
-    assert!(faulted.report.stats.machine_crashes > 0);
 }
 
 // ---------------------------------------------------------------------

@@ -66,6 +66,7 @@ fn gen_then_analyze_roundtrip() {
 #[test]
 fn stcon_answers_and_validates_args() {
     let path = tmp("path.txt");
+    let trace = tmp("stcon.jsonl");
     assert!(kmm()
         .args([
             "gen",
@@ -90,10 +91,20 @@ fn stcon_answers_and_validates_args() {
             "0",
             "--t",
             "29",
+            "--trace-out",
+            trace.to_str().unwrap(),
         ])
         .output()
         .unwrap();
     assert!(String::from_utf8_lossy(&ok.stdout).contains("connected: true"));
+    // The verification subcommands share the one run configuration, so
+    // `--trace-out` reaches them too: a non-empty, well-formed stream.
+    let jsonl = std::fs::read_to_string(&trace).unwrap();
+    let records = kmm::machine::trace::parse_jsonl(&jsonl).expect("clean logical stream");
+    assert!(
+        !records.is_empty(),
+        "stcon --trace-out wrote an empty trace"
+    );
     let bad = kmm()
         .args([
             "stcon",
@@ -110,6 +121,8 @@ fn stcon_answers_and_validates_args() {
         .unwrap();
     assert!(!bad.status.success(), "out-of-range endpoint must fail");
     let _ = std::fs::remove_file(path);
+    let _ = std::fs::remove_file(format!("{}.phys", trace.display()));
+    let _ = std::fs::remove_file(trace);
 }
 
 #[test]
