@@ -2359,6 +2359,17 @@ mod tests {
         assert_eq!(bits, stats.total_bits, "{what}: breakdown bits must tile");
     }
 
+    /// The absolute ledger of a run: escalation is reachable only by
+    /// poisoning a private sketch, so `tests/run_ledger.rs` cannot pin it.
+    fn ledger_of(stats: &CommStats) -> (u64, u64, u64, u64) {
+        (
+            stats.rounds,
+            stats.total_bits,
+            stats.supersteps,
+            stats.messages,
+        )
+    }
+
     #[test]
     fn conn_escalation_is_a_rolled_back_breakdown_span() {
         let g = generators::planted_components(60, 2, 4, 51);
@@ -2397,6 +2408,11 @@ mod tests {
         // a first-class rolled-back span, the full refresh follows it.
         let rows = run.report.phase_breakdown.as_deref().expect("tracing on");
         assert_tiles(rows, &run.report.stats, "conn escalation");
+        assert_eq!(
+            ledger_of(&run.report.stats),
+            (1470, 1_185_132, 144, 596),
+            "conn escalation: attempt + full refresh, pinned like tests/fixtures/run_ledger.txt"
+        );
         assert!(
             rows.iter().any(|r| r.rolled_back && r.label == "certify"),
             "the failed certification must be a rolled-back certify row"
@@ -2441,6 +2457,11 @@ mod tests {
         assert_eq!(run.output.edges, fresh.output.edges);
         let rows = run.report.phase_breakdown.as_deref().expect("tracing on");
         assert_tiles(rows, &run.report.stats, "mst escalation");
+        assert_eq!(
+            ledger_of(&run.report.stats),
+            (1376, 352_808, 69, 156),
+            "mst escalation: attempt + full re-solve, pinned like tests/fixtures/run_ledger.txt"
+        );
         assert!(
             rows.iter().any(|r| r.rolled_back && r.label == "mst_cut"),
             "the aborted replacement search must be a rolled-back row"
