@@ -15,6 +15,7 @@
 //! the MWOE-selection strategy. Unlike the Monte-Carlo core, this baseline
 //! is deterministic and exact.
 
+use super::flag_exchange;
 use crate::engine::EngineConfig;
 use crate::messages::{id_bits, EdgeKey, Label, Payload};
 use crate::proxy::ProxyScheme;
@@ -199,8 +200,10 @@ impl Problem for EdgeBoruvka {
                 }
             }
             // --- DRR parents from shared ranks; MST edges at merging comps. ---
+            //     (`mst` is sorted before it is output, so the visit order of
+            //     the per-entry update does not reach the answer.)
             for proxy in &mut proxies {
-                for (&label, c) in proxy.iter_mut() {
+                det::for_each_entry_mut(proxy, |label, c| {
                     if let Some((key, to)) = c.best {
                         if scheme.connects(p, label, to) {
                             c.parent = Some(to);
@@ -209,20 +212,20 @@ impl Problem for EdgeBoruvka {
                             mst.push(Edge::new(key.1, key.2, key.0));
                         }
                     }
-                }
+                });
             }
             // --- Pointer jumping (same schedule as the core engine). ---
             let depth_bound = 6 * (id_bits(n + 1) as u32) + 2;
             let iters = 32 - (2 * depth_bound).leading_zeros() + 1;
             for _ in 0..iters {
-                if !proxies.iter().any(|px| px.values().any(|c| !c.ptr_done)) {
+                if !proxies.iter().any(|px| det::any_value(px, |c| !c.ptr_done)) {
                     flag_exchange(&mut bsp, k, l);
                     break;
                 }
                 flag_exchange(&mut bsp, k, l);
                 let mut queries = Vec::new();
                 for (m, proxy) in proxies.iter().enumerate() {
-                    for (&label, c) in proxy {
+                    for (label, c) in det::sorted_entries(proxy) {
                         if !c.ptr_done {
                             let payload = Payload::PtrQuery {
                                 asker: label,
@@ -269,7 +272,7 @@ impl Problem for EdgeBoruvka {
             // --- Relabel parts. ---
             let mut relabels = Vec::new();
             for (m, proxy) in proxies.iter().enumerate() {
-                for (&label, c) in proxy {
+                for (label, c) in det::sorted_entries(proxy) {
                     if c.parent.is_some() && c.ptr != label {
                         for &pm in &c.parts {
                             let payload = Payload::Relabel {
@@ -346,19 +349,6 @@ impl Problem for EdgeBoruvka {
 
     fn phases(out: &EdgeBoruvkaOutput) -> u32 {
         out.phases
-    }
-}
-
-/// Two-superstep 1-bit convergence exchange.
-fn flag_exchange(bsp: &mut Bsp<Payload>, k: usize, l: u64) {
-    for dir in 0..2 {
-        let mut msgs = Vec::new();
-        for m in 1..k {
-            let (s, d) = if dir == 0 { (m, 0) } else { (0, m) };
-            msgs.push(Payload::Flag { bit: true }.envelope(s, d, l, l));
-        }
-        bsp.superstep(msgs);
-        let _ = bsp.take_all_inboxes();
     }
 }
 

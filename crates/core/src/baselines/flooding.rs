@@ -14,6 +14,7 @@
 //! from its own shard (a reverse index built once, for free, at start-up),
 //! never by peeking at remote adjacency.
 
+use super::flag_exchange;
 use crate::engine::EngineConfig;
 use crate::messages::{id_bits, Label, Payload};
 use crate::session::{Cluster, Flooding, Problem};
@@ -145,7 +146,7 @@ impl Problem for Flooding {
             if !any_remote {
                 // Convergence: one final counted flag exchange (all machines
                 // report "no change" to M0, M0 confirms).
-                charge_flag_exchange(&mut bsp, k, l);
+                flag_exchange(&mut bsp, k, l);
                 break;
             }
             bsp.superstep(out);
@@ -169,7 +170,7 @@ impl Problem for Flooding {
                 }
             }
             // Per-graph-round convergence flag (counted).
-            charge_flag_exchange(&mut bsp, k, l);
+            flag_exchange(&mut bsp, k, l);
         }
         FloodingOutput {
             labels,
@@ -185,22 +186,6 @@ impl Problem for Flooding {
     fn phases(out: &FloodingOutput) -> u32 {
         out.graph_rounds
     }
-}
-
-/// The two-superstep 1-bit convergence exchange (machines → M0 → machines).
-fn charge_flag_exchange(bsp: &mut Bsp<Payload>, k: usize, l: u64) {
-    let mut up = Vec::new();
-    for m in 1..k {
-        up.push(Payload::Flag { bit: true }.envelope(m, 0, l, l));
-    }
-    bsp.superstep(up);
-    let _ = bsp.take_all_inboxes();
-    let mut down = Vec::new();
-    for m in 1..k {
-        down.push(Payload::Flag { bit: true }.envelope(0, m, l, l));
-    }
-    bsp.superstep(down);
-    let _ = bsp.take_all_inboxes();
 }
 
 #[cfg(test)]

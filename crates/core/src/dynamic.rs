@@ -64,22 +64,22 @@
 //! ```
 
 use crate::connectivity::{ConnectivityConfig, ConnectivityOutput};
-use crate::engine::{Engine, EngineConfig, Mode};
+use crate::engine::{Engine, EngineConfig, EngineResult, Ledger, Mode};
 use crate::messages::{id_bits, EdgeKey, Label, Payload};
-use crate::mst::MstConfig;
+use crate::mst::{route_edges_to_endpoints, sourced_edges, MstConfig, OutputCriterion};
 use crate::session::{Cluster, Problem, Run, RunReport};
 use crate::st::SpanningForestOutput;
 use kgraph::graph::Edge;
-use kgraph::Partition;
+use kgraph::{Partition, UnionFind};
 use kmachine::bsp::Bsp;
 use kmachine::det;
 use kmachine::metrics::CommStats;
-use kmachine::network::NetworkConfig;
 use kmachine::trace::{phase_breakdown, Stopwatch, TraceEvent, Tracer};
 use krand::shared::SharedRandomness;
 use ksketch::{L0Sketch, SketchFns, SketchParams};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 
 /// Sketch-function tag of the dynamic incidence sketches: disjoint from
 /// every engine tag (`phase·64 + iter` elimination tags and the `2³⁰`-based
@@ -454,16 +454,17 @@ fn trajectory_key(ecfg: &EngineConfig) -> TrajectoryKey {
     (ecfg.reps, ecfg.merge, ecfg.max_phases, ecfg.contract)
 }
 
-/// Everything a structure refresh produced (the solve-facing slice of an
-/// engine run, or zeros for the cached path).
+/// What a structure refresh ran and charged.
 struct Refresh {
-    stats: CommStats,
-    phases: u32,
-    phase_components: Vec<usize>,
-    drr_depths: Vec<u32>,
-    edges_per_machine: Vec<usize>,
-    sketch_builds: u64,
-    sketch_cache_hits: u64,
+    /// Everything the refresh charged: the engine run, the repair tiers,
+    /// certification, endpoint routing and — after an escalation — the
+    /// whole aborted attempt.
+    total: CommStats,
+    /// The engine run it summarises; `None` when the answer was cached or
+    /// every touched group was repaired without the engine.
+    run: Option<EngineResult>,
+    /// The isolated cost of the Theorem 2(b) endpoint routing, if it ran.
+    routing: Option<CommStats>,
 }
 
 // ---------------------------------------------------------------------
@@ -503,11 +504,7 @@ pub struct DynamicCluster {
     /// [`RunReport`], then reset) and over the cluster's lifetime. The
     /// fault counters cover the routing supersteps, so a batch whose
     /// routing needed recovery is reported even when the solve ran clean.
-    epoch_rounds: u64,
-    epoch_bits: u64,
-    epoch_faults: u64,
-    epoch_retransmit_bits: u64,
-    epoch_recovery_rounds: u64,
+    epoch: CommStats,
     update_stats: CommStats,
     batches: u64,
     compactions: u64,
@@ -558,11 +555,7 @@ impl DynamicCluster {
             mst_pending: FxHashMap::default(),
             trajectory: None,
             last_refresh: RefreshKind::Full,
-            epoch_rounds: 0,
-            epoch_bits: 0,
-            epoch_faults: 0,
-            epoch_retransmit_bits: 0,
-            epoch_recovery_rounds: 0,
+            epoch: CommStats::default(),
             update_stats,
             batches: 0,
             compactions: 0,
@@ -633,30 +626,35 @@ impl DynamicCluster {
                     UpdateOp::Delete { .. } => None,
                 };
             }
-            let (insert, w) = match *op {
+            let (insert, weight) = match *op {
                 UpdateOp::Insert { w, .. } => {
                     inserts += 1;
                     self.inner.sharded_mut().stage_insert(u, v, w);
-                    self.sketch_mut(u).add_incident_edge_for(v);
-                    self.sketch_mut(v).add_incident_edge_for(u);
                     (true, w)
                 }
                 UpdateOp::Delete { .. } => {
                     deletes += 1;
                     self.inner.sharded_mut().stage_delete(u, v);
-                    self.sketch_mut(u).remove_incident_edge_for(v);
-                    self.sketch_mut(v).remove_incident_edge_for(u);
                     (false, 0)
                 }
             };
             for (vertex, other) in [(u, v), (v, u)] {
+                let home = self.home.home(vertex);
+                let sketch = self.sketches[home]
+                    .get_mut(&vertex)
+                    .expect("every home vertex has a maintained sketch");
+                if insert {
+                    sketch.add_incident_edge(&self.fns, vertex, other);
+                } else {
+                    sketch.remove_incident_edge(&self.fns, vertex, other);
+                }
                 let payload = Payload::EdgeUpdate {
                     vertex,
                     other,
-                    weight: w,
+                    weight,
                     insert,
                 };
-                envelopes.push(payload.envelope(COORDINATOR, self.home.home(vertex), l, l));
+                envelopes.push(payload.envelope(COORDINATOR, home, l, l));
             }
             if let Some(state) = &mut self.state {
                 state.touched.insert(state.labels[u as usize]);
@@ -666,11 +664,7 @@ impl DynamicCluster {
         let mut bsp = self.dyn_bsp(self.inner.defaults());
         bsp.superstep(envelopes);
         let stats = bsp.into_stats();
-        self.epoch_rounds += stats.rounds;
-        self.epoch_bits += stats.total_bits;
-        self.epoch_faults += stats.faults_injected;
-        self.epoch_retransmit_bits += stats.retransmit_bits;
-        self.epoch_recovery_rounds += stats.recovery_rounds;
+        self.epoch.absorb(&stats);
         self.update_stats.absorb(&stats);
         self.batches += 1;
         self.inserts += inserts as u64;
@@ -702,17 +696,6 @@ impl DynamicCluster {
         })
     }
 
-    fn sketch_mut(&mut self, v: u32) -> SketchHandle<'_> {
-        let machine = self.home.home(v);
-        SketchHandle {
-            sketch: self.sketches[machine]
-                .get_mut(&v)
-                .expect("every home vertex has a maintained sketch"),
-            fns: &self.fns,
-            v,
-        }
-    }
-
     // -----------------------------------------------------------------
     // Solves
     // -----------------------------------------------------------------
@@ -731,33 +714,30 @@ impl DynamicCluster {
     pub fn connectivity(&mut self, cfg: &ConnectivityConfig) -> Run<ConnectivityOutput> {
         let started = Stopwatch::start();
         let mark = self.cfg.trace.mark();
-        let ecfg = EngineConfig {
-            run_output_protocol: false,
-            ..cfg.clone()
-        };
-        let r = self.refresh(ecfg);
+        let r = self.refresh(cfg);
         let report = self.report("conn", &r, started, mark);
         let state = self.state.as_ref().expect("refresh leaves state set");
         let labels = state.labels.clone();
-        let counted = cfg.run_output_protocol.then(|| {
-            // The incremental path derives the count from the maintained
-            // labels instead of re-running the §2.6 exchange (the machines
-            // already hold their refreshed labels); instrumentation only.
-            let mut set: Vec<Label> = labels.clone();
-            set.sort_unstable();
-            set.dedup();
-            set.len() as u64
-        });
-        let output = ConnectivityOutput {
+        let (phase_components, drr_depths) = r
+            .run
+            .map(|run| (run.phase_components, run.drr_depths))
+            .unwrap_or_default();
+        let mut output = ConnectivityOutput {
             labels,
-            stats: r.stats,
-            phases: r.phases,
-            phase_components: r.phase_components,
-            drr_depths: r.drr_depths,
-            counted_components: counted,
-            sketch_builds: r.sketch_builds,
-            sketch_cache_hits: r.sketch_cache_hits,
+            stats: r.total,
+            phases: report.phases,
+            phase_components,
+            drr_depths,
+            counted_components: None,
+            sketch_builds: report.sketch_builds,
+            sketch_cache_hits: report.sketch_cache_hits,
         };
+        // The incremental path derives the count from the maintained
+        // labels instead of re-running the §2.6 exchange (the machines
+        // already hold their refreshed labels); instrumentation only.
+        output.counted_components = cfg
+            .run_output_protocol
+            .then(|| output.component_count() as u64);
         Run { output, report }
     }
 
@@ -769,18 +749,16 @@ impl DynamicCluster {
     pub fn spanning_forest(&mut self, cfg: &MstConfig) -> Run<SpanningForestOutput> {
         let started = Stopwatch::start();
         let mark = self.cfg.trace.mark();
-        let ecfg = EngineConfig {
-            run_output_protocol: false,
-            ..cfg.clone()
-        };
-        let r = self.refresh(ecfg);
+        let r = self.refresh(cfg);
         let report = self.report("st", &r, started, mark);
         let state = self.state.as_ref().expect("refresh leaves state set");
         let output = SpanningForestOutput {
             edges: state.forest.clone(),
-            stats: r.stats,
-            phases: r.phases,
-            edges_per_machine: r.edges_per_machine,
+            stats: r.total,
+            phases: report.phases,
+            edges_per_machine: r
+                .run
+                .map_or_else(|| vec![0; self.k()], |run| run.mst_edges_per_machine),
         };
         Run { output, report }
     }
@@ -836,24 +814,11 @@ impl DynamicCluster {
                 net_inserts.push(Edge::new(u, v, w1));
             }
         }
-        let (r, endpoint_routing) = match self.mst_state.take() {
+        let r = match self.mst_state.take() {
             Some(state) if net_deletes.is_empty() && net_inserts.is_empty() => {
-                // Nothing net-changed since the last MST solve: the
-                // maintained forest is the answer, at zero model cost.
+                // Nothing net-changed since the last MST solve.
                 self.mst_state = Some(state);
-                self.last_refresh = RefreshKind::Cached;
-                (
-                    Refresh {
-                        stats: CommStats::new(self.k()),
-                        phases: 0,
-                        phase_components: Vec::new(),
-                        drr_depths: Vec::new(),
-                        edges_per_machine: vec![0; self.k()],
-                        sketch_builds: 0,
-                        sketch_cache_hits: 0,
-                    },
-                    None,
-                )
+                self.cached()
             }
             Some(state) => self.mst_incremental(state, net_deletes, net_inserts, cfg, mark),
             None => self.mst_full(cfg),
@@ -864,41 +829,45 @@ impl DynamicCluster {
             .as_ref()
             .expect("an MST refresh leaves state set");
         let edges = state.forest.clone();
-        let total_weight = edges.iter().map(|e| e.w as u128).sum();
+        let mut edges_per_machine = vec![0usize; self.k()];
+        match (self.last_refresh, r.run) {
+            (RefreshKind::Cached, _) => {}
+            (RefreshKind::Full, Some(run)) => edges_per_machine = run.mst_edges_per_machine,
+            _ => {
+                for e in &edges {
+                    edges_per_machine[self.home.home(e.u)] += 1;
+                }
+            }
+        }
         let output = crate::mst::MstOutput {
+            total_weight: edges.iter().map(|e| e.w as u128).sum(),
             edges,
-            total_weight,
-            stats: r.stats,
-            phases: r.phases,
-            edges_per_machine: r.edges_per_machine,
-            endpoint_routing,
+            stats: r.total,
+            phases: report.phases,
+            edges_per_machine,
+            endpoint_routing: r.routing,
         };
         Run { output, report }
     }
 
     /// Full MST re-solve on the compacted shards, seeding the maintained
     /// forest — the first-solve path and the certification escape hatch.
-    fn mst_full(&mut self, cfg: &MstConfig) -> (Refresh, Option<CommStats>) {
-        let out =
-            crate::mst::minimum_spanning_tree_sharded(self.inner.sharded(), self.inner.seed(), cfg);
-        let labels = forest_labels(self.n(), &out.edges);
-        self.mst_state = Some(MstDynState {
-            forest: out.edges,
-            labels,
-        });
+    fn mst_full(&mut self, cfg: &MstConfig) -> Refresh {
+        let (run, forest) = self.resolve(Mode::Mst, cfg, None, Vec::new());
+        let mut total = run.stats.clone();
+        let routing = (cfg.criterion == OutputCriterion::BothEndpoints)
+            .then(|| route_edges_to_endpoints(self.inner.sharded(), &sourced_edges(&run), cfg));
+        if let Some(routing) = &routing {
+            total.absorb(routing);
+        }
+        let labels = forest_labels(self.n(), &forest);
+        self.mst_state = Some(MstDynState { forest, labels });
         self.last_refresh = RefreshKind::Full;
-        (
-            Refresh {
-                stats: out.stats,
-                phases: out.phases,
-                phase_components: Vec::new(),
-                drr_depths: Vec::new(),
-                edges_per_machine: out.edges_per_machine,
-                sketch_builds: 0,
-                sketch_cache_hits: 0,
-            },
-            out.endpoint_routing,
-        )
+        Refresh {
+            total,
+            run: Some(run),
+            routing,
+        }
     }
 
     /// The incremental MST refresh: group classification and the three
@@ -910,7 +879,7 @@ impl DynamicCluster {
         net_inserts: Vec<Edge>,
         cfg: &MstConfig,
         mark: usize,
-    ) -> (Refresh, Option<CommStats>) {
+    ) -> Refresh {
         let (n, k) = (self.n(), self.k());
         let l = id_bits(n);
         let MstDynState {
@@ -998,7 +967,7 @@ impl DynamicCluster {
         // components). Each group's inserts are applied sequentially in
         // tie-free key order at the group owner.
         if !tier_cycle.is_empty() {
-            let mut uf = VertexUf::new(n);
+            let mut uf = UnionFind::new(n);
             let mut adj: FxHashMap<u32, Vec<(u32, u64)>> = FxHashMap::default();
             for e in &forest {
                 uf.union(e.u, e.v);
@@ -1057,12 +1026,7 @@ impl DynamicCluster {
             bsp.superstep(replies);
             let _ = bsp.take_all_inboxes();
             let s = bsp.into_stats();
-            let (rounds, bits) = (s.rounds, s.total_bits);
-            self.cfg.trace.emit(|| TraceEvent::Segment {
-                name: "mst_cycle".to_string(),
-                rounds,
-                bits,
-            });
+            Ledger::of(&s).emit_segment(&self.cfg.trace, "mst_cycle");
             stats.absorb(&s);
         }
         // --- Tier: sketch replacement-edge search (a single tree
@@ -1202,19 +1166,11 @@ impl DynamicCluster {
                 // stays divided and the labels recompute below.
             }
             let s = bsp.into_stats();
-            let (rounds, bits) = (s.rounds, s.total_bits);
-            self.cfg.trace.emit(|| TraceEvent::Segment {
-                name: "mst_cut".to_string(),
-                rounds,
-                bits,
-            });
+            Ledger::of(&s).emit_segment(&self.cfg.trace, "mst_cut");
             stats.absorb(&s);
         }
         // --- Tier: restricted engine re-run over the remaining groups.
-        let mut engine_phases = 0u32;
-        let mut engine_pc: Vec<usize> = Vec::new();
-        let mut engine_drr: Vec<u32> = Vec::new();
-        let (mut sketch_builds, mut sketch_cache_hits) = (0u64, 0u64);
+        let mut run = None;
         if !engine_label_set.is_empty() {
             let mask: Vec<bool> = old_labels
                 .iter()
@@ -1223,31 +1179,14 @@ impl DynamicCluster {
             // Contraction densifies label ids but the MST is unique either
             // way; the restricted run keeps the plain path.
             let ecfg = EngineConfig {
-                run_output_protocol: false,
                 contract: false,
                 ..cfg.clone()
             };
-            let mut engine = Engine::new(self.inner.sharded(), Mode::Mst, self.inner.seed(), ecfg);
-            engine.restrict(&mask);
-            let result = engine.run();
+            let (result, spliced) = self.resolve(Mode::Mst, &ecfg, Some(&mask), forest);
+            forest = spliced;
             stats.absorb(&result.stats);
-            let survivors: Vec<Edge> = std::mem::take(&mut forest)
-                .into_iter()
-                .filter(|e| !mask[e.u as usize])
-                .collect();
-            forest = splice_forest(&result.mst_edges, survivors);
-            let mut idx = 0usize;
-            for (machine, &cnt) in result.mst_edges_per_machine.iter().enumerate() {
-                for _ in 0..cnt {
-                    new_edges.push((machine, result.mst_edges[idx]));
-                    idx += 1;
-                }
-            }
-            engine_phases = result.phases;
-            engine_pc = result.phase_components;
-            engine_drr = result.drr_depths;
-            sketch_builds = result.sketch_builds;
-            sketch_cache_hits = result.sketch_cache_hits;
+            new_edges.extend(sourced_edges(&result));
+            run = Some(result);
         }
         forest.sort_unstable_by_key(|e| (e.u, e.v));
         let labels = forest_labels(n, &forest);
@@ -1255,56 +1194,28 @@ impl DynamicCluster {
             .iter()
             .map(|lab| index.contains_key(lab))
             .collect();
-        let active_count = affected.iter().filter(|&&a| a).count();
+        let escalate = |dc: &mut Self| dc.mst_full(cfg);
+        let mut stats =
+            match self.certify_or_escalate(&affected, &labels, cfg, stats, mark, escalate) {
+                ControlFlow::Continue(stats) => stats,
+                ControlFlow::Break(full) => return full,
+            };
         self.mst_state = Some(MstDynState { forest, labels });
-        let st = self.mst_state.as_ref().expect("state was just set");
-        let (certified, cert_stats) = self.certify(&affected, &st.labels, cfg);
-        stats.absorb(&cert_stats);
-        if !certified {
-            // Same escape hatch as the connectivity path: record the
-            // aborted attempt as a rolled-back breakdown span and
-            // re-solve fully, keeping the bits spent so far on the books.
-            self.mst_state = None;
-            let span = phase_breakdown(&self.cfg.trace.events_since(mark)).len() as u64;
-            let (rounds, bits) = (stats.rounds, stats.total_bits);
-            self.cfg
-                .trace
-                .emit(|| TraceEvent::DynEscalate { span, rounds, bits });
-            let (mut full, routing) = self.mst_full(cfg);
-            let mut merged = stats;
-            merged.absorb(&full.stats);
-            full.stats = merged;
-            return (full, routing);
-        }
         self.last_refresh = RefreshKind::Incremental {
-            active_vertices: active_count,
+            active_vertices: affected.iter().filter(|&&a| a).count(),
         };
         // Criterion (b): only the newly chosen edges need routing — the
         // surviving forest is already known at its endpoint homes.
-        let mut endpoint_routing = None;
-        if cfg.criterion == crate::mst::OutputCriterion::BothEndpoints && !new_edges.is_empty() {
-            let routing =
-                crate::mst::route_edges_to_endpoints(self.inner.sharded(), &new_edges, cfg);
-            stats.absorb(&routing);
-            endpoint_routing = Some(routing);
+        let routing = (cfg.criterion == OutputCriterion::BothEndpoints && !new_edges.is_empty())
+            .then(|| route_edges_to_endpoints(self.inner.sharded(), &new_edges, cfg));
+        if let Some(routing) = &routing {
+            stats.absorb(routing);
         }
-        let st = self.mst_state.as_ref().expect("state was just set");
-        let mut edges_per_machine = vec![0usize; k];
-        for e in &st.forest {
-            edges_per_machine[self.home.home(e.u)] += 1;
+        Refresh {
+            total: stats,
+            run,
+            routing,
         }
-        (
-            Refresh {
-                stats,
-                phases: engine_phases,
-                phase_components: engine_pc,
-                drr_depths: engine_drr,
-                edges_per_machine,
-                sketch_builds,
-                sketch_cache_hits,
-            },
-            endpoint_routing,
-        )
     }
 
     /// The maintained MST forest, if an MST solve has run.
@@ -1320,12 +1231,12 @@ impl DynamicCluster {
     pub fn run_full<P: Problem>(&mut self, problem: P) -> Run<P::Output> {
         self.compact_now();
         let mut run = self.inner.run(problem);
-        run.report.update_rounds = self.epoch_rounds;
-        run.report.update_bits = self.epoch_bits;
-        run.report.faults_injected += self.epoch_faults;
-        run.report.retransmit_bits += self.epoch_retransmit_bits;
-        run.report.recovery_rounds += self.epoch_recovery_rounds;
-        self.reset_epoch();
+        let epoch = std::mem::take(&mut self.epoch);
+        run.report.update_rounds = epoch.rounds;
+        run.report.update_bits = epoch.total_bits;
+        run.report.faults_injected += epoch.faults_injected;
+        run.report.retransmit_bits += epoch.retransmit_bits;
+        run.report.recovery_rounds += epoch.recovery_rounds;
         run
     }
 
@@ -1333,132 +1244,157 @@ impl DynamicCluster {
     // Structure maintenance
     // -----------------------------------------------------------------
 
-    /// Refreshes the maintained labels + forest under `ecfg`, taking the
+    /// Refreshes the maintained labels + forest under `cfg`, taking the
     /// cheapest valid path: cached (no updates since the last solve),
     /// incremental (restricted engine run over touched components, then
     /// certification), or full.
-    fn refresh(&mut self, ecfg: EngineConfig) -> Refresh {
+    fn refresh(&mut self, cfg: &EngineConfig) -> Refresh {
         let attempt_mark = self.cfg.trace.mark();
         self.compact_now();
         // Maintained structure is only valid under the trajectory knobs it
         // was computed with: a solve under different knobs would splice
         // answers from two different merge histories. Drop it and refresh
         // fully instead.
-        let key = trajectory_key(&ecfg);
+        let key = trajectory_key(cfg);
         if self.trajectory != Some(key) {
             self.state = None;
             self.trajectory = Some(key);
         }
-        if matches!(&self.state, Some(st) if st.touched.is_empty()) {
-            // Nothing structural changed since the last solve: the
-            // maintained answers are the answers, at zero model cost.
-            self.last_refresh = RefreshKind::Cached;
-            return Refresh {
-                stats: CommStats::new(self.k()),
-                phases: 0,
-                phase_components: Vec::new(),
-                drr_depths: Vec::new(),
-                edges_per_machine: vec![0; self.k()],
-                sketch_builds: 0,
-                sketch_cache_hits: 0,
-            };
-        }
-        let (active, active_count) = match &self.state {
-            None => (None, 0),
+        match self.state.take() {
+            Some(state) if state.touched.is_empty() => {
+                // Nothing structural changed since the last solve.
+                self.state = Some(state);
+                self.cached()
+            }
             // Supergraph contraction densifies the label space with global
             // prefix sums, so a restricted run's dense ids (and hence its
             // merge trajectory) differ from the full run's. Splicing would
             // mix two merge histories; refresh fully instead.
-            Some(_) if ecfg.contract => (None, 0),
-            Some(st) => {
-                let mask: Vec<bool> = st
+            Some(old) if !cfg.contract => {
+                let mask: Vec<bool> = old
                     .labels
                     .iter()
-                    .map(|lab| st.touched.contains(lab))
+                    .map(|lab| old.touched.contains(lab))
                     .collect();
-                let count = mask.iter().filter(|&&a| a).count();
-                (Some(mask), count)
-            }
-        };
-        let seed = self.inner.seed();
-        let mut engine = Engine::new(
-            self.inner.sharded(),
-            Mode::SpanningForest,
-            seed,
-            ecfg.clone(),
-        );
-        if let Some(mask) = &active {
-            engine.restrict(mask);
-        }
-        let result = engine.run();
-        let mut stats = result.stats.clone();
-        let kind;
-        match (active, self.state.take()) {
-            (Some(mask), Some(old)) => {
+                let (run, forest) =
+                    self.resolve(Mode::SpanningForest, cfg, Some(&mask), old.forest);
                 let mut labels = old.labels;
                 for (v, lab) in labels.iter_mut().enumerate() {
                     if mask[v] {
-                        *lab = result.labels[v];
+                        *lab = run.labels[v];
                     }
                 }
-                let survivors: Vec<Edge> = old
-                    .forest
-                    .into_iter()
-                    .filter(|e| !mask[e.u as usize])
-                    .collect();
-                let forest = splice_forest(&result.mst_edges, survivors);
-                let (certified, cert_stats) = self.certify(&mask, &labels, &ecfg);
-                stats.absorb(&cert_stats);
+                let escalate = |dc: &mut Self| dc.refresh(cfg);
+                let attempt = run.stats.clone();
+                let total = match self.certify_or_escalate(
+                    &mask,
+                    &labels,
+                    cfg,
+                    attempt,
+                    attempt_mark,
+                    escalate,
+                ) {
+                    ControlFlow::Continue(total) => total,
+                    ControlFlow::Break(full) => return full,
+                };
+                self.last_refresh = RefreshKind::Incremental {
+                    active_vertices: mask.iter().filter(|&&a| a).count(),
+                };
                 self.state = Some(DynState {
                     labels,
                     forest,
                     touched: FxHashSet::default(),
                 });
-                if !certified {
-                    // The sketches exposed a missed merge (a Monte-Carlo
-                    // sampling whiff in the restricted run): escalate to a
-                    // full refresh, keeping the bits spent so far on the
-                    // books. The aborted attempt stays in the per-phase
-                    // breakdown as a rolled-back span, so the §3.14 tiling
-                    // invariant keeps holding against the merged stats.
-                    self.state = None;
-                    let span =
-                        phase_breakdown(&self.cfg.trace.events_since(attempt_mark)).len() as u64;
-                    let (rounds, bits) = (stats.rounds, stats.total_bits);
-                    self.cfg
-                        .trace
-                        .emit(|| TraceEvent::DynEscalate { span, rounds, bits });
-                    let mut full = self.refresh(ecfg.clone());
-                    let mut merged = stats;
-                    merged.absorb(&full.stats);
-                    full.stats = merged;
-                    return full;
+                Refresh {
+                    total,
+                    run: Some(run),
+                    routing: None,
                 }
-                kind = RefreshKind::Incremental {
-                    active_vertices: active_count,
-                };
             }
-            (None, _) => {
-                let forest = splice_forest(&result.mst_edges, Vec::new());
+            _ => {
+                let (run, forest) = self.resolve(Mode::SpanningForest, cfg, None, Vec::new());
+                self.last_refresh = RefreshKind::Full;
                 self.state = Some(DynState {
-                    labels: result.labels.clone(),
+                    labels: run.labels.clone(),
                     forest,
                     touched: FxHashSet::default(),
                 });
-                kind = RefreshKind::Full;
+                Refresh {
+                    total: run.stats.clone(),
+                    run: Some(run),
+                    routing: None,
+                }
             }
-            (Some(_), None) => unreachable!("restriction requires maintained state"),
         }
-        self.last_refresh = kind;
+    }
+
+    /// The zero-cost refresh: the maintained answers are the answers.
+    fn cached(&mut self) -> Refresh {
+        self.last_refresh = RefreshKind::Cached;
         Refresh {
-            stats,
-            phases: result.phases,
-            phase_components: result.phase_components,
-            drr_depths: result.drr_depths,
-            edges_per_machine: result.mst_edges_per_machine,
-            sketch_builds: result.sketch_builds,
-            sketch_cache_hits: result.sketch_cache_hits,
+            total: CommStats::new(self.k()),
+            run: None,
+            routing: None,
         }
+    }
+
+    /// One engine re-solve in `mode`: restricted to the vertices `mask`
+    /// keeps (the whole graph without one), its forest spliced over the
+    /// edges of `forest` outside the mask.
+    fn resolve(
+        &self,
+        mode: Mode,
+        cfg: &EngineConfig,
+        mask: Option<&[bool]>,
+        forest: Vec<Edge>,
+    ) -> (EngineResult, Vec<Edge>) {
+        let ecfg = EngineConfig {
+            run_output_protocol: false,
+            ..cfg.clone()
+        };
+        let mut engine = Engine::new(self.inner.sharded(), mode, self.inner.seed(), ecfg);
+        let mut survivors = Vec::new();
+        if let Some(mask) = mask {
+            engine.restrict(mask);
+            survivors.extend(forest.into_iter().filter(|e| !mask[e.u as usize]));
+        }
+        let run = engine.run();
+        let forest = splice_forest(&run.mst_edges, survivors);
+        (run, forest)
+    }
+
+    /// The tail of every incremental refresh: certifies `labels` over the
+    /// `refreshed` vertices, folds the exchange into the attempt's `total`
+    /// and hands it back. A failed certificate means the sketches exposed
+    /// a missed merge (a Monte-Carlo sampling whiff in the restricted
+    /// run): the attempt is recorded as a rolled-back breakdown span — so
+    /// the §3.14 tiling invariant keeps holding against the merged stats —
+    /// and the refresh escalates to `full`, keeping the bits spent so far
+    /// on the books. The caller installs its refreshed state only when the
+    /// attempt continues.
+    fn certify_or_escalate(
+        &mut self,
+        refreshed: &[bool],
+        labels: &[Label],
+        cfg: &EngineConfig,
+        mut total: CommStats,
+        attempt_mark: usize,
+        full: impl FnOnce(&mut Self) -> Refresh,
+    ) -> ControlFlow<Refresh, CommStats> {
+        let (certified, cert_stats) = self.certify(refreshed, labels, cfg);
+        total.absorb(&cert_stats);
+        if certified {
+            return ControlFlow::Continue(total);
+        }
+        let span = phase_breakdown(&self.cfg.trace.events_since(attempt_mark)).len() as u64;
+        let (rounds, bits) = (total.rounds, total.total_bits);
+        self.cfg
+            .trace
+            .emit(|| TraceEvent::DynEscalate { span, rounds, bits });
+        let mut full = full(self);
+        total.absorb(&full.total);
+        full.total = total;
+        ControlFlow::Break(full)
     }
 
     /// The certification exchange, run after every incremental re-solve:
@@ -1549,13 +1485,7 @@ impl DynamicCluster {
     /// supersteps through the same reliable delivery as the engine's.
     fn dyn_bsp(&self, ecfg: &EngineConfig) -> Bsp<Payload> {
         let k = self.k();
-        let mut bsp: Bsp<Payload> = Bsp::new(NetworkConfig {
-            k,
-            bandwidth: ecfg.bandwidth,
-            n: self.n(),
-            cost_model: ecfg.cost_model,
-            encoding: ecfg.encoding,
-        });
+        let mut bsp: Bsp<Payload> = Bsp::new(ecfg.network(k, self.n()));
         crate::engine::attach_transport(&mut bsp, ecfg.transport, k);
         bsp.set_tracer(self.cfg.trace.clone());
         if let Some(plan) = self.cfg.faults.clone() {
@@ -1590,39 +1520,21 @@ impl DynamicCluster {
             .is_on()
             .then(|| phase_breakdown(&self.cfg.trace.events_since(mark)))
             .filter(|rows| !rows.is_empty());
-        let report = RunReport {
+        let epoch = std::mem::take(&mut self.epoch);
+        let run = r.run.as_ref();
+        RunReport {
             problem,
-            stats: r.stats.clone(),
-            phases: r.phases,
-            sketch_builds: r.sketch_builds,
-            sketch_cache_hits: r.sketch_cache_hits,
-            update_rounds: self.epoch_rounds,
-            update_bits: self.epoch_bits,
-            faults_injected: r.stats.faults_injected + self.epoch_faults,
-            retransmit_bits: r.stats.retransmit_bits + self.epoch_retransmit_bits,
-            recovery_rounds: r.stats.recovery_rounds + self.epoch_recovery_rounds,
+            stats: r.total.clone(),
+            phases: run.map_or(0, |run| run.phases),
+            sketch_builds: run.map_or(0, |run| run.sketch_builds),
+            sketch_cache_hits: run.map_or(0, |run| run.sketch_cache_hits),
+            update_rounds: epoch.rounds,
+            update_bits: epoch.total_bits,
+            faults_injected: r.total.faults_injected + epoch.faults_injected,
+            retransmit_bits: r.total.retransmit_bits + epoch.retransmit_bits,
+            recovery_rounds: r.total.recovery_rounds + epoch.recovery_rounds,
             wall: started.elapsed(),
             phase_breakdown: breakdown,
-        };
-        self.reset_epoch();
-        report
-    }
-
-    fn reset_epoch(&mut self) {
-        self.epoch_rounds = 0;
-        self.epoch_bits = 0;
-        self.epoch_faults = 0;
-        self.epoch_retransmit_bits = 0;
-        self.epoch_recovery_rounds = 0;
-    }
-
-    fn network(&self) -> NetworkConfig {
-        NetworkConfig {
-            k: self.k(),
-            bandwidth: self.inner.defaults().bandwidth,
-            n: self.n(),
-            cost_model: self.inner.defaults().cost_model,
-            encoding: self.inner.defaults().encoding,
         }
     }
 
@@ -1700,8 +1612,9 @@ impl DynamicCluster {
     pub fn full_reingest_stats(&self) -> CommStats {
         debug_assert_eq!(self.pending_half_ops(), 0, "compact before measuring");
         let l = id_bits(self.n());
-        let mut bsp: Bsp<Payload> = Bsp::new(self.network());
-        crate::engine::attach_transport(&mut bsp, self.inner.defaults().transport, self.k());
+        let defaults = self.inner.defaults();
+        let mut bsp: Bsp<Payload> = Bsp::new(defaults.network(self.k(), self.n()));
+        crate::engine::attach_transport(&mut bsp, defaults.transport, self.k());
         let mut envelopes = Vec::with_capacity(2 * self.m());
         for i in 0..self.k() {
             for e in self.inner.sharded().view(i).local_edges() {
@@ -1749,45 +1662,11 @@ fn splice_forest(fresh: &[(u32, u32, u64)], survivors: Vec<Edge>) -> Vec<Edge> {
 /// Canonical (minimum-member) component labels of a forest over `n`
 /// vertices.
 fn forest_labels(n: usize, forest: &[Edge]) -> Vec<Label> {
-    let mut uf = VertexUf::new(n);
+    let mut uf = UnionFind::new(n);
     for e in forest {
         uf.union(e.u, e.v);
     }
-    (0..n as u32).map(|v| Label::from(uf.find(v))).collect()
-}
-
-/// A plain union-find over vertex ids: path-halving, union by *minimum*
-/// root — so every root is its component's canonical label.
-struct VertexUf {
-    parent: Vec<u32>,
-}
-
-impl VertexUf {
-    fn new(n: usize) -> Self {
-        VertexUf {
-            parent: (0..n as u32).collect(),
-        }
-    }
-
-    fn find(&mut self, mut x: u32) -> u32 {
-        while self.parent[x as usize] != x {
-            let gp = self.parent[self.parent[x as usize] as usize];
-            self.parent[x as usize] = gp;
-            x = gp;
-        }
-        x
-    }
-
-    fn union(&mut self, a: u32, b: u32) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            self.parent[ra.max(rb) as usize] = ra.min(rb);
-        }
-    }
-
-    fn connected(&mut self, a: u32, b: u32) -> bool {
-        self.find(a) == self.find(b)
-    }
+    uf.canonical_labels().into_iter().map(Label::from).collect()
 }
 
 /// The maximum-key edge on the unique tree path between `u` and `v`
@@ -1841,24 +1720,6 @@ fn tree_piece(adj: &FxHashMap<u32, Vec<(u32, u64)>>, start: u32, del: Edge) -> V
         }
     }
     order
-}
-
-/// A borrowed maintained sketch plus the shared functions — lets `apply`
-/// update sketches without re-borrowing `self` per call.
-struct SketchHandle<'a> {
-    sketch: &'a mut L0Sketch,
-    fns: &'a SketchFns,
-    v: u32,
-}
-
-impl SketchHandle<'_> {
-    fn add_incident_edge_for(self, other: u32) {
-        self.sketch.add_incident_edge(self.fns, self.v, other);
-    }
-
-    fn remove_incident_edge_for(self, other: u32) {
-        self.sketch.remove_incident_edge(self.fns, self.v, other);
-    }
 }
 
 #[cfg(test)]

@@ -178,6 +178,20 @@ impl Default for EngineConfig {
     }
 }
 
+impl EngineConfig {
+    /// The network this configuration charges: `k` machines over an
+    /// `n`-vertex input.
+    pub(crate) fn network(&self, k: usize, n: usize) -> NetworkConfig {
+        NetworkConfig {
+            k,
+            bandwidth: self.bandwidth,
+            n,
+            cost_model: self.cost_model,
+            encoding: self.encoding,
+        }
+    }
+}
+
 /// Attaches the configured byte transport to a superstep runner
 /// (DESIGN.md §3.12). [`TransportSel::Sim`] leaves the in-process path
 /// byte-for-byte untouched — no bridge is installed, the simulator stays
@@ -232,13 +246,71 @@ impl EngineResult {
     }
 }
 
-/// A phase-boundary snapshot of the volatile per-machine state (see
-/// [`Engine::take_checkpoint`]).
+/// A snapshot of the four counters every span of a run is attributed by;
+/// the difference of two snapshots is the cost of the span between them.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Ledger {
+    pub(crate) rounds: u64,
+    pub(crate) total_bits: u64,
+    pub(crate) recovery_rounds: u64,
+    pub(crate) retransmit_bits: u64,
+}
+
+impl Ledger {
+    /// The ledger as of `stats`.
+    pub(crate) fn of(stats: &CommStats) -> Self {
+        Ledger {
+            rounds: stats.rounds,
+            total_bits: stats.total_bits,
+            recovery_rounds: stats.recovery_rounds,
+            retransmit_bits: stats.retransmit_bits,
+        }
+    }
+
+    /// Emits this span as a named [`TraceEvent::Segment`] row.
+    pub(crate) fn emit_segment(self, trace: &Tracer, name: &str) {
+        trace.emit(|| TraceEvent::Segment {
+            name: name.to_string(),
+            rounds: self.rounds,
+            bits: self.total_bits,
+        });
+    }
+}
+
+impl std::ops::Sub for Ledger {
+    type Output = Ledger;
+
+    fn sub(self, since: Ledger) -> Ledger {
+        Ledger {
+            rounds: self.rounds - since.rounds,
+            total_bits: self.total_bits - since.total_bits,
+            recovery_rounds: self.recovery_rounds - since.recovery_rounds,
+            retransmit_bits: self.retransmit_bits - since.retransmit_bits,
+        }
+    }
+}
+
+/// The slice of a machine's state that lives on its durable storage
+/// (DESIGN.md §3.10): a phase checkpoint is a clone of it and a rollback
+/// restores it. Everything else a machine holds is per-phase state, which
+/// a re-entered phase rebuilds identically.
+#[derive(Clone, Default)]
+struct Durable {
+    /// Component label of every home vertex.
+    labels: FxHashMap<u32, Label>,
+    /// Forest edges this machine has output.
+    mst_out: Vec<(u32, u32, u64)>,
+    /// Supergraph shard (§3.11): the supernodes this machine owns, keyed
+    /// by their current label. Empty until contraction builds it. Durable
+    /// because labels alone cannot reconstruct the deduped contracted edge
+    /// set a crashed contracted phase needs back.
+    supers: FxHashMap<Label, SuperNode>,
+}
+
+/// A phase-boundary snapshot (see [`Engine::take_checkpoint`]): every
+/// machine's [`Durable`] state plus the run-level state a phase may move.
 struct PhaseCheckpoint {
-    /// Per-machine label maps.
-    labels: Vec<FxHashMap<u32, Label>>,
-    /// Per-machine emitted forest edges.
-    mst_out: Vec<Vec<(u32, u32, u64)>>,
+    machines: Vec<Durable>,
     /// The sketch-function epoch salt at the boundary.
     epoch_salt: u32,
     /// The epoch sketch functions cached at the boundary. Restoring them
@@ -247,10 +319,6 @@ struct PhaseCheckpoint {
     /// machine's durable checkpoint, so a re-entered phase never
     /// re-distributes mid-epoch. Shared, not copied: the tables are `Θ(n)`.
     cached_fns: Option<(u32, Arc<SketchFns>)>,
-    /// Per-machine supergraph shards (§3.11). A crashed contracted phase
-    /// must restore the supernodes too — labels alone cannot reconstruct
-    /// the deduped contracted edge set.
-    supers: Vec<FxHashMap<Label, SuperNode>>,
     /// Whether the supergraph had been built at the boundary.
     contracted: bool,
     /// The live label-space size `n'` at the boundary.
@@ -314,13 +382,13 @@ fn rename_adj(node: SuperNode, map: &FxHashMap<Label, Label>) -> SuperNode {
     out
 }
 
-/// Drains a machine's inbox into the supergraph rename map
+/// Splits an inbox into the supergraph rename map
 /// ([`Payload::SuperRelabel`]) and the vertex-space rename map
 /// ([`Payload::Relabel`]).
-fn drain_rename_maps(st: &mut MachineState) -> (FxHashMap<Label, Label>, FxHashMap<Label, Label>) {
+fn rename_maps(inbox: Mail) -> (FxHashMap<Label, Label>, FxHashMap<Label, Label>) {
     let mut smap = FxHashMap::default();
     let mut vmap = FxHashMap::default();
-    for env in std::mem::take(&mut st.inbox) {
+    for env in inbox {
         match env.payload {
             Payload::SuperRelabel { old, new } => {
                 smap.insert(old, new);
@@ -335,7 +403,7 @@ fn drain_rename_maps(st: &mut MachineState) -> (FxHashMap<Label, Label>, FxHashM
 }
 
 /// Per-component state held at its proxy machine during one phase.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 struct ProxyComp {
     /// The component's own label (the key it is stored under).
     own: Label,
@@ -348,14 +416,12 @@ struct ProxyComp {
     /// Probe replies for the candidate's two endpoints: (label, exists, w).
     info: [Option<(Label, bool, u64)>; 2],
     /// Resolved outgoing edge of this phase: (u, v, w) with the guarantee
-    /// that exactly one endpoint is internal.
+    /// that exactly one endpoint is internal. MST: the lightest verified
+    /// outgoing edge so far — its key is the next elimination threshold —
+    /// and the MWOE once elimination is done.
     chosen: Option<(u32, u32, u64)>,
     /// Label on the other side of `chosen`.
     other_label: Option<Label>,
-    /// MST: best (lightest) verified outgoing key so far.
-    best: Option<EdgeKey>,
-    /// MST: the edge realizing `best`.
-    best_edge: Option<(u32, u32, u64)>,
     /// MST: elimination finished for this component.
     elim_done: bool,
     /// MST: consecutive failed/empty samples. A component is only declared
@@ -372,36 +438,36 @@ struct ProxyComp {
 }
 
 impl ProxyComp {
-    fn new(label: Label) -> Self {
+    fn new(label: Label, parts: Vec<u16>) -> Self {
         ProxyComp {
             own: label,
-            parts: Vec::new(),
-            sketch: None,
-            candidate: None,
-            info: [None, None],
-            chosen: None,
-            other_label: None,
-            best: None,
-            best_edge: None,
-            elim_done: false,
-            none_streak: 0,
-            parent: None,
+            parts,
             ptr: label,
             ptr_done: true,
+            ..ProxyComp::default()
         }
+    }
+
+    /// Resolves the outgoing edge to the one keyed `(w, u, v)`, which
+    /// crosses to component `other`.
+    fn choose(&mut self, (w, u, v): EdgeKey, other: Label) {
+        self.chosen = Some((u, v, w));
+        self.other_label = Some(other);
     }
 }
 
+/// A mailbox: what a step delivered to a machine, or what it is sending.
+type Mail = Vec<Envelope<Payload>>;
+
 /// One machine's state: its vertices, their labels, the components it
-/// proxies this phase, and its I/O buffers.
+/// proxies this phase, and its mailboxes.
+#[derive(Default)]
 struct MachineState {
     id: usize,
     verts: Vec<u32>,
-    labels: FxHashMap<u32, Label>,
+    /// What a phase checkpoint keeps.
+    dur: Durable,
     proxied: FxHashMap<Label, ProxyComp>,
-    inbox: Vec<Envelope<Payload>>,
-    outbox: Vec<Envelope<Payload>>,
-    mst_out: Vec<(u32, u32, u64)>,
     /// MST elimination: thresholds received for the parts this machine
     /// holds. Presence means "this component is still eliminating";
     /// `Some(key)` bounds the rebuild, `None` means rebuild unfiltered
@@ -411,25 +477,29 @@ struct MachineState {
     /// part, valid for the current sketch-function epoch. Invalidated per
     /// label on relabel, wholesale on epoch rollover.
     part_cache: FxHashMap<Label, L0Sketch>,
-    /// Supergraph shard (§3.11): the supernodes this machine owns, keyed
-    /// by their current label. Empty until contraction builds it.
-    supers: FxHashMap<Label, SuperNode>,
     /// Part sketches this machine built from scratch.
     sketch_builds: u64,
     /// Part sketches this machine served from `part_cache`.
     sketch_cache_hits: u64,
-    /// Scratch flag used by convergence aggregation.
+    /// This machine's bit between the two supersteps of
+    /// [`Engine::aggregate_flag`].
     flag: bool,
+    /// Mailboxes, owned by the step primitives: closures see the inbox as
+    /// an argument and the outbox only through [`Out::send`].
+    inbox: Mail,
+    outbox: Mail,
 }
 
-/// The engine itself. Borrows the sharded input graph (which carries the
-/// partition) for the run.
-pub struct Engine<'g> {
+/// The public facts of the run — everything a machine's local computation
+/// may read besides its own state. Shared by reference with every closure
+/// of a step, while the machine states are borrowed mutably.
+struct Cx<'g> {
     g: &'g ShardedGraph,
     mode: Mode,
-    cfg: EngineConfig,
+    merge: MergeStrategy,
     k: usize,
     n: usize,
+    /// Vertex-id width `⌈log₂ n⌉`.
     l: u64,
     /// Whether the supergraph has been built (contracted phases active).
     contracted: bool,
@@ -441,9 +511,64 @@ pub struct Engine<'g> {
     lw: u64,
     shared: SharedRandomness,
     scheme: ProxyScheme,
+    params: SketchParams,
+}
+
+impl Cx<'_> {
+    /// The machine holding component `label`'s phase-`p` state: its owner
+    /// `home(label)` once contracted, its random proxy before.
+    fn holder(&self, p: u32, label: Label) -> usize {
+        let part = self.g.partition();
+        if self.contracted {
+            part.home(label as u32)
+        } else {
+            self.scheme.proxy_of(part, p, 0, label)
+        }
+    }
+}
+
+/// A machine's sends of one step. [`Out::send`] is the only place an engine
+/// envelope is built, so every label field is priced at the live `(l, lw)`
+/// by construction.
+struct Out {
+    src: usize,
+    l: u64,
+    lw: u64,
+    buf: Mail,
+}
+
+impl Out {
+    fn send(&mut self, dst: usize, payload: Payload) {
+        self.buf
+            .push(payload.envelope(self.src, dst, self.l, self.lw));
+    }
+}
+
+/// One machine's local computation of a step: `f` gets the inbox the
+/// previous step delivered, and its sends collect in the machine's outbox.
+fn run_local(
+    cx: &Cx,
+    st: &mut MachineState,
+    f: impl FnOnce(&Cx, &mut MachineState, Mail, &mut Out),
+) {
+    let inbox = std::mem::take(&mut st.inbox);
+    let mut out = Out {
+        src: st.id,
+        l: cx.l,
+        lw: cx.lw,
+        buf: std::mem::take(&mut st.outbox),
+    };
+    f(cx, st, inbox, &mut out);
+    st.outbox = out.buf;
+}
+
+/// The engine itself. Borrows the sharded input graph (which carries the
+/// partition) for the run.
+pub struct Engine<'g> {
+    cx: Cx<'g>,
+    cfg: EngineConfig,
     bsp: Bsp<Payload>,
     machines: Vec<MachineState>,
-    params: SketchParams,
     /// The iteration-0 sketch functions of the current epoch, keyed by tag.
     cached_fns: Option<(u32, Arc<SketchFns>)>,
     /// Bumped by the termination guard to force fresh epoch functions.
@@ -458,14 +583,7 @@ impl<'g> Engine<'g> {
         let k = g.k();
         let n = g.n();
         let shared = SharedRandomness::new(seed);
-        let net = NetworkConfig {
-            k,
-            bandwidth: cfg.bandwidth,
-            n,
-            cost_model: cfg.cost_model,
-            encoding: cfg.encoding,
-        };
-        let mut bsp = Bsp::new(net);
+        let mut bsp = Bsp::new(cfg.network(k, n));
         if let Some(plan) = cfg.faults.clone() {
             bsp.install_faults(plan, true);
         }
@@ -474,39 +592,36 @@ impl<'g> Engine<'g> {
         let machines = (0..k)
             .map(|id| {
                 let verts = g.view(id).verts().to_vec();
-                let labels = verts.iter().map(|&v| (v, v as Label)).collect();
+                let dur = Durable {
+                    labels: verts.iter().map(|&v| (v, v as Label)).collect(),
+                    ..Durable::default()
+                };
                 MachineState {
                     id,
                     verts,
-                    labels,
-                    proxied: FxHashMap::default(),
-                    inbox: Vec::new(),
-                    outbox: Vec::new(),
-                    mst_out: Vec::new(),
-                    thresholds: FxHashMap::default(),
-                    part_cache: FxHashMap::default(),
-                    supers: FxHashMap::default(),
-                    sketch_builds: 0,
-                    sketch_cache_hits: 0,
-                    flag: false,
+                    dur,
+                    ..MachineState::default()
                 }
             })
             .collect();
         Engine {
-            g,
-            mode,
-            k,
-            n,
-            l: id_bits(n),
-            contracted: false,
-            n_active: n,
-            lw: id_bits(n),
-            scheme: ProxyScheme::new(shared, k),
-            shared,
+            cx: Cx {
+                g,
+                mode,
+                merge: cfg.merge,
+                k,
+                n,
+                l: id_bits(n),
+                contracted: false,
+                n_active: n,
+                lw: id_bits(n),
+                shared,
+                scheme: ProxyScheme::new(shared, k),
+                params: SketchParams::for_graph(n, cfg.reps),
+            },
+            cfg,
             bsp,
             machines,
-            params: SketchParams::for_graph(n, cfg.reps),
-            cfg,
             cached_fns: None,
             epoch_salt: 0,
             phase_components: Vec::new(),
@@ -535,17 +650,21 @@ impl<'g> Engine<'g> {
     /// edge would appear as a never-cancelling outgoing edge. Must be
     /// called before [`Engine::run`].
     pub fn restrict(&mut self, active: &[bool]) {
-        assert_eq!(active.len(), self.n, "active mask must cover all vertices");
+        assert_eq!(
+            active.len(),
+            self.cx.n,
+            "active mask must cover all vertices"
+        );
         for st in &mut self.machines {
             st.verts.retain(|&v| active[v as usize]);
-            det::retain_where(&mut st.labels, |&v, _| active[v as usize]);
+            det::retain_where(&mut st.dur.labels, |&v, _| active[v as usize]);
         }
         // The closure precondition, checked where it is cheap: every
         // retained vertex's neighborhood must itself be active (each
         // machine validates only its own shard adjacency).
         #[cfg(debug_assertions)]
         for st in &self.machines {
-            let view = self.g.view(st.id);
+            let view = self.cx.g.view(st.id);
             for &v in &st.verts {
                 for &(nb, _) in view.neighbors(v) {
                     debug_assert!(
@@ -560,75 +679,50 @@ impl<'g> Engine<'g> {
 
     /// Runs the algorithm to completion and returns outputs + accounting.
     pub fn run(mut self) -> EngineResult {
-        let setup_rounds_mark = self.bsp.stats().rounds;
-        let setup_bits_mark = self.bsp.stats().total_bits;
+        let mark = self.ledger();
         if self.cfg.charge_shared_randomness {
             // §2.2: M1 distributes Θ~(n/k) shared bits before phase 1.
-            let bits = SharedRandomness::paper_shared_bits(self.n, self.k);
-            let rounds = SharedRandomness::distribution_rounds(bits, self.k, self.bsp.link_bits());
+            let (n, k) = (self.cx.n, self.cx.k);
+            let bits = SharedRandomness::paper_shared_bits(n, k);
+            let rounds = SharedRandomness::distribution_rounds(bits, k, self.bsp.link_bits());
             self.bsp.charge_modeled_rounds(rounds, bits, 0);
         }
-        {
-            let rounds = self.bsp.stats().rounds - setup_rounds_mark;
-            let bits = self.bsp.stats().total_bits - setup_bits_mark;
-            self.cfg.trace.emit(|| TraceEvent::Segment {
-                name: "setup".to_string(),
-                rounds,
-                bits,
-            });
-        }
+        (self.ledger() - mark).emit_segment(&self.cfg.trace, "setup");
         let max_phases = self
             .cfg
             .max_phases
-            .unwrap_or(12 * id_bits(self.n.max(2)) as u32 + 2);
+            .unwrap_or(12 * id_bits(self.cx.n.max(2)) as u32 + 2);
         // Crash recovery (§3.10): checkpoint at every phase boundary so a
         // crashed phase can be rolled back and re-entered. Only armed when
         // the plan actually schedules crashes — message-level faults are
         // fully masked inside the superstep layer and need no checkpoints.
-        let recovery_on = self
-            .cfg
-            .faults
-            .as_ref()
-            .is_some_and(|f| !f.crashes.is_empty());
         // Once every scheduled crash superstep lies in the past no rollback
         // can ever be needed: stop refreshing the (O(n)-clone) checkpoint.
         let last_crash_superstep = self
             .cfg
             .faults
             .as_ref()
-            .and_then(|f| f.crashes.iter().map(|c| c.superstep).max())
-            .unwrap_or(0);
-        let mut checkpoint = recovery_on.then(|| self.take_checkpoint());
+            .and_then(|f| f.crashes.iter().map(|c| c.superstep).max());
+        let mut checkpoint = last_crash_superstep.map(|_| self.take_checkpoint());
         let mut phases = 0;
         let mut p = 0;
         let mut retries = 0u32;
         while p < max_phases {
             let crash_mark = self.bsp.crash_count();
-            let rounds_mark = self.bsp.stats().rounds;
-            let recovery_mark = self.bsp.stats().recovery_rounds;
-            let bits_mark = self.bsp.stats().total_bits;
-            let retransmit_mark = self.bsp.stats().retransmit_bits;
+            let mark = self.ledger();
             let comp_mark = self.phase_components.len();
             let depth_mark = self.drr_depths.len();
-            let sketch_mark = self.cfg.trace.is_on().then(|| {
-                (
-                    self.machines.iter().map(|st| st.sketch_builds).sum::<u64>(),
-                    self.machines
-                        .iter()
-                        .map(|st| st.sketch_cache_hits)
-                        .sum::<u64>(),
-                )
-            });
+            let (builds_mark, hits_mark) = self.sketch_counters();
             let comps = self.count_labels();
             self.phase_components.push(comps);
-            let contracted = self.contracted;
+            let contracted = self.cx.contracted;
             self.cfg.trace.emit(|| TraceEvent::PhaseStart {
                 phase: p,
                 components: comps as u64,
                 contracted,
             });
             let mut progressed = self.run_phase(p);
-            if !progressed && p >= 1 && !self.contracted {
+            if !progressed && p >= 1 && !self.cx.contracted {
                 // Termination guard: with cached iteration-0 functions a
                 // failed Monte-Carlo sample would repeat identically next
                 // phase, so "no outgoing edge anywhere" must be confirmed
@@ -642,7 +736,10 @@ impl<'g> Engine<'g> {
                 }
                 progressed = self.run_phase(p);
             }
-            if recovery_on && self.bsp.crash_count() > crash_mark {
+            if let Some(cp) = checkpoint
+                .as_ref()
+                .filter(|_| self.bsp.crash_count() > crash_mark)
+            {
                 // One or more machines crashed during this phase: discard
                 // the aborted attempt (including anything computed from
                 // state the crash should have wiped), restore from the
@@ -665,93 +762,62 @@ impl<'g> Engine<'g> {
                 let crashed = self.bsp.crashed_since(crash_mark);
                 self.phase_components.truncate(comp_mark);
                 self.drr_depths.truncate(depth_mark);
-                self.rollback(
-                    checkpoint.as_ref().expect("recovery_on keeps a checkpoint"),
-                    &crashed,
-                );
-                let wasted_rounds = (self.bsp.stats().rounds - rounds_mark)
-                    - (self.bsp.stats().recovery_rounds - recovery_mark);
-                let wasted_bits = (self.bsp.stats().total_bits - bits_mark)
-                    - (self.bsp.stats().retransmit_bits - retransmit_mark);
+                self.rollback(cp, &crashed);
+                let wasted = self.ledger() - mark;
                 self.bsp.charge_barrier(); // restart coordination
-                self.bsp.attribute_recovery(wasted_rounds + 1, wasted_bits);
-                let stats = self.bsp.stats();
-                let (rounds, bits) = (stats.rounds - rounds_mark, stats.total_bits - bits_mark);
-                let rec = stats.recovery_rounds - recovery_mark;
-                let rtx = stats.retransmit_bits - retransmit_mark;
-                let crashed_ids: Vec<u32> = crashed.iter().map(|&m| m as u32).collect();
+                self.bsp.attribute_recovery(
+                    wasted.rounds - wasted.recovery_rounds + 1,
+                    wasted.total_bits - wasted.retransmit_bits,
+                );
+                let spent = self.ledger() - mark;
+                let crashed: Vec<u32> = crashed.iter().map(|&m| m as u32).collect();
                 self.cfg.trace.emit(move || TraceEvent::Rollback {
                     phase: p,
-                    crashed: crashed_ids,
-                    rounds,
-                    bits,
-                    recovery_rounds: rec,
-                    retransmit_bits: rtx,
+                    crashed,
+                    rounds: spent.rounds,
+                    bits: spent.total_bits,
+                    recovery_rounds: spent.recovery_rounds,
+                    retransmit_bits: spent.retransmit_bits,
                 });
                 continue;
             }
             retries = 0;
             phases = p + 1;
-            {
-                let stats = self.bsp.stats();
-                let rounds = stats.rounds - rounds_mark;
-                let bits = stats.total_bits - bits_mark;
-                let rec = stats.recovery_rounds - recovery_mark;
-                let rtx = stats.retransmit_bits - retransmit_mark;
-                let (builds, hits) = sketch_mark.map_or((0, 0), |(b0, h0)| {
-                    (
-                        self.machines.iter().map(|st| st.sketch_builds).sum::<u64>() - b0,
-                        self.machines
-                            .iter()
-                            .map(|st| st.sketch_cache_hits)
-                            .sum::<u64>()
-                            - h0,
-                    )
-                });
-                self.cfg.trace.emit(|| TraceEvent::PhaseEnd {
-                    phase: p,
-                    rounds,
-                    bits,
-                    recovery_rounds: rec,
-                    retransmit_bits: rtx,
-                    sketch_builds: builds,
-                    sketch_cache_hits: hits,
-                });
-            }
+            let spent = self.ledger() - mark;
+            let (builds, hits) = self.sketch_counters();
+            self.cfg.trace.emit(|| TraceEvent::PhaseEnd {
+                phase: p,
+                rounds: spent.rounds,
+                bits: spent.total_bits,
+                recovery_rounds: spent.recovery_rounds,
+                retransmit_bits: spent.retransmit_bits,
+                sketch_builds: builds - builds_mark,
+                sketch_cache_hits: hits - hits_mark,
+            });
             if !progressed {
                 break;
             }
-            if recovery_on && self.bsp.stats().supersteps <= last_crash_superstep {
+            if last_crash_superstep.is_some_and(|s| self.bsp.stats().supersteps <= s) {
                 checkpoint = Some(self.take_checkpoint());
                 self.cfg.trace.emit(|| TraceEvent::Checkpoint { phase: p });
             }
             p += 1;
         }
-        let out_rounds_mark = self.bsp.stats().rounds;
-        let out_bits_mark = self.bsp.stats().total_bits;
-        let counted = if self.cfg.run_output_protocol {
-            Some(self.output_protocol(phases))
-        } else {
-            None
-        };
-        {
-            let rounds = self.bsp.stats().rounds - out_rounds_mark;
-            let bits = self.bsp.stats().total_bits - out_bits_mark;
-            self.cfg.trace.emit(|| TraceEvent::Segment {
-                name: "output".to_string(),
-                rounds,
-                bits,
-            });
-        }
+        let mark = self.ledger();
+        let counted_components = self
+            .cfg
+            .run_output_protocol
+            .then(|| self.output_protocol(phases));
+        (self.ledger() - mark).emit_segment(&self.cfg.trace, "output");
         // Gather outputs (instrumentation, not communication), then
         // canonicalize: relabel each component by its smallest member, so
         // the reported labels are a pure function of the partition. The
         // distributed state keeps its trajectory-dependent root labels;
         // only the gathered output is normalized.
-        let mut labels = vec![0 as Label; self.n];
+        let mut labels = vec![0 as Label; self.cx.n];
         let mut canon: FxHashMap<Label, Label> = FxHashMap::default();
         for st in &self.machines {
-            for (&v, &lab) in &st.labels {
+            for (&v, &lab) in &st.dur.labels {
                 labels[v as usize] = lab;
                 canon
                     .entry(lab)
@@ -760,30 +826,23 @@ impl<'g> Engine<'g> {
             }
         }
         for st in &self.machines {
-            for v in det::sorted_keys(&st.labels) {
+            for v in det::sorted_keys(&st.dur.labels) {
                 labels[v as usize] = canon[&labels[v as usize]];
             }
         }
-        let mst_edges_per_machine: Vec<usize> =
-            self.machines.iter().map(|st| st.mst_out.len()).collect();
-        let mst_edges = self
-            .machines
-            .iter()
-            .flat_map(|st| st.mst_out.iter().copied())
-            .collect();
-        let sketch_builds = self.machines.iter().map(|st| st.sketch_builds).sum();
-        let sketch_cache_hits = self.machines.iter().map(|st| st.sketch_cache_hits).sum();
+        let (sketch_builds, sketch_cache_hits) = self.sketch_counters();
+        let per_machine = self.machines.iter().map(|st| &st.dur.mst_out);
         EngineResult {
             labels,
-            stats: self.bsp.into_stats(),
             phases,
-            phase_components: self.phase_components,
-            drr_depths: self.drr_depths,
-            mst_edges,
-            mst_edges_per_machine,
-            counted_components: counted,
+            mst_edges_per_machine: per_machine.clone().map(Vec::len).collect(),
+            mst_edges: per_machine.flatten().copied().collect(),
+            counted_components,
             sketch_builds,
             sketch_cache_hits,
+            stats: self.bsp.into_stats(),
+            phase_components: self.phase_components,
+            drr_depths: self.drr_depths,
         }
     }
 
@@ -791,38 +850,33 @@ impl<'g> Engine<'g> {
     // Crash recovery (DESIGN.md §3.10)
     // ------------------------------------------------------------------
 
-    /// Snapshots the volatile per-machine state at a phase boundary: the
-    /// label maps, the emitted forest edges, and the sketch-function epoch
-    /// salt. That is everything a re-entered phase needs to replay the
-    /// exact fault-free trajectory — per-phase proxy state and sketch
-    /// caches are rebuilt (identically) by the phase itself.
+    /// Snapshots the durable state at a phase boundary. That is everything
+    /// a re-entered phase needs to replay the exact fault-free trajectory —
+    /// per-phase proxy state and sketch caches are rebuilt (identically) by
+    /// the phase itself.
     fn take_checkpoint(&self) -> PhaseCheckpoint {
         PhaseCheckpoint {
-            labels: self.machines.iter().map(|st| st.labels.clone()).collect(),
-            mst_out: self.machines.iter().map(|st| st.mst_out.clone()).collect(),
+            machines: self.machines.iter().map(|st| st.dur.clone()).collect(),
             epoch_salt: self.epoch_salt,
             cached_fns: self.cached_fns.clone(),
-            supers: self.machines.iter().map(|st| st.supers.clone()).collect(),
-            contracted: self.contracted,
-            n_active: self.n_active,
+            contracted: self.cx.contracted,
+            n_active: self.cx.n_active,
         }
     }
 
     /// Restores the checkpoint after a crash: crashed machines re-read
     /// their graph shard from durable storage (base CSR + the
-    /// `kgraph::sharded` delta log), every machine's labels and emitted
-    /// edges roll back to the phase boundary, and all per-phase state is
-    /// dropped. Checkpoints live on each machine's local durable storage,
-    /// so the restore ships no bits; its cost is the coordination barrier
-    /// the caller charges.
+    /// `kgraph::sharded` delta log), every machine's durable state rolls
+    /// back to the phase boundary, and all per-phase state is dropped.
+    /// Checkpoints live on each machine's local durable storage, so the
+    /// restore ships no bits; its cost is the coordination barrier the
+    /// caller charges.
     fn rollback(&mut self, cp: &PhaseCheckpoint, crashed: &[usize]) {
         for &m in crashed {
-            self.g.rebuild_shard(m);
+            self.cx.g.rebuild_shard(m);
         }
-        for (i, st) in self.machines.iter_mut().enumerate() {
-            st.labels = cp.labels[i].clone();
-            st.mst_out = cp.mst_out[i].clone();
-            st.supers = cp.supers[i].clone();
+        for (st, dur) in self.machines.iter_mut().zip(&cp.machines) {
+            st.dur = dur.clone();
             st.proxied.clear();
             st.thresholds.clear();
             st.part_cache.clear();
@@ -831,126 +885,194 @@ impl<'g> Engine<'g> {
         }
         self.epoch_salt = cp.epoch_salt;
         self.cached_fns = cp.cached_fns.clone();
-        self.contracted = cp.contracted;
-        self.n_active = cp.n_active;
-        self.lw = id_bits(self.n_active);
+        self.cx.contracted = cp.contracted;
+        self.cx.n_active = cp.n_active;
+        self.cx.lw = id_bits(cp.n_active);
+    }
+
+    // ------------------------------------------------------------------
+    // The superstep primitives (DESIGN.md §6)
+    // ------------------------------------------------------------------
+
+    /// One superstep of the k-machine model: every machine reads what the
+    /// previous step delivered to it, computes locally (in parallel — one
+    /// thread scope), and sends; then all sends cross the network in one
+    /// [`Bsp::superstep`] and land in the receivers' inboxes. An inbox
+    /// lives for exactly one step: what `f` does not consume is dropped.
+    fn step(&mut self, f: impl Fn(&Cx, &mut MachineState, Mail, &mut Out) + Sync) {
+        let cx = &self.cx;
+        par_for_each_state(&mut self.machines, |_, st| run_local(cx, st, &f));
+        self.deliver();
+    }
+
+    /// The serial form of [`Engine::step`] for the `O(k)`-message control
+    /// exchanges: only the machines in `who` compute and send, in order on
+    /// the calling thread — no thread scope for a handful of counters.
+    fn step_on(
+        &mut self,
+        who: std::ops::Range<usize>,
+        mut f: impl FnMut(&Cx, &mut MachineState, Mail, &mut Out),
+    ) {
+        for st in &mut self.machines[who] {
+            run_local(&self.cx, st, &mut f);
+        }
+        self.deliver();
+    }
+
+    /// Local-only work on every machine (in parallel). Never communicates:
+    /// even an empty superstep advances the superstep index that crash
+    /// events are keyed by.
+    fn each(&mut self, f: impl Fn(&Cx, &mut MachineState, Mail) + Sync) {
+        let cx = &self.cx;
+        par_for_each_state(&mut self.machines, |_, st| {
+            let inbox = std::mem::take(&mut st.inbox);
+            f(cx, st, inbox);
+        });
+    }
+
+    /// Ships every outbox through one superstep, in machine order, and
+    /// hands each machine what it received.
+    fn deliver(&mut self) {
+        let mut out = Vec::new();
+        for st in &mut self.machines {
+            out.append(&mut st.outbox);
+        }
+        self.bsp.superstep(out);
+        for (st, inbox) in self.machines.iter_mut().zip(self.bsp.take_all_inboxes()) {
+            st.inbox = inbox;
+        }
+    }
+
+    /// Global OR over a per-machine predicate: flags to M0, M0 broadcasts
+    /// the result (two supersteps of 1-bit messages — the counted cost of
+    /// convergence detection).
+    fn aggregate_flag(&mut self, pred: impl Fn(&MachineState) -> bool + Sync) -> bool {
+        self.step(|_, st, _, out| {
+            st.flag = pred(st);
+            if st.id != 0 {
+                out.send(0, Payload::Flag { bit: st.flag });
+            }
+        });
+        let mut global = false;
+        self.step_on(0..1, |cx, st, inbox, out| {
+            let up = |env: &Envelope<Payload>| matches!(env.payload, Payload::Flag { bit: true });
+            global = st.flag || inbox.iter().any(up);
+            for dst in 1..cx.k {
+                out.send(dst, Payload::Flag { bit: global });
+            }
+        });
+        global
     }
 
     // ------------------------------------------------------------------
     // Phase machinery
     // ------------------------------------------------------------------
 
-    /// Runs one phase; returns whether any component found an outgoing edge.
+    /// Runs one phase; returns whether any component found an outgoing
+    /// edge. Contraction (§3.11) changes what the steps run on, not the
+    /// steps: once the supergraph exists, selection is an exact local MWOE
+    /// (no sketches, no probes, no Monte-Carlo), pointer jumping is routed
+    /// to label owners and runs to *full* convergence, and the merge moves
+    /// supernode state and re-densifies so the next phase addresses
+    /// `⌈log₂ n'⌉`-bit ids.
     fn run_phase(&mut self, p: u32) -> bool {
-        if self.cfg.contract && p >= 1 {
-            if !self.contracted {
-                self.build_supergraph(p);
-            }
-            return self.run_super_phase(p);
+        if self.cfg.contract && p >= 1 && !self.cx.contracted {
+            self.build_supergraph();
         }
         self.select_outgoing(p);
         // Phase-progress flag: any component with a resolved outgoing edge?
-        let progressed =
-            self.aggregate_flag(|st| det::any_value(&st.proxied, |c| c.chosen.is_some()));
-        if !progressed {
+        if !self.aggregate_flag(|st| det::any_value(&st.proxied, |c| c.chosen.is_some())) {
             return false;
         }
         self.build_drr_forest(p);
         self.record_drr_depth();
         self.pointer_jump(p);
-        self.relabel(p);
+        if self.cx.contracted {
+            self.super_merge();
+            self.densify_and_rehome();
+        } else {
+            self.relabel();
+        }
         true
     }
 
     /// Step 1: every component selects (at most) one outgoing edge.
     fn select_outgoing(&mut self, p: u32) {
         if p == 0 {
-            self.phase0_local_select();
-            return;
+            return self.phase0_local_select();
+        }
+        if self.cx.contracted {
+            return self.super_local_select();
         }
         // Iteration-0 sketch functions: reused within the current epoch so
         // unchanged parts can serve their cached sketches.
-        let mut iter = 0u32;
         let fns = self.iter0_fns(p);
-        self.build_and_send_sketches(p, &fns, /*only_thresholded=*/ false);
-        self.proxy_merge_sketches(p, &fns);
-        self.probe_candidates(p);
-        if self.mode != Mode::Mst {
+        self.sample(p, &fns, /*only_thresholded=*/ false);
+        if self.cx.mode != Mode::Mst {
             // Single sample: the verified candidate is the chosen edge.
-            par_for_each_state(&mut self.machines, |_, st| {
-                det::for_each_value_mut(&mut st.proxied, |c| {
-                    finalize_candidate(c);
-                    c.chosen = c.best_edge;
-                });
-            });
             return;
         }
-        // MST: elimination loop (§3.1). Repeat: accept candidate as the new
-        // best, broadcast the threshold, rebuild filtered sketches, sample
-        // again — until every component is done (its lightest verified edge
-        // is the MWOE w.h.p.).
-        let max_iters = 2 * id_bits(self.n) as u32 + 8;
-        loop {
-            par_for_each_state(&mut self.machines, |_, st| {
-                det::for_each_value_mut(&mut st.proxied, |c| {
-                    finalize_candidate(c);
-                });
-            });
-            let active = self.aggregate_flag(|st| det::any_value(&st.proxied, |c| !c.elim_done));
-            if !active || iter >= max_iters {
-                break;
-            }
+        // MST: elimination loop (§3.1). Repeat: broadcast the verified
+        // candidate's key as the threshold, rebuild filtered sketches,
+        // sample again — until every component is done (its lightest
+        // verified edge is the MWOE w.h.p.).
+        let max_iters = 2 * id_bits(self.cx.n) as u32 + 8;
+        let mut iter = 0u32;
+        while self.aggregate_flag(|st| det::any_value(&st.proxied, |c| !c.elim_done))
+            && iter < max_iters
+        {
             iter += 1;
-            self.broadcast_thresholds(p);
+            self.broadcast_thresholds();
             // Elimination iterations always use fresh per-(phase, iteration)
             // functions: their sketches are threshold-filtered and never
             // cacheable.
             let fns = self.sketch_fns(p, iter);
             self.charge_fns_distribution(&fns);
-            self.build_and_send_sketches(p, &fns, /*only_thresholded=*/ true);
-            self.proxy_merge_sketches(p, &fns);
-            self.probe_candidates(p);
+            self.sample(p, &fns, /*only_thresholded=*/ true);
         }
-        par_for_each_state(&mut self.machines, |_, st| {
-            det::for_each_value_mut(&mut st.proxied, |c| {
-                c.chosen = c.best_edge;
-            });
-        });
     }
 
     /// Phase 0 (paper §2.1): singleton components are proxied by their home
     /// machine, so selection is fully local. Connectivity samples a uniform
     /// incident edge; MST takes the minimum-key incident edge.
     fn phase0_local_select(&mut self) {
-        let g = self.g;
-        let mode = self.mode;
-        let prf = self.shared.prf(Use::Phase0Sample);
-        par_for_each_state(&mut self.machines, |id, st| {
-            let view = g.view(id);
+        let prf = self.cx.shared.prf(Use::Phase0Sample);
+        self.each(|cx, st, _| {
+            let view = cx.g.view(st.id);
             for &v in &st.verts {
                 let nbrs = view.neighbors(v);
-                let mut comp = ProxyComp::new(v as Label);
-                comp.parts = vec![id as u16];
+                let mut comp = ProxyComp::new(v as Label, vec![st.id as u16]);
                 if !nbrs.is_empty() {
-                    let (nb, w) = match mode {
+                    let (nb, w) = match cx.mode {
                         Mode::Connectivity | Mode::SpanningForest => {
                             nbrs[prf.eval_mod(0, v as u64, nbrs.len() as u64) as usize]
                         }
                         Mode::Mst => *nbrs
                             .iter()
-                            .min_by_key(|&&(nb, w)| {
-                                let (a, b) = if v < nb { (v, nb) } else { (nb, v) };
-                                (w, a, b)
-                            })
+                            .min_by_key(|&&(nb, w)| edge_key(w, v, nb))
                             .expect("nonempty"),
                     };
-                    let (a, b) = if v < nb { (v, nb) } else { (nb, v) };
-                    comp.chosen = Some((a, b, w));
-                    comp.best_edge = comp.chosen;
                     // At phase 0 the other endpoint's label is its id.
-                    comp.other_label = Some(nb as Label);
+                    comp.choose(edge_key(w, v, nb), nb as Label);
                 }
                 st.proxied.insert(v as Label, comp);
+            }
+        });
+    }
+
+    /// Contracted phases: the deduped adjacency is materialized at each
+    /// owner, so every supernode reads its exact MWOE off it.
+    fn super_local_select(&mut self) {
+        self.each(|_, st, _| {
+            st.proxied.clear();
+            for (lab, node) in det::sorted_entries(&st.dur.supers) {
+                let mut comp = ProxyComp::new(lab, node.parts.clone());
+                if let Some((nb, &(w, ou, ov))) =
+                    det::min_entry_by(&node.adj, |_, &(w, ou, ov)| edge_key(w, ou, ov))
+                {
+                    comp.choose(edge_key(w, ou, ov), nb);
+                }
+                st.proxied.insert(lab, comp);
             }
         });
     }
@@ -960,7 +1082,7 @@ impl<'g> Engine<'g> {
         // Distinct tag per (phase, iteration): phases are < 2^24 and
         // iterations < 64 in practice, so these tags never collide with the
         // `EPOCH_TAG_BASE` range of the iteration-0 epoch functions.
-        SketchFns::new(&self.shared, p * 64 + iter, self.params)
+        SketchFns::new(&self.cx.shared, p * 64 + iter, self.cx.params)
     }
 
     /// Tag of the iteration-0 sketch functions for phase `p ≥ 1`: one tag
@@ -983,7 +1105,7 @@ impl<'g> Engine<'g> {
                 return Arc::clone(fns);
             }
         }
-        let fns = Arc::new(SketchFns::new(&self.shared, tag, self.params));
+        let fns = Arc::new(SketchFns::new(&self.cx.shared, tag, self.cx.params));
         self.charge_fns_distribution(&fns);
         for st in &mut self.machines {
             st.part_cache.clear();
@@ -997,9 +1119,19 @@ impl<'g> Engine<'g> {
     fn charge_fns_distribution(&mut self, fns: &SketchFns) {
         if self.cfg.charge_shared_randomness {
             let bits = fns.random_bits();
-            let rounds = SharedRandomness::distribution_rounds(bits, self.k, self.bsp.link_bits());
+            let rounds =
+                SharedRandomness::distribution_rounds(bits, self.cx.k, self.bsp.link_bits());
             self.bsp.charge_modeled_rounds(rounds, bits, 0);
         }
+    }
+
+    /// One sampling round (§2.3–§2.4): part sketches to the proxies, one
+    /// candidate edge sampled per merged component sketch, and the
+    /// candidates verified at their endpoints' homes.
+    fn sample(&mut self, p: u32, fns: &SketchFns, only_thresholded: bool) {
+        self.build_and_send_sketches(p, fns, only_thresholded);
+        self.proxy_merge_sketches(fns);
+        self.probe_candidates();
     }
 
     /// Builds part sketches and sends them to proxies. With
@@ -1008,19 +1140,12 @@ impl<'g> Engine<'g> {
     /// otherwise (the iteration-0 epoch-function path) unfiltered part
     /// sketches are served from / inserted into the per-machine cache.
     fn build_and_send_sketches(&mut self, p: u32, fns: &SketchFns, only_thresholded: bool) {
-        let g = self.g;
-        let part = self.g.partition();
-        let scheme = &self.scheme;
-        let l = self.l;
-        let lw = self.lw;
-        let params = self.params;
-        let mut machines = std::mem::take(&mut self.machines);
-        par_for_each_state(&mut machines, |id, st| {
-            let view = g.view(id);
+        self.step(|cx, st, _, out| {
+            let view = cx.g.view(st.id);
             // Group local vertices by label.
             let mut groups: FxHashMap<Label, Vec<u32>> = FxHashMap::default();
             for &v in &st.verts {
-                groups.entry(st.labels[&v]).or_default().push(v);
+                groups.entry(st.dur.labels[&v]).or_default().push(v);
             }
             for (label, vs) in det::into_sorted_entries(groups) {
                 let active = st.thresholds.get(&label).copied();
@@ -1030,48 +1155,35 @@ impl<'g> Engine<'g> {
                 let thr = active.flatten();
                 let build = |st: &mut MachineState| {
                     st.sketch_builds += 1;
-                    let mut sk = L0Sketch::new(params);
+                    let mut sk = L0Sketch::new(cx.params);
                     for &v in &vs {
                         for &(nb, w) in view.neighbors(v) {
-                            if let Some(t) = thr {
-                                let (a, b) = if v < nb { (v, nb) } else { (nb, v) };
-                                if (w, a, b) >= t {
-                                    continue;
-                                }
+                            if thr.is_none_or(|t| edge_key(w, v, nb) < t) {
+                                sk.add_incident_edge(fns, v, nb);
                             }
-                            sk.add_incident_edge(fns, v, nb);
                         }
                     }
                     sk
                 };
-                let sk = if !only_thresholded && thr.is_none() {
-                    if let Some(cached) = st.part_cache.get(&label) {
-                        st.sketch_cache_hits += 1;
-                        cached.clone()
-                    } else {
-                        let sk = build(st);
-                        st.part_cache.insert(label, sk.clone());
-                        sk
-                    }
-                } else {
+                let sk = if only_thresholded || thr.is_some() {
                     build(st)
+                } else if let Some(cached) = st.part_cache.get(&label) {
+                    st.sketch_cache_hits += 1;
+                    cached.clone()
+                } else {
+                    let sk = build(st);
+                    st.part_cache.insert(label, sk.clone());
+                    sk
                 };
-                let dst = scheme.proxy_of(part, p, 0, label);
-                let payload = Payload::PartSketch {
-                    label,
-                    sketch: Box::new(sk),
-                };
-                st.outbox.push(payload.envelope(id, dst, l, lw));
+                let sketch = Box::new(sk);
+                out.send(cx.holder(p, label), Payload::PartSketch { label, sketch });
             }
         });
-        self.machines = machines;
-        self.flush();
     }
 
     /// Proxies merge arriving part sketches and sample a candidate edge.
-    fn proxy_merge_sketches(&mut self, _p: u32, fns: &SketchFns) {
-        par_for_each_state(&mut self.machines, |_, st| {
-            let inbox = std::mem::take(&mut st.inbox);
+    fn proxy_merge_sketches(&mut self, fns: &SketchFns) {
+        self.each(|_, st, inbox| {
             // Components seen this superstep (for requerying).
             let mut touched: FxHashSet<Label> = FxHashSet::default();
             for env in inbox {
@@ -1079,7 +1191,7 @@ impl<'g> Engine<'g> {
                     let comp = st
                         .proxied
                         .entry(label)
-                        .or_insert_with(|| ProxyComp::new(label));
+                        .or_insert_with(|| ProxyComp::new(label, Vec::new()));
                     if !comp.parts.contains(&(env.src as u16)) {
                         comp.parts.push(env.src as u16);
                     }
@@ -1092,70 +1204,51 @@ impl<'g> Engine<'g> {
             }
             for label in det::sorted_members(&touched) {
                 let comp = st.proxied.get_mut(&label).expect("just inserted");
-                comp.candidate = comp
-                    .sketch
-                    .as_ref()
+                // Sampled once; taking the sketch frees its memory.
+                let sketch = comp.sketch.take();
+                comp.candidate = sketch
                     .and_then(|sk| sk.query(fns))
                     .map(|(u, v)| (u.min(v), u.max(v)));
                 comp.info = [None, None];
-                comp.sketch = None; // sampled once; free the memory
             }
         });
     }
 
     /// Probe the candidate edges: proxy asks both endpoints' home machines
-    /// for current label, existence, and weight (two supersteps).
-    fn probe_candidates(&mut self, _p: u32) {
-        let part = self.g.partition();
-        let l = self.l;
-        let lw = self.lw;
+    /// for current label, existence, and weight (two supersteps), then
+    /// folds the replies into the component state.
+    fn probe_candidates(&mut self) {
         // Superstep A: queries out.
-        let mut machines = std::mem::take(&mut self.machines);
-        par_for_each_state(&mut machines, |id, st| {
-            let mut out = Vec::new();
-            for (label, c) in det::sorted_entries(&st.proxied) {
+        self.step(|cx, st, _, out| {
+            for (comp, c) in det::sorted_entries(&st.proxied) {
                 if let Some((u, v)) = c.candidate {
                     for (ask, other) in [(u, v), (v, u)] {
-                        let payload = Payload::EdgeProbe {
-                            comp: label,
-                            ask,
-                            other,
-                        };
-                        out.push(payload.envelope(id, part.home(ask), l, lw));
+                        let home = cx.g.partition().home(ask);
+                        out.send(home, Payload::EdgeProbe { comp, ask, other });
                     }
                 }
             }
-            st.outbox.extend(out);
         });
-        self.machines = machines;
-        self.flush();
         // Superstep B: homes answer from their authoritative label map and
         // their local shard adjacency (`ask` is homed here by construction).
-        let g = self.g;
-        let mut machines = std::mem::take(&mut self.machines);
-        par_for_each_state(&mut machines, |id, st| {
-            let view = g.view(id);
-            let inbox = std::mem::take(&mut st.inbox);
+        self.step(|cx, st, inbox, out| {
+            let view = cx.g.view(st.id);
             for env in inbox {
                 if let Payload::EdgeProbe { comp, ask, other } = env.payload {
-                    let label = *st.labels.get(&ask).expect("probe reached home machine");
                     let weight = view.edge_weight(ask, other);
-                    let payload = Payload::EdgeProbeReply {
+                    let reply = Payload::EdgeProbeReply {
                         comp,
                         vertex: ask,
-                        label,
+                        label: st.dur.labels[&ask],
                         exists: weight.is_some(),
                         weight: weight.unwrap_or(0),
                     };
-                    st.outbox.push(payload.envelope(id, env.src, l, lw));
+                    out.send(env.src, reply);
                 }
             }
         });
-        self.machines = machines;
-        self.flush();
-        // Record replies at the proxies.
-        par_for_each_state(&mut self.machines, |_, st| {
-            let inbox = std::mem::take(&mut st.inbox);
+        // Record replies at the proxies and judge every candidate.
+        self.each(|_, st, inbox| {
             for env in inbox {
                 if let Payload::EdgeProbeReply {
                     comp,
@@ -1167,40 +1260,31 @@ impl<'g> Engine<'g> {
                 {
                     if let Some(c) = st.proxied.get_mut(&comp) {
                         if let Some((u, v)) = c.candidate {
-                            let slot = if vertex == u { 0 } else { 1 };
                             debug_assert!(vertex == u || vertex == v);
-                            c.info[slot] = Some((label, exists, weight));
+                            c.info[usize::from(vertex != u)] = Some((label, exists, weight));
                         }
                     }
                 }
             }
+            det::for_each_value_mut(&mut st.proxied, finalize_candidate);
         });
     }
 
     /// MST: broadcast each active component's new strict threshold to all
     /// machines holding a part of it.
-    fn broadcast_thresholds(&mut self, _p: u32) {
-        let l = self.l;
-        let lw = self.lw;
-        let mut machines = std::mem::take(&mut self.machines);
-        par_for_each_state(&mut machines, |id, st| {
-            let mut out = Vec::new();
+    fn broadcast_thresholds(&mut self) {
+        self.step(|_, st, _, out| {
             for (label, c) in det::sorted_entries(&st.proxied) {
-                if c.elim_done {
-                    continue;
-                }
-                let key = c.best;
-                for &m in &c.parts {
-                    out.push(Payload::Threshold { label, key }.envelope(id, m as usize, l, lw));
+                if !c.elim_done {
+                    let key = c.chosen.map(|(u, v, w)| (w, u, v));
+                    for &m in &c.parts {
+                        out.send(m as usize, Payload::Threshold { label, key });
+                    }
                 }
             }
-            st.outbox.extend(out);
         });
-        self.machines = machines;
-        self.flush();
-        par_for_each_state(&mut self.machines, |_, st| {
+        self.each(|_, st, inbox| {
             st.thresholds.clear();
-            let inbox = std::mem::take(&mut st.inbox);
             for env in inbox {
                 if let Payload::Threshold { label, key } = env.payload {
                     st.thresholds.insert(label, key);
@@ -1212,101 +1296,74 @@ impl<'g> Engine<'g> {
     /// Step 2 (§2.5): merge partners from verified candidates + shared
     /// randomness (DRR ranks, or footnote 9's coin flips).
     fn build_drr_forest(&mut self, p: u32) {
-        let scheme = &self.scheme;
-        let merge = self.cfg.merge;
-        let mut machines = std::mem::take(&mut self.machines);
-        par_for_each_state(&mut machines, |_, st| {
+        self.each(|cx, st, _| {
             det::for_each_entry_mut(&mut st.proxied, |label, c| {
-                let connects = |other: Label| match merge {
-                    MergeStrategy::Drr => scheme.connects(p, label, other),
-                    MergeStrategy::CoinFlip => !scheme.coin(p, label) && scheme.coin(p, other),
-                };
-                c.parent = match (c.chosen, c.other_label) {
-                    (Some(_), Some(other)) if connects(other) => Some(other),
-                    _ => None,
-                };
-                match c.parent {
-                    Some(parent) => {
-                        c.ptr = parent;
-                        c.ptr_done = false;
+                let connects = |other: Label| match cx.merge {
+                    MergeStrategy::Drr => cx.scheme.connects(p, label, other),
+                    MergeStrategy::CoinFlip => {
+                        !cx.scheme.coin(p, label) && cx.scheme.coin(p, other)
                     }
-                    None => {
-                        c.ptr = label;
-                        c.ptr_done = true;
-                    }
-                }
+                };
+                c.parent = c.other_label.filter(|&o| c.chosen.is_some() && connects(o));
+                c.ptr = c.parent.unwrap_or(label);
+                c.ptr_done = c.parent.is_none();
             });
         });
-        self.machines = machines;
     }
 
-    /// Step 3 (§2.5): pointer jumping among proxies until every component
-    /// knows its root label. The iteration count covers the w.h.p. Lemma-6
-    /// depth bound; a straggler merely relabels to an ancestor (safe).
+    /// Step 3 (§2.5): pointer jumping among the machines holding component
+    /// state until every component knows its root label. On the vertex
+    /// path the iteration count covers the w.h.p. Lemma-6 depth bound, and
+    /// a straggler merely relabels to an ancestor (safe). Contracted
+    /// merges move supernode state, so relabeling to a non-root ancestor
+    /// would strand state at a node that is itself moving: there the loop
+    /// runs until every pointer is a root (DRR ranks strictly increase
+    /// along parent pointers, so the forest is acyclic and doubling
+    /// converges in `O(log depth)` iterations).
     fn pointer_jump(&mut self, p: u32) {
-        let depth_bound = 6 * (id_bits(self.n + 1) as u32) + 2;
+        let depth_bound = 6 * (id_bits(self.cx.n + 1) as u32) + 2;
         let iters = 32 - (2 * depth_bound).leading_zeros() + 1;
-        let part = self.g.partition();
-        let scheme = self.scheme.clone();
-        for _ in 0..iters {
-            if !self.aggregate_flag(|st| det::any_value(&st.proxied, |c| !c.ptr_done)) {
-                break;
-            }
-            self.jump_round(|target| scheme.proxy_of(part, p, 0, target));
+        let mut rounds = 0u32;
+        while (self.cx.contracted || rounds < iters)
+            && self.aggregate_flag(|st| det::any_value(&st.proxied, |c| !c.ptr_done))
+        {
+            rounds += 1;
+            assert!(rounds <= 72, "pointer jumping failed to converge");
+            self.jump_round(p);
         }
     }
 
-    /// One pointer-doubling round, shared by [`Engine::pointer_jump`] and
-    /// [`Engine::super_pointer_jump`]: every unfinished component asks the
-    /// machine `route(ptr)` holding its pointer target's state for that
-    /// target's pointer, and adopts the answer. Two supersteps.
-    fn jump_round(&mut self, route: impl Fn(Label) -> usize + Sync) {
-        let l = self.l;
-        let lw = self.lw;
+    /// One pointer-doubling round of [`Engine::pointer_jump`]: every
+    /// unfinished component asks the machine holding its pointer target's
+    /// state ([`Cx::holder`]) for that target's pointer, and adopts the
+    /// answer. Two supersteps.
+    fn jump_round(&mut self, p: u32) {
         // Queries out.
-        let mut machines = std::mem::take(&mut self.machines);
-        par_for_each_state(&mut machines, |id, st| {
-            let mut out = Vec::new();
-            for (label, c) in det::sorted_entries(&st.proxied) {
+        self.step(|cx, st, _, out| {
+            for (asker, c) in det::sorted_entries(&st.proxied) {
                 if !c.ptr_done {
-                    let payload = Payload::PtrQuery {
-                        asker: label,
-                        target: c.ptr,
-                    };
-                    out.push(payload.envelope(id, route(c.ptr), l, lw));
+                    let target = c.ptr;
+                    out.send(cx.holder(p, target), Payload::PtrQuery { asker, target });
                 }
             }
-            st.outbox.extend(out);
         });
-        self.machines = machines;
-        self.flush();
         // Answers back (reads only pre-iteration state: replies are
         // computed before any update is applied).
-        let mut machines = std::mem::take(&mut self.machines);
-        par_for_each_state(&mut machines, |id, st| {
-            let inbox = std::mem::take(&mut st.inbox);
-            let mut out = Vec::new();
+        self.step(|_, st, inbox, out| {
             for env in inbox {
                 if let Payload::PtrQuery { asker, target } = env.payload {
                     let t = st
                         .proxied
                         .get(&target)
                         .expect("pointer target's state lives where its query was routed");
-                    let payload = Payload::PtrReply {
-                        asker,
-                        ptr: t.ptr,
-                        done: t.ptr_done,
-                    };
-                    out.push(payload.envelope(id, env.src, l, lw));
+                    let (ptr, done) = (t.ptr, t.ptr_done);
+                    out.send(env.src, Payload::PtrReply { asker, ptr, done });
                 }
             }
-            st.outbox.extend(out);
         });
-        self.machines = machines;
-        self.flush();
         // Apply updates.
-        par_for_each_state(&mut self.machines, |_, st| {
-            for env in std::mem::take(&mut st.inbox) {
+        self.each(|_, st, inbox| {
+            for env in inbox {
                 if let Payload::PtrReply { asker, ptr, done } = env.payload {
                     if let Some(c) = st.proxied.get_mut(&asker) {
                         c.ptr = ptr;
@@ -1319,57 +1376,30 @@ impl<'g> Engine<'g> {
 
     /// Step 4: proxies broadcast relabel commands; machines apply them.
     /// MST: a component that merged outputs its chosen edge at the proxy.
-    fn relabel(&mut self, _p: u32) {
-        let l = self.l;
-        let lw = self.lw;
-        let mode = self.mode;
-        let mut machines = std::mem::take(&mut self.machines);
-        par_for_each_state(&mut machines, |id, st| {
-            let mut out = Vec::new();
-            for (label, c) in det::sorted_entries(&st.proxied) {
-                if c.parent.is_some() {
-                    if mode != Mode::Connectivity {
-                        if let Some(e) = c.chosen {
-                            st.mst_out.push(e);
-                        }
-                    }
-                    if c.ptr != label {
-                        for &m in &c.parts {
-                            let payload = Payload::Relabel {
-                                old: label,
-                                new: c.ptr,
-                            };
-                            out.push(payload.envelope(id, m as usize, l, lw));
-                        }
+    fn relabel(&mut self) {
+        self.step(|cx, st, _, out| {
+            for (old, new) in merging(cx, st) {
+                if new != old {
+                    for &m in &st.proxied[&old].parts {
+                        out.send(m as usize, Payload::Relabel { old, new });
                     }
                 }
             }
-            st.outbox.extend(out);
         });
-        self.machines = machines;
-        self.flush();
-        par_for_each_state(&mut self.machines, |_, st| {
-            let inbox = std::mem::take(&mut st.inbox);
-            let mut map: FxHashMap<Label, Label> = FxHashMap::default();
-            for env in inbox {
-                if let Payload::Relabel { old, new } = env.payload {
-                    map.insert(old, new);
-                }
+        self.each(|_, st, inbox| {
+            let (_, map) = rename_maps(inbox);
+            // Cache invalidation: the relabeled part dissolves into the
+            // target part, so both sketches are stale. Parts this map
+            // does not touch keep serving their cached sketches.
+            for (old, new) in det::sorted_entries(&map) {
+                st.part_cache.remove(&old);
+                st.part_cache.remove(new);
             }
-            if !map.is_empty() {
-                // Cache invalidation: the relabeled part dissolves into the
-                // target part, so both sketches are stale. Parts this map
-                // does not touch keep serving their cached sketches.
-                for (old, new) in det::sorted_entries(&map) {
-                    st.part_cache.remove(&old);
-                    st.part_cache.remove(new);
+            det::for_each_value_mut(&mut st.dur.labels, |lab| {
+                if let Some(&nl) = map.get(lab) {
+                    *lab = nl;
                 }
-                det::for_each_value_mut(&mut st.labels, |lab| {
-                    if let Some(&nl) = map.get(lab) {
-                        *lab = nl;
-                    }
-                });
-            }
+            });
             // Phase is over: clear per-phase proxy state.
             st.proxied.clear();
             st.thresholds.clear();
@@ -1392,39 +1422,28 @@ impl<'g> Engine<'g> {
     /// so merges can be broadcast back into the vertex space. Ends with a
     /// densification, after which labels live in `[0, n')` and every
     /// subsequent label field is charged `⌈log₂ n'⌉` bits.
-    fn build_supergraph(&mut self, p: u32) {
-        let g = self.g;
-        let part = g.partition();
-        let l = self.l;
-        let lw = self.lw;
+    fn build_supergraph(&mut self) {
         // Superstep 1: push labels across every edge.
-        let mut machines = std::mem::take(&mut self.machines);
-        par_for_each_state(&mut machines, |id, st| {
-            let view = g.view(id);
-            let mut out = Vec::new();
-            for &v in &st.verts {
-                let lab = st.labels[&v];
-                for &(nb, w) in view.neighbors(v) {
-                    let payload = Payload::LabelPush {
-                        u: v,
-                        v: nb,
-                        weight: w,
-                        label: lab,
+        self.step(|cx, st, _, out| {
+            let view = cx.g.view(st.id);
+            for &u in &st.verts {
+                let label = st.dur.labels[&u];
+                for &(v, weight) in view.neighbors(u) {
+                    let push = Payload::LabelPush {
+                        u,
+                        v,
+                        weight,
+                        label,
                     };
-                    out.push(payload.envelope(id, part.home(nb), l, lw));
+                    out.send(cx.g.partition().home(v), push);
                 }
             }
-            st.outbox.extend(out);
         });
-        self.machines = machines;
-        self.flush();
         // Superstep 2: receivers surface each crossing edge once (only the
         // smaller endpoint's home creates it — the push from the larger
         // endpoint) and announce the components they host.
-        let mut machines = std::mem::take(&mut self.machines);
-        par_for_each_state(&mut machines, |id, st| {
-            let inbox = std::mem::take(&mut st.inbox);
-            let mut out = Vec::new();
+        self.step(|cx, st, inbox, out| {
+            let part = cx.g.partition();
             for env in inbox {
                 if let Payload::LabelPush {
                     u,
@@ -1433,40 +1452,35 @@ impl<'g> Engine<'g> {
                     label,
                 } = env.payload
                 {
-                    let mine = *st.labels.get(&v).expect("label push reached home");
+                    let mine = st.dur.labels[&v];
                     if mine != label && v < u {
                         let (ou, ov) = (v, u);
                         for (a, b) in [(mine, label), (label, mine)] {
-                            let payload = Payload::SuperEdge {
+                            let edge = Payload::SuperEdge {
                                 a,
                                 b,
                                 weight,
                                 ou,
                                 ov,
                             };
-                            out.push(payload.envelope(id, part.home(a as u32), l, lw));
+                            out.send(part.home(a as u32), edge);
                         }
                     }
                 }
             }
-            let mut distinct: FxHashSet<Label> = FxHashSet::default();
-            distinct.extend(det::sorted_values(&st.labels));
-            for lab in det::sorted_members(&distinct) {
-                let payload = Payload::SuperParts {
-                    label: lab,
-                    parts: vec![id as u16],
-                };
-                out.push(payload.envelope(id, part.home(lab as u32), l, lw));
+            for label in det::distinct_values(&st.dur.labels) {
+                let parts = vec![st.id as u16];
+                out.send(
+                    part.home(label as u32),
+                    Payload::SuperParts { label, parts },
+                );
             }
-            st.outbox.extend(out);
         });
-        self.machines = machines;
-        self.flush();
         // Owners absorb: adjacency min-merge + hosted-part sets. Part
         // announcements also materialize isolated components (no crossing
         // edges, but they still need relabel broadcasts and counting).
-        par_for_each_state(&mut self.machines, |_, st| {
-            for env in std::mem::take(&mut st.inbox) {
+        self.each(|_, st, inbox| {
+            for env in inbox {
                 match env.payload {
                     Payload::SuperEdge {
                         a,
@@ -1474,14 +1488,15 @@ impl<'g> Engine<'g> {
                         weight,
                         ou,
                         ov,
-                    } => {
-                        st.supers.entry(a).or_default().add_edge(b, weight, ou, ov);
-                    }
+                    } => st
+                        .dur
+                        .supers
+                        .entry(a)
+                        .or_default()
+                        .add_edge(b, weight, ou, ov),
                     Payload::SuperParts { label, parts } => {
-                        let node = st.supers.entry(label).or_default();
-                        for m in parts {
-                            node.add_part(m);
-                        }
+                        let node = st.dur.supers.entry(label).or_default();
+                        parts.into_iter().for_each(|m| node.add_part(m));
                     }
                     _ => {}
                 }
@@ -1490,9 +1505,9 @@ impl<'g> Engine<'g> {
             st.part_cache.clear();
             st.thresholds.clear();
         });
-        self.contracted = true;
+        self.cx.contracted = true;
         self.cached_fns = None;
-        self.densify_and_rehome(p);
+        self.densify_and_rehome();
     }
 
     /// Renumbers the live components into the dense space `[0, n')` and
@@ -1504,308 +1519,135 @@ impl<'g> Engine<'g> {
     /// supernode to its dense home. The whole exchange is charged at the
     /// pre-densification label width; `lw` shrinks to `⌈log₂ n'⌉` only once
     /// the new space is live.
-    fn densify_and_rehome(&mut self, _p: u32) {
-        let l = self.l;
-        let lw = self.lw;
-        let k = self.k;
+    fn densify_and_rehome(&mut self) {
         // Superstep A: counts to M0.
-        let mut machines = std::mem::take(&mut self.machines);
-        for st in &mut machines {
-            let payload = Payload::CountReport {
-                count: st.supers.len() as u64,
-            };
-            st.outbox.push(payload.envelope(st.id, 0, l, lw));
-        }
-        self.machines = machines;
-        self.flush();
+        self.step_on(0..self.cx.k, |_, st, _, out| {
+            let count = st.dur.supers.len() as u64;
+            out.send(0, Payload::CountReport { count });
+        });
         // Superstep B: M0 computes prefix bases in machine order.
-        {
-            let st0 = &mut self.machines[0];
-            let inbox = std::mem::take(&mut st0.inbox);
-            let mut counts = vec![0u64; k];
+        let mut total = 0u64;
+        self.step_on(0..1, |cx, _, inbox, out| {
+            let mut counts = vec![0u64; cx.k];
             for env in inbox {
                 if let Payload::CountReport { count } = env.payload {
                     counts[env.src] = count;
                 }
             }
-            let total: u64 = counts.iter().sum();
+            total = counts.iter().sum();
             let mut base = 0u64;
             for (dst, &c) in counts.iter().enumerate() {
-                st0.outbox
-                    .push(Payload::DenseBase { base, total }.envelope(0, dst, l, lw));
+                out.send(dst, Payload::DenseBase { base, total });
                 base += c;
             }
-        }
-        self.flush();
+        });
         // Every machine assigns `dense = base + rank` by sorted old label;
         // every supernode is renamed, so every supernode moves.
-        let mut total = 0u64;
-        let mut renames = Vec::with_capacity(k);
-        for st in &mut self.machines {
-            let mut base = 0u64;
-            for env in std::mem::take(&mut st.inbox) {
-                if let Payload::DenseBase { base: b, total: t } = env.payload {
-                    base = b;
-                    total = total.max(t);
-                }
-            }
-            let labs: Vec<Label> = det::sorted_keys(&st.supers);
-            renames.push(labs.into_iter().zip(base..).collect());
-        }
-        self.rename_and_move(renames);
-        self.n_active = total.max(1) as usize;
-        self.lw = id_bits(self.n_active);
-    }
-
-    /// One Borůvka phase on the contracted supergraph: exact local MWOE
-    /// selection (the deduped adjacency is materialized at each owner — no
-    /// sketches, no probes, no Monte-Carlo), the same DRR forest and depth
-    /// instrumentation as the sketch path, owner-routed pointer jumping run
-    /// to *full* convergence (merges move supernode state, so relabeling to
-    /// a non-root ancestor — harmless in the sketch path — would strand
-    /// state at a node that is itself moving), a rename-then-move
-    /// merge, and a re-densification so the next phase addresses
-    /// `⌈log₂ n'⌉`-bit ids.
-    fn run_super_phase(&mut self, p: u32) -> bool {
-        par_for_each_state(&mut self.machines, |_, st| {
-            let mut proxied = FxHashMap::default();
-            for (lab, node) in det::sorted_entries(&st.supers) {
-                let mut comp = ProxyComp::new(lab);
-                comp.parts = node.parts.clone();
-                if let Some((nb, &(w, ou, ov))) =
-                    det::min_entry_by(&node.adj, |_, &(w, ou, ov)| edge_key(w, ou, ov))
-                {
-                    comp.chosen = Some((ou.min(ov), ou.max(ov), w));
-                    comp.best_edge = comp.chosen;
-                    comp.best = Some(edge_key(w, ou, ov));
-                    comp.other_label = Some(nb);
-                }
-                proxied.insert(lab, comp);
-            }
-            st.proxied = proxied;
+        self.rename_and_move(|_, st, inbox| {
+            let base = inbox.iter().find_map(|env| match env.payload {
+                Payload::DenseBase { base, .. } => Some(base),
+                _ => None,
+            });
+            let base = base.expect("M0 sent every machine its base");
+            det::sorted_keys(&st.dur.supers)
+                .into_iter()
+                .zip(base..)
+                .collect()
         });
-        let progressed =
-            self.aggregate_flag(|st| det::any_value(&st.proxied, |c| c.chosen.is_some()));
-        if !progressed {
-            for st in &mut self.machines {
-                st.proxied.clear();
-            }
-            return false;
-        }
-        self.build_drr_forest(p);
-        self.record_drr_depth();
-        self.super_pointer_jump(p);
-        self.super_merge(p);
-        self.densify_and_rehome(p);
-        true
-    }
-
-    /// Pointer jumping over the supergraph, routed to each label's *owner*
-    /// (every owned supernode has a [`ProxyComp`], so roots answer their
-    /// own queries), iterated until every component knows its root. DRR
-    /// ranks strictly increase along parent pointers, so the forest is
-    /// acyclic and doubling converges in `O(log depth)` iterations.
-    fn super_pointer_jump(&mut self, _p: u32) {
-        let part = self.g.partition();
-        let mut safety = 0u32;
-        while self.aggregate_flag(|st| det::any_value(&st.proxied, |c| !c.ptr_done)) {
-            safety += 1;
-            assert!(safety <= 72, "super pointer jumping failed to converge");
-            self.jump_round(|target| part.home(target as u32));
-        }
+        self.cx.n_active = total.max(1) as usize;
+        self.cx.lw = id_bits(self.cx.n_active);
     }
 
     /// Supergraph merge: each merging supernode emits its output edge
     /// (original endpoints) and is renamed to its root — whose owner absorbs
     /// its state — through [`Engine::rename_and_move`].
-    fn super_merge(&mut self, _p: u32) {
-        let mode = self.mode;
-        let mut renames = Vec::with_capacity(self.k);
-        for st in &mut self.machines {
-            let mut merging = Vec::new();
-            for (label, c) in det::sorted_entries(&st.proxied) {
-                if c.parent.is_none() {
-                    continue;
-                }
-                debug_assert!(c.ptr_done, "merge requires converged pointers");
-                debug_assert!(c.ptr != label, "a merging component cannot be its own root");
-                if mode != Mode::Connectivity {
-                    if let Some(e) = c.chosen {
-                        st.mst_out.push(e);
-                    }
-                }
-                merging.push((label, c.ptr));
-            }
-            renames.push(merging);
-        }
-        self.rename_and_move(renames);
+    fn super_merge(&mut self) {
+        self.rename_and_move(|cx, st, _| merging(cx, st));
     }
 
     /// The announce → rename → ship → absorb exchange behind both
     /// [`Engine::super_merge`] (merging supernodes take their root's label)
     /// and [`Engine::densify_and_rehome`] (every supernode takes its dense
-    /// id). `renames[m]` lists machine `m`'s `(old, new)` pairs for
-    /// supernodes it owns, in sorted `old` order. Superstep 1 travels among
-    /// the *old* owners: each renamed supernode tells every neighbor's
-    /// owner its new label (`SuperRelabel` — symmetric adjacency guarantees
-    /// each owner hears about exactly the labels in its adjacency lists)
-    /// and its hosting machines the vertex-space relabel — all *before* any
-    /// state moves. Superstep 2: every owner rewrites its adjacency lists
-    /// under the received renames — distinct old keys may collapse onto one
-    /// new label and min-merge — and only then do the renamed supernodes
-    /// ship their state to `home(new)`. Finally the new owners absorb the
-    /// moves and drop the self-loops a merge created (edges whose two sides
-    /// took the same label — exactly the intra-component edges contraction
+    /// id). `renames` lists a machine's `(old, new)` pairs for supernodes
+    /// it owns, in sorted `old` order. Superstep 1 travels among the *old*
+    /// owners: each renamed supernode tells every neighbor's owner its new
+    /// label (`SuperRelabel` — symmetric adjacency guarantees each owner
+    /// hears about exactly the labels in its adjacency lists) and its
+    /// hosting machines the vertex-space relabel — all *before* any state
+    /// moves. Superstep 2: every owner rewrites its adjacency lists under
+    /// the received renames — distinct old keys may collapse onto one new
+    /// label and min-merge — and only then do the renamed supernodes ship
+    /// their state to `home(new)`. Finally the new owners absorb the moves
+    /// and drop the self-loops a merge created (edges whose two sides took
+    /// the same label — exactly the intra-component edges contraction
     /// discards).
-    fn rename_and_move(&mut self, renames: Vec<Vec<(Label, Label)>>) {
-        let part = self.g.partition();
-        let l = self.l;
-        let lw = self.lw;
-        let mut machines = std::mem::take(&mut self.machines);
-        par_for_each_state(&mut machines, |id, st| {
-            let mut out = Vec::new();
-            for &(old, new) in &renames[id] {
-                let node = st.supers.get(&old).expect("renamed supernode owned here");
+    fn rename_and_move(
+        &mut self,
+        renames: impl Fn(&Cx, &mut MachineState, Mail) -> Vec<(Label, Label)> + Sync,
+    ) {
+        self.step(|cx, st, inbox, out| {
+            let part = cx.g.partition();
+            for (old, new) in renames(cx, st, inbox) {
+                let node = &st.dur.supers[&old];
                 let mut dsts: Vec<usize> = det::sorted_keys(&node.adj)
                     .into_iter()
                     .map(|nb| part.home(nb as u32))
                     .collect();
-                dsts.push(id); // our own adjacency lists rename too
+                dsts.push(st.id); // our own adjacency lists rename too
                 dsts.sort_unstable();
                 dsts.dedup();
                 for dst in dsts {
-                    out.push(Payload::SuperRelabel { old, new }.envelope(id, dst, l, lw));
+                    out.send(dst, Payload::SuperRelabel { old, new });
                 }
                 for &m in &node.parts {
-                    out.push(Payload::Relabel { old, new }.envelope(id, m as usize, l, lw));
+                    out.send(m as usize, Payload::Relabel { old, new });
                 }
             }
-            st.outbox.extend(out);
         });
-        self.machines = machines;
-        self.flush();
-        let mut machines = std::mem::take(&mut self.machines);
-        par_for_each_state(&mut machines, |id, st| {
-            let (smap, vmap) = drain_rename_maps(st);
-            det::for_each_value_mut(&mut st.labels, |lab| {
+        self.step(|cx, st, inbox, out| {
+            let (smap, vmap) = rename_maps(inbox);
+            det::for_each_value_mut(&mut st.dur.labels, |lab| {
                 if let Some(&nl) = vmap.get(lab) {
                     *lab = nl;
                 }
             });
-            let mut items: Vec<(Label, SuperNode)> =
-                std::mem::take(&mut st.supers).into_iter().collect();
-            items.sort_unstable_by_key(|(lab, _)| *lab);
-            let mut out = Vec::new();
-            for (old, node) in items {
+            let supers = std::mem::take(&mut st.dur.supers);
+            for (old, node) in det::into_sorted_entries(supers) {
                 let renamed = rename_adj(node, &smap);
-                match smap.get(&old) {
-                    Some(&new) => {
-                        let adj: Vec<(Label, u64, u32, u32)> = det::sorted_entries(&renamed.adj)
-                            .into_iter()
-                            .map(|(nb, &(w, ou, ov))| (nb, w, ou, ov))
-                            .collect();
-                        let payload = Payload::SuperMove {
-                            label: new,
-                            parts: renamed.parts,
-                            adj,
-                        };
-                        out.push(payload.envelope(id, part.home(new as u32), l, lw));
-                    }
-                    None => {
-                        st.supers.insert(old, renamed);
-                    }
-                }
+                let Some(&label) = smap.get(&old) else {
+                    st.dur.supers.insert(old, renamed);
+                    continue;
+                };
+                let adj = det::sorted_entries(&renamed.adj)
+                    .into_iter()
+                    .map(|(nb, &(w, ou, ov))| (nb, w, ou, ov))
+                    .collect();
+                let parts = renamed.parts;
+                let moved = Payload::SuperMove { label, parts, adj };
+                out.send(cx.g.partition().home(label as u32), moved);
             }
-            st.outbox.extend(out);
         });
-        self.machines = machines;
-        self.flush();
-        par_for_each_state(&mut self.machines, |_, st| {
-            for env in std::mem::take(&mut st.inbox) {
+        self.each(|_, st, inbox| {
+            for env in inbox {
+                // (`moved`, not `adj`: KC01 tracks hash-typed names per file.)
                 if let Payload::SuperMove {
                     label,
                     parts,
-                    adj: moved_adj,
+                    adj: moved,
                 } = env.payload
                 {
-                    let node = st.supers.entry(label).or_default();
-                    for m in parts {
-                        node.add_part(m);
-                    }
-                    for (nb, w, ou, ov) in moved_adj {
+                    let node = st.dur.supers.entry(label).or_default();
+                    parts.into_iter().for_each(|m| node.add_part(m));
+                    for (nb, w, ou, ov) in moved {
                         node.add_edge(nb, w, ou, ov);
                     }
                 }
             }
-            det::for_each_entry_mut(&mut st.supers, |lab, node| {
+            det::for_each_entry_mut(&mut st.dur.supers, |lab, node| {
                 node.adj.remove(&lab);
             });
             st.proxied.clear();
         });
-    }
-
-    // ------------------------------------------------------------------
-    // Control flow helpers
-    // ------------------------------------------------------------------
-
-    /// Flushes all machine outboxes through one superstep and distributes
-    /// the delivered messages into machine inboxes.
-    fn flush(&mut self) {
-        let mut out = Vec::new();
-        for st in &mut self.machines {
-            out.append(&mut st.outbox);
-        }
-        self.bsp.superstep(out);
-        let inboxes = self.bsp.take_all_inboxes();
-        for (st, mut ib) in self.machines.iter_mut().zip(inboxes) {
-            st.inbox.append(&mut ib);
-        }
-    }
-
-    /// Global OR over a per-machine predicate: flags to M0, M0 broadcasts
-    /// the result (two supersteps of 1-bit messages — the counted cost of
-    /// convergence detection).
-    fn aggregate_flag(&mut self, pred: impl Fn(&MachineState) -> bool + Sync) -> bool {
-        let l = self.l;
-        let lw = self.lw;
-        par_for_each_state(&mut self.machines, |_, st| {
-            st.flag = pred(st);
-        });
-        let mut machines = std::mem::take(&mut self.machines);
-        for st in &mut machines {
-            if st.id != 0 {
-                st.outbox
-                    .push(Payload::Flag { bit: st.flag }.envelope(st.id, 0, l, lw));
-            }
-        }
-        self.machines = machines;
-        self.flush();
-        let global = {
-            let st0 = &mut self.machines[0];
-            let inbox = std::mem::take(&mut st0.inbox);
-            let mut any = st0.flag;
-            for env in inbox {
-                if let Payload::Flag { bit } = env.payload {
-                    any |= bit;
-                }
-            }
-            any
-        };
-        let mut machines = std::mem::take(&mut self.machines);
-        {
-            let st0 = &mut machines[0];
-            for dst in 1..self.k {
-                st0.outbox
-                    .push(Payload::Flag { bit: global }.envelope(0, dst, l, lw));
-            }
-        }
-        self.machines = machines;
-        self.flush();
-        for st in &mut self.machines {
-            st.inbox.clear();
-            st.flag = global;
-        }
-        global
     }
 
     /// §2.6 output protocol: every machine announces each distinct label it
@@ -1813,49 +1655,25 @@ impl<'g> Engine<'g> {
     /// to M1 (machine 0 here). Returns the global component count.
     fn output_protocol(&mut self, after_phase: u32) -> u64 {
         let p = after_phase.max(1); // never the phase-0 identity proxy map
-        let part = self.g.partition();
-        let scheme = &self.scheme;
-        let l = self.l;
-        let lw = self.lw;
-        let mut machines = std::mem::take(&mut self.machines);
-        par_for_each_state(&mut machines, |id, st| {
-            let mut distinct: FxHashSet<Label> = FxHashSet::default();
-            distinct.extend(det::sorted_values(&st.labels));
-            let mut out = Vec::new();
-            for lab in det::sorted_members(&distinct) {
-                out.push(Payload::LabelAnnounce { label: lab }.envelope(
-                    id,
-                    scheme.proxy_of(part, p, 1, lab),
-                    l,
-                    lw,
-                ));
+        self.step(|cx, st, _, out| {
+            for label in det::distinct_values(&st.dur.labels) {
+                let proxy = cx.scheme.proxy_of(cx.g.partition(), p, 1, label);
+                out.send(proxy, Payload::LabelAnnounce { label });
             }
-            st.outbox.extend(out);
         });
-        self.machines = machines;
-        self.flush();
-        let l2 = self.l;
-        let lw2 = self.lw;
-        let mut machines = std::mem::take(&mut self.machines);
-        par_for_each_state(&mut machines, |id, st| {
-            let inbox = std::mem::take(&mut st.inbox);
+        self.step(|_, _, inbox, out| {
             let mut distinct: FxHashSet<Label> = FxHashSet::default();
             for env in inbox {
                 if let Payload::LabelAnnounce { label } = env.payload {
                     distinct.insert(label);
                 }
             }
-            let payload = Payload::CountReport {
-                count: distinct.len() as u64,
-            };
-            st.outbox.push(payload.envelope(id, 0, l2, lw2));
+            let count = distinct.len() as u64;
+            out.send(0, Payload::CountReport { count });
         });
-        self.machines = machines;
-        self.flush();
-        let st0 = &mut self.machines[0];
-        let inbox = std::mem::take(&mut st0.inbox);
-        let mut total = 0u64;
-        for env in inbox {
+        // M0 tallies what it received: local work, no further superstep.
+        let mut total = 0;
+        for env in std::mem::take(&mut self.machines[0].inbox) {
             if let Payload::CountReport { count } = env.payload {
                 total += count;
             }
@@ -1867,13 +1685,27 @@ impl<'g> Engine<'g> {
     // Instrumentation (orchestrator-side, zero communication cost)
     // ------------------------------------------------------------------
 
+    /// The superstep layer's ledger so far.
+    fn ledger(&self) -> Ledger {
+        Ledger::of(self.bsp.stats())
+    }
+
+    /// Part sketches (built from scratch, served from cache), all machines.
+    fn sketch_counters(&self) -> (u64, u64) {
+        self.machines.iter().fold((0, 0), |(b, h), st| {
+            (b + st.sketch_builds, h + st.sketch_cache_hits)
+        })
+    }
+
     /// Number of distinct labels across all machines.
     fn count_labels(&self) -> usize {
-        let mut set: FxHashSet<Label> = FxHashSet::default();
+        let mut all: Vec<Label> = Vec::new();
         for st in &self.machines {
-            set.extend(det::sorted_values(&st.labels));
+            all.extend(det::distinct_values(&st.dur.labels));
         }
-        set.len()
+        all.sort_unstable();
+        all.dedup();
+        all.len()
     }
 
     /// Max DRR tree depth of the current phase (Lemma 6 / Figure 2 data).
@@ -1913,46 +1745,140 @@ impl<'g> Engine<'g> {
     }
 }
 
+/// The merge a machine's proxied components decided on: every component
+/// with a DRR parent outputs its chosen edge here (forest modes) and is
+/// renamed to its pointer — `(old, new)` pairs in sorted `old` order.
+fn merging(cx: &Cx, st: &mut MachineState) -> Vec<(Label, Label)> {
+    let mut renames = Vec::new();
+    for (label, c) in det::sorted_entries(&st.proxied) {
+        if c.parent.is_some() {
+            debug_assert!(
+                !cx.contracted || (c.ptr_done && c.ptr != label),
+                "a contracted merge requires converged pointers"
+            );
+            if cx.mode != Mode::Connectivity {
+                st.dur.mst_out.extend(c.chosen);
+            }
+            renames.push((label, c.ptr));
+        }
+    }
+    renames
+}
+
 /// Validates a probed candidate and folds it into the component state:
 /// the edge must exist and have exactly one internal endpoint. For MST the
-/// verified key becomes the new `best`; an invalid/absent candidate ends
-/// the elimination for this component (Monte-Carlo skip).
+/// verified edge becomes the new `chosen`; an invalid/absent candidate is
+/// a strike toward ending the elimination for this component (Monte-Carlo
+/// skip).
 fn finalize_candidate(c: &mut ProxyComp) {
     /// Strikes before an empty/invalid sample is accepted as "no lighter
     /// edge exists" (the retry drives the false-done probability to ~1e-6).
     const STRIKES: u8 = 2;
-    let miss = |c: &mut ProxyComp| {
-        c.none_streak += 1;
-        if c.none_streak >= STRIKES {
-            c.elim_done = true;
+    // Exactly one endpoint must be inside this component, and both homes
+    // must confirm the edge. No candidate (support empty, or unlucky
+    // hashing) and missing replies (should not happen) are failed samples.
+    let verified = match (c.candidate, c.info[0], c.info[1]) {
+        (Some((u, v)), Some((lu, true, w)), Some((lv, true, _))) if lu != lv => {
+            [(lu, lv), (lv, lu)]
+                .into_iter()
+                .find(|&(inside, _)| inside == c.own)
+                .map(|(_, other)| ((w, u, v), other))
         }
+        _ => None,
     };
-    match (c.candidate, c.info[0], c.info[1]) {
-        (Some((u, v)), Some((lu, e0, w)), Some((lv, e1, _))) => {
-            // Exactly one endpoint must be inside this component.
-            let other = if lu == c.own && lv != c.own {
-                Some(lv)
-            } else if lv == c.own && lu != c.own {
-                Some(lu)
-            } else {
-                None
-            };
-            match other {
-                Some(other) if e0 && e1 => {
-                    c.other_label = Some(other);
-                    c.best = Some((w, u, v));
-                    c.best_edge = Some((u, v, w));
-                    c.chosen = Some((u, v, w));
-                    c.none_streak = 0;
-                }
-                _ => miss(c),
-            }
+    match verified {
+        Some((key, other)) => {
+            c.choose(key, other);
+            c.none_streak = 0;
         }
-        // No candidate: support empty, or unlucky hashing — a strike.
-        (None, _, _) => miss(c),
-        // Missing replies should not happen; treat as a failed sample.
-        _ => miss(c),
+        None => {
+            c.none_streak += 1;
+            c.elim_done |= c.none_streak >= STRIKES;
+        }
     }
     c.candidate = None;
     c.info = [None, None];
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kgraph::{generators, Partition};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    fn sharded(k: usize) -> ShardedGraph {
+        let g = generators::gnm(200, 600, 3);
+        ShardedGraph::from_graph(&g, &Partition::random_vertex(&g, k, 7))
+    }
+
+    fn engine(sg: &ShardedGraph, contract: bool) -> Engine<'_> {
+        let cfg = EngineConfig {
+            contract,
+            ..EngineConfig::default()
+        };
+        Engine::new(sg, Mode::Connectivity, 5, cfg)
+    }
+
+    #[test]
+    fn each_never_flushes_and_an_idle_step_is_one_free_superstep() {
+        let sg = sharded(4);
+        let mut e = engine(&sg, false);
+        e.each(|_, st, _| st.flag = true);
+        assert!(e.machines.iter().all(|st| st.flag));
+        assert_eq!(e.bsp.stats().supersteps, 0, "local work must not flush");
+        e.step(|_, _, _, _| {});
+        let s = e.bsp.stats();
+        assert_eq!(
+            (s.supersteps, s.rounds, s.total_bits, s.messages),
+            (1, 0, 0, 0),
+            "a step in which nobody sends still counts as one superstep"
+        );
+    }
+
+    #[test]
+    fn aggregate_flag_is_two_flag_supersteps_and_one_scope_of_closures() {
+        let k = 5;
+        let sg = sharded(k);
+        let mut e = engine(&sg, false);
+        let calls = AtomicUsize::new(0);
+        let any = e.aggregate_flag(|st| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            st.id == 3
+        });
+        assert!(any, "machine 3's bit must reach everyone");
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            k,
+            "the predicate runs once per machine: it shares the up-send's step"
+        );
+        let flag_bits = Payload::Flag { bit: true }.wire_bits_lw(e.cx.l, e.cx.lw);
+        let loads = &e.bsp.stats().superstep_loads;
+        assert_eq!(loads.len(), 2, "up to M0, then M0's broadcast");
+        for load in loads {
+            let msgs = k as u64 - 1;
+            assert_eq!((load.messages, load.total_bits), (msgs, msgs * flag_bits));
+        }
+        assert!(!e.aggregate_flag(|_| false));
+        assert_eq!(e.bsp.stats().supersteps, 4);
+    }
+
+    #[test]
+    fn sends_are_priced_at_the_live_label_width_after_densification() {
+        let sg = sharded(4);
+        let mut e = engine(&sg, true);
+        assert!(e.run_phase(0));
+        assert!(
+            e.run_phase(1),
+            "phase 1 builds the supergraph and densifies"
+        );
+        let (l, lw) = (e.cx.l, e.cx.lw);
+        assert_eq!(lw, id_bits(e.cx.n_active));
+        assert!(lw < l, "the label space must have shrunk: {lw} vs {l}");
+        let relabel = Payload::Relabel { old: 1, new: 0 };
+        let before = e.bsp.stats().total_bits;
+        e.step_on(0..1, |_, _, _, out| out.send(1, relabel.clone()));
+        let charged = e.bsp.stats().total_bits - before;
+        assert_eq!(charged, relabel.wire_bits_lw(l, lw));
+        assert!(charged < relabel.wire_bits_lw(l, l));
+    }
 }

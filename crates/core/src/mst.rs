@@ -28,7 +28,7 @@
 //! assert_eq!(out.total_weight, refalgo::forest_weight(&kruskal));
 //! ```
 
-use crate::engine::{Engine, EngineConfig, EngineResult, Mode};
+use crate::engine::{Engine, EngineConfig, EngineResult, Ledger, Mode};
 use crate::messages::{id_bits, Payload};
 use crate::session::{Cluster, Mst, Problem};
 use kgraph::graph::Edge;
@@ -117,7 +117,7 @@ pub(crate) fn minimum_spanning_tree_sharded(
     let mut stats = result.stats.clone();
     let mut endpoint_routing = None;
     if cfg.criterion == OutputCriterion::BothEndpoints {
-        let routing = route_to_endpoints(sg, &result, cfg);
+        let routing = route_edges_to_endpoints(sg, &sourced_edges(&result), cfg);
         stats.absorb(&routing);
         endpoint_routing = Some(routing);
     }
@@ -139,26 +139,21 @@ pub(crate) fn minimum_spanning_tree_sharded(
     }
 }
 
-/// Theorem 2(b): route every chosen edge to both endpoint home machines.
-/// The per-machine receive load is Θ(deg) edge records — on a star this is
-/// the Ω~(n/k) bottleneck the paper proves unavoidable.
-fn route_to_endpoints(sg: &ShardedGraph, result: &EngineResult, cfg: &MstConfig) -> CommStats {
-    // Reconstruct which machine output each edge (machine order matches the
-    // flattening in EngineResult).
-    let mut sourced = Vec::new();
-    let mut idx = 0usize;
-    for (machine, &cnt) in result.mst_edges_per_machine.iter().enumerate() {
-        for _ in 0..cnt {
-            sourced.push((machine, result.mst_edges[idx]));
-            idx += 1;
-        }
-    }
-    route_edges_to_endpoints(sg, &sourced, cfg)
+/// A run's forest edges, each with the machine that output it (machine
+/// order matches the flattening in [`EngineResult`]).
+pub(crate) fn sourced_edges(result: &EngineResult) -> Vec<(usize, (u32, u32, u64))> {
+    let per_machine = result.mst_edges_per_machine.iter().enumerate();
+    per_machine
+        .flat_map(|(machine, &cnt)| std::iter::repeat_n(machine, cnt))
+        .zip(result.mst_edges.iter().copied())
+        .collect()
 }
 
-/// The routing superstep behind criterion (b), shared with the dynamic
-/// layer's incremental MST path: each `(source machine, edge)` record is
-/// sent to both endpoint home machines over the reliable superstep layer.
+/// Theorem 2(b): route every chosen edge to both endpoint home machines —
+/// each `(source machine, edge)` record over the reliable superstep layer;
+/// shared with the dynamic layer's incremental MST path. The per-machine
+/// receive load is Θ(deg) edge records — on a star this is the Ω~(n/k)
+/// bottleneck the paper proves unavoidable.
 pub(crate) fn route_edges_to_endpoints(
     sg: &ShardedGraph,
     sourced: &[(usize, (u32, u32, u64))],
@@ -186,12 +181,7 @@ pub(crate) fn route_edges_to_endpoints(
     // The routing stage is absorbed into the run's reported totals, so it
     // must appear as its own trace segment for the per-phase breakdown to
     // keep tiling those totals exactly (DESIGN.md §3.14).
-    let (rounds, bits) = (stats.rounds, stats.total_bits);
-    cfg.trace.emit(|| kmachine::trace::TraceEvent::Segment {
-        name: "endpoint_routing".to_string(),
-        rounds,
-        bits,
-    });
+    Ledger::of(&stats).emit_segment(&cfg.trace, "endpoint_routing");
     stats
 }
 

@@ -62,29 +62,12 @@ impl UnionFind {
     /// Using the minimum id makes labels comparable across implementations.
     pub fn canonical_labels(&mut self) -> Vec<u32> {
         let n = self.parent.len();
+        let root: Vec<u32> = (0..n as u32).map(|v| self.find(v)).collect();
         let mut min_of_root = vec![u32::MAX; n];
-        for v in 0..n as u32 {
-            let r = self.find(v);
-            min_of_root[r as usize] = min_of_root[r as usize].min(v);
+        for (v, &r) in root.iter().enumerate() {
+            min_of_root[r as usize] = min_of_root[r as usize].min(v as u32);
         }
-        (0..n as u32)
-            .map(|v| {
-                let r = self.parent[v as usize]; // already halved to root by find above? not guaranteed
-                let r = if self.parent[r as usize] == r {
-                    r
-                } else {
-                    self.find_readonly(v)
-                };
-                min_of_root[r as usize]
-            })
-            .collect()
-    }
-
-    fn find_readonly(&self, mut x: u32) -> u32 {
-        while self.parent[x as usize] != x {
-            x = self.parent[x as usize];
-        }
-        x
+        root.iter().map(|&r| min_of_root[r as usize]).collect()
     }
 }
 

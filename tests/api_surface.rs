@@ -12,6 +12,15 @@
 //! To accept an intentional API change, rerun with
 //! `KMM_UPDATE_API_SURFACE=1 cargo test --test api_surface` and commit the
 //! rewritten snapshot.
+//!
+//! The same walk keeps a second pin, `tests/code_size.txt`: ROADMAP's size
+//! rule ("every PR leaves the non-test line count no larger than it found
+//! it") made mechanical. It records the non-test source size per crate and
+//! in total — lines of `crates/*/src`, `src` and `vendor/*/src` up to each
+//! file's first column-0 `#[cfg(test)]`, physical and non-blank non-`//` —
+//! and fails when a total *grows* past the pin. The same
+//! `KMM_UPDATE_API_SURFACE=1` run refreshes it, so a PR that must grow
+//! says so in a reviewed diff.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -21,6 +30,8 @@ use std::path::{Path, PathBuf};
 const ROOTS: &[&str] = &["src", "crates"];
 
 const SNAPSHOT: &str = "tests/api_surface.txt";
+
+const SIZE_PIN: &str = "tests/code_size.txt";
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -106,6 +117,84 @@ fn current_surface() -> String {
         writeln!(out, "{i}").unwrap();
     }
     out
+}
+
+/// `(physical, non-blank non-`//`)` line counts of one file's non-test part.
+fn non_test_size(text: &str) -> (usize, usize) {
+    text.lines()
+        .take_while(|l| !l.starts_with("#[cfg(test)]"))
+        .fold((0, 0), |(physical, code), l| {
+            let t = l.trim_start();
+            let is_code = !t.is_empty() && !t.starts_with("//");
+            (physical + 1, code + usize::from(is_code))
+        })
+}
+
+/// One `group physical code` row per crate (`crates/x`, `vendor/x`, `src`)
+/// and a `total` row.
+fn current_sizes() -> String {
+    let root = repo_root();
+    let mut files = Vec::new();
+    for r in ROOTS {
+        collect_rs_files(&root.join(r), &mut files);
+    }
+    for vendored in fs::read_dir(root.join("vendor"))
+        .into_iter()
+        .flatten()
+        .flatten()
+    {
+        collect_rs_files(&vendored.path().join("src"), &mut files);
+    }
+    let mut groups = std::collections::BTreeMap::<String, (usize, usize)>::new();
+    for f in &files {
+        let rel = f.strip_prefix(&root).unwrap().to_string_lossy();
+        let parts: Vec<&str> = rel.split(['/', '\\']).collect();
+        let group = match parts[0] {
+            "src" => "src".to_string(),
+            top => format!("{top}/{}", parts[1]),
+        };
+        if parts[0] != "src" && parts[2] != "src" {
+            continue; // a crate's build script or fixtures, not its source
+        }
+        let (physical, code) = non_test_size(&fs::read_to_string(f).unwrap_or_default());
+        let sum = groups.entry(group).or_default();
+        *sum = (sum.0 + physical, sum.1 + code);
+    }
+    let mut out = String::from("# non-test lines: group physical non-blank-non-comment\n");
+    let mut total = (0, 0);
+    for (group, (physical, code)) in &groups {
+        writeln!(out, "{group} {physical} {code}").unwrap();
+        total = (total.0 + physical, total.1 + code);
+    }
+    writeln!(out, "total {} {}", total.0, total.1).unwrap();
+    out
+}
+
+fn pinned_totals(sizes: &str) -> (usize, usize) {
+    let row = sizes.lines().find_map(|l| l.strip_prefix("total "));
+    let mut fields = row.expect("a `total` row").split(' ');
+    let mut next = || fields.next().unwrap().parse::<usize>().unwrap();
+    (next(), next())
+}
+
+#[test]
+fn non_test_code_size_does_not_grow_past_the_pin() {
+    let got = current_sizes();
+    let pin_path = repo_root().join(SIZE_PIN);
+    if std::env::var("KMM_UPDATE_API_SURFACE").is_ok() {
+        fs::write(&pin_path, &got).expect("write size pin");
+        return;
+    }
+    let want = fs::read_to_string(&pin_path).expect("size pin committed");
+    let (physical, code) = pinned_totals(&got);
+    let (max_physical, max_code) = pinned_totals(&want);
+    assert!(
+        physical <= max_physical && code <= max_code,
+        "non-test source grew past the pin: {physical} lines ({code} code) vs \
+         {max_physical} ({max_code}) in {SIZE_PIN}.\n\npinned:\n{want}\nnow:\n{got}\n\
+         Delete as much elsewhere, or — if the PR must grow — refresh the pin so the \
+         growth shows in the diff:\n  KMM_UPDATE_API_SURFACE=1 cargo test --test api_surface\n"
+    );
 }
 
 #[test]
