@@ -108,6 +108,15 @@ pub enum MergeStrategy {
 /// Epoch length (in phases) of iteration-0 sketch-function reuse.
 const SKETCH_REUSE_PERIOD: u32 = 4;
 
+/// A run fans its local closures out over `kmachine::par` workers only if
+/// it retains this many half-edges (Σ degree over its vertices); below, they
+/// run inline. The measured 2-core break-even (DESIGN.md §6).
+const FAN_OUT_MIN_HALF_EDGES: usize = 1 << 15;
+
+/// A part's sketch is cached only if the part has this many local
+/// half-edges: below, rebuilding beats keeping the entry (DESIGN.md §3.7).
+const CACHE_MIN_HALF_EDGES: usize = 16;
+
 /// How many times one phase may be re-entered after crashes before the run
 /// gives up. Each crash event fires once, so retries are bounded by the
 /// plan — this is the safety valve.
@@ -474,8 +483,8 @@ struct MachineState {
     /// (the component is retrying after a failed first sample).
     thresholds: FxHashMap<Label, Option<EdgeKey>>,
     /// Incremental cache: the unfiltered iteration-0 sketch of each local
-    /// part, valid for the current sketch-function epoch. Invalidated per
-    /// label on relabel, wholesale on epoch rollover.
+    /// part of ≥ `CACHE_MIN_HALF_EDGES`, valid for the current epoch.
+    /// Invalidated per label on relabel, wholesale on epoch rollover.
     part_cache: FxHashMap<Label, L0Sketch>,
     /// Part sketches this machine built from scratch.
     sketch_builds: u64,
@@ -569,6 +578,8 @@ pub struct Engine<'g> {
     cfg: EngineConfig,
     bsp: Bsp<Payload>,
     machines: Vec<MachineState>,
+    /// Whether `step` / `each` fan out (`FAN_OUT_MIN_HALF_EDGES`).
+    fan_out: bool,
     /// The iteration-0 sketch functions of the current epoch, keyed by tag.
     cached_fns: Option<(u32, Arc<SketchFns>)>,
     /// Bumped by the termination guard to force fresh epoch functions.
@@ -589,7 +600,7 @@ impl<'g> Engine<'g> {
         }
         attach_transport(&mut bsp, cfg.transport, k);
         bsp.set_tracer(cfg.trace.clone());
-        let machines = (0..k)
+        let machines: Vec<MachineState> = (0..k)
             .map(|id| {
                 let verts = g.view(id).verts().to_vec();
                 let dur = Durable {
@@ -605,6 +616,7 @@ impl<'g> Engine<'g> {
             })
             .collect();
         Engine {
+            fan_out: wants_fan_out(g, &machines),
             cx: Cx {
                 g,
                 mode,
@@ -659,6 +671,7 @@ impl<'g> Engine<'g> {
             st.verts.retain(|&v| active[v as usize]);
             det::retain_where(&mut st.dur.labels, |&v, _| active[v as usize]);
         }
+        self.fan_out = wants_fan_out(self.cx.g, &self.machines);
         // The closure precondition, checked where it is cheap: every
         // retained vertex's neighborhood must itself be active (each
         // machine validates only its own shard adjacency).
@@ -894,14 +907,24 @@ impl<'g> Engine<'g> {
     // The superstep primitives (DESIGN.md §6)
     // ------------------------------------------------------------------
 
+    /// Runs `f` on every machine: one thread scope when the run is large
+    /// enough to fan out, in machine order on the calling thread otherwise.
+    fn on_every_machine(&mut self, f: impl Fn(&Cx, &mut MachineState) + Sync) {
+        let cx = &self.cx;
+        if self.fan_out {
+            par_for_each_state(&mut self.machines, |_, st| f(cx, st));
+        } else {
+            self.machines.iter_mut().for_each(|st| f(cx, st));
+        }
+    }
+
     /// One superstep of the k-machine model: every machine reads what the
-    /// previous step delivered to it, computes locally (in parallel — one
-    /// thread scope), and sends; then all sends cross the network in one
+    /// previous step delivered to it, computes locally (one thread scope,
+    /// or inline), and sends; then all sends cross the network in one
     /// [`Bsp::superstep`] and land in the receivers' inboxes. An inbox
     /// lives for exactly one step: what `f` does not consume is dropped.
     fn step(&mut self, f: impl Fn(&Cx, &mut MachineState, Mail, &mut Out) + Sync) {
-        let cx = &self.cx;
-        par_for_each_state(&mut self.machines, |_, st| run_local(cx, st, &f));
+        self.on_every_machine(|cx, st| run_local(cx, st, &f));
         self.deliver();
     }
 
@@ -919,12 +942,11 @@ impl<'g> Engine<'g> {
         self.deliver();
     }
 
-    /// Local-only work on every machine (in parallel). Never communicates:
-    /// even an empty superstep advances the superstep index that crash
-    /// events are keyed by.
+    /// Local-only work on every machine (one thread scope, or inline). Never
+    /// communicates: even an empty superstep advances the superstep index
+    /// that crash events are keyed by.
     fn each(&mut self, f: impl Fn(&Cx, &mut MachineState, Mail) + Sync) {
-        let cx = &self.cx;
-        par_for_each_state(&mut self.machines, |_, st| {
+        self.on_every_machine(|cx, st| {
             let inbox = std::mem::take(&mut st.inbox);
             f(cx, st, inbox);
         });
@@ -933,7 +955,8 @@ impl<'g> Engine<'g> {
     /// Ships every outbox through one superstep, in machine order, and
     /// hands each machine what it received.
     fn deliver(&mut self) {
-        let mut out = Vec::new();
+        let total = self.machines.iter().map(|st| st.outbox.len()).sum();
+        let mut out = Vec::with_capacity(total);
         for st in &mut self.machines {
             out.append(&mut st.outbox);
         }
@@ -1138,41 +1161,46 @@ impl<'g> Engine<'g> {
     /// `only_thresholded`, only parts that received an elimination threshold
     /// participate, and their sketches keep only edges strictly below it;
     /// otherwise (the iteration-0 epoch-function path) unfiltered part
-    /// sketches are served from / inserted into the per-machine cache.
+    /// sketches are served from / admitted into the per-machine cache.
     fn build_and_send_sketches(&mut self, p: u32, fns: &SketchFns, only_thresholded: bool) {
         self.step(|cx, st, _, out| {
             let view = cx.g.view(st.id);
-            // Group local vertices by label.
+            // Group local vertices by label (elimination: live parts only).
             let mut groups: FxHashMap<Label, Vec<u32>> = FxHashMap::default();
             for &v in &st.verts {
-                groups.entry(st.dur.labels[&v]).or_default().push(v);
+                let label = st.dur.labels[&v];
+                if !only_thresholded || st.thresholds.contains_key(&label) {
+                    groups.entry(label).or_default().push(v);
+                }
             }
             for (label, vs) in det::into_sorted_entries(groups) {
-                let active = st.thresholds.get(&label).copied();
-                if only_thresholded && active.is_none() {
-                    continue;
-                }
-                let thr = active.flatten();
+                let thr = st.thresholds.get(&label).copied().flatten();
+                // The part's sketch and its local half-edge count.
                 let build = |st: &mut MachineState| {
                     st.sketch_builds += 1;
                     let mut sk = L0Sketch::new(cx.params);
+                    let mut half_edges = 0;
                     for &v in &vs {
-                        for &(nb, w) in view.neighbors(v) {
+                        let nbrs = view.neighbors(v);
+                        half_edges += nbrs.len();
+                        for &(nb, w) in nbrs {
                             if thr.is_none_or(|t| edge_key(w, v, nb) < t) {
                                 sk.add_incident_edge(fns, v, nb);
                             }
                         }
                     }
-                    sk
+                    (sk, half_edges)
                 };
                 let sk = if only_thresholded || thr.is_some() {
-                    build(st)
+                    build(st).0
                 } else if let Some(cached) = st.part_cache.get(&label) {
                     st.sketch_cache_hits += 1;
                     cached.clone()
                 } else {
-                    let sk = build(st);
-                    st.part_cache.insert(label, sk.clone());
+                    let (sk, half_edges) = build(st);
+                    if half_edges >= CACHE_MIN_HALF_EDGES {
+                        st.part_cache.insert(label, sk.clone());
+                    }
                     sk
                 };
                 let sketch = Box::new(sk);
@@ -1745,6 +1773,14 @@ impl<'g> Engine<'g> {
     }
 }
 
+/// The fan-out rule: whether the vertices the machines retain carry enough
+/// half-edges for thread scopes to pay for themselves.
+fn wants_fan_out(g: &ShardedGraph, machines: &[MachineState]) -> bool {
+    let half_edges =
+        |st: &MachineState| -> usize { st.verts.iter().map(|&v| g.view(st.id).degree(v)).sum() };
+    machines.iter().map(half_edges).sum::<usize>() >= FAN_OUT_MIN_HALF_EDGES
+}
+
 /// The merge a machine's proxied components decided on: every component
 /// with a DRR parent outputs its chosen edge here (forest modes) and is
 /// renamed to its pointer — `(old, new)` pairs in sorted `old` order.
@@ -1880,5 +1916,166 @@ mod tests {
         let charged = e.bsp.stats().total_bits - before;
         assert_eq!(charged, relabel.wire_bits_lw(l, lw));
         assert!(charged < relabel.wire_bits_lw(l, l));
+    }
+
+    /// `a` and `b` side by side: `b`'s vertices follow `a`'s, no edge joins
+    /// the two.
+    fn disjoint_union(a: &kgraph::Graph, b: &kgraph::Graph) -> kgraph::Graph {
+        let shift = a.n() as u32;
+        let shifted = b.edges().iter().map(|e| (e.u + shift, e.v + shift, e.w));
+        let edges = a.edges().iter().map(|e| (e.u, e.v, e.w)).chain(shifted);
+        kgraph::Graph::from_edges(a.n() + b.n(), edges)
+    }
+
+    /// The threads one `each` and one `step` ran their closures on.
+    fn closure_threads(e: &mut Engine) -> Vec<std::thread::ThreadId> {
+        let seen = std::sync::Mutex::new(Vec::new());
+        let note = || seen.lock().unwrap().push(std::thread::current().id());
+        e.each(|_, _, _| note());
+        e.step(|_, _, _, _| note());
+        let seen = seen.into_inner().unwrap();
+        assert_eq!(seen.len(), 2 * e.cx.k, "every machine ran both closures");
+        seen
+    }
+
+    #[test]
+    fn a_run_fans_out_only_above_the_half_edge_constant() {
+        let me = std::thread::current().id();
+        let small = sharded(4);
+        assert!(small.total_half_edges() < FAN_OUT_MIN_HALF_EDGES);
+        let mut e = engine(&small, false);
+        assert!(!e.fan_out);
+        assert!(closure_threads(&mut e).iter().all(|&t| t == me));
+
+        // A dense block above the constant next to a 100-vertex path.
+        let dense = generators::gnm(2000, 17_000, 3);
+        assert!(2 * dense.m() >= FAN_OUT_MIN_HALF_EDGES);
+        let g = disjoint_union(&dense, &generators::path(100));
+        let large = ShardedGraph::from_graph(&g, &Partition::random_vertex(&g, 4, 7));
+        let mut e = engine(&large, false);
+        assert!(e.fan_out);
+        // `par` itself runs inline on a one-core host.
+        if std::thread::available_parallelism().is_ok_and(|hw| hw.get() > 1) {
+            assert!(closure_threads(&mut e).iter().all(|&t| t != me));
+        }
+
+        // Restricted to the path, the same engine has 198 half-edges left.
+        let active: Vec<bool> = (0..g.n()).map(|v| v >= dense.n()).collect();
+        e.restrict(&active);
+        assert!(!e.fan_out);
+        assert!(closure_threads(&mut e).iter().all(|&t| t == me));
+    }
+
+    #[test]
+    fn fan_out_never_shows_in_results_stats_or_the_logical_stream() {
+        let g = generators::randomize_weights(&generators::gnm(300, 900, 11), 1000, 13);
+        let sg = ShardedGraph::from_graph(&g, &Partition::random_vertex(&g, 4, 7));
+        let chaos = FaultPlan::new(17).with_drop(0.1).with_crash(2, 9);
+        let cells = [
+            (Mode::Connectivity, false, None),
+            (Mode::Mst, false, None),
+            (Mode::Connectivity, true, None),
+            (Mode::Mst, true, None),
+            (Mode::Connectivity, false, Some(chaos)),
+        ];
+        for (mode, contract, faults) in cells {
+            let run = |fan_out: bool| {
+                let cfg = EngineConfig {
+                    contract,
+                    faults: faults.clone(),
+                    trace: Tracer::recording(),
+                    ..EngineConfig::default()
+                };
+                let trace = cfg.trace.clone();
+                let mut e = Engine::new(&sg, mode, 5, cfg);
+                e.fan_out = fan_out;
+                // `EngineResult` holds the `CommStats`; Debug shows every field.
+                (format!("{:?}", e.run()), trace.events())
+            };
+            let (threaded, inline) = (run(true), run(false));
+            assert!(
+                threaded.0 == inline.0,
+                "{mode:?}/contract={contract}: result"
+            );
+            assert!(
+                threaded.1 == inline.1,
+                "{mode:?}/contract={contract}: stream"
+            );
+            assert!(!inline.1.is_empty());
+        }
+    }
+
+    /// Local half-edges of machine `st`'s part of component `label`.
+    fn part_half_edges(sg: &ShardedGraph, st: &MachineState, label: Label) -> usize {
+        let of_part = st.verts.iter().filter(|v| st.dur.labels[v] == label);
+        of_part.map(|&v| sg.view(st.id).degree(v)).sum()
+    }
+
+    #[test]
+    fn only_parts_dearer_to_rebuild_than_to_keep_are_cached() {
+        // On a path no machine's part reaches 16 local half-edges early on.
+        let path = generators::path(400);
+        let sg = ShardedGraph::from_graph(&path, &Partition::random_vertex(&path, 4, 7));
+        let mut e = engine(&sg, false);
+        assert!(e.run_phase(0) && e.run_phase(1));
+        assert!(e.sketch_counters().0 > 0, "phase 1 built part sketches");
+        assert!(e.machines.iter().all(|st| st.part_cache.is_empty()));
+
+        // A 24-clique finishes merging while the path beside it keeps
+        // going: its parts (≈ 6 vertices × 23 neighbors a machine) are
+        // cached when first built unchanged and hit from then on.
+        let g = disjoint_union(&generators::complete(24), &path);
+        let sg = ShardedGraph::from_graph(&g, &Partition::random_vertex(&g, 4, 7));
+        let mut e = engine(&sg, false);
+        let mut hit_phase = None;
+        for p in 0..=SKETCH_REUSE_PERIOD {
+            let cached_before: usize = e.machines.iter().map(|st| st.part_cache.len()).sum();
+            let hits_before = e.sketch_counters().1;
+            assert!(e.run_phase(p));
+            for st in &e.machines {
+                for &label in st.part_cache.keys() {
+                    assert!(part_half_edges(&sg, st, label) >= CACHE_MIN_HALF_EDGES);
+                }
+            }
+            if e.sketch_counters().1 > hits_before {
+                assert!(
+                    cached_before > 0,
+                    "a hit needs an entry from an earlier phase"
+                );
+                hit_phase = hit_phase.or(Some(p));
+            }
+        }
+        assert!(hit_phase.is_some(), "the clique's parts were never served");
+    }
+
+    #[test]
+    fn admission_keeps_the_sketch_count_and_the_crash_replay() {
+        let g = disjoint_union(&generators::complete(24), &generators::gnm(300, 700, 3));
+        let sg = ShardedGraph::from_graph(&g, &Partition::random_vertex(&g, 4, 7));
+        let run = |faults: Option<FaultPlan>| {
+            let cfg = EngineConfig {
+                faults,
+                ..EngineConfig::default()
+            };
+            Engine::new(&sg, Mode::Connectivity, 5, cfg).run()
+        };
+        let clean = run(None);
+        // Every part is sketched once per sample, built or served: the sum
+        // is what the engine counted before admission (461 built + 165
+        // served on this cell); only the split moved.
+        assert_eq!(clean.sketch_builds + clean.sketch_cache_hits, 461 + 165);
+        assert!(clean.sketch_cache_hits > 0);
+        let crashed = run(Some(FaultPlan::new(17).with_crash(1, 40)));
+        assert!(crashed.stats.recovery_rounds > 0, "the crash must fire");
+        assert_eq!(crashed.labels, clean.labels);
+        assert_eq!(crashed.phases, clean.phases);
+        assert_eq!(
+            crashed.stats.rounds - crashed.stats.recovery_rounds,
+            clean.stats.rounds
+        );
+        assert_eq!(
+            crashed.stats.total_bits - crashed.stats.retransmit_bits,
+            clean.stats.total_bits
+        );
     }
 }

@@ -3,13 +3,15 @@
 //! Local computation is free in the model but real in wall-clock time; the
 //! simulator runs each machine's local step concurrently on
 //! `std::thread::scope` workers — plain standard-library scoped threads,
-//! no locking crates and no `unsafe`. [`par_map_machines`] hands out
-//! machine indices through one shared atomic counter (work stealing for
-//! uneven loads); [`par_for_each_state`] splits the per-machine state
+//! spawned by the call and joined before it returns, no locking crates and
+//! no `unsafe`. [`par_map_machines`] hands out machine indices through one
+//! shared atomic counter (work stealing for uneven loads);
+//! [`par_for_each_state`] splits the per-machine state
 //! slice into disjoint `&mut` chunks (machine workloads are near-uniform
 //! there, so static chunking balances well). Both cap the worker count at
 //! the available hardware threads: one thread per machine would
-//! oversubscribe for k ≫ cores.
+//! oversubscribe for k ≫ cores. A scope costs ~100 µs before any work
+//! runs, so a caller with little work does not fan out (DESIGN.md §6).
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 // ^ window-protocol / worker-path panic hygiene (kcheck KC05): a
@@ -18,10 +20,14 @@
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
-/// Number of worker threads to use for `k` tasks.
+/// Number of worker threads to use for `k` tasks. The hardware count is
+/// read once: every `available_parallelism` call re-reads the cgroup quota
+/// and the affinity mask, half the cost of the two-thread scope it sizes.
 fn workers(k: usize) -> usize {
-    let hw = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    static HW: OnceLock<usize> = OnceLock::new();
+    let hw = *HW.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get));
     hw.min(k).max(1)
 }
 
@@ -165,7 +171,7 @@ mod tests {
     #[should_panic(expected = "machine 13 hit a distinctive wall")]
     fn map_worker_panic_payload_survives() {
         // The original panic message must reach the caller, not a generic
-        // "worker panicked" relay (k > workers so the pool path runs).
+        // "worker panicked" relay (k > workers so the threaded path runs).
         par_map_machines(64, |i| {
             if i == 13 {
                 panic!("machine 13 hit a distinctive wall");
@@ -187,7 +193,7 @@ mod tests {
 
     #[test]
     fn parallel_work_actually_runs_concurrently_or_at_least_correctly() {
-        // Heavier closure to exercise the thread pool path.
+        // Heavier closure to exercise the threaded path.
         let out = par_map_machines(64, |i| {
             let mut acc = 0u64;
             for x in 0..10_000u64 {
