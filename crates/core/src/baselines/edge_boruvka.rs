@@ -15,16 +15,14 @@
 //! the MWOE-selection strategy. Unlike the Monte-Carlo core, this baseline
 //! is deterministic and exact.
 
-use super::flag_exchange;
 use crate::engine::EngineConfig;
 use crate::messages::{id_bits, EdgeKey, Label, Payload};
+use crate::net::Net;
 use crate::proxy::ProxyScheme;
 use crate::session::{Cluster, EdgeBoruvka, EdgeBoruvkaConfig, Problem};
 use kgraph::graph::Edge;
-use kmachine::bsp::Bsp;
 use kmachine::det;
 use kmachine::metrics::CommStats;
-use kmachine::network::NetworkConfig;
 use krand::shared::SharedRandomness;
 use rustc_hash::{FxHashMap, FxHashSet};
 
@@ -91,10 +89,13 @@ impl Problem for EdgeBoruvka {
         let part = sg.partition();
         let k = sg.k();
         let n = sg.n();
-        let l = id_bits(n);
         let shared = SharedRandomness::new(seed);
         let scheme = ProxyScheme::new(shared, k);
-        let mut bsp: Bsp<Payload> = Bsp::new(NetworkConfig::new(k, bandwidth, n));
+        let cfg = EngineConfig {
+            bandwidth,
+            ..EngineConfig::default()
+        };
+        let mut net = Net::new(&cfg, k, n);
         let mut labels: Vec<Label> = (0..n as Label).collect();
         // Each machine's cache of neighbor labels starts exact for free: at
         // phase 0 every label is the vertex id, which hashing makes public.
@@ -114,7 +115,7 @@ impl Problem for EdgeBoruvka {
                 }
             }
         }
-        let max_phases = 12 * l as u32 + 2;
+        let max_phases = 12 * id_bits(n) as u32 + 2;
         let mut phases = 0;
         for p in 0..max_phases {
             phases = p + 1;
@@ -124,22 +125,17 @@ impl Problem for EdgeBoruvka {
             //     labels are vertex ids, computable from public hashing. ---
             if mode == CheckMode::PerEdgeTest && p > 0 {
                 for _direction in 0..2 {
-                    let mut msgs = Vec::new();
                     for ((i, j), &c) in det::sorted_entries(&cross) {
                         // Tests flow i→j; the second pass carries the replies
                         // (the map is symmetric, so reversing roles is free).
-                        let env = Payload::TestBatch { count: c }.envelope(i, j, l, l);
-                        notification_bits += env.bits;
-                        msgs.push(env);
+                        notification_bits += net.send(i, j, Payload::TestBatch { count: c });
                     }
-                    bsp.superstep(msgs);
-                    let _ = bsp.take_all_inboxes();
+                    net.exchange();
                 }
             }
             // --- Local MWOE candidates from cached labels (exact). ---
             let mut proxies: Vec<FxHashMap<Label, Comp>> =
                 (0..k).map(|_| FxHashMap::default()).collect();
-            let mut out = Vec::new();
             for m in 0..k {
                 let view = sg.view(m);
                 let mut local_best: FxHashMap<Label, (EdgeKey, Label)> = FxHashMap::default();
@@ -164,14 +160,13 @@ impl Problem for EdgeBoruvka {
                         key,
                         to_label,
                     };
-                    out.push(payload.envelope(m, dst, l, l));
+                    net.send(m, dst, payload);
                 }
             }
-            let any = !out.is_empty();
-            bsp.superstep(out);
-            let inboxes = bsp.take_all_inboxes();
+            let any = !net.idle();
+            let inboxes = net.exchange();
             // Convergence flags (counted like the core algorithm's).
-            flag_exchange(&mut bsp, k, l);
+            net.flag_exchange();
             if !any {
                 break;
             }
@@ -219,11 +214,10 @@ impl Problem for EdgeBoruvka {
             let iters = 32 - (2 * depth_bound).leading_zeros() + 1;
             for _ in 0..iters {
                 if !proxies.iter().any(|px| det::any_value(px, |c| !c.ptr_done)) {
-                    flag_exchange(&mut bsp, k, l);
+                    net.flag_exchange();
                     break;
                 }
-                flag_exchange(&mut bsp, k, l);
-                let mut queries = Vec::new();
+                net.flag_exchange();
                 for (m, proxy) in proxies.iter().enumerate() {
                     for (label, c) in det::sorted_entries(proxy) {
                         if !c.ptr_done {
@@ -231,34 +225,22 @@ impl Problem for EdgeBoruvka {
                                 asker: label,
                                 target: c.ptr,
                             };
-                            queries.push(payload.envelope(
-                                m,
-                                scheme.proxy_of(part, p, 0, c.ptr),
-                                l,
-                                l,
-                            ));
+                            net.send(m, scheme.proxy_of(part, p, 0, c.ptr), payload);
                         }
                     }
                 }
-                bsp.superstep(queries);
-                let inboxes = bsp.take_all_inboxes();
-                let mut replies = Vec::new();
-                for (m, inbox) in inboxes.into_iter().enumerate() {
+                for (m, inbox) in net.exchange().into_iter().enumerate() {
                     for env in inbox {
                         if let Payload::PtrQuery { asker, target } = env.payload {
                             // A target with no candidates this phase is a root.
                             let (ptr, done) = proxies[m]
                                 .get(&target)
                                 .map_or((target, true), |t| (t.ptr, t.ptr_done));
-                            replies.push(
-                                Payload::PtrReply { asker, ptr, done }.envelope(m, env.src, l, l),
-                            );
+                            net.send(m, env.src, Payload::PtrReply { asker, ptr, done });
                         }
                     }
                 }
-                bsp.superstep(replies);
-                let inboxes = bsp.take_all_inboxes();
-                for (m, inbox) in inboxes.into_iter().enumerate() {
+                for (m, inbox) in net.exchange().into_iter().enumerate() {
                     for env in inbox {
                         if let Payload::PtrReply { asker, ptr, done } = env.payload {
                             if let Some(c) = proxies[m].get_mut(&asker) {
@@ -270,7 +252,6 @@ impl Problem for EdgeBoruvka {
                 }
             }
             // --- Relabel parts. ---
-            let mut relabels = Vec::new();
             for (m, proxy) in proxies.iter().enumerate() {
                 for (label, c) in det::sorted_entries(proxy) {
                     if c.parent.is_some() && c.ptr != label {
@@ -279,19 +260,15 @@ impl Problem for EdgeBoruvka {
                                 old: label,
                                 new: c.ptr,
                             };
-                            relabels.push(payload.envelope(m, pm as usize, l, l));
+                            net.send(m, pm as usize, payload);
                         }
                     }
                 }
             }
-            bsp.superstep(relabels);
-            let inboxes = bsp.take_all_inboxes();
             let mut map: FxHashMap<Label, Label> = FxHashMap::default();
-            for inbox in inboxes {
-                for env in inbox {
-                    if let Payload::Relabel { old, new } = env.payload {
-                        map.insert(old, new);
-                    }
+            for env in net.exchange().into_iter().flatten() {
+                if let Payload::Relabel { old, new } = env.payload {
+                    map.insert(old, new);
                 }
             }
             // --- Apply relabels; under BatchedPush additionally push every
@@ -320,14 +297,10 @@ impl Problem for EdgeBoruvka {
                 }
             }
             if mode == CheckMode::BatchedPush {
-                let mut notes = Vec::new();
                 for ((src, dst), updates) in det::into_sorted_entries(notify) {
-                    let env = Payload::FloodLabels { updates }.envelope(src, dst, l, l);
-                    notification_bits += env.bits;
-                    notes.push(env);
+                    notification_bits += net.send(src, dst, Payload::FloodLabels { updates });
                 }
-                bsp.superstep(notes);
-                let _ = bsp.take_all_inboxes();
+                net.exchange();
             }
         }
         let mut edges = mst;
@@ -337,7 +310,7 @@ impl Problem for EdgeBoruvka {
         EdgeBoruvkaOutput {
             edges,
             total_weight,
-            stats: bsp.into_stats(),
+            stats: net.finish(None),
             phases,
             notification_bits,
         }

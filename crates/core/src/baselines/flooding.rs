@@ -14,16 +14,14 @@
 //! from its own shard (a reverse index built once, for free, at start-up),
 //! never by peeking at remote adjacency.
 
-use super::flag_exchange;
 use crate::engine::EngineConfig;
-use crate::messages::{id_bits, Label, Payload};
+use crate::messages::{Label, Payload};
+use crate::net::Net;
 use crate::session::{Cluster, Flooding, Problem};
 use kgraph::ShardedGraph;
 use kmachine::bandwidth::Bandwidth;
-use kmachine::bsp::Bsp;
 use kmachine::det;
 use kmachine::metrics::CommStats;
-use kmachine::network::NetworkConfig;
 use rustc_hash::{FxHashMap, FxHashSet};
 
 /// Flooding result.
@@ -82,8 +80,11 @@ impl Problem for Flooding {
         let part = sg.partition();
         let k = part.k();
         let n = sg.n();
-        let l = id_bits(n);
-        let mut bsp: Bsp<Payload> = Bsp::new(NetworkConfig::new(k, self.bandwidth, n));
+        let cfg = EngineConfig {
+            bandwidth: self.bandwidth,
+            ..EngineConfig::default()
+        };
+        let mut net = Net::new(&cfg, k, n);
         let mut labels: Vec<Label> = (0..n as Label).collect();
         let remote_in: Vec<FxHashMap<u32, Vec<u32>>> =
             (0..k).map(|m| remote_in_index(sg, m)).collect();
@@ -116,8 +117,6 @@ impl Problem for Flooding {
             // Cross-machine announcements: for every frontier vertex, tell each
             // remote neighbor machine its (possibly improved) label, dedup per
             // (destination, vertex).
-            let mut out = Vec::new();
-            let mut any_remote = false;
             for m in 0..k {
                 let view = sg.view(m);
                 let mut per_dst: FxHashMap<usize, FxHashMap<u32, Label>> = FxHashMap::default();
@@ -138,20 +137,17 @@ impl Problem for Flooding {
                     let payload = Payload::FloodLabels {
                         updates: det::into_sorted_entries(updates),
                     };
-                    out.push(payload.envelope(m, dst, l, l));
-                    any_remote = true;
+                    net.send(m, dst, payload);
                 }
                 frontier[m].clear();
             }
-            if !any_remote {
+            if net.idle() {
                 // Convergence: one final counted flag exchange (all machines
                 // report "no change" to M0, M0 confirms).
-                flag_exchange(&mut bsp, k, l);
+                net.flag_exchange();
                 break;
             }
-            bsp.superstep(out);
-            let inboxes = bsp.take_all_inboxes();
-            for (m, inbox) in inboxes.into_iter().enumerate() {
+            for (m, inbox) in net.exchange().into_iter().enumerate() {
                 for env in inbox {
                     if let Payload::FloodLabels { updates } = env.payload {
                         for (v, lab) in updates {
@@ -170,11 +166,11 @@ impl Problem for Flooding {
                 }
             }
             // Per-graph-round convergence flag (counted).
-            flag_exchange(&mut bsp, k, l);
+            net.flag_exchange();
         }
         FloodingOutput {
             labels,
-            stats: bsp.into_stats(),
+            stats: net.finish(None),
             graph_rounds,
         }
     }

@@ -21,19 +21,3 @@ pub mod edge_boruvka;
 pub mod flooding;
 pub mod referee;
 pub mod rep_mst;
-
-use crate::messages::Payload;
-use kmachine::bsp::Bsp;
-
-/// The two-superstep 1-bit convergence exchange (machines → M0 →
-/// machines), counted like the core algorithm's.
-fn flag_exchange(bsp: &mut Bsp<Payload>, k: usize, l: u64) {
-    for up in [true, false] {
-        let flag = |m| {
-            let (src, dst) = if up { (m, 0) } else { (0, m) };
-            Payload::Flag { bit: true }.envelope(src, dst, l, l)
-        };
-        bsp.superstep((1..k).map(flag).collect());
-        let _ = bsp.take_all_inboxes();
-    }
-}

@@ -7,14 +7,13 @@
 //! graph from what it received plus its own shard and solves for free.
 
 use crate::engine::EngineConfig;
-use crate::messages::{id_bits, Payload};
+use crate::messages::Payload;
+use crate::net::Net;
 use crate::session::{Cluster, Problem, Referee};
 use kgraph::graph::Edge;
 use kgraph::{refalgo, Graph};
 use kmachine::bandwidth::Bandwidth;
-use kmachine::bsp::Bsp;
 use kmachine::metrics::CommStats;
-use kmachine::network::NetworkConfig;
 
 /// Referee-collection result.
 #[derive(Clone, Debug)]
@@ -43,22 +42,22 @@ impl Problem for Referee {
         let sg = cluster.sharded();
         let k = sg.k();
         let n = sg.n();
-        let l = id_bits(n);
-        let mut bsp: Bsp<Payload> = Bsp::new(NetworkConfig::new(k, self.bandwidth, n));
+        let cfg = EngineConfig {
+            bandwidth: self.bandwidth,
+            ..EngineConfig::default()
+        };
+        let mut net = Net::new(&cfg, k, n);
         // Each machine batches the edges its shard owns; the referee's own
         // slice stays local (free).
         let mut collected: Vec<Edge> = sg.view(0).local_edges().collect();
-        let mut out = Vec::new();
         for m in 1..k {
             let edges: Vec<(u32, u32, u64)> =
                 sg.view(m).local_edges().map(|e| (e.u, e.v, e.w)).collect();
             if !edges.is_empty() {
-                out.push(Payload::EdgeList { edges }.envelope(m, 0, l, l));
+                net.send(m, 0, Payload::EdgeList { edges });
             }
         }
-        bsp.superstep(out);
-        let inboxes = bsp.take_all_inboxes();
-        for env in inboxes.into_iter().flatten() {
+        for env in net.exchange().into_iter().flatten() {
             if let Payload::EdgeList { edges } = env.payload {
                 collected.extend(edges.into_iter().map(|(u, v, w)| Edge::new(u, v, w)));
             }
@@ -68,7 +67,7 @@ impl Problem for Referee {
         let labels = refalgo::connected_components(&assembled);
         RefereeOutput {
             labels,
-            stats: bsp.into_stats(),
+            stats: net.finish(None),
         }
     }
 

@@ -20,15 +20,15 @@
 //! model's `Θ~(n/k²)`.
 
 use crate::engine::EngineConfig;
-use crate::messages::{id_bits, Payload};
+use crate::messages::Payload;
 use crate::mst::{minimum_spanning_tree_sharded, MstConfig, MstOutput};
+use crate::net::Net;
 use crate::session::{Cluster, Problem, RepMst};
 use kgraph::graph::Edge;
 use kgraph::unionfind::UnionFind;
 use kgraph::{Graph, Partition, ShardedGraph};
-use kmachine::bsp::Bsp;
 use kmachine::metrics::CommStats;
-use kmachine::network::NetworkConfig;
+use kmachine::trace::Tracer;
 
 /// Result of the REP-model MST (same shape as the RVP result, plus the
 /// number of edges that survived filtering).
@@ -57,6 +57,10 @@ impl Problem for RepMst {
         d.clone()
     }
 
+    fn tracer(&self) -> Tracer {
+        self.cfg.trace.clone()
+    }
+
     /// The model's random *edge* partition is realized by a public hash of
     /// the canonical edge key (streamed shards have no global edge index),
     /// so every machine can compute any edge's REP owner locally — the same
@@ -66,7 +70,6 @@ impl Problem for RepMst {
         let rvp = sg.partition();
         let k = sg.k();
         let n = sg.n();
-        let l = id_bits(n);
         // Step 0 (ingestion): each RVP shard re-routes the edges it owns to
         // their hashed REP owners — one pass over per-machine storage, no
         // machine ever sees the full edge set. This models the §1.3 input
@@ -94,8 +97,7 @@ impl Problem for RepMst {
             kept.push(keep);
         }
         // Step 2: route surviving edges to RVP homes (one superstep, counted).
-        let mut bsp: Bsp<Payload> = Bsp::new(NetworkConfig::new(k, cfg.bandwidth, n));
-        let mut out = Vec::new();
+        let mut net = Net::new(cfg, k, n);
         for (m, edges) in kept.iter().enumerate() {
             let mut per_dst: Vec<Vec<(u32, u32, u64)>> = vec![Vec::new(); k];
             for e in edges {
@@ -103,13 +105,12 @@ impl Problem for RepMst {
             }
             for (dst, batch) in per_dst.into_iter().enumerate() {
                 if dst != m && !batch.is_empty() {
-                    out.push(Payload::EdgeList { edges: batch }.envelope(m, dst, l, l));
+                    net.send(m, dst, Payload::EdgeList { edges: batch });
                 }
             }
         }
-        bsp.superstep(out);
-        let _ = bsp.take_all_inboxes();
-        let routing = bsp.into_stats();
+        net.exchange();
+        let routing = net.finish(Some("rep_routing"));
         // Step 3: the RVP algorithm on the filtered union (MST-preserving by
         // the cycle property; REP assigns each edge once so there are no dups).
         let union: Vec<Edge> = kept.into_iter().flatten().collect();

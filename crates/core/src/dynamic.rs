@@ -64,14 +64,14 @@
 //! ```
 
 use crate::connectivity::{ConnectivityConfig, ConnectivityOutput};
-use crate::engine::{Engine, EngineConfig, EngineResult, Ledger, Mode};
+use crate::engine::{Engine, EngineConfig, EngineResult, Mode};
 use crate::messages::{id_bits, EdgeKey, Label, Payload};
 use crate::mst::{route_edges_to_endpoints, sourced_edges, MstConfig, OutputCriterion};
+use crate::net::{Mail, Net};
 use crate::session::{Cluster, Problem, Run, RunReport};
 use crate::st::SpanningForestOutput;
 use kgraph::graph::Edge;
 use kgraph::{Partition, UnionFind};
-use kmachine::bsp::Bsp;
 use kmachine::det;
 use kmachine::metrics::CommStats;
 use kmachine::trace::{phase_breakdown, Stopwatch, TraceEvent, Tracer};
@@ -606,8 +606,7 @@ impl DynamicCluster {
             }
         }
         // Pass 2: route, stage, maintain sketches, dirty the structure.
-        let l = id_bits(n);
-        let mut envelopes = Vec::with_capacity(2 * batch.len());
+        let mut net = self.dyn_net(self.inner.defaults());
         let mut inserts = 0usize;
         let mut deletes = 0usize;
         for op in batch.ops() {
@@ -654,16 +653,15 @@ impl DynamicCluster {
                     weight,
                     insert,
                 };
-                envelopes.push(payload.envelope(COORDINATOR, home, l, l));
+                net.send(COORDINATOR, home, payload);
             }
             if let Some(state) = &mut self.state {
                 state.touched.insert(state.labels[u as usize]);
                 state.touched.insert(state.labels[v as usize]);
             }
         }
-        let mut bsp = self.dyn_bsp(self.inner.defaults());
-        bsp.superstep(envelopes);
-        let stats = bsp.into_stats();
+        net.exchange();
+        let stats = net.finish(None);
         self.epoch.absorb(&stats);
         self.update_stats.absorb(&stats);
         self.batches += 1;
@@ -881,7 +879,6 @@ impl DynamicCluster {
         mark: usize,
     ) -> Refresh {
         let (n, k) = (self.n(), self.k());
-        let l = id_bits(n);
         let MstDynState {
             mut forest,
             labels: old_labels,
@@ -974,7 +971,7 @@ impl DynamicCluster {
                 adj.entry(e.u).or_default().push((e.v, e.w));
                 adj.entry(e.v).or_default().push((e.u, e.w));
             }
-            let mut route = Vec::new();
+            let mut net = self.dyn_net(cfg);
             let mut replies = Vec::new();
             for (comp, mut ins) in tier_cycle {
                 ins.sort_unstable_by_key(|e| (e.w, e.u, e.v));
@@ -986,7 +983,7 @@ impl DynamicCluster {
                         v: e.v,
                         weight: e.w,
                     };
-                    route.push(payload.envelope(COORDINATOR, owner, l, l));
+                    net.send(COORDINATOR, owner, payload);
                     let mut evicted = None;
                     let mut accept = true;
                     if uf.connected(e.u, e.v) {
@@ -1016,18 +1013,15 @@ impl DynamicCluster {
                         adj.entry(e.v).or_default().push((e.u, e.w));
                         new_edges.push((owner, (e.u, e.v, e.w)));
                     }
-                    let reply = Payload::MstSwap { comp, evicted };
-                    replies.push(reply.envelope(owner, COORDINATOR, l, l));
+                    replies.push((owner, Payload::MstSwap { comp, evicted }));
                 }
             }
-            let mut bsp = self.dyn_bsp(cfg);
-            bsp.superstep(route);
-            let _ = bsp.take_all_inboxes();
-            bsp.superstep(replies);
-            let _ = bsp.take_all_inboxes();
-            let s = bsp.into_stats();
-            Ledger::of(&s).emit_segment(&self.cfg.trace, "mst_cycle");
-            stats.absorb(&s);
+            net.exchange();
+            for (owner, reply) in replies {
+                net.send(owner, COORDINATOR, reply);
+            }
+            net.exchange();
+            stats.absorb(&net.finish(Some("mst_cycle")));
         }
         // --- Tier: sketch replacement-edge search (a single tree
         // deletion splits its component in two).
@@ -1044,8 +1038,6 @@ impl DynamicCluster {
                 other_set: FxHashSet<u32>,
                 del: Edge,
             }
-            let mut bsp = self.dyn_bsp(cfg);
-            let mut sketch_env = Vec::new();
             let mut plans = Vec::new();
             for del in tier_cut {
                 let side_u = tree_piece(&adj, del.u, del);
@@ -1060,23 +1052,6 @@ impl DynamicCluster {
                 };
                 let piece = Label::from(*probe.iter().min().expect("piece is nonempty"));
                 let other_label = Label::from(*other.iter().min().expect("piece is nonempty"));
-                let mut per_machine: Vec<Option<L0Sketch>> = (0..k).map(|_| None).collect();
-                for &x in &probe {
-                    let m = self.home.home(x);
-                    per_machine[m]
-                        .get_or_insert_with(|| L0Sketch::new(self.params))
-                        .merge(&self.sketches[m][&x]);
-                }
-                let referee = self.home.home(piece as u32);
-                for (i, sk) in per_machine.into_iter().enumerate() {
-                    if let Some(sk) = sk {
-                        let payload = Payload::MstCutSketch {
-                            piece,
-                            sketch: Box::new(sk),
-                        };
-                        sketch_env.push(payload.envelope(i, referee, l, l));
-                    }
-                }
                 plans.push(CutPlan {
                     piece,
                     other: other_label,
@@ -1085,33 +1060,19 @@ impl DynamicCluster {
                     del,
                 });
             }
-            bsp.superstep(sketch_env);
-            let mut nonzero: FxHashSet<Label> = FxHashSet::default();
-            for inbox in bsp.take_all_inboxes() {
-                let mut sums: FxHashMap<Label, L0Sketch> = FxHashMap::default();
-                for env in inbox {
-                    if let Payload::MstCutSketch { piece, sketch } = env.payload {
-                        match sums.get_mut(&piece) {
-                            Some(acc) => acc.merge(&sketch),
-                            None => {
-                                sums.insert(piece, *sketch);
-                            }
-                        }
-                    }
-                }
-                for piece in det::sorted_keys(&sums) {
-                    if !sums[&piece].is_zero() {
-                        nonzero.insert(piece);
-                    }
-                }
-            }
+            let mut net = self.dyn_net(cfg);
+            let probed = plans
+                .iter()
+                .flat_map(|plan| plan.probe.iter().map(|&x| (x, plan.piece)));
+            let cut_sketch = |piece, sketch| Payload::MstCutSketch { piece, sketch };
+            let nonzero = self.nonzero_sums(&mut net, probed, cut_sketch);
             // Pieces with a non-zero sum have a surviving crossing edge:
             // every machine nominates its lightest one (every crossing
             // edge has an endpoint in the probe piece, so scanning the
             // probe homes' shard views covers the whole cut).
-            let mut cand_env = Vec::new();
             for plan in &plans {
-                if !nonzero.contains(&plan.piece) {
+                let referee = self.home.home(plan.piece as u32);
+                if !nonzero[referee].contains(&plan.piece) {
                     continue;
                 }
                 let mut best: Vec<Option<EdgeKey>> = vec![None; k];
@@ -1126,7 +1087,6 @@ impl DynamicCluster {
                         }
                     }
                 }
-                let referee = self.home.home(plan.piece as u32);
                 for (i, key) in best.into_iter().enumerate() {
                     if let Some(key) = key {
                         let payload = Payload::MstCandidate {
@@ -1134,23 +1094,16 @@ impl DynamicCluster {
                             key,
                             to_piece: plan.other,
                         };
-                        cand_env.push(payload.envelope(i, referee, l, l));
+                        net.send(i, referee, payload);
                     }
                 }
             }
             let mut winners: FxHashMap<Label, EdgeKey> = FxHashMap::default();
-            if !cand_env.is_empty() {
-                bsp.superstep(cand_env);
-                for inbox in bsp.take_all_inboxes() {
-                    for env in inbox {
-                        if let Payload::MstCandidate { piece, key, .. } = env.payload {
-                            match winners.get_mut(&piece) {
-                                Some(best) => *best = (*best).min(key),
-                                None => {
-                                    winners.insert(piece, key);
-                                }
-                            }
-                        }
+            if !net.idle() {
+                for env in net.exchange().into_iter().flatten() {
+                    if let Payload::MstCandidate { piece, key, .. } = env.payload {
+                        let best = winners.entry(piece).or_insert(key);
+                        *best = (*best).min(key);
                     }
                 }
             }
@@ -1165,9 +1118,7 @@ impl DynamicCluster {
                 // A zero sum certifies a genuine split: the component
                 // stays divided and the labels recompute below.
             }
-            let s = bsp.into_stats();
-            Ledger::of(&s).emit_segment(&self.cfg.trace, "mst_cut");
-            stats.absorb(&s);
+            stats.absorb(&net.finish(Some("mst_cut")));
         }
         // --- Tier: restricted engine re-run over the remaining groups.
         let mut run = None;
@@ -1398,13 +1349,9 @@ impl DynamicCluster {
     }
 
     /// The certification exchange, run after every incremental re-solve:
-    /// every machine sums the incidence sketches of its home vertices per
-    /// refreshed label (one that some `refreshed[v]` vertex carries) and
-    /// ships the sum to the label's referee — the home machine of the
-    /// canonical representative (labels *are* vertex ids). Linearity
-    /// cancels intra-component edges exactly, so each referee sees zero iff
-    /// its label class has no outgoing edge; the per-machine verdicts are
-    /// OR-reduced at the coordinator with 1-bit flags.
+    /// the linear probe over the refreshed labels (those some `refreshed[v]`
+    /// vertex carries), then the per-referee verdicts OR-reduced at the
+    /// coordinator with 1-bit flags.
     fn certify(
         &self,
         refreshed: &[bool],
@@ -1417,81 +1364,92 @@ impl DynamicCluster {
             .filter(|&(_, &r)| r)
             .map(|(&lab, _)| lab)
             .collect();
-        let k = self.k();
-        let l = id_bits(self.n());
-        let mut bsp = self.dyn_bsp(cfg);
-        let mut envelopes = Vec::new();
-        for (i, per_machine) in self.sketches.iter().enumerate() {
-            let mut agg: FxHashMap<Label, L0Sketch> = FxHashMap::default();
-            for &v in self.inner.sharded().view(i).verts() {
-                let lab = labels[v as usize];
-                if fresh_labels.contains(&lab) {
-                    agg.entry(lab)
-                        .or_insert_with(|| L0Sketch::new(self.params))
-                        .merge(&per_machine[&v]);
-                }
-            }
-            for (label, sketch) in det::into_sorted_entries(agg) {
-                let payload = Payload::CertSketch {
-                    label,
-                    sketch: Box::new(sketch),
-                };
-                envelopes.push(payload.envelope(i, self.home.home(label as u32), l, l));
-            }
+        let mut net = self.dyn_net(cfg);
+        let sharded = self.inner.sharded();
+        let fresh = (0..self.k())
+            .flat_map(|i| sharded.view(i).verts())
+            .map(|&v| (v, labels[v as usize]))
+            .filter(|(_, lab)| fresh_labels.contains(lab));
+        let cert_sketch = |label, sketch| Payload::CertSketch { label, sketch };
+        let nonzero = self.nonzero_sums(&mut net, fresh, cert_sketch);
+        for (i, bad) in nonzero.iter().enumerate().skip(1) {
+            let bit = !bad.is_empty();
+            net.send(i, COORDINATOR, Payload::Flag { bit });
         }
-        bsp.superstep(envelopes);
-        let inboxes = bsp.take_all_inboxes();
-        let mut verdicts = vec![false; k];
-        for (i, inbox) in inboxes.into_iter().enumerate() {
-            let mut sums: FxHashMap<Label, L0Sketch> = FxHashMap::default();
-            for env in inbox {
-                if let Payload::CertSketch { label, sketch } = env.payload {
-                    match sums.get_mut(&label) {
-                        Some(acc) => acc.merge(&sketch),
-                        None => {
-                            sums.insert(label, *sketch);
-                        }
-                    }
-                }
-            }
-            verdicts[i] = det::any_value(&sums, |s| !s.is_zero());
-        }
-        bsp.superstep(
-            (1..k)
-                .map(|i| Payload::Flag { bit: verdicts[i] }.envelope(i, COORDINATOR, l, l))
-                .collect(),
-        );
-        let bad = verdicts.iter().any(|&b| b);
-        let n_labels = fresh_labels.len() as u64;
-        let stats = bsp.into_stats();
+        net.exchange();
+        let ok = nonzero.iter().all(Vec::is_empty);
+        let stats = net.finish(None);
         // The certification exchange is absorbed into the solve's stats,
         // so the event carries its cost and folds into the per-phase
         // breakdown as a `"certify"` row (keeping the tiling exact).
         let (rounds, bits) = (stats.rounds, stats.total_bits);
         self.cfg.trace.emit(|| TraceEvent::DynCertify {
-            labels: n_labels,
+            labels: fresh_labels.len() as u64,
             rounds,
             bits,
-            ok: !bad,
+            ok,
         });
-        (!bad, stats)
+        (ok, stats)
     }
 
-    /// A superstep runner for the dynamic layer's own exchanges (update
-    /// routing, under the cluster defaults; certification, cycle
-    /// replacement, replacement-edge search, under the solve's config): its
-    /// network/encoding/transport envelope, the dynamic tracer,
-    /// and the dynamic layer's fault plan — so chaos plans exercise these
-    /// supersteps through the same reliable delivery as the engine's.
-    fn dyn_bsp(&self, ecfg: &EngineConfig) -> Bsp<Payload> {
-        let k = self.k();
-        let mut bsp: Bsp<Payload> = Bsp::new(ecfg.network(k, self.n()));
-        crate::engine::attach_transport(&mut bsp, ecfg.transport, k);
-        bsp.set_tracer(self.cfg.trace.clone());
-        if let Some(plan) = self.cfg.faults.clone() {
-            bsp.install_faults(plan, true);
+    /// The linear probe behind certification and the cut tier: every
+    /// machine sums the maintained sketches of its `(vertex, class)` members
+    /// per class and ships each sum, wrapped by `payload`, to the class's
+    /// referee — the home of the label, which *is* a vertex id. Intra-class
+    /// edges cancel, so a referee's total is zero iff nothing leaves the
+    /// class. Returns each referee machine's non-zero classes.
+    fn nonzero_sums(
+        &self,
+        net: &mut Net,
+        members: impl Iterator<Item = (u32, Label)>,
+        payload: impl Fn(Label, Box<L0Sketch>) -> Payload,
+    ) -> Vec<Vec<Label>> {
+        let mut local: Vec<FxHashMap<Label, L0Sketch>> = vec![FxHashMap::default(); self.k()];
+        for (v, class) in members {
+            let m = self.home.home(v);
+            local[m]
+                .entry(class)
+                .or_insert_with(|| L0Sketch::new(self.params))
+                .merge(&self.sketches[m][&v]);
         }
-        bsp
+        for (i, sums) in local.into_iter().enumerate() {
+            for (class, sketch) in det::into_sorted_entries(sums) {
+                let referee = self.home.home(class as u32);
+                net.send(i, referee, payload(class, Box::new(sketch)));
+            }
+        }
+        let at_referee = |inbox: Mail| {
+            let mut sums: FxHashMap<Label, L0Sketch> = FxHashMap::default();
+            for env in inbox {
+                if let Payload::CertSketch { label, sketch }
+                | Payload::MstCutSketch {
+                    piece: label,
+                    sketch,
+                } = env.payload
+                {
+                    let merge = |acc: &mut L0Sketch| acc.merge(&sketch);
+                    sums.entry(label)
+                        .and_modify(merge)
+                        .or_insert_with(|| *sketch);
+                }
+            }
+            det::retain_where(&mut sums, |_, sum| !sum.is_zero());
+            det::sorted_keys(&sums)
+        };
+        net.exchange().into_iter().map(at_referee).collect()
+    }
+
+    /// A network for the dynamic layer's own exchanges (update routing under
+    /// the cluster defaults; certification and the MST tiers under the
+    /// solve's config), with the dynamic layer's fault plan and tracer — so
+    /// chaos plans exercise them through the engine's reliable delivery.
+    fn dyn_net(&self, ecfg: &EngineConfig) -> Net {
+        let ecfg = EngineConfig {
+            faults: self.cfg.faults.clone(),
+            trace: self.cfg.trace.clone(),
+            ..ecfg.clone()
+        };
+        Net::new(&ecfg, self.k(), self.n())
     }
 
     fn compact_now(&mut self) {
@@ -1607,15 +1565,16 @@ impl DynamicCluster {
     /// The communication a *full re-ingestion* of the current edge set
     /// would cost under the same routing as the update path (coordinator →
     /// both endpoint homes, one superstep): the baseline the incremental
-    /// path is measured against in kbench's dynamic family. Requires
-    /// compacted shards.
+    /// path is measured against in kbench's dynamic family: a what-if
+    /// cost, never faulted or traced. Requires compacted shards.
     pub fn full_reingest_stats(&self) -> CommStats {
         debug_assert_eq!(self.pending_half_ops(), 0, "compact before measuring");
-        let l = id_bits(self.n());
-        let defaults = self.inner.defaults();
-        let mut bsp: Bsp<Payload> = Bsp::new(defaults.network(self.k(), self.n()));
-        crate::engine::attach_transport(&mut bsp, defaults.transport, self.k());
-        let mut envelopes = Vec::with_capacity(2 * self.m());
+        let what_if = EngineConfig {
+            faults: None,
+            trace: Tracer::off(),
+            ..self.inner.defaults().clone()
+        };
+        let mut net = Net::new(&what_if, self.k(), self.n());
         for i in 0..self.k() {
             for e in self.inner.sharded().view(i).local_edges() {
                 for (vertex, other) in [(e.u, e.v), (e.v, e.u)] {
@@ -1625,12 +1584,12 @@ impl DynamicCluster {
                         weight: e.w,
                         insert: true,
                     };
-                    envelopes.push(payload.envelope(COORDINATOR, self.home.home(vertex), l, l));
+                    net.send(COORDINATOR, self.home.home(vertex), payload);
                 }
             }
         }
-        bsp.superstep(envelopes);
-        bsp.into_stats()
+        net.exchange();
+        net.finish(None)
     }
 }
 

@@ -43,8 +43,9 @@
 //! **and** the §2.2 `Θ(log² n)`-bit function-seed distribution charge,
 //! which is paid once per epoch — reused functions need no redistribution.
 //!
-//! All communication flows through [`kmachine::Bsp`], so every round and
-//! bit is accounted exactly as in the paper's Lemma-1 analysis.
+//! All communication flows through the crate's one network runtime
+//! (`net::Net` over [`kmachine::Bsp`]), so every round and bit is accounted
+//! exactly as in the paper's Lemma-1 analysis.
 //!
 //! **Fault tolerance** (DESIGN.md §3.10): with a
 //! [`kmachine::fault::FaultPlan`] on [`EngineConfig::faults`], every
@@ -59,18 +60,17 @@
 
 use crate::messages::{id_bits, EdgeKey, Label, Payload};
 use crate::mst::OutputCriterion;
+use crate::net::{Mail, Net, Out, Price};
 use crate::proxy::ProxyScheme;
 use kgraph::ShardedGraph;
 use kmachine::bandwidth::Bandwidth;
-use kmachine::bsp::Bsp;
 use kmachine::det;
 use kmachine::fault::FaultPlan;
 use kmachine::message::{Encoding, Envelope};
 use kmachine::metrics::CommStats;
-use kmachine::network::NetworkConfig;
 use kmachine::par::par_for_each_state;
 use kmachine::trace::{TraceEvent, Tracer};
-use kmachine::transport::{make_transport, TransportSel};
+use kmachine::transport::TransportSel;
 use krand::shared::{SharedRandomness, Use};
 use ksketch::{L0Sketch, SketchFns, SketchParams};
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -187,31 +187,6 @@ impl Default for EngineConfig {
     }
 }
 
-impl EngineConfig {
-    /// The network this configuration charges: `k` machines over an
-    /// `n`-vertex input.
-    pub(crate) fn network(&self, k: usize, n: usize) -> NetworkConfig {
-        NetworkConfig {
-            k,
-            bandwidth: self.bandwidth,
-            n,
-            cost_model: self.cost_model,
-            encoding: self.encoding,
-        }
-    }
-}
-
-/// Attaches the configured byte transport to a superstep runner
-/// (DESIGN.md §3.12). [`TransportSel::Sim`] leaves the in-process path
-/// byte-for-byte untouched — no bridge is installed, the simulator stays
-/// the accounting oracle. [`TransportSel::Proc`] spawns one worker process
-/// per machine and routes every window through the socket mesh.
-pub(crate) fn attach_transport(bsp: &mut Bsp<Payload>, sel: TransportSel, k: usize) {
-    if sel == TransportSel::Proc {
-        bsp.set_transport(make_transport(sel, k));
-    }
-}
-
 /// Everything the engine produces: the distributed outputs plus the full
 /// communication accounting and instrumentation for the experiments.
 #[derive(Clone, Debug)]
@@ -252,50 +227,6 @@ impl EngineResult {
         set.sort_unstable();
         set.dedup();
         set.len()
-    }
-}
-
-/// A snapshot of the four counters every span of a run is attributed by;
-/// the difference of two snapshots is the cost of the span between them.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Ledger {
-    pub(crate) rounds: u64,
-    pub(crate) total_bits: u64,
-    pub(crate) recovery_rounds: u64,
-    pub(crate) retransmit_bits: u64,
-}
-
-impl Ledger {
-    /// The ledger as of `stats`.
-    pub(crate) fn of(stats: &CommStats) -> Self {
-        Ledger {
-            rounds: stats.rounds,
-            total_bits: stats.total_bits,
-            recovery_rounds: stats.recovery_rounds,
-            retransmit_bits: stats.retransmit_bits,
-        }
-    }
-
-    /// Emits this span as a named [`TraceEvent::Segment`] row.
-    pub(crate) fn emit_segment(self, trace: &Tracer, name: &str) {
-        trace.emit(|| TraceEvent::Segment {
-            name: name.to_string(),
-            rounds: self.rounds,
-            bits: self.total_bits,
-        });
-    }
-}
-
-impl std::ops::Sub for Ledger {
-    type Output = Ledger;
-
-    fn sub(self, since: Ledger) -> Ledger {
-        Ledger {
-            rounds: self.rounds - since.rounds,
-            total_bits: self.total_bits - since.total_bits,
-            recovery_rounds: self.recovery_rounds - since.recovery_rounds,
-            retransmit_bits: self.retransmit_bits - since.retransmit_bits,
-        }
     }
 }
 
@@ -465,9 +396,6 @@ impl ProxyComp {
     }
 }
 
-/// A mailbox: what a step delivered to a machine, or what it is sending.
-type Mail = Vec<Envelope<Payload>>;
-
 /// One machine's state: its vertices, their labels, the components it
 /// proxies this phase, and its mailboxes.
 #[derive(Default)]
@@ -494,7 +422,7 @@ struct MachineState {
     /// [`Engine::aggregate_flag`].
     flag: bool,
     /// Mailboxes, owned by the step primitives: closures see the inbox as
-    /// an argument and the outbox only through [`Out::send`].
+    /// an argument and the outbox only through `Out::send`.
     inbox: Mail,
     outbox: Mail,
 }
@@ -508,16 +436,11 @@ struct Cx<'g> {
     merge: MergeStrategy,
     k: usize,
     n: usize,
-    /// Vertex-id width `⌈log₂ n⌉`.
-    l: u64,
     /// Whether the supergraph has been built (contracted phases active).
     contracted: bool,
-    /// Size of the live label space `n'` (`= n` until contraction).
+    /// Size of the live label space `n'` (`= n` until contraction); label
+    /// fields are priced at `⌈log₂ n'⌉` (`Net::set_label_width`).
     n_active: usize,
-    /// Label width `⌈log₂ n'⌉` — what every label field is charged. Equals
-    /// `l` until contraction shrinks the label space (the satellite-audit
-    /// invariant: charging `l` for a supergraph id overstates bits).
-    lw: u64,
     shared: SharedRandomness,
     scheme: ProxyScheme,
     params: SketchParams,
@@ -536,39 +459,19 @@ impl Cx<'_> {
     }
 }
 
-/// A machine's sends of one step. [`Out::send`] is the only place an engine
-/// envelope is built, so every label field is priced at the live `(l, lw)`
-/// by construction.
-struct Out {
-    src: usize,
-    l: u64,
-    lw: u64,
-    buf: Mail,
-}
-
-impl Out {
-    fn send(&mut self, dst: usize, payload: Payload) {
-        self.buf
-            .push(payload.envelope(self.src, dst, self.l, self.lw));
-    }
-}
-
 /// One machine's local computation of a step: `f` gets the inbox the
-/// previous step delivered, and its sends collect in the machine's outbox.
+/// previous step delivered, and its sends — priced at the network's live
+/// widths — collect in the machine's outbox.
 fn run_local(
     cx: &Cx,
     st: &mut MachineState,
+    price: Price,
     f: impl FnOnce(&Cx, &mut MachineState, Mail, &mut Out),
 ) {
     let inbox = std::mem::take(&mut st.inbox);
-    let mut out = Out {
-        src: st.id,
-        l: cx.l,
-        lw: cx.lw,
-        buf: std::mem::take(&mut st.outbox),
-    };
+    let mut out = price.out(st.id, std::mem::take(&mut st.outbox));
     f(cx, st, inbox, &mut out);
-    st.outbox = out.buf;
+    st.outbox = out.into_mail();
 }
 
 /// The engine itself. Borrows the sharded input graph (which carries the
@@ -576,7 +479,7 @@ fn run_local(
 pub struct Engine<'g> {
     cx: Cx<'g>,
     cfg: EngineConfig,
-    bsp: Bsp<Payload>,
+    net: Net,
     machines: Vec<MachineState>,
     /// Whether `step` / `each` fan out (`FAN_OUT_MIN_HALF_EDGES`).
     fan_out: bool,
@@ -594,12 +497,7 @@ impl<'g> Engine<'g> {
         let k = g.k();
         let n = g.n();
         let shared = SharedRandomness::new(seed);
-        let mut bsp = Bsp::new(cfg.network(k, n));
-        if let Some(plan) = cfg.faults.clone() {
-            bsp.install_faults(plan, true);
-        }
-        attach_transport(&mut bsp, cfg.transport, k);
-        bsp.set_tracer(cfg.trace.clone());
+        let net = Net::new(&cfg, k, n);
         let machines: Vec<MachineState> = (0..k)
             .map(|id| {
                 let verts = g.view(id).verts().to_vec();
@@ -623,16 +521,14 @@ impl<'g> Engine<'g> {
                 merge: cfg.merge,
                 k,
                 n,
-                l: id_bits(n),
                 contracted: false,
                 n_active: n,
-                lw: id_bits(n),
                 shared,
                 scheme: ProxyScheme::new(shared, k),
                 params: SketchParams::for_graph(n, cfg.reps),
             },
             cfg,
-            bsp,
+            net,
             machines,
             cached_fns: None,
             epoch_salt: 0,
@@ -643,7 +539,7 @@ impl<'g> Engine<'g> {
 
     /// Tracks an Alice/Bob machine bipartition (§4 harness).
     pub fn set_cut(&mut self, side: Vec<bool>) {
-        self.bsp.set_cut(side);
+        self.net.set_cut(side);
     }
 
     /// Restricts the run to the vertices with `active[v] == true`: every
@@ -692,15 +588,11 @@ impl<'g> Engine<'g> {
 
     /// Runs the algorithm to completion and returns outputs + accounting.
     pub fn run(mut self) -> EngineResult {
-        let mark = self.ledger();
-        if self.cfg.charge_shared_randomness {
-            // §2.2: M1 distributes Θ~(n/k) shared bits before phase 1.
-            let (n, k) = (self.cx.n, self.cx.k);
-            let bits = SharedRandomness::paper_shared_bits(n, k);
-            let rounds = SharedRandomness::distribution_rounds(bits, k, self.bsp.link_bits());
-            self.bsp.charge_modeled_rounds(rounds, bits, 0);
-        }
-        (self.ledger() - mark).emit_segment(&self.cfg.trace, "setup");
+        let mark = self.net.ledger();
+        // §2.2: M1 distributes Θ~(n/k) shared bits before phase 1.
+        let bits = SharedRandomness::paper_shared_bits(self.cx.n, self.cx.k);
+        self.net.charge_distribution(bits);
+        self.net.emit_segment("setup", mark);
         let max_phases = self
             .cfg
             .max_phases
@@ -721,8 +613,8 @@ impl<'g> Engine<'g> {
         let mut p = 0;
         let mut retries = 0u32;
         while p < max_phases {
-            let crash_mark = self.bsp.crash_count();
-            let mark = self.ledger();
+            let crash_mark = self.net.crash_count();
+            let mark = self.net.ledger();
             let comp_mark = self.phase_components.len();
             let depth_mark = self.drr_depths.len();
             let (builds_mark, hits_mark) = self.sketch_counters();
@@ -751,38 +643,26 @@ impl<'g> Engine<'g> {
             }
             if let Some(cp) = checkpoint
                 .as_ref()
-                .filter(|_| self.bsp.crash_count() > crash_mark)
+                .filter(|_| self.net.crash_count() > crash_mark)
             {
                 // One or more machines crashed during this phase: discard
                 // the aborted attempt (including anything computed from
                 // state the crash should have wiped), restore from the
-                // phase-boundary checkpoint, and re-enter the phase. The
-                // aborted attempt's rounds and bits plus the restore
-                // barrier are attributed to recovery — minus what the
-                // superstep layer already attributed during the attempt,
-                // so nothing is double-counted and the identities
-                // `rounds − recovery_rounds = fault-free rounds` /
-                // `total_bits − retransmit_bits = fault-free total_bits`
-                // stay exact through crash re-entry (the re-entered phase
-                // replays the fault-free trajectory, so its base cost is
-                // the clean run's). Crash events fire once (keyed by
-                // absolute superstep), so retries terminate.
+                // phase-boundary checkpoint, and re-enter the phase; the
+                // attempt is booked as recovery (`Net::charge_restart`).
+                // Crash events fire once (keyed by absolute superstep), so
+                // retries terminate.
                 retries += 1;
                 assert!(
                     retries <= MAX_PHASE_RETRIES,
                     "phase {p} was re-entered {retries} times after crashes"
                 );
-                let crashed = self.bsp.crashed_since(crash_mark);
+                let crashed = self.net.crashed_since(crash_mark);
                 self.phase_components.truncate(comp_mark);
                 self.drr_depths.truncate(depth_mark);
                 self.rollback(cp, &crashed);
-                let wasted = self.ledger() - mark;
-                self.bsp.charge_barrier(); // restart coordination
-                self.bsp.attribute_recovery(
-                    wasted.rounds - wasted.recovery_rounds + 1,
-                    wasted.total_bits - wasted.retransmit_bits,
-                );
-                let spent = self.ledger() - mark;
+                self.net.charge_restart(mark);
+                let spent = self.net.ledger() - mark;
                 let crashed: Vec<u32> = crashed.iter().map(|&m| m as u32).collect();
                 self.cfg.trace.emit(move || TraceEvent::Rollback {
                     phase: p,
@@ -796,7 +676,7 @@ impl<'g> Engine<'g> {
             }
             retries = 0;
             phases = p + 1;
-            let spent = self.ledger() - mark;
+            let spent = self.net.ledger() - mark;
             let (builds, hits) = self.sketch_counters();
             self.cfg.trace.emit(|| TraceEvent::PhaseEnd {
                 phase: p,
@@ -810,18 +690,18 @@ impl<'g> Engine<'g> {
             if !progressed {
                 break;
             }
-            if last_crash_superstep.is_some_and(|s| self.bsp.stats().supersteps <= s) {
+            if last_crash_superstep.is_some_and(|s| self.net.stats().supersteps <= s) {
                 checkpoint = Some(self.take_checkpoint());
                 self.cfg.trace.emit(|| TraceEvent::Checkpoint { phase: p });
             }
             p += 1;
         }
-        let mark = self.ledger();
+        let mark = self.net.ledger();
         let counted_components = self
             .cfg
             .run_output_protocol
             .then(|| self.output_protocol(phases));
-        (self.ledger() - mark).emit_segment(&self.cfg.trace, "output");
+        self.net.emit_segment("output", mark);
         // Gather outputs (instrumentation, not communication), then
         // canonicalize: relabel each component by its smallest member, so
         // the reported labels are a pure function of the partition. The
@@ -853,7 +733,7 @@ impl<'g> Engine<'g> {
             counted_components,
             sketch_builds,
             sketch_cache_hits,
-            stats: self.bsp.into_stats(),
+            stats: self.net.finish(None),
             phase_components: self.phase_components,
             drr_depths: self.drr_depths,
         }
@@ -900,7 +780,7 @@ impl<'g> Engine<'g> {
         self.cached_fns = cp.cached_fns.clone();
         self.cx.contracted = cp.contracted;
         self.cx.n_active = cp.n_active;
-        self.cx.lw = id_bits(cp.n_active);
+        self.net.set_label_width(id_bits(cp.n_active));
     }
 
     // ------------------------------------------------------------------
@@ -921,10 +801,11 @@ impl<'g> Engine<'g> {
     /// One superstep of the k-machine model: every machine reads what the
     /// previous step delivered to it, computes locally (one thread scope,
     /// or inline), and sends; then all sends cross the network in one
-    /// [`Bsp::superstep`] and land in the receivers' inboxes. An inbox
+    /// `Net::exchange` and land in the receivers' inboxes. An inbox
     /// lives for exactly one step: what `f` does not consume is dropped.
     fn step(&mut self, f: impl Fn(&Cx, &mut MachineState, Mail, &mut Out) + Sync) {
-        self.on_every_machine(|cx, st| run_local(cx, st, &f));
+        let price = self.net.price();
+        self.on_every_machine(|cx, st| run_local(cx, st, price, &f));
         self.deliver();
     }
 
@@ -936,8 +817,9 @@ impl<'g> Engine<'g> {
         who: std::ops::Range<usize>,
         mut f: impl FnMut(&Cx, &mut MachineState, Mail, &mut Out),
     ) {
+        let price = self.net.price();
         for st in &mut self.machines[who] {
-            run_local(&self.cx, st, &mut f);
+            run_local(&self.cx, st, price, &mut f);
         }
         self.deliver();
     }
@@ -952,16 +834,13 @@ impl<'g> Engine<'g> {
         });
     }
 
-    /// Ships every outbox through one superstep, in machine order, and
+    /// Ships every outbox through one exchange, in machine order, and
     /// hands each machine what it received.
     fn deliver(&mut self) {
         let total = self.machines.iter().map(|st| st.outbox.len()).sum();
-        let mut out = Vec::with_capacity(total);
-        for st in &mut self.machines {
-            out.append(&mut st.outbox);
-        }
-        self.bsp.superstep(out);
-        for (st, inbox) in self.machines.iter_mut().zip(self.bsp.take_all_inboxes()) {
+        let outboxes = self.machines.iter_mut().map(|st| &mut st.outbox);
+        self.net.post(total, outboxes);
+        for (st, inbox) in self.machines.iter_mut().zip(self.net.exchange()) {
             st.inbox = inbox;
         }
     }
@@ -1047,10 +926,10 @@ impl<'g> Engine<'g> {
             iter += 1;
             self.broadcast_thresholds();
             // Elimination iterations always use fresh per-(phase, iteration)
-            // functions: their sketches are threshold-filtered and never
-            // cacheable.
+            // functions — their sketches are threshold-filtered and never
+            // cacheable — so M1 distributes Θ(log² n) seed bits each (§2.3).
             let fns = self.sketch_fns(p, iter);
-            self.charge_fns_distribution(&fns);
+            self.net.charge_distribution(fns.random_bits());
             self.sample(p, &fns, /*only_thresholded=*/ true);
         }
     }
@@ -1129,23 +1008,12 @@ impl<'g> Engine<'g> {
             }
         }
         let fns = Arc::new(SketchFns::new(&self.cx.shared, tag, self.cx.params));
-        self.charge_fns_distribution(&fns);
+        self.net.charge_distribution(fns.random_bits());
         for st in &mut self.machines {
             st.part_cache.clear();
         }
         self.cached_fns = Some((tag, Arc::clone(&fns)));
         fns
-    }
-
-    /// §2.3 "without shared randomness": Θ(log² n) seed bits per phase are
-    /// generated at M1 and distributed in O(1) rounds — charged here.
-    fn charge_fns_distribution(&mut self, fns: &SketchFns) {
-        if self.cfg.charge_shared_randomness {
-            let bits = fns.random_bits();
-            let rounds =
-                SharedRandomness::distribution_rounds(bits, self.cx.k, self.bsp.link_bits());
-            self.bsp.charge_modeled_rounds(rounds, bits, 0);
-        }
     }
 
     /// One sampling round (§2.3–§2.4): part sketches to the proxies, one
@@ -1583,7 +1451,7 @@ impl<'g> Engine<'g> {
                 .collect()
         });
         self.cx.n_active = total.max(1) as usize;
-        self.cx.lw = id_bits(self.cx.n_active);
+        self.net.set_label_width(id_bits(self.cx.n_active));
     }
 
     /// Supergraph merge: each merging supernode emits its output edge
@@ -1712,11 +1580,6 @@ impl<'g> Engine<'g> {
     // ------------------------------------------------------------------
     // Instrumentation (orchestrator-side, zero communication cost)
     // ------------------------------------------------------------------
-
-    /// The superstep layer's ledger so far.
-    fn ledger(&self) -> Ledger {
-        Ledger::of(self.bsp.stats())
-    }
 
     /// Part sketches (built from scratch, served from cache), all machines.
     fn sketch_counters(&self) -> (u64, u64) {
@@ -1861,9 +1724,9 @@ mod tests {
         let mut e = engine(&sg, false);
         e.each(|_, st, _| st.flag = true);
         assert!(e.machines.iter().all(|st| st.flag));
-        assert_eq!(e.bsp.stats().supersteps, 0, "local work must not flush");
+        assert_eq!(e.net.stats().supersteps, 0, "local work must not flush");
         e.step(|_, _, _, _| {});
-        let s = e.bsp.stats();
+        let s = e.net.stats();
         assert_eq!(
             (s.supersteps, s.rounds, s.total_bits, s.messages),
             (1, 0, 0, 0),
@@ -1887,35 +1750,16 @@ mod tests {
             k,
             "the predicate runs once per machine: it shares the up-send's step"
         );
-        let flag_bits = Payload::Flag { bit: true }.wire_bits_lw(e.cx.l, e.cx.lw);
-        let loads = &e.bsp.stats().superstep_loads;
+        let Price { l, lw } = e.net.price();
+        let flag_bits = Payload::Flag { bit: true }.wire_bits_lw(l, lw);
+        let loads = &e.net.stats().superstep_loads;
         assert_eq!(loads.len(), 2, "up to M0, then M0's broadcast");
         for load in loads {
             let msgs = k as u64 - 1;
             assert_eq!((load.messages, load.total_bits), (msgs, msgs * flag_bits));
         }
         assert!(!e.aggregate_flag(|_| false));
-        assert_eq!(e.bsp.stats().supersteps, 4);
-    }
-
-    #[test]
-    fn sends_are_priced_at_the_live_label_width_after_densification() {
-        let sg = sharded(4);
-        let mut e = engine(&sg, true);
-        assert!(e.run_phase(0));
-        assert!(
-            e.run_phase(1),
-            "phase 1 builds the supergraph and densifies"
-        );
-        let (l, lw) = (e.cx.l, e.cx.lw);
-        assert_eq!(lw, id_bits(e.cx.n_active));
-        assert!(lw < l, "the label space must have shrunk: {lw} vs {l}");
-        let relabel = Payload::Relabel { old: 1, new: 0 };
-        let before = e.bsp.stats().total_bits;
-        e.step_on(0..1, |_, _, _, out| out.send(1, relabel.clone()));
-        let charged = e.bsp.stats().total_bits - before;
-        assert_eq!(charged, relabel.wire_bits_lw(l, lw));
-        assert!(charged < relabel.wire_bits_lw(l, l));
+        assert_eq!(e.net.stats().supersteps, 4);
     }
 
     /// `a` and `b` side by side: `b`'s vertices follow `a`'s, no edge joins

@@ -42,6 +42,7 @@ pub mod lowerbound;
 pub mod messages;
 pub mod mincut;
 pub mod mst;
+mod net;
 pub mod proxy;
 pub mod session;
 pub mod st;

@@ -685,14 +685,6 @@ impl Payload {
     pub fn wire_bits(&self, l: u64) -> u64 {
         self.wire_bits_lw(l, l)
     }
-
-    /// Wraps the payload for the link `src → dst`, capturing its
-    /// [`Payload::wire_bits_lw`] charge — the one place a message and its
-    /// price are put together.
-    pub fn envelope(self, src: usize, dst: usize, l: u64, lw: u64) -> Envelope<Payload> {
-        let bits = self.wire_bits_lw(l, lw);
-        Envelope::with_bits(src, dst, self, bits)
-    }
 }
 
 /// [`BatchWire::batch_wire_bits`] for [`Payload`]: written out rather than

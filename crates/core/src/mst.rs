@@ -28,14 +28,13 @@
 //! assert_eq!(out.total_weight, refalgo::forest_weight(&kruskal));
 //! ```
 
-use crate::engine::{Engine, EngineConfig, EngineResult, Ledger, Mode};
-use crate::messages::{id_bits, Payload};
+use crate::engine::{Engine, EngineConfig, EngineResult, Mode};
+use crate::messages::Payload;
+use crate::net::Net;
 use crate::session::{Cluster, Mst, Problem};
 use kgraph::graph::Edge;
 use kgraph::ShardedGraph;
-use kmachine::bsp::Bsp;
 use kmachine::metrics::CommStats;
-use kmachine::network::NetworkConfig;
 use kmachine::trace::Tracer;
 
 /// Which output criterion of Theorem 2 to satisfy.
@@ -160,29 +159,15 @@ pub(crate) fn route_edges_to_endpoints(
     cfg: &MstConfig,
 ) -> CommStats {
     let part = sg.partition();
-    let mut net = NetworkConfig::new(part.k(), cfg.bandwidth, sg.n());
-    net.encoding = cfg.encoding;
-    let mut bsp: Bsp<Payload> = Bsp::new(net);
-    crate::engine::attach_transport(&mut bsp, cfg.transport, part.k());
-    bsp.set_tracer(cfg.trace.clone());
-    let l = id_bits(sg.n());
-    let mut out = Vec::new();
+    let mut net = Net::new(cfg, part.k(), sg.n());
     for &(machine, (u, v, w)) in sourced {
         for dst in [part.home(u), part.home(v)] {
-            let payload = Payload::EdgeList {
-                edges: vec![(u, v, w)],
-            };
-            out.push(payload.envelope(machine, dst, l, l));
+            let edges = vec![(u, v, w)];
+            net.send(machine, dst, Payload::EdgeList { edges });
         }
     }
-    bsp.superstep(out);
-    let _ = bsp.take_all_inboxes();
-    let stats = bsp.into_stats();
-    // The routing stage is absorbed into the run's reported totals, so it
-    // must appear as its own trace segment for the per-phase breakdown to
-    // keep tiling those totals exactly (DESIGN.md §3.14).
-    Ledger::of(&stats).emit_segment(&cfg.trace, "endpoint_routing");
-    stats
+    net.exchange();
+    net.finish(Some("endpoint_routing"))
 }
 
 #[cfg(test)]

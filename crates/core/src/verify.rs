@@ -16,6 +16,8 @@
 //! statistics, so the E11 experiments can report rounds per problem.
 
 use crate::connectivity::{connected_components_sharded, ConnectivityConfig};
+use crate::messages::Payload;
+use crate::net::Net;
 use kgraph::{Graph, Partition, ShardedGraph};
 use kmachine::metrics::CommStats;
 use rustc_hash::FxHashSet;
@@ -101,8 +103,6 @@ pub fn e_cycle_containment(
 }
 
 /// s-t connectivity: are `s` and `t` in the same component of `G`?
-/// After the run, `home(s)` ships `label(s)` to `home(t)` for the final
-/// comparison (one extra O(log n)-bit message, counted).
 pub fn st_connectivity(
     g: &Graph,
     s: u32,
@@ -111,38 +111,31 @@ pub fn st_connectivity(
     seed: u64,
     cfg: &ConnectivityConfig,
 ) -> Verdict {
-    let part = Partition::random_vertex(g, k, seed);
-    let (labels, _, mut stats) = run_conn(g, &part, seed, cfg);
-    stats.absorb(&final_compare_cost(g, &part, s, t, cfg));
-    Verdict {
-        holds: labels[s as usize] == labels[t as usize],
-        stats,
-    }
+    same_component(g, s, t, k, seed, cfg)
 }
 
-/// The final `home(s) → home(t)` label shipment of s-t style verdicts.
-fn final_compare_cost(
-    g: &Graph,
-    part: &Partition,
+/// Whether `s` and `t` share a component of `h`. After the run, `home(s)`
+/// ships `label(s)` to `home(t)` for the final comparison (one extra
+/// O(log n)-bit message, counted).
+fn same_component(
+    h: &Graph,
     s: u32,
     t: u32,
+    k: usize,
+    seed: u64,
     cfg: &ConnectivityConfig,
-) -> CommStats {
-    use crate::messages::{id_bits, Payload};
-    use kmachine::bsp::Bsp;
-    use kmachine::network::NetworkConfig;
-    let mut bsp: Bsp<Payload> = Bsp::new(NetworkConfig::new(part.k(), cfg.bandwidth, g.n()));
-    crate::engine::attach_transport(&mut bsp, cfg.transport, part.k());
-    if let Some(plan) = cfg.faults.clone() {
-        bsp.install_faults(plan, true);
-    }
+) -> Verdict {
+    let part = Partition::random_vertex(h, k, seed);
+    let (labels, _, mut stats) = run_conn(h, &part, seed, cfg);
+    let mut net = Net::new(cfg, k, h.n());
     let (hs, ht) = (part.home(s), part.home(t));
     if hs != ht {
-        let l = id_bits(g.n());
-        bsp.superstep(vec![Payload::StDone { same: true }.envelope(hs, ht, l, l)]);
-        let _ = bsp.take_all_inboxes();
+        net.send(hs, ht, Payload::StDone { same: true });
+        net.exchange();
     }
-    bsp.into_stats()
+    stats.absorb(&net.finish(Some("final_compare")));
+    let holds = labels[s as usize] == labels[t as usize];
+    Verdict { holds, stats }
 }
 
 /// Cut verification: is the edge set `cut_edges` a cut of `G` (i.e. does
@@ -177,13 +170,10 @@ pub fn edge_on_all_paths(
     let canon = (e.0.min(e.1), e.0.max(e.1));
     let mut rm = FxHashSet::default();
     rm.insert(canon);
-    let reduced = g.without_edges(&rm);
-    let part = Partition::random_vertex(g, k, seed);
-    let (labels, _, mut stats) = run_conn(&reduced, &part, seed, cfg);
-    stats.absorb(&final_compare_cost(g, &part, u, v, cfg));
+    let connected = same_component(&g.without_edges(&rm), u, v, k, seed, cfg);
     Verdict {
-        holds: labels[u as usize] != labels[v as usize],
-        stats,
+        holds: !connected.holds,
+        ..connected
     }
 }
 
@@ -197,13 +187,10 @@ pub fn st_cut_verification(
     seed: u64,
     cfg: &ConnectivityConfig,
 ) -> Verdict {
-    let reduced = g.without_edges(edges);
-    let part = Partition::random_vertex(g, k, seed);
-    let (labels, _, mut stats) = run_conn(&reduced, &part, seed, cfg);
-    stats.absorb(&final_compare_cost(g, &part, s, t, cfg));
+    let connected = same_component(&g.without_edges(edges), s, t, k, seed, cfg);
     Verdict {
-        holds: labels[s as usize] != labels[t as usize],
-        stats,
+        holds: !connected.holds,
+        ..connected
     }
 }
 

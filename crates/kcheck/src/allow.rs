@@ -57,7 +57,7 @@ impl Allowlist {
             }
             let err = |what: &str| format!("kcheck.allow:{}: {what}: {raw}", idx + 1);
             let (code, rest) = line.split_once(' ').ok_or_else(|| err("missing path"))?;
-            if !matches!(code, "KC01" | "KC02" | "KC04" | "KC05" | "KC06") {
+            if !matches!(code, "KC01" | "KC02" | "KC05" | "KC06") {
                 return Err(err("unknown lint code"));
             }
             let rest = rest.trim_start();

@@ -15,11 +15,6 @@ pub struct Config {
     /// Files exempt from KC01 (the sanctioned sorted-iteration helpers —
     /// they necessarily iterate the containers they canonicalize).
     pub det_exempt: Vec<String>,
-    /// KC04 scope: crates whose envelope charges must price label fields
-    /// at the live contracted width.
-    pub charge_scope: Vec<String>,
-    /// Files exempt from KC04 (the definitions of the charge functions).
-    pub charge_exempt: Vec<String>,
     /// KC05 unwrap/expect scope: transport worker + window-protocol paths.
     pub unwrap_scope: Vec<String>,
     /// KC05 slice-indexing scope (tighter: the frame/wire handling file).
@@ -47,8 +42,6 @@ impl Config {
                 "crates/krand/src",
             ]),
             det_exempt: owned(&["crates/kmachine/src/det.rs"]),
-            charge_scope: owned(&["crates/core/src"]),
-            charge_exempt: owned(&["crates/core/src/messages.rs"]),
             unwrap_scope: owned(&[
                 "crates/kmachine/src/transport.rs",
                 "crates/kmachine/src/bsp.rs",

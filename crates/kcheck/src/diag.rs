@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// The five invariant lints (DESIGN.md §3.13).
+/// The four invariant lints (DESIGN.md §3.13).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Lint {
     /// KC01 — unordered iteration over a hash container in a
@@ -10,9 +10,6 @@ pub enum Lint {
     MapIter,
     /// KC02 — wall-clock / ambient-RNG use in deterministic paths.
     WallClock,
-    /// KC04 — an envelope charge using raw `wire_bits(l)` instead of
-    /// `wire_bits_lw(l, lw)`.
-    ChargeSite,
     /// KC05 — `unwrap`/`expect`/slice-indexing in transport worker and
     /// window-protocol paths.
     PanicHygiene,
@@ -27,7 +24,6 @@ impl Lint {
         match self {
             Lint::MapIter => "KC01",
             Lint::WallClock => "KC02",
-            Lint::ChargeSite => "KC04",
             Lint::PanicHygiene => "KC05",
             Lint::AdHocPrint => "KC06",
         }
@@ -38,7 +34,6 @@ impl Lint {
         match self {
             Lint::MapIter => "deterministic-iteration",
             Lint::WallClock => "wall-clock-and-rng",
-            Lint::ChargeSite => "charge-site-discipline",
             Lint::PanicHygiene => "panic-hygiene",
             Lint::AdHocPrint => "ad-hoc-print",
         }

@@ -3,16 +3,15 @@
 //!
 //! Runtime conformance tests prove the invariants this reproduction rests
 //! on *for the seeds they run*; `kcheck` proves the source-level half at
-//! the diff, before any seed-dependent cell runs. Five lints (DESIGN.md
-//! §3.13 is the catalogue):
+//! the diff, before any seed-dependent cell runs. Four lints (DESIGN.md
+//! §3.13 is the catalogue; KC03 and KC04 are retired, their invariants now
+//! hold by construction):
 //!
 //! * **KC01 deterministic-iteration** — no unordered iteration over
 //!   `HashMap`/`HashSet`/`FxHashMap`/`FxHashSet` in message-producing or
 //!   accounting paths; the sanctioned route is `kmachine::det`.
 //! * **KC02 wall-clock-and-rng** — no `Instant`/`SystemTime`/ambient RNG
 //!   in those paths outside audited report/deadline fields.
-//! * **KC04 charge-site-discipline** — envelope charges in `kconn` use
-//!   `wire_bits_lw(l, lw)`, never raw `wire_bits(l)`.
 //! * **KC05 panic-hygiene** — no `unwrap`/`expect`/slice-indexing in the
 //!   transport worker and window-protocol paths.
 //!
@@ -160,8 +159,6 @@ pub fn check_files(files: &[SourceFile], cfg: &Config, allow: &Allowlist) -> Rep
     let stale_scopes = [
         &cfg.det_scope,
         &cfg.det_exempt,
-        &cfg.charge_scope,
-        &cfg.charge_exempt,
         &cfg.unwrap_scope,
         &cfg.index_scope,
         &cfg.print_scope,

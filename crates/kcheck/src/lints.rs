@@ -1,4 +1,4 @@
-//! The five invariant lints.
+//! The four invariant lints.
 //!
 //! All of them work on blanked text (see [`crate::scan`]): substring hits
 //! cannot come from comments or string literals, and brace matching is
@@ -69,11 +69,6 @@ pub fn run_all(files: &[SourceFile], cfg: &Config) -> Vec<Diagnostic> {
                 map_iter(f, &mut out);
             }
             wall_clock(f, &mut out);
-        }
-        if Config::in_scope(&cfg.charge_scope, &f.rel)
-            && !Config::in_scope(&cfg.charge_exempt, &f.rel)
-        {
-            charge_site(f, &mut out);
         }
         if Config::in_scope(&cfg.unwrap_scope, &f.rel) {
             panic_calls(f, &mut out);
@@ -328,34 +323,6 @@ fn wall_clock(f: &SourceFile, out: &mut Vec<Diagnostic>) {
                 ),
             );
         }
-    }
-}
-
-// ---------------------------------------------------------------- KC04 --
-
-fn charge_site(f: &SourceFile, out: &mut Vec<Diagnostic>) {
-    let mut at = 0;
-    while let Some(rel) = f.blanked[at..].find(".wire_bits(") {
-        let pos = at + rel;
-        at = pos + ".wire_bits(".len();
-        if scan::in_spans(&f.test_spans, pos) {
-            continue;
-        }
-        // Zero-arg `.wire_bits()` is a different method (`WireSize`), not a
-        // Payload charge — only argument-taking calls are charge sites.
-        let after_paren = f.blanked[pos + ".wire_bits(".len()..].trim_start();
-        if after_paren.starts_with(')') {
-            continue;
-        }
-        push(
-            out,
-            f,
-            Lint::ChargeSite,
-            pos,
-            "raw `.wire_bits(l)` charge: use `.wire_bits_lw(l, lw)` so label fields \
-             are priced at the live contracted width"
-                .to_string(),
-        );
     }
 }
 

@@ -22,8 +22,6 @@ fn fixture_config() -> Config {
     Config {
         det_scope: owned(&["det"]),
         det_exempt: vec![],
-        charge_scope: owned(&["charge"]),
-        charge_exempt: vec![],
         unwrap_scope: owned(&["transport"]),
         index_scope: owned(&["transport"]),
         print_scope: owned(&["print"]),
@@ -42,7 +40,7 @@ fn codes_for<'r>(report: &'r kcheck::Report, file: &str) -> Vec<&'r str> {
 #[test]
 fn bad_fixtures_are_flagged_and_good_twins_pass() {
     let files = collect_files(&fixtures_root()).expect("fixture corpus readable");
-    assert!(files.len() >= 10, "fixture corpus went missing");
+    assert!(files.len() >= 8, "fixture corpus went missing");
     let report = check_files(&files, &fixture_config(), &Allowlist::default());
 
     // Known-bad: each seeded violation is caught with its code.
@@ -57,8 +55,6 @@ fn bad_fixtures_are_flagged_and_good_twins_pass() {
         kc02.len() >= 3 && kc02.iter().all(|&c| c == "KC02"),
         "det/bad_clock.rs: want >= 3 KC02 (Instant, SystemTime, thread_rng), got {kc02:?}"
     );
-    let kc04 = codes_for(&report, "charge/bad_charge.rs");
-    assert_eq!(kc04, vec!["KC04"], "charge/bad_charge.rs");
     let kc05 = codes_for(&report, "transport/bad_panic.rs");
     assert!(
         kc05.len() >= 4 && kc05.iter().all(|&c| c == "KC05"),
@@ -76,7 +72,6 @@ fn bad_fixtures_are_flagged_and_good_twins_pass() {
     for good in [
         "det/good_iter.rs",
         "det/good_clock.rs",
-        "charge/good_charge.rs",
         "transport/good_panic.rs",
         "print/good_print.rs",
     ] {
@@ -92,18 +87,14 @@ fn diagnostics_carry_file_line_and_snippet() {
     let d = report
         .diags
         .iter()
-        .find(|d| d.file == "charge/bad_charge.rs")
-        .expect("KC04 diagnostic present");
-    assert_eq!(d.lint, Lint::ChargeSite);
-    assert_eq!(d.line, 5);
-    assert!(
-        d.snippet.contains(".wire_bits(l)"),
-        "snippet: {}",
-        d.snippet
-    );
+        .find(|d| d.file == "print/bad_print.rs")
+        .expect("KC06 diagnostic present");
+    assert_eq!(d.lint, Lint::AdHocPrint);
+    assert_eq!(d.line, 4);
+    assert!(d.snippet.contains("println!("), "snippet: {}", d.snippet);
     let rendered = d.to_string();
     assert!(
-        rendered.contains("error[KC04]") && rendered.contains("charge/bad_charge.rs:5"),
+        rendered.contains("error[KC06]") && rendered.contains("print/bad_print.rs:4"),
         "rustc-style rendering: {rendered}"
     );
 }
@@ -116,15 +107,15 @@ fn allowlist_suppresses_matches_and_reports_stale_entries() {
 
     let allow = Allowlist::parse(concat!(
         "# fixture allowlist\n",
-        "KC04 charge/bad_charge.rs \".wire_bits(l)\" -- fixture: audited raw charge\n",
+        "KC06 print/bad_print.rs \"dbg!(\" -- fixture: audited debug print\n",
         "KC01 det/bad_iter.rs \"no.such.needle()\" -- fixture: matches nothing\n",
     ))
     .expect("well-formed allowlist parses");
     let report = check_files(&files, &cfg, &allow);
 
-    assert_eq!(report.suppressed, 1, "exactly the KC04 entry fires");
+    assert_eq!(report.suppressed, 1, "exactly the KC06 entry fires");
     assert_eq!(report.diags.len(), baseline - 1);
-    assert!(!codes_for(&report, "charge/bad_charge.rs").contains(&"KC04"));
+    assert_eq!(codes_for(&report, "print/bad_print.rs").len(), 4);
     assert_eq!(report.stale_allow.len(), 1, "the dead needle is stale");
     assert_eq!(report.stale_allow[0].file, "det/bad_iter.rs");
     assert!(!report.clean(), "stale entries keep the run red");

@@ -50,14 +50,19 @@ pub enum TraceEvent {
     /// A named non-phase cost segment (the engine's setup charges, the
     /// §2.6 output protocol). Together with [`TraceEvent::PhaseEnd`] and
     /// [`TraceEvent::Rollback`], segments tile a run's `CommStats` exactly:
-    /// the per-event `rounds`/`bits` columns sum to the run totals.
+    /// the per-event `rounds`/`bits` and recovery columns sum to the run
+    /// totals.
     Segment {
-        /// Segment name (`"setup"`, `"output"`).
+        /// Segment name (`"setup"`, `"output"`, `"endpoint_routing"`, …).
         name: String,
         /// Rounds charged inside the segment.
         rounds: u64,
         /// Bits charged inside the segment.
         bits: u64,
+        /// Recovery rounds within `rounds`.
+        recovery_rounds: u64,
+        /// Retransmitted bits within `bits`.
+        retransmit_bits: u64,
     },
     /// A Borůvka phase is starting.
     PhaseStart {
@@ -546,10 +551,18 @@ impl TraceRecord {
     /// of `--trace-out` (determinism-pinned in `tests/trace.rs`).
     pub fn to_json(&self) -> String {
         match &self.event {
-            TraceEvent::Segment { name, rounds, bits } => JsonObj::new(self.seq, "segment")
+            TraceEvent::Segment {
+                name,
+                rounds,
+                bits,
+                recovery_rounds,
+                retransmit_bits,
+            } => JsonObj::new(self.seq, "segment")
                 .string("name", name)
                 .num("rounds", *rounds)
                 .num("bits", *bits)
+                .num("recovery_rounds", *recovery_rounds)
+                .num("retransmit_bits", *retransmit_bits)
                 .finish(),
             TraceEvent::PhaseStart {
                 phase,
@@ -959,6 +972,8 @@ fn record_from_json(v: &Json) -> Result<TraceRecord, String> {
             name: v.s("name")?,
             rounds: v.u("rounds")?,
             bits: v.u("bits")?,
+            recovery_rounds: v.u("recovery_rounds")?,
+            retransmit_bits: v.u("retransmit_bits")?,
         },
         "phase_start" => TraceEvent::PhaseStart {
             phase: p32(v.u("phase")?, "phase")?,
@@ -1179,7 +1194,9 @@ pub fn chrome_trace(records: &[TraceRecord]) -> String {
     let mut step_clock = 0u64;
     for r in records {
         match &r.event {
-            TraceEvent::Segment { name, rounds, bits } => {
+            TraceEvent::Segment {
+                name, rounds, bits, ..
+            } => {
                 events.push(complete(
                     name,
                     phase_clock,
@@ -1383,12 +1400,18 @@ pub fn phase_breakdown(records: &[TraceRecord]) -> Vec<PhaseSummary> {
     let mut rows = Vec::new();
     for r in records {
         match &r.event {
-            TraceEvent::Segment { name, rounds, bits } => rows.push(PhaseSummary {
+            TraceEvent::Segment {
+                name,
+                rounds,
+                bits,
+                recovery_rounds,
+                retransmit_bits,
+            } => rows.push(PhaseSummary {
                 label: name.clone(),
                 rounds: *rounds,
                 bits: *bits,
-                recovery_rounds: 0,
-                retransmit_bits: 0,
+                recovery_rounds: *recovery_rounds,
+                retransmit_bits: *retransmit_bits,
                 sketch_builds: 0,
                 sketch_cache_hits: 0,
                 rolled_back: false,
@@ -1584,6 +1607,8 @@ mod tests {
             name: "setup".into(),
             rounds: 2,
             bits: 128,
+            recovery_rounds: 0,
+            retransmit_bits: 0,
         });
         t.emit(|| TraceEvent::PhaseStart {
             phase: 0,
@@ -1655,6 +1680,8 @@ mod tests {
             name: "output".into(),
             rounds: 1,
             bits: 64,
+            recovery_rounds: 0,
+            retransmit_bits: 0,
         });
         t.events()
     }

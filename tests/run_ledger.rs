@@ -105,7 +105,11 @@ fn stream_digest(records: &[TraceRecord]) -> u64 {
                     h.u(x);
                 }
             }
-            TraceEvent::Segment { name, rounds, bits } => {
+            // The recovery columns are a split of `rounds` / `bits` already
+            // pinned by each row's own recovery counters.
+            TraceEvent::Segment {
+                name, rounds, bits, ..
+            } => {
                 h.u(4);
                 h.s(name);
                 h.u(*rounds);

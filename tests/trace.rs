@@ -197,6 +197,68 @@ fn spanning_forest_breakdown_tiles() {
 }
 
 #[test]
+fn rep_mst_breakdown_tiles_and_its_routing_reads_the_run_config() {
+    // The REP→RVP routing step is a superstep of its own runner: it must
+    // be in the traced stream, own a segment row, and be priced under the
+    // run's encoding like every other superstep.
+    let g = generators::randomize_weights(&generators::gnm(300, 1200, 0x68), 1000, 0x69);
+    let cluster = Cluster::builder(4).seed(5).ingest_graph(&g);
+    let run = |encoding| {
+        cluster.run(RepMst::with(MstConfig {
+            encoding,
+            trace: Tracer::recording(),
+            ..MstConfig::default()
+        }))
+    };
+    let (naive, varint) = (run(Encoding::Naive), run(Encoding::Varint));
+    assert_eq!(naive.output.mst.edges, varint.output.mst.edges);
+    assert!(
+        varint.output.routing.total_bits < naive.output.routing.total_bits,
+        "the routing step must be priced under the run's encoding: {} vs {}",
+        varint.output.routing.total_bits,
+        naive.output.routing.total_bits
+    );
+    for (id, run) in [("rep-mst/naive", &naive), ("rep-mst/varint", &varint)] {
+        let rows = run.report.phase_breakdown.as_deref().expect("breakdown on");
+        let routing = rows.iter().find(|r| r.label == "rep_routing");
+        let routing = routing.expect("REP routing is its own segment row");
+        assert_eq!(routing.bits, run.output.routing.total_bits, "{id}");
+        assert_breakdown_tiles(id, rows, &run.report.stats);
+    }
+}
+
+#[test]
+fn st_connectivity_breakdown_tiles_through_the_final_compare() {
+    // CI's smoke cell: s and t live on different machines, so the verdict
+    // pays the final `home(s) → home(t)` shipment on top of the run.
+    let (k, seed, s, t) = (3, 9, 0, 399);
+    let g = generators::gnm(400, 1200, 9);
+    let part = Partition::random_vertex(&g, k, seed);
+    assert_ne!(
+        part.home(s),
+        part.home(t),
+        "pick s, t on different machines"
+    );
+    let knobs = ConnectivityConfig {
+        encoding: Encoding::Varint,
+        cost_model: CostModel::PerMachine,
+        faults: Some(FaultPlan::new(3).with_drop(0.2).with_dup(0.1)),
+        ..ConnectivityConfig::default()
+    };
+    for (id, cfg) in [
+        ("stcon/default", ConnectivityConfig::default()),
+        ("stcon/knobs", knobs),
+    ] {
+        let trace = Tracer::recording();
+        let cfg = ConnectivityConfig { trace, ..cfg };
+        let verdict = verify::st_connectivity(&g, s, t, k, seed, &cfg);
+        let rows = phase_breakdown(&cfg.trace.events());
+        assert!(rows.iter().any(|r| r.label == "final_compare"), "{id}");
+        assert_breakdown_tiles(id, &rows, &verdict.stats);
+    }
+}
+
+#[test]
 fn breakdown_is_absent_when_tracing_is_off() {
     let g = generators::planted_components(60, 3, 2, 0x63);
     let run = Cluster::builder(2)
