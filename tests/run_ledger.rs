@@ -390,6 +390,12 @@ fn static_cells(ledger: &mut Ledger) {
         |o| digest_u64s(o.labels.iter().copied()),
     );
     ledger.cell(
+        "referee",
+        &c4,
+        |_| Referee::default(),
+        |o| digest_u64s(o.labels.iter().map(|&l| u64::from(l))),
+    );
+    ledger.cell(
         "rep-mst",
         &c4,
         |trace| {
