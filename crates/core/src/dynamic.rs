@@ -1565,7 +1565,7 @@ impl DynamicCluster {
     /// The communication a *full re-ingestion* of the current edge set
     /// would cost under the same routing as the update path (coordinator →
     /// both endpoint homes, one superstep): the baseline the incremental
-    /// path is measured against in kbench's dynamic family: a what-if
+    /// path is measured against in row E21 of `kmm repro`: a what-if
     /// cost, never faulted or traced. Requires compacted shards.
     pub fn full_reingest_stats(&self) -> CommStats {
         debug_assert_eq!(self.pending_half_ops(), 0, "compact before measuring");

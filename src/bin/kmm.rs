@@ -9,6 +9,7 @@
 //! kmm stcon   --input graph.txt --k 16 --s 0 --t 5
 //! kmm bipart  --input graph.txt --k 16
 //! kmm gen     --family gnm --n 1000 --m 4000 --out graph.txt
+//! kmm repro   [--quick] [E1 E7 ...]                      # the pinned claims table
 //! ```
 //!
 //! The algorithm subcommands (`conn`, `mst`, `st`, `mincut`) all flow
@@ -30,7 +31,7 @@ use std::process::ExitCode;
 /// The algorithm/utility subcommands, in help order (kept next to `usage`
 /// so unknown-subcommand errors can list exactly what exists).
 const SUBCOMMANDS: &[&str] = &[
-    "conn", "mst", "st", "mincut", "dyn", "stcon", "bipart", "gen", "check", "trace",
+    "conn", "mst", "st", "mincut", "dyn", "stcon", "bipart", "gen", "check", "trace", "repro",
 ];
 
 /// Minimal argument parser: `--key value` pairs plus boolean `--flag`s.
@@ -95,6 +96,8 @@ fn usage() -> ExitCode {
                  (--root DIR, --allow FILE; exits nonzero on any violation)\n\
          trace   inspect a --trace-out stream: `trace summarize FILE` prints the\n\
                  per-phase table, `trace chrome IN [OUT]` exports a Chrome trace\n\
+         repro   measure the paper's claims: `repro [--quick] [E1 E7 ...]` prints the\n\
+                 claims table (DESIGN.md 4) and exits nonzero if an expectation fails\n\
          \n\
          input:  --input FILE            edge-list file (n m header, `u v [w]` lines)\n\
                  --gen FAMILY            streamed synthetic workload, no file; families:\n\
@@ -209,8 +212,8 @@ fn json_mode(args: &Args) -> Result<bool, String> {
 }
 
 /// Serializes a [`RunReport`] (plus caller-provided leading fields, already
-/// JSON-encoded) as one JSON object. Hand-rolled like kbench's records —
-/// the build environment has no serde.
+/// JSON-encoded) as one JSON object. Hand-rolled — the build environment
+/// has no serde.
 fn report_json(report: &kmm::algo::session::RunReport, head: &[(&str, String)]) -> String {
     let mut fields: Vec<String> = head.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
     let s = &report.stats;
@@ -477,6 +480,29 @@ fn run_trace_tool(argv: &[String]) -> ExitCode {
     }
 }
 
+/// `kmm repro [--quick] [ID ...]`: print the claims table of
+/// `kmm::repro` (DESIGN.md §4) and fail if an expectation is violated.
+fn run_repro(argv: &[String]) -> ExitCode {
+    let (flags, ids): (Vec<String>, Vec<String>) =
+        argv.iter().cloned().partition(|a| a.starts_with("--"));
+    if let Some(bad) = flags.iter().find(|f| *f != "--quick") {
+        return fail(&format!(
+            "repro: unknown option `{bad}` (supported: --quick)"
+        ));
+    }
+    match kmm::repro::run(&ids, !flags.is_empty()) {
+        Ok((text, pass)) => {
+            print!("{text}");
+            if pass {
+                ExitCode::SUCCESS
+            } else {
+                fail("repro: an expectation is violated (see the FAIL lines above)")
+            }
+        }
+        Err(e) => fail(&format!("repro: {e}")),
+    }
+}
+
 /// `kmm check [--root DIR] [--allow FILE]` — the kcheck static pass
 /// (DESIGN.md §3.13). Scans the workspace sources, applies the audited
 /// exceptions in `kcheck.allow`, prints rustc-style diagnostics, and exits
@@ -537,10 +563,12 @@ fn main() -> ExitCode {
     if raw.get(1).map(String::as_str) == Some("__transport-worker") {
         return run_transport_worker(&raw[2..]);
     }
-    // `kmm trace` takes positional operands, so it bypasses the
-    // `--key value` parser too.
-    if raw.get(1).map(String::as_str) == Some("trace") {
-        return run_trace_tool(&raw[2..]);
+    // `kmm trace` and `kmm repro` take positional operands, so they
+    // bypass the `--key value` parser too.
+    match raw.get(1).map(String::as_str) {
+        Some("trace") => return run_trace_tool(&raw[2..]),
+        Some("repro") => return run_repro(&raw[2..]),
+        _ => {}
     }
     let Some(args) = Args::parse() else {
         return usage();

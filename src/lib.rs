@@ -15,6 +15,9 @@
 //!   lower-bound harness.
 //! * [`check`] — the `kmm check` invariant linter (DESIGN.md §3.13).
 //!
+//! and adds one module of its own, [`repro`]: the paper's claims as one
+//! pinned table, behind `kmm repro` (DESIGN.md §4).
+//!
 //! ## Quickstart: sessions
 //!
 //! The primary API mirrors the model: fix a cluster (k machines, seed,
@@ -57,6 +60,8 @@ pub use kgraph as graph;
 pub use kmachine as machine;
 pub use krand as randomness;
 pub use ksketch as sketch;
+
+pub mod repro;
 
 /// Common imports for examples and downstream users.
 pub mod prelude {

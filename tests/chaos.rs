@@ -18,9 +18,9 @@ use kmm::prelude::*;
 
 /// The seeded fault plans of the chaos matrix, parameterized by the cell's
 /// machine count so crash events always name real machines — shared with
-/// the E22 measurement family, so the conformance suite pins exactly the
-/// matrix the benchmark reports.
-use kbench::chaos::plans;
+/// row E22 of `kmm repro`, so the conformance suite pins exactly the
+/// matrix the claims table reports.
+use kmm::repro::chaos_plans as plans;
 
 /// Fault-free runs must report exactly zero on every fault counter — the
 /// new accounting may not perturb clean runs in any way.

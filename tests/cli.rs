@@ -133,12 +133,33 @@ fn unknown_subcommand_prints_usage() {
     assert!(err.contains("usage:"));
     // The error names the offending word and lists every valid subcommand.
     assert!(err.contains("unknown subcommand `frobnicate`"), "{err}");
-    for sub in ["conn", "mst", "st", "mincut", "stcon", "bipart", "gen"] {
+    for sub in [
+        "conn", "mst", "st", "mincut", "stcon", "bipart", "gen", "repro",
+    ] {
         assert!(
             err.contains(sub),
             "valid subcommand {sub} must be listed: {err}"
         );
     }
+}
+
+#[test]
+fn repro_runs_one_row_and_rejects_an_unknown_id_cleanly() {
+    // A cheap row: its section and the summary line, exit 0.
+    let out = kmm().args(["repro", "--quick", "E13"]).output().unwrap();
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("## E13 — Theorem 5"), "{text}");
+    assert!(text.ends_with("1 row(s), 0 failed\n"), "{text}");
+    // An unknown id is a typed error listing the valid ones — exit 1, no panic.
+    let out = kmm().args(["repro", "--quick", "E14"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown experiment id `E14`"), "{err}");
+    assert!(err.contains("E1, E2,") && err.contains("E23"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    let out = kmm().args(["repro", "--slow"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
 }
 
 #[test]

@@ -20,8 +20,8 @@ mod common;
 use common::{
     assert_labels_match_reference, assert_stats_sane, matrix, same_partition, sub_matrix,
 };
-use kbench::chaos::plans;
 use kmm::prelude::*;
+use kmm::repro::chaos_plans as plans;
 
 /// The contracted ablation of a scenario's connectivity config.
 fn contract_conn(s: &common::Scenario, encoding: Encoding) -> ConnectivityConfig {
