@@ -1686,6 +1686,106 @@ mod tests {
         t.events()
     }
 
+    // One exemplar of every row, by hand until the event table generates it.
+    impl TraceEvent {
+        fn one_of_each() -> Vec<Self> {
+            sample_records().into_iter().map(|r| r.event).collect()
+        }
+    }
+
+    impl PhysEvent {
+        fn one_of_each() -> Vec<Self> {
+            vec![PhysEvent::Window {
+                superstep: 0,
+                windows: 0,
+                attempts: 0,
+                frames_sent: 0,
+                payload_bytes: 0,
+                frames_delivered: 0,
+                acks: 0,
+                worker_restarts: 0,
+                micros: 0,
+            }]
+        }
+    }
+
+    const GOLDEN: &str = include_str!("../fixtures/trace_golden.jsonl");
+    const GOLDEN_PHYS: &str = include_str!("../fixtures/trace_golden.jsonl.phys");
+    const GOLDEN_SUMMARY: &str = include_str!("../fixtures/trace_golden.summary.txt");
+
+    /// The schema pin (ROADMAP item 2): the committed fixture holds one
+    /// record of every kind on both channels, a segment name and a payload
+    /// kind name that need every string escape, and a rollback with several
+    /// crashed machines. A change that moves a byte of the JSONL, of the
+    /// physical line or of the `summarize` text fails here.
+    #[test]
+    fn golden_fixture_pins_the_schema() {
+        use std::mem::discriminant;
+        let records = parse_jsonl(GOLDEN).expect("the golden stream parses");
+        for (r, line) in records.iter().zip(GOLDEN.lines()) {
+            assert_eq!(r.to_json(), line);
+        }
+        assert_eq!(to_jsonl(&records), GOLDEN);
+        assert_eq!(parse_jsonl(&to_jsonl(&records)).as_ref(), Ok(&records));
+        // Decoding is anchored to values, not only to its own inverse.
+        assert_eq!(
+            records[10].event,
+            TraceEvent::Segment {
+                name: "q\"b\\s\n\u{1}é→".into(),
+                rounds: 4,
+                bits: 77,
+                recovery_rounds: 1,
+                retransmit_bits: 5,
+            }
+        );
+        assert_eq!(
+            records[8].event,
+            TraceEvent::Rollback {
+                phase: 1,
+                crashed: vec![1, 2, 5],
+                rounds: 5,
+                bits: 300,
+                recovery_rounds: 4,
+                retransmit_bits: 90,
+            }
+        );
+        assert!(matches!(
+            &records[2].event,
+            TraceEvent::Superstep { links, kinds, .. }
+                if links[2] == (1, 2, 400) && kinds[1] == ("re\"l\\a\nb\u{1}ü".to_string(), 2)
+        ));
+        assert_eq!(summarize(&records), GOLDEN_SUMMARY);
+
+        let phys = PhysRecord {
+            seq: 0,
+            event: PhysEvent::Window {
+                superstep: 3,
+                windows: 2,
+                attempts: 4,
+                frames_sent: 18,
+                payload_bytes: 4096,
+                frames_delivered: 17,
+                acks: 16,
+                worker_restarts: 1,
+                micros: 125,
+            },
+        };
+        assert_eq!(format!("{}\n", phys.to_json()), GOLDEN_PHYS);
+
+        // Every row of both tables has a golden record.
+        for e in TraceEvent::one_of_each() {
+            assert!(
+                records
+                    .iter()
+                    .any(|r| discriminant(&r.event) == discriminant(&e)),
+                "no golden record for {e:?}"
+            );
+        }
+        for e in PhysEvent::one_of_each() {
+            assert_eq!(discriminant(&e), discriminant(&phys.event), "{e:?}");
+        }
+    }
+
     #[test]
     fn off_tracer_never_runs_the_closure() {
         let t = Tracer::off();
