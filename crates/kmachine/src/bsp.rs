@@ -515,13 +515,42 @@ impl<M> Bsp<M> {
             &mut machine_out,
             &mut machine_in,
         );
-        let max_link = det::max_value(&link_bits).unwrap_or(0);
-        let rounds = self.batch_rounds(max_link, &machine_out, &machine_in);
+        self.stats.naive_bits += naive;
+        self.close_window(
+            &link_bits,
+            &machine_out,
+            &machine_in,
+            total,
+            messages,
+            || kind_histogram(&outgoing),
+        );
+        // Delivery preserves the batch's arrival order (locals interleaved
+        // exactly where they were sent), whatever the charged encoding.
+        for env in outgoing {
+            self.inboxes[env.dst].push(env);
+        }
+    }
+
+    /// Closes the books on one delivery window — the only place a superstep
+    /// is counted and the only `Superstep` emit site: prices the window's
+    /// loads in rounds, adds it to the run totals and the per-superstep
+    /// loads, and traces it (`kinds` runs only when tracing is on). Returns
+    /// the window's rounds.
+    fn close_window(
+        &mut self,
+        link_bits: &FxHashMap<(u32, u32), u64>,
+        machine_out: &[u64],
+        machine_in: &[u64],
+        total: u64,
+        messages: u64,
+        kinds: impl FnOnce() -> Vec<(String, u64)>,
+    ) -> u64 {
+        let max_link = det::max_value(link_bits).unwrap_or(0);
+        let rounds = self.batch_rounds(max_link, machine_out, machine_in);
         self.stats.rounds += rounds;
         self.stats.supersteps += 1;
         self.stats.messages += messages;
         self.stats.total_bits += total;
-        self.stats.naive_bits += naive;
         self.stats.max_link_bits = self.stats.max_link_bits.max(max_link);
         self.stats.superstep_loads.push(SuperstepLoad {
             max_link_bits: max_link,
@@ -536,14 +565,10 @@ impl<M> Bsp<M> {
             bits: total,
             messages,
             max_link_bits: max_link,
-            links: link_list(&link_bits),
-            kinds: kind_histogram(&outgoing),
+            links: link_list(link_bits),
+            kinds: kinds(),
         });
-        // Delivery preserves the batch's arrival order (locals interleaved
-        // exactly where they were sent), whatever the charged encoding.
-        for env in outgoing {
-            self.inboxes[env.dst].push(env);
-        }
+        rounds
     }
 
     /// Rounds one delivered batch costs under the configured §1.1
@@ -693,30 +718,15 @@ impl<M> Bsp<M> {
             machine_out[i] += dup_out[i];
             machine_in[i] += dup_in[i];
         }
-        let max_link = det::max_value(&link_bits).unwrap_or(0);
-        let rounds = self.batch_rounds(max_link, &machine_out, &machine_in);
-        self.stats.rounds += rounds;
+        let rounds = self.close_window(
+            &link_bits,
+            &machine_out,
+            &machine_in,
+            total,
+            messages,
+            || kinds.unwrap_or_default(),
+        );
         self.stats.recovery_rounds += rounds - clean_rounds;
-        self.stats.supersteps += 1;
-        self.stats.messages += messages;
-        self.stats.total_bits += total;
-        self.stats.max_link_bits = self.stats.max_link_bits.max(max_link);
-        self.stats.superstep_loads.push(SuperstepLoad {
-            max_link_bits: max_link,
-            total_bits: total,
-            messages,
-            rounds,
-        });
-        let index = self.stats.supersteps - 1;
-        self.trace.emit(|| TraceEvent::Superstep {
-            index,
-            rounds,
-            bits: total,
-            messages,
-            max_link_bits: max_link,
-            links: link_list(&link_bits),
-            kinds: kinds.unwrap_or_default(),
-        });
         let n_crashed = crashed.len() as u64;
         if dropped + duplicated + reordered + delayed + n_crashed > 0 {
             self.trace.emit(|| TraceEvent::Faults {

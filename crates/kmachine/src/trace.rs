@@ -28,11 +28,10 @@
 //! exactly once each, on the thread that emitted them (emission is
 //! serialized by the tracer's mutex). Sinks must not panic on IO failure —
 //! tracing is best-effort diagnostics, never load-bearing for the run.
-//! Three sinks ship with the workspace: the always-on in-memory buffer
-//! (powering [`phase_breakdown`] and `kmm trace summarize`), the
-//! [`JsonlSink`] file sink (`--trace-out`), and the [`chrome_trace`]
-//! exporter that renders a finished logical stream as a Chrome
-//! trace-event/Perfetto timeline on a cumulative-rounds clock.
+//! Two sinks ship with the workspace: the always-on in-memory buffer
+//! (powering [`phase_breakdown`]) and the [`JsonlSink`] file sink
+//! (`--trace-out`). [`summarize`] and [`chrome_trace`] are functions over a
+//! finished logical stream, not sinks.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -43,163 +42,238 @@ use std::sync::{Arc, Mutex, MutexGuard};
 // Events
 // ---------------------------------------------------------------------
 
-/// One logical trace event. All quantities are model-level (rounds, bits,
-/// counts) — never wall-clock — so the stream is deterministic.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// A named non-phase cost segment (the engine's setup charges, the
-    /// §2.6 output protocol). Together with [`TraceEvent::PhaseEnd`] and
-    /// [`TraceEvent::Rollback`], segments tile a run's `CommStats` exactly:
-    /// the per-event `rounds`/`bits` and recovery columns sum to the run
-    /// totals.
-    Segment {
-        /// Segment name (`"setup"`, `"output"`, `"endpoint_routing"`, …).
-        name: String,
-        /// Rounds charged inside the segment.
-        rounds: u64,
-        /// Bits charged inside the segment.
-        bits: u64,
-        /// Recovery rounds within `rounds`.
-        recovery_rounds: u64,
-        /// Retransmitted bits within `bits`.
-        retransmit_bits: u64,
-    },
-    /// A Borůvka phase is starting.
-    PhaseStart {
-        /// 0-based phase index.
-        phase: u32,
-        /// Distinct component labels alive at phase start.
-        components: u64,
-        /// Whether this phase runs on the contracted supergraph.
-        contracted: bool,
-    },
-    /// A phase completed normally (its work is kept).
-    PhaseEnd {
-        /// 0-based phase index.
-        phase: u32,
-        /// Rounds the phase charged (including its share of recovery).
-        rounds: u64,
-        /// Bits the phase charged (including retransmissions).
-        bits: u64,
-        /// Recovery rounds within `rounds`.
-        recovery_rounds: u64,
-        /// Retransmitted bits within `bits`.
-        retransmit_bits: u64,
-        /// Part sketches built from scratch during the phase.
-        sketch_builds: u64,
-        /// Part sketches served from the incremental cache.
-        sketch_cache_hits: u64,
-    },
-    /// A phase attempt was aborted by machine crashes and rolled back to
-    /// the last checkpoint. The aborted work is charged to this event, not
-    /// to a [`TraceEvent::PhaseEnd`].
-    Rollback {
-        /// 0-based index of the aborted phase attempt.
-        phase: u32,
-        /// The machines that crashed, ascending.
-        crashed: Vec<u32>,
-        /// Rounds the aborted attempt charged (including the restore
-        /// barrier).
-        rounds: u64,
-        /// Bits the aborted attempt charged.
-        bits: u64,
-        /// Recovery rounds within `rounds`.
-        recovery_rounds: u64,
-        /// Retransmitted bits within `bits`.
-        retransmit_bits: u64,
-    },
-    /// A phase checkpoint was taken (rollback target for later crashes).
-    Checkpoint {
-        /// The phase the checkpoint snapshots the end of.
-        phase: u32,
-    },
-    /// One superstep's delivered window.
-    Superstep {
-        /// 0-based superstep index (equals `CommStats::supersteps − 1` at
-        /// emission).
-        index: u64,
-        /// Rounds the window cost (base + duplicate traffic).
-        rounds: u64,
-        /// Bits charged for the window.
-        bits: u64,
-        /// Cross-machine messages in the window.
-        messages: u64,
-        /// Bits on the most loaded directed link.
-        max_link_bits: u64,
-        /// Per-directed-link charged bits, ascending by `(src, dst)`.
-        links: Vec<(u32, u32, u64)>,
-        /// Payload kind histogram of the cross-machine messages,
-        /// ascending by kind name.
-        kinds: Vec<(String, u64)>,
-    },
-    /// Faults injected into one superstep's first delivery attempt.
-    /// Emitted only when at least one fault fired.
-    Faults {
-        /// The superstep the faults hit.
-        superstep: u64,
-        /// Messages dropped on the first attempt.
-        dropped: u64,
-        /// Messages duplicated (spurious copy charged).
-        duplicated: u64,
-        /// Messages reordered within the window.
-        reordered: u64,
-        /// Messages delayed into the first recovery round.
-        delayed: u64,
-        /// Machines that crashed at this superstep.
-        crashed: u64,
-    },
-    /// One ack/retransmit recovery wave of the reliable-delivery protocol.
-    Retransmit {
-        /// The superstep being recovered.
-        superstep: u64,
-        /// 1-based recovery attempt index.
-        attempt: u64,
-        /// Messages retransmitted in this wave.
-        messages: u64,
-        /// Bits the wave charged.
-        bits: u64,
-        /// Rounds the wave charged (1 ack round + the batch's own rounds).
-        rounds: u64,
-    },
-    /// A dynamic-layer update batch was routed and applied.
-    DynBatch {
-        /// Operations in the batch.
-        ops: u64,
-        /// Insertions among them.
-        inserts: u64,
-        /// Deletions among them.
-        deletes: u64,
-        /// Rounds the routing superstep charged.
-        rounds: u64,
-        /// Bits the routing superstep charged.
-        bits: u64,
-        /// Whether the batch triggered delta-log compaction.
-        compacted: bool,
-    },
-    /// A dynamic-layer certification pass compared fresh labels against
-    /// the spliced incremental result.
-    DynCertify {
-        /// Distinct labels in the fresh run.
-        labels: u64,
-        /// Rounds the certification supersteps charged.
-        rounds: u64,
-        /// Bits the certification supersteps charged.
-        bits: u64,
-        /// Whether certification succeeded.
-        ok: bool,
-    },
-    /// A failed certification escalated to a full re-solve: the preceding
-    /// `span` breakdown rows (the discarded incremental attempt, its
-    /// certification pass included) are retroactively marked rolled back.
-    DynEscalate {
-        /// How many immediately-preceding rows belong to the aborted
-        /// incremental attempt.
-        span: u64,
-        /// Total rounds the aborted attempt charged.
-        rounds: u64,
-        /// Total bits the aborted attempt charged.
-        bits: u64,
-    },
+/// Generates a channel's event enum and everything stated once per event
+/// kind from one table (DESIGN.md §3.14 has the row grammar). A row reads
+/// `Variant = "wire_type" on Track as Span(field) | Instant, "label" {
+/// field: Type, .. }` and yields the variant with its fields in wire order,
+/// its JSONL `"type"`, one arm each of the line writer, the parser and the
+/// Chrome `args` writer (through each type's [`Field`] impl), its [`View`]
+/// and one entry of the tests' `one_of_each()`. A row without the
+/// `on … as …, "…"` clause — the physical channel's — is not shown.
+macro_rules! event_table {
+    (
+        $(#[$emeta:meta])*
+        $vis:vis enum $Event:ident {$(
+            $(#[$vmeta:meta])*
+            $Variant:ident = $kind:literal
+            $(on $track:ident as $shape:ident $(($dur:ident))?, $label:literal)? {$(
+                $(#[$fmeta:meta])*
+                $field:ident: $T:ty,
+            )+},
+        )+}
+    ) => {
+        $(#[$emeta])*
+        $vis enum $Event {$(
+            $(#[$vmeta])*
+            $Variant {$(
+                $(#[$fmeta])*
+                $field: $T,
+            )+},
+        )+}
+
+        impl Event for $Event {
+            fn kind(&self) -> &'static str {
+                match self {$(Self::$Variant { .. } => $kind,)+}
+            }
+
+            fn push_fields(&self, out: &mut String, args_only: bool) {
+                match self {$(
+                    Self::$Variant {$($field,)+} => {$(
+                        if <$T as Field>::IN_ARGS || !args_only {
+                            push_field(out, stringify!($field), $field);
+                        }
+                    )+}
+                )+}
+            }
+
+            fn from_json(kind: &str, line: &Json) -> Result<Self, String> {
+                match kind {
+                    $($kind => Ok(Self::$Variant {
+                        $($field: line.field(stringify!($field))?,)+
+                    }),)+
+                    other => Err(format!("unknown event type `{other}`")),
+                }
+            }
+
+            #[allow(unused_variables)] // a label names only the fields it shows
+            fn view(&self) -> Option<View> {
+                match self {$(
+                    // The row's zero or one views.
+                    Self::$Variant {$($field,)+} => [$(View {
+                        track: Track::$track,
+                        shape: Shape::$shape $((*$dur))?,
+                        label: format!($label),
+                    })?].into_iter().next(),
+                )+}
+            }
+
+            #[cfg(test)]
+            fn one_of_each() -> Vec<Self> {
+                vec![$(Self::$Variant {$($field: tests::Exemplar::exemplar(),)+},)+]
+            }
+        }
+    };
+}
+
+event_table! {
+    /// One logical trace event. All quantities are model-level (rounds, bits,
+    /// counts) — never wall-clock — so the stream is deterministic.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum TraceEvent {
+        /// A named non-phase cost segment (the engine's setup charges, the
+        /// §2.6 output protocol). Together with [`TraceEvent::PhaseEnd`] and
+        /// [`TraceEvent::Rollback`], segments tile a run's `CommStats` exactly:
+        /// the per-event `rounds`/`bits` and recovery columns sum to the run
+        /// totals.
+        Segment = "segment" on Phases as Span(rounds), "{name}" {
+            /// Segment name (`"setup"`, `"output"`, `"endpoint_routing"`, …).
+            name: String,
+            /// Rounds charged inside the segment.
+            rounds: u64,
+            /// Bits charged inside the segment.
+            bits: u64,
+            /// Recovery rounds within `rounds`.
+            recovery_rounds: u64,
+            /// Retransmitted bits within `bits`.
+            retransmit_bits: u64,
+        },
+        /// A Borůvka phase is starting.
+        PhaseStart = "phase_start" on Phases as Instant, "phase {phase} start" {
+            /// 0-based phase index.
+            phase: u32,
+            /// Distinct component labels alive at phase start.
+            components: u64,
+            /// Whether this phase runs on the contracted supergraph.
+            contracted: bool,
+        },
+        /// A phase completed normally (its work is kept).
+        PhaseEnd = "phase_end" on Phases as Span(rounds), "phase {phase}" {
+            /// 0-based phase index.
+            phase: u32,
+            /// Rounds the phase charged (including its share of recovery).
+            rounds: u64,
+            /// Bits the phase charged (including retransmissions).
+            bits: u64,
+            /// Recovery rounds within `rounds`.
+            recovery_rounds: u64,
+            /// Retransmitted bits within `bits`.
+            retransmit_bits: u64,
+            /// Part sketches built from scratch during the phase.
+            sketch_builds: u64,
+            /// Part sketches served from the incremental cache.
+            sketch_cache_hits: u64,
+        },
+        /// A phase attempt was aborted by machine crashes and rolled back to
+        /// the last checkpoint. The aborted work is charged to this event, not
+        /// to a [`TraceEvent::PhaseEnd`].
+        Rollback = "rollback" on Phases as Span(rounds), "rollback {phase}" {
+            /// 0-based index of the aborted phase attempt.
+            phase: u32,
+            /// The machines that crashed, ascending.
+            crashed: Vec<u32>,
+            /// Rounds the aborted attempt charged (including the restore
+            /// barrier).
+            rounds: u64,
+            /// Bits the aborted attempt charged.
+            bits: u64,
+            /// Recovery rounds within `rounds`.
+            recovery_rounds: u64,
+            /// Retransmitted bits within `bits`.
+            retransmit_bits: u64,
+        },
+        /// A phase checkpoint was taken (rollback target for later crashes).
+        Checkpoint = "checkpoint" on Phases as Instant, "checkpoint {phase}" {
+            /// The phase the checkpoint snapshots the end of.
+            phase: u32,
+        },
+        /// One superstep's delivered window.
+        Superstep = "superstep" on Supersteps as Span(rounds), "superstep {index}" {
+            /// 0-based superstep index (equals `CommStats::supersteps − 1` at
+            /// emission).
+            index: u64,
+            /// Rounds the window cost (base + duplicate traffic).
+            rounds: u64,
+            /// Bits charged for the window.
+            bits: u64,
+            /// Cross-machine messages in the window.
+            messages: u64,
+            /// Bits on the most loaded directed link.
+            max_link_bits: u64,
+            /// Per-directed-link charged bits, ascending by `(src, dst)`.
+            links: Vec<(u32, u32, u64)>,
+            /// Payload kind histogram of the cross-machine messages,
+            /// ascending by kind name.
+            kinds: Vec<(String, u64)>,
+        },
+        /// Faults injected into one superstep's first delivery attempt.
+        /// Emitted only when at least one fault fired.
+        Faults = "faults" on Faults as Instant, "faults @{superstep}" {
+            /// The superstep the faults hit.
+            superstep: u64,
+            /// Messages dropped on the first attempt.
+            dropped: u64,
+            /// Messages duplicated (spurious copy charged).
+            duplicated: u64,
+            /// Messages reordered within the window.
+            reordered: u64,
+            /// Messages delayed into the first recovery round.
+            delayed: u64,
+            /// Machines that crashed at this superstep.
+            crashed: u64,
+        },
+        /// One ack/retransmit recovery wave of the reliable-delivery protocol.
+        Retransmit = "retransmit" on Faults as Span(rounds), "retransmit @{superstep}#{attempt}" {
+            /// The superstep being recovered.
+            superstep: u64,
+            /// 1-based recovery attempt index.
+            attempt: u64,
+            /// Messages retransmitted in this wave.
+            messages: u64,
+            /// Bits the wave charged.
+            bits: u64,
+            /// Rounds the wave charged (1 ack round + the batch's own rounds).
+            rounds: u64,
+        },
+        /// A dynamic-layer update batch was routed and applied.
+        DynBatch = "dyn_batch" on Dynamic as Span(rounds), "batch" {
+            /// Operations in the batch.
+            ops: u64,
+            /// Insertions among them.
+            inserts: u64,
+            /// Deletions among them.
+            deletes: u64,
+            /// Rounds the routing superstep charged.
+            rounds: u64,
+            /// Bits the routing superstep charged.
+            bits: u64,
+            /// Whether the batch triggered delta-log compaction.
+            compacted: bool,
+        },
+        /// A dynamic-layer certification pass compared fresh labels against
+        /// the spliced incremental result.
+        DynCertify = "dyn_certify" on Dynamic as Span(rounds), "certify" {
+            /// Distinct labels in the fresh run.
+            labels: u64,
+            /// Rounds the certification supersteps charged.
+            rounds: u64,
+            /// Bits the certification supersteps charged.
+            bits: u64,
+            /// Whether certification succeeded.
+            ok: bool,
+        },
+        /// A failed certification escalated to a full re-solve: the preceding
+        /// `span` breakdown rows (the discarded incremental attempt, its
+        /// certification pass included) are retroactively marked rolled back.
+        DynEscalate = "dyn_escalate" on Dynamic as Instant, "escalate" {
+            /// How many immediately-preceding rows belong to the aborted
+            /// incremental attempt.
+            span: u64,
+            /// Total rounds the aborted attempt charged.
+            rounds: u64,
+            /// Total bits the aborted attempt charged.
+            bits: u64,
+        },
+    }
 }
 
 /// One sequence-numbered logical record.
@@ -211,32 +285,34 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
-/// One physical-channel event: host-side observations (wall-clock,
-/// transport counters) that may differ run-to-run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PhysEvent {
-    /// One transport window crossed the worker mesh: the physical counter
-    /// deltas of a single `exchange` call plus its wall-clock cost.
-    Window {
-        /// The logical superstep the window belongs to.
-        superstep: u64,
-        /// Window protocol iterations (attempt escalations included).
-        windows: u64,
-        /// Delivery attempts.
-        attempts: u64,
-        /// Frames put on the wire.
-        frames_sent: u64,
-        /// Payload bytes put on the wire.
-        payload_bytes: u64,
-        /// Frames that physically arrived.
-        frames_delivered: u64,
-        /// Acks received.
-        acks: u64,
-        /// Worker processes respawned during the window.
-        worker_restarts: u64,
-        /// Wall-clock duration of the exchange, in microseconds.
-        micros: u64,
-    },
+event_table! {
+    /// One physical-channel event: host-side observations (wall-clock,
+    /// transport counters) that may differ run-to-run.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum PhysEvent {
+        /// One transport window crossed the worker mesh: the physical counter
+        /// deltas of a single `exchange` call plus its wall-clock cost.
+        Window = "window" {
+            /// The logical superstep the window belongs to.
+            superstep: u64,
+            /// Window protocol iterations (attempt escalations included).
+            windows: u64,
+            /// Delivery attempts.
+            attempts: u64,
+            /// Frames put on the wire.
+            frames_sent: u64,
+            /// Payload bytes put on the wire.
+            payload_bytes: u64,
+            /// Frames that physically arrived.
+            frames_delivered: u64,
+            /// Acks received.
+            acks: u64,
+            /// Worker processes respawned during the window.
+            worker_restarts: u64,
+            /// Wall-clock duration of the exchange, in microseconds.
+            micros: u64,
+        },
+    }
 }
 
 /// One sequence-numbered physical record (its own sequence space).
@@ -456,237 +532,163 @@ fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-struct JsonObj {
-    buf: String,
+/// One field type of the event tables: how a value is written into a JSON
+/// line and read back from a parsed one.
+trait Field: Sized {
+    /// Whether Chrome `args` carry the field: every scalar and the crashed
+    /// machine list do, the per-link and per-kind lists stay in the JSONL.
+    const IN_ARGS: bool = true;
+    fn write(&self, out: &mut String);
+    /// The error reads on from "field `key` ".
+    fn read(v: &Json) -> Result<Self, String>;
 }
 
-impl JsonObj {
-    fn new(seq: u64, kind: &str) -> Self {
-        let mut buf = String::with_capacity(96);
-        buf.push_str("{\"seq\":");
-        buf.push_str(&seq.to_string());
-        buf.push_str(",\"type\":");
-        push_json_str(&mut buf, kind);
-        JsonObj { buf }
+impl Field for u64 {
+    fn write(&self, out: &mut String) {
+        out.push_str(&self.to_string());
     }
-
-    fn num(mut self, key: &str, v: u64) -> Self {
-        self.buf.push(',');
-        push_json_str(&mut self.buf, key);
-        self.buf.push(':');
-        self.buf.push_str(&v.to_string());
-        self
-    }
-
-    fn boolean(mut self, key: &str, v: bool) -> Self {
-        self.buf.push(',');
-        push_json_str(&mut self.buf, key);
-        self.buf.push(':');
-        self.buf.push_str(if v { "true" } else { "false" });
-        self
-    }
-
-    fn string(mut self, key: &str, v: &str) -> Self {
-        self.buf.push(',');
-        push_json_str(&mut self.buf, key);
-        self.buf.push(':');
-        push_json_str(&mut self.buf, v);
-        self
-    }
-
-    fn raw(mut self, key: &str, v: &str) -> Self {
-        self.buf.push(',');
-        push_json_str(&mut self.buf, key);
-        self.buf.push(':');
-        self.buf.push_str(v);
-        self
-    }
-
-    fn finish(mut self) -> String {
-        self.buf.push('}');
-        self.buf
-    }
-}
-
-fn links_json(links: &[(u32, u32, u64)]) -> String {
-    let mut s = String::from("[");
-    for (i, (a, b, bits)) in links.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
+    fn read(v: &Json) -> Result<Self, String> {
+        match v {
+            Json::U(n) => Ok(*n),
+            _ => Err("is not an integer".to_string()),
         }
-        s.push_str(&format!("[{a},{b},{bits}]"));
     }
-    s.push(']');
-    s
 }
 
-fn kinds_json(kinds: &[(String, u64)]) -> String {
-    let mut s = String::from("[");
-    for (i, (name, count)) in kinds.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push('[');
-        push_json_str(&mut s, name);
-        s.push_str(&format!(",{count}]"));
+impl Field for u32 {
+    fn write(&self, out: &mut String) {
+        u64::from(*self).write(out);
     }
-    s.push(']');
-    s
+    fn read(v: &Json) -> Result<Self, String> {
+        u32::try_from(u64::read(v)?).map_err(|_| "overflows u32".to_string())
+    }
 }
 
-fn u32s_json(vals: &[u32]) -> String {
-    let mut s = String::from("[");
-    for (i, v) in vals.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&v.to_string());
+impl Field for bool {
+    fn write(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
-    s.push(']');
-    s
+    fn read(v: &Json) -> Result<Self, String> {
+        match v {
+            Json::B(b) => Ok(*b),
+            _ => Err("is not a boolean".to_string()),
+        }
+    }
+}
+
+impl Field for String {
+    fn write(&self, out: &mut String) {
+        push_json_str(out, self);
+    }
+    fn read(v: &Json) -> Result<Self, String> {
+        match v {
+            Json::S(s) => Ok(s.clone()),
+            _ => Err("is not a string".to_string()),
+        }
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    const IN_ARGS: bool = T::IN_ARGS;
+    fn write(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write(out);
+        }
+        out.push(']');
+    }
+    fn read(v: &Json) -> Result<Self, String> {
+        match v {
+            Json::A(items) => items
+                .iter()
+                .map(|item| T::read(item).map_err(|e| format!("has an entry that {e}")))
+                .collect(),
+            _ => Err("is not an array".to_string()),
+        }
+    }
+}
+
+/// One directed link's load: `[src, dst, bits]`.
+impl Field for (u32, u32, u64) {
+    const IN_ARGS: bool = false;
+    fn write(&self, out: &mut String) {
+        out.push_str(&format!("[{},{},{}]", self.0, self.1, self.2));
+    }
+    fn read(v: &Json) -> Result<Self, String> {
+        match v {
+            Json::A(t) if t.len() == 3 => {
+                Ok((u32::read(&t[0])?, u32::read(&t[1])?, u64::read(&t[2])?))
+            }
+            _ => Err("is not a 3-tuple".to_string()),
+        }
+    }
+}
+
+/// One payload kind's message count: `[name, count]`.
+impl Field for (String, u64) {
+    const IN_ARGS: bool = false;
+    fn write(&self, out: &mut String) {
+        out.push('[');
+        self.0.write(out);
+        out.push_str(&format!(",{}]", self.1));
+    }
+    fn read(v: &Json) -> Result<Self, String> {
+        match v {
+            Json::A(t) if t.len() == 2 => Ok((String::read(&t[0])?, u64::read(&t[1])?)),
+            _ => Err("is not a 2-tuple".to_string()),
+        }
+    }
+}
+
+/// Appends `"key":value` to an open JSON object, after a comma unless it
+/// is the object's first field.
+fn push_field<T: Field>(out: &mut String, key: &str, value: &T) {
+    if !out.ends_with('{') {
+        out.push(',');
+    }
+    out.push('"');
+    out.push_str(key);
+    out.push_str("\":");
+    value.write(out);
+}
+
+/// What [`event_table!`] generates for a channel's enum; the line writer
+/// and the parser below work on any `Event`.
+trait Event: Sized {
+    /// The row's wire `"type"`.
+    fn kind(&self) -> &'static str;
+    /// Appends the row's fields in wire order, or only those Chrome `args`
+    /// carry ([`Field::IN_ARGS`]).
+    fn push_fields(&self, out: &mut String, args_only: bool);
+    /// Builds the row whose wire type is `kind` from a parsed line.
+    fn from_json(kind: &str, line: &Json) -> Result<Self, String>;
+    /// Where and under which label the row is shown, if it is.
+    fn view(&self) -> Option<View>;
+    /// One made-up event per row, in table order.
+    #[cfg(test)]
+    fn one_of_each() -> Vec<Self>;
+}
+
+/// One record as one-line JSON: `seq`, `type`, then the row's fields.
+fn json_line(seq: u64, event: &impl Event) -> String {
+    let mut out = String::with_capacity(96);
+    out.push('{');
+    push_field(&mut out, "seq", &seq);
+    out.push_str(",\"type\":");
+    push_json_str(&mut out, event.kind());
+    event.push_fields(&mut out, false);
+    out.push('}');
+    out
 }
 
 impl TraceRecord {
     /// One-line JSON with a fixed key order — the byte-exact JSONL format
     /// of `--trace-out` (determinism-pinned in `tests/trace.rs`).
     pub fn to_json(&self) -> String {
-        match &self.event {
-            TraceEvent::Segment {
-                name,
-                rounds,
-                bits,
-                recovery_rounds,
-                retransmit_bits,
-            } => JsonObj::new(self.seq, "segment")
-                .string("name", name)
-                .num("rounds", *rounds)
-                .num("bits", *bits)
-                .num("recovery_rounds", *recovery_rounds)
-                .num("retransmit_bits", *retransmit_bits)
-                .finish(),
-            TraceEvent::PhaseStart {
-                phase,
-                components,
-                contracted,
-            } => JsonObj::new(self.seq, "phase_start")
-                .num("phase", u64::from(*phase))
-                .num("components", *components)
-                .boolean("contracted", *contracted)
-                .finish(),
-            TraceEvent::PhaseEnd {
-                phase,
-                rounds,
-                bits,
-                recovery_rounds,
-                retransmit_bits,
-                sketch_builds,
-                sketch_cache_hits,
-            } => JsonObj::new(self.seq, "phase_end")
-                .num("phase", u64::from(*phase))
-                .num("rounds", *rounds)
-                .num("bits", *bits)
-                .num("recovery_rounds", *recovery_rounds)
-                .num("retransmit_bits", *retransmit_bits)
-                .num("sketch_builds", *sketch_builds)
-                .num("sketch_cache_hits", *sketch_cache_hits)
-                .finish(),
-            TraceEvent::Rollback {
-                phase,
-                crashed,
-                rounds,
-                bits,
-                recovery_rounds,
-                retransmit_bits,
-            } => JsonObj::new(self.seq, "rollback")
-                .num("phase", u64::from(*phase))
-                .raw("crashed", &u32s_json(crashed))
-                .num("rounds", *rounds)
-                .num("bits", *bits)
-                .num("recovery_rounds", *recovery_rounds)
-                .num("retransmit_bits", *retransmit_bits)
-                .finish(),
-            TraceEvent::Checkpoint { phase } => JsonObj::new(self.seq, "checkpoint")
-                .num("phase", u64::from(*phase))
-                .finish(),
-            TraceEvent::Superstep {
-                index,
-                rounds,
-                bits,
-                messages,
-                max_link_bits,
-                links,
-                kinds,
-            } => JsonObj::new(self.seq, "superstep")
-                .num("index", *index)
-                .num("rounds", *rounds)
-                .num("bits", *bits)
-                .num("messages", *messages)
-                .num("max_link_bits", *max_link_bits)
-                .raw("links", &links_json(links))
-                .raw("kinds", &kinds_json(kinds))
-                .finish(),
-            TraceEvent::Faults {
-                superstep,
-                dropped,
-                duplicated,
-                reordered,
-                delayed,
-                crashed,
-            } => JsonObj::new(self.seq, "faults")
-                .num("superstep", *superstep)
-                .num("dropped", *dropped)
-                .num("duplicated", *duplicated)
-                .num("reordered", *reordered)
-                .num("delayed", *delayed)
-                .num("crashed", *crashed)
-                .finish(),
-            TraceEvent::Retransmit {
-                superstep,
-                attempt,
-                messages,
-                bits,
-                rounds,
-            } => JsonObj::new(self.seq, "retransmit")
-                .num("superstep", *superstep)
-                .num("attempt", *attempt)
-                .num("messages", *messages)
-                .num("bits", *bits)
-                .num("rounds", *rounds)
-                .finish(),
-            TraceEvent::DynBatch {
-                ops,
-                inserts,
-                deletes,
-                rounds,
-                bits,
-                compacted,
-            } => JsonObj::new(self.seq, "dyn_batch")
-                .num("ops", *ops)
-                .num("inserts", *inserts)
-                .num("deletes", *deletes)
-                .num("rounds", *rounds)
-                .num("bits", *bits)
-                .boolean("compacted", *compacted)
-                .finish(),
-            TraceEvent::DynCertify {
-                labels,
-                rounds,
-                bits,
-                ok,
-            } => JsonObj::new(self.seq, "dyn_certify")
-                .num("labels", *labels)
-                .num("rounds", *rounds)
-                .num("bits", *bits)
-                .boolean("ok", *ok)
-                .finish(),
-            TraceEvent::DynEscalate { span, rounds, bits } => {
-                JsonObj::new(self.seq, "dyn_escalate")
-                    .num("span", *span)
-                    .num("rounds", *rounds)
-                    .num("bits", *bits)
-                    .finish()
-            }
-        }
+        json_line(self.seq, &self.event)
     }
 }
 
@@ -694,29 +696,7 @@ impl PhysRecord {
     /// One-line JSON for the physical channel (not determinism-pinned:
     /// this channel carries wall-clock).
     pub fn to_json(&self) -> String {
-        match &self.event {
-            PhysEvent::Window {
-                superstep,
-                windows,
-                attempts,
-                frames_sent,
-                payload_bytes,
-                frames_delivered,
-                acks,
-                worker_restarts,
-                micros,
-            } => JsonObj::new(self.seq, "window")
-                .num("superstep", *superstep)
-                .num("windows", *windows)
-                .num("attempts", *attempts)
-                .num("frames_sent", *frames_sent)
-                .num("payload_bytes", *payload_bytes)
-                .num("frames_delivered", *frames_delivered)
-                .num("acks", *acks)
-                .num("worker_restarts", *worker_restarts)
-                .num("micros", *micros)
-                .finish(),
-        }
+        json_line(self.seq, &self.event)
     }
 }
 
@@ -746,30 +726,38 @@ enum Json {
     O(Vec<(String, Json)>),
 }
 
+/// How deep arrays and objects may nest. A trace line nests three deep
+/// and a Chrome export five; a hostile file must not be able to recurse the
+/// parser off the stack.
+const MAX_JSON_DEPTH: usize = 16;
+
 struct JsonParser<'a> {
-    b: &'a [u8],
+    s: &'a str,
+    /// Always on a char boundary: only whole ASCII tokens and whole string
+    /// contents are ever stepped over.
     at: usize,
+    /// Arrays and objects open around `at`.
+    depth: usize,
 }
 
 impl<'a> JsonParser<'a> {
     fn new(s: &'a str) -> Self {
-        JsonParser {
-            b: s.as_bytes(),
-            at: 0,
-        }
+        JsonParser { s, at: 0, depth: 0 }
+    }
+
+    fn byte(&self, at: usize) -> Option<u8> {
+        self.s.as_bytes().get(at).copied()
     }
 
     fn skip_ws(&mut self) {
-        while self.at < self.b.len() && self.b[self.at].is_ascii_whitespace() {
+        while self.byte(self.at).is_some_and(|c| c.is_ascii_whitespace()) {
             self.at += 1;
         }
     }
 
     fn peek(&mut self) -> Result<u8, String> {
         self.skip_ws();
-        self.b
-            .get(self.at)
-            .copied()
+        self.byte(self.at)
             .ok_or_else(|| "unexpected end of input".to_string())
     }
 
@@ -784,8 +772,13 @@ impl<'a> JsonParser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'[' => Ok(Json::A(self.list(b']', Self::value)?)),
+            b'{' => Ok(Json::O(self.list(b'}', |p| {
+                p.skip_ws();
+                let key = p.string()?;
+                p.eat(b':')?;
+                Ok((key, p.value()?))
+            })?)),
             b'"' => Ok(Json::S(self.string()?)),
             b't' => self.keyword("true", Json::B(true)),
             b'f' => self.keyword("false", Json::B(false)),
@@ -799,7 +792,7 @@ impl<'a> JsonParser<'a> {
     }
 
     fn keyword(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.at..].starts_with(word.as_bytes()) {
+        if self.s[self.at..].starts_with(word) {
             self.at += word.len();
             Ok(v)
         } else {
@@ -809,114 +802,82 @@ impl<'a> JsonParser<'a> {
 
     fn number(&mut self) -> Result<Json, String> {
         let start = self.at;
-        while self.at < self.b.len() && self.b[self.at].is_ascii_digit() {
+        while self.byte(self.at).is_some_and(|c| c.is_ascii_digit()) {
             self.at += 1;
         }
-        std::str::from_utf8(&self.b[start..self.at])
-            .ok()
-            .and_then(|s| s.parse::<u64>().ok())
+        self.s[start..self.at]
+            .parse()
             .map(Json::U)
-            .ok_or_else(|| format!("bad number at byte {start}"))
+            .map_err(|_| format!("bad number at byte {start}"))
     }
 
     fn string(&mut self) -> Result<String, String> {
         self.eat(b'"')?;
         let mut out = String::new();
-        loop {
-            let c = *self
-                .b
-                .get(self.at)
-                .ok_or_else(|| "unterminated string".to_string())?;
-            self.at += 1;
+        let mut chars = self.s[self.at..].char_indices();
+        while let Some((i, c)) = chars.next() {
             match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = *self
-                        .b
-                        .get(self.at)
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.at += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .b
-                                .get(self.at..self.at + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| "bad \\u escape".to_string())?;
-                            self.at += 4;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.at - 1)),
-                    }
+                '"' => {
+                    self.at += i + 1;
+                    return Ok(out);
                 }
-                c => {
-                    // Re-decode the UTF-8 tail of a multi-byte char.
-                    if c < 0x80 {
-                        out.push(char::from(c));
-                    } else {
-                        let start = self.at - 1;
-                        let mut end = self.at;
-                        while end < self.b.len() && (self.b[end] & 0xC0) == 0x80 {
-                            end += 1;
-                        }
-                        out.push_str(
-                            std::str::from_utf8(&self.b[start..end])
-                                .map_err(|_| "bad utf-8 in string".to_string())?,
-                        );
-                        self.at = end;
+                '\\' => match chars.next().map(|(_, e)| e) {
+                    Some('"') => out.push('"'),
+                    Some('\\') => out.push('\\'),
+                    Some('n') => out.push('\n'),
+                    Some('r') => out.push('\r'),
+                    Some('t') => out.push('\t'),
+                    Some('u') => {
+                        let hex: String = chars.by_ref().take(4).map(|(_, h)| h).collect();
+                        let code = u32::from_str_radix(&hex, 16)
+                            .ok()
+                            .filter(|_| hex.len() == 4)
+                            .ok_or_else(|| "bad \\u escape".to_string())?;
+                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                     }
-                }
+                    _ => return Err(format!("bad escape at byte {}", self.at + i + 1)),
+                },
+                c => out.push(c),
             }
         }
+        Err("unterminated string".to_string())
     }
 
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
+    /// The comma-separated items between the bracket at `at` and `close`.
+    fn list<T>(
+        &mut self,
+        close: u8,
+        item: fn(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(format!("nesting deeper than {MAX_JSON_DEPTH}"));
+        }
+        self.depth += 1;
+        self.at += 1;
         let mut items = Vec::new();
-        if self.peek()? == b']' {
+        if self.peek()? == close {
             self.at += 1;
-            return Ok(Json::A(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.at += 1,
-                b']' => {
-                    self.at += 1;
-                    return Ok(Json::A(items));
+        } else {
+            loop {
+                items.push(item(self)?);
+                match self.peek()? {
+                    b',' => self.at += 1,
+                    c if c == close => {
+                        self.at += 1;
+                        break;
+                    }
+                    c => {
+                        return Err(format!(
+                            "expected `,` or `{}`, got `{}`",
+                            char::from(close),
+                            char::from(c)
+                        ))
+                    }
                 }
-                c => return Err(format!("expected `,` or `]`, got `{}`", char::from(c))),
             }
         }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.at += 1;
-            return Ok(Json::O(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.eat(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.at += 1,
-                b'}' => {
-                    self.at += 1;
-                    return Ok(Json::O(fields));
-                }
-                c => return Err(format!("expected `,` or `}}`, got `{}`", char::from(c))),
-            }
-        }
+        self.depth -= 1;
+        Ok(items)
     }
 }
 
@@ -932,149 +893,17 @@ impl Json {
         }
     }
 
-    fn u(&self, key: &str) -> Result<u64, String> {
-        match self.get(key)? {
-            Json::U(v) => Ok(*v),
-            _ => Err(format!("field `{key}` is not an integer")),
-        }
-    }
-
-    fn b(&self, key: &str) -> Result<bool, String> {
-        match self.get(key)? {
-            Json::B(v) => Ok(*v),
-            _ => Err(format!("field `{key}` is not a boolean")),
-        }
-    }
-
-    fn s(&self, key: &str) -> Result<String, String> {
-        match self.get(key)? {
-            Json::S(v) => Ok(v.clone()),
-            _ => Err(format!("field `{key}` is not a string")),
-        }
-    }
-
-    fn arr(&self, key: &str) -> Result<&[Json], String> {
-        match self.get(key)? {
-            Json::A(v) => Ok(v),
-            _ => Err(format!("field `{key}` is not an array")),
-        }
+    fn field<T: Field>(&self, key: &str) -> Result<T, String> {
+        T::read(self.get(key)?).map_err(|e| format!("field `{key}` {e}"))
     }
 }
 
-fn record_from_json(v: &Json) -> Result<TraceRecord, String> {
-    let seq = v.u("seq")?;
-    let kind = v.s("type")?;
-    let p32 = |x: u64, f: &str| -> Result<u32, String> {
-        u32::try_from(x).map_err(|_| format!("field `{f}` overflows u32"))
-    };
-    let event = match kind.as_str() {
-        "segment" => TraceEvent::Segment {
-            name: v.s("name")?,
-            rounds: v.u("rounds")?,
-            bits: v.u("bits")?,
-            recovery_rounds: v.u("recovery_rounds")?,
-            retransmit_bits: v.u("retransmit_bits")?,
-        },
-        "phase_start" => TraceEvent::PhaseStart {
-            phase: p32(v.u("phase")?, "phase")?,
-            components: v.u("components")?,
-            contracted: v.b("contracted")?,
-        },
-        "phase_end" => TraceEvent::PhaseEnd {
-            phase: p32(v.u("phase")?, "phase")?,
-            rounds: v.u("rounds")?,
-            bits: v.u("bits")?,
-            recovery_rounds: v.u("recovery_rounds")?,
-            retransmit_bits: v.u("retransmit_bits")?,
-            sketch_builds: v.u("sketch_builds")?,
-            sketch_cache_hits: v.u("sketch_cache_hits")?,
-        },
-        "rollback" => TraceEvent::Rollback {
-            phase: p32(v.u("phase")?, "phase")?,
-            crashed: v
-                .arr("crashed")?
-                .iter()
-                .map(|j| match j {
-                    Json::U(m) => p32(*m, "crashed"),
-                    _ => Err("crashed entry is not an integer".to_string()),
-                })
-                .collect::<Result<_, _>>()?,
-            rounds: v.u("rounds")?,
-            bits: v.u("bits")?,
-            recovery_rounds: v.u("recovery_rounds")?,
-            retransmit_bits: v.u("retransmit_bits")?,
-        },
-        "checkpoint" => TraceEvent::Checkpoint {
-            phase: p32(v.u("phase")?, "phase")?,
-        },
-        "superstep" => TraceEvent::Superstep {
-            index: v.u("index")?,
-            rounds: v.u("rounds")?,
-            bits: v.u("bits")?,
-            messages: v.u("messages")?,
-            max_link_bits: v.u("max_link_bits")?,
-            links: v
-                .arr("links")?
-                .iter()
-                .map(|j| match j {
-                    Json::A(t) if t.len() == 3 => match (&t[0], &t[1], &t[2]) {
-                        (Json::U(a), Json::U(b), Json::U(bits)) => {
-                            Ok((p32(*a, "links")?, p32(*b, "links")?, *bits))
-                        }
-                        _ => Err("links entry is not [u32,u32,u64]".to_string()),
-                    },
-                    _ => Err("links entry is not a 3-tuple".to_string()),
-                })
-                .collect::<Result<_, _>>()?,
-            kinds: v
-                .arr("kinds")?
-                .iter()
-                .map(|j| match j {
-                    Json::A(t) if t.len() == 2 => match (&t[0], &t[1]) {
-                        (Json::S(name), Json::U(count)) => Ok((name.clone(), *count)),
-                        _ => Err("kinds entry is not [name,count]".to_string()),
-                    },
-                    _ => Err("kinds entry is not a 2-tuple".to_string()),
-                })
-                .collect::<Result<_, _>>()?,
-        },
-        "faults" => TraceEvent::Faults {
-            superstep: v.u("superstep")?,
-            dropped: v.u("dropped")?,
-            duplicated: v.u("duplicated")?,
-            reordered: v.u("reordered")?,
-            delayed: v.u("delayed")?,
-            crashed: v.u("crashed")?,
-        },
-        "retransmit" => TraceEvent::Retransmit {
-            superstep: v.u("superstep")?,
-            attempt: v.u("attempt")?,
-            messages: v.u("messages")?,
-            bits: v.u("bits")?,
-            rounds: v.u("rounds")?,
-        },
-        "dyn_batch" => TraceEvent::DynBatch {
-            ops: v.u("ops")?,
-            inserts: v.u("inserts")?,
-            deletes: v.u("deletes")?,
-            rounds: v.u("rounds")?,
-            bits: v.u("bits")?,
-            compacted: v.b("compacted")?,
-        },
-        "dyn_certify" => TraceEvent::DynCertify {
-            labels: v.u("labels")?,
-            rounds: v.u("rounds")?,
-            bits: v.u("bits")?,
-            ok: v.b("ok")?,
-        },
-        "dyn_escalate" => TraceEvent::DynEscalate {
-            span: v.u("span")?,
-            rounds: v.u("rounds")?,
-            bits: v.u("bits")?,
-        },
-        other => return Err(format!("unknown event type `{other}`")),
-    };
-    Ok(TraceRecord { seq, event })
+/// The inverse of [`json_line`].
+fn parse_line<E: Event>(line: &str) -> Result<(u64, E), String> {
+    let v = JsonParser::new(line).value()?;
+    let seq = v.field("seq")?;
+    let kind: String = v.field("type")?;
+    Ok((seq, E::from_json(&kind, &v)?))
 }
 
 /// Parses a logical JSONL stream back into records. The inverse of
@@ -1086,9 +915,8 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRecord>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let mut p = JsonParser::new(line);
-        let v = p.value().map_err(|e| format!("line {}: {e}", i + 1))?;
-        out.push(record_from_json(&v).map_err(|e| format!("line {}: {e}", i + 1))?);
+        let (seq, event) = parse_line(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        out.push(TraceRecord { seq, event });
     }
     Ok(out)
 }
@@ -1150,219 +978,93 @@ impl<W: Write> TraceSink for JsonlSink<W> {
 // Chrome trace-event exporter
 // ---------------------------------------------------------------------
 
+/// The timeline's tracks; a track's position here is its Chrome `tid` and
+/// its position in [`TRACK_NAMES`].
+#[derive(Clone, Copy)]
+enum Track {
+    Phases,
+    Supersteps,
+    Faults,
+    Dynamic,
+}
+
+const TRACK_NAMES: [&str; 4] = ["phases", "supersteps", "faults", "dynamic"];
+
+/// How the timeline draws an event.
+enum Shape {
+    /// A complete event this many rounds long; it advances its track's
+    /// clock.
+    Span(u64),
+    /// A zero-length mark at its track's clock.
+    Instant,
+}
+
+/// Where and under which label an event is shown (the `on … as …, "…"`
+/// clause of its [`event_table!`] row).
+struct View {
+    track: Track,
+    shape: Shape,
+    label: String,
+}
+
 /// Renders a finished logical stream as a Chrome trace-event JSON object
 /// (load in `chrome://tracing` or Perfetto). The time axis is **model
 /// rounds**, not wall-clock — 1 round renders as 1 µs — so the timeline is
 /// as deterministic as the stream itself. Tracks: tid 0 phases/segments,
 /// tid 1 supersteps, tid 2 fault & recovery instants, tid 3 the dynamic
-/// layer.
+/// layer. An event's `args` carry every field of its record but the
+/// per-link and per-kind lists.
 pub fn chrome_trace(records: &[TraceRecord]) -> String {
     let mut events: Vec<String> = Vec::new();
-    for (tid, name) in [
-        (0u32, "phases"),
-        (1, "supersteps"),
-        (2, "faults"),
-        (3, "dynamic"),
-    ] {
+    for (tid, name) in TRACK_NAMES.iter().enumerate() {
         events.push(format!(
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\
              \"args\":{{\"name\":\"{name}\"}}}}"
         ));
     }
-    let complete = |name: &str, ts: u64, dur: u64, tid: u32, args: &str| {
-        let mut s = String::new();
-        s.push_str("{\"name\":");
-        push_json_str(&mut s, name);
-        s.push_str(&format!(
-            ",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\"pid\":0,\"tid\":{tid},\"args\":{{{args}}}}}"
-        ));
-        s
-    };
-    let instant = |name: &str, ts: u64, tid: u32, args: &str| {
-        let mut s = String::new();
-        s.push_str("{\"name\":");
-        push_json_str(&mut s, name);
-        s.push_str(&format!(
-            ",\"ph\":\"i\",\"ts\":{ts},\"pid\":0,\"tid\":{tid},\"s\":\"t\",\"args\":{{{args}}}}}"
-        ));
-        s
-    };
-    // Two cumulative-rounds clocks: the phase track advances by
-    // segment/phase/rollback rounds; the superstep track (which also
-    // timestamps fault instants) advances by superstep/retransmit rounds.
-    let mut phase_clock = 0u64;
-    let mut step_clock = 0u64;
+    // Two cumulative-rounds clocks, in `u128` so no stream can overflow
+    // them: the phase track and the dynamic layer advance by segment /
+    // phase / rollback / batch rounds; the superstep track (which also
+    // timestamps fault instants) by superstep / retransmit rounds.
+    let mut phase_clock = 0u128;
+    let mut step_clock = 0u128;
     for r in records {
-        match &r.event {
-            TraceEvent::Segment {
-                name, rounds, bits, ..
-            } => {
-                events.push(complete(
-                    name,
-                    phase_clock,
-                    *rounds,
-                    0,
-                    &format!("\"bits\":{bits}"),
+        let Some(view) = r.event.view() else {
+            continue;
+        };
+        let tid = view.track as usize;
+        let clock = match view.track {
+            Track::Phases | Track::Dynamic => &mut phase_clock,
+            Track::Supersteps | Track::Faults => &mut step_clock,
+        };
+        // The cost table calls the dynamic layer's rows "certify" and the
+        // like; on the shared timeline they say whose they are.
+        let name = match view.track {
+            Track::Dynamic => format!("dyn {}", view.label),
+            _ => view.label,
+        };
+        let mut e = String::from("{");
+        push_field(&mut e, "name", &name);
+        match view.shape {
+            Shape::Span(dur) => {
+                e.push_str(&format!(
+                    ",\"ph\":\"X\",\"ts\":{clock},\"dur\":{dur},\"pid\":0,\"tid\":{tid}"
                 ));
-                phase_clock += rounds;
+                *clock += u128::from(dur);
             }
-            TraceEvent::PhaseStart {
-                phase,
-                components,
-                contracted,
-            } => {
-                events.push(instant(
-                    &format!("phase {phase} start"),
-                    phase_clock,
-                    0,
-                    &format!("\"components\":{components},\"contracted\":{contracted}"),
-                ));
-            }
-            TraceEvent::PhaseEnd {
-                phase,
-                rounds,
-                bits,
-                recovery_rounds,
-                retransmit_bits,
-                ..
-            } => {
-                events.push(complete(
-                    &format!("phase {phase}"),
-                    phase_clock,
-                    *rounds,
-                    0,
-                    &format!(
-                        "\"bits\":{bits},\"recovery_rounds\":{recovery_rounds},\
-                         \"retransmit_bits\":{retransmit_bits}"
-                    ),
-                ));
-                phase_clock += rounds;
-            }
-            TraceEvent::Rollback {
-                phase,
-                rounds,
-                bits,
-                crashed,
-                ..
-            } => {
-                events.push(complete(
-                    &format!("rollback {phase}"),
-                    phase_clock,
-                    *rounds,
-                    0,
-                    &format!("\"bits\":{bits},\"crashed\":{}", u32s_json(crashed)),
-                ));
-                phase_clock += rounds;
-            }
-            TraceEvent::Checkpoint { phase } => {
-                events.push(instant(&format!("checkpoint {phase}"), phase_clock, 0, ""));
-            }
-            TraceEvent::Superstep {
-                index,
-                rounds,
-                bits,
-                messages,
-                max_link_bits,
-                ..
-            } => {
-                events.push(complete(
-                    &format!("superstep {index}"),
-                    step_clock,
-                    *rounds,
-                    1,
-                    &format!(
-                        "\"bits\":{bits},\"messages\":{messages},\
-                         \"max_link_bits\":{max_link_bits}"
-                    ),
-                ));
-                step_clock += rounds;
-            }
-            TraceEvent::Faults {
-                superstep,
-                dropped,
-                duplicated,
-                reordered,
-                delayed,
-                crashed,
-            } => {
-                events.push(instant(
-                    &format!("faults @{superstep}"),
-                    step_clock,
-                    2,
-                    &format!(
-                        "\"dropped\":{dropped},\"duplicated\":{duplicated},\
-                         \"reordered\":{reordered},\"delayed\":{delayed},\
-                         \"crashed\":{crashed}"
-                    ),
-                ));
-            }
-            TraceEvent::Retransmit {
-                superstep,
-                attempt,
-                messages,
-                bits,
-                rounds,
-            } => {
-                events.push(complete(
-                    &format!("retransmit @{superstep}#{attempt}"),
-                    step_clock,
-                    *rounds,
-                    2,
-                    &format!("\"messages\":{messages},\"bits\":{bits}"),
-                ));
-                step_clock += rounds;
-            }
-            TraceEvent::DynBatch {
-                ops,
-                rounds,
-                bits,
-                compacted,
-                ..
-            } => {
-                events.push(complete(
-                    "dyn batch",
-                    phase_clock,
-                    *rounds,
-                    3,
-                    &format!("\"ops\":{ops},\"bits\":{bits},\"compacted\":{compacted}"),
-                ));
-                phase_clock += rounds;
-            }
-            TraceEvent::DynCertify {
-                labels,
-                rounds,
-                bits,
-                ok,
-            } => {
-                events.push(complete(
-                    "dyn certify",
-                    phase_clock,
-                    *rounds,
-                    3,
-                    &format!("\"labels\":{labels},\"bits\":{bits},\"ok\":{ok}"),
-                ));
-                phase_clock += rounds;
-            }
-            TraceEvent::DynEscalate { span, rounds, bits } => {
-                events.push(instant(
-                    "dyn escalate",
-                    phase_clock,
-                    3,
-                    &format!("\"span\":{span},\"rounds\":{rounds},\"bits\":{bits}"),
-                ));
-            }
+            Shape::Instant => e.push_str(&format!(
+                ",\"ph\":\"i\",\"ts\":{clock},\"pid\":0,\"tid\":{tid},\"s\":\"t\""
+            )),
         }
+        e.push_str(",\"args\":{");
+        r.event.push_fields(&mut e, true);
+        e.push_str("}}");
+        events.push(e);
     }
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('\n');
-        out.push_str(e);
-    }
-    out.push_str("\n]}\n");
-    out
+    format!(
+        "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n{}\n]}}\n",
+        events.join(",\n")
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -1373,7 +1075,7 @@ pub fn chrome_trace(records: &[TraceRecord]) -> String {
 /// or a rolled-back phase attempt. Rows tile the run — summing any cost
 /// column over the rows gives the run's `CommStats` total for engine runs
 /// (pinned by `tests/trace.rs`).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PhaseSummary {
     /// Row label: the segment name, `"phase N"` or `"rollback N"`.
     pub label: String,
@@ -1397,76 +1099,71 @@ pub struct PhaseSummary {
 /// Streams without phase-level events (baseline runs) fold to an empty
 /// table.
 pub fn phase_breakdown(records: &[TraceRecord]) -> Vec<PhaseSummary> {
-    let mut rows = Vec::new();
+    let mut rows: Vec<PhaseSummary> = Vec::new();
     for r in records {
-        match &r.event {
+        let Some(View { label, .. }) = r.event.view() else {
+            continue;
+        };
+        match r.event {
             TraceEvent::Segment {
-                name,
-                rounds,
-                bits,
-                recovery_rounds,
-                retransmit_bits,
-            } => rows.push(PhaseSummary {
-                label: name.clone(),
-                rounds: *rounds,
-                bits: *bits,
-                recovery_rounds: *recovery_rounds,
-                retransmit_bits: *retransmit_bits,
-                sketch_builds: 0,
-                sketch_cache_hits: 0,
-                rolled_back: false,
-            }),
-            TraceEvent::PhaseEnd {
-                phase,
-                rounds,
-                bits,
-                recovery_rounds,
-                retransmit_bits,
-                sketch_builds,
-                sketch_cache_hits,
-            } => rows.push(PhaseSummary {
-                label: format!("phase {phase}"),
-                rounds: *rounds,
-                bits: *bits,
-                recovery_rounds: *recovery_rounds,
-                retransmit_bits: *retransmit_bits,
-                sketch_builds: *sketch_builds,
-                sketch_cache_hits: *sketch_cache_hits,
-                rolled_back: false,
-            }),
-            TraceEvent::Rollback {
-                phase,
                 rounds,
                 bits,
                 recovery_rounds,
                 retransmit_bits,
                 ..
             } => rows.push(PhaseSummary {
-                label: format!("rollback {phase}"),
-                rounds: *rounds,
-                bits: *bits,
-                recovery_rounds: *recovery_rounds,
-                retransmit_bits: *retransmit_bits,
-                sketch_builds: 0,
-                sketch_cache_hits: 0,
+                label,
+                rounds,
+                bits,
+                recovery_rounds,
+                retransmit_bits,
+                ..Default::default()
+            }),
+            TraceEvent::PhaseEnd {
+                rounds,
+                bits,
+                recovery_rounds,
+                retransmit_bits,
+                sketch_builds,
+                sketch_cache_hits,
+                ..
+            } => rows.push(PhaseSummary {
+                label,
+                rounds,
+                bits,
+                recovery_rounds,
+                retransmit_bits,
+                sketch_builds,
+                sketch_cache_hits,
+                ..Default::default()
+            }),
+            TraceEvent::Rollback {
+                rounds,
+                bits,
+                recovery_rounds,
+                retransmit_bits,
+                ..
+            } => rows.push(PhaseSummary {
+                label,
+                rounds,
+                bits,
+                recovery_rounds,
+                retransmit_bits,
                 rolled_back: true,
+                ..Default::default()
             }),
             TraceEvent::DynCertify { rounds, bits, .. } => rows.push(PhaseSummary {
-                label: "certify".to_string(),
-                rounds: *rounds,
-                bits: *bits,
-                recovery_rounds: 0,
-                retransmit_bits: 0,
-                sketch_builds: 0,
-                sketch_cache_hits: 0,
-                rolled_back: false,
+                label,
+                rounds,
+                bits,
+                ..Default::default()
             }),
             TraceEvent::DynEscalate { span, .. } => {
                 // The aborted incremental attempt's rows (certify pass
                 // included) stay in the table — marked rolled back so the
                 // row sum still tiles the merged escalation stats.
                 let n = rows.len();
-                let span = usize::try_from(*span).unwrap_or(n).min(n);
+                let span = usize::try_from(span).unwrap_or(n).min(n);
                 for row in &mut rows[n - span..] {
                     row.rolled_back = true;
                 }
@@ -1477,96 +1174,66 @@ pub fn phase_breakdown(records: &[TraceRecord]) -> Vec<PhaseSummary> {
     rows
 }
 
+/// One line of the per-phase table.
+fn table_row<T: fmt::Display>(
+    label: &str,
+    [rounds, bits, rec, rtx, builds, hits]: [T; 6],
+) -> String {
+    format!("{label:<14} {rounds:>8} {bits:>12} {rec:>10} {rtx:>12} {builds:>8} {hits:>8}\n")
+}
+
+/// The `top` heaviest entries, heaviest first, ties in key order.
+fn heaviest<K: Ord>(loads: impl IntoIterator<Item = (K, u128)>, top: usize) -> Vec<(K, u128)> {
+    let mut by_load: Vec<(K, u128)> = loads.into_iter().collect();
+    by_load.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    by_load.truncate(top);
+    by_load
+}
+
 /// Renders the `kmm trace summarize` report: the per-phase cost table,
 /// the top-loaded directed links and the fault/recovery hotspots. Pure
-/// string building — the CLI decides where it goes.
+/// string building — the CLI decides where it goes. Every sum is taken in
+/// `u128`: a file is outside input, and no values in it may overflow a total.
 pub fn summarize(records: &[TraceRecord]) -> String {
-    let rows = phase_breakdown(records);
-    let mut out = String::new();
-    out.push_str(&format!("logical records: {}\n\n", records.len()));
-
-    // Per-phase table.
+    let mut out = format!("logical records: {}\n\n", records.len());
     out.push_str("per-phase breakdown\n");
-    out.push_str(&format!(
-        "{:<14} {:>8} {:>12} {:>10} {:>12} {:>8} {:>8}\n",
-        "phase", "rounds", "bits", "rec.rnds", "rtx.bits", "builds", "hits"
+    out.push_str(&table_row(
+        "phase",
+        ["rounds", "bits", "rec.rnds", "rtx.bits", "builds", "hits"],
     ));
-    let mut tot = PhaseSummary {
-        label: "total".into(),
-        rounds: 0,
-        bits: 0,
-        recovery_rounds: 0,
-        retransmit_bits: 0,
-        sketch_builds: 0,
-        sketch_cache_hits: 0,
-        rolled_back: false,
-    };
-    for row in &rows {
-        out.push_str(&format!(
-            "{:<14} {:>8} {:>12} {:>10} {:>12} {:>8} {:>8}\n",
-            row.label,
+    let mut total = [0u128; 6];
+    for row in phase_breakdown(records) {
+        let cost = [
             row.rounds,
             row.bits,
             row.recovery_rounds,
             row.retransmit_bits,
             row.sketch_builds,
-            row.sketch_cache_hits
-        ));
-        tot.rounds += row.rounds;
-        tot.bits += row.bits;
-        tot.recovery_rounds += row.recovery_rounds;
-        tot.retransmit_bits += row.retransmit_bits;
-        tot.sketch_builds += row.sketch_builds;
-        tot.sketch_cache_hits += row.sketch_cache_hits;
+            row.sketch_cache_hits,
+        ];
+        out.push_str(&table_row(&row.label, cost));
+        for (sum, c) in total.iter_mut().zip(cost) {
+            *sum += u128::from(c);
+        }
     }
-    out.push_str(&format!(
-        "{:<14} {:>8} {:>12} {:>10} {:>12} {:>8} {:>8}\n",
-        tot.label,
-        tot.rounds,
-        tot.bits,
-        tot.recovery_rounds,
-        tot.retransmit_bits,
-        tot.sketch_builds,
-        tot.sketch_cache_hits
-    ));
+    out.push_str(&table_row("total", total));
 
-    // Top-loaded links, aggregated over every superstep.
-    let mut link_total: BTreeMap<(u32, u32), u64> = BTreeMap::new();
-    let mut kind_total: BTreeMap<String, u64> = BTreeMap::new();
-    for r in records {
-        if let TraceEvent::Superstep { links, kinds, .. } = &r.event {
-            for &(a, b, bits) in links {
-                *link_total.entry((a, b)).or_insert(0) += bits;
-            }
-            for (name, count) in kinds {
-                *kind_total.entry(name.clone()).or_insert(0) += count;
-            }
-        }
-    }
-    if !link_total.is_empty() {
-        let mut by_load: Vec<((u32, u32), u64)> = link_total.into_iter().collect();
-        // Heaviest first; the BTreeMap key order breaks ties.
-        by_load.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out.push_str("\ntop loaded links\n");
-        for ((a, b), bits) in by_load.into_iter().take(5) {
-            out.push_str(&format!("  {a} -> {b}: {bits} bits\n"));
-        }
-    }
-    if !kind_total.is_empty() {
-        let mut by_count: Vec<(String, u64)> = kind_total.into_iter().collect();
-        by_count.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out.push_str("\npayload kinds\n");
-        for (name, count) in by_count.into_iter().take(8) {
-            out.push_str(&format!("  {name}: {count} messages\n"));
-        }
-    }
-
-    // Fault hotspots: supersteps ranked by injected fault count.
-    let mut hot: Vec<(u64, u64)> = Vec::new();
-    let mut waves = 0u64;
-    let mut wave_bits = 0u64;
+    // Link loads and payload kinds over every superstep; the faults each
+    // `Faults` record injected, and the retransmission waves.
+    let mut link_total: BTreeMap<(u32, u32), u128> = BTreeMap::new();
+    let mut kind_total: BTreeMap<&str, u128> = BTreeMap::new();
+    let mut hot: Vec<(u64, u128)> = Vec::new();
+    let (mut waves, mut wave_bits) = (0u64, 0u128);
     for r in records {
         match &r.event {
+            TraceEvent::Superstep { links, kinds, .. } => {
+                for &(a, b, bits) in links {
+                    *link_total.entry((a, b)).or_insert(0) += u128::from(bits);
+                }
+                for (name, count) in kinds {
+                    *kind_total.entry(name).or_insert(0) += u128::from(*count);
+                }
+            }
             TraceEvent::Faults {
                 superstep,
                 dropped,
@@ -1576,19 +1243,33 @@ pub fn summarize(records: &[TraceRecord]) -> String {
                 crashed,
             } => hot.push((
                 *superstep,
-                dropped + duplicated + reordered + delayed + crashed,
+                [dropped, duplicated, reordered, delayed, crashed]
+                    .into_iter()
+                    .map(|&n| u128::from(n))
+                    .sum(),
             )),
             TraceEvent::Retransmit { bits, .. } => {
                 waves += 1;
-                wave_bits += bits;
+                wave_bits += u128::from(*bits);
             }
             _ => {}
         }
     }
+    if !link_total.is_empty() {
+        out.push_str("\ntop loaded links\n");
+        for ((a, b), bits) in heaviest(link_total, 5) {
+            out.push_str(&format!("  {a} -> {b}: {bits} bits\n"));
+        }
+    }
+    if !kind_total.is_empty() {
+        out.push_str("\npayload kinds\n");
+        for (name, count) in heaviest(kind_total, 8) {
+            out.push_str(&format!("  {name}: {count} messages\n"));
+        }
+    }
     if !hot.is_empty() {
-        hot.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         out.push_str("\nfault hotspots\n");
-        for (superstep, faults) in hot.into_iter().take(5) {
+        for (superstep, faults) in heaviest(hot, 5) {
             out.push_str(&format!("  superstep {superstep}: {faults} faults\n"));
         }
         out.push_str(&format!("  retransmit waves: {waves} ({wave_bits} bits)\n"));
@@ -1601,112 +1282,66 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    fn sample_records() -> Vec<TraceRecord> {
+    /// The golden stream: every event kind, hand-picked values.
+    fn golden() -> Vec<TraceRecord> {
+        parse_jsonl(GOLDEN).expect("the golden stream parses")
+    }
+
+    /// A made-up value of each field type for the tables' `one_of_each()`:
+    /// the widest integers and a string that needs every escape.
+    pub(super) trait Exemplar {
+        fn exemplar() -> Self;
+    }
+
+    impl Exemplar for u64 {
+        fn exemplar() -> Self {
+            u64::MAX
+        }
+    }
+
+    impl Exemplar for u32 {
+        fn exemplar() -> Self {
+            u32::MAX
+        }
+    }
+
+    impl Exemplar for bool {
+        fn exemplar() -> Self {
+            true
+        }
+    }
+
+    impl Exemplar for String {
+        fn exemplar() -> Self {
+            "q\"b\\s\n\r\t\u{1}é→".to_string()
+        }
+    }
+
+    impl<T: Exemplar> Exemplar for Vec<T> {
+        fn exemplar() -> Self {
+            vec![T::exemplar(), T::exemplar()]
+        }
+    }
+
+    impl Exemplar for (u32, u32, u64) {
+        fn exemplar() -> Self {
+            (0, u32::MAX, u64::MAX)
+        }
+    }
+
+    impl Exemplar for (String, u64) {
+        fn exemplar() -> Self {
+            (String::exemplar(), u64::MAX)
+        }
+    }
+
+    /// The table's exemplars as a sequence-numbered stream.
+    fn one_of_each() -> Vec<TraceRecord> {
         let t = Tracer::recording();
-        t.emit(|| TraceEvent::Segment {
-            name: "setup".into(),
-            rounds: 2,
-            bits: 128,
-            recovery_rounds: 0,
-            retransmit_bits: 0,
-        });
-        t.emit(|| TraceEvent::PhaseStart {
-            phase: 0,
-            components: 40,
-            contracted: false,
-        });
-        t.emit(|| TraceEvent::Superstep {
-            index: 0,
-            rounds: 3,
-            bits: 900,
-            messages: 12,
-            max_link_bits: 300,
-            links: vec![(0, 1, 300), (1, 0, 200), (1, 2, 400)],
-            kinds: vec![("part_sketch".into(), 10), ("relabel".into(), 2)],
-        });
-        t.emit(|| TraceEvent::Faults {
-            superstep: 0,
-            dropped: 2,
-            duplicated: 1,
-            reordered: 0,
-            delayed: 1,
-            crashed: 0,
-        });
-        t.emit(|| TraceEvent::Retransmit {
-            superstep: 0,
-            attempt: 1,
-            messages: 3,
-            bits: 120,
-            rounds: 2,
-        });
-        t.emit(|| TraceEvent::PhaseEnd {
-            phase: 0,
-            rounds: 9,
-            bits: 1020,
-            recovery_rounds: 2,
-            retransmit_bits: 160,
-            sketch_builds: 40,
-            sketch_cache_hits: 0,
-        });
-        t.emit(|| TraceEvent::Rollback {
-            phase: 1,
-            crashed: vec![2],
-            rounds: 5,
-            bits: 300,
-            recovery_rounds: 4,
-            retransmit_bits: 90,
-        });
-        t.emit(|| TraceEvent::Checkpoint { phase: 1 });
-        t.emit(|| TraceEvent::DynBatch {
-            ops: 20,
-            inserts: 15,
-            deletes: 5,
-            rounds: 1,
-            bits: 640,
-            compacted: true,
-        });
-        t.emit(|| TraceEvent::DynCertify {
-            labels: 4,
-            rounds: 2,
-            bits: 96,
-            ok: true,
-        });
-        t.emit(|| TraceEvent::DynEscalate {
-            span: 1,
-            rounds: 2,
-            bits: 96,
-        });
-        t.emit(|| TraceEvent::Segment {
-            name: "output".into(),
-            rounds: 1,
-            bits: 64,
-            recovery_rounds: 0,
-            retransmit_bits: 0,
-        });
+        for e in TraceEvent::one_of_each() {
+            t.emit(move || e);
+        }
         t.events()
-    }
-
-    // One exemplar of every row, by hand until the event table generates it.
-    impl TraceEvent {
-        fn one_of_each() -> Vec<Self> {
-            sample_records().into_iter().map(|r| r.event).collect()
-        }
-    }
-
-    impl PhysEvent {
-        fn one_of_each() -> Vec<Self> {
-            vec![PhysEvent::Window {
-                superstep: 0,
-                windows: 0,
-                attempts: 0,
-                frames_sent: 0,
-                payload_bytes: 0,
-                frames_delivered: 0,
-                acks: 0,
-                worker_restarts: 0,
-                micros: 0,
-            }]
-        }
     }
 
     const GOLDEN: &str = include_str!("../fixtures/trace_golden.jsonl");
@@ -1817,8 +1452,8 @@ mod tests {
 
     #[test]
     fn records_are_sequence_numbered_in_emission_order() {
-        let records = sample_records();
-        assert_eq!(records.len(), 12);
+        let records = one_of_each();
+        assert_eq!(records.len(), 11);
         for (i, r) in records.iter().enumerate() {
             assert_eq!(r.seq, i as u64);
         }
@@ -1848,23 +1483,67 @@ mod tests {
 
     #[test]
     fn jsonl_round_trips_every_event_kind() {
-        let records = sample_records();
+        let records = one_of_each();
         let text = to_jsonl(&records);
         let parsed = parse_jsonl(&text).expect("round trip must parse");
         assert_eq!(parsed, records);
         // And the rendering is stable: parse → render is the identity.
         assert_eq!(to_jsonl(&parsed), text);
+        // The physical channel's lines read back through the same parser.
+        for (seq, event) in (7..).zip(PhysEvent::one_of_each()) {
+            let record = PhysRecord { seq, event };
+            let (seq, event) = parse_line(&record.to_json()).expect("phys round trip");
+            assert_eq!(PhysRecord { seq, event }, record);
+        }
     }
 
     #[test]
     fn parse_rejects_garbage_with_line_numbers() {
-        let good = sample_records();
-        let mut text = to_jsonl(&good[..1]);
+        let mut text = to_jsonl(&golden()[..1]);
         text.push_str("{\"seq\":1,\"type\":\"wat\"}\n");
         let e = parse_jsonl(&text).expect_err("unknown type must fail");
         assert!(e.contains("line 2"), "{e}");
         assert!(parse_jsonl("not json\n").is_err());
         assert!(parse_jsonl("").expect("empty is fine").is_empty());
+        // A field error names the line, the field and what is wrong with it.
+        for (line, want) in [
+            (
+                r#"{"seq":0,"type":"checkpoint"}"#,
+                "line 1: missing field `phase`",
+            ),
+            (
+                r#"{"seq":0,"type":"checkpoint","phase":true}"#,
+                "line 1: field `phase` is not an integer",
+            ),
+            (
+                r#"{"seq":0,"type":"checkpoint","phase":4294967296}"#,
+                "line 1: field `phase` overflows u32",
+            ),
+            (
+                r#"{"seq":0,"type":"rollback","phase":0,"crashed":[1,"x"]}"#,
+                "line 1: field `crashed` has an entry that is not an integer",
+            ),
+        ] {
+            assert_eq!(parse_jsonl(line).expect_err(line), want);
+        }
+    }
+
+    #[test]
+    fn parse_caps_the_nesting_depth() {
+        // 200 000 open brackets used to recurse the parser off the stack.
+        let deep = "[".repeat(200_000);
+        let e = parse_jsonl(&deep).expect_err("a hostile line must be an error");
+        assert_eq!(e, format!("line 1: nesting deeper than {MAX_JSON_DEPTH}"));
+        // Exactly the cap still parses; siblings do not count as depth.
+        let at_cap = format!(
+            "{}{}",
+            "[".repeat(MAX_JSON_DEPTH),
+            "]".repeat(MAX_JSON_DEPTH)
+        );
+        assert!(JsonParser::new(&at_cap).value().is_ok());
+        assert!(JsonParser::new("[[1],[2],[[3]],{\"a\":[4]}]")
+            .value()
+            .is_ok());
     }
 
     #[test]
@@ -1883,7 +1562,7 @@ mod tests {
                 Ok(())
             }
         }
-        let records = sample_records();
+        let records = golden();
         let buf = Shared(std::sync::Arc::new(Mutex::new(Vec::new())));
         let t = Tracer::to_sink(Box::new(JsonlSink::new(buf.clone())));
         for r in &records {
@@ -1921,48 +1600,116 @@ mod tests {
 
     #[test]
     fn breakdown_tiles_the_stream() {
-        let rows = phase_breakdown(&sample_records());
+        let rows = phase_breakdown(&golden());
         let labels: Vec<&str> = rows.iter().map(|r| r.label.as_str()).collect();
         assert_eq!(
             labels,
-            vec!["setup", "phase 0", "rollback 1", "certify", "output"]
+            vec![
+                "setup",
+                "phase 0",
+                "rollback 1",
+                "q\"b\\s\n\u{1}é→",
+                "certify",
+                "output"
+            ]
         );
-        assert!(rows[2].rolled_back);
-        // The escalation marker retroactively rolls back the certify row.
-        assert!(rows[3].rolled_back);
-        assert!(!rows[4].rolled_back);
+        let rolled_back: Vec<bool> = rows.iter().map(|r| r.rolled_back).collect();
+        // The escalation marker retroactively rolls back the two rows of
+        // the attempt it aborts, the certify pass included.
+        assert_eq!(rolled_back, [false, false, true, true, true, false]);
         let rounds: u64 = rows.iter().map(|r| r.rounds).sum();
-        assert_eq!(rounds, 2 + 9 + 5 + 2 + 1);
+        assert_eq!(rounds, 2 + 9 + 5 + 4 + 2 + 1);
+        assert_eq!((rows[1].sketch_builds, rows[1].sketch_cache_hits), (40, 7));
     }
 
     #[test]
-    fn summarize_reports_phases_links_and_hotspots() {
-        let s = summarize(&sample_records());
-        assert!(s.contains("phase 0"), "{s}");
-        assert!(s.contains("rollback 1"), "{s}");
-        assert!(s.contains("certify"), "{s}");
-        assert!(s.contains("total"), "{s}");
-        assert!(s.contains("1 -> 2: 400 bits"), "{s}");
-        assert!(s.contains("part_sketch: 10 messages"), "{s}");
-        assert!(s.contains("superstep 0: 4 faults"), "{s}");
-        assert!(s.contains("retransmit waves: 1 (120 bits)"), "{s}");
+    fn totals_do_not_overflow_on_hostile_values() {
+        let records: Vec<TraceRecord> = (0..2)
+            .map(|seq| TraceRecord {
+                seq,
+                event: TraceEvent::Segment {
+                    name: format!("s{seq}"),
+                    rounds: u64::MAX,
+                    bits: u64::MAX,
+                    recovery_rounds: 0,
+                    retransmit_bits: 0,
+                },
+            })
+            .collect();
+        let twice = 2 * u128::from(u64::MAX);
+        assert_eq!(twice.to_string(), "36893488147419103230");
+        let total = table_row("total", [twice, twice, 0, 0, 0, 0]);
+        assert!(summarize(&records).contains(&total), "{total}");
+        // The second segment starts where the first ends; a third event
+        // would start at `twice`.
+        let chrome = chrome_trace(&records);
+        assert!(
+            chrome.contains(&format!("\"name\":\"s1\",\"ph\":\"X\",\"ts\":{}", u64::MAX)),
+            "{chrome}"
+        );
+        // The per-link, per-kind, fault and wave sums are as wide (a list
+        // exemplar holds its entry twice).
+        let summary = summarize(&[one_of_each(), one_of_each()].concat());
+        for line in [
+            format!("  0 -> {}: {} bits\n", u32::MAX, 2 * twice),
+            format!(": {} messages\n", 2 * twice),
+            format!(
+                "  superstep {}: {} faults\n",
+                u64::MAX,
+                5 * u128::from(u64::MAX)
+            ),
+            format!("  retransmit waves: 2 ({twice} bits)\n"),
+        ] {
+            assert!(summary.contains(&line), "{line:?} not in {summary}");
+        }
     }
 
+    /// What the timeline showed before the event table, `args` apart.
+    const GOLDEN_CHROME: [&str; 18] = [
+        r#"{"name":"thread_name","ph":"M","pid":0,"tid":0"#,
+        r#"{"name":"thread_name","ph":"M","pid":0,"tid":1"#,
+        r#"{"name":"thread_name","ph":"M","pid":0,"tid":2"#,
+        r#"{"name":"thread_name","ph":"M","pid":0,"tid":3"#,
+        r#"{"name":"setup","ph":"X","ts":0,"dur":2,"pid":0,"tid":0"#,
+        r#"{"name":"phase 0 start","ph":"i","ts":2,"pid":0,"tid":0,"s":"t""#,
+        r#"{"name":"superstep 0","ph":"X","ts":0,"dur":3,"pid":0,"tid":1"#,
+        r#"{"name":"faults @0","ph":"i","ts":3,"pid":0,"tid":2,"s":"t""#,
+        r#"{"name":"retransmit @0#1","ph":"X","ts":3,"dur":2,"pid":0,"tid":2"#,
+        r#"{"name":"phase 0","ph":"X","ts":2,"dur":9,"pid":0,"tid":0"#,
+        r#"{"name":"checkpoint 0","ph":"i","ts":11,"pid":0,"tid":0,"s":"t""#,
+        r#"{"name":"phase 1 start","ph":"i","ts":11,"pid":0,"tid":0,"s":"t""#,
+        r#"{"name":"rollback 1","ph":"X","ts":11,"dur":5,"pid":0,"tid":0"#,
+        r#"{"name":"dyn batch","ph":"X","ts":16,"dur":1,"pid":0,"tid":3"#,
+        r#"{"name":"q\"b\\s\n\u0001é→","ph":"X","ts":17,"dur":4,"pid":0,"tid":0"#,
+        r#"{"name":"dyn certify","ph":"X","ts":21,"dur":2,"pid":0,"tid":3"#,
+        r#"{"name":"dyn escalate","ph":"i","ts":23,"pid":0,"tid":3,"s":"t""#,
+        r#"{"name":"output","ph":"X","ts":23,"dur":1,"pid":0,"tid":0"#,
+    ];
+
     #[test]
-    fn chrome_trace_is_valid_json_and_covers_all_tracks() {
-        let trace = chrome_trace(&sample_records());
-        let mut p = JsonParser::new(&trace);
-        let v = p.value().expect("chrome trace must be valid JSON");
-        let events = v.arr("traceEvents").expect("traceEvents array");
+    fn chrome_trace_keeps_its_event_list_and_carries_every_scalar_field() {
+        let trace = chrome_trace(&golden());
+        let v = JsonParser::new(&trace)
+            .value()
+            .expect("chrome trace must be valid JSON");
+        let Ok(Json::A(events)) = v.get("traceEvents") else {
+            panic!("traceEvents array");
+        };
         // 4 thread_name metadata events + one per source record.
-        assert_eq!(events.len(), 4 + 12);
-        // Phase clock: setup(2) then phase 0 at ts=2.
-        let phase0 = events
-            .iter()
-            .find(|e| e.s("name").is_ok_and(|n| n == "phase 0"))
-            .expect("phase 0 event");
-        assert_eq!(phase0.u("ts").unwrap(), 2);
-        assert_eq!(phase0.u("dur").unwrap(), 9);
+        assert_eq!(events.len(), 4 + 14);
+        let shown: Vec<&str> = trace
+            .lines()
+            .filter_map(|l| l.split_once(",\"args\":").map(|(event, _)| event))
+            .collect();
+        assert_eq!(shown, GOLDEN_CHROME);
+        // `args` is the record minus its per-link and per-kind lists.
+        for (event, record) in events[4..].iter().zip(golden()) {
+            let Ok(Json::O(mut want)) = JsonParser::new(&record.to_json()).value() else {
+                panic!("a record is an object");
+            };
+            want.retain(|(key, _)| !["seq", "type", "links", "kinds"].contains(&key.as_str()));
+            assert_eq!(event.get("args"), Ok(&Json::O(want)), "{record:?}");
+        }
     }
 
     #[test]

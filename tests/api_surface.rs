@@ -62,10 +62,12 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
 /// stopping at the conventional trailing `#[cfg(test)]` module.
 fn extract_items(rel: &str, text: &str, items: &mut Vec<String>) {
     for line in text.lines() {
-        let t = line.trim();
-        if t.starts_with("#[cfg(test)]") {
+        // Column 0, like `non_test_size`: a `#[cfg(test)]` method inside a
+        // trait or a macro is not the trailing test module.
+        if line.starts_with("#[cfg(test)]") {
             break;
         }
+        let t = line.trim();
         let is_item = [
             "pub fn ",
             "pub struct ",

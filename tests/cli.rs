@@ -326,6 +326,52 @@ fn parse_errors_report_line_numbers_without_panicking() {
 }
 
 #[test]
+fn hostile_trace_files_fail_or_total_cleanly() {
+    // 200 000 open brackets used to recurse the JSONL reader off the stack
+    // (exit 134); now a line-numbered error and exit 1.
+    let deep = tmp("deep.jsonl");
+    std::fs::write(&deep, "[".repeat(200_000)).unwrap();
+    let out = kmm()
+        .args(["trace", "summarize", deep.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("line 1: nesting deeper than"), "{err}");
+    let _ = std::fs::remove_file(deep);
+
+    // Two records of u64::MAX rounds used to panic the debug build's total
+    // (exit 101) and wrap the release build's; totals are u128 now.
+    let big = tmp("big.jsonl");
+    let line = |seq: u32| {
+        format!(
+            "{{\"seq\":{seq},\"type\":\"segment\",\"name\":\"s\",\"rounds\":{},\"bits\":1,\
+             \"recovery_rounds\":0,\"retransmit_bits\":0}}\n",
+            u64::MAX
+        )
+    };
+    std::fs::write(&big, line(0) + &line(1)).unwrap();
+    for tool in ["summarize", "chrome"] {
+        let out = kmm()
+            .args(["trace", tool, big.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(0), "{tool}: {out:?}");
+        if tool == "summarize" {
+            let text = String::from_utf8_lossy(&out.stdout);
+            let total: Vec<&str> = text
+                .lines()
+                .find(|l| l.starts_with("total"))
+                .expect("a total row")
+                .split_whitespace()
+                .collect();
+            assert_eq!(total[1..3], ["36893488147419103230", "2"], "{text}");
+        }
+    }
+    let _ = std::fs::remove_file(big);
+}
+
+#[test]
 fn hostile_edge_count_header_fails_cleanly() {
     let path = tmp("hostile.txt");
     std::fs::write(&path, "4 123456789012345678\n0 1\n").unwrap();
