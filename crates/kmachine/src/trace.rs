@@ -1101,24 +1101,20 @@ pub struct PhaseSummary {
 pub fn phase_breakdown(records: &[TraceRecord]) -> Vec<PhaseSummary> {
     let mut rows: Vec<PhaseSummary> = Vec::new();
     for r in records {
-        let Some(View { label, .. }) = r.event.view() else {
-            continue;
-        };
-        match r.event {
+        let cost = match r.event {
             TraceEvent::Segment {
                 rounds,
                 bits,
                 recovery_rounds,
                 retransmit_bits,
                 ..
-            } => rows.push(PhaseSummary {
-                label,
+            } => PhaseSummary {
                 rounds,
                 bits,
                 recovery_rounds,
                 retransmit_bits,
                 ..Default::default()
-            }),
+            },
             TraceEvent::PhaseEnd {
                 rounds,
                 bits,
@@ -1127,8 +1123,7 @@ pub fn phase_breakdown(records: &[TraceRecord]) -> Vec<PhaseSummary> {
                 sketch_builds,
                 sketch_cache_hits,
                 ..
-            } => rows.push(PhaseSummary {
-                label,
+            } => PhaseSummary {
                 rounds,
                 bits,
                 recovery_rounds,
@@ -1136,28 +1131,26 @@ pub fn phase_breakdown(records: &[TraceRecord]) -> Vec<PhaseSummary> {
                 sketch_builds,
                 sketch_cache_hits,
                 ..Default::default()
-            }),
+            },
             TraceEvent::Rollback {
                 rounds,
                 bits,
                 recovery_rounds,
                 retransmit_bits,
                 ..
-            } => rows.push(PhaseSummary {
-                label,
+            } => PhaseSummary {
                 rounds,
                 bits,
                 recovery_rounds,
                 retransmit_bits,
                 rolled_back: true,
                 ..Default::default()
-            }),
-            TraceEvent::DynCertify { rounds, bits, .. } => rows.push(PhaseSummary {
-                label,
+            },
+            TraceEvent::DynCertify { rounds, bits, .. } => PhaseSummary {
                 rounds,
                 bits,
                 ..Default::default()
-            }),
+            },
             TraceEvent::DynEscalate { span, .. } => {
                 // The aborted incremental attempt's rows (certify pass
                 // included) stay in the table — marked rolled back so the
@@ -1167,8 +1160,13 @@ pub fn phase_breakdown(records: &[TraceRecord]) -> Vec<PhaseSummary> {
                 for row in &mut rows[n - span..] {
                     row.rolled_back = true;
                 }
+                continue;
             }
-            _ => {}
+            _ => continue,
+        };
+        // Only a cost row pays for its label: most records are supersteps.
+        if let Some(View { label, .. }) = r.event.view() {
+            rows.push(PhaseSummary { label, ..cost });
         }
     }
     rows

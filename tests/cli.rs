@@ -351,23 +351,23 @@ fn hostile_trace_files_fail_or_total_cleanly() {
         )
     };
     std::fs::write(&big, line(0) + &line(1)).unwrap();
-    for tool in ["summarize", "chrome"] {
+    let run = |tool: &str| {
         let out = kmm()
             .args(["trace", tool, big.to_str().unwrap()])
             .output()
             .unwrap();
         assert_eq!(out.status.code(), Some(0), "{tool}: {out:?}");
-        if tool == "summarize" {
-            let text = String::from_utf8_lossy(&out.stdout);
-            let total: Vec<&str> = text
-                .lines()
-                .find(|l| l.starts_with("total"))
-                .expect("a total row")
-                .split_whitespace()
-                .collect();
-            assert_eq!(total[1..3], ["36893488147419103230", "2"], "{text}");
-        }
-    }
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let text = run("summarize");
+    let total: Vec<&str> = text
+        .lines()
+        .find(|l| l.starts_with("total"))
+        .expect("a total row")
+        .split_whitespace()
+        .collect();
+    assert_eq!(total[1..3], ["36893488147419103230", "2"], "{text}");
+    run("chrome");
     let _ = std::fs::remove_file(big);
 }
 
