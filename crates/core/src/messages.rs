@@ -275,26 +275,6 @@ tuple_kind!(A KA 0, B KB 1, C KC 2, D KD 3);
 /// An [`EdgeKey`]: `(weight, u, v)`.
 type Key = (Weight, VertexId, VertexId);
 
-/// `Candidate.key` — irregular: an [`EdgeKey`] charged one extra `l` under
-/// the fixed-width model only (DESIGN.md §3.11 records the over-charge;
-/// removing it moves the edge-checking baseline's ledger).
-struct CandidateKey;
-
-impl Kind<EdgeKey> for CandidateKey {
-    fn naive(v: &EdgeKey, l: u64, lw: u64) -> u64 {
-        <Key>::naive(v, l, lw) + l
-    }
-    fn varint(v: &EdgeKey, run: &mut Run) {
-        <Key>::varint(v, run);
-    }
-    fn put(v: &EdgeKey, out: &mut Vec<u8>) {
-        <Key>::put(v, out);
-    }
-    fn get(r: &mut WireReader<'_>, field: &'static str) -> Result<EdgeKey, WireError> {
-        <Key>::get(r, field)
-    }
-}
-
 /// `TestBatch.count` — irregular: the message stands for `count` edge tests
 /// of `3·l` bits each, so it is already an aggregate and never joins a
 /// varint run ([`varint_batch_bits`] charges it its fixed-width bits).
@@ -528,7 +508,7 @@ payload_table! {
             /// The component label.
             label: Label as By<LabelId>,
             /// The candidate edge key.
-            key: EdgeKey as CandidateKey,
+            key: EdgeKey as Key,
             /// The label on the other side of the candidate edge.
             to_label: Label as LabelId,
         },
