@@ -2230,7 +2230,7 @@ mod tests {
         assert_tiles(rows, &run.report.stats, "conn escalation");
         assert_eq!(
             ledger_of(&run.report.stats),
-            (1470, 1_185_132, 144, 596),
+            (192, 39_294, 144, 596),
             "conn escalation: attempt + full refresh, pinned like tests/fixtures/run_ledger.txt"
         );
         assert!(
@@ -2279,7 +2279,7 @@ mod tests {
         assert_tiles(rows, &run.report.stats, "mst escalation");
         assert_eq!(
             ledger_of(&run.report.stats),
-            (1376, 352_808, 69, 156),
+            (192, 21_602, 69, 156),
             "mst escalation: attempt + full re-solve, pinned like tests/fixtures/run_ledger.txt"
         );
         assert!(

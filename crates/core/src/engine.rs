@@ -9,13 +9,14 @@
 //! One phase of the engine (paper §2.1):
 //!
 //! 1. **Outgoing-edge selection** (§2.3–§2.4). Every machine groups its
-//!    vertices by component label into *parts*, builds one linear sketch per
-//!    part, and sends it to the component's random proxy machine. The proxy
-//!    sums part sketches — intra-component edges cancel by linearity — and
-//!    samples a candidate outgoing edge. For MST, a `Θ(log n)`-iteration
-//!    elimination loop repeats the sampling with sketches filtered to
-//!    strictly lighter edges, converging on the minimum-weight outgoing
-//!    edge (MWOE) w.h.p.
+//!    vertices by component label into *parts* and sends each part to the
+//!    component's random proxy machine: as one linear sketch, or as the
+//!    half-edges that sketch would hash when they are fewer bits (the proxy
+//!    hashes them itself). The proxy sums the part sketches — intra-component
+//!    edges cancel by linearity — and samples a candidate outgoing edge. For
+//!    MST, a `Θ(log n)`-iteration elimination loop repeats the sampling with
+//!    sketches filtered to strictly lighter edges, converging on the
+//!    minimum-weight outgoing edge (MWOE) w.h.p.
 //! 2. **DRR** (§2.5). Each component draws a shared-randomness rank and
 //!    connects to the component across its chosen edge iff that component's
 //!    rank is larger, yielding a forest of `O(log n)`-depth trees (Lemma 6).
@@ -33,15 +34,13 @@
 //!
 //! **Incremental sketch reuse** (DESIGN.md §3.7): the iteration-0 sketch
 //! functions are re-derived only once per *epoch* of `SKETCH_REUSE_PERIOD`
-//! phases, so a part whose component label did not change since its sketch
-//! was built resends its cached sketch instead of re-hashing every
-//! incident edge. Relabels invalidate
-//! exactly the parts they touch; epoch rollover invalidates everything
-//! (fresh randomness bounds any correlation between a failed sample and
-//! later phases). Sketches themselves are still *sent* every phase at full
-//! wire cost; what is amortized is the local rebuild work (the hot path)
-//! **and** the §2.2 `Θ(log² n)`-bit function-seed distribution charge,
-//! which is paid once per epoch — reused functions need no redistribution.
+//! phases, so a sketched part whose label did not change since its sketch
+//! was built resends its cached sketch instead of re-hashing every incident
+//! edge. Relabels invalidate exactly the parts they touch; epoch rollover
+//! invalidates everything (fresh randomness bounds any correlation between
+//! a failed sample and later phases). What is amortized is the local
+//! rebuild work **and** the §2.2 `Θ(log² n)`-bit function-seed distribution
+//! charge, paid once per epoch — reused functions need no redistribution.
 //!
 //! All communication flows through the crate's one network runtime
 //! (`net::Net` over [`kmachine::Bsp`]), so every round and bit is accounted
@@ -112,10 +111,6 @@ const SKETCH_REUSE_PERIOD: u32 = 4;
 /// it retains this many half-edges (Σ degree over its vertices); below, they
 /// run inline. The measured 2-core break-even (DESIGN.md §6).
 const FAN_OUT_MIN_HALF_EDGES: usize = 1 << 15;
-
-/// A part's sketch is cached only if the part has this many local
-/// half-edges: below, rebuilding beats keeping the entry (DESIGN.md §3.7).
-const CACHE_MIN_HALF_EDGES: usize = 16;
 
 /// How many times one phase may be re-entered after crashes before the run
 /// gives up. Each crash event fires once, so retries are bounded by the
@@ -214,7 +209,7 @@ pub struct EngineResult {
     pub mst_edges_per_machine: Vec<usize>,
     /// Component count from the §2.6 output protocol, if run.
     pub counted_components: Option<u64>,
-    /// Part sketches built from scratch (local hashing work).
+    /// Part sketches hashed from edges, where the part lives or at its proxy.
     pub sketch_builds: u64,
     /// Part sketches served from the incremental cache.
     pub sketch_cache_hits: u64,
@@ -411,10 +406,10 @@ struct MachineState {
     /// (the component is retrying after a failed first sample).
     thresholds: FxHashMap<Label, Option<EdgeKey>>,
     /// Incremental cache: the unfiltered iteration-0 sketch of each local
-    /// part of ≥ `CACHE_MIN_HALF_EDGES`, valid for the current epoch.
-    /// Invalidated per label on relabel, wholesale on epoch rollover.
+    /// part sketched here, valid for the current epoch. Invalidated per
+    /// label on relabel, wholesale on epoch rollover.
     part_cache: FxHashMap<Label, L0Sketch>,
-    /// Part sketches this machine built from scratch.
+    /// Part sketches this machine hashed from edges (its own, or shipped).
     sketch_builds: u64,
     /// Part sketches this machine served from `part_cache`.
     sketch_cache_hits: u64,
@@ -483,6 +478,9 @@ pub struct Engine<'g> {
     machines: Vec<MachineState>,
     /// Whether `step` / `each` fan out (`FAN_OUT_MIN_HALF_EDGES`).
     fan_out: bool,
+    /// A part with fewer half-edges to hash ships them as `PartEdges`
+    /// instead of its sketch ([`edge_cap`]); `0` sketches every part.
+    edge_cap: usize,
     /// The iteration-0 sketch functions of the current epoch, keyed by tag.
     cached_fns: Option<(u32, Arc<SketchFns>)>,
     /// Bumped by the termination guard to force fresh epoch functions.
@@ -513,8 +511,10 @@ impl<'g> Engine<'g> {
                 }
             })
             .collect();
+        let params = SketchParams::for_graph(n, cfg.reps);
         Engine {
             fan_out: wants_fan_out(g, &machines),
+            edge_cap: edge_cap(params, net.price().l),
             cx: Cx {
                 g,
                 mode,
@@ -525,7 +525,7 @@ impl<'g> Engine<'g> {
                 n_active: n,
                 shared,
                 scheme: ProxyScheme::new(shared, k),
-                params: SketchParams::for_graph(n, cfg.reps),
+                params,
             },
             cfg,
             net,
@@ -1025,78 +1025,83 @@ impl<'g> Engine<'g> {
         self.probe_candidates();
     }
 
-    /// Builds part sketches and sends them to proxies. With
+    /// Sends every part to its proxy: as the half-edges its sketch would hash
+    /// when there are fewer than `edge_cap`, as its sketch otherwise. With
     /// `only_thresholded`, only parts that received an elimination threshold
-    /// participate, and their sketches keep only edges strictly below it;
-    /// otherwise (the iteration-0 epoch-function path) unfiltered part
-    /// sketches are served from / admitted into the per-machine cache.
+    /// participate, with their edges strictly below it; otherwise (the
+    /// iteration-0 epoch-function path) part sketches are cached.
     fn build_and_send_sketches(&mut self, p: u32, fns: &SketchFns, only_thresholded: bool) {
+        let cap = self.edge_cap;
         self.step(|cx, st, _, out| {
             let view = cx.g.view(st.id);
-            // Group local vertices by label (elimination: live parts only).
-            let mut groups: FxHashMap<Label, Vec<u32>> = FxHashMap::default();
+            let mut by_label: FxHashMap<Label, Vec<(u32, u32)>> = FxHashMap::default();
             for &v in &st.verts {
                 let label = st.dur.labels[&v];
-                if !only_thresholded || st.thresholds.contains_key(&label) {
-                    groups.entry(label).or_default().push(v);
+                if only_thresholded && !st.thresholds.contains_key(&label) {
+                    continue;
+                }
+                let thr = st.thresholds.get(&label).copied().flatten();
+                let part = by_label.entry(label).or_default();
+                for &(nb, w) in view.neighbors(v) {
+                    if thr.is_none_or(|t| edge_key(w, v, nb) < t) {
+                        part.push((v, nb));
+                    }
                 }
             }
-            for (label, vs) in det::into_sorted_entries(groups) {
-                let thr = st.thresholds.get(&label).copied().flatten();
-                // The part's sketch and its local half-edge count.
-                let build = |st: &mut MachineState| {
-                    st.sketch_builds += 1;
-                    let mut sk = L0Sketch::new(cx.params);
-                    let mut half_edges = 0;
-                    for &v in &vs {
-                        let nbrs = view.neighbors(v);
-                        half_edges += nbrs.len();
-                        for &(nb, w) in nbrs {
-                            if thr.is_none_or(|t| edge_key(w, v, nb) < t) {
-                                sk.add_incident_edge(fns, v, nb);
-                            }
-                        }
-                    }
-                    (sk, half_edges)
-                };
-                let sk = if only_thresholded || thr.is_some() {
-                    build(st).0
-                } else if let Some(cached) = st.part_cache.get(&label) {
+            let cacheable = !only_thresholded;
+            for (label, edges) in det::into_sorted_entries(by_label) {
+                if edges.len() < cap {
+                    out.send(cx.holder(p, label), Payload::PartEdges { label, edges });
+                    continue;
+                }
+                let sketch = if let Some(cached) = st.part_cache.get(&label).filter(|_| cacheable) {
                     st.sketch_cache_hits += 1;
                     cached.clone()
                 } else {
-                    let (sk, half_edges) = build(st);
-                    if half_edges >= CACHE_MIN_HALF_EDGES {
+                    st.sketch_builds += 1;
+                    let mut sk = L0Sketch::new(cx.params);
+                    for (v, nb) in edges {
+                        sk.add_incident_edge(fns, v, nb);
+                    }
+                    if cacheable {
                         st.part_cache.insert(label, sk.clone());
                     }
                     sk
                 };
-                let sketch = Box::new(sk);
+                let sketch = Box::new(sketch);
                 out.send(cx.holder(p, label), Payload::PartSketch { label, sketch });
             }
         });
     }
 
-    /// Proxies merge arriving part sketches and sample a candidate edge.
+    /// Proxies sum arriving part sketches and shipped half-edges (hashed with
+    /// the same functions: the same cells) and sample a candidate edge.
     fn proxy_merge_sketches(&mut self, fns: &SketchFns) {
-        self.each(|_, st, inbox| {
+        self.each(|cx, st, inbox| {
             // Components seen this superstep (for requerying).
             let mut touched: FxHashSet<Label> = FxHashSet::default();
             for env in inbox {
-                if let Payload::PartSketch { label, sketch } = env.payload {
-                    let comp = st
-                        .proxied
-                        .entry(label)
-                        .or_insert_with(|| ProxyComp::new(label, Vec::new()));
-                    if !comp.parts.contains(&(env.src as u16)) {
-                        comp.parts.push(env.src as u16);
-                    }
-                    match &mut comp.sketch {
-                        Some(acc) => acc.merge(&sketch),
-                        None => comp.sketch = Some(*sketch),
-                    }
-                    touched.insert(label);
+                let (label, sketch, edges) = match env.payload {
+                    Payload::PartSketch { label, sketch } => (label, Some(sketch), Vec::new()),
+                    Payload::PartEdges { label, edges } => (label, None, edges),
+                    _ => continue,
+                };
+                let comp = st
+                    .proxied
+                    .entry(label)
+                    .or_insert_with(|| ProxyComp::new(label, Vec::new()));
+                if !comp.parts.contains(&(env.src as u16)) {
+                    comp.parts.push(env.src as u16);
                 }
+                let acc = comp.sketch.get_or_insert_with(|| L0Sketch::new(cx.params));
+                match sketch {
+                    Some(sketch) => acc.merge(&sketch),
+                    None => st.sketch_builds += 1,
+                }
+                for (v, nb) in edges {
+                    acc.add_incident_edge(fns, v, nb);
+                }
+                touched.insert(label);
             }
             for label in det::sorted_members(&touched) {
                 let comp = st.proxied.get_mut(&label).expect("just inserted");
@@ -1644,6 +1649,17 @@ fn wants_fan_out(g: &ShardedGraph, machines: &[MachineState]) -> bool {
     machines.iter().map(half_edges).sum::<usize>() >= FAN_OUT_MIN_HALF_EDGES
 }
 
+/// The fewest half-edges whose `PartEdges` row is no cheaper than a
+/// `PartSketch` at id width `l` (fixed-width prices, DESIGN.md §3.3): below
+/// it a part ships its edges, so no part message costs more than a sketch.
+fn edge_cap(params: SketchParams, l: u64) -> usize {
+    let edges = |edges| Payload::PartEdges { label: 0, edges }.wire_bits(l);
+    let sketch = Box::new(L0Sketch::new(params));
+    let sketch = Payload::PartSketch { label: 0, sketch }.wire_bits(l);
+    let per_edge = edges(vec![(0, 0)]) - edges(Vec::new());
+    (sketch - edges(Vec::new())).div_ceil(per_edge) as usize
+}
+
 /// The merge a machine's proxied components decided on: every component
 /// with a DRR parent outputs its chosen edge here (forest modes) and is
 /// renamed to its pointer — `(old, new)` pairs in sorted `old` order.
@@ -1855,30 +1871,42 @@ mod tests {
         of_part.map(|&v| sg.view(st.id).degree(v)).sum()
     }
 
+    /// An 80-clique beside `other`: once merged, the clique's share of a
+    /// machine (≈ 20 vertices × 79 neighbours) is above the edge cap.
+    fn clique_beside(other: &kgraph::Graph) -> ShardedGraph {
+        let g = disjoint_union(&generators::complete(80), other);
+        ShardedGraph::from_graph(&g, &Partition::random_vertex(&g, 4, 7))
+    }
+
     #[test]
     fn only_parts_dearer_to_rebuild_than_to_keep_are_cached() {
-        // On a path no machine's part reaches 16 local half-edges early on.
+        // On a path every part ships its edges, so nothing is sketched where
+        // it lives and nothing is cached: the proxies hash the edges.
         let path = generators::path(400);
         let sg = ShardedGraph::from_graph(&path, &Partition::random_vertex(&path, 4, 7));
         let mut e = engine(&sg, false);
         assert!(e.run_phase(0) && e.run_phase(1));
-        assert!(e.sketch_counters().0 > 0, "phase 1 built part sketches");
+        assert!(
+            e.sketch_counters().0 > 0,
+            "phase 1's proxies sketched edges"
+        );
         assert!(e.machines.iter().all(|st| st.part_cache.is_empty()));
 
-        // A 24-clique finishes merging while the path beside it keeps
-        // going: its parts (≈ 6 vertices × 23 neighbors a machine) are
-        // cached when first built unchanged and hit from then on.
-        let g = disjoint_union(&generators::complete(24), &path);
-        let sg = ShardedGraph::from_graph(&g, &Partition::random_vertex(&g, 4, 7));
+        // The clique finishes merging (in about seven phases) while the
+        // longer path beside it keeps going: its parts are sketched where
+        // they live, cached when first built unchanged, and hit from then on.
+        let sg = clique_beside(&generators::path(2000));
         let mut e = engine(&sg, false);
         let mut hit_phase = None;
-        for p in 0..=SKETCH_REUSE_PERIOD {
+        for p in 0..=3 * SKETCH_REUSE_PERIOD {
             let cached_before: usize = e.machines.iter().map(|st| st.part_cache.len()).sum();
             let hits_before = e.sketch_counters().1;
-            assert!(e.run_phase(p));
+            if !e.run_phase(p) {
+                break;
+            }
             for st in &e.machines {
                 for &label in st.part_cache.keys() {
-                    assert!(part_half_edges(&sg, st, label) >= CACHE_MIN_HALF_EDGES);
+                    assert!(part_half_edges(&sg, st, label) >= e.edge_cap);
                 }
             }
             if e.sketch_counters().1 > hits_before {
@@ -1894,22 +1922,26 @@ mod tests {
 
     #[test]
     fn admission_keeps_the_sketch_count_and_the_crash_replay() {
-        let g = disjoint_union(&generators::complete(24), &generators::gnm(300, 700, 3));
-        let sg = ShardedGraph::from_graph(&g, &Partition::random_vertex(&g, 4, 7));
-        let run = |faults: Option<FaultPlan>| {
+        let sg = clique_beside(&generators::gnm(300, 700, 3));
+        let run = |faults: Option<FaultPlan>, cap: Option<usize>| {
             let cfg = EngineConfig {
                 faults,
                 ..EngineConfig::default()
             };
-            Engine::new(&sg, Mode::Connectivity, 5, cfg).run()
+            let mut e = Engine::new(&sg, Mode::Connectivity, 5, cfg);
+            e.edge_cap = cap.unwrap_or(e.edge_cap);
+            e.run()
         };
-        let clean = run(None);
-        // Every part is sketched once per sample, built or served: the sum
-        // is what the engine counted before admission (461 built + 165
-        // served on this cell); only the split moved.
-        assert_eq!(clean.sketch_builds + clean.sketch_cache_hits, 461 + 165);
+        let clean = run(None, None);
+        // Every part is hashed once per sample — where it lives, at its
+        // proxy, or served from the cache: the cap moves only the split.
+        let all_sketched = run(None, Some(0));
+        assert_eq!(
+            clean.sketch_builds + clean.sketch_cache_hits,
+            all_sketched.sketch_builds + all_sketched.sketch_cache_hits
+        );
         assert!(clean.sketch_cache_hits > 0);
-        let crashed = run(Some(FaultPlan::new(17).with_crash(1, 40)));
+        let crashed = run(Some(FaultPlan::new(17).with_crash(1, 40)), None);
         assert!(crashed.stats.recovery_rounds > 0, "the crash must fire");
         assert_eq!(crashed.labels, clean.labels);
         assert_eq!(crashed.phases, clean.phases);
@@ -1921,5 +1953,217 @@ mod tests {
             crashed.stats.total_bits - crashed.stats.retransmit_bits,
             clean.stats.total_bits
         );
+    }
+
+    /// The weighted cell the edge-cap invariants are checked on.
+    fn weighted_cell() -> ShardedGraph {
+        let g = generators::randomize_weights(&generators::gnm(300, 900, 11), 1000, 13);
+        ShardedGraph::from_graph(&g, &Partition::random_vertex(&g, 4, 7))
+    }
+
+    /// A logical stream with what the edge cap may move masked: rounds and
+    /// bits zeroed, `part_edges` counted as `part_sketch`, and a phase's
+    /// sketch counters folded into their sum.
+    fn masked(records: Vec<kmachine::trace::TraceRecord>) -> Vec<TraceEvent> {
+        use TraceEvent as E;
+        let mask = |event| match event {
+            E::Segment { name, .. } => E::Segment {
+                name,
+                rounds: 0,
+                bits: 0,
+                recovery_rounds: 0,
+                retransmit_bits: 0,
+            },
+            E::PhaseEnd {
+                phase,
+                sketch_builds,
+                sketch_cache_hits,
+                ..
+            } => E::PhaseEnd {
+                phase,
+                rounds: 0,
+                bits: 0,
+                recovery_rounds: 0,
+                retransmit_bits: 0,
+                sketch_builds: sketch_builds + sketch_cache_hits,
+                sketch_cache_hits: 0,
+            },
+            E::Rollback { phase, crashed, .. } => E::Rollback {
+                phase,
+                crashed,
+                rounds: 0,
+                bits: 0,
+                recovery_rounds: 0,
+                retransmit_bits: 0,
+            },
+            E::Superstep {
+                index,
+                messages,
+                links,
+                kinds,
+                ..
+            } => {
+                let mut merged: Vec<(String, u64)> = Vec::new();
+                for (name, count) in kinds {
+                    let name = name.replace("part_edges", "part_sketch");
+                    match merged.last_mut().filter(|(last, _)| *last == name) {
+                        Some((_, total)) => *total += count,
+                        None => merged.push((name, count)),
+                    }
+                }
+                E::Superstep {
+                    index,
+                    rounds: 0,
+                    bits: 0,
+                    messages,
+                    max_link_bits: 0,
+                    links: links.into_iter().map(|(s, d, _)| (s, d, 0)).collect(),
+                    kinds: merged,
+                }
+            }
+            E::Retransmit {
+                superstep,
+                attempt,
+                messages,
+                ..
+            } => E::Retransmit {
+                superstep,
+                attempt,
+                messages,
+                bits: 0,
+                rounds: 0,
+            },
+            other => other,
+        };
+        records.into_iter().map(|r| mask(r.event)).collect()
+    }
+
+    #[test]
+    fn shipping_edges_moves_only_rounds_and_bits() {
+        let sg = weighted_cell();
+        let chaos = FaultPlan::new(17).with_drop(0.1).with_crash(2, 9);
+        for mode in [Mode::Connectivity, Mode::Mst, Mode::SpanningForest] {
+            for contract in [false, true] {
+                for faults in [None, Some(chaos.clone())] {
+                    let cell = format!("{mode:?}/contract={contract}/faults={}", faults.is_some());
+                    let run = |cap: Option<usize>| {
+                        let cfg = EngineConfig {
+                            contract,
+                            faults: faults.clone(),
+                            trace: Tracer::recording(),
+                            ..EngineConfig::default()
+                        };
+                        let trace = cfg.trace.clone();
+                        let mut e = Engine::new(&sg, mode, 5, cfg);
+                        e.edge_cap = cap.unwrap_or(e.edge_cap);
+                        (e.run(), masked(trace.events()))
+                    };
+                    let ((shipped, stream), (sketched, all_sketch_stream)) =
+                        (run(None), run(Some(0)));
+                    assert_eq!(shipped.labels, sketched.labels, "{cell}");
+                    assert_eq!(shipped.mst_edges, sketched.mst_edges, "{cell}");
+                    assert_eq!(shipped.phases, sketched.phases, "{cell}");
+                    assert_eq!(
+                        shipped.phase_components, sketched.phase_components,
+                        "{cell}"
+                    );
+                    assert_eq!(shipped.drr_depths, sketched.drr_depths, "{cell}");
+                    let (s, a) = (&shipped.stats, &sketched.stats);
+                    assert_eq!(
+                        (s.supersteps, s.messages),
+                        (a.supersteps, a.messages),
+                        "{cell}"
+                    );
+                    assert!(s.rounds <= a.rounds, "{cell}: rounds");
+                    assert!(s.total_bits <= a.total_bits, "{cell}: bits");
+                    assert!(
+                        contract || s.total_bits < a.total_bits,
+                        "{cell}: nothing shipped"
+                    );
+                    assert!(stream == all_sketch_stream, "{cell}: masked stream");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_proxy_sums_shipped_edges_and_sketches_into_the_same_candidate() {
+        // A 1 200-leaf star with a 300-vertex tail: once the star has
+        // merged, its hub's machine holds a part above the cap (the hub
+        // alone has 1 199 half-edges) and the other machines hold leaves.
+        let star = (1..1200).map(|leaf| (0, leaf, 1));
+        let tail = (1199..1499).map(|v| (v, v + 1, 1));
+        let g = kgraph::Graph::from_edges(1500, star.chain(tail));
+        let sg = ShardedGraph::from_graph(&g, &Partition::random_vertex(&g, 4, 7));
+        let phase1 = |cap: Option<usize>| {
+            let mut e = engine(&sg, false);
+            e.edge_cap = cap.unwrap_or(e.edge_cap);
+            assert!(e.run_phase(0));
+            let fns = e.iter0_fns(1);
+            e.build_and_send_sketches(1, &fns, false);
+            // (edge lists, sketches) arriving per component.
+            let mut arrivals: FxHashMap<Label, (u32, u32)> = FxHashMap::default();
+            for env in e.machines.iter().flat_map(|st| &st.inbox) {
+                match env.payload {
+                    Payload::PartEdges { label, .. } => arrivals.entry(label).or_default().0 += 1,
+                    Payload::PartSketch { label, .. } => arrivals.entry(label).or_default().1 += 1,
+                    _ => {}
+                }
+            }
+            e.proxy_merge_sketches(&fns);
+            let candidates: Vec<(Label, Option<(u32, u32)>)> = e
+                .machines
+                .iter()
+                .flat_map(|st| det::sorted_entries(&st.proxied))
+                .map(|(label, c)| (label, c.candidate))
+                .collect();
+            (det::into_sorted_entries(arrivals), candidates)
+        };
+        let (arrivals, candidates) = phase1(None);
+        let (_, all_sketch_candidates) = phase1(Some(0));
+        let mixed = arrivals
+            .iter()
+            .find(|(_, (edges, sketches))| *edges > 0 && *sketches > 0);
+        let (label, _) = mixed.expect("the star's proxy receives both rows");
+        let candidate = candidates.iter().find(|(l, _)| l == label);
+        assert!(
+            candidate.is_some_and(|(_, c)| c.is_some()),
+            "the star samples an edge"
+        );
+        assert_eq!(candidates, all_sketch_candidates);
+    }
+
+    #[test]
+    fn cap_zero_is_the_all_sketch_ledger() {
+        // The parent commit's `rounds` / `total_bits` on this cell, when
+        // every part shipped its sketch.
+        let sg = weighted_cell();
+        let parent = [
+            (Mode::Connectivity, 1554, 8_172_942),
+            (Mode::Mst, 10_318, 47_417_971),
+        ];
+        for (mode, rounds, bits) in parent {
+            let mut e = Engine::new(&sg, mode, 5, EngineConfig::default());
+            e.edge_cap = 0;
+            let s = e.run().stats;
+            assert_eq!((s.rounds, s.total_bits), (rounds, bits), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn the_cap_is_where_a_sketch_stops_being_dearer() {
+        for (n, reps) in [(2, 1), (480, 5), (50_000, 5), (1 << 31, 1), (1 << 31, 8)] {
+            let params = SketchParams::for_graph(n, reps);
+            let l = id_bits(n);
+            let cap = edge_cap(params, l);
+            let price = |half_edges: usize| {
+                let edges = vec![(0, 0); half_edges];
+                Payload::PartEdges { label: 0, edges }.wire_bits(l)
+            };
+            let sketch = Box::new(L0Sketch::new(params));
+            let sketch = Payload::PartSketch { label: 0, sketch }.wire_bits(l);
+            assert!(price(cap - 1) < sketch && price(cap) >= sketch, "n = {n}");
+            assert!(cap >= 180, "n = {n}, reps = {reps}: cap {cap}");
+        }
     }
 }

@@ -275,6 +275,28 @@ tuple_kind!(A KA 0, B KB 1, C KC 2, D KD 3);
 /// An [`EdgeKey`]: `(weight, u, v)`.
 type Key = (Weight, VertexId, VertexId);
 
+/// A part's half-edges `(v, nb)`: a `List` of id pairs, but a varint run
+/// ships one length plus the delta-sorted keys `(v << 32) | nb` (the proxy
+/// only sums them, so their order is free).
+struct HalfEdges;
+
+impl Kind<Vec<(u32, u32)>> for HalfEdges {
+    fn naive(v: &Vec<(u32, u32)>, l: u64, lw: u64) -> u64 {
+        <List<(VertexId, VertexId)>>::naive(v, l, lw)
+    }
+    fn varint(v: &Vec<(u32, u32)>, run: &mut Run) {
+        let key = |&(a, b): &(u32, u32)| u64::from(a) << 32 | u64::from(b);
+        let mut keys: Vec<u64> = v.iter().map(key).collect();
+        run.plain += varint_bits(v.len() as u64) + delta_varint_bits(&mut keys);
+    }
+    fn put(v: &Vec<(u32, u32)>, out: &mut Vec<u8>) {
+        <List<(VertexId, VertexId)>>::put(v, out);
+    }
+    fn get(r: &mut WireReader<'_>, field: &'static str) -> Result<Vec<(u32, u32)>, WireError> {
+        <List<(VertexId, VertexId)>>::get(r, field)
+    }
+}
+
 /// `TestBatch.count` — irregular: the message stands for `count` edge tests
 /// of `3·l` bits each, so it is already an aggregate and never joins a
 /// varint run ([`varint_batch_bits`] charges it its fixed-width bits).
@@ -656,6 +678,15 @@ payload_table! {
             /// The piece on the candidate's far side.
             to_piece: Label as LabelId,
         },
+        /// A component part's half-edges instead of its sketch, machine →
+        /// component proxy, when they are fewer bits (the proxy sketches
+        /// them itself; DESIGN.md §3.3).
+        PartEdges = "part_edges" {
+            /// The component label this part belongs to.
+            label: Label as By<LabelId>,
+            /// The half-edges the part's sketch would hash, as `(v, nb)`.
+            edges: Vec<(u32, u32)> as HalfEdges,
+        },
     }
 }
 
@@ -938,6 +969,10 @@ mod tests {
                 piece: 1,
                 key: (2, 3, 4),
                 to_piece: 5,
+            },
+            Payload::PartEdges {
+                label: 5,
+                edges: vec![(7, 3), (7, 900), (2, 7)],
             },
         ]
     }

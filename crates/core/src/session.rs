@@ -278,7 +278,7 @@ pub struct RunReport {
     /// probes for min cut, graph-rounds for flooding, `0` where the notion
     /// does not apply (e.g. the referee's single collection).
     pub phases: u32,
-    /// Part sketches built from scratch (`0` for sketch-free problems).
+    /// Part sketches hashed from edges, anywhere (`0` for sketch-free problems).
     pub sketch_builds: u64,
     /// Part sketches served from the incremental cache.
     pub sketch_cache_hits: u64,

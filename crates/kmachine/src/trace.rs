@@ -158,7 +158,7 @@ event_table! {
             recovery_rounds: u64,
             /// Retransmitted bits within `bits`.
             retransmit_bits: u64,
-            /// Part sketches built from scratch during the phase.
+            /// Part sketches hashed from edges during the phase (anywhere).
             sketch_builds: u64,
             /// Part sketches served from the incremental cache.
             sketch_cache_hits: u64,
