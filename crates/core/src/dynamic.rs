@@ -1127,8 +1127,8 @@ impl DynamicCluster {
                 .iter()
                 .map(|lab| engine_label_set.contains(lab))
                 .collect();
-            // Contraction densifies label ids but the MST is unique either
-            // way; the restricted run keeps the plain path.
+            // The MST is unique with or without contraction; the restricted
+            // run keeps the plain path.
             let ecfg = EngineConfig {
                 contract: false,
                 ..cfg.clone()
@@ -1217,10 +1217,11 @@ impl DynamicCluster {
                 self.state = Some(state);
                 self.cached()
             }
-            // Supergraph contraction densifies the label space with global
-            // prefix sums, so a restricted run's dense ids (and hence its
-            // merge trajectory) differ from the full run's. Splicing would
-            // mix two merge histories; refresh fully instead.
+            // Contraction keeps every decision keyed by labels and
+            // `home(label)`, so a restricted contracted run should replay
+            // its components' full-run trajectory, but no test shows when
+            // that splice identity holds or breaks: `tests/dynamic.rs` has
+            // no `contract: true` cell. Until one pins it, refresh fully.
             Some(old) if !cfg.contract => {
                 let mask: Vec<bool> = old
                     .labels

@@ -145,8 +145,8 @@ pub struct EngineConfig {
     /// are armed whenever the plan schedules a crash.
     pub faults: Option<FaultPlan>,
     /// Supergraph contraction after phase 0 (DESIGN.md §3.11): later
-    /// phases compute exact local MWOEs on the deduped supergraph with
-    /// `⌈log₂ n'⌉`-bit labels — same outputs, no sketches.
+    /// phases compute exact local MWOEs on the deduped supergraph — same
+    /// outputs, no sketches.
     pub contract: bool,
     /// Wire encoding the superstep layer charges bandwidth under.
     /// Accounting only — never the trajectory or outputs.
@@ -256,8 +256,6 @@ struct PhaseCheckpoint {
     cached_fns: Option<(u32, Arc<SketchFns>)>,
     /// Whether the supergraph had been built at the boundary.
     contracted: bool,
-    /// The live label-space size `n'` at the boundary.
-    n_active: usize,
 }
 
 /// One contracted component (§3.11), stored at its owner machine
@@ -433,9 +431,6 @@ struct Cx<'g> {
     n: usize,
     /// Whether the supergraph has been built (contracted phases active).
     contracted: bool,
-    /// Size of the live label space `n'` (`= n` until contraction); label
-    /// fields are priced at `⌈log₂ n'⌉` (`Net::set_label_width`).
-    n_active: usize,
     shared: SharedRandomness,
     scheme: ProxyScheme,
     params: SketchParams,
@@ -522,7 +517,6 @@ impl<'g> Engine<'g> {
                 k,
                 n,
                 contracted: false,
-                n_active: n,
                 shared,
                 scheme: ProxyScheme::new(shared, k),
                 params,
@@ -753,7 +747,6 @@ impl<'g> Engine<'g> {
             epoch_salt: self.epoch_salt,
             cached_fns: self.cached_fns.clone(),
             contracted: self.cx.contracted,
-            n_active: self.cx.n_active,
         }
     }
 
@@ -779,8 +772,6 @@ impl<'g> Engine<'g> {
         self.epoch_salt = cp.epoch_salt;
         self.cached_fns = cp.cached_fns.clone();
         self.cx.contracted = cp.contracted;
-        self.cx.n_active = cp.n_active;
-        self.net.set_label_width(id_bits(cp.n_active));
     }
 
     // ------------------------------------------------------------------
@@ -875,8 +866,7 @@ impl<'g> Engine<'g> {
     /// steps: once the supergraph exists, selection is an exact local MWOE
     /// (no sketches, no probes, no Monte-Carlo), pointer jumping is routed
     /// to label owners and runs to *full* convergence, and the merge moves
-    /// supernode state and re-densifies so the next phase addresses
-    /// `⌈log₂ n'⌉`-bit ids.
+    /// the state of the merging supernodes to their roots' owners.
     fn run_phase(&mut self, p: u32) -> bool {
         if self.cfg.contract && p >= 1 && !self.cx.contracted {
             self.build_supergraph();
@@ -891,7 +881,6 @@ impl<'g> Engine<'g> {
         self.pointer_jump(p);
         if self.cx.contracted {
             self.super_merge();
-            self.densify_and_rehome();
         } else {
             self.relabel();
         }
@@ -1312,24 +1301,24 @@ impl<'g> Engine<'g> {
     // ------------------------------------------------------------------
 
     /// Builds the supergraph from the current vertex labels, once, at the
-    /// first contracted phase. Every machine pushes its home vertices'
-    /// labels across their incident edges (both directions); each
-    /// inter-component edge is surfaced exactly once — at the home of its
-    /// smaller original endpoint — and sent to *both* component owners, so
-    /// supernode adjacency is symmetric from the start; owners min-merge
-    /// multi-edges by the tie-free original-edge key (dedup keeps the
-    /// lightest, and its original endpoints ride along so MST output stays
-    /// exact); and machines announce which components they host parts of,
-    /// so merges can be broadcast back into the vertex space. Ends with a
-    /// densification, after which labels live in `[0, n')` and every
-    /// subsequent label field is charged `⌈log₂ n'⌉` bits.
+    /// first contracted phase. Along every edge `{u, v}` with `v < u`,
+    /// `home(u)` pushes `u`'s label to `home(v)`, so each inter-component
+    /// edge is surfaced exactly once — at the home of its smaller original
+    /// endpoint — and sent to *both* component owners, so supernode
+    /// adjacency is symmetric from the start; owners min-merge multi-edges
+    /// by the tie-free original-edge key (dedup keeps the lightest, and its
+    /// original endpoints ride along so MST output stays exact); and
+    /// machines announce which components they host parts of, so merges can
+    /// be broadcast back into the vertex space. A component keeps its label,
+    /// the id of one of its own vertices, and its supernode lives at
+    /// `home(label)`.
     fn build_supergraph(&mut self) {
-        // Superstep 1: push labels across every edge.
+        // Superstep 1: push labels across every edge, from its larger end.
         self.step(|cx, st, _, out| {
             let view = cx.g.view(st.id);
             for &u in &st.verts {
                 let label = st.dur.labels[&u];
-                for &(v, weight) in view.neighbors(u) {
+                for &(v, weight) in view.neighbors(u).iter().filter(|&&(v, _)| v < u) {
                     let push = Payload::LabelPush {
                         u,
                         v,
@@ -1340,9 +1329,8 @@ impl<'g> Engine<'g> {
                 }
             }
         });
-        // Superstep 2: receivers surface each crossing edge once (only the
-        // smaller endpoint's home creates it — the push from the larger
-        // endpoint) and announce the components they host.
+        // Superstep 2: receivers surface each crossing edge and announce the
+        // components they host.
         self.step(|cx, st, inbox, out| {
             let part = cx.g.partition();
             for env in inbox {
@@ -1354,7 +1342,7 @@ impl<'g> Engine<'g> {
                 } = env.payload
                 {
                     let mine = st.dur.labels[&v];
-                    if mine != label && v < u {
+                    if mine != label {
                         let (ou, ov) = (v, u);
                         for (a, b) in [(mine, label), (label, mine)] {
                             let edge = Payload::SuperEdge {
@@ -1408,87 +1396,26 @@ impl<'g> Engine<'g> {
         });
         self.cx.contracted = true;
         self.cached_fns = None;
-        self.densify_and_rehome();
-    }
-
-    /// Renumbers the live components into the dense space `[0, n')` and
-    /// re-homes every supernode to `home(dense id)`. Protocol: per-machine
-    /// supernode counts to M0; M0 replies with each machine's contiguous
-    /// base block and the new label-space size; each machine assigns
-    /// `dense = base + rank` by sorted old label, and
-    /// [`Engine::rename_and_move`] announces the renames and ships each
-    /// supernode to its dense home. The whole exchange is charged at the
-    /// pre-densification label width; `lw` shrinks to `⌈log₂ n'⌉` only once
-    /// the new space is live.
-    fn densify_and_rehome(&mut self) {
-        // Superstep A: counts to M0.
-        self.step_on(0..self.cx.k, |_, st, _, out| {
-            let count = st.dur.supers.len() as u64;
-            out.send(0, Payload::CountReport { count });
-        });
-        // Superstep B: M0 computes prefix bases in machine order.
-        let mut total = 0u64;
-        self.step_on(0..1, |cx, _, inbox, out| {
-            let mut counts = vec![0u64; cx.k];
-            for env in inbox {
-                if let Payload::CountReport { count } = env.payload {
-                    counts[env.src] = count;
-                }
-            }
-            total = counts.iter().sum();
-            let mut base = 0u64;
-            for (dst, &c) in counts.iter().enumerate() {
-                out.send(dst, Payload::DenseBase { base, total });
-                base += c;
-            }
-        });
-        // Every machine assigns `dense = base + rank` by sorted old label;
-        // every supernode is renamed, so every supernode moves.
-        self.rename_and_move(|_, st, inbox| {
-            let base = inbox.iter().find_map(|env| match env.payload {
-                Payload::DenseBase { base, .. } => Some(base),
-                _ => None,
-            });
-            let base = base.expect("M0 sent every machine its base");
-            det::sorted_keys(&st.dur.supers)
-                .into_iter()
-                .zip(base..)
-                .collect()
-        });
-        self.cx.n_active = total.max(1) as usize;
-        self.net.set_label_width(id_bits(self.cx.n_active));
     }
 
     /// Supergraph merge: each merging supernode emits its output edge
-    /// (original endpoints) and is renamed to its root — whose owner absorbs
-    /// its state — through [`Engine::rename_and_move`].
+    /// (original endpoints), takes its root's label and moves to the root's
+    /// owner; every other supernode stays where it is. Superstep 1 travels
+    /// among the current owners: each merging supernode tells every
+    /// neighbor's owner its new label (`SuperRelabel` — symmetric adjacency
+    /// guarantees each owner hears about exactly the labels in its adjacency
+    /// lists) and its hosting machines the vertex-space relabel — all
+    /// *before* any state moves. Superstep 2: every owner rewrites its
+    /// adjacency lists under the received renames — distinct old keys may
+    /// collapse onto one root and min-merge — and only then do the merging
+    /// supernodes ship their state to `home(root)`. Finally the roots'
+    /// owners absorb the moves and drop the self-loops a merge created
+    /// (edges whose two sides took the same label — exactly the
+    /// intra-component edges contraction discards).
     fn super_merge(&mut self) {
-        self.rename_and_move(|cx, st, _| merging(cx, st));
-    }
-
-    /// The announce → rename → ship → absorb exchange behind both
-    /// [`Engine::super_merge`] (merging supernodes take their root's label)
-    /// and [`Engine::densify_and_rehome`] (every supernode takes its dense
-    /// id). `renames` lists a machine's `(old, new)` pairs for supernodes
-    /// it owns, in sorted `old` order. Superstep 1 travels among the *old*
-    /// owners: each renamed supernode tells every neighbor's owner its new
-    /// label (`SuperRelabel` — symmetric adjacency guarantees each owner
-    /// hears about exactly the labels in its adjacency lists) and its
-    /// hosting machines the vertex-space relabel — all *before* any state
-    /// moves. Superstep 2: every owner rewrites its adjacency lists under
-    /// the received renames — distinct old keys may collapse onto one new
-    /// label and min-merge — and only then do the renamed supernodes ship
-    /// their state to `home(new)`. Finally the new owners absorb the moves
-    /// and drop the self-loops a merge created (edges whose two sides took
-    /// the same label — exactly the intra-component edges contraction
-    /// discards).
-    fn rename_and_move(
-        &mut self,
-        renames: impl Fn(&Cx, &mut MachineState, Mail) -> Vec<(Label, Label)> + Sync,
-    ) {
-        self.step(|cx, st, inbox, out| {
+        self.step(|cx, st, _, out| {
             let part = cx.g.partition();
-            for (old, new) in renames(cx, st, inbox) {
+            for (old, new) in merging(cx, st) {
                 let node = &st.dur.supers[&old];
                 let mut dsts: Vec<usize> = det::sorted_keys(&node.adj)
                     .into_iter()
@@ -1766,8 +1693,7 @@ mod tests {
             k,
             "the predicate runs once per machine: it shares the up-send's step"
         );
-        let Price { l, lw } = e.net.price();
-        let flag_bits = Payload::Flag { bit: true }.wire_bits_lw(l, lw);
+        let flag_bits = Payload::Flag { bit: true }.wire_bits(e.net.price().l);
         let loads = &e.net.stats().superstep_loads;
         assert_eq!(loads.len(), 2, "up to M0, then M0's broadcast");
         for load in loads {
@@ -2164,6 +2090,78 @@ mod tests {
             let sketch = Payload::PartSketch { label: 0, sketch }.wire_bits(l);
             assert!(price(cap - 1) < sketch && price(cap) >= sketch, "n = {n}");
             assert!(cap >= 180, "n = {n}, reps = {reps}: cap {cap}");
+        }
+    }
+
+    /// How many `kind` messages the superstep records carry.
+    fn sent(records: &[kmachine::trace::TraceRecord], kind: &str) -> u64 {
+        let count = |r: &kmachine::trace::TraceRecord| match &r.event {
+            TraceEvent::Superstep { kinds, .. } => kinds
+                .iter()
+                .filter(|(k, _)| k == kind)
+                .map(|(_, c)| c)
+                .sum(),
+            _ => 0,
+        };
+        records.iter().map(count).sum()
+    }
+
+    #[test]
+    fn contracted_components_keep_their_labels_and_only_merging_supernodes_move() {
+        let sg = weighted_cell();
+        let part = sg.partition();
+        for mode in [Mode::Connectivity, Mode::Mst, Mode::SpanningForest] {
+            let cfg = EngineConfig {
+                contract: true,
+                trace: Tracer::recording(),
+                ..EngineConfig::default()
+            };
+            let trace = cfg.trace.clone();
+            let mut e = Engine::new(&sg, mode, 5, cfg);
+            let label_of =
+                |e: &Engine, v: Label| e.machines[part.home(v as u32)].dur.labels[&(v as u32)];
+            assert!(e.run_phase(0));
+            let mut p = 1;
+            loop {
+                let mark = trace.mark();
+                let mut live: Vec<Label> = e
+                    .machines
+                    .iter()
+                    .flat_map(|st| det::distinct_values(&st.dur.labels))
+                    .collect();
+                live.sort_unstable();
+                live.dedup();
+                let progressed = e.run_phase(p);
+                let phase = trace.events_since(mark);
+                if p == 1 {
+                    // One push per edge, from its larger endpoint's home.
+                    let pushes = sent(&phase, "label_push");
+                    assert!(pushes > 0 && pushes <= sg.total_half_edges() as u64 / 2);
+                }
+                // A merging supernode `ℓ` is renamed to its root, which
+                // vertex `ℓ` is now labeled with; it moves to the root's
+                // owner, over the wire unless that is its own owner (a local
+                // send is free and untraced). Nothing else moves.
+                let merged = live.iter().map(|&l| (l, label_of(&e, l)));
+                let merged: Vec<_> = merged.filter(|&(l, root)| l != root).collect();
+                assert_eq!(merged.len(), live.len() - e.count_labels());
+                let remote = merged
+                    .iter()
+                    .filter(|&&(l, root)| part.home(l as u32) != part.home(root as u32));
+                let remote = remote.count() as u64;
+                assert_eq!(sent(&phase, "super_move"), remote, "{mode:?} phase {p}");
+                for st in &e.machines {
+                    for &label in st.dur.supers.keys() {
+                        assert_eq!(part.home(label as u32), st.id, "{mode:?} phase {p}");
+                        assert_eq!(st.dur.labels[&(label as u32)], label, "{mode:?} phase {p}");
+                    }
+                }
+                if !progressed {
+                    break;
+                }
+                p += 1;
+            }
+            assert!(p > 2, "{mode:?}: at least two contracted phases ran");
         }
     }
 }

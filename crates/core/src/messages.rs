@@ -2,15 +2,12 @@
 //!
 //! Every message is one row of the [`Payload`] table. A row names each
 //! field's *kind* once, and a kind says what the field costs and how it is
-//! written: vertex ids cost `⌈log₂ n⌉` bits, component labels `⌈log₂ n'⌉`
-//! bits where `n'` is the size of the current (possibly contracted) label
-//! space, weights 32 bits, sketches their `polylog(n)` size
+//! written: vertex ids and component labels (the id of a member vertex)
+//! cost `⌈log₂ n⌉` bits, weights 32 bits, sketches their `polylog(n)` size
 //! ([`ksketch::SketchParams::wire_bits`]), plus a flat 16-bit type tag per
 //! message. From the row the table generates the fixed-width charge
-//! [`Payload::wire_bits_lw`] — which needs the vertex id width
-//! `L = ⌈log₂ n⌉` and the label width `Lw = ⌈log₂ n'⌉` as context
-//! ([`Payload::wire_bits`] is the uncontracted `Lw = L` special case) — the
-//! byte codec, the wire tag and the trace kind name.
+//! [`Payload::wire_bits`] — which needs the id width `L = ⌈log₂ n⌉` as
+//! context — the byte codec, the wire tag and the trace kind name.
 //!
 //! Under [`kmachine::message::Encoding::Varint`] a directed link's batch is
 //! charged by [`kmachine::message::BatchWire`] instead: per-variant runs
@@ -50,8 +47,8 @@ struct Run {
 /// decides this once; [`payload_table!`] folds the four functions over a
 /// row's fields to get the message's charge, run price and codec.
 trait Kind<T> {
-    /// Bits under the fixed-width model: vertex ids `l` wide, labels `lw`.
-    fn naive(v: &T, l: u64, lw: u64) -> u64;
+    /// Bits under the fixed-width model: ids and labels `l` wide.
+    fn naive(v: &T, l: u64) -> u64;
     /// Adds the field to its variant's varint run.
     fn varint(v: &T, run: &mut Run);
     /// Appends the field's bytes — the *physical* encoding of the process
@@ -75,11 +72,11 @@ fn narrow<T: TryFrom<u64>>(
 /// An unsigned integer kind: a fixed width under the naive model, one
 /// LEB128 varint in a run and on the mesh.
 macro_rules! uint_kind {
-    ($(#[$doc:meta])* $Kind:ident($T:ident) = |$l:ident, $lw:ident| $bits:expr) => {
+    ($(#[$doc:meta])* $Kind:ident($T:ident) = |$l:ident| $bits:expr) => {
         $(#[$doc])*
         struct $Kind;
         impl Kind<$T> for $Kind {
-            fn naive(_: &$T, $l: u64, $lw: u64) -> u64 {
+            fn naive(_: &$T, $l: u64) -> u64 {
                 $bits
             }
             fn varint(v: &$T, run: &mut Run) {
@@ -96,20 +93,20 @@ macro_rules! uint_kind {
 }
 
 uint_kind! {
-    /// A component label: `lw = ⌈log₂ n'⌉` bits.
-    LabelId(u64) = |_l, lw| lw
+    /// A component label, the id of one of its member vertices: `l` bits.
+    LabelId(u64) = |l| l
 }
 uint_kind! {
     /// An original vertex id: `l = ⌈log₂ n⌉` bits.
-    VertexId(u32) = |l, _lw| l
+    VertexId(u32) = |l| l
 }
 uint_kind! {
     /// An edge weight or a counter: 32 bits.
-    Weight(u64) = |_l, _lw| 32
+    Weight(u64) = |_l| 32
 }
 uint_kind! {
     /// A machine id: 16 bits whatever `k` is.
-    MachineId(u16) = |_l, _lw| 16
+    MachineId(u16) = |_l| 16
 }
 
 /// Marks the one field per row that the destination groups by: a varint
@@ -118,8 +115,8 @@ uint_kind! {
 struct By<K>(K);
 
 impl<T: Copy + Into<u64>, K: Kind<T>> Kind<T> for By<K> {
-    fn naive(v: &T, l: u64, lw: u64) -> u64 {
-        K::naive(v, l, lw)
+    fn naive(v: &T, l: u64) -> u64 {
+        K::naive(v, l)
     }
     fn varint(v: &T, run: &mut Run) {
         run.sorted.push((*v).into());
@@ -136,7 +133,7 @@ impl<T: Copy + Into<u64>, K: Kind<T>> Kind<T> for By<K> {
 struct Bit;
 
 impl Kind<bool> for Bit {
-    fn naive(_: &bool, _l: u64, _lw: u64) -> u64 {
+    fn naive(_: &bool, _l: u64) -> u64 {
         1
     }
     fn varint(_: &bool, run: &mut Run) {
@@ -161,7 +158,7 @@ impl Kind<bool> for Bit {
 struct Sketch;
 
 impl Kind<Box<L0Sketch>> for Sketch {
-    fn naive(s: &Box<L0Sketch>, _l: u64, _lw: u64) -> u64 {
+    fn naive(s: &Box<L0Sketch>, _l: u64) -> u64 {
         s.wire_bits()
     }
     fn varint(s: &Box<L0Sketch>, run: &mut Run) {
@@ -203,8 +200,8 @@ impl Kind<Box<L0Sketch>> for Sketch {
 struct Opt<K>(K);
 
 impl<T, K: Kind<T>> Kind<Option<T>> for Opt<K> {
-    fn naive(v: &Option<T>, l: u64, lw: u64) -> u64 {
-        1 + v.as_ref().map_or(0, |x| K::naive(x, l, lw))
+    fn naive(v: &Option<T>, l: u64) -> u64 {
+        1 + v.as_ref().map_or(0, |x| K::naive(x, l))
     }
     fn varint(v: &Option<T>, run: &mut Run) {
         run.plain += 1;
@@ -223,16 +220,17 @@ impl<T, K: Kind<T>> Kind<Option<T>> for Opt<K> {
     }
 }
 
-/// A list field: charged as the sum of its elements with **no length** in
-/// either charged encoding (a known under-charge of the varint model,
-/// DESIGN.md §3.11); length-prefixed on the mesh, which has to delimit it.
+/// A list field: the sum of its elements under the fixed-width model; a
+/// varint run and the mesh both write its length first, since a decodable
+/// buffer has to delimit it.
 struct List<K>(K);
 
 impl<T, K: Kind<T>> Kind<Vec<T>> for List<K> {
-    fn naive(v: &Vec<T>, l: u64, lw: u64) -> u64 {
-        v.iter().map(|x| K::naive(x, l, lw)).sum()
+    fn naive(v: &Vec<T>, l: u64) -> u64 {
+        v.iter().map(|x| K::naive(x, l)).sum()
     }
     fn varint(v: &Vec<T>, run: &mut Run) {
+        run.plain += varint_bits(v.len() as u64);
         for x in v {
             K::varint(x, run);
         }
@@ -252,8 +250,8 @@ impl<T, K: Kind<T>> Kind<Vec<T>> for List<K> {
 macro_rules! tuple_kind {
     ($($T:ident $K:ident $i:tt),+) => {
         impl<$($T, $K: Kind<$T>),+> Kind<($($T,)+)> for ($($K,)+) {
-            fn naive(v: &($($T,)+), l: u64, lw: u64) -> u64 {
-                [$($K::naive(&v.$i, l, lw)),+].iter().sum()
+            fn naive(v: &($($T,)+), l: u64) -> u64 {
+                [$($K::naive(&v.$i, l)),+].iter().sum()
             }
             fn varint(v: &($($T,)+), run: &mut Run) {
                 $($K::varint(&v.$i, run);)+
@@ -281,8 +279,8 @@ type Key = (Weight, VertexId, VertexId);
 struct HalfEdges;
 
 impl Kind<Vec<(u32, u32)>> for HalfEdges {
-    fn naive(v: &Vec<(u32, u32)>, l: u64, lw: u64) -> u64 {
-        <List<(VertexId, VertexId)>>::naive(v, l, lw)
+    fn naive(v: &Vec<(u32, u32)>, l: u64) -> u64 {
+        <List<(VertexId, VertexId)>>::naive(v, l)
     }
     fn varint(v: &Vec<(u32, u32)>, run: &mut Run) {
         let key = |&(a, b): &(u32, u32)| u64::from(a) << 32 | u64::from(b);
@@ -303,7 +301,7 @@ impl Kind<Vec<(u32, u32)>> for HalfEdges {
 struct Tests;
 
 impl Kind<u64> for Tests {
-    fn naive(count: &u64, l: u64, _lw: u64) -> u64 {
+    fn naive(count: &u64, l: u64) -> u64 {
         count * 3 * l
     }
     fn varint(_: &u64, _: &mut Run) {
@@ -320,7 +318,7 @@ impl Kind<u64> for Tests {
 /// Generates everything per-variant from one table. Each row reads
 /// `Variant = "trace_kind" { field: Type as Kind, .. }` and yields the enum
 /// variant itself, its wire tag (row order — never reorder rows), its
-/// [`BatchWire::kind_name`], and one arm each of [`Payload::wire_bits_lw`],
+/// [`BatchWire::kind_name`], and one arm each of [`Payload::wire_bits`],
 /// the varint run fold, [`WireCodec::encode`] and [`WireCodec::decode`].
 macro_rules! payload_table {
     (
@@ -354,17 +352,12 @@ macro_rules! payload_table {
         const N_KINDS: usize = [$($kind),+].len();
 
         impl $Payload {
-            /// The wire size given the vertex id width `l = ⌈log₂ n⌉` and the
-            /// component label width `lw = ⌈log₂ n'⌉`. After supergraph
-            /// contraction the live label space shrinks to `n' ≤ n` components, so
-            /// every label field is charged `lw` bits while original vertex ids
-            /// (which MST outputs and probes still need) stay at `l` bits.
-            /// Charging labels the full `l` after contraction overstates the bits
-            /// — the satellite-audit bug this signature exists to prevent.
-            pub fn wire_bits_lw(&self, l: u64, lw: u64) -> u64 {
+            /// The wire size given the id width `l = ⌈log₂ n⌉` bits, which
+            /// vertex ids and component labels alike are charged.
+            pub fn wire_bits(&self, l: u64) -> u64 {
                 match self {$(
                     $Payload::$Variant {$($field,)+} => {
-                        TAG_BITS $(+ <$K as Kind<$T>>::naive($field, l, lw))+
+                        TAG_BITS $(+ <$K as Kind<$T>>::naive($field, l))+
                     }
                 )+}
             }
@@ -392,15 +385,13 @@ macro_rules! payload_table {
             /// pays the 16-bit tag once plus a varint count; its `By` field (the
             /// label or vertex the destination groups by) travels delta-sorted
             /// as a varint stream, every other field as a plain varint; flags
-            /// are one bit; sketches keep their raw wire size.
+            /// are one bit; sketches keep their raw wire size; lists pay a
+            /// varint length before their elements.
             /// [`Payload::TestBatch`] is already an aggregate: it opens no run
             /// and pays its fixed-width envelope bits.
             ///
             /// No id-width context is needed, which is what makes this the
-            /// *charged* size rather than a model bound — but it is not a
-            /// decodable format: list fields are priced as the sum of their
-            /// elements with no per-message length, which the byte codec does
-            /// have to write (DESIGN.md §3.11).
+            /// *charged* size rather than a model bound.
             fn batch_wire_bits(batch: &[&Envelope<Self>]) -> u64 {
                 varint_batch_bits(batch)
             }
@@ -607,33 +598,24 @@ payload_table! {
             /// Machines hosting parts of the component.
             parts: Vec<u16> as List<MachineId>,
         },
-        /// Supergraph maintenance: component `old` is now addressed as `new`
-        /// (after a merge or a dense renaming), sent to owners storing `old`
-        /// in an adjacency list.
+        /// Supergraph merge: component `old` is now addressed as its root
+        /// `new`, sent to owners storing `old` in an adjacency list.
         SuperRelabel = "super_relabel" {
             /// The label being retired.
             old: Label as By<LabelId>,
             /// Its replacement.
             new: Label as LabelId,
         },
-        /// Supergraph re-homing: a supernode's full owner state moves to the
-        /// machine that owns its (new) label.
+        /// Supergraph merge: a merging supernode's full owner state moves to
+        /// the machine that owns its root's label.
         SuperMove = "super_move" {
-            /// The supernode's label (already in the destination's space).
+            /// The root's label, which the supernode now carries.
             label: Label as By<LabelId>,
             /// Machines hosting original vertices of the component.
             parts: Vec<u16> as List<MachineId>,
             /// Deduped adjacency: `(neighbor label, weight, ou, ov)` of the
             /// lightest original edge crossing to that neighbor.
             adj: Vec<(Label, u64, u32, u32)> as List<(LabelId, Weight, VertexId, VertexId)>,
-        },
-        /// Dense renaming: the coordinator assigns each machine the base of
-        /// its contiguous block of new labels, and the new label-space size.
-        DenseBase = "dense_base" {
-            /// First new label owned by the destination machine.
-            base: u64 as LabelId,
-            /// Total number of live components (the new `n'`).
-            total: u64 as LabelId,
         },
         /// Incremental MST insert pass: a freshly inserted edge routed to its
         /// component's owner for cycle-edge replacement (find the max-weight
@@ -687,14 +669,6 @@ payload_table! {
             /// The half-edges the part's sketch would hash, as `(v, nb)`.
             edges: Vec<(u32, u32)> as HalfEdges,
         },
-    }
-}
-
-impl Payload {
-    /// The wire size given the id width `l = ⌈log₂ n⌉` bits, with labels
-    /// charged at the same width (the uncontracted case).
-    pub fn wire_bits(&self, l: u64) -> u64 {
-        self.wire_bits_lw(l, l)
     }
 }
 
@@ -791,25 +765,6 @@ mod tests {
     fn id_bits_matches_bandwidth_helper() {
         assert_eq!(id_bits(1 << 16), 16);
         assert_eq!(id_bits((1 << 16) + 1), 17);
-    }
-
-    #[test]
-    fn label_width_shrinks_label_fields_only() {
-        let q = Payload::PtrQuery {
-            asker: 1,
-            target: 2,
-        };
-        // Both fields are labels: full width at lw = l, narrow after.
-        assert_eq!(q.wire_bits_lw(20, 20), q.wire_bits(20));
-        assert_eq!(q.wire_bits_lw(20, 3), 16 + 6);
-        // A probe keeps its vertex ids at l; only the component narrows.
-        let p = Payload::EdgeProbe {
-            comp: 9,
-            ask: 1,
-            other: 2,
-        };
-        assert_eq!(p.wire_bits_lw(20, 20), p.wire_bits(20));
-        assert_eq!(p.wire_bits_lw(20, 3), 16 + 3 + 40);
     }
 
     #[test]
@@ -946,7 +901,6 @@ mod tests {
                 parts: vec![2],
                 adj: vec![(3, 4, 5, 6), (7, 8, 9, 10)],
             },
-            Payload::DenseBase { base: 1, total: 2 },
             Payload::MstCycleEdge {
                 comp: 1,
                 u: 2,
@@ -978,28 +932,27 @@ mod tests {
     }
 
     /// The whole ledger and codec, pinned: per exemplar its trace kind, the
-    /// fixed-width charge at two `(l, lw)` points, the varint price of a
+    /// fixed-width charge at two id widths, the varint price of a
     /// three-copy run and the encoded bytes; then one mixed batch holding
     /// every exemplar twice. The fixture was generated from the hand-written
     /// per-variant matches this table replaced — regenerate it by hand, and
-    /// only in a PR that means to move the ledger.
+    /// only in a change that means to move the ledger.
     #[test]
     fn ledger_and_codec_match_the_golden_fixture() {
         let all = one_of_each();
-        let envelope = |p: &Payload| Envelope::with_bits(0, 1, p.clone(), p.wire_bits_lw(12, 12));
+        let envelope = |p: &Payload| Envelope::with_bits(0, 1, p.clone(), p.wire_bits(12));
         let batch_bits =
             |envs: &[Envelope<Payload>]| Payload::batch_wire_bits(&envs.iter().collect::<Vec<_>>());
         let mut actual = String::new();
         for p in &all {
-            assert_eq!(p.wire_bits(12), p.wire_bits_lw(12, 12), "{p:?}");
             let mut bytes = Vec::new();
             p.encode(&mut bytes);
             let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
             actual.push_str(&format!(
                 "{} {} {} {} {hex}\n",
                 p.kind_name(),
-                p.wire_bits_lw(12, 12),
-                p.wire_bits_lw(20, 7),
+                p.wire_bits(12),
+                p.wire_bits(20),
                 batch_bits(&[envelope(p), envelope(p), envelope(p)]),
             ));
         }

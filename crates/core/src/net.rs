@@ -40,20 +40,17 @@ impl std::ops::Sub for Ledger {
     }
 }
 
-/// The widths a message is priced at: vertex ids at `l = ⌈log₂ n⌉`, label
-/// fields at the live `lw = ⌈log₂ n'⌉` (`= l` until contraction shrinks
-/// the label space — charging `l` for a supergraph id overstates bits).
+/// The width a message is priced at: ids and labels at `l = ⌈log₂ n⌉`.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Price {
     pub(crate) l: u64,
-    pub(crate) lw: u64,
 }
 
 impl Price {
     /// Wraps `payload` for the link `src → dst` — the one place a message
-    /// meets its [`Payload::wire_bits_lw`] charge.
+    /// meets its [`Payload::wire_bits`] charge.
     fn wrap(self, src: usize, dst: usize, payload: Payload) -> Envelope<Payload> {
-        let bits = payload.wire_bits_lw(self.l, self.lw);
+        let bits = payload.wire_bits(self.l);
         Envelope::with_bits(src, dst, payload, bits)
     }
 
@@ -116,24 +113,18 @@ impl Net {
             bsp.set_transport(make_transport(cfg.transport, k));
         }
         bsp.set_tracer(cfg.trace.clone());
-        let l = id_bits(n);
         Net {
             bsp,
             trace: cfg.trace.clone(),
-            price: Price { l, lw: l },
+            price: Price { l: id_bits(n) },
             charge_shared: cfg.charge_shared_randomness,
             out: Vec::new(),
         }
     }
 
-    /// The live pricing widths.
+    /// The pricing width.
     pub(crate) fn price(&self) -> Price {
         self.price
-    }
-
-    /// Re-prices label fields at `lw` bits (densification, rollback).
-    pub(crate) fn set_label_width(&mut self, lw: u64) {
-        self.price.lw = lw;
     }
 
     /// Queues `payload` on the link `src → dst` for the next exchange and
@@ -303,26 +294,5 @@ mod tests {
             .iter()
             .filter(|r| matches!(r.event, TraceEvent::Superstep { .. }));
         assert_eq!(supersteps.count(), 1, "the tracer is installed");
-    }
-
-    #[test]
-    fn sends_are_priced_at_the_live_label_width_after_densification() {
-        let mut net = Net::new(&EngineConfig::default(), 4, 200);
-        let l = net.price().l;
-        let lw = id_bits(9);
-        assert!(lw < l, "the label space must have shrunk: {lw} vs {l}");
-        let relabel = Payload::Relabel { old: 1, new: 0 };
-        assert_eq!(net.send(0, 1, relabel.clone()), relabel.wire_bits(l));
-        net.set_label_width(lw);
-        // Both halves of the pricing — coordinator sends and machine
-        // outboxes — read the same live widths.
-        let charged = net.send(0, 1, relabel.clone());
-        let mut out = net.price().out(0, Vec::new());
-        out.send(1, relabel.clone());
-        assert_eq!(out.into_mail()[0].bits, charged);
-        assert_eq!(charged, relabel.wire_bits_lw(l, lw));
-        assert!(charged < relabel.wire_bits(l));
-        net.exchange();
-        assert_eq!(net.stats().total_bits, relabel.wire_bits(l) + charged);
     }
 }

@@ -3,8 +3,8 @@
 //! Contraction is a pure round/bit optimization: after phase 0's Borůvka
 //! merges the engine materializes the component supergraph (intra-component
 //! edges dropped, multi-edges deduplicated keeping the lightest under the
-//! tie-free `(w, u, v)` key) and runs the remaining phases on `⌈log₂ n'⌉`-bit
-//! dense ids. The observable outputs are pinned here against the
+//! tie-free `(w, u, v)` key) and runs the remaining phases on it, each
+//! component keeping its label. The observable outputs are pinned here against the
 //! uncontracted engine across the scenario matrix: identical component
 //! partitions, identical MST edge sets (the tie-free keys make the MST
 //! unique), and spanning forests that remain valid forests inducing the
