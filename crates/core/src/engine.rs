@@ -73,6 +73,7 @@ use kmachine::transport::TransportSel;
 use krand::shared::{SharedRandomness, Use};
 use ksketch::{L0Sketch, SketchFns, SketchParams};
 use rustc_hash::{FxHashMap, FxHashSet};
+use std::cmp::Reverse;
 use std::sync::Arc;
 
 /// What the engine is computing.
@@ -299,20 +300,22 @@ fn edge_key(w: u64, ou: u32, ov: u32) -> EdgeKey {
     (w, ou.min(ov), ou.max(ov))
 }
 
-/// Rewrites a supernode's adjacency under a label-rename map. Distinct old
-/// keys may collapse onto one new key (their components merged into the
-/// same root); colliding entries min-merge by the tie-free edge key.
-/// Unrenamed neighbors keep their label.
-fn rename_adj(node: SuperNode, map: &FxHashMap<Label, Label>) -> SuperNode {
-    let mut out = SuperNode {
-        parts: node.parts,
-        adj: FxHashMap::default(),
-    };
-    for (nb, (w, ou, ov)) in node.adj {
-        let nnb = map.get(&nb).copied().unwrap_or(nb);
-        out.add_edge(nnb, w, ou, ov);
+/// Rewrites a supernode's adjacency in place under a label-rename map: only
+/// renamed neighbors are taken out and added back under their new label.
+/// Colliding entries (distinct old keys merged into one root, or a root
+/// already there) min-merge by the tie-free edge key, in any order.
+fn rename_adj(node: &mut SuperNode, map: &FxHashMap<Label, Label>) {
+    let mut renamed = Vec::new();
+    det::retain_where(&mut node.adj, |nb, &mut edge| match map.get(nb) {
+        Some(&new) => {
+            renamed.push((new, edge));
+            false
+        }
+        None => true,
+    });
+    for (nb, (w, ou, ov)) in renamed {
+        node.add_edge(nb, w, ou, ov);
     }
-    out
 }
 
 /// Splits an inbox into the supergraph rename map
@@ -825,12 +828,14 @@ impl<'g> Engine<'g> {
         });
     }
 
-    /// Ships every outbox through one exchange, in machine order, and
-    /// hands each machine what it received.
+    /// Hands every outbox to one exchange, in machine order, and each
+    /// machine what it received.
     fn deliver(&mut self) {
-        let total = self.machines.iter().map(|st| st.outbox.len()).sum();
-        let outboxes = self.machines.iter_mut().map(|st| &mut st.outbox);
-        self.net.post(total, outboxes);
+        let outboxes = self
+            .machines
+            .iter_mut()
+            .map(|st| std::mem::take(&mut st.outbox));
+        self.net.post(outboxes);
         for (st, inbox) in self.machines.iter_mut().zip(self.net.exchange()) {
             st.inbox = inbox;
         }
@@ -877,7 +882,7 @@ impl<'g> Engine<'g> {
             return false;
         }
         self.build_drr_forest(p);
-        self.record_drr_depth();
+        self.record_drr_depth(p);
         self.pointer_jump(p);
         if self.cx.contracted {
             self.super_merge();
@@ -1439,18 +1444,23 @@ impl<'g> Engine<'g> {
                     *lab = nl;
                 }
             });
-            let supers = std::mem::take(&mut st.dur.supers);
-            for (old, node) in det::into_sorted_entries(supers) {
-                let renamed = rename_adj(node, &smap);
-                let Some(&label) = smap.get(&old) else {
-                    st.dur.supers.insert(old, renamed);
-                    continue;
-                };
-                let adj = det::sorted_entries(&renamed.adj)
+            // Only the movers are sorted: their sends leave in label order.
+            let mut movers: FxHashMap<Label, SuperNode> = FxHashMap::default();
+            det::retain_where(&mut st.dur.supers, |&old, node| {
+                rename_adj(node, &smap);
+                let stays = !smap.contains_key(&old);
+                if !stays {
+                    movers.insert(old, std::mem::take(node));
+                }
+                stays
+            });
+            for (old, node) in det::into_sorted_entries(movers) {
+                let label = smap[&old];
+                let adj = det::into_sorted_entries(node.adj)
                     .into_iter()
-                    .map(|(nb, &(w, ou, ov))| (nb, w, ou, ov))
+                    .map(|(nb, (w, ou, ov))| (nb, w, ou, ov))
                     .collect();
-                let parts = renamed.parts;
+                let parts = node.parts;
                 let moved = Payload::SuperMove { label, parts, adj };
                 out.send(cx.g.partition().home(label as u32), moved);
             }
@@ -1520,50 +1530,48 @@ impl<'g> Engine<'g> {
         })
     }
 
-    /// Number of distinct labels across all machines.
+    /// Number of distinct labels across all machines: one supernode per
+    /// live label once contracted, a hash set of the labels before.
     fn count_labels(&self) -> usize {
-        let mut all: Vec<Label> = Vec::new();
-        for st in &self.machines {
-            all.extend(det::distinct_values(&st.dur.labels));
+        if self.cx.contracted {
+            return self.machines.iter().map(|st| st.dur.supers.len()).sum();
         }
-        all.sort_unstable();
-        all.dedup();
-        all.len()
+        let mut labels: FxHashSet<Label> = FxHashSet::default();
+        for st in &self.machines {
+            labels.extend(st.verts.iter().map(|v| st.dur.labels[v]));
+        }
+        labels.len()
     }
 
-    /// Max DRR tree depth of the current phase (Lemma 6 / Figure 2 data).
-    fn record_drr_depth(&mut self) {
-        let mut parents: FxHashMap<Label, Label> = FxHashMap::default();
-        for st in &self.machines {
-            for (label, c) in det::sorted_entries(&st.proxied) {
-                if let Some(par) = c.parent {
-                    parents.insert(label, par);
-                }
-            }
-        }
-        let mut depth_memo: FxHashMap<Label, u32> = FxHashMap::default();
-        let mut max_depth = 0;
-        for start in det::sorted_keys(&parents) {
-            let mut chain = Vec::new();
-            let mut cur = start;
+    /// Max DRR tree depth of phase `p` (Lemma 6 / Figure 2 data): the
+    /// longest parent chain, each parent read where its state lives
+    /// ([`Cx::holder`]) and every depth memoized, so each component is
+    /// walked once.
+    fn record_drr_depth(&mut self, p: u32) {
+        let (cx, machines) = (&self.cx, &self.machines);
+        let parent = |label: Label| machines[cx.holder(p, label)].proxied.get(&label)?.parent;
+        let mut memo: FxHashMap<Label, u32> = FxHashMap::default();
+        let mut chain = Vec::new();
+        let mut depth = |mut cur: Label| {
             let mut d = loop {
-                if let Some(&d) = depth_memo.get(&cur) {
+                if let Some(&d) = memo.get(&cur) {
                     break d;
                 }
-                match parents.get(&cur) {
-                    Some(&nxt) => {
-                        chain.push(cur);
-                        cur = nxt;
-                    }
-                    None => break 0,
-                }
+                let Some(next) = parent(cur) else { break 0 };
+                chain.push(cur);
+                cur = next;
             };
-            for &node in chain.iter().rev() {
+            for node in chain.drain(..).rev() {
                 d += 1;
-                depth_memo.insert(node, d);
+                memo.insert(node, d);
             }
-            max_depth = max_depth.max(d);
-        }
+            d
+        };
+        let deepest = machines.iter().filter_map(|st| {
+            let deepest = det::min_entry_by(&st.proxied, |label, _| Reverse(depth(label)));
+            deepest.map(|(label, _)| depth(label))
+        });
+        let max_depth = deepest.max().unwrap_or(0);
         self.drr_depths.push(max_depth);
     }
 }
@@ -1885,6 +1893,34 @@ mod tests {
     fn weighted_cell() -> ShardedGraph {
         let g = generators::randomize_weights(&generators::gnm(300, 900, 11), 1000, 13);
         ShardedGraph::from_graph(&g, &Partition::random_vertex(&g, 4, 7))
+    }
+
+    /// Per-phase bookkeeping, pinned on one plain and one contracted cell:
+    /// labels are counted without sorting them (by supernode once
+    /// contracted) and tree depths without sorting the proxied maps, and
+    /// both must count what the sorting versions counted.
+    #[test]
+    fn phase_components_and_drr_depths_are_pinned() {
+        let sg = weighted_cell();
+        let run = |mode, contract| {
+            let cfg = EngineConfig {
+                contract,
+                ..EngineConfig::default()
+            };
+            let r = Engine::new(&sg, mode, 5, cfg).run();
+            (r.phase_components, r.drr_depths)
+        };
+        assert_eq!(
+            run(Mode::Connectivity, false),
+            (vec![300, 159, 80, 31, 15, 5, 1], vec![3, 3, 3, 2, 2, 2])
+        );
+        assert_eq!(
+            run(Mode::Mst, true),
+            (
+                vec![300, 154, 81, 37, 17, 7, 4, 2, 1],
+                vec![3, 2, 4, 3, 2, 1, 1, 1]
+            )
+        );
     }
 
     /// A logical stream with what the edge cap may move masked: rounds and

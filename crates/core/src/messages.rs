@@ -20,6 +20,7 @@ use kmachine::message::{
 };
 use krand::m61::M61;
 use ksketch::{Cell, L0Sketch, SketchParams};
+use std::cell::RefCell;
 
 /// A component label. Labels are always ids of representative vertices, so
 /// they fit in the same `⌈log₂ n⌉` bits as vertex ids.
@@ -32,7 +33,8 @@ pub type EdgeKey = (u64, u32, u32);
 const TAG_BITS: u64 = 16;
 
 /// One variant's run inside a directed link's batch under
-/// [`kmachine::message::Encoding::Varint`].
+/// [`kmachine::message::Encoding::Varint`]. Runs are pricing scratch: a
+/// link's runs are cleared once priced and reused for the next link.
 #[derive(Default)]
 struct Run {
     /// Messages in the run.
@@ -41,6 +43,17 @@ struct Run {
     sorted: Vec<u64>,
     /// Varint bits of all other fields.
     plain: u64,
+    /// One [`HalfEdges`] list's delta-sorted keys at a time.
+    keys: Vec<u64>,
+}
+
+/// Every variant's run: [`varint_batch_bits`]'s scratch.
+type Runs = [Run; N_KINDS];
+
+thread_local! {
+    /// The runs [`Payload::batch_wire_bits`] prices through, kept across
+    /// links and windows so a warm pricer does not allocate.
+    static RUNS: RefCell<Runs> = RefCell::default();
 }
 
 /// What a field of type `T` costs and how it is written. Each kind below
@@ -284,8 +297,9 @@ impl Kind<Vec<(u32, u32)>> for HalfEdges {
     }
     fn varint(v: &Vec<(u32, u32)>, run: &mut Run) {
         let key = |&(a, b): &(u32, u32)| u64::from(a) << 32 | u64::from(b);
-        let mut keys: Vec<u64> = v.iter().map(key).collect();
-        run.plain += varint_bits(v.len() as u64) + delta_varint_bits(&mut keys);
+        run.keys.clear();
+        run.keys.extend(v.iter().map(key));
+        run.plain += varint_bits(v.len() as u64) + delta_varint_bits(&mut run.keys);
     }
     fn put(v: &Vec<(u32, u32)>, out: &mut Vec<u8>) {
         <List<(VertexId, VertexId)>>::put(v, out);
@@ -393,7 +407,7 @@ macro_rules! payload_table {
             /// No id-width context is needed, which is what makes this the
             /// *charged* size rather than a model bound.
             fn batch_wire_bits(batch: &[&Envelope<Self>]) -> u64 {
-                varint_batch_bits(batch)
+                RUNS.with_borrow_mut(|runs| varint_batch_bits(batch, runs))
             }
         }
 
@@ -672,20 +686,22 @@ payload_table! {
     }
 }
 
-/// [`BatchWire::batch_wire_bits`] for [`Payload`]: written out rather than
+/// [`BatchWire::batch_wire_bits`] for [`Payload`], priced through `runs`
+/// and leaving them empty for the next link: written out rather than
 /// generated because of its one named special case.
-fn varint_batch_bits(batch: &[&Envelope<Payload>]) -> u64 {
-    let mut runs: [Run; N_KINDS] = std::array::from_fn(|_| Run::default());
+fn varint_batch_bits(batch: &[&Envelope<Payload>], runs: &mut Runs) -> u64 {
     let mut bits = 0u64;
     for e in batch {
         if let Payload::TestBatch { .. } = e.payload {
             bits += e.bits.max(1);
         } else {
-            e.payload.join_run(&mut runs);
+            e.payload.join_run(runs);
         }
     }
     for run in runs.iter_mut().filter(|run| run.count > 0) {
         bits += TAG_BITS + varint_bits(run.count) + delta_varint_bits(&mut run.sorted) + run.plain;
+        (run.count, run.plain) = (0, 0);
+        run.sorted.clear();
     }
     bits
 }
@@ -1033,5 +1049,43 @@ mod tests {
         // Flag run: tag + count(2) + 2 bits; CountReport run: tag +
         // count(1) + varint(3).
         assert_eq!(Payload::batch_wire_bits(&refs), (16 + 8 + 2) + (16 + 8 + 8));
+    }
+
+    /// Pricing consecutive random link batches through one reused set of
+    /// runs equals pricing each through fresh runs: no link's messages leak
+    /// into the next one's price.
+    #[test]
+    fn reused_pricing_scratch_prices_like_fresh_runs() {
+        let prf = krand::prf::Prf::new(29);
+        let all = one_of_each();
+        let mut runs = Runs::default();
+        for link in 0..200u64 {
+            let batch: Vec<Envelope<Payload>> = (0..prf.eval_mod(0, link, 12))
+                .map(|i| {
+                    let at = link * 64 + i;
+                    let p = match prf.eval_mod(1, at, 3) {
+                        0 => Payload::Relabel {
+                            old: prf.eval_mod(2, at, 1 << 20),
+                            new: 7,
+                        },
+                        1 => Payload::PartEdges {
+                            label: prf.eval_mod(2, at, 99),
+                            edges: (0..prf.eval_mod(3, at, 5))
+                                .map(|j| (j as u32, prf.eval_mod(4, at * 8 + j, 1000) as u32))
+                                .collect(),
+                        },
+                        _ => all[prf.eval_mod(5, at, all.len() as u64) as usize].clone(),
+                    };
+                    let bits = p.wire_bits(20);
+                    Envelope::with_bits(0, 1, p, bits)
+                })
+                .collect();
+            let refs: Vec<&Envelope<Payload>> = batch.iter().collect();
+            assert_eq!(
+                varint_batch_bits(&refs, &mut runs),
+                varint_batch_bits(&refs, &mut Runs::default()),
+                "link {link}"
+            );
+        }
     }
 }

@@ -89,8 +89,8 @@ pub(crate) struct Net {
     price: Price,
     /// [`EngineConfig::charge_shared_randomness`].
     charge_shared: bool,
-    /// Sends since the last exchange.
-    out: Mail,
+    /// Sends since the last exchange, as the outboxes they arrived in.
+    out: Vec<Mail>,
 }
 
 impl Net {
@@ -132,14 +132,17 @@ impl Net {
     pub(crate) fn send(&mut self, src: usize, dst: usize, payload: Payload) -> u64 {
         let env = self.price.wrap(src, dst, payload);
         let bits = env.bits;
-        self.out.push(env);
+        match self.out.last_mut() {
+            Some(mail) => mail.push(env),
+            None => self.out.push(vec![env]),
+        }
         bits
     }
 
-    /// Queues `total` already-priced sends, outbox by outbox.
-    pub(crate) fn post<'a>(&mut self, total: usize, outboxes: impl Iterator<Item = &'a mut Mail>) {
-        self.out.reserve(total);
-        outboxes.for_each(|outbox| self.out.append(outbox));
+    /// Queues already-priced outboxes for the next exchange, by move.
+    pub(crate) fn post(&mut self, outboxes: impl IntoIterator<Item = Mail>) {
+        self.out
+            .extend(outboxes.into_iter().filter(|mail| !mail.is_empty()));
     }
 
     /// Whether nothing has been sent since the last exchange.
@@ -147,10 +150,11 @@ impl Net {
         self.out.is_empty()
     }
 
-    /// One superstep: everything queued crosses the network, and each
-    /// machine's inbox is handed over (indexed by machine).
+    /// One superstep over the queued outboxes: each message moves once,
+    /// into its receiver's inbox, and every inbox is handed over (indexed
+    /// by machine).
     pub(crate) fn exchange(&mut self) -> Vec<Mail> {
-        self.bsp.superstep(std::mem::take(&mut self.out));
+        self.bsp.superstep_outboxes(std::mem::take(&mut self.out));
         self.bsp.take_all_inboxes()
     }
 

@@ -10,6 +10,13 @@
 //! `tests/model_properties.rs` and `tests/conformance.rs`, DESIGN.md
 //! §3.1), and routes messages into per-machine inboxes.
 //!
+//! A fault-free superstep moves every envelope once, from the outboxes
+//! [`Bsp::superstep_outboxes`] takes (the flat [`Bsp::superstep`] is its
+//! one-outbox case) straight into pre-sized inboxes, in window order.
+//! Links are grouped by counting sort, in O(messages + k), and each is
+//! priced from its slice. Faults and the process transport flatten the
+//! window once at entry.
+//!
 //! Bandwidth is charged under the configured [`Encoding`]: the historical
 //! default charges every message its own [`Envelope::bits`]
 //! ([`Encoding::Naive`]); [`Encoding::Varint`] charges each directed link's
@@ -53,9 +60,9 @@ struct FaultCtx {
 /// The payload-kind histogram of one window's cross-machine messages,
 /// ascending by kind name (trace emission only — runs solely inside an
 /// enabled tracer's closure).
-fn kind_histogram<M: BatchWire>(outgoing: &[Envelope<M>]) -> Vec<(String, u64)> {
+fn kind_histogram<M: BatchWire>(window: &[Vec<Envelope<M>>]) -> Vec<(String, u64)> {
     let mut counts: BTreeMap<&'static str, u64> = BTreeMap::new();
-    for env in outgoing {
+    for env in window.iter().flatten() {
         if !env.is_local() {
             *counts.entry(env.payload.kind_name()).or_insert(0) += 1;
         }
@@ -66,13 +73,62 @@ fn kind_histogram<M: BatchWire>(outgoing: &[Envelope<M>]) -> Vec<(String, u64)> 
         .collect()
 }
 
-/// One window's per-directed-link charged bits, ascending by link (trace
-/// emission only).
-fn link_list(link_bits: &FxHashMap<(u32, u32), u64>) -> Vec<(u32, u32, u64)> {
-    det::sorted_entries(link_bits)
-        .into_iter()
-        .map(|((src, dst), &bits)| (src, dst, bits))
-        .collect()
+/// Stable counting sort of `items` by `key(item) < k` into `out`:
+/// O(items + k), whatever the keys.
+fn counting_sort<T: Copy>(items: &[T], k: usize, key: impl Fn(T) -> usize, out: &mut Vec<T>) {
+    out.clear();
+    let Some(&first) = items.first() else {
+        return;
+    };
+    let mut next = vec![0usize; k];
+    for &x in items {
+        next[key(x)] += 1;
+    }
+    let mut start = 0;
+    for slot in &mut next {
+        (*slot, start) = (start, start + *slot);
+    }
+    out.resize(items.len(), first);
+    for &x in items {
+        let slot = &mut next[key(x)];
+        out[*slot] = x;
+        *slot += 1;
+    }
+}
+
+/// The window as one batch, in outbox order, grown from the first outbox.
+fn flatten<M>(outboxes: Vec<Vec<Envelope<M>>>) -> Vec<Envelope<M>> {
+    let total: usize = outboxes.iter().map(Vec::len).sum();
+    let mut outboxes = outboxes.into_iter();
+    let mut flat = outboxes.next().unwrap_or_default();
+    flat.reserve(total - flat.len());
+    outboxes.for_each(|outbox| flat.extend(outbox));
+    flat
+}
+
+/// One delivery window's base charge, as [`Bsp::close_window`] books it:
+/// the links that carry messages as `(src, dst, charged bits)`, ascending;
+/// per machine the bits sent and received and the messages received
+/// (locals included); the charged and naive-oracle bits and the count of
+/// cross-machine messages.
+struct Window {
+    links: Vec<(u32, u32, u64)>,
+    machine_out: Vec<u64>,
+    machine_in: Vec<u64>,
+    arrivals: Vec<usize>,
+    total: u64,
+    naive: u64,
+    messages: u64,
+}
+
+impl Window {
+    fn max_link(&self) -> u64 {
+        self.links
+            .iter()
+            .map(|&(_, _, bits)| bits)
+            .max()
+            .unwrap_or(0)
+    }
 }
 
 /// The superstep runner.
@@ -372,9 +428,24 @@ impl<M> Bsp<M> {
     where
         M: Clone + BatchWire,
     {
-        let outgoing = self.through_transport(outgoing);
+        self.superstep_outboxes(vec![outgoing]);
+    }
+
+    /// [`Bsp::superstep`] over a window handed over as outboxes, typically
+    /// one per machine in machine order. The window is their concatenation:
+    /// inboxes, charges and trace are exactly those of the flat superstep on
+    /// it, but a fault-free in-process window moves each envelope once,
+    /// from its outbox straight into its receiver's inbox.
+    pub fn superstep_outboxes(&mut self, outboxes: Vec<Vec<Envelope<M>>>)
+    where
+        M: Clone + BatchWire,
+    {
+        if self.faults.is_none() && !self.transported() {
+            return self.superstep_exact(outboxes);
+        }
+        let outgoing = self.through_transport(flatten(outboxes));
         match self.faults.take() {
-            None => self.superstep_exact(outgoing),
+            None => self.superstep_exact(vec![outgoing]),
             Some(mut ctx) => {
                 self.superstep_faulty(outgoing, &mut ctx);
                 self.faults = Some(ctx);
@@ -425,108 +496,78 @@ impl<M> Bsp<M> {
         back
     }
 
-    /// Groups the non-local messages of one batch by directed link,
-    /// validating machine ids. Each group keeps the messages' indices into
-    /// `outgoing`, in arrival order.
-    fn link_groups(&self, outgoing: &[Envelope<M>]) -> FxHashMap<(u32, u32), Vec<usize>> {
-        let mut groups: FxHashMap<(u32, u32), Vec<usize>> = FxHashMap::default();
-        for (i, env) in outgoing.iter().enumerate() {
-            assert!(
-                env.src < self.cfg.k && env.dst < self.cfg.k,
-                "bad machine id"
-            );
+    /// Groups one window's cross-machine messages by directed link and
+    /// charges them. Two stable counting sorts, by destination and then by
+    /// source, put each link's messages side by side in send order, in
+    /// O(messages + k): no link without a message is ever visited. Each
+    /// link's slice is priced under the configured encoding (never zero: a
+    /// message costs ≥ 1 bit) and booked into the sent / recv / cut
+    /// counters.
+    fn charge_window(&mut self, window: &[Vec<Envelope<M>>]) -> Window
+    where
+        M: BatchWire,
+    {
+        let k = self.cfg.k;
+        let mut arrivals = vec![0usize; k];
+        let mut grouped: Vec<&Envelope<M>> = Vec::with_capacity(window.iter().map(Vec::len).sum());
+        for env in window.iter().flatten() {
+            assert!(env.src < k && env.dst < k, "bad machine id");
+            arrivals[env.dst] += 1;
             if !env.is_local() {
-                groups
-                    .entry((env.src as u32, env.dst as u32))
-                    .or_default()
-                    .push(i);
+                grouped.push(env);
             }
         }
-        groups
-    }
-
-    /// The charged size of one directed link's batch under the configured
-    /// encoding. Never zero for a non-empty batch (a message costs ≥ 1 bit).
-    fn encoded_link_bits(&self, outgoing: &[Envelope<M>], idxs: &[usize]) -> u64
-    where
-        M: BatchWire,
-    {
-        match self.cfg.encoding {
-            Encoding::Naive => idxs.iter().map(|&i| outgoing[i].bits.max(1)).sum(),
-            Encoding::Varint => {
-                let refs: Vec<&Envelope<M>> = idxs.iter().map(|&i| &outgoing[i]).collect();
-                M::batch_wire_bits(&refs).max(1)
-            }
-        }
-    }
-
-    /// Charges one batch's base window: per-link encoded bits into
-    /// `link_bits` / machine loads / sent / recv / cut counters. Returns
-    /// `(total charged bits, naive oracle bits, non-local message count)`.
-    fn charge_base_window(
-        &mut self,
-        outgoing: &[Envelope<M>],
-        groups: &FxHashMap<(u32, u32), Vec<usize>>,
-        link_bits: &mut FxHashMap<(u32, u32), u64>,
-        machine_out: &mut [u64],
-        machine_in: &mut [u64],
-    ) -> (u64, u64, u64)
-    where
-        M: BatchWire,
-    {
-        let mut total = 0u64;
-        let mut naive = 0u64;
-        let mut messages = 0u64;
-        for ((src, dst), idxs) in det::sorted_entries(groups) {
-            let bits = self.encoded_link_bits(outgoing, idxs);
-            link_bits.insert((src, dst), bits);
-            machine_out[src as usize] += bits;
-            machine_in[dst as usize] += bits;
-            total += bits;
-            naive += idxs.iter().map(|&i| outgoing[i].bits.max(1)).sum::<u64>();
-            messages += idxs.len() as u64;
-            self.stats.sent_bits[src as usize] += bits;
-            self.stats.recv_bits[dst as usize] += bits;
+        let mut by_dst = Vec::new();
+        counting_sort(&grouped, k, |env| env.dst, &mut by_dst);
+        counting_sort(&by_dst, k, |env| env.src, &mut grouped);
+        let mut w = Window {
+            links: Vec::new(),
+            machine_out: vec![0; k],
+            machine_in: vec![0; k],
+            arrivals,
+            total: 0,
+            naive: 0,
+            messages: grouped.len() as u64,
+        };
+        for link in grouped.chunk_by(|a, b| (a.src, a.dst) == (b.src, b.dst)) {
+            let (src, dst) = (link[0].src, link[0].dst);
+            let naive = link.iter().map(|env| env.bits.max(1)).sum();
+            let bits = match self.cfg.encoding {
+                Encoding::Naive => naive,
+                Encoding::Varint => M::batch_wire_bits(link).max(1),
+            };
+            w.links.push((src as u32, dst as u32, bits));
+            w.machine_out[src] += bits;
+            w.machine_in[dst] += bits;
+            w.total += bits;
+            w.naive += naive;
+            self.stats.sent_bits[src] += bits;
+            self.stats.recv_bits[dst] += bits;
             if let Some(cut) = &self.cut {
-                if cut[src as usize] != cut[dst as usize] {
+                if cut[src] != cut[dst] {
                     self.stats.cut_bits += bits;
                 }
             }
         }
-        (total, naive, messages)
+        w
     }
 
-    /// The fault-free superstep (the only path when no plan is installed;
-    /// bit-for-bit the historical behaviour under [`Encoding::Naive`]: the
-    /// per-link group sum of `bits.max(1)` is exactly the old streaming
-    /// accumulation).
-    fn superstep_exact(&mut self, outgoing: Vec<Envelope<M>>)
+    /// The fault-free, in-process superstep: every envelope moves once,
+    /// from its outbox into its receiver's inbox. Each inbox is reserved
+    /// once and filled in window order (outbox by outbox, then send order,
+    /// locals interleaved exactly where they were sent), whatever the
+    /// charged encoding.
+    fn superstep_exact(&mut self, outboxes: Vec<Vec<Envelope<M>>>)
     where
         M: BatchWire,
     {
-        let groups = self.link_groups(&outgoing);
-        let mut link_bits: FxHashMap<(u32, u32), u64> = FxHashMap::default();
-        let mut machine_out = vec![0u64; self.cfg.k];
-        let mut machine_in = vec![0u64; self.cfg.k];
-        let (total, naive, messages) = self.charge_base_window(
-            &outgoing,
-            &groups,
-            &mut link_bits,
-            &mut machine_out,
-            &mut machine_in,
-        );
-        self.stats.naive_bits += naive;
-        self.close_window(
-            &link_bits,
-            &machine_out,
-            &machine_in,
-            total,
-            messages,
-            || kind_histogram(&outgoing),
-        );
-        // Delivery preserves the batch's arrival order (locals interleaved
-        // exactly where they were sent), whatever the charged encoding.
-        for env in outgoing {
+        let w = self.charge_window(&outboxes);
+        self.stats.naive_bits += w.naive;
+        self.close_window(&w, || kind_histogram(&outboxes));
+        for (inbox, &arrivals) in self.inboxes.iter_mut().zip(&w.arrivals) {
+            inbox.reserve(arrivals);
+        }
+        for env in outboxes.into_iter().flatten() {
             self.inboxes[env.dst].push(env);
         }
     }
@@ -536,17 +577,10 @@ impl<M> Bsp<M> {
     /// loads in rounds, adds it to the run totals and the per-superstep
     /// loads, and traces it (`kinds` runs only when tracing is on). Returns
     /// the window's rounds.
-    fn close_window(
-        &mut self,
-        link_bits: &FxHashMap<(u32, u32), u64>,
-        machine_out: &[u64],
-        machine_in: &[u64],
-        total: u64,
-        messages: u64,
-        kinds: impl FnOnce() -> Vec<(String, u64)>,
-    ) -> u64 {
-        let max_link = det::max_value(link_bits).unwrap_or(0);
-        let rounds = self.batch_rounds(max_link, machine_out, machine_in);
+    fn close_window(&mut self, w: &Window, kinds: impl FnOnce() -> Vec<(String, u64)>) -> u64 {
+        let max_link = w.max_link();
+        let rounds = self.batch_rounds(max_link, &w.machine_out, &w.machine_in);
+        let (total, messages) = (w.total, w.messages);
         self.stats.rounds += rounds;
         self.stats.supersteps += 1;
         self.stats.messages += messages;
@@ -565,7 +599,7 @@ impl<M> Bsp<M> {
             bits: total,
             messages,
             max_link_bits: max_link,
-            links: link_list(link_bits),
+            links: w.links.clone(),
             kinds: kinds(),
         });
         rounds
@@ -614,22 +648,13 @@ impl<M> Bsp<M> {
         // fault-free superstep under the configured encoding (bits are
         // spent even on messages that end up dropped), so the separability
         // identities hold per encoding.
-        let groups = self.link_groups(&outgoing);
-        let mut link_bits: FxHashMap<(u32, u32), u64> = FxHashMap::default();
-        let mut machine_out = vec![0u64; self.cfg.k];
-        let mut machine_in = vec![0u64; self.cfg.k];
-        let (mut total, naive, messages) = self.charge_base_window(
-            &outgoing,
-            &groups,
-            &mut link_bits,
-            &mut machine_out,
-            &mut machine_in,
-        );
-        self.stats.naive_bits += naive;
+        let window = std::slice::from_ref(&outgoing);
+        let mut w = self.charge_window(window);
+        self.stats.naive_bits += w.naive;
         // Trace-only snapshot: the kind histogram must be taken before the
         // fate loop consumes the batch. Skipped entirely when tracing is
         // off.
-        let kinds = self.trace.is_on().then(|| kind_histogram(&outgoing));
+        let kinds = self.trace.is_on().then(|| kind_histogram(window));
         let (mut dropped, mut duplicated, mut reordered, mut delayed) = (0u64, 0u64, 0u64, 0u64);
         // Duplicate transmissions share the delivery window but their
         // load is tracked separately so the rounds they add can be
@@ -685,7 +710,7 @@ impl<M> Bsp<M> {
                     .or_insert(0) += bits;
                 dup_out[env.src] += bits;
                 dup_in[env.dst] += bits;
-                total += bits;
+                w.total += bits;
                 self.stats.sent_bits[env.src] += bits;
                 self.stats.recv_bits[env.dst] += bits;
                 self.stats.retransmit_bits += bits;
@@ -709,23 +734,15 @@ impl<M> Bsp<M> {
         // rounds the duplicates add beyond the clean batch are recovery
         // overhead, so the identity `rounds − recovery_rounds = fault-free
         // rounds` holds for every plan.
-        let clean_max = det::max_value(&link_bits).unwrap_or(0);
-        let clean_rounds = self.batch_rounds(clean_max, &machine_out, &machine_in);
-        for (link, bits) in det::into_sorted_entries(dup_link_bits) {
-            *link_bits.entry(link).or_insert(0) += bits;
+        let clean_rounds = self.batch_rounds(w.max_link(), &w.machine_out, &w.machine_in);
+        for (src, dst, bits) in &mut w.links {
+            *bits += dup_link_bits.get(&(*src, *dst)).copied().unwrap_or(0);
         }
         for i in 0..self.cfg.k {
-            machine_out[i] += dup_out[i];
-            machine_in[i] += dup_in[i];
+            w.machine_out[i] += dup_out[i];
+            w.machine_in[i] += dup_in[i];
         }
-        let rounds = self.close_window(
-            &link_bits,
-            &machine_out,
-            &machine_in,
-            total,
-            messages,
-            || kinds.unwrap_or_default(),
-        );
+        let rounds = self.close_window(&w, || kinds.unwrap_or_default());
         self.stats.recovery_rounds += rounds - clean_rounds;
         let n_crashed = crashed.len() as u64;
         if dropped + duplicated + reordered + delayed + n_crashed > 0 {
@@ -985,6 +1002,98 @@ mod tests {
         assert_eq!(bsp.stats().rounds, 8);
         assert_eq!(bsp.stats().total_bits, 140);
         assert_eq!(bsp.stats().sent_bits[0], 140);
+    }
+
+    /// A payload whose varint batch price depends on which messages share
+    /// a link, with two kind names for the trace histogram.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Id(u64);
+    impl WireSize for Id {
+        fn wire_bits(&self) -> u64 {
+            80
+        }
+    }
+    impl BatchWire for Id {
+        fn batch_wire_bits(batch: &[&Envelope<Self>]) -> u64 {
+            let mut ids: Vec<u64> = batch.iter().map(|e| e.payload.0).collect();
+            16 + crate::message::delta_varint_bits(&mut ids)
+        }
+        fn kind_name(&self) -> &'static str {
+            ["even", "odd"][(self.0 % 2) as usize]
+        }
+    }
+
+    mod prop_tests {
+        use super::*;
+        use crate::bandwidth::CostModel;
+        use crate::message::Encoding;
+        use crate::trace::{TraceRecord, Tracer};
+        use krand::prf::Prf;
+        use proptest::prelude::*;
+
+        /// Everything one superstep leaves behind: the inboxes, every
+        /// `CommStats` field, and the logical trace.
+        type Outcome = (Vec<Vec<u64>>, String, Vec<TraceRecord>);
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// A window handed over as outboxes delivers, charges and traces
+            /// exactly like the flat superstep on their concatenation.
+            #[test]
+            fn outboxes_superstep_like_their_concatenation(seed in 0u64..1_000_000, k in 2usize..10) {
+                let prf = Prf::new(seed);
+                let mut c = cfg(k, 1 + prf.eval_mod(0, 0, 100));
+                c.encoding = [Encoding::Naive, Encoding::Varint][prf.eval_mod(0, 1, 2) as usize];
+                c.cost_model = [CostModel::PerLink, CostModel::PerMachine][prf.eval_mod(0, 2, 2) as usize];
+                let cut = (prf.eval_mod(0, 3, 2) == 1)
+                    .then(|| (0..k as u64).map(|m| prf.eval_mod(1, m, 2) == 1).collect::<Vec<_>>());
+                let window: Vec<Envelope<Id>> = (0..prf.eval_mod(0, 4, 80))
+                    .map(|i| {
+                        let src = prf.eval_mod(2, i, k as u64) as usize;
+                        // One message in four stays local.
+                        let dst = if prf.eval_mod(3, i, 4) == 0 {
+                            src
+                        } else {
+                            prf.eval_mod(4, i, k as u64) as usize
+                        };
+                        Envelope::new(src, dst, Id(prf.eval_mod(5, i, 5_000)))
+                    })
+                    .collect();
+                // Random cut points, empty outboxes included.
+                let mut outboxes = Vec::new();
+                let mut rest = window.clone();
+                for part in 0..prf.eval_mod(0, 5, 2 * k as u64) {
+                    let take = prf.eval_mod(6, part, rest.len() as u64 + 1) as usize;
+                    let tail = rest.split_off(take);
+                    outboxes.push(std::mem::replace(&mut rest, tail));
+                }
+                outboxes.push(rest);
+                let run = |step: &dyn Fn(&mut Bsp<Id>)| -> Outcome {
+                    let trace = Tracer::recording();
+                    let mut bsp: Bsp<Id> = Bsp::new(c);
+                    bsp.set_tracer(trace.clone());
+                    if let Some(side) = &cut {
+                        bsp.set_cut(side.clone());
+                    }
+                    step(&mut bsp);
+                    let inboxes = bsp.take_all_inboxes().into_iter();
+                    let inboxes = inboxes.map(|inbox| inbox.into_iter().map(|e| e.payload.0).collect());
+                    (inboxes.collect(), format!("{:?}", bsp.stats()), trace.events())
+                };
+                let flat = run(&|bsp| bsp.superstep(window.clone()));
+                let split = run(&|bsp| bsp.superstep_outboxes(outboxes.clone()));
+                // Each inbox is the window filtered by destination, in order.
+                let expect: Vec<Vec<u64>> = (0..k)
+                    .map(|m| window.iter().filter(|e| e.dst == m).map(|e| e.payload.0).collect())
+                    .collect();
+                prop_assert_eq!(&flat.0, &expect);
+                prop_assert!(matches!(flat.2[..], [TraceRecord { event: TraceEvent::Superstep { .. }, .. }]));
+                prop_assert_eq!(&split.0, &flat.0);
+                prop_assert_eq!(&split.1, &flat.1);
+                prop_assert_eq!(&split.2, &flat.2);
+            }
+        }
     }
 }
 

@@ -101,9 +101,12 @@ pub fn for_each_entry_mut<K: Copy, V>(map: &mut FxHashMap<K, V>, mut f: impl FnM
     }
 }
 
-/// Keep the entries matching `pred`. Sanctioned for *pure* predicates
-/// only (no side effects, no cross-entry state): then the retained set is
-/// independent of visit order.
+/// Keep the entries matching `pred`. Sanctioned for predicates whose
+/// verdict is a pure function of the entry: then the retained set is
+/// independent of visit order. The predicate may update the entry, and
+/// may hand a dropped entry to a consumer that is itself order-insensitive
+/// (a map insert, a min-merge): the dropped set is as canonical as the
+/// retained one, only the visit order is not.
 pub fn retain_where<K, V>(map: &mut FxHashMap<K, V>, pred: impl FnMut(&K, &mut V) -> bool) {
     map.retain(pred);
 }
