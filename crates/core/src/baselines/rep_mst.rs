@@ -138,6 +138,10 @@ impl Problem for RepMst {
     fn phases(out: &RepMstOutput) -> u32 {
         out.mst.phases
     }
+
+    fn sketch_builds(out: &RepMstOutput) -> u64 {
+        out.mst.sketch_builds
+    }
 }
 
 #[cfg(test)]

@@ -46,8 +46,6 @@ pub struct ConnectivityOutput {
     pub counted_components: Option<u64>,
     /// Part sketches hashed from edges, where the part lives or at its proxy.
     pub sketch_builds: u64,
-    /// Part sketches served from the incremental cache.
-    pub sketch_cache_hits: u64,
 }
 
 impl ConnectivityOutput {
@@ -75,7 +73,6 @@ impl From<EngineResult> for ConnectivityOutput {
             drr_depths: r.drr_depths,
             counted_components: r.counted_components,
             sketch_builds: r.sketch_builds,
-            sketch_cache_hits: r.sketch_cache_hits,
         }
     }
 }
@@ -122,8 +119,8 @@ impl Problem for Connectivity {
         out.phases
     }
 
-    fn sketch_counters(out: &ConnectivityOutput) -> (u64, u64) {
-        (out.sketch_builds, out.sketch_cache_hits)
+    fn sketch_builds(out: &ConnectivityOutput) -> u64 {
+        out.sketch_builds
     }
 }
 
@@ -250,23 +247,6 @@ mod tests {
         assert!(
             link4 > 8.0 * link16,
             "mean link bits at k=4 ({link4:.0}) should be superlinearly above k=16's ({link16:.0})"
-        );
-    }
-
-    #[test]
-    fn sketch_cache_reuse_is_exercised_and_sound() {
-        // Two dense planted components (average degree ≈ 40, so a merged
-        // component's share of a machine is above the edge cap and is
-        // sketched where it lives): once one finishes merging, its parts
-        // stop relabeling and serve cached sketches while the other keeps
-        // going.
-        let g = generators::planted_components(400, 2, 4000, 27);
-        let with = check(&g, 4, 29);
-        assert!(
-            with.sketch_cache_hits > 0,
-            "multi-phase runs must reuse unchanged part sketches (builds {}, hits {})",
-            with.sketch_builds,
-            with.sketch_cache_hits
         );
     }
 

@@ -728,7 +728,6 @@ impl DynamicCluster {
             drr_depths,
             counted_components: None,
             sketch_builds: report.sketch_builds,
-            sketch_cache_hits: report.sketch_cache_hits,
         };
         // The incremental path derives the count from the maintained
         // labels instead of re-running the §2.6 exchange (the machines
@@ -757,6 +756,7 @@ impl DynamicCluster {
             edges_per_machine: r
                 .run
                 .map_or_else(|| vec![0; self.k()], |run| run.mst_edges_per_machine),
+            sketch_builds: report.sketch_builds,
         };
         Run { output, report }
     }
@@ -844,6 +844,7 @@ impl DynamicCluster {
             phases: report.phases,
             edges_per_machine,
             endpoint_routing: r.routing,
+            sketch_builds: report.sketch_builds,
         };
         Run { output, report }
     }
@@ -1486,7 +1487,6 @@ impl DynamicCluster {
             stats: r.total.clone(),
             phases: run.map_or(0, |run| run.phases),
             sketch_builds: run.map_or(0, |run| run.sketch_builds),
-            sketch_cache_hits: run.map_or(0, |run| run.sketch_cache_hits),
             update_rounds: epoch.rounds,
             update_bits: epoch.total_bits,
             faults_injected: r.total.faults_injected + epoch.faults_injected,

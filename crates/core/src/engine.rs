@@ -32,15 +32,13 @@
 //! (MST: the minimum-key incident edge), which the home machine computes
 //! directly.
 //!
-//! **Incremental sketch reuse** (DESIGN.md §3.7): the iteration-0 sketch
+//! **Sketch-function reuse** (DESIGN.md §3.7): the iteration-0 sketch
 //! functions are re-derived only once per *epoch* of `SKETCH_REUSE_PERIOD`
-//! phases, so a sketched part whose label did not change since its sketch
-//! was built resends its cached sketch instead of re-hashing every incident
-//! edge. Relabels invalidate exactly the parts they touch; epoch rollover
-//! invalidates everything (fresh randomness bounds any correlation between
-//! a failed sample and later phases). What is amortized is the local
-//! rebuild work **and** the §2.2 `Θ(log² n)`-bit function-seed distribution
-//! charge, paid once per epoch — reused functions need no redistribution.
+//! phases (fresh randomness at each rollover bounds any correlation between
+//! a failed sample and later phases). What is amortized is the §2.2
+//! `Θ(log² n)`-bit function-seed distribution charge, paid once per epoch —
+//! reused functions need no redistribution. Every part is still hashed anew
+//! in every phase, as in the paper.
 //!
 //! All communication flows through the crate's one network runtime
 //! (`net::Net` over [`kmachine::Bsp`]), so every round and bit is accounted
@@ -212,8 +210,6 @@ pub struct EngineResult {
     pub counted_components: Option<u64>,
     /// Part sketches hashed from edges, where the part lives or at its proxy.
     pub sketch_builds: u64,
-    /// Part sketches served from the incremental cache.
-    pub sketch_cache_hits: u64,
 }
 
 impl EngineResult {
@@ -406,14 +402,8 @@ struct MachineState {
     /// `Some(key)` bounds the rebuild, `None` means rebuild unfiltered
     /// (the component is retrying after a failed first sample).
     thresholds: FxHashMap<Label, Option<EdgeKey>>,
-    /// Incremental cache: the unfiltered iteration-0 sketch of each local
-    /// part sketched here, valid for the current epoch. Invalidated per
-    /// label on relabel, wholesale on epoch rollover.
-    part_cache: FxHashMap<Label, L0Sketch>,
     /// Part sketches this machine hashed from edges (its own, or shipped).
     sketch_builds: u64,
-    /// Part sketches this machine served from `part_cache`.
-    sketch_cache_hits: u64,
     /// This machine's bit between the two supersteps of
     /// [`Engine::aggregate_flag`].
     flag: bool,
@@ -614,7 +604,7 @@ impl<'g> Engine<'g> {
             let mark = self.net.ledger();
             let comp_mark = self.phase_components.len();
             let depth_mark = self.drr_depths.len();
-            let (builds_mark, hits_mark) = self.sketch_counters();
+            let builds_mark = self.sketch_builds();
             let comps = self.count_labels();
             self.phase_components.push(comps);
             let contracted = self.cx.contracted;
@@ -632,7 +622,6 @@ impl<'g> Engine<'g> {
                 self.epoch_salt += 1;
                 self.cached_fns = None;
                 for st in &mut self.machines {
-                    st.part_cache.clear();
                     st.proxied.clear();
                     st.thresholds.clear();
                 }
@@ -674,7 +663,7 @@ impl<'g> Engine<'g> {
             retries = 0;
             phases = p + 1;
             let spent = self.net.ledger() - mark;
-            let (builds, hits) = self.sketch_counters();
+            let builds = self.sketch_builds();
             self.cfg.trace.emit(|| TraceEvent::PhaseEnd {
                 phase: p,
                 rounds: spent.rounds,
@@ -682,7 +671,7 @@ impl<'g> Engine<'g> {
                 recovery_rounds: spent.recovery_rounds,
                 retransmit_bits: spent.retransmit_bits,
                 sketch_builds: builds - builds_mark,
-                sketch_cache_hits: hits - hits_mark,
+                sketch_cache_hits: 0,
             });
             if !progressed {
                 break;
@@ -720,7 +709,7 @@ impl<'g> Engine<'g> {
                 labels[v as usize] = canon[&labels[v as usize]];
             }
         }
-        let (sketch_builds, sketch_cache_hits) = self.sketch_counters();
+        let sketch_builds = self.sketch_builds();
         let per_machine = self.machines.iter().map(|st| &st.dur.mst_out);
         EngineResult {
             labels,
@@ -729,7 +718,6 @@ impl<'g> Engine<'g> {
             mst_edges: per_machine.flatten().copied().collect(),
             counted_components,
             sketch_builds,
-            sketch_cache_hits,
             stats: self.net.finish(None),
             phase_components: self.phase_components,
             drr_depths: self.drr_depths,
@@ -742,7 +730,7 @@ impl<'g> Engine<'g> {
 
     /// Snapshots the durable state at a phase boundary. That is everything
     /// a re-entered phase needs to replay the exact fault-free trajectory —
-    /// per-phase proxy state and sketch caches are rebuilt (identically) by
+    /// per-phase proxy state and part sketches are rebuilt (identically) by
     /// the phase itself.
     fn take_checkpoint(&self) -> PhaseCheckpoint {
         PhaseCheckpoint {
@@ -768,7 +756,6 @@ impl<'g> Engine<'g> {
             st.dur = dur.clone();
             st.proxied.clear();
             st.thresholds.clear();
-            st.part_cache.clear();
             st.inbox.clear();
             st.outbox.clear();
         }
@@ -900,8 +887,8 @@ impl<'g> Engine<'g> {
         if self.cx.contracted {
             return self.super_local_select();
         }
-        // Iteration-0 sketch functions: reused within the current epoch so
-        // unchanged parts can serve their cached sketches.
+        // Iteration-0 sketch functions: reused within the current epoch, so
+        // their seeds are distributed once per epoch.
         let fns = self.iter0_fns(p);
         self.sample(p, &fns, /*only_thresholded=*/ false);
         if self.cx.mode != Mode::Mst {
@@ -920,8 +907,7 @@ impl<'g> Engine<'g> {
             iter += 1;
             self.broadcast_thresholds();
             // Elimination iterations always use fresh per-(phase, iteration)
-            // functions — their sketches are threshold-filtered and never
-            // cacheable — so M1 distributes Θ(log² n) seed bits each (§2.3).
+            // functions, so M1 distributes Θ(log² n) seed bits each (§2.3).
             let fns = self.sketch_fns(p, iter);
             self.net.charge_distribution(fns.random_bits());
             self.sample(p, &fns, /*only_thresholded=*/ true);
@@ -991,9 +977,7 @@ impl<'g> Engine<'g> {
 
     /// The iteration-0 sketch functions for phase `p`, reusing the cached
     /// epoch functions when the tag matches. On epoch rollover derives
-    /// fresh functions, charges their §2.2 distribution cost, and drops
-    /// every cached part sketch — stale sketches from old functions must
-    /// never be merged with new ones.
+    /// fresh functions and charges their §2.2 distribution cost.
     fn iter0_fns(&mut self, p: u32) -> Arc<SketchFns> {
         let tag = self.iter0_tag(p);
         if let Some((t, fns)) = &self.cached_fns {
@@ -1003,9 +987,6 @@ impl<'g> Engine<'g> {
         }
         let fns = Arc::new(SketchFns::new(&self.cx.shared, tag, self.cx.params));
         self.net.charge_distribution(fns.random_bits());
-        for st in &mut self.machines {
-            st.part_cache.clear();
-        }
         self.cached_fns = Some((tag, Arc::clone(&fns)));
         fns
     }
@@ -1022,8 +1003,7 @@ impl<'g> Engine<'g> {
     /// Sends every part to its proxy: as the half-edges its sketch would hash
     /// when there are fewer than `edge_cap`, as its sketch otherwise. With
     /// `only_thresholded`, only parts that received an elimination threshold
-    /// participate, with their edges strictly below it; otherwise (the
-    /// iteration-0 epoch-function path) part sketches are cached.
+    /// participate, with their edges strictly below it.
     fn build_and_send_sketches(&mut self, p: u32, fns: &SketchFns, only_thresholded: bool) {
         let cap = self.edge_cap;
         self.step(|cx, st, _, out| {
@@ -1042,27 +1022,16 @@ impl<'g> Engine<'g> {
                     }
                 }
             }
-            let cacheable = !only_thresholded;
             for (label, edges) in det::into_sorted_entries(by_label) {
                 if edges.len() < cap {
                     out.send(cx.holder(p, label), Payload::PartEdges { label, edges });
                     continue;
                 }
-                let sketch = if let Some(cached) = st.part_cache.get(&label).filter(|_| cacheable) {
-                    st.sketch_cache_hits += 1;
-                    cached.clone()
-                } else {
-                    st.sketch_builds += 1;
-                    let mut sk = L0Sketch::new(cx.params);
-                    for (v, nb) in edges {
-                        sk.add_incident_edge(fns, v, nb);
-                    }
-                    if cacheable {
-                        st.part_cache.insert(label, sk.clone());
-                    }
-                    sk
-                };
-                let sketch = Box::new(sketch);
+                st.sketch_builds += 1;
+                let mut sketch = Box::new(L0Sketch::new(cx.params));
+                for (v, nb) in edges {
+                    sketch.add_incident_edge(fns, v, nb);
+                }
                 out.send(cx.holder(p, label), Payload::PartSketch { label, sketch });
             }
         });
@@ -1283,13 +1252,6 @@ impl<'g> Engine<'g> {
         });
         self.each(|_, st, inbox| {
             let (_, map) = rename_maps(inbox);
-            // Cache invalidation: the relabeled part dissolves into the
-            // target part, so both sketches are stale. Parts this map
-            // does not touch keep serving their cached sketches.
-            for (old, new) in det::sorted_entries(&map) {
-                st.part_cache.remove(&old);
-                st.part_cache.remove(new);
-            }
             det::for_each_value_mut(&mut st.dur.labels, |lab| {
                 if let Some(&nl) = map.get(lab) {
                     *lab = nl;
@@ -1396,7 +1358,6 @@ impl<'g> Engine<'g> {
                 }
             }
             // Sketch machinery is retired for the rest of the run.
-            st.part_cache.clear();
             st.thresholds.clear();
         });
         self.cx.contracted = true;
@@ -1523,11 +1484,9 @@ impl<'g> Engine<'g> {
     // Instrumentation (orchestrator-side, zero communication cost)
     // ------------------------------------------------------------------
 
-    /// Part sketches (built from scratch, served from cache), all machines.
-    fn sketch_counters(&self) -> (u64, u64) {
-        self.machines.iter().fold((0, 0), |(b, h), st| {
-            (b + st.sketch_builds, h + st.sketch_cache_hits)
-        })
+    /// Part sketches hashed from edges, all machines.
+    fn sketch_builds(&self) -> u64 {
+        self.machines.iter().map(|st| st.sketch_builds).sum()
     }
 
     /// Number of distinct labels across all machines: one supernode per
@@ -1799,59 +1758,11 @@ mod tests {
         }
     }
 
-    /// Local half-edges of machine `st`'s part of component `label`.
-    fn part_half_edges(sg: &ShardedGraph, st: &MachineState, label: Label) -> usize {
-        let of_part = st.verts.iter().filter(|v| st.dur.labels[v] == label);
-        of_part.map(|&v| sg.view(st.id).degree(v)).sum()
-    }
-
     /// An 80-clique beside `other`: once merged, the clique's share of a
     /// machine (≈ 20 vertices × 79 neighbours) is above the edge cap.
     fn clique_beside(other: &kgraph::Graph) -> ShardedGraph {
         let g = disjoint_union(&generators::complete(80), other);
         ShardedGraph::from_graph(&g, &Partition::random_vertex(&g, 4, 7))
-    }
-
-    #[test]
-    fn only_parts_dearer_to_rebuild_than_to_keep_are_cached() {
-        // On a path every part ships its edges, so nothing is sketched where
-        // it lives and nothing is cached: the proxies hash the edges.
-        let path = generators::path(400);
-        let sg = ShardedGraph::from_graph(&path, &Partition::random_vertex(&path, 4, 7));
-        let mut e = engine(&sg, false);
-        assert!(e.run_phase(0) && e.run_phase(1));
-        assert!(
-            e.sketch_counters().0 > 0,
-            "phase 1's proxies sketched edges"
-        );
-        assert!(e.machines.iter().all(|st| st.part_cache.is_empty()));
-
-        // The clique finishes merging (in about seven phases) while the
-        // longer path beside it keeps going: its parts are sketched where
-        // they live, cached when first built unchanged, and hit from then on.
-        let sg = clique_beside(&generators::path(2000));
-        let mut e = engine(&sg, false);
-        let mut hit_phase = None;
-        for p in 0..=3 * SKETCH_REUSE_PERIOD {
-            let cached_before: usize = e.machines.iter().map(|st| st.part_cache.len()).sum();
-            let hits_before = e.sketch_counters().1;
-            if !e.run_phase(p) {
-                break;
-            }
-            for st in &e.machines {
-                for &label in st.part_cache.keys() {
-                    assert!(part_half_edges(&sg, st, label) >= e.edge_cap);
-                }
-            }
-            if e.sketch_counters().1 > hits_before {
-                assert!(
-                    cached_before > 0,
-                    "a hit needs an entry from an earlier phase"
-                );
-                hit_phase = hit_phase.or(Some(p));
-            }
-        }
-        assert!(hit_phase.is_some(), "the clique's parts were never served");
     }
 
     #[test]
@@ -1867,14 +1778,11 @@ mod tests {
             e.run()
         };
         let clean = run(None, None);
-        // Every part is hashed once per sample — where it lives, at its
-        // proxy, or served from the cache: the cap moves only the split.
+        // Every part is hashed once per sample, where it lives or at its
+        // proxy: the cap moves only the split.
         let all_sketched = run(None, Some(0));
-        assert_eq!(
-            clean.sketch_builds + clean.sketch_cache_hits,
-            all_sketched.sketch_builds + all_sketched.sketch_cache_hits
-        );
-        assert!(clean.sketch_cache_hits > 0);
+        assert!(clean.sketch_builds > 0);
+        assert_eq!(clean.sketch_builds, all_sketched.sketch_builds);
         let crashed = run(Some(FaultPlan::new(17).with_crash(1, 40)), None);
         assert!(crashed.stats.recovery_rounds > 0, "the crash must fire");
         assert_eq!(crashed.labels, clean.labels);
@@ -1924,8 +1832,7 @@ mod tests {
     }
 
     /// A logical stream with what the edge cap may move masked: rounds and
-    /// bits zeroed, `part_edges` counted as `part_sketch`, and a phase's
-    /// sketch counters folded into their sum.
+    /// bits zeroed and `part_edges` counted as `part_sketch`.
     fn masked(records: Vec<kmachine::trace::TraceRecord>) -> Vec<TraceEvent> {
         use TraceEvent as E;
         let mask = |event| match event {
@@ -1947,8 +1854,8 @@ mod tests {
                 bits: 0,
                 recovery_rounds: 0,
                 retransmit_bits: 0,
-                sketch_builds: sketch_builds + sketch_cache_hits,
-                sketch_cache_hits: 0,
+                sketch_builds,
+                sketch_cache_hits,
             },
             E::Rollback { phase, crashed, .. } => E::Rollback {
                 phase,

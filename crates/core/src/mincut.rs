@@ -52,6 +52,8 @@ pub struct MinCutOutput {
     pub probes: u32,
     /// Combined communication accounting over all probes.
     pub stats: CommStats,
+    /// Part sketches hashed from edges, summed over all probes.
+    pub sketch_builds: u64,
 }
 
 impl Problem for MinCut {
@@ -83,6 +85,7 @@ impl Problem for MinCut {
             ..cfg.clone()
         };
         let mut stats = CommStats::new(k);
+        let mut sketch_builds = 0;
         // Probe i = 0 is p = 1 (the input graph itself). Each machine knows its
         // local maximum weight; the global max is free to aggregate in-model.
         let max_w = (0..k)
@@ -104,6 +107,7 @@ impl Problem for MinCut {
             let sampled = sample_sharded(sg, &shared, i);
             let out = connected_components_sharded(&sampled, seed ^ (i as u64) << 32, &conn_cfg);
             stats.absorb(&out.stats);
+            sketch_builds += out.sketch_builds;
             if out.component_count() > 1 {
                 disconnecting = Some(i);
                 break;
@@ -119,6 +123,7 @@ impl Problem for MinCut {
             disconnecting_probe: i_star,
             probes,
             stats,
+            sketch_builds,
         }
     }
 
@@ -128,6 +133,10 @@ impl Problem for MinCut {
 
     fn phases(out: &MinCutOutput) -> u32 {
         out.probes
+    }
+
+    fn sketch_builds(out: &MinCutOutput) -> u64 {
+        out.sketch_builds
     }
 }
 

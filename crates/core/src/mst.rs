@@ -68,6 +68,8 @@ pub struct MstOutput {
     /// concentrates Θ(n) receive bits at one machine — the Ω~(n/k)
     /// bottleneck of \[22\] (experiment E8).
     pub endpoint_routing: Option<CommStats>,
+    /// Part sketches hashed from edges, where the part lives or at its proxy.
+    pub sketch_builds: u64,
 }
 
 impl Problem for Mst {
@@ -97,6 +99,10 @@ impl Problem for Mst {
 
     fn phases(out: &MstOutput) -> u32 {
         out.phases
+    }
+
+    fn sketch_builds(out: &MstOutput) -> u64 {
+        out.sketch_builds
     }
 }
 
@@ -135,6 +141,7 @@ pub(crate) fn minimum_spanning_tree_sharded(
         phases: result.phases,
         edges_per_machine: result.mst_edges_per_machine,
         endpoint_routing,
+        sketch_builds: result.sketch_builds,
     }
 }
 

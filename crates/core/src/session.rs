@@ -188,13 +188,11 @@ impl Cluster {
             .is_on()
             .then(|| kmachine::trace::phase_breakdown(&trace.events_since(mark)))
             .filter(|rows| !rows.is_empty());
-        let (sketch_builds, sketch_cache_hits) = P::sketch_counters(&output);
         let stats = P::stats(&output).clone();
         let report = RunReport {
             problem: P::NAME,
             phases: P::phases(&output),
-            sketch_builds,
-            sketch_cache_hits,
+            sketch_builds: P::sketch_builds(&output),
             update_rounds: 0,
             update_bits: 0,
             faults_injected: stats.faults_injected,
@@ -280,8 +278,6 @@ pub struct RunReport {
     pub phases: u32,
     /// Part sketches hashed from edges, anywhere (`0` for sketch-free problems).
     pub sketch_builds: u64,
-    /// Part sketches served from the incremental cache.
-    pub sketch_cache_hits: u64,
     /// Rounds spent routing dynamic update batches since the previous
     /// solve on the same [`crate::dynamic::DynamicCluster`] (`0` for static
     /// runs — a plain `Cluster` has no update phase).
@@ -354,9 +350,9 @@ pub trait Problem {
         0
     }
 
-    /// `(sketch_builds, sketch_cache_hits)` of the run, where applicable.
-    fn sketch_counters(_output: &Self::Output) -> (u64, u64) {
-        (0, 0)
+    /// Part sketches the run hashed from edges (`0` where not applicable).
+    fn sketch_builds(_output: &Self::Output) -> u64 {
+        0
     }
 
     /// The tracer this problem's config carries (DESIGN.md §3.14).
@@ -564,8 +560,18 @@ mod tests {
         let run = cluster.run(Connectivity::default());
         assert_eq!(run.report.problem, "conn");
         assert_eq!(run.report.phases, run.output.phases);
+        assert!(run.report.sketch_builds > 0);
         assert_eq!(run.report.sketch_builds, run.output.sketch_builds);
         assert!(run.report.stats.rounds > 0);
+        let mst = cluster.run(Mst::default());
+        assert!(mst.report.sketch_builds > 0);
+        assert_eq!(mst.report.sketch_builds, mst.output.sketch_builds);
+        let st = cluster.run(SpanningForest::default());
+        assert!(st.report.sketch_builds > 0);
+        assert_eq!(st.report.sketch_builds, st.output.sketch_builds);
+        let cut = cluster.run(MinCut::default());
+        assert!(cut.report.sketch_builds > 0);
+        assert_eq!(cut.report.sketch_builds, cut.output.sketch_builds);
         let flood = cluster.run(Flooding::default());
         assert_eq!(flood.report.problem, "flooding");
         assert_eq!(flood.output.component_count(), refalgo::component_count(&g));

@@ -38,6 +38,8 @@ pub struct SpanningForestOutput {
     pub phases: u32,
     /// How many edges each machine output.
     pub edges_per_machine: Vec<usize>,
+    /// Part sketches hashed from edges, where the part lives or at its proxy.
+    pub sketch_builds: u64,
 }
 
 impl Problem for SpanningForest {
@@ -81,6 +83,7 @@ impl Problem for SpanningForest {
             stats: result.stats,
             phases: result.phases,
             edges_per_machine: result.mst_edges_per_machine,
+            sketch_builds: result.sketch_builds,
         }
     }
 
@@ -90,6 +93,10 @@ impl Problem for SpanningForest {
 
     fn phases(out: &SpanningForestOutput) -> u32 {
         out.phases
+    }
+
+    fn sketch_builds(out: &SpanningForestOutput) -> u64 {
+        out.sketch_builds
     }
 }
 

@@ -160,7 +160,8 @@ event_table! {
             retransmit_bits: u64,
             /// Part sketches hashed from edges during the phase (anywhere).
             sketch_builds: u64,
-            /// Part sketches served from the incremental cache.
+            /// Always 0: the part-sketch cache it counted is gone. Kept so
+            /// the schema (and every reader that destructures it) holds.
             sketch_cache_hits: u64,
         },
         /// A phase attempt was aborted by machine crashes and rolled back to
@@ -1089,7 +1090,7 @@ pub struct PhaseSummary {
     pub retransmit_bits: u64,
     /// Part sketches built during the row (phases only).
     pub sketch_builds: u64,
-    /// Sketch cache hits during the row (phases only).
+    /// Always 0, as [`TraceEvent::PhaseEnd`]'s field it folds.
     pub sketch_cache_hits: u64,
     /// Whether this row is a rolled-back (aborted) phase attempt.
     pub rolled_back: bool,

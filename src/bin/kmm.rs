@@ -226,7 +226,6 @@ fn report_json(report: &kmm::algo::session::RunReport, head: &[(&str, String)]) 
         ("max_machine_recv_bits", s.max_machine_recv_bits()),
         ("phases", report.phases as u64),
         ("sketch_builds", report.sketch_builds),
-        ("sketch_cache_hits", report.sketch_cache_hits),
         ("update_rounds", report.update_rounds),
         ("update_bits", report.update_bits),
         ("faults_injected", report.faults_injected),

@@ -829,7 +829,7 @@ const ROWS: &[Row] = &[
             Cmp("max_shard", "≤", "3·2m/k+2Δ"),
             Bound("components", "=", 1.0),
             Bound("rounds", ">", 0.0),
-            On("sketch", &Bound("cache_hits", ">", 0.0)),
+            On("sketch", &Bound("sketch_builds", ">", 0.0)),
             Full(&On("seed11", &Bound("2m", "≥", 2e6))),
         ],
     },
@@ -1331,7 +1331,7 @@ fn e20(quick: bool) -> (String, Vec<Cell>) {
             .int("3·2m/k+2Δ", 3 * fair + 2 * sg.max_degree())
             .int("rounds", report.stats.rounds)
             .int("components", components)
-            .int("cache_hits", report.sketch_cache_hits)
+            .int("sketch_builds", report.sketch_builds)
     };
     let cells = ladder(quick).into_iter().enumerate().map(|(i, s)| {
         let s = &s;
@@ -1429,7 +1429,7 @@ fn e22(quick: bool) -> (String, Vec<Cell>) {
     for &(n, k) in &shapes[..if quick { 1 } else { 2 }] {
         let seed = 7 + n as u64;
         // Multi-component, so both merge-heavy and settled phases occur
-        // (settled components exercise the sketch cache under rollback).
+        // and are replayed under rollback.
         let g = generators::planted_components(n, 4, 3, seed ^ 0xCAB0);
         let c = cluster(&g, k, seed);
         let conn = c.run(Connectivity::default());
