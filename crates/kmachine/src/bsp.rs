@@ -237,31 +237,30 @@ impl<M> Bsp<M> {
         let Some(bridge) = self.bridge.as_mut() else {
             return tagged;
         };
-        type LinkBuckets<M> = FxHashMap<(u32, u32), Vec<(u64, Envelope<M>)>>;
+        // Each link's envelopes side by side in window order, links
+        // ascending by (src, dst): `charge_window`'s two counting sorts,
+        // over indices because the envelopes are owned.
         let total = tagged.len();
-        let mut out = Vec::with_capacity(total);
-        let mut by_link: LinkBuckets<M> = FxHashMap::default();
-        for (pos, env) in tagged {
-            if env.is_local() {
-                out.push((pos, env));
-            } else {
-                by_link
-                    .entry((env.src as u32, env.dst as u32))
-                    .or_default()
-                    .push((pos, env));
-            }
-        }
-        let mut frames = Vec::with_capacity(by_link.len());
-        for ((src, dst), envs) in det::sorted_entries(&by_link) {
+        let remote: Vec<usize> = (0..total).filter(|&i| !tagged[i].1.is_local()).collect();
+        let (mut by_dst, mut by_link) = (Vec::new(), Vec::new());
+        counting_sort(&remote, self.cfg.k, |i| tagged[i].1.dst, &mut by_dst);
+        counting_sort(&by_dst, self.cfg.k, |i| tagged[i].1.src, &mut by_link);
+        let link_of = |i: usize| (tagged[i].1.src as u32, tagged[i].1.dst as u32);
+        let mut frames = Vec::new();
+        for link in by_link.chunk_by(|&a, &b| link_of(a) == link_of(b)) {
+            let (src, dst) = link_of(link[0]);
             let mut payload = Vec::new();
-            put_varint(&mut payload, envs.len() as u64);
-            for (pos, env) in envs {
+            put_varint(&mut payload, link.len() as u64);
+            for &i in link {
+                let (pos, env) = &tagged[i];
                 put_varint(&mut payload, *pos);
                 put_varint(&mut payload, env.bits);
                 (bridge.enc)(&env.payload, &mut payload);
             }
             frames.push(Frame::new(src, dst, payload));
         }
+        let mut out = Vec::with_capacity(total);
+        out.extend(tagged.into_iter().filter(|(_, env)| env.is_local()));
         // Physical-channel tracing: snapshot the transport counters and the
         // wall clock around the exchange. The wall-clock value feeds ONLY
         // the phys channel (never logical events or accounting), so the
