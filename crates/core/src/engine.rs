@@ -314,10 +314,10 @@ fn rename_adj(node: &mut SuperNode, map: &FxHashMap<Label, Label>) {
     }
 }
 
-/// Splits an inbox into the supergraph rename map
-/// ([`Payload::SuperRelabel`]) and the vertex-space rename map
-/// ([`Payload::Relabel`]).
-fn rename_maps(inbox: Mail) -> (FxHashMap<Label, Label>, FxHashMap<Label, Label>) {
+/// Applies an inbox's vertex-space renames ([`Payload::Relabel`]) to a
+/// machine's labels and returns its supergraph rename map
+/// ([`Payload::SuperRelabel`]).
+fn apply_relabels(labels: &mut FxHashMap<u32, Label>, inbox: Mail) -> FxHashMap<Label, Label> {
     let mut smap = FxHashMap::default();
     let mut vmap = FxHashMap::default();
     for env in inbox {
@@ -331,7 +331,12 @@ fn rename_maps(inbox: Mail) -> (FxHashMap<Label, Label>, FxHashMap<Label, Label>
             _ => {}
         }
     }
-    (smap, vmap)
+    det::for_each_value_mut(labels, |lab| {
+        if let Some(&nl) = vmap.get(lab) {
+            *lab = nl;
+        }
+    });
+    smap
 }
 
 /// Per-component state held at its proxy machine during one phase.
@@ -980,10 +985,8 @@ impl<'g> Engine<'g> {
     /// fresh functions and charges their §2.2 distribution cost.
     fn iter0_fns(&mut self, p: u32) -> Arc<SketchFns> {
         let tag = self.iter0_tag(p);
-        if let Some((t, fns)) = &self.cached_fns {
-            if *t == tag {
-                return Arc::clone(fns);
-            }
+        if let Some((_, fns)) = self.cached_fns.as_ref().filter(|(t, _)| *t == tag) {
+            return Arc::clone(fns);
         }
         let fns = Arc::new(SketchFns::new(&self.cx.shared, tag, self.cx.params));
         self.net.charge_distribution(fns.random_bits());
@@ -1251,12 +1254,7 @@ impl<'g> Engine<'g> {
             }
         });
         self.each(|_, st, inbox| {
-            let (_, map) = rename_maps(inbox);
-            det::for_each_value_mut(&mut st.dur.labels, |lab| {
-                if let Some(&nl) = map.get(lab) {
-                    *lab = nl;
-                }
-            });
+            apply_relabels(&mut st.dur.labels, inbox);
             // Phase is over: clear per-phase proxy state.
             st.proxied.clear();
             st.thresholds.clear();
@@ -1399,12 +1397,7 @@ impl<'g> Engine<'g> {
             }
         });
         self.step(|cx, st, inbox, out| {
-            let (smap, vmap) = rename_maps(inbox);
-            det::for_each_value_mut(&mut st.dur.labels, |lab| {
-                if let Some(&nl) = vmap.get(lab) {
-                    *lab = nl;
-                }
-            });
+            let smap = apply_relabels(&mut st.dur.labels, inbox);
             // Only the movers are sorted: their sends leave in label order.
             let mut movers: FxHashMap<Label, SuperNode> = FxHashMap::default();
             det::retain_where(&mut st.dur.supers, |&old, node| {

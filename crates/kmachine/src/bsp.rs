@@ -237,9 +237,8 @@ impl<M> Bsp<M> {
         let Some(bridge) = self.bridge.as_mut() else {
             return tagged;
         };
-        // Each link's envelopes side by side in window order, links
-        // ascending by (src, dst): `charge_window`'s two counting sorts,
-        // over indices because the envelopes are owned.
+        // `charge_window`'s two counting sorts, over indices (the envelopes
+        // are owned): links ascending by (src, dst), each in window order.
         let total = tagged.len();
         let remote: Vec<usize> = (0..total).filter(|&i| !tagged[i].1.is_local()).collect();
         let (mut by_dst, mut by_link) = (Vec::new(), Vec::new());

@@ -160,8 +160,7 @@ event_table! {
             retransmit_bits: u64,
             /// Part sketches hashed from edges during the phase (anywhere).
             sketch_builds: u64,
-            /// Always 0: the part-sketch cache it counted is gone. Kept so
-            /// the schema (and every reader that destructures it) holds.
+            /// Always 0 (the part-sketch cache is gone); kept in the schema.
             sketch_cache_hits: u64,
         },
         /// A phase attempt was aborted by machine crashes and rolled back to
