@@ -1,9 +1,10 @@
 //! The `O~(n/k²)`-round connected-components algorithm (paper §2,
 //! Theorem 1).
 //!
-//! Monte-Carlo: with the default sketch repetitions the output labels match
-//! the true connected components with high probability; every output is
-//! cheap to validate against [`kgraph::refalgo::connected_components`].
+//! Monte-Carlo in time, not in the answer: a failed sample only delays a
+//! merge, and a run stops once every merged sketch is zero, so the labels
+//! are exact unless the phase cap stops it first. Every output is cheap to
+//! validate against [`kgraph::refalgo::connected_components`].
 //!
 //! ```
 //! use kconn::session::{Cluster, Connectivity, Problem};

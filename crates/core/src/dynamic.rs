@@ -23,7 +23,8 @@
 //!    the refreshed component labels are *certified* with one exchange
 //!    round: machines ship per-label sketch sums to the label's referee,
 //!    where a true component cancels to exactly zero; a non-zero sum
-//!    exposes a missed merge and escalates to a full re-solve.
+//!    exposes a label that is not a closed component and escalates to a
+//!    full re-solve.
 //! 3. **Answers.** [`DynamicCluster::connectivity`] and
 //!    [`DynamicCluster::spanning_forest`] re-solve *incrementally*: only
 //!    the components touched by updates since the last solve are re-run
@@ -1266,6 +1267,13 @@ impl DynamicCluster {
             }
             _ => {
                 let (run, forest) = self.resolve(Mode::SpanningForest, cfg, None, Vec::new());
+                // A run stopped by the phase cap may leave labels that are
+                // not closed components, so no restricted re-run may take
+                // them as its mask: the next refresh is full. (A capped
+                // restricted run fails certification and escalates here.)
+                if run.phases >= cfg.phase_cap(self.n()) {
+                    self.trajectory = None;
+                }
                 self.last_refresh = RefreshKind::Full;
                 self.state = Some(DynState {
                     labels: run.labels.clone(),
@@ -1318,13 +1326,15 @@ impl DynamicCluster {
 
     /// The tail of every incremental refresh: certifies `labels` over the
     /// `refreshed` vertices, folds the exchange into the attempt's `total`
-    /// and hands it back. A failed certificate means the sketches exposed
-    /// a missed merge (a Monte-Carlo sampling whiff in the restricted
-    /// run): the attempt is recorded as a rolled-back breakdown span — so
-    /// the §3.14 tiling invariant keeps holding against the merged stats —
-    /// and the refresh escalates to `full`, keeping the bits spent so far
-    /// on the books. The caller installs its refreshed state only when the
-    /// attempt continues.
+    /// and hands it back. A failed certificate means a refreshed label is
+    /// not a closed component. A restricted run does not under-merge from a
+    /// sampling miss (it stops only once every merged sketch is zero), so
+    /// that is a capped run, a repair tier's miss or a maintained sketch
+    /// that disagrees with the shards. The attempt is recorded as a
+    /// rolled-back breakdown span — so the §3.14 tiling invariant keeps
+    /// holding against the merged stats — and the refresh escalates to
+    /// `full`, keeping the bits spent so far on the books. The caller
+    /// installs its refreshed state only when the attempt continues.
     fn certify_or_escalate(
         &mut self,
         refreshed: &[bool],
@@ -2231,7 +2241,7 @@ mod tests {
         assert_tiles(rows, &run.report.stats, "conn escalation");
         assert_eq!(
             ledger_of(&run.report.stats),
-            (192, 39_294, 144, 596),
+            (164, 31_940, 134, 582),
             "conn escalation: attempt + full refresh, pinned like tests/fixtures/run_ledger.txt"
         );
         assert!(
@@ -2280,7 +2290,7 @@ mod tests {
         assert_tiles(rows, &run.report.stats, "mst escalation");
         assert_eq!(
             ledger_of(&run.report.stats),
-            (192, 21_602, 69, 156),
+            (112, 12_301, 50, 116),
             "mst escalation: attempt + full re-solve, pinned like tests/fixtures/run_ledger.txt"
         );
         assert!(

@@ -32,13 +32,15 @@
 //! (MST: the minimum-key incident edge), which the home machine computes
 //! directly.
 //!
-//! **Sketch-function reuse** (DESIGN.md §3.7): the iteration-0 sketch
-//! functions are re-derived only once per *epoch* of `SKETCH_REUSE_PERIOD`
-//! phases (fresh randomness at each rollover bounds any correlation between
-//! a failed sample and later phases). What is amortized is the §2.2
-//! `Θ(log² n)`-bit function-seed distribution charge, paid once per epoch —
-//! reused functions need no redistribution. Every part is still hashed anew
-//! in every phase, as in the paper.
+//! **Stopping and sketch-function reuse** (DESIGN.md §3.7): by §2.3
+//! linearity a merged iteration-0 sketch is zero exactly when no edge
+//! leaves the component, and the run ends at the first phase in which no
+//! component is *live* (non-zero sketch; phase 0: a neighbour; contracted:
+//! an adjacency). A live component whose query failed samples again. The
+//! iteration-0 functions are re-derived once per *epoch* of
+//! `SKETCH_REUSE_PERIOD` phases, which bounds how long such a failure can
+//! repeat and charges the §2.2 `Θ(log² n)`-bit seed distribution once per
+//! epoch. Every part is still hashed anew in every phase, as in the paper.
 //!
 //! All communication flows through the crate's one network runtime
 //! (`net::Net` over [`kmachine::Bsp`]), so every round and bit is accounted
@@ -181,6 +183,13 @@ impl Default for EngineConfig {
     }
 }
 
+impl EngineConfig {
+    /// `max_phases`, or the paper's `12 log₂ n` (+2) for `n` vertices.
+    pub(crate) fn phase_cap(&self, n: usize) -> u32 {
+        self.max_phases.unwrap_or(12 * id_bits(n.max(2)) as u32 + 2)
+    }
+}
+
 /// Everything the engine produces: the distributed outputs plus the full
 /// communication accounting and instrumentation for the experiments.
 #[derive(Clone, Debug)]
@@ -243,8 +252,6 @@ struct Durable {
 /// machine's [`Durable`] state plus the run-level state a phase may move.
 struct PhaseCheckpoint {
     machines: Vec<Durable>,
-    /// The sketch-function epoch salt at the boundary.
-    epoch_salt: u32,
     /// The epoch sketch functions cached at the boundary. Restoring them
     /// (instead of re-deriving) keeps the §2.2 distribution charge exactly
     /// where the fault-free run pays it: function seeds are part of each
@@ -359,12 +366,13 @@ struct ProxyComp {
     chosen: Option<(u32, u32, u64)>,
     /// Label on the other side of `chosen`.
     other_label: Option<Label>,
+    /// Whether an edge leaves the component (module doc, "Stopping").
+    live: bool,
     /// MST: elimination finished for this component.
     elim_done: bool,
-    /// MST: consecutive failed/empty samples. A component is only declared
-    /// done after two strikes, so a single Monte-Carlo sampling failure
-    /// (≈0.1% per query at 5 repetitions) cannot silently terminate the
-    /// elimination with a non-minimal edge.
+    /// MST: consecutive failed/empty samples of a live component, done only
+    /// after two strikes, so one Monte-Carlo sampling failure (≈0.1% per
+    /// query at 5 repetitions) cannot end it on a non-minimal edge.
     none_streak: u8,
     /// DRR parent (merge target), if any.
     parent: Option<Label>,
@@ -476,8 +484,6 @@ pub struct Engine<'g> {
     edge_cap: usize,
     /// The iteration-0 sketch functions of the current epoch, keyed by tag.
     cached_fns: Option<(u32, Arc<SketchFns>)>,
-    /// Bumped by the termination guard to force fresh epoch functions.
-    epoch_salt: u32,
     phase_components: Vec<usize>,
     drr_depths: Vec<u32>,
 }
@@ -523,7 +529,6 @@ impl<'g> Engine<'g> {
             net,
             machines,
             cached_fns: None,
-            epoch_salt: 0,
             phase_components: Vec::new(),
             drr_depths: Vec::new(),
         }
@@ -538,12 +543,13 @@ impl<'g> Engine<'g> {
     /// machine drops its inactive home vertices before phase 0, so the run
     /// touches only the induced subgraph — the `core::dynamic` incremental
     /// re-solve path, which re-runs only the components an update batch
-    /// touched. Because every per-component decision (phase-0 sampling,
-    /// sketch functions, proxies, DRR ranks, pointer jumping) is keyed by
-    /// vertex ids and labels — never by global state — the restricted
-    /// trajectory of an active component is identical to its trajectory in
-    /// an unrestricted run on the same shards, which is what makes spliced
-    /// answers bit-compatible with full fresh runs (`tests/dynamic.rs`).
+    /// touched. Every per-component decision (phase-0 sampling, sketch
+    /// functions, proxies, DRR ranks, pointer jumping) is keyed by vertex
+    /// ids, labels and the phase, and the run stops on each component's own
+    /// zero test: no global state shapes a restricted trajectory, so an
+    /// active component's is identical to its trajectory in an unrestricted
+    /// run on the same shards, which is what makes spliced answers
+    /// bit-compatible with full fresh runs (`tests/dynamic.rs`).
     ///
     /// The caller must guarantee no edge joins an active and an inactive
     /// vertex (the dynamic layer's touched-component closure does); such an
@@ -585,10 +591,7 @@ impl<'g> Engine<'g> {
         let bits = SharedRandomness::paper_shared_bits(self.cx.n, self.cx.k);
         self.net.charge_distribution(bits);
         self.net.emit_segment("setup", mark);
-        let max_phases = self
-            .cfg
-            .max_phases
-            .unwrap_or(12 * id_bits(self.cx.n.max(2)) as u32 + 2);
+        let max_phases = self.cfg.phase_cap(self.cx.n);
         // Crash recovery (§3.10): checkpoint at every phase boundary so a
         // crashed phase can be rolled back and re-entered. Only armed when
         // the plan actually schedules crashes — message-level faults are
@@ -618,20 +621,7 @@ impl<'g> Engine<'g> {
                 components: comps as u64,
                 contracted,
             });
-            let mut progressed = self.run_phase(p);
-            if !progressed && p >= 1 && !self.cx.contracted {
-                // Termination guard: with cached iteration-0 functions a
-                // failed Monte-Carlo sample would repeat identically next
-                // phase, so "no outgoing edge anywhere" must be confirmed
-                // once with fresh functions before the run may stop.
-                self.epoch_salt += 1;
-                self.cached_fns = None;
-                for st in &mut self.machines {
-                    st.proxied.clear();
-                    st.thresholds.clear();
-                }
-                progressed = self.run_phase(p);
-            }
+            let progressed = self.run_phase(p);
             if let Some(cp) = checkpoint
                 .as_ref()
                 .filter(|_| self.net.crash_count() > crash_mark)
@@ -740,7 +730,6 @@ impl<'g> Engine<'g> {
     fn take_checkpoint(&self) -> PhaseCheckpoint {
         PhaseCheckpoint {
             machines: self.machines.iter().map(|st| st.dur.clone()).collect(),
-            epoch_salt: self.epoch_salt,
             cached_fns: self.cached_fns.clone(),
             contracted: self.cx.contracted,
         }
@@ -764,7 +753,6 @@ impl<'g> Engine<'g> {
             st.inbox.clear();
             st.outbox.clear();
         }
-        self.epoch_salt = cp.epoch_salt;
         self.cached_fns = cp.cached_fns.clone();
         self.cx.contracted = cp.contracted;
     }
@@ -858,8 +846,8 @@ impl<'g> Engine<'g> {
     // Phase machinery
     // ------------------------------------------------------------------
 
-    /// Runs one phase; returns whether any component found an outgoing
-    /// edge. Contraction (§3.11) changes what the steps run on, not the
+    /// Runs one phase; returns whether any component was live (had an
+    /// outgoing edge). Contraction (§3.11) changes what the steps run on, not the
     /// steps: once the supergraph exists, selection is an exact local MWOE
     /// (no sketches, no probes, no Monte-Carlo), pointer jumping is routed
     /// to label owners and runs to *full* convergence, and the merge moves
@@ -869,8 +857,9 @@ impl<'g> Engine<'g> {
             self.build_supergraph();
         }
         self.select_outgoing(p);
-        // Phase-progress flag: any component with a resolved outgoing edge?
-        if !self.aggregate_flag(|st| det::any_value(&st.proxied, |c| c.chosen.is_some())) {
+        // Phase-progress flag: any component with an outgoing edge? A live
+        // component whose sample failed samples again next phase.
+        if !self.aggregate_flag(|st| det::any_value(&st.proxied, |c| c.live)) {
             return false;
         }
         self.build_drr_forest(p);
@@ -929,7 +918,8 @@ impl<'g> Engine<'g> {
             for &v in &st.verts {
                 let nbrs = view.neighbors(v);
                 let mut comp = ProxyComp::new(v as Label, vec![st.id as u16]);
-                if !nbrs.is_empty() {
+                comp.live = !nbrs.is_empty();
+                if comp.live {
                     let (nb, w) = match cx.mode {
                         Mode::Connectivity | Mode::SpanningForest => {
                             nbrs[prf.eval_mod(0, v as u64, nbrs.len() as u64) as usize]
@@ -954,6 +944,7 @@ impl<'g> Engine<'g> {
             st.proxied.clear();
             for (lab, node) in det::sorted_entries(&st.dur.supers) {
                 let mut comp = ProxyComp::new(lab, node.parts.clone());
+                comp.live = !node.adj.is_empty();
                 if let Some((nb, &(w, ou, ov))) =
                     det::min_entry_by(&node.adj, |_, &(w, ou, ov)| edge_key(w, ou, ov))
                 {
@@ -972,19 +963,13 @@ impl<'g> Engine<'g> {
         SketchFns::new(&self.cx.shared, p * 64 + iter, self.cx.params)
     }
 
-    /// Tag of the iteration-0 sketch functions for phase `p ≥ 1`: one tag
-    /// per (reuse epoch, termination-guard salt).
-    fn iter0_tag(&self, p: u32) -> u32 {
+    /// The iteration-0 sketch functions for phase `p ≥ 1`, reusing the
+    /// cached epoch functions when the tag matches. On epoch rollover
+    /// derives fresh functions and charges their §2.2 distribution cost.
+    fn iter0_fns(&mut self, p: u32) -> Arc<SketchFns> {
         /// Disjoint from every `p * 64 + iter` elimination tag.
         const EPOCH_TAG_BASE: u32 = 1 << 30;
-        EPOCH_TAG_BASE + ((p - 1) / SKETCH_REUSE_PERIOD) * 1024 + self.epoch_salt
-    }
-
-    /// The iteration-0 sketch functions for phase `p`, reusing the cached
-    /// epoch functions when the tag matches. On epoch rollover derives
-    /// fresh functions and charges their §2.2 distribution cost.
-    fn iter0_fns(&mut self, p: u32) -> Arc<SketchFns> {
-        let tag = self.iter0_tag(p);
+        let tag = EPOCH_TAG_BASE + ((p - 1) / SKETCH_REUSE_PERIOD) * 1024;
         if let Some((_, fns)) = self.cached_fns.as_ref().filter(|(t, _)| *t == tag) {
             return Arc::clone(fns);
         }
@@ -1071,11 +1056,11 @@ impl<'g> Engine<'g> {
             }
             for label in det::sorted_members(&touched) {
                 let comp = st.proxied.get_mut(&label).expect("just inserted");
-                // Sampled once; taking the sketch frees its memory.
-                let sketch = comp.sketch.take();
-                comp.candidate = sketch
-                    .and_then(|sk| sk.query(fns))
-                    .map(|(u, v)| (u.min(v), u.max(v)));
+                // Sampled once; taking the sketch frees its memory. `|=`:
+                // a live component's filtered MST sketches may be zero.
+                let sketch = comp.sketch.take().expect("merged this superstep");
+                comp.live |= !sketch.is_zero();
+                comp.candidate = sketch.query(fns).map(|(u, v)| (u.min(v), u.max(v)));
                 comp.info = [None, None];
             }
         });
@@ -1569,9 +1554,9 @@ fn merging(cx: &Cx, st: &mut MachineState) -> Vec<(Label, Label)> {
 
 /// Validates a probed candidate and folds it into the component state:
 /// the edge must exist and have exactly one internal endpoint. For MST the
-/// verified edge becomes the new `chosen`; an invalid/absent candidate is
-/// a strike toward ending the elimination for this component (Monte-Carlo
-/// skip).
+/// verified edge becomes the new `chosen`; a component that is not live
+/// is done at once, and an invalid/absent candidate of a live one is a
+/// strike toward ending its elimination (Monte-Carlo skip).
 fn finalize_candidate(c: &mut ProxyComp) {
     /// Strikes before an empty/invalid sample is accepted as "no lighter
     /// edge exists" (the retry drives the false-done probability to ~1e-6).
@@ -1595,7 +1580,7 @@ fn finalize_candidate(c: &mut ProxyComp) {
         }
         None => {
             c.none_streak += 1;
-            c.elim_done |= c.none_streak >= STRIKES;
+            c.elim_done |= !c.live || c.none_streak >= STRIKES;
         }
     }
     c.candidate = None;
@@ -1997,12 +1982,13 @@ mod tests {
 
     #[test]
     fn cap_zero_is_the_all_sketch_ledger() {
-        // The parent commit's `rounds` / `total_bits` on this cell, when
-        // every part shipped its sketch.
+        // The `rounds` / `total_bits` of this cell when every part ships
+        // its sketch, as the engine ran before parts could ship edges
+        // (restated when the run learned to stop on the zero test).
         let sg = weighted_cell();
         let parent = [
-            (Mode::Connectivity, 1554, 8_172_942),
-            (Mode::Mst, 10_318, 47_417_971),
+            (Mode::Connectivity, 1518, 8_112_919),
+            (Mode::Mst, 10_206, 47_237_644),
         ];
         for (mode, rounds, bits) in parent {
             let mut e = Engine::new(&sg, mode, 5, EngineConfig::default());

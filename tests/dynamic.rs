@@ -109,7 +109,9 @@ fn batches_for(g: &Graph, seed: u64) -> Vec<UpdateBatch> {
 
 /// The tentpole pin: incremental answers are bit-identical to fresh static
 /// runs after every batch, across every graph family of the matrix (k and
-/// bandwidth rotate per family so every axis value appears).
+/// bandwidth rotate per family so every axis value appears). A low-`reps`
+/// cell rides along: at one repetition sampling fails often, and a failed
+/// sample may only delay a merge, never change what the splice produces.
 #[test]
 fn dynamic_answers_match_fresh_static_runs_across_families() {
     for &seed in &SEEDS {
@@ -129,9 +131,20 @@ fn dynamic_answers_match_fresh_static_runs_across_families() {
                 Cluster::builder(k).seed(seed).ingest_graph(&g),
                 DynConfig::default(),
             );
+            // Connectivity and spanning forest only: the sketch MST is not
+            // yet exact at low `reps` (ROADMAP item 1(a)).
+            let low_cfg = ConnectivityConfig {
+                reps: 1,
+                ..conn_cfg.clone()
+            };
+            let mut low = DynamicCluster::wrap(
+                Cluster::builder(k).seed(seed).ingest_graph(&g),
+                DynConfig::default(),
+            );
             let mut edges = g.edges().to_vec();
             dc.connectivity(&conn_cfg); // warm base solves
             dc.mst(&mst_cfg);
+            low.connectivity(&low_cfg);
             let batches = batches_for(&g, seed.wrapping_add(fi as u64 * 101));
             assert!(batches.len() >= 4, "{id}: the pin needs ≥ 4 batches");
             for (bi, batch) in batches.iter().enumerate() {
@@ -190,6 +203,25 @@ fn dynamic_answers_match_fresh_static_runs_across_families() {
                 assert_stats_sane(&id, &conn.output.stats, k);
                 assert_stats_sane(&id, &st.output.stats, k);
                 assert_stats_sane(&id, &mst.output.stats, k);
+                // The low-`reps` cell.
+                low.apply(batch)
+                    .unwrap_or_else(|e| panic!("{id} batch {bi}: {e}"));
+                let low_conn = low.connectivity(&low_cfg);
+                let low_st = low.spanning_forest(&low_cfg);
+                assert_eq!(
+                    low_conn.output.labels,
+                    fresh.run(Connectivity::with(low_cfg.clone())).output.labels,
+                    "{id} batch {bi}: reps 1 connectivity labels must be bit-identical"
+                );
+                assert_eq!(
+                    low_st.output.edges,
+                    fresh
+                        .run(SpanningForest::with(low_cfg.clone()))
+                        .output
+                        .edges,
+                    "{id} batch {bi}: reps 1 spanning forest must be bit-identical"
+                );
+                assert_labels_match_reference(&id, &low_conn.output.labels, &mutated);
             }
             // The mutated cluster's storage still matches fresh ingestion.
             assert_eq!(dc.m(), edges.len(), "{id}: edge count after churn");
@@ -311,6 +343,45 @@ fn untouched_components_survive_verbatim() {
                 "untouched forest edge {e:?} must survive"
             );
         }
+    }
+}
+
+/// A solve stopped by `max_phases` leaves labels that need not be closed
+/// components, so the next refresh must not splice from it (a restricted
+/// re-run over such a mask used to panic): it re-solves in full, and both
+/// answers match a fresh static run under the same cap.
+#[test]
+fn a_phase_capped_solve_is_never_spliced() {
+    let k = 4;
+    let cfg = ConnectivityConfig {
+        max_phases: Some(2),
+        ..ConnectivityConfig::default()
+    };
+    for seed in 0..8 {
+        let g = generators::planted_components(240, 6, 30, seed);
+        let e = g.edges()[0];
+        let batch = UpdateBatch::new().delete(e.u, e.v);
+        let mut edges = g.edges().to_vec();
+        batch.apply_to_edge_list(g.n(), &mut edges).unwrap();
+        let mutated = Graph::from_dedup_edges(g.n(), edges);
+        let fresh = Cluster::builder(k).seed(seed).ingest_graph(&mutated);
+        let solved_then_deleted = || {
+            let cluster = Cluster::builder(k).seed(seed).ingest_graph(&g);
+            let mut dc = DynamicCluster::wrap(cluster, DynConfig::default());
+            dc.connectivity(&cfg);
+            dc.apply(&batch).unwrap();
+            dc
+        };
+        assert_eq!(
+            solved_then_deleted().connectivity(&cfg).output.labels,
+            fresh.run(Connectivity::with(cfg.clone())).output.labels,
+            "seed {seed}: connectivity"
+        );
+        assert_eq!(
+            solved_then_deleted().spanning_forest(&cfg).output.edges,
+            fresh.run(SpanningForest::with(cfg.clone())).output.edges,
+            "seed {seed}: spanning forest"
+        );
     }
 }
 
