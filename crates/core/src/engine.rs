@@ -847,11 +847,12 @@ impl<'g> Engine<'g> {
     // ------------------------------------------------------------------
 
     /// Runs one phase; returns whether any component was live (had an
-    /// outgoing edge). Contraction (§3.11) changes what the steps run on, not the
-    /// steps: once the supergraph exists, selection is an exact local MWOE
-    /// (no sketches, no probes, no Monte-Carlo), pointer jumping is routed
-    /// to label owners and runs to *full* convergence, and the merge moves
-    /// the state of the merging supernodes to their roots' owners.
+    /// outgoing edge). Contraction (§3.11) changes what the steps run on,
+    /// not the steps: once the supergraph exists, selection is an exact
+    /// local MWOE (no sketches, no probes, no Monte-Carlo), pointer jumping
+    /// is routed to label owners and runs to *full* convergence, and the
+    /// merge moves the state of the merging supernodes to their roots'
+    /// owners.
     fn run_phase(&mut self, p: u32) -> bool {
         if self.cfg.contract && p >= 1 && !self.cx.contracted {
             self.build_supergraph();
@@ -967,7 +968,8 @@ impl<'g> Engine<'g> {
     /// cached epoch functions when the tag matches. On epoch rollover
     /// derives fresh functions and charges their §2.2 distribution cost.
     fn iter0_fns(&mut self, p: u32) -> Arc<SketchFns> {
-        /// Disjoint from every `p * 64 + iter` elimination tag.
+        /// Disjoint from every `p * 64 + iter` elimination tag. Epochs
+        /// are 1024 tags apart, the tags the pinned ledgers were drawn with.
         const EPOCH_TAG_BASE: u32 = 1 << 30;
         let tag = EPOCH_TAG_BASE + ((p - 1) / SKETCH_REUSE_PERIOD) * 1024;
         if let Some((_, fns)) = self.cached_fns.as_ref().filter(|(t, _)| *t == tag) {
@@ -1983,8 +1985,7 @@ mod tests {
     #[test]
     fn cap_zero_is_the_all_sketch_ledger() {
         // The `rounds` / `total_bits` of this cell when every part ships
-        // its sketch, as the engine ran before parts could ship edges
-        // (restated when the run learned to stop on the zero test).
+        // its sketch, as before parts could ship their edges.
         let sg = weighted_cell();
         let parent = [
             (Mode::Connectivity, 1518, 8_112_919),
