@@ -347,9 +347,9 @@ fn untouched_components_survive_verbatim() {
 }
 
 /// A solve stopped by `max_phases` leaves labels that need not be closed
-/// components, so the next refresh must not splice from it (a restricted
-/// re-run over such a mask used to panic): it re-solves in full, and both
-/// answers match a fresh static run under the same cap.
+/// components, and a restricted re-run needs a mask closed under
+/// adjacency: the next refresh must re-solve in full, and both answers
+/// match a fresh static run under the same cap.
 #[test]
 fn a_phase_capped_solve_is_never_spliced() {
     let k = 4;
