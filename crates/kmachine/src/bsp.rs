@@ -1021,9 +1021,52 @@ mod tests {
         }
     }
 
+    /// A faulty superstep's whole bill, pinned: six seeded windows under
+    /// per-machine pricing, a tracked cut and varint charging, with all
+    /// five fault kinds firing. The fixture holds the `CommStats` `Debug`
+    /// line, then the logical trace as JSONL.
+    #[test]
+    fn faulty_supersteps_bill_the_pinned_ledger() {
+        use crate::bandwidth::CostModel;
+        use crate::fault::FaultPlan;
+        use crate::message::Encoding;
+        use crate::trace::{to_jsonl, Tracer};
+        use krand::prf::Prf;
+        let k = 5;
+        let mut c = cfg(k, 48);
+        c.cost_model = CostModel::PerMachine;
+        c.encoding = Encoding::Varint;
+        let trace = Tracer::recording();
+        let mut bsp: Bsp<Id> = Bsp::new(c);
+        bsp.set_tracer(trace.clone());
+        bsp.set_cut(vec![true, false, true, false, false]);
+        let plan = FaultPlan::new(23)
+            .with_drop(0.25)
+            .with_dup(0.2)
+            .with_reorder(0.3)
+            .with_delay(0.15)
+            .with_crash(3, 2);
+        bsp.install_faults(plan, true);
+        let prf = Prf::new(29);
+        for step in 0..6u64 {
+            let window = (0..20 + prf.eval_mod(0, step, 40))
+                .map(|i| {
+                    let at = step * 1_000 + i;
+                    let src = prf.eval_mod(1, at, k as u64) as usize;
+                    let dst = prf.eval_mod(2, at, k as u64) as usize;
+                    Envelope::new(src, dst, Id(prf.eval_mod(3, at, 3_000)))
+                })
+                .collect();
+            bsp.superstep(window);
+        }
+        let got = format!("{:?}\n{}", bsp.stats(), to_jsonl(&trace.events()));
+        assert_eq!(got, include_str!("../fixtures/bsp_faulty_golden.txt"));
+    }
+
     mod prop_tests {
         use super::*;
         use crate::bandwidth::CostModel;
+        use crate::fault::FaultPlan;
         use crate::message::Encoding;
         use crate::trace::{TraceRecord, Tracer};
         use krand::prf::Prf;
@@ -1037,7 +1080,8 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
             /// A window handed over as outboxes delivers, charges and traces
-            /// exactly like the flat superstep on their concatenation.
+            /// exactly like the flat superstep on their concatenation, with
+            /// or without a fault plan; faults never change the inboxes.
             #[test]
             fn outboxes_superstep_like_their_concatenation(seed in 0u64..1_000_000, k in 2usize..10) {
                 let prf = Prf::new(seed);
@@ -1067,12 +1111,24 @@ mod tests {
                     outboxes.push(std::mem::replace(&mut rest, tail));
                 }
                 outboxes.push(rest);
+                // Half the cases run under every fault kind at once.
+                let faults = (prf.eval_mod(0, 6, 2) == 1).then(|| {
+                    FaultPlan::new(seed)
+                        .with_drop(0.2)
+                        .with_dup(0.2)
+                        .with_reorder(0.2)
+                        .with_delay(0.2)
+                        .with_crash(prf.eval_mod(0, 7, k as u64) as usize, 0)
+                });
                 let run = |step: &dyn Fn(&mut Bsp<Id>)| -> Outcome {
                     let trace = Tracer::recording();
                     let mut bsp: Bsp<Id> = Bsp::new(c);
                     bsp.set_tracer(trace.clone());
                     if let Some(side) = &cut {
                         bsp.set_cut(side.clone());
+                    }
+                    if let Some(plan) = &faults {
+                        bsp.install_faults(plan.clone(), true);
                     }
                     step(&mut bsp);
                     let inboxes = bsp.take_all_inboxes().into_iter();
@@ -1086,7 +1142,8 @@ mod tests {
                     .map(|m| window.iter().filter(|e| e.dst == m).map(|e| e.payload.0).collect())
                     .collect();
                 prop_assert_eq!(&flat.0, &expect);
-                prop_assert!(matches!(flat.2[..], [TraceRecord { event: TraceEvent::Superstep { .. }, .. }]));
+                prop_assert!(matches!(flat.2[..], [TraceRecord { event: TraceEvent::Superstep { .. }, .. }, ..]));
+                prop_assert!(faults.is_some() || flat.2.len() == 1);
                 prop_assert_eq!(&split.0, &flat.0);
                 prop_assert_eq!(&split.1, &flat.1);
                 prop_assert_eq!(&split.2, &flat.2);
