@@ -10,12 +10,12 @@
 //! `tests/model_properties.rs` and `tests/conformance.rs`, DESIGN.md
 //! §3.1), and routes messages into per-machine inboxes.
 //!
-//! A fault-free superstep moves every envelope once, from the outboxes
+//! A superstep moves every envelope once, from the outboxes
 //! [`Bsp::superstep_outboxes`] takes (the flat [`Bsp::superstep`] is its
 //! one-outbox case) straight into pre-sized inboxes, in window order.
 //! Links are grouped by counting sort, in O(messages + k), and each is
-//! priced from its slice. Faults and the process transport flatten the
-//! window once at entry.
+//! priced from its slice. An installed fault plan changes the bill, never
+//! the delivery (DESIGN.md §3.10).
 //!
 //! Bandwidth is charged under the configured [`Encoding`]: the historical
 //! default charges every message its own [`Envelope::bits`]
@@ -32,14 +32,12 @@
 // panic here kills a worker mid-window instead of failing the
 // attempt cleanly. Tests opt back in below.
 
-use crate::det;
 use crate::fault::FaultPlan;
 use crate::message::{put_varint, BatchWire, Encoding, Envelope, WireCodec, WireError, WireReader};
 use crate::metrics::{CommStats, SuperstepLoad};
 use crate::network::NetworkConfig;
 use crate::trace::{PhysEvent, Stopwatch, TraceEvent, Tracer};
-use crate::transport::{CodecBridge, Frame, PhysStats, Transport, TransportKind};
-use rustc_hash::FxHashMap;
+use crate::transport::{CodecBridge, Frame, Transport, TransportKind};
 use std::collections::BTreeMap;
 
 /// Safety bound on recovery rounds per superstep. With `drop < 1` and the
@@ -52,7 +50,6 @@ const MAX_RECOVERY_ATTEMPTS: u64 = 4096;
 /// have fired so far (queryable by the engine's checkpoint recovery).
 struct FaultCtx {
     plan: FaultPlan,
-    reliable: bool,
     /// Every crash event that fired: `(superstep, machine)`.
     crash_log: Vec<(u64, usize)>,
 }
@@ -96,16 +93,6 @@ fn counting_sort<T: Copy>(items: &[T], k: usize, key: impl Fn(T) -> usize, out: 
     }
 }
 
-/// The window as one batch, in outbox order, grown from the first outbox.
-fn flatten<M>(outboxes: Vec<Vec<Envelope<M>>>) -> Vec<Envelope<M>> {
-    let total: usize = outboxes.iter().map(Vec::len).sum();
-    let mut outboxes = outboxes.into_iter();
-    let mut flat = outboxes.next().unwrap_or_default();
-    flat.reserve(total - flat.len());
-    outboxes.for_each(|outbox| flat.extend(outbox));
-    flat
-}
-
 /// One delivery window's base charge, as [`Bsp::close_window`] books it:
 /// the links that carry messages as `(src, dst, charged bits)`, ascending;
 /// per machine the bits sent and received and the messages received
@@ -128,6 +115,23 @@ impl Window {
             .map(|&(_, _, bits)| bits)
             .max()
             .unwrap_or(0)
+    }
+
+    /// Adds the loads of `extra`, whose links this window already carries.
+    fn absorb(&mut self, extra: &Window) {
+        let mut more = extra.links.iter().peekable();
+        for (src, dst, bits) in &mut self.links {
+            if let Some((_, _, b)) = more.next_if(|&&(s, d, _)| (s, d) == (*src, *dst)) {
+                *bits += b;
+            }
+        }
+        for (mine, theirs) in [
+            (&mut self.machine_out, &extra.machine_out),
+            (&mut self.machine_in, &extra.machine_in),
+        ] {
+            mine.iter_mut().zip(theirs).for_each(|(a, b)| *a += b);
+        }
+        self.total += extra.total;
     }
 }
 
@@ -214,11 +218,6 @@ impl<M> Bsp<M> {
         self.bridge = Some(CodecBridge::new(transport));
     }
 
-    /// The installed transport's physical-layer counters, if any.
-    pub fn phys_stats(&self) -> Option<&PhysStats> {
-        self.bridge.as_ref().map(|b| b.transport.phys())
-    }
-
     /// Whether supersteps are physically routed through a process mesh.
     fn transported(&self) -> bool {
         self.bridge
@@ -226,40 +225,33 @@ impl<M> Bsp<M> {
             .is_some_and(|b| b.transport.kind() == TransportKind::Proc)
     }
 
-    /// Ships one delivery window through the installed transport: encodes
-    /// the non-local envelopes per directed link (varint window positions,
-    /// bits, and payload bytes — the PR 6 encoding as actual wire format),
-    /// exchanges the frames through the worker mesh, and decodes what
-    /// physically arrived. Local envelopes never touch the wire. Returns
-    /// `(window position, envelope)` pairs in unspecified order; the caller
-    /// reassembles by position.
-    fn transit(&mut self, tagged: Vec<(u64, Envelope<M>)>) -> Vec<(u64, Envelope<M>)> {
+    /// Ships `sent` — cross-machine envelopes with their window positions,
+    /// ascending — through the installed process transport and reads them
+    /// back: each directed link's envelopes travel as one frame (a varint
+    /// count, then per envelope its position, bits and payload bytes), and
+    /// come back decoded from the bytes that physically arrived. Returns
+    /// them in position order, checked to be exactly the ones sent.
+    fn round_trip(&mut self, sent: &[(u64, &Envelope<M>)]) -> Vec<Envelope<M>> {
         let Some(bridge) = self.bridge.as_mut() else {
-            return tagged;
+            panic!("a round trip needs an installed transport");
         };
-        // `charge_window`'s two counting sorts, over indices (the envelopes
-        // are owned): links ascending by (src, dst), each in window order.
-        let total = tagged.len();
-        let remote: Vec<usize> = (0..total).filter(|&i| !tagged[i].1.is_local()).collect();
+        // `charge_window`'s two counting sorts: links ascending by
+        // (src, dst), each in window order.
         let (mut by_dst, mut by_link) = (Vec::new(), Vec::new());
-        counting_sort(&remote, self.cfg.k, |i| tagged[i].1.dst, &mut by_dst);
-        counting_sort(&by_dst, self.cfg.k, |i| tagged[i].1.src, &mut by_link);
-        let link_of = |i: usize| (tagged[i].1.src as u32, tagged[i].1.dst as u32);
+        counting_sort(sent, self.cfg.k, |(_, env)| env.dst, &mut by_dst);
+        counting_sort(&by_dst, self.cfg.k, |(_, env)| env.src, &mut by_link);
         let mut frames = Vec::new();
-        for link in by_link.chunk_by(|&a, &b| link_of(a) == link_of(b)) {
-            let (src, dst) = link_of(link[0]);
+        for link in by_link.chunk_by(|(_, a), (_, b)| (a.src, a.dst) == (b.src, b.dst)) {
             let mut payload = Vec::new();
             put_varint(&mut payload, link.len() as u64);
-            for &i in link {
-                let (pos, env) = &tagged[i];
-                put_varint(&mut payload, *pos);
+            for &(pos, env) in link {
+                put_varint(&mut payload, pos);
                 put_varint(&mut payload, env.bits);
                 (bridge.enc)(&env.payload, &mut payload);
             }
+            let (src, dst) = (link[0].1.src as u32, link[0].1.dst as u32);
             frames.push(Frame::new(src, dst, payload));
         }
-        let mut out = Vec::with_capacity(total);
-        out.extend(tagged.into_iter().filter(|(_, env)| env.is_local()));
         // Physical-channel tracing: snapshot the transport counters and the
         // wall clock around the exchange. The wall-clock value feeds ONLY
         // the phys channel (never logical events or accounting), so the
@@ -268,6 +260,7 @@ impl<M> Bsp<M> {
             .trace
             .is_on()
             .then(|| (bridge.transport.phys().clone(), Stopwatch::start()));
+        let mut back = Vec::with_capacity(sent.len());
         for f in bridge.transport.exchange(frames) {
             let mut r = WireReader::new(&f.payload);
             let n = r
@@ -284,7 +277,7 @@ impl<M> Bsp<M> {
                     ))
                 })()
                 .unwrap_or_else(|e| panic!("transport frame {}→{}: {e}", f.src, f.dst));
-                out.push(decoded);
+                back.push(decoded);
             }
             assert!(
                 r.is_empty(),
@@ -294,12 +287,6 @@ impl<M> Bsp<M> {
                 f.payload.len() - r.offset()
             );
         }
-        assert_eq!(
-            out.len(),
-            total,
-            "transport window lost or duplicated envelopes ({} of {total} accounted)",
-            out.len()
-        );
         if let Some((before, started)) = phys_mark {
             let after = bridge.transport.phys().clone();
             let micros = started.elapsed().as_micros() as u64;
@@ -317,27 +304,31 @@ impl<M> Bsp<M> {
             });
         }
         let restarts = bridge.transport.phys().worker_restarts;
-        let new = restarts - bridge.restarts_seen;
+        self.stats.machine_crashes += restarts - bridge.restarts_seen;
         bridge.restarts_seen = restarts;
-        self.stats.machine_crashes += new;
-        out
+        back.sort_unstable_by_key(|&(pos, _)| pos);
+        assert!(
+            back.iter().map(|(pos, _)| pos).eq(sent.iter().map(|(pos, _)| pos)),
+            "transport window lost, duplicated or moved envelopes ({} of {} returned)",
+            back.len(),
+            sent.len()
+        );
+        back.into_iter().map(|(_, env)| env).collect()
     }
 
-    /// Installs a deterministic [`FaultPlan`]. With `reliable = true`
-    /// (the production setting) every subsequent [`Bsp::superstep`] runs a
-    /// per-superstep ack/retransmit protocol: lost messages are re-sent in
-    /// *recovery rounds* until everything arrives, duplicates are dropped
-    /// by sequence number, and each inbox is reassembled in canonical
-    /// sequence order — the application observes exactly the fault-free
-    /// inboxes while the stats record `faults_injected`,
-    /// `retransmit_bits` and `recovery_rounds`. With `reliable = false`
-    /// faults take effect verbatim (drops lose messages, duplicates arrive
-    /// twice, reordered/delayed ones drift to the back of the inbox) — the
-    /// ablation showing the recovery protocol is load-bearing.
+    /// Installs a deterministic [`FaultPlan`]: every subsequent
+    /// [`Bsp::superstep`] bills the plan's faults as the ack/retransmit
+    /// protocol would mask them — lost messages re-sent in *recovery
+    /// rounds* until everything arrives, duplicates dropped by sequence
+    /// number, each inbox reassembled in sequence order. The application
+    /// observes exactly the fault-free inboxes while the stats record
+    /// `faults_injected`, `retransmit_bits` and `recovery_rounds`.
     ///
-    /// Panics on an invalid plan (see [`FaultPlan::validate`]) or a crash
+    /// Delivery is always reliable: panics unless `reliable` is `true`,
+    /// on an invalid plan (see [`FaultPlan::validate`]), or on a crash
     /// event naming a machine `≥ k`.
     pub fn install_faults(&mut self, plan: FaultPlan, reliable: bool) {
+        assert!(reliable, "best-effort delivery is not supported");
         if let Err(e) = plan.validate() {
             panic!("invalid fault plan: {e}");
         }
@@ -351,7 +342,6 @@ impl<M> Bsp<M> {
         }
         self.faults = Some(FaultCtx {
             plan,
-            reliable,
             crash_log: Vec::new(),
         });
     }
@@ -419,12 +409,11 @@ impl<M> Bsp<M> {
     /// message charges zero rounds: it is not a communication step.
     ///
     /// With a fault plan installed ([`Bsp::install_faults`]) the superstep
-    /// additionally injects the plan's faults and — in reliable mode —
-    /// masks them with the ack/retransmit protocol, charging the recovery
-    /// cost on top of the base superstep cost.
+    /// additionally bills the plan's faults and their recovery on top of
+    /// the base superstep cost; delivery is unchanged.
     pub fn superstep(&mut self, outgoing: Vec<Envelope<M>>)
     where
-        M: Clone + BatchWire,
+        M: BatchWire,
     {
         self.superstep_outboxes(vec![outgoing]);
     }
@@ -432,83 +421,62 @@ impl<M> Bsp<M> {
     /// [`Bsp::superstep`] over a window handed over as outboxes, typically
     /// one per machine in machine order. The window is their concatenation:
     /// inboxes, charges and trace are exactly those of the flat superstep on
-    /// it, but a fault-free in-process window moves each envelope once,
-    /// from its outbox straight into its receiver's inbox.
-    pub fn superstep_outboxes(&mut self, outboxes: Vec<Vec<Envelope<M>>>)
+    /// it, but each envelope moves once, from its outbox straight into its
+    /// receiver's pre-sized inbox, in window order.
+    ///
+    /// With a process transport installed, the window's cross-machine
+    /// envelopes first cross the worker mesh and are delivered as decoded
+    /// from the bytes that arrived.
+    pub fn superstep_outboxes(&mut self, mut outboxes: Vec<Vec<Envelope<M>>>)
     where
-        M: Clone + BatchWire,
+        M: BatchWire,
     {
-        if self.faults.is_none() && !self.transported() {
-            return self.superstep_exact(outboxes);
+        if self.transported() {
+            let sent: Vec<(u64, &Envelope<M>)> = (0..)
+                .zip(outboxes.iter().flatten())
+                .filter(|(_, env)| !env.is_local())
+                .collect();
+            let back = self.round_trip(&sent);
+            let slots = outboxes.iter_mut().flatten().filter(|env| !env.is_local());
+            slots.zip(back).for_each(|(slot, env)| *slot = env);
         }
-        let outgoing = self.through_transport(flatten(outboxes));
+        let w = self.charge_window(outboxes.iter().flatten(), self.cfg.encoding);
+        self.stats.naive_bits += w.naive;
+        for (inbox, &arrivals) in self.inboxes.iter_mut().zip(&w.arrivals) {
+            inbox.reserve(arrivals);
+        }
         match self.faults.take() {
-            None => self.superstep_exact(vec![outgoing]),
+            None => {
+                self.close_window(&w, || kind_histogram(&outboxes));
+            }
             Some(mut ctx) => {
-                self.superstep_faulty(outgoing, &mut ctx);
+                self.bill_faults(w, &outboxes, &mut ctx);
                 self.faults = Some(ctx);
             }
         }
-    }
-
-    /// Routes one superstep window through an installed process transport:
-    /// the batch goes out as real bytes and comes back decoded, in the
-    /// original window order (positions are carried on the wire and the
-    /// reassembly is verified to be a permutation-free round trip). Without
-    /// a process transport this is the identity — the simulator path stays
-    /// byte-for-byte unchanged.
-    fn through_transport(&mut self, outgoing: Vec<Envelope<M>>) -> Vec<Envelope<M>> {
-        if !self.transported() {
-            return outgoing;
+        for env in outboxes.into_iter().flatten() {
+            self.inboxes[env.dst].push(env);
         }
-        let tagged: Vec<(u64, Envelope<M>)> = outgoing
-            .into_iter()
-            .enumerate()
-            .map(|(i, e)| (i as u64, e))
-            .collect();
-        let mut back = self.transit(tagged);
-        back.sort_unstable_by_key(|&(pos, _)| pos);
-        for (i, &(pos, _)) in back.iter().enumerate() {
-            assert_eq!(
-                pos, i as u64,
-                "transport window returned a bad position set"
-            );
-        }
-        back.into_iter().map(|(_, e)| e).collect()
-    }
-
-    /// Re-ships a retransmission wave through the process transport (the
-    /// sequence set must survive the round trip exactly; fate decisions are
-    /// keyed by sequence number, so the recovery trajectory is identical to
-    /// the simulator's). Identity without a process transport.
-    fn retransit(&mut self, lost: Vec<(u64, Envelope<M>)>) -> Vec<(u64, Envelope<M>)> {
-        if !self.transported() || lost.is_empty() {
-            return lost;
-        }
-        let mut expect: Vec<u64> = lost.iter().map(|&(seq, _)| seq).collect();
-        expect.sort_unstable();
-        let mut back = self.transit(lost);
-        back.sort_unstable_by_key(|&(seq, _)| seq);
-        let got: Vec<u64> = back.iter().map(|&(seq, _)| seq).collect();
-        assert_eq!(got, expect, "retransmission window lost envelopes");
-        back
     }
 
     /// Groups one window's cross-machine messages by directed link and
     /// charges them. Two stable counting sorts, by destination and then by
     /// source, put each link's messages side by side in send order, in
     /// O(messages + k): no link without a message is ever visited. Each
-    /// link's slice is priced under the configured encoding (never zero: a
-    /// message costs ≥ 1 bit) and booked into the sent / recv / cut
-    /// counters.
-    fn charge_window(&mut self, window: &[Vec<Envelope<M>>]) -> Window
+    /// link's slice is priced under `encoding` (never zero: a message costs
+    /// ≥ 1 bit) and booked into the sent / recv / cut counters.
+    fn charge_window<'a>(
+        &mut self,
+        window: impl IntoIterator<Item = &'a Envelope<M>>,
+        encoding: Encoding,
+    ) -> Window
     where
-        M: BatchWire,
+        M: BatchWire + 'a,
     {
         let k = self.cfg.k;
         let mut arrivals = vec![0usize; k];
-        let mut grouped: Vec<&Envelope<M>> = Vec::with_capacity(window.iter().map(Vec::len).sum());
-        for env in window.iter().flatten() {
+        let mut grouped: Vec<&Envelope<M>> = Vec::new();
+        for env in window {
             assert!(env.src < k && env.dst < k, "bad machine id");
             arrivals[env.dst] += 1;
             if !env.is_local() {
@@ -530,7 +498,7 @@ impl<M> Bsp<M> {
         for link in grouped.chunk_by(|a, b| (a.src, a.dst) == (b.src, b.dst)) {
             let (src, dst) = (link[0].src, link[0].dst);
             let naive = link.iter().map(|env| env.bits.max(1)).sum();
-            let bits = match self.cfg.encoding {
+            let bits = match encoding {
                 Encoding::Naive => naive,
                 Encoding::Varint => M::batch_wire_bits(link).max(1),
             };
@@ -548,26 +516,6 @@ impl<M> Bsp<M> {
             }
         }
         w
-    }
-
-    /// The fault-free, in-process superstep: every envelope moves once,
-    /// from its outbox into its receiver's inbox. Each inbox is reserved
-    /// once and filled in window order (outbox by outbox, then send order,
-    /// locals interleaved exactly where they were sent), whatever the
-    /// charged encoding.
-    fn superstep_exact(&mut self, outboxes: Vec<Vec<Envelope<M>>>)
-    where
-        M: BatchWire,
-    {
-        let w = self.charge_window(&outboxes);
-        self.stats.naive_bits += w.naive;
-        self.close_window(&w, || kind_histogram(&outboxes));
-        for (inbox, &arrivals) in self.inboxes.iter_mut().zip(&w.arrivals) {
-            inbox.reserve(arrivals);
-        }
-        for env in outboxes.into_iter().flatten() {
-            self.inboxes[env.dst].push(env);
-        }
     }
 
     /// Closes the books on one delivery window — the only place a superstep
@@ -623,212 +571,107 @@ impl<M> Bsp<M> {
         }
     }
 
-    /// The fault-injected superstep (DESIGN.md §3.10). The base attempt is
-    /// accounted exactly like a fault-free superstep (bits are spent even
-    /// on messages that end up dropped); duplicate transmissions add their
-    /// bits to the same delivery window. In reliable mode, recovery rounds
-    /// then retransmit every lost message (each retransmission rerolls the
-    /// drop decision) and land the delayed ones, until nothing is
-    /// outstanding; the inbox is finally reassembled in sequence order, so
-    /// it is identical to the fault-free inbox.
-    fn superstep_faulty(&mut self, outgoing: Vec<Envelope<M>>, ctx: &mut FaultCtx)
+    /// Bills one faulty window on top of its base charge `w` (DESIGN.md
+    /// §3.10); the caller delivers it exactly as a fault-free window. Fates
+    /// are keyed by window position alone, so the bill is the same under
+    /// every encoding and transport. Spurious copies share the window;
+    /// every lost message is re-sent in recovery rounds until it arrives
+    /// (each retransmission rerolls the drop), and delayed ones land in the
+    /// first. Copies and waves are priced at naive width — a re-send is
+    /// not part of any encoded batch — and each recovery round costs one
+    /// ack round plus its wave's rounds.
+    fn bill_faults(&mut self, mut w: Window, window: &[Vec<Envelope<M>>], ctx: &mut FaultCtx)
     where
-        M: Clone + BatchWire,
+        M: BatchWire,
     {
         let s = self.stats.supersteps;
         let crashed = ctx.plan.crashes_at(s);
-        for &m in &crashed {
-            ctx.crash_log.push((s, m));
-            self.stats.machine_crashes += 1;
-            self.stats.faults_injected += 1;
-        }
-        // Base-window charge: the full batch is charged exactly like a
-        // fault-free superstep under the configured encoding (bits are
-        // spent even on messages that end up dropped), so the separability
-        // identities hold per encoding.
-        let window = std::slice::from_ref(&outgoing);
-        let mut w = self.charge_window(window);
-        self.stats.naive_bits += w.naive;
-        // Trace-only snapshot: the kind histogram must be taken before the
-        // fate loop consumes the batch. Skipped entirely when tracing is
-        // off.
-        let kinds = self.trace.is_on().then(|| kind_histogram(window));
-        let (mut dropped, mut duplicated, mut reordered, mut delayed) = (0u64, 0u64, 0u64, 0u64);
-        // Duplicate transmissions share the delivery window but their
-        // load is tracked separately so the rounds they add can be
-        // attributed to recovery overhead. A spurious copy is a lone
-        // re-send, charged naively — it is not part of any encoded batch.
-        let mut dup_link_bits: FxHashMap<(u32, u32), u64> = FxHashMap::default();
-        let mut dup_out = vec![0u64; self.cfg.k];
-        let mut dup_in = vec![0u64; self.cfg.k];
-        // Message fates of the first delivery attempt. `arrived` carries
-        // `(seq, scrambled, env)`; `seq` is the message's index in
-        // `outgoing`, which is exactly the order a fault-free superstep
-        // would deliver in. Fate decisions are keyed by `seq` alone, so the
-        // trajectory is identical under every encoding.
-        let mut arrived: Vec<(u64, bool, Envelope<M>)> = Vec::new();
-        let mut lost: Vec<(u64, Envelope<M>)> = Vec::new();
-        let mut in_flight: Vec<(u64, Envelope<M>)> = Vec::new();
-        for (seq, env) in outgoing.into_iter().enumerate() {
-            let seq = seq as u64;
+        ctx.crash_log.extend(crashed.iter().map(|&m| (s, m)));
+        let (mut dropped, mut reordered, mut delayed) = (0u64, 0u64, 0u64);
+        let mut copies = Vec::new();
+        let mut lost = Vec::new();
+        for (seq, env) in (0..).zip(window.iter().flatten()) {
             if env.is_local() {
                 // Local messages never touch a link: no faults apply.
-                arrived.push((seq, false, env));
                 continue;
             }
-            let bits = env.bits.max(1);
-            let crossing = self
-                .cut
-                .as_ref()
-                .is_some_and(|cut| cut[env.src] != cut[env.dst]);
             if crashed.binary_search(&env.src).is_ok() || crashed.binary_search(&env.dst).is_ok() {
                 // The crash event itself is the counted fault; every
                 // message it loses still needs retransmitting.
                 lost.push((seq, env));
-                continue;
-            }
-            if ctx.plan.drops(s, 0, seq) {
-                self.stats.faults_injected += 1;
+            } else if ctx.plan.drops(s, 0, seq) {
                 dropped += 1;
                 lost.push((seq, env));
-                continue;
-            }
-            if ctx.plan.delays(s, seq) {
-                self.stats.faults_injected += 1;
+            } else if ctx.plan.delays(s, seq) {
                 delayed += 1;
-                in_flight.push((seq, env));
-                continue;
-            }
-            if ctx.plan.duplicates(s, seq) {
-                self.stats.faults_injected += 1;
-                duplicated += 1;
-                // The spurious copy spends real bits in the same window.
-                *dup_link_bits
-                    .entry((env.src as u32, env.dst as u32))
-                    .or_insert(0) += bits;
-                dup_out[env.src] += bits;
-                dup_in[env.dst] += bits;
-                w.total += bits;
-                self.stats.sent_bits[env.src] += bits;
-                self.stats.recv_bits[env.dst] += bits;
-                self.stats.retransmit_bits += bits;
-                self.stats.naive_bits += bits;
-                if crossing {
-                    self.stats.cut_bits += bits;
+            } else {
+                if ctx.plan.duplicates(s, seq) {
+                    copies.push(env);
                 }
-                if !ctx.reliable {
-                    // Best effort has no sequence dedup: both copies land.
-                    arrived.push((seq, false, env.clone()));
-                }
+                reordered += u64::from(ctx.plan.reorders(s, seq));
             }
-            let scrambled = ctx.plan.reorders(s, seq);
-            if scrambled {
-                self.stats.faults_injected += 1;
-                reordered += 1;
-            }
-            arrived.push((seq, scrambled, env));
         }
-        // The window's rounds cover base + duplicate traffic together; the
-        // rounds the duplicates add beyond the clean batch are recovery
-        // overhead, so the identity `rounds − recovery_rounds = fault-free
-        // rounds` holds for every plan.
+        let (duplicated, crashes) = (copies.len() as u64, crashed.len() as u64);
+        self.stats.machine_crashes += crashes;
+        self.stats.faults_injected += dropped + duplicated + reordered + delayed + crashes;
+        // The window's rounds cover base and copies together; what the
+        // copies add beyond the clean window is recovery overhead, so
+        // `rounds − recovery_rounds` is the fault-free run's for every plan.
         let clean_rounds = self.batch_rounds(w.max_link(), &w.machine_out, &w.machine_in);
-        for (src, dst, bits) in &mut w.links {
-            *bits += dup_link_bits.get(&(*src, *dst)).copied().unwrap_or(0);
-        }
-        for i in 0..self.cfg.k {
-            w.machine_out[i] += dup_out[i];
-            w.machine_in[i] += dup_in[i];
-        }
-        let rounds = self.close_window(&w, || kinds.unwrap_or_default());
+        let dup = self.charge_window(copies, Encoding::Naive);
+        self.stats.retransmit_bits += dup.total;
+        self.stats.naive_bits += dup.naive;
+        w.absorb(&dup);
+        let rounds = self.close_window(&w, || kind_histogram(window));
         self.stats.recovery_rounds += rounds - clean_rounds;
-        let n_crashed = crashed.len() as u64;
-        if dropped + duplicated + reordered + delayed + n_crashed > 0 {
+        if dropped + duplicated + reordered + delayed + crashes > 0 {
             self.trace.emit(|| TraceEvent::Faults {
                 superstep: s,
                 dropped,
                 duplicated,
                 reordered,
                 delayed,
-                crashed: n_crashed,
+                crashed: crashes,
             });
         }
-        if ctx.reliable {
-            // Ack/retransmit: each recovery round costs one round for the
-            // ack/nack exchange plus the retransmission batch's own rounds.
-            // Crashed machines are back up from the first recovery round
-            // (crash-stop with immediate restart), so their traffic clears
-            // here too. Senders retransmit from their durable send log.
-            let mut attempt = 1u64;
-            while !lost.is_empty() || !in_flight.is_empty() {
-                assert!(
-                    attempt <= MAX_RECOVERY_ATTEMPTS,
-                    "fault plan starves superstep {s}: {} messages still \
-                     outstanding after {} recovery rounds",
-                    lost.len() + in_flight.len(),
-                    attempt - 1
-                );
-                arrived.extend(in_flight.drain(..).map(|(q, e)| (q, false, e)));
-                // On a process transport the retransmission wave is real
-                // traffic: the lost messages cross the worker mesh again as
-                // their own delivery window before being re-accounted.
-                let resent = self.retransit(std::mem::take(&mut lost));
-                let mut rlink: FxHashMap<(u32, u32), u64> = FxHashMap::default();
-                let mut rout = vec![0u64; self.cfg.k];
-                let mut rin = vec![0u64; self.cfg.k];
-                let mut still = Vec::new();
-                let wave_msgs = resent.len() as u64;
-                let mut wave_bits = 0u64;
-                for (seq, env) in resent {
-                    let bits = env.bits.max(1);
-                    wave_bits += bits;
-                    *rlink.entry((env.src as u32, env.dst as u32)).or_insert(0) += bits;
-                    rout[env.src] += bits;
-                    rin[env.dst] += bits;
-                    self.stats.sent_bits[env.src] += bits;
-                    self.stats.recv_bits[env.dst] += bits;
-                    self.stats.total_bits += bits;
-                    self.stats.retransmit_bits += bits;
-                    self.stats.naive_bits += bits;
-                    if let Some(cut) = &self.cut {
-                        if cut[env.src] != cut[env.dst] {
-                            self.stats.cut_bits += bits;
-                        }
-                    }
-                    if ctx.plan.drops(s, attempt, seq) {
-                        self.stats.faults_injected += 1;
-                        still.push((seq, env));
-                    } else {
-                        arrived.push((seq, false, env));
-                    }
-                }
-                lost = still;
-                let rmax = det::max_value(&rlink).unwrap_or(0);
-                let extra = 1 + self.batch_rounds(rmax, &rout, &rin);
-                self.stats.rounds += extra;
-                self.stats.recovery_rounds += extra;
-                self.trace.emit(|| TraceEvent::Retransmit {
-                    superstep: s,
-                    attempt,
-                    messages: wave_msgs,
-                    bits: wave_bits,
-                    rounds: extra,
-                });
-                attempt += 1;
+        // Crashed machines are back up from the first recovery round
+        // (crash-stop with immediate restart), so their traffic clears here
+        // too. Senders retransmit from their durable send log; on a process
+        // transport each wave crosses the worker mesh as its own window.
+        let (mut attempt, mut late) = (1u64, delayed > 0);
+        while !lost.is_empty() || late {
+            assert!(
+                attempt <= MAX_RECOVERY_ATTEMPTS,
+                "fault plan starves superstep {s}: {} messages still \
+                 outstanding after {} recovery rounds",
+                lost.len(),
+                attempt - 1
+            );
+            late = false;
+            if self.transported() && !lost.is_empty() {
+                self.round_trip(&lost);
             }
-            // Canonical reassembly: sequence order *is* the fault-free
-            // inbox order, and phantom duplicates were never materialized
-            // — so the application observes exactly the fault-free run.
-            arrived.sort_unstable_by_key(|&(seq, _, _)| seq);
-        } else {
-            // Best effort: losses are final, delayed messages arrive late,
-            // reordered (and delayed) ones drift behind everything else.
-            // The stable sort keeps duplicate copies adjacent.
-            arrived.extend(in_flight.drain(..).map(|(q, e)| (q, true, e)));
-            arrived.sort_by_key(|&(seq, scrambled, _)| (scrambled, seq));
-        }
-        for (_, _, env) in arrived {
-            self.inboxes[env.dst].push(env);
+            let wave = self.charge_window(lost.iter().map(|&(_, env)| env), Encoding::Naive);
+            self.stats.total_bits += wave.total;
+            self.stats.retransmit_bits += wave.total;
+            self.stats.naive_bits += wave.naive;
+            let rounds = 1 + self.batch_rounds(wave.max_link(), &wave.machine_out, &wave.machine_in);
+            self.stats.rounds += rounds;
+            self.stats.recovery_rounds += rounds;
+            self.trace.emit(|| TraceEvent::Retransmit {
+                superstep: s,
+                attempt,
+                messages: lost.len() as u64,
+                bits: wave.total,
+                rounds,
+            });
+            let faults = &mut self.stats.faults_injected;
+            lost.retain(|&(seq, _)| {
+                let again = ctx.plan.drops(s, attempt, seq);
+                *faults += u64::from(again);
+                again
+            });
+            attempt += 1;
         }
     }
 
@@ -1291,25 +1134,10 @@ mod fault_tests {
     }
 
     #[test]
-    fn best_effort_mode_loses_and_duplicates_for_real() {
-        let k = 2;
-        // One heavy one-directional batch so the counts are easy to read.
-        let msgs: Vec<Envelope<Tagged>> =
-            (0..400).map(|i| Envelope::new(0, 1, Tagged(i))).collect();
-        let mut bsp: Bsp<Tagged> = Bsp::new(cfg(k, 1 << 20));
-        bsp.install_faults(FaultPlan::new(9).with_drop(0.3).with_dup(0.3), false);
-        bsp.superstep(msgs);
-        let got = bsp.take_inbox(1);
-        let mut seen = std::collections::HashMap::new();
-        for e in &got {
-            *seen.entry(e.payload.0).or_insert(0u32) += 1;
-        }
-        assert!(seen.len() < 400, "some messages must be genuinely lost");
-        assert!(
-            seen.values().any(|&c| c == 2),
-            "some messages must arrive twice"
-        );
-        assert_eq!(bsp.stats().recovery_rounds, 0, "no recovery protocol");
+    #[should_panic(expected = "best-effort delivery is not supported")]
+    fn best_effort_installs_are_rejected() {
+        let mut bsp: Bsp<Tagged> = Bsp::new(cfg(2, 8));
+        bsp.install_faults(FaultPlan::new(9).with_drop(0.3), false);
     }
 
     #[test]
