@@ -23,7 +23,7 @@
 
 use kmm::algo::session::{Cluster, Connectivity, MinCut, Mst, Problem, SpanningForest};
 use kmm::algo::verify;
-use kmm::graph::stream::DynEdgeStream;
+use kmm::graph::stream::{materialize, DynEdgeStream};
 use kmm::machine::fault::FaultPlan;
 use kmm::prelude::*;
 use std::process::ExitCode;
@@ -133,11 +133,15 @@ fn load_graph(args: &Args) -> Result<Graph, String> {
     kmm::graph::io::from_edge_list(&text).map_err(|e| format!("parse {path}: {e}"))
 }
 
-/// A lazy edge stream for `--gen FAMILY` runs. Validates the family
-/// parameters up front: every bad value is a clean error, never a panic.
-fn stream_from_args(args: &Args, seed: u64) -> Result<DynEdgeStream, String> {
-    let family = args.get("gen").expect("caller checked --gen");
-    let n: usize = args.get_num("n").ok_or("--gen needs --n")?;
+/// A lazy edge stream of the family the option `--{flag}` names (`gnm` if
+/// absent): `--gen` on the algorithm subcommands, `--family` on `gen`.
+/// Validates the family parameters up front: every bad value is a clean
+/// error, never a panic.
+fn stream_from_args(args: &Args, flag: &str, seed: u64) -> Result<DynEdgeStream, String> {
+    let family = args.get(flag).unwrap_or("gnm");
+    let n: usize = args
+        .get_num("n")
+        .ok_or_else(|| format!("--{flag} {family} needs --n"))?;
     if n == 0 {
         return Err("--n must be at least 1".into());
     }
@@ -170,7 +174,7 @@ fn stream_from_args(args: &Args, seed: u64) -> Result<DynEdgeStream, String> {
         "connected" => {
             generators::random_connected_stream(n, args.get_num("extra").unwrap_or(n), seed)
         }
-        other => return Err(format!("unknown --gen family {other}")),
+        other => return Err(format!("unknown --{flag} family {other}")),
     };
     match args.get_num::<u64>("max-weight") {
         Some(0) => Err("--max-weight must be at least 1".into()),
@@ -187,7 +191,7 @@ fn stream_from_args(args: &Args, seed: u64) -> Result<DynEdgeStream, String> {
 fn cluster_from_args(args: &Args, k: usize, seed: u64, verbose: bool) -> Result<Cluster, String> {
     let builder = Cluster::builder(k).seed(seed);
     if args.get("gen").is_some() {
-        let stream = stream_from_args(args, seed)?;
+        let stream = stream_from_args(args, "gen", seed)?;
         let cluster = builder.ingest_stream(stream);
         if verbose {
             println!("streamed input: n={} m={} k={k}", cluster.n(), cluster.m());
@@ -703,32 +707,9 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "gen" => {
-            let n: usize = match args.get_num("n") {
-                Some(n) => n,
-                None => return fail("gen needs --n"),
-            };
-            let g = match args.get("family").unwrap_or("gnm") {
-                "gnm" => {
-                    let m = args.get_num("m").unwrap_or(4 * n);
-                    generators::gnm(n, m, seed)
-                }
-                "gnp" => {
-                    let p: f64 = args.get_num("p").unwrap_or(0.01);
-                    generators::gnp(n, p, seed)
-                }
-                "path" => generators::path(n),
-                "cycle" => generators::cycle(n.max(3)),
-                "grid" => {
-                    let side = (n as f64).sqrt().ceil() as usize;
-                    generators::grid(side, side)
-                }
-                "star" => generators::star(n.max(2)),
-                other => return fail(&format!("unknown family {other}")),
-            };
-            let g = if let Some(w) = args.get_num::<u64>("max-weight") {
-                generators::randomize_weights(&g, w, seed ^ 1)
-            } else {
-                g
+            let g = match stream_from_args(&args, "family", seed) {
+                Ok(stream) => materialize(stream),
+                Err(e) => return fail(&e),
             };
             let text = kmm::graph::io::to_edge_list(&g);
             match args.get("out") {

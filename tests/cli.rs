@@ -440,7 +440,8 @@ fn streamed_gen_input_runs_without_a_file() {
 #[test]
 fn gen_parameter_validation_never_panics() {
     // Out-of-range family parameters must be clean errors, same standard
-    // as file-input parse failures.
+    // as file-input parse failures — streamed into `conn` or written by
+    // `gen`, which take their families from one table.
     for (name, extra_args, needle) in [
         (
             "too-many-edges",
@@ -459,13 +460,17 @@ fn gen_parameter_validation_never_panics() {
             "--max-weight",
         ),
     ] {
-        let mut args = vec!["conn", "--k", "4"];
-        args.extend(extra_args);
-        let out = kmm().args(&args).output().unwrap();
-        assert!(!out.status.success(), "{name}: must fail");
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains(needle), "{name}: want {needle:?} in: {err}");
-        assert!(!err.contains("panicked"), "{name}: must not panic: {err}");
+        let mut conn = vec!["conn", "--k", "4"];
+        conn.extend(&extra_args);
+        let gen = extra_args.iter().map(|&a| if a == "--gen" { "--family" } else { a });
+        let gen: Vec<&str> = std::iter::once("gen").chain(gen).collect();
+        for args in [conn, gen] {
+            let out = kmm().args(&args).output().unwrap();
+            assert!(!out.status.success(), "{name} ({}): must fail", args[0]);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains(needle), "{name}: want {needle:?} in: {err}");
+            assert!(!err.contains("panicked"), "{name}: must not panic: {err}");
+        }
     }
 }
 
