@@ -85,18 +85,6 @@ impl RandomInputPartition {
             x_to_bob: (0..b as u64).map(|i| prf.eval(1, i) & 1 == 1).collect(),
         }
     }
-
-    /// In the reduction, vertex `u_i` is placed by Alice iff Bob was *not*
-    /// given `X[i]` (and symmetrically for `v_i`); this accessor mirrors
-    /// the paper's "if Alice received X\[i\]" phrasing.
-    pub fn alice_places_u(&self, i: usize) -> bool {
-        !self.x_to_bob[i]
-    }
-
-    /// Whether Bob places `v_i`.
-    pub fn bob_places_v(&self, i: usize) -> bool {
-        !self.y_to_alice[i]
-    }
 }
 
 #[cfg(test)]

@@ -472,13 +472,14 @@ payload_table! {
             /// The edge weight (0 if absent).
             weight: u64 as Weight,
         },
-        /// MST elimination broadcast: parts must rebuild sketches filtered to
-        /// edges with key strictly below `key`; `None` means the component is
-        /// done eliminating (its MWOE is fixed).
+        /// MST elimination broadcast, sent only for a component still
+        /// eliminating: parts must rebuild sketches filtered to edges with
+        /// key strictly below `key`; `None` means the component has no
+        /// verified candidate yet, so its parts rebuild unfiltered.
         Threshold = "threshold" {
             /// The component label.
             label: Label as By<LabelId>,
-            /// The new strict upper bound, or `None` when done.
+            /// The new strict upper bound, or `None` for no bound yet.
             key: Option<EdgeKey> as Opt<Key>,
         },
         /// Pointer-jumping query, proxy(asker) → proxy(target) (§2.5).

@@ -24,7 +24,6 @@ pub enum PartitionKind {
 pub struct Partition {
     kind: PartitionKind,
     k: usize,
-    prf: Prf,
     /// RVP: `home[v]` = machine of vertex `v`.
     home: Vec<u16>,
     /// REP only: `edge_home[e]` = machine of edge index `e` in `g.edges()`.
@@ -51,7 +50,6 @@ impl Partition {
         Partition {
             kind: PartitionKind::Rvp,
             k,
-            prf,
             home,
             edge_home: Vec::new(),
         }
@@ -78,7 +76,6 @@ impl Partition {
         Partition {
             kind: PartitionKind::Rep,
             k,
-            prf,
             home,
             edge_home,
         }
@@ -152,14 +149,6 @@ impl Partition {
         loads
     }
 
-    /// The PRF used for home hashing — exposed so distributed algorithms can
-    /// recompute `home(v)` locally, exactly as the paper's hashing argument
-    /// assumes ("if a machine knows a vertex ID, it also knows where it is
-    /// hashed to", §1.1).
-    pub fn home_prf(&self) -> Prf {
-        self.prf
-    }
-
     /// A partition of the bipartite double cover `D(G)` (on `2n` vertices)
     /// that keeps both lifts `v` and `v + n` on vertex `v`'s home machine,
     /// so the distributed double-cover construction needs no communication
@@ -171,7 +160,6 @@ impl Partition {
         Partition {
             kind: self.kind,
             k: self.k,
-            prf: self.prf,
             home,
             edge_home: Vec::new(),
         }

@@ -427,10 +427,11 @@ impl<M> Bsp<M> {
     /// With a process transport installed, the window's cross-machine
     /// envelopes first cross the worker mesh and are delivered as decoded
     /// from the bytes that arrived.
-    pub fn superstep_outboxes(&mut self, mut outboxes: Vec<Vec<Envelope<M>>>)
+    pub fn superstep_outboxes(&mut self, outboxes: Vec<Vec<Envelope<M>>>)
     where
         M: BatchWire,
     {
+        let mut outboxes = outboxes;
         if self.transported() {
             let sent: Vec<(u64, &Envelope<M>)> = (0..)
                 .zip(outboxes.iter().flatten())

@@ -37,9 +37,8 @@ pub struct CrashEvent {
 /// reorder / delay probabilities plus scheduled machine crashes, all keyed
 /// by one seed.
 ///
-/// An all-zero plan (the [`Default`]) injects nothing; installing it is
-/// still observable (the reliable-delivery bookkeeping runs), so callers
-/// normally install a plan only when [`FaultPlan::is_active`].
+/// An all-zero plan (the [`Default`]) injects nothing: installed, it bills
+/// no recovery and leaves every inbox and charge as without a plan.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     /// Seed of every fault decision.
@@ -114,15 +113,6 @@ impl FaultPlan {
         self
     }
 
-    /// Whether the plan injects anything at all.
-    pub fn is_active(&self) -> bool {
-        self.drop > 0.0
-            || self.dup > 0.0
-            || self.reorder > 0.0
-            || self.delay > 0.0
-            || !self.crashes.is_empty()
-    }
-
     /// Validates the probability ranges. `drop` must stay strictly below 1
     /// (an always-dropping link can never be recovered from); the other
     /// probabilities live in `[0, 1]`.
@@ -153,7 +143,6 @@ impl FaultPlan {
     /// let p = FaultPlan::parse("drop=0.05,dup=0.1,crash=2@7,seed=9").unwrap();
     /// assert_eq!(p.seed, 9);
     /// assert_eq!(p.crashes.len(), 1);
-    /// assert!(p.is_active());
     /// assert!(FaultPlan::parse("drop=2").is_err());
     /// ```
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
@@ -344,10 +333,8 @@ mod tests {
     fn probability_endpoints() {
         let never = FaultPlan::new(1);
         assert!((0..100).all(|i| !never.drops(0, 0, i)));
-        assert!(!never.is_active());
         let always = FaultPlan::new(1).with_dup(1.0);
         assert!((0..100).all(|i| always.duplicates(0, i)));
-        assert!(always.is_active());
     }
 
     #[test]

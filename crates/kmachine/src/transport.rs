@@ -619,13 +619,7 @@ impl ProcTransport {
     /// Spawns `k` worker processes running the resolved worker executable
     /// (see [`set_worker_exe`]).
     pub fn processes(k: usize) -> std::io::Result<Self> {
-        let exe = resolve_worker_exe()?;
-        Self::with_worker_exe(k, exe)
-    }
-
-    /// Spawns `k` worker processes running `exe __transport-worker ...`.
-    pub fn with_worker_exe(k: usize, exe: PathBuf) -> std::io::Result<Self> {
-        Self::spawn(k, SpawnMode::Processes(exe))
+        Self::spawn(k, SpawnMode::Processes(resolve_worker_exe()?))
     }
 
     /// Runs the `k` workers as in-process threads over the same sockets and
