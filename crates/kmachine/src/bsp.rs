@@ -308,7 +308,9 @@ impl<M> Bsp<M> {
         bridge.restarts_seen = restarts;
         back.sort_unstable_by_key(|&(pos, _)| pos);
         assert!(
-            back.iter().map(|(pos, _)| pos).eq(sent.iter().map(|(pos, _)| pos)),
+            back.iter()
+                .map(|(pos, _)| pos)
+                .eq(sent.iter().map(|(pos, _)| pos)),
             "transport window lost, duplicated or moved envelopes ({} of {} returned)",
             back.len(),
             sent.len()
@@ -525,8 +527,7 @@ impl<M> Bsp<M> {
     /// loads, and traces it (`kinds` runs only when tracing is on). Returns
     /// the window's rounds.
     fn close_window(&mut self, w: &Window, kinds: impl FnOnce() -> Vec<(String, u64)>) -> u64 {
-        let max_link = w.max_link();
-        let rounds = self.batch_rounds(max_link, &w.machine_out, &w.machine_in);
+        let (max_link, rounds) = (w.max_link(), self.rounds(w));
         let (total, messages) = (w.total, w.messages);
         self.stats.rounds += rounds;
         self.stats.supersteps += 1;
@@ -552,18 +553,19 @@ impl<M> Bsp<M> {
         rounds
     }
 
-    /// Rounds one delivered batch costs under the configured §1.1
+    /// Rounds one charged window costs under the configured §1.1
     /// restriction.
-    fn batch_rounds(&self, max_link: u64, machine_out: &[u64], machine_in: &[u64]) -> u64 {
+    fn rounds(&self, w: &Window) -> u64 {
         match self.cfg.cost_model {
-            crate::bandwidth::CostModel::PerLink => max_link.div_ceil(self.w),
+            crate::bandwidth::CostModel::PerLink => w.max_link().div_ceil(self.w),
             crate::bandwidth::CostModel::PerMachine => {
                 // §1.1 alternate view: each machine moves at most
                 // W·(k−1) bits per round, send and receive separately.
                 let budget = self.w * (self.cfg.k as u64 - 1);
-                let max_machine = machine_out
+                let max_machine = w
+                    .machine_out
                     .iter()
-                    .chain(machine_in.iter())
+                    .chain(&w.machine_in)
                     .copied()
                     .max()
                     .unwrap_or(0);
@@ -618,7 +620,7 @@ impl<M> Bsp<M> {
         // The window's rounds cover base and copies together; what the
         // copies add beyond the clean window is recovery overhead, so
         // `rounds − recovery_rounds` is the fault-free run's for every plan.
-        let clean_rounds = self.batch_rounds(w.max_link(), &w.machine_out, &w.machine_in);
+        let clean_rounds = self.rounds(&w);
         let dup = self.charge_window(copies, Encoding::Naive);
         self.stats.retransmit_bits += dup.total;
         self.stats.naive_bits += dup.naive;
@@ -639,8 +641,8 @@ impl<M> Bsp<M> {
         // (crash-stop with immediate restart), so their traffic clears here
         // too. Senders retransmit from their durable send log; on a process
         // transport each wave crosses the worker mesh as its own window.
-        let (mut attempt, mut late) = (1u64, delayed > 0);
-        while !lost.is_empty() || late {
+        let mut attempt = 1u64;
+        while !lost.is_empty() || (attempt == 1 && delayed > 0) {
             assert!(
                 attempt <= MAX_RECOVERY_ATTEMPTS,
                 "fault plan starves superstep {s}: {} messages still \
@@ -648,7 +650,6 @@ impl<M> Bsp<M> {
                 lost.len(),
                 attempt - 1
             );
-            late = false;
             if self.transported() && !lost.is_empty() {
                 self.round_trip(&lost);
             }
@@ -656,7 +657,7 @@ impl<M> Bsp<M> {
             self.stats.total_bits += wave.total;
             self.stats.retransmit_bits += wave.total;
             self.stats.naive_bits += wave.naive;
-            let rounds = 1 + self.batch_rounds(wave.max_link(), &wave.machine_out, &wave.machine_in);
+            let rounds = 1 + self.rounds(&wave);
             self.stats.rounds += rounds;
             self.stats.recovery_rounds += rounds;
             self.trace.emit(|| TraceEvent::Retransmit {

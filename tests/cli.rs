@@ -462,7 +462,9 @@ fn gen_parameter_validation_never_panics() {
     ] {
         let mut conn = vec!["conn", "--k", "4"];
         conn.extend(&extra_args);
-        let gen = extra_args.iter().map(|&a| if a == "--gen" { "--family" } else { a });
+        let gen = extra_args
+            .iter()
+            .map(|&a| if a == "--gen" { "--family" } else { a });
         let gen: Vec<&str> = std::iter::once("gen").chain(gen).collect();
         for args in [conn, gen] {
             let out = kmm().args(&args).output().unwrap();
