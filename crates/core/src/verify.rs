@@ -76,7 +76,7 @@ pub fn cycle_containment(
         &Partition::random_vertex(g, k, seed),
     );
     let out = connected_components_sharded(&h, seed, cfg);
-    let (count, mut stats) = (out.component_count(), out.stats);
+    let (components, mut stats) = (out.component_count(), out.stats);
     let mut net = Net::new(cfg, k, h.n());
     for i in 0..k {
         let count = h.view(i).local_edges().count() as u64;
@@ -91,7 +91,7 @@ pub fn cycle_containment(
         .sum();
     stats.absorb(&net.finish(Some("edge_count")));
     Verdict {
-        holds: m > (h.n() - count) as u64,
+        holds: m > (h.n() - components) as u64,
         stats,
     }
 }
