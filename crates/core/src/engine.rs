@@ -40,7 +40,9 @@
 //! iteration-0 functions are re-derived once per *epoch* of
 //! `SKETCH_REUSE_PERIOD` phases, which bounds how long such a failure can
 //! repeat and charges the §2.2 `Θ(log² n)`-bit seed distribution once per
-//! epoch. Every part is still hashed anew in every phase, as in the paper.
+//! epoch. Within an epoch a part's sketch is the sum of its vertices', so a
+//! machine keeps the part sketches it built (`PartMemo`) and the next phase
+//! adds them up, hashing only vertices whose part shipped its edges.
 //!
 //! All communication flows through the crate's one network runtime
 //! (`net::Net` over [`kmachine::Bsp`]), so every round and bit is accounted
@@ -217,8 +219,11 @@ pub struct EngineResult {
     pub mst_edges_per_machine: Vec<usize>,
     /// Component count from the §2.6 output protocol, if run.
     pub counted_components: Option<u64>,
-    /// Part sketches hashed from edges, where the part lives or at its proxy.
+    /// Part sketches built, where the part lives or at its proxy.
     pub sketch_builds: u64,
+    /// Part sketches that summed at least one memoised sketch of the
+    /// previous phase (DESIGN.md §3.7).
+    pub memo_hits: u64,
 }
 
 impl EngineResult {
@@ -401,6 +406,11 @@ impl ProxyComp {
     }
 }
 
+/// The part sketches a machine built at its last iteration 0: the label of
+/// each home vertex with edges in one of those parts, and the sketches by
+/// label.
+type PartMemo = (FxHashMap<u32, Label>, FxHashMap<Label, L0Sketch>);
+
 /// One machine's state: its vertices, their labels, the components it
 /// proxies this phase, and its mailboxes.
 #[derive(Default)]
@@ -415,8 +425,12 @@ struct MachineState {
     /// `Some(key)` bounds the rebuild, `None` means rebuild unfiltered
     /// (the component is retrying after a failed first sample).
     thresholds: FxHashMap<Label, Option<EdgeKey>>,
-    /// Part sketches this machine hashed from edges (its own, or shipped).
+    /// Part sketches this machine built (its own, or from shipped edges).
     sketch_builds: u64,
+    /// Soft state: never checkpointed, dropped on rollback.
+    memo: Option<PartMemo>,
+    /// Part sketches built from at least one memoised sketch.
+    memo_hits: u64,
     /// This machine's bit between the two supersteps of
     /// [`Engine::aggregate_flag`].
     flag: bool,
@@ -713,6 +727,7 @@ impl<'g> Engine<'g> {
             mst_edges: per_machine.flatten().copied().collect(),
             counted_components,
             sketch_builds,
+            memo_hits: self.machines.iter().map(|st| st.memo_hits).sum(),
             stats: self.net.finish(None),
             phase_components: self.phase_components,
             drr_depths: self.drr_depths,
@@ -752,6 +767,7 @@ impl<'g> Engine<'g> {
             st.thresholds.clear();
             st.inbox.clear();
             st.outbox.clear();
+            st.memo = None;
         }
         self.cached_fns = cp.cached_fns.clone();
         self.cx.contracted = cp.contracted;
@@ -993,9 +1009,11 @@ impl<'g> Engine<'g> {
     /// Sends every part to its proxy: as the half-edges its sketch would hash
     /// when there are fewer than `edge_cap`, as its sketch otherwise. With
     /// `only_thresholded`, only parts that received an elimination threshold
-    /// participate, with their edges strictly below it.
+    /// participate, with their edges strictly below it; iteration 0 reads
+    /// and refreshes the machine's memo of its part sketches.
     fn build_and_send_sketches(&mut self, p: u32, fns: &SketchFns, only_thresholded: bool) {
         let cap = self.edge_cap;
+        let mid_epoch = !(p - 1).is_multiple_of(SKETCH_REUSE_PERIOD);
         self.step(|cx, st, _, out| {
             let view = cx.g.view(st.id);
             let mut by_label: FxHashMap<Label, Vec<(u32, u32)>> = FxHashMap::default();
@@ -1012,6 +1030,9 @@ impl<'g> Engine<'g> {
                     }
                 }
             }
+            let memo = st.memo.take_if(|_| !only_thresholded).filter(|_| mid_epoch);
+            let (old, mut memo) = memo.unwrap_or_default();
+            let (mut labels, mut sketches) = (FxHashMap::default(), FxHashMap::default());
             for (label, edges) in det::into_sorted_entries(by_label) {
                 if edges.len() < cap {
                     out.send(cx.holder(p, label), Payload::PartEdges { label, edges });
@@ -1019,10 +1040,29 @@ impl<'g> Engine<'g> {
                 }
                 st.sketch_builds += 1;
                 let mut sketch = Box::new(L0Sketch::new(cx.params));
-                for (v, nb) in edges {
-                    sketch.add_incident_edge(fns, v, nb);
+                let mut hit = false;
+                for run in edges.chunk_by(|a, b| a.0 == b.0) {
+                    let v = run[0].0;
+                    // An old part lands whole in one new part: its memoised
+                    // sketch is added once, in place of its vertices' edges.
+                    match old.get(&v) {
+                        Some(was) => hit |= memo.remove(was).map(|m| sketch.merge(&m)).is_some(),
+                        None => run
+                            .iter()
+                            .for_each(|&(v, nb)| sketch.add_incident_edge(fns, v, nb)),
+                    }
+                    if !only_thresholded {
+                        labels.insert(v, label);
+                    }
+                }
+                st.memo_hits += u64::from(hit);
+                if !only_thresholded {
+                    sketches.insert(label, (*sketch).clone());
                 }
                 out.send(cx.holder(p, label), Payload::PartSketch { label, sketch });
+            }
+            if !sketches.is_empty() {
+                st.memo = Some((labels, sketches));
             }
         });
     }
@@ -1775,6 +1815,82 @@ mod tests {
             crashed.stats.total_bits - crashed.stats.retransmit_bits,
             clean.stats.total_bits
         );
+    }
+
+    /// Drives a run phase by phase and checks every memoised part sketch
+    /// against its part hashed afresh under the phase's functions: the
+    /// memo-built ones included, which in a mid-epoch phase summed the old
+    /// parts' sketches and hashed the vertices of old parts that had shipped
+    /// their edges. After an MST phase the memo still holds the unfiltered
+    /// iteration-0 sketches: elimination neither reads nor replaces it.
+    #[test]
+    fn memo_built_part_sketches_equal_the_parts_hashed_afresh() {
+        let g = generators::randomize_weights(&generators::path(600), 1000, 5);
+        let sg = clique_beside(&g);
+        for mode in [Mode::Connectivity, Mode::Mst] {
+            let hits = |e: &Engine| e.machines.iter().map(|st| st.memo_hits).sum::<u64>();
+            let mut e = Engine::new(&sg, mode, 5, EngineConfig::default());
+            assert!(e.run_phase(0));
+            let (mut p, mut absorbed_shipped, mut checked) = (1, 0, 0);
+            loop {
+                // Each machine's labels in phase `p`, and last phase's memo.
+                let before: Vec<_> = e
+                    .machines
+                    .iter()
+                    .map(|st| (st.dur.labels.clone(), st.memo.clone().map(|(was, _)| was)))
+                    .collect();
+                let hits_before = hits(&e);
+                let progressed = e.run_phase(p);
+                let mid_epoch = !(p - 1).is_multiple_of(SKETCH_REUSE_PERIOD);
+                if !mid_epoch {
+                    assert_eq!(hits(&e), hits_before, "{mode:?} phase {p}: new epoch");
+                }
+                let fns = e.iter0_fns(p);
+                for (st, (labels, was)) in e.machines.iter().zip(&before) {
+                    let view = sg.view(st.id);
+                    let Some((_, sketches)) = &st.memo else {
+                        continue;
+                    };
+                    for (&label, sketch) in sketches {
+                        let members = st.verts.iter().filter(|&v| labels[v] == label);
+                        let members: Vec<u32> = members.copied().collect();
+                        let mut fresh = L0Sketch::new(e.cx.params);
+                        for &v in &members {
+                            for &(nb, _) in view.neighbors(v) {
+                                fresh.add_incident_edge(&fns, v, nb);
+                            }
+                        }
+                        assert_eq!(sketch.cell_slice(), fresh.cell_slice(), "{mode:?} {p}");
+                        checked += 1;
+                        // Whether `v`'s part last phase was memoised.
+                        let old = |v: &u32| was.as_ref().map(|was| was.contains_key(v));
+                        let (memoised, shipped) = (Some(true), Some(false));
+                        if mid_epoch
+                            && members.iter().any(|v| old(v) == memoised)
+                            && members.iter().any(|v| old(v) == shipped)
+                        {
+                            absorbed_shipped += 1;
+                        }
+                    }
+                }
+                if !progressed {
+                    break;
+                }
+                p += 1;
+            }
+            assert!(
+                p > SKETCH_REUSE_PERIOD + 1,
+                "{mode:?}: {p} phases, no rollover"
+            );
+            assert!(
+                hits(&e) > 0 && checked > 0,
+                "{mode:?}: the memo never served"
+            );
+            assert!(
+                absorbed_shipped > 0,
+                "{mode:?}: no part absorbed a shipped part"
+            );
+        }
     }
 
     /// The weighted cell the edge-cap invariants are checked on.

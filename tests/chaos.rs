@@ -340,6 +340,51 @@ fn crash_recovery_reads_shards_back_from_durable_storage() {
     );
 }
 
+/// A crash in the second or third phase of a sketch-function epoch rolls
+/// back a phase whose parts were built from the previous phase's memoised
+/// part sketches (DESIGN.md §3.7). The memo is soft state: the rollback
+/// drops it and the re-entered phase hashes every part afresh, so the run
+/// still replays the fault-free trajectory and its recovery bill separates.
+#[test]
+fn a_crash_mid_epoch_replays_without_the_part_sketch_memo() {
+    use kmm::algo::engine::{Engine, Mode};
+    /// A superstep in the middle of this run's phase 3.
+    const CRASH_MID_EPOCH: u64 = 66;
+    let g = generators::gnm(3000, 12_000, 0x3E);
+    let cluster = Cluster::builder(4).seed(3).ingest_graph(&g);
+    let run = |faults: Option<FaultPlan>| {
+        let cfg = ConnectivityConfig {
+            faults,
+            trace: Tracer::recording(),
+            ..ConnectivityConfig::default()
+        };
+        let trace = cfg.trace.clone();
+        let out = Engine::new(cluster.sharded(), Mode::Connectivity, 3, cfg).run();
+        (out, trace.events())
+    };
+    let (clean, _) = run(None);
+    let plan = FaultPlan::new(7)
+        .with_drop(0.05)
+        .with_crash(1, CRASH_MID_EPOCH);
+    let (faulted, events) = run(Some(plan));
+    let rolled_back: Vec<u32> = events
+        .iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::Rollback { phase, .. } => Some(phase),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        matches!(rolled_back[..], [2 | 3]),
+        "the crash must roll back phase 2 or 3, not {rolled_back:?}: re-aim CRASH_MID_EPOCH"
+    );
+    assert!(clean.memo_hits > 0, "the memo must serve on this cell");
+    assert_eq!(faulted.labels, clean.labels);
+    assert_eq!(faulted.phases, clean.phases);
+    assert_eq!(faulted.stats.machine_crashes, 1);
+    assert_faulted_counters("conn/mid-epoch-crash", &faulted.stats, &clean.stats, 4);
+}
+
 // ---------------------------------------------------------------------
 // Property tests: random plans (arbitrary rates, random crash schedules
 // that always leave ≥ 1 machine alive per superstep) against the oracle

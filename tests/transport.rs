@@ -131,6 +131,31 @@ fn connectivity_is_bit_identical_across_backends() {
 }
 
 #[test]
+fn memo_built_part_sketches_are_bit_identical_across_backends() {
+    // Parts here pass the edge cap, so mid-epoch phases build part
+    // sketches from the previous phase's memoised ones (DESIGN.md §3.7);
+    // the memo is machine-local state that no window ever carries.
+    use kmm::algo::engine::{Engine, Mode};
+    use_test_worker_exe();
+    let g = generators::gnm(2000, 8000, 0x61);
+    let cluster = Cluster::builder(4).seed(5).ingest_graph(&g);
+    let run = |transport| {
+        let cfg = ConnectivityConfig {
+            transport,
+            ..ConnectivityConfig::default()
+        };
+        Engine::new(cluster.sharded(), Mode::Connectivity, 5, cfg).run()
+    };
+    let (sim, phys) = (run(TransportSel::Sim), run(TransportSel::Proc));
+    assert!(sim.memo_hits > 0, "no part was built from the memo");
+    assert_eq!(sim.memo_hits, phys.memo_hits, "memo hits");
+    assert_eq!(sim.sketch_builds, phys.sketch_builds, "sketch builds");
+    assert_eq!(sim.labels, phys.labels, "component labels");
+    assert_eq!(sim.phases, phys.phases, "phases");
+    assert_stats_identical("conn/gnm-2000/memo/k4", &sim.stats, &phys.stats);
+}
+
+#[test]
 fn mst_is_bit_identical_with_contraction_and_varint() {
     // The required contract + varint cell: the varint batch encoding is
     // simultaneously the logical charging model and the physical wire
