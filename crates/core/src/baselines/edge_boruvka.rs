@@ -137,11 +137,10 @@ impl Problem for EdgeBoruvka {
             let mut proxies: Vec<FxHashMap<Label, Comp>> =
                 (0..k).map(|_| FxHashMap::default()).collect();
             for m in 0..k {
-                let view = sg.view(m);
                 let mut local_best: FxHashMap<Label, (EdgeKey, Label)> = FxHashMap::default();
-                for &v in view.verts() {
+                for (v, nbrs) in sg.view(m).adjacency() {
                     let lv = labels[v as usize];
-                    for &(nb, w) in view.neighbors(v) {
+                    for &(nb, w) in nbrs {
                         let lnb = labels[nb as usize]; // cache is exact each phase
                         if lnb != lv {
                             let (a, b) = if v < nb { (v, nb) } else { (nb, v) };
@@ -276,14 +275,13 @@ impl Problem for EdgeBoruvka {
             //     every cache exact for the next phase). ---
             let mut notify: FxHashMap<(usize, usize), Vec<(u32, Label)>> = FxHashMap::default();
             for home in 0..k {
-                let view = sg.view(home);
-                for &v in view.verts() {
+                for (v, nbrs) in sg.view(home).adjacency() {
                     let old = labels[v as usize];
                     if let Some(&new) = map.get(&old) {
                         labels[v as usize] = new;
                         if mode == CheckMode::BatchedPush {
                             let mut dsts: FxHashSet<usize> = FxHashSet::default();
-                            for &(nb, _) in view.neighbors(v) {
+                            for &(nb, _) in nbrs {
                                 let h = part.home(nb);
                                 if h != home {
                                     dsts.insert(h);

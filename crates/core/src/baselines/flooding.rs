@@ -48,11 +48,10 @@ impl FloodingOutput {
 /// Per-machine reverse index: remote vertex → local neighbors. Derived
 /// from the machine's own shard (its side of every cross edge).
 fn remote_in_index(sg: &ShardedGraph, m: usize) -> FxHashMap<u32, Vec<u32>> {
-    let view = sg.view(m);
     let part = sg.partition();
     let mut idx: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-    for &u in view.verts() {
-        for &(nb, _) in view.neighbors(u) {
+    for (u, nbrs) in sg.view(m).adjacency() {
+        for &(nb, _) in nbrs {
             if part.home(nb) != m {
                 idx.entry(nb).or_default().push(u);
             }

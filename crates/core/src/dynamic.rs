@@ -28,7 +28,7 @@
 //! 3. **Answers.** [`DynamicCluster::connectivity`] and
 //!    [`DynamicCluster::spanning_forest`] re-solve *incrementally*: only
 //!    the components touched by updates since the last solve are re-run
-//!    (through [`Engine::restrict`]), and the surviving component
+//!    (on [`kgraph::ShardedGraph::induced`]), and the surviving component
 //!    structure — labels and forest edges of untouched components — is
 //!    spliced through unchanged. Because the engine's per-component
 //!    trajectory is keyed entirely by vertex ids, labels and shared
@@ -354,13 +354,14 @@ impl std::error::Error for TraceError {}
 // Configuration and reports
 // ---------------------------------------------------------------------
 
+/// Compact every shard's delta log into its CSR once any shard's pending
+/// half-edge count reaches this bound (solves always compact first, so this
+/// only limits storage between solves).
+const COMPACTION_THRESHOLD: usize = 1024;
+
 /// Knobs of the dynamic layer.
 #[derive(Clone, Debug)]
 pub struct DynConfig {
-    /// Compact a shard's delta log into its CSR once any shard's pending
-    /// half-edge count reaches this bound (solves always compact first, so
-    /// this only limits storage between solves).
-    pub compaction_threshold: usize,
     /// Deterministic fault plan applied to the dynamic layer's own
     /// supersteps (update routing and certification); solves carry their
     /// plan in their [`ConnectivityConfig`]/[`MstConfig`]. Masked by the
@@ -376,7 +377,6 @@ pub struct DynConfig {
 impl Default for DynConfig {
     fn default() -> Self {
         DynConfig {
-            compaction_threshold: 1024,
             faults: None,
             trace: Tracer::off(),
         }
@@ -533,10 +533,9 @@ impl DynamicCluster {
         let fns = SketchFns::new(&SharedRandomness::new(cluster.seed()), DYN_CERT_TAG, params);
         let mut sketches: Vec<FxHashMap<u32, L0Sketch>> = vec![FxHashMap::default(); k];
         for (i, per_machine) in sketches.iter_mut().enumerate() {
-            let view = cluster.sharded().view(i);
-            for &v in view.verts() {
+            for (v, nbrs) in cluster.sharded().view(i).adjacency() {
                 let mut sk = L0Sketch::new(params);
-                for &(nb, _) in view.neighbors(v) {
+                for &(nb, _) in nbrs {
                     sk.add_incident_edge(&fns, v, nb);
                 }
                 per_machine.insert(v, sk);
@@ -668,8 +667,7 @@ impl DynamicCluster {
         self.batches += 1;
         self.inserts += inserts as u64;
         self.deletes += deletes as u64;
-        let compacted =
-            self.inner.sharded().max_pending_per_shard() >= self.cfg.compaction_threshold;
+        let compacted = self.inner.sharded().max_pending_per_shard() >= COMPACTION_THRESHOLD;
         if compacted {
             self.inner.sharded_mut().compact();
             self.compactions += 1;
@@ -1299,9 +1297,19 @@ impl DynamicCluster {
         }
     }
 
-    /// One engine re-solve in `mode`: restricted to the vertices `mask`
-    /// keeps (the whole graph without one), its forest spliced over the
-    /// edges of `forest` outside the mask.
+    /// One engine re-solve in `mode`: on the subgraph the vertices `mask`
+    /// keeps induce (the whole graph without one), its forest spliced over
+    /// the edges of `forest` outside the mask.
+    ///
+    /// Every per-component decision of a run (phase-0 sampling, sketch
+    /// functions, proxies, DRR ranks, pointer jumping) is keyed by vertex
+    /// ids, labels and the phase, and the run stops on each component's own
+    /// zero test: no global state shapes a trajectory, so a kept
+    /// component's is identical to its trajectory in a run on the whole
+    /// graph, which is what makes spliced answers bit-compatible with full
+    /// fresh runs (`tests/dynamic.rs`). The mask must be closed under
+    /// adjacency (the touched-component closure is); an edge leaving it
+    /// would be a never-cancelling outgoing edge.
     fn resolve(
         &self,
         mode: Mode,
@@ -1313,13 +1321,14 @@ impl DynamicCluster {
             run_output_protocol: false,
             ..cfg.clone()
         };
-        let mut engine = Engine::new(self.inner.sharded(), mode, self.inner.seed(), ecfg);
-        let mut survivors = Vec::new();
-        if let Some(mask) = mask {
-            engine.restrict(mask);
-            survivors.extend(forest.into_iter().filter(|e| !mask[e.u as usize]));
-        }
-        let run = engine.run();
+        let (sharded, seed) = (self.inner.sharded(), self.inner.seed());
+        let (run, survivors) = match mask {
+            Some(mask) => (
+                Engine::new(&sharded.induced(mask), mode, seed, ecfg).run(),
+                forest.into_iter().filter(|e| !mask[e.u as usize]).collect(),
+            ),
+            None => (Engine::new(sharded, mode, seed, ecfg).run(), Vec::new()),
+        };
         let forest = splice_forest(&run.mst_edges, survivors);
         (run, forest)
     }
@@ -1848,20 +1857,23 @@ mod tests {
 
     #[test]
     fn compaction_threshold_bounds_the_log() {
-        let g = generators::path(40);
+        let g = generators::path(100);
         let mut dc = DynamicCluster::wrap(
             Cluster::builder(2).seed(3).ingest_graph(&g),
-            DynConfig {
-                compaction_threshold: 8,
-                ..DynConfig::default()
-            },
+            DynConfig::default(),
         );
+        // Chords of the path, 64 to a batch: ≈ 3 000 staged half-edges over
+        // the two shards, so some shard's log crosses the threshold.
+        let chords = (0..100u32).flat_map(|u| (u + 2..100).map(move |v| (u, v)));
+        let chords: Vec<(u32, u32)> = chords.take(1536).collect();
         let mut compactions = 0;
-        for i in 0..12u32 {
-            let r = dc.apply(&UpdateBatch::new().insert(i, 39 - i, 2)).unwrap();
+        for batch in chords.chunks(64) {
+            let batch = (batch.iter()).fold(UpdateBatch::new(), |b, &(u, v)| b.insert(u, v, 2));
+            let r = dc.apply(&batch).unwrap();
             compactions += u64::from(r.compacted);
             // Bounded: k shards, each log under threshold + one batch.
-            assert!(dc.pending_half_ops() < 2 * (8 + 2), "log must stay bounded");
+            let bound = 2 * (COMPACTION_THRESHOLD + 2 * batch.len());
+            assert!(dc.pending_half_ops() < bound, "log must stay bounded");
         }
         assert!(compactions > 0, "threshold must have tripped");
         assert_eq!(dc.compactions(), compactions);

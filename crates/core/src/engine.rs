@@ -111,8 +111,8 @@ pub enum MergeStrategy {
 const SKETCH_REUSE_PERIOD: u32 = 4;
 
 /// A run fans its local closures out over `kmachine::par` workers only if
-/// it retains this many half-edges (Σ degree over its vertices); below, they
-/// run inline. The measured 2-core break-even (DESIGN.md §6).
+/// its graph has this many half-edges; below, they run inline. The measured
+/// 2-core break-even (DESIGN.md §6).
 const FAN_OUT_MIN_HALF_EDGES: usize = 1 << 15;
 
 /// How many times one phase may be re-entered after crashes before the run
@@ -202,8 +202,9 @@ pub struct EngineResult {
     /// component partition — not on the merge trajectory — so two runs
     /// that compute the same partition report bit-identical labels, which
     /// is what lets the dynamic layer splice incremental re-solves against
-    /// fresh static runs. In a restricted run ([`Engine::restrict`])
-    /// entries for inactive vertices are left at `0` and must be ignored.
+    /// fresh static runs. In a run on an induced subgraph
+    /// ([`ShardedGraph::induced`]) entries for the vertices it dropped are
+    /// left at `0` and must be ignored.
     pub labels: Vec<Label>,
     /// Communication statistics (rounds are the model's cost measure).
     pub stats: CommStats,
@@ -242,8 +243,9 @@ impl EngineResult {
 /// a re-entered phase rebuilds identically.
 #[derive(Clone, Default)]
 struct Durable {
-    /// Component label of every home vertex.
-    labels: FxHashMap<u32, Label>,
+    /// Component label of every home vertex, in
+    /// [`kgraph::ShardView::verts`] order.
+    labels: Vec<Label>,
     /// Forest edges this machine has output.
     mst_out: Vec<(u32, u32, u64)>,
     /// Supergraph shard (§3.11): the supernodes this machine owns, keyed
@@ -329,7 +331,7 @@ fn rename_adj(node: &mut SuperNode, map: &FxHashMap<Label, Label>) {
 /// Applies an inbox's vertex-space renames ([`Payload::Relabel`]) to a
 /// machine's labels and returns its supergraph rename map
 /// ([`Payload::SuperRelabel`]).
-fn apply_relabels(labels: &mut FxHashMap<u32, Label>, inbox: Mail) -> FxHashMap<Label, Label> {
+fn apply_relabels(labels: &mut [Label], inbox: Mail) -> FxHashMap<Label, Label> {
     let mut smap = FxHashMap::default();
     let mut vmap = FxHashMap::default();
     for env in inbox {
@@ -343,12 +345,20 @@ fn apply_relabels(labels: &mut FxHashMap<u32, Label>, inbox: Mail) -> FxHashMap<
             _ => {}
         }
     }
-    det::for_each_value_mut(labels, |lab| {
+    for lab in labels {
         if let Some(&nl) = vmap.get(lab) {
             *lab = nl;
         }
-    });
+    }
     smap
+}
+
+/// The distinct labels of a machine's vertices, ascending.
+fn distinct_labels(labels: &[Label]) -> Vec<Label> {
+    let mut distinct = labels.to_vec();
+    distinct.sort_unstable();
+    distinct.dedup();
+    distinct
 }
 
 /// Per-component state held at its proxy machine during one phase.
@@ -406,17 +416,25 @@ impl ProxyComp {
     }
 }
 
-/// The part sketches a machine built at its last iteration 0: the label of
-/// each home vertex with edges in one of those parts, and the sketches by
-/// label.
-type PartMemo = (FxHashMap<u32, Label>, FxHashMap<Label, L0Sketch>);
+/// The part sketches a machine built at its last iteration 0: its labels
+/// then, and the sketches by label. Each sketch is taken once, by the part
+/// its old part landed in.
+type PartMemo = (Vec<Label>, FxHashMap<Label, Option<L0Sketch>>);
 
-/// One machine's state: its vertices, their labels, the components it
-/// proxies this phase, and its mailboxes.
+/// One part of a machine's vertices being grouped for its proxy: the
+/// half-edges it ships or hashes, and the memoised sketches of the old
+/// parts that landed in it.
+#[derive(Default)]
+struct Part {
+    edges: Vec<(u32, u32)>,
+    memoised: Vec<L0Sketch>,
+}
+
+/// One machine's state: its vertices' labels, the components it proxies
+/// this phase, and its mailboxes.
 #[derive(Default)]
 struct MachineState {
     id: usize,
-    verts: Vec<u32>,
     /// What a phase checkpoint keeps.
     dur: Durable,
     proxied: FxHashMap<Label, ProxyComp>,
@@ -511,14 +529,12 @@ impl<'g> Engine<'g> {
         let net = Net::new(&cfg, k, n);
         let machines: Vec<MachineState> = (0..k)
             .map(|id| {
-                let verts = g.view(id).verts().to_vec();
                 let dur = Durable {
-                    labels: verts.iter().map(|&v| (v, v as Label)).collect(),
+                    labels: g.view(id).verts().iter().map(|&v| v as Label).collect(),
                     ..Durable::default()
                 };
                 MachineState {
                     id,
-                    verts,
                     dur,
                     ..MachineState::default()
                 }
@@ -526,7 +542,7 @@ impl<'g> Engine<'g> {
             .collect();
         let params = SketchParams::for_graph(n, cfg.reps);
         Engine {
-            fan_out: wants_fan_out(g, &machines),
+            fan_out: g.total_half_edges() >= FAN_OUT_MIN_HALF_EDGES,
             edge_cap: edge_cap(params, net.price().l),
             cx: Cx {
                 g,
@@ -551,51 +567,6 @@ impl<'g> Engine<'g> {
     /// Tracks an Alice/Bob machine bipartition (§4 harness).
     pub fn set_cut(&mut self, side: Vec<bool>) {
         self.net.set_cut(side);
-    }
-
-    /// Restricts the run to the vertices with `active[v] == true`: every
-    /// machine drops its inactive home vertices before phase 0, so the run
-    /// touches only the induced subgraph — the `core::dynamic` incremental
-    /// re-solve path, which re-runs only the components an update batch
-    /// touched. Every per-component decision (phase-0 sampling, sketch
-    /// functions, proxies, DRR ranks, pointer jumping) is keyed by vertex
-    /// ids, labels and the phase, and the run stops on each component's own
-    /// zero test: no global state shapes a restricted trajectory, so an
-    /// active component's is identical to its trajectory in an unrestricted
-    /// run on the same shards, which is what makes spliced answers
-    /// bit-compatible with full fresh runs (`tests/dynamic.rs`).
-    ///
-    /// The caller must guarantee no edge joins an active and an inactive
-    /// vertex (the dynamic layer's touched-component closure does); such an
-    /// edge would appear as a never-cancelling outgoing edge. Must be
-    /// called before [`Engine::run`].
-    pub fn restrict(&mut self, active: &[bool]) {
-        assert_eq!(
-            active.len(),
-            self.cx.n,
-            "active mask must cover all vertices"
-        );
-        for st in &mut self.machines {
-            st.verts.retain(|&v| active[v as usize]);
-            det::retain_where(&mut st.dur.labels, |&v, _| active[v as usize]);
-        }
-        self.fan_out = wants_fan_out(self.cx.g, &self.machines);
-        // The closure precondition, checked where it is cheap: every
-        // retained vertex's neighborhood must itself be active (each
-        // machine validates only its own shard adjacency).
-        #[cfg(debug_assertions)]
-        for st in &self.machines {
-            let view = self.cx.g.view(st.id);
-            for &v in &st.verts {
-                for &(nb, _) in view.neighbors(v) {
-                    debug_assert!(
-                        active[nb as usize],
-                        "restrict: active vertex {v} has an edge to inactive {nb} — \
-                         the mask must be closed under adjacency"
-                    );
-                }
-            }
-        }
     }
 
     /// Runs the algorithm to completion and returns outputs + accounting.
@@ -705,7 +676,7 @@ impl<'g> Engine<'g> {
         let mut labels = vec![0 as Label; self.cx.n];
         let mut canon: FxHashMap<Label, Label> = FxHashMap::default();
         for st in &self.machines {
-            for (&v, &lab) in &st.dur.labels {
+            for (&v, &lab) in self.cx.g.view(st.id).verts().iter().zip(&st.dur.labels) {
                 labels[v as usize] = lab;
                 canon
                     .entry(lab)
@@ -714,7 +685,7 @@ impl<'g> Engine<'g> {
             }
         }
         for st in &self.machines {
-            for v in det::sorted_keys(&st.dur.labels) {
+            for &v in self.cx.g.view(st.id).verts() {
                 labels[v as usize] = canon[&labels[v as usize]];
             }
         }
@@ -931,9 +902,7 @@ impl<'g> Engine<'g> {
     fn phase0_local_select(&mut self) {
         let prf = self.cx.shared.prf(Use::Phase0Sample);
         self.each(|cx, st, _| {
-            let view = cx.g.view(st.id);
-            for &v in &st.verts {
-                let nbrs = view.neighbors(v);
+            for (v, nbrs) in cx.g.view(st.id).adjacency() {
                 let mut comp = ProxyComp::new(v as Label, vec![st.id as u16]);
                 comp.live = !nbrs.is_empty();
                 if comp.live {
@@ -1015,54 +984,52 @@ impl<'g> Engine<'g> {
         let cap = self.edge_cap;
         let mid_epoch = !(p - 1).is_multiple_of(SKETCH_REUSE_PERIOD);
         self.step(|cx, st, _, out| {
-            let view = cx.g.view(st.id);
-            let mut by_label: FxHashMap<Label, Vec<(u32, u32)>> = FxHashMap::default();
-            for &v in &st.verts {
-                let label = st.dur.labels[&v];
+            let memo = st.memo.take_if(|_| !only_thresholded).filter(|_| mid_epoch);
+            let (old, mut memo) = memo.unwrap_or_default();
+            let mut by_label: FxHashMap<Label, Part> = FxHashMap::default();
+            for (i, (v, nbrs)) in cx.g.view(st.id).adjacency().enumerate() {
+                let label = st.dur.labels[i];
                 if only_thresholded && !st.thresholds.contains_key(&label) {
                     continue;
                 }
                 let thr = st.thresholds.get(&label).copied().flatten();
                 let part = by_label.entry(label).or_default();
-                for &(nb, w) in view.neighbors(v) {
+                // An old part lands whole in one new part: its memoised
+                // sketch is added once, in place of its vertices' edges.
+                let was = old.get(i).and_then(|was| memo.get_mut(was));
+                if let Some(slot) = was.filter(|_| !nbrs.is_empty()) {
+                    part.memoised.extend(slot.take());
+                    continue;
+                }
+                for &(nb, w) in nbrs {
                     if thr.is_none_or(|t| edge_key(w, v, nb) < t) {
-                        part.push((v, nb));
+                        part.edges.push((v, nb));
                     }
                 }
             }
-            let memo = st.memo.take_if(|_| !only_thresholded).filter(|_| mid_epoch);
-            let (old, mut memo) = memo.unwrap_or_default();
-            let (mut labels, mut sketches) = (FxHashMap::default(), FxHashMap::default());
-            for (label, edges) in det::into_sorted_entries(by_label) {
-                if edges.len() < cap {
+            let mut sketches = FxHashMap::default();
+            for (label, part) in det::into_sorted_entries(by_label) {
+                // A part holding a memoised sketch is at least its old part,
+                // which was at or above the cap.
+                if part.memoised.is_empty() && part.edges.len() < cap {
+                    let edges = part.edges;
                     out.send(cx.holder(p, label), Payload::PartEdges { label, edges });
                     continue;
                 }
                 st.sketch_builds += 1;
+                st.memo_hits += u64::from(!part.memoised.is_empty());
                 let mut sketch = Box::new(L0Sketch::new(cx.params));
-                let mut hit = false;
-                for run in edges.chunk_by(|a, b| a.0 == b.0) {
-                    let v = run[0].0;
-                    // An old part lands whole in one new part: its memoised
-                    // sketch is added once, in place of its vertices' edges.
-                    match old.get(&v) {
-                        Some(was) => hit |= memo.remove(was).map(|m| sketch.merge(&m)).is_some(),
-                        None => run
-                            .iter()
-                            .for_each(|&(v, nb)| sketch.add_incident_edge(fns, v, nb)),
-                    }
-                    if !only_thresholded {
-                        labels.insert(v, label);
-                    }
+                part.memoised.iter().for_each(|m| sketch.merge(m));
+                for (v, nb) in part.edges {
+                    sketch.add_incident_edge(fns, v, nb);
                 }
-                st.memo_hits += u64::from(hit);
                 if !only_thresholded {
-                    sketches.insert(label, (*sketch).clone());
+                    sketches.insert(label, Some((*sketch).clone()));
                 }
                 out.send(cx.holder(p, label), Payload::PartSketch { label, sketch });
             }
             if !sketches.is_empty() {
-                st.memo = Some((labels, sketches));
+                st.memo = Some((st.dur.labels.clone(), sketches));
             }
         });
     }
@@ -1123,7 +1090,7 @@ impl<'g> Engine<'g> {
                 }
             }
         });
-        // Superstep B: homes answer from their authoritative label map and
+        // Superstep B: homes answer from their authoritative labels and
         // their local shard adjacency (`ask` is homed here by construction).
         self.step(|cx, st, inbox, out| {
             let view = cx.g.view(st.id);
@@ -1133,7 +1100,7 @@ impl<'g> Engine<'g> {
                     let reply = Payload::EdgeProbeReply {
                         comp,
                         vertex: ask,
-                        label: st.dur.labels[&ask],
+                        label: st.dur.labels[home_index(view, ask)],
                         exists: weight.is_some(),
                         weight: weight.unwrap_or(0),
                     };
@@ -1307,10 +1274,8 @@ impl<'g> Engine<'g> {
     fn build_supergraph(&mut self) {
         // Superstep 1: push labels across every edge, from its larger end.
         self.step(|cx, st, _, out| {
-            let view = cx.g.view(st.id);
-            for &u in &st.verts {
-                let label = st.dur.labels[&u];
-                for &(v, weight) in view.neighbors(u).iter().filter(|&&(v, _)| v < u) {
+            for ((u, nbrs), &label) in cx.g.view(st.id).adjacency().zip(&st.dur.labels) {
+                for &(v, weight) in nbrs.iter().filter(|&&(v, _)| v < u) {
                     let push = Payload::LabelPush {
                         u,
                         v,
@@ -1333,7 +1298,7 @@ impl<'g> Engine<'g> {
                     label,
                 } = env.payload
                 {
-                    let mine = st.dur.labels[&v];
+                    let mine = st.dur.labels[home_index(cx.g.view(st.id), v)];
                     if mine != label {
                         let (ou, ov) = (v, u);
                         for (a, b) in [(mine, label), (label, mine)] {
@@ -1349,7 +1314,7 @@ impl<'g> Engine<'g> {
                     }
                 }
             }
-            for label in det::distinct_values(&st.dur.labels) {
+            for label in distinct_labels(&st.dur.labels) {
                 let parts = vec![st.id as u16];
                 out.send(
                     part.home(label as u32),
@@ -1475,7 +1440,7 @@ impl<'g> Engine<'g> {
     fn output_protocol(&mut self, after_phase: u32) -> u64 {
         let p = after_phase.max(1); // never the phase-0 identity proxy map
         self.step(|cx, st, _, out| {
-            for label in det::distinct_values(&st.dur.labels) {
+            for label in distinct_labels(&st.dur.labels) {
                 let proxy = cx.scheme.proxy_of(cx.g.partition(), p, 1, label);
                 out.send(proxy, Payload::LabelAnnounce { label });
             }
@@ -1515,11 +1480,11 @@ impl<'g> Engine<'g> {
         if self.cx.contracted {
             return self.machines.iter().map(|st| st.dur.supers.len()).sum();
         }
-        let mut labels: FxHashSet<Label> = FxHashSet::default();
+        let mut seen: FxHashSet<Label> = FxHashSet::default();
         for st in &self.machines {
-            labels.extend(st.verts.iter().map(|v| st.dur.labels[v]));
+            seen.extend(&st.dur.labels);
         }
-        labels.len()
+        seen.len()
     }
 
     /// Max DRR tree depth of phase `p` (Lemma 6 / Figure 2 data): the
@@ -1555,12 +1520,11 @@ impl<'g> Engine<'g> {
     }
 }
 
-/// The fan-out rule: whether the vertices the machines retain carry enough
-/// half-edges for thread scopes to pay for themselves.
-fn wants_fan_out(g: &ShardedGraph, machines: &[MachineState]) -> bool {
-    let half_edges =
-        |st: &MachineState| -> usize { st.verts.iter().map(|&v| g.view(st.id).degree(v)).sum() };
-    machines.iter().map(half_edges).sum::<usize>() >= FAN_OUT_MIN_HALF_EDGES
+/// The position of `v` in its home shard's [`kgraph::ShardView::verts`]: how
+/// a machine finds the state of a vertex whose id arrived in a message.
+fn home_index(view: kgraph::ShardView, v: u32) -> usize {
+    let found = view.verts().binary_search(&v);
+    found.expect("messages about a vertex are routed to its home")
 }
 
 /// The fewest half-edges whose `PartEdges` row is no cheaper than a
@@ -1732,9 +1696,10 @@ mod tests {
             assert!(closure_threads(&mut e).iter().all(|&t| t != me));
         }
 
-        // Restricted to the path, the same engine has 198 half-edges left.
-        let active: Vec<bool> = (0..g.n()).map(|v| v >= dense.n()).collect();
-        e.restrict(&active);
+        // Induced on the path, the same shards have 198 half-edges left.
+        let path: Vec<bool> = (0..g.n()).map(|v| v >= dense.n()).collect();
+        let path = large.induced(&path);
+        let mut e = engine(&path, false);
         assert!(!e.fan_out);
         assert!(closure_threads(&mut e).iter().all(|&t| t == me));
     }
@@ -1833,11 +1798,17 @@ mod tests {
             assert!(e.run_phase(0));
             let (mut p, mut absorbed_shipped, mut checked) = (1, 0, 0);
             loop {
-                // Each machine's labels in phase `p`, and last phase's memo.
+                // Each machine's labels in phase `p`, and which of its
+                // vertices last phase's memo covers.
                 let before: Vec<_> = e
                     .machines
                     .iter()
-                    .map(|st| (st.dur.labels.clone(), st.memo.clone().map(|(was, _)| was)))
+                    .map(|st| {
+                        let was = st.memo.as_ref().map(|(old, sketches)| {
+                            old.iter().map(|was| sketches.contains_key(was)).collect()
+                        });
+                        (st.dur.labels.clone(), was)
+                    })
                     .collect();
                 let hits_before = hits(&e);
                 let progressed = e.run_phase(p);
@@ -1847,27 +1818,28 @@ mod tests {
                 }
                 let fns = e.iter0_fns(p);
                 for (st, (labels, was)) in e.machines.iter().zip(&before) {
-                    let view = sg.view(st.id);
                     let Some((_, sketches)) = &st.memo else {
                         continue;
                     };
                     for (&label, sketch) in sketches {
-                        let members = st.verts.iter().filter(|&v| labels[v] == label);
-                        let members: Vec<u32> = members.copied().collect();
+                        let sketch = sketch.as_ref().expect("a fresh memo holds every sketch");
+                        let homed = sg.view(st.id).adjacency().enumerate().zip(labels);
+                        let members: Vec<_> = homed.filter(|&(_, &l)| l == label).collect();
                         let mut fresh = L0Sketch::new(e.cx.params);
-                        for &v in &members {
-                            for &(nb, _) in view.neighbors(v) {
-                                fresh.add_incident_edge(&fns, v, nb);
+                        for ((_, (v, nbrs)), _) in &members {
+                            for &(nb, _) in *nbrs {
+                                fresh.add_incident_edge(&fns, *v, nb);
                             }
                         }
                         assert_eq!(sketch.cell_slice(), fresh.cell_slice(), "{mode:?} {p}");
                         checked += 1;
-                        // Whether `v`'s part last phase was memoised.
-                        let old = |v: &u32| was.as_ref().map(|was| was.contains_key(v));
+                        // Whether a member's part last phase was memoised.
+                        let members = members.iter().map(|((i, _), _)| *i);
+                        let old = |i: usize| was.as_ref().map(|was: &Vec<bool>| was[i]);
                         let (memoised, shipped) = (Some(true), Some(false));
                         if mid_epoch
-                            && members.iter().any(|v| old(v) == memoised)
-                            && members.iter().any(|v| old(v) == shipped)
+                            && members.clone().any(|i| old(i) == memoised)
+                            && members.clone().any(|i| old(i) == shipped)
                         {
                             absorbed_shipped += 1;
                         }
@@ -2157,19 +2129,19 @@ mod tests {
             };
             let trace = cfg.trace.clone();
             let mut e = Engine::new(&sg, mode, 5, cfg);
-            let label_of =
-                |e: &Engine, v: Label| e.machines[part.home(v as u32)].dur.labels[&(v as u32)];
+            let label_of = |e: &Engine, v: Label| {
+                let home = part.home(v as u32);
+                e.machines[home].dur.labels[home_index(sg.view(home), v as u32)]
+            };
             assert!(e.run_phase(0));
             let mut p = 1;
             loop {
                 let mark = trace.mark();
-                let mut live: Vec<Label> = e
+                let live = e
                     .machines
                     .iter()
-                    .flat_map(|st| det::distinct_values(&st.dur.labels))
-                    .collect();
-                live.sort_unstable();
-                live.dedup();
+                    .flat_map(|st| st.dur.labels.iter().copied());
+                let live = distinct_labels(&live.collect::<Vec<_>>());
                 let progressed = e.run_phase(p);
                 let phase = trace.events_since(mark);
                 if p == 1 {
@@ -2192,7 +2164,7 @@ mod tests {
                 for st in &e.machines {
                     for &label in st.dur.supers.keys() {
                         assert_eq!(part.home(label as u32), st.id, "{mode:?} phase {p}");
-                        assert_eq!(st.dur.labels[&(label as u32)], label, "{mode:?} phase {p}");
+                        assert_eq!(label_of(&e, label), label, "{mode:?} phase {p}");
                     }
                 }
                 if !progressed {

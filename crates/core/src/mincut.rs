@@ -90,11 +90,8 @@ impl Problem for MinCut {
         // local maximum weight; the global max is free to aggregate in-model.
         let max_w = (0..k)
             .filter_map(|i| {
-                let view = sg.view(i);
-                view.verts()
-                    .iter()
-                    .flat_map(move |&v| view.neighbors(v).iter().map(|&(_, w)| w))
-                    .max()
+                let nbrs = sg.view(i).adjacency().flat_map(|(_, nbrs)| nbrs);
+                nbrs.map(|&(_, w)| w).max()
             })
             .max()
             .unwrap_or(1);

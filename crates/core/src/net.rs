@@ -11,7 +11,7 @@ use kmachine::message::Envelope;
 use kmachine::metrics::CommStats;
 use kmachine::network::NetworkConfig;
 use kmachine::trace::{TraceEvent, Tracer};
-use kmachine::transport::{make_transport, TransportSel};
+use kmachine::transport::{ProcTransport, TransportSel};
 use krand::shared::SharedRandomness;
 
 /// A mailbox: what an exchange delivered to a machine, or what it sends.
@@ -110,7 +110,9 @@ impl Net {
             bsp.install_faults(plan, true);
         }
         if cfg.transport == TransportSel::Proc {
-            bsp.set_transport(make_transport(cfg.transport, k));
+            let mesh = ProcTransport::processes(k)
+                .unwrap_or_else(|e| panic!("spawning {k} transport workers: {e}"));
+            bsp.set_transport(Box::new(mesh));
         }
         bsp.set_tracer(cfg.trace.clone());
         Net {

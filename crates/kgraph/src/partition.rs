@@ -119,16 +119,6 @@ impl Partition {
         self.edge_home[e] as usize
     }
 
-    /// The vertices homed at machine `i` (RVP view).
-    pub fn vertices_of(&self, i: usize) -> Vec<VertexId> {
-        self.home
-            .iter()
-            .enumerate()
-            .filter(|&(_, &h)| h as usize == i)
-            .map(|(v, _)| v as VertexId)
-            .collect()
-    }
-
     /// The edges owned by machine `i` under REP.
     pub fn edges_of(&self, g: &Graph, i: usize) -> Vec<Edge> {
         debug_assert_eq!(self.kind, PartitionKind::Rep);
@@ -184,17 +174,6 @@ mod tests {
                 l > mean / 2 && l < mean * 2,
                 "machine {i} load {l} vs mean {mean}"
             );
-        }
-    }
-
-    #[test]
-    fn rvp_home_matches_vertices_of() {
-        let g = generators::path(100);
-        let p = Partition::random_vertex(&g, 4, 7);
-        for i in 0..4 {
-            for v in p.vertices_of(i) {
-                assert_eq!(p.home(v), i);
-            }
         }
     }
 

@@ -88,6 +88,12 @@ impl Shard {
         self.verts.binary_search(&v).ok()
     }
 
+    /// The `(neighbor, weight)` adjacency of the vertex at `verts[vi]`.
+    #[inline]
+    fn adj(&self, vi: usize) -> &[(VertexId, Weight)] {
+        &self.adj[self.adj_off[vi] as usize..self.adj_off[vi + 1] as usize]
+    }
+
     /// Folds the delta log into the CSR, preserving fresh-ingest adjacency
     /// order: surviving base entries keep their positions, inserts append
     /// in log order — exactly the layout ingesting the mutated edge
@@ -106,15 +112,12 @@ impl Shard {
         let mut adj_off = Vec::with_capacity(self.verts.len() + 1);
         adj_off.push(0u32);
         for (vi, &v) in self.verts.iter().enumerate() {
-            let (lo, hi) = (self.adj_off[vi] as usize, self.adj_off[vi + 1] as usize);
             match by_owner.get(&v) {
-                None => adj.extend_from_slice(&self.adj[lo..hi]),
+                None => adj.extend_from_slice(self.adj(vi)),
                 Some(ops) => {
                     // Sequential replay over the alive-entry list.
-                    let mut entries: Vec<(VertexId, Weight, bool)> = self.adj[lo..hi]
-                        .iter()
-                        .map(|&(nb, w)| (nb, w, true))
-                        .collect();
+                    let mut entries: Vec<(VertexId, Weight, bool)> =
+                        self.adj(vi).iter().map(|&(nb, w)| (nb, w, true)).collect();
                     for &i in ops {
                         let op = self.log[i];
                         if op.insert {
@@ -280,11 +283,8 @@ impl ShardedGraph {
     pub fn staged_edge_weight(&self, u: VertexId, v: VertexId) -> Option<Weight> {
         let shard = &self.shards[self.part.home(u)];
         let mut w = shard.index_of(u).and_then(|vi| {
-            let (lo, hi) = (shard.adj_off[vi] as usize, shard.adj_off[vi + 1] as usize);
-            shard.adj[lo..hi]
-                .iter()
-                .find(|&&(nb, _)| nb == v)
-                .map(|&(_, w)| w)
+            let mut nbrs = shard.adj(vi).iter();
+            nbrs.find(|&&(nb, _)| nb == v).map(|&(_, w)| w)
         });
         for op in &shard.log {
             if op.owner == u && op.nb == v {
@@ -308,22 +308,16 @@ impl ShardedGraph {
         for shard in &mut self.shards {
             shard.compact();
         }
-        // Recount m: each edge exactly once, at its smaller endpoint's home.
-        self.m = self
-            .shards
-            .iter()
-            .map(|s| {
-                s.verts
-                    .iter()
-                    .enumerate()
-                    .map(|(vi, &v)| {
-                        let (lo, hi) = (s.adj_off[vi] as usize, s.adj_off[vi + 1] as usize);
-                        s.adj[lo..hi].iter().filter(|&&(nb, _)| v < nb).count()
-                    })
-                    .sum::<usize>()
-            })
-            .sum();
+        self.m = self.count_edges();
         applied
+    }
+
+    /// Counts `m` from the CSRs: each edge once, at its smaller endpoint's
+    /// home ([`ShardView::local_edges`]).
+    fn count_edges(&self) -> usize {
+        (0..self.k())
+            .map(|i| self.view(i).local_edges().count())
+            .sum()
     }
 
     /// Number of vertices `n`.
@@ -361,49 +355,81 @@ impl ShardedGraph {
     /// shared-randomness sampling — make both endpoint shards agree with
     /// zero communication, which is how the §3.2 min-cut probes subsample).
     pub fn filter_edges(&self, keep: impl Fn(VertexId, VertexId, Weight) -> bool) -> ShardedGraph {
+        self.filter(
+            |_| true,
+            |v, nb, w| {
+                if v < nb {
+                    keep(v, nb, w)
+                } else {
+                    keep(nb, v, w)
+                }
+            },
+        )
+    }
+
+    /// The subgraph induced by the vertices with `keep[v]`: every machine
+    /// keeps only those of its home vertices, with their adjacency. Ids,
+    /// `n` and the partition are unchanged, so a run on it is a run on the
+    /// same shards that never sees the dropped vertices.
+    ///
+    /// `keep` must be closed under adjacency (no edge joins a kept and a
+    /// dropped vertex); a debug build checks it.
+    pub fn induced(&self, keep: &[bool]) -> ShardedGraph {
+        assert_eq!(keep.len(), self.n, "the mask must cover all vertices");
+        self.filter(
+            |v| keep[v as usize],
+            |v, nb, _| {
+                debug_assert!(
+                    keep[nb as usize],
+                    "induced: kept vertex {v} has an edge to dropped {nb} — \
+                     the mask must be closed under adjacency"
+                );
+                true
+            },
+        )
+    }
+
+    /// The shards restricted to the vertices `keep_vertex` accepts and, of
+    /// their half-edges `(v, nb, w)`, those `keep_edge` accepts (both
+    /// endpoint shards must agree on an edge); `m` is recounted.
+    fn filter(
+        &self,
+        keep_vertex: impl Fn(VertexId) -> bool,
+        keep_edge: impl Fn(VertexId, VertexId, Weight) -> bool,
+    ) -> ShardedGraph {
         debug_assert_eq!(
             self.pending_half_ops(),
             0,
-            "filter_edges reads the compacted CSR; compact() staged deltas first"
+            "filters read the compacted CSR; compact() staged deltas first"
         );
-        let mut m = 0usize;
         let shards = self
             .shards
             .iter()
             .map(|s| {
-                let mut adj_off = Vec::with_capacity(s.verts.len() + 1);
-                let mut adj = Vec::with_capacity(s.adj.len());
-                adj_off.push(0);
+                let (mut verts, mut adj_off, mut adj) = (Vec::new(), vec![0], Vec::new());
                 for (vi, &v) in s.verts.iter().enumerate() {
-                    let (lo, hi) = (s.adj_off[vi] as usize, s.adj_off[vi + 1] as usize);
-                    for &(nb, w) in &s.adj[lo..hi] {
-                        let (a, b) = if v < nb { (v, nb) } else { (nb, v) };
-                        if keep(a, b, w) {
-                            adj.push((nb, w));
-                            if v < nb {
-                                m += 1; // counted once, at the smaller endpoint
-                            }
-                        }
+                    if keep_vertex(v) {
+                        verts.push(v);
+                        adj.extend(s.adj(vi).iter().filter(|&&(nb, w)| keep_edge(v, nb, w)));
+                        adj_off.push(adj.len() as u32);
                     }
-                    adj_off.push(adj.len() as u32);
                 }
                 Shard {
-                    verts: s.verts.clone(),
+                    verts,
                     adj_off,
                     adj,
                     log: Vec::new(),
                 }
             })
             .collect();
-        // Cross-shard edges were counted at the smaller endpoint only, but
-        // intra-shard edges also exactly once (the smaller endpoint is local
-        // too) — so `m` is already the undirected count.
-        ShardedGraph {
+        let mut g = ShardedGraph {
             n: self.n,
-            m,
+            m: 0,
             part: self.part.clone(),
             shards,
-        }
+        };
+        g.m = g.count_edges();
+        g
     }
 
     /// The crash-recovery restore path: re-reads machine `i`'s shard from
@@ -486,14 +512,15 @@ impl<'g> ShardView<'g> {
             .shard
             .index_of(v)
             .expect("neighbors() queried for a vertex homed on another machine");
-        let lo = self.shard.adj_off[vi] as usize;
-        let hi = self.shard.adj_off[vi + 1] as usize;
-        &self.shard.adj[lo..hi]
+        self.shard.adj(vi)
     }
 
-    /// Degree of local vertex `v`.
-    pub fn degree(&self, v: VertexId) -> usize {
-        self.neighbors(v).len()
+    /// Every local vertex with its `(neighbor, weight)` adjacency, in
+    /// [`ShardView::verts`] order — the walk over a whole shard, by
+    /// position rather than by id.
+    pub fn adjacency(&self) -> impl Iterator<Item = (VertexId, &'g [(VertexId, Weight)])> + 'g {
+        let shard = self.shard;
+        (shard.verts.iter().enumerate()).map(move |(vi, &v)| (v, shard.adj(vi)))
     }
 
     /// The weight of edge `(a, b)` where `a` is local, if the edge exists.
@@ -509,12 +536,8 @@ impl<'g> ShardView<'g> {
     /// once (how the referee baseline ships its slice, and how orchestrator
     /// code reassembles a graph without double counting).
     pub fn local_edges(&self) -> impl Iterator<Item = Edge> + 'g {
-        let shard = self.shard;
-        shard.verts.iter().enumerate().flat_map(move |(vi, &v)| {
-            let lo = shard.adj_off[vi] as usize;
-            let hi = shard.adj_off[vi + 1] as usize;
-            shard.adj[lo..hi]
-                .iter()
+        self.adjacency().flat_map(|(v, nbrs)| {
+            nbrs.iter()
                 .filter(move |&&(nb, _)| v < nb)
                 .map(move |&(nb, w)| Edge::new(v, nb, w))
         })
@@ -559,7 +582,6 @@ mod tests {
         for v in 0..g.n() as u32 {
             let view = sg.view(part.home(v));
             assert_eq!(view.neighbors(v), g.neighbors(v), "vertex {v}");
-            assert_eq!(view.degree(v), g.degree(v));
         }
         assert_eq!(sg.n(), g.n());
         assert_eq!(sg.m(), g.m());
@@ -623,17 +645,6 @@ mod tests {
         let v = 7u32;
         let wrong = (part.home(v) + 1) % 4;
         let _ = sg.view(wrong).neighbors(v);
-    }
-
-    #[test]
-    #[should_panic(expected = "another machine")]
-    fn remote_degree_is_inaccessible() {
-        let g = generators::cycle(40);
-        let part = Partition::random_vertex(&g, 3, 5);
-        let sg = ShardedGraph::from_graph(&g, &part);
-        let v = 11u32;
-        let wrong = (part.home(v) + 1) % 3;
-        let _ = sg.view(wrong).degree(v);
     }
 
     #[test]
@@ -793,7 +804,69 @@ mod tests {
         let sg = shard_of(&g, 3, 31);
         let part = sg.partition();
         for v in 2..20u32 {
-            assert_eq!(sg.view(part.home(v)).degree(v), 0);
+            assert!(sg.view(part.home(v)).neighbors(v).is_empty());
         }
+    }
+
+    /// Every shard's `adjacency()` is its `verts()` zipped with `neighbors()`.
+    fn assert_adjacency_walks_the_shards(sg: &ShardedGraph) {
+        for i in 0..sg.k() {
+            let view = sg.view(i);
+            let by_id: Vec<_> = view
+                .verts()
+                .iter()
+                .map(|&v| (v, view.neighbors(v)))
+                .collect();
+            assert_eq!(view.adjacency().collect::<Vec<_>>(), by_id, "shard {i}");
+        }
+    }
+
+    #[test]
+    fn adjacency_walks_each_shard_in_vertex_order() {
+        let g = generators::randomize_weights(&generators::gnm(150, 500, 71), 40, 72);
+        let mut sg = shard_of(&g, 4, 73);
+        assert_adjacency_walks_the_shards(&sg);
+        for e in g.edges().iter().step_by(3) {
+            sg.stage_delete(e.u, e.v);
+        }
+        sg.stage_insert(0, 149, 5);
+        sg.compact();
+        assert_adjacency_walks_the_shards(&sg);
+    }
+
+    /// `g`'s components with an even smallest vertex: a mask closed under
+    /// adjacency.
+    fn even_components(g: &Graph) -> Vec<bool> {
+        let comp = crate::refalgo::connected_components(g);
+        comp.iter().map(|&c| c % 2 == 0).collect()
+    }
+
+    #[test]
+    fn induced_shards_are_the_ingested_induced_edge_list() {
+        let g = generators::randomize_weights(&generators::gnm(300, 260, 81), 90, 82);
+        let keep = even_components(&g);
+        assert!(keep.iter().any(|&k| k) && !keep.iter().all(|&k| k));
+        let part = Partition::random_vertex(&g, 5, 83);
+        let induced = ShardedGraph::from_graph(&g, &part).induced(&keep);
+        let kept = g.edges().iter().filter(|e| keep[e.u as usize]).copied();
+        let stream = crate::stream::VecStream::new(g.n(), kept.collect());
+        let want = ShardedGraph::from_stream_with_partition(stream, part);
+        assert_eq!((induced.n(), induced.m()), (want.n(), want.m()));
+        for i in 0..5 {
+            let want = want.view(i);
+            let want = want.adjacency().filter(|&(v, _)| keep[v as usize]);
+            let got: Vec<_> = induced.view(i).adjacency().collect();
+            assert_eq!(got, want.collect::<Vec<_>>(), "shard {i}");
+        }
+        assert_adjacency_walks_the_shards(&induced);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "closed under adjacency")]
+    fn an_induced_mask_must_be_closed_under_adjacency() {
+        let g = generators::path(30);
+        let keep: Vec<bool> = (0..30).map(|v| v < 10).collect();
+        let _ = shard_of(&g, 3, 91).induced(&keep);
     }
 }

@@ -37,7 +37,7 @@ use crate::message::{put_varint, BatchWire, Encoding, Envelope, WireCodec, WireE
 use crate::metrics::{CommStats, SuperstepLoad};
 use crate::network::NetworkConfig;
 use crate::trace::{PhysEvent, Stopwatch, TraceEvent, Tracer};
-use crate::transport::{CodecBridge, Frame, Transport, TransportKind};
+use crate::transport::{CodecBridge, Frame, Transport};
 use std::collections::BTreeMap;
 
 /// Safety bound on recovery rounds per superstep. With `drop < 1` and the
@@ -164,8 +164,8 @@ pub struct Bsp<M> {
     /// Installed fault plan, if any (see [`Bsp::install_faults`]).
     faults: Option<FaultCtx>,
     /// Installed byte transport, if any (see [`Bsp::set_transport`]). With
-    /// a `Proc` transport every superstep window physically crosses the
-    /// worker mesh before it is accounted.
+    /// one, every superstep window physically crosses the worker mesh
+    /// before it is accounted.
     bridge: Option<CodecBridge<M>>,
     /// Structured trace stream (off by default; see [`Bsp::set_tracer`]).
     trace: Tracer,
@@ -197,15 +197,13 @@ impl<M> Bsp<M> {
         self.trace = trace;
     }
 
-    /// Installs a byte transport (DESIGN.md §3.12). With a
-    /// [`TransportKind::Proc`] transport, every subsequent superstep's
-    /// cross-machine messages are encoded with [`WireCodec`], shipped
-    /// through the worker mesh as per-link frames, decoded from the bytes
-    /// that physically arrived, and only then accounted — so `CommStats`
-    /// on the process backend is reconstructed from real framed/acked
-    /// traffic. A [`TransportKind::Sim`] transport (or none) keeps the
-    /// historical in-process path byte-for-byte: the simulator is the
-    /// accounting oracle and is never perturbed.
+    /// Installs a byte transport (DESIGN.md §3.12): every subsequent
+    /// superstep's cross-machine messages are encoded with [`WireCodec`],
+    /// shipped through the worker mesh as per-link frames, decoded from the
+    /// bytes that physically arrived, and only then accounted — so
+    /// `CommStats` on the process backend is reconstructed from real
+    /// framed/acked traffic. Without one, the in-process simulator
+    /// delivers: it is the accounting oracle and is never perturbed.
     ///
     /// Worker restarts observed by the transport (a machine process died
     /// and was respawned, the window replayed) are folded into
@@ -220,9 +218,7 @@ impl<M> Bsp<M> {
 
     /// Whether supersteps are physically routed through a process mesh.
     fn transported(&self) -> bool {
-        self.bridge
-            .as_ref()
-            .is_some_and(|b| b.transport.kind() == TransportKind::Proc)
+        self.bridge.is_some()
     }
 
     /// Ships `sent` — cross-machine envelopes with their window positions,

@@ -49,15 +49,6 @@ pub fn sorted_members<T: Ord + Copy>(set: &FxHashSet<T>) -> Vec<T> {
     v
 }
 
-/// The map's distinct values in ascending order — order-insensitive by
-/// construction (collect, sort, dedup), like [`max_value`] / [`any_value`].
-pub fn distinct_values<K, V: Ord + Copy>(map: &FxHashMap<K, V>) -> Vec<V> {
-    let mut v: Vec<V> = map.values().copied().collect();
-    v.sort_unstable();
-    v.dedup();
-    v
-}
-
 /// The maximum value in the map — an order-insensitive reduction (every
 /// iteration order yields the same maximum), exposed here so accounting
 /// code can take a per-link maximum without open-coding an unordered walk.
@@ -158,13 +149,15 @@ mod tests {
         for (k, v) in [(3, -1), (1, 5), (2, 0)] {
             m.insert(k, v);
         }
-        assert_eq!(distinct_values(&m), vec![-1, 0, 5]);
+        let values = |m: &FxHashMap<u32, i64>| -> Vec<i64> {
+            sorted_entries(m).into_iter().map(|(_, &v)| v).collect()
+        };
         assert!(any_value(&m, |&v| v < 0));
         assert!(!any_value(&m, |&v| v > 9));
         for_each_value_mut(&mut m, |v| *v += 10);
-        assert_eq!(distinct_values(&m), vec![9, 10, 15]);
+        assert_eq!(values(&m), vec![15, 10, 9]);
         for_each_entry_mut(&mut m, |k, v| *v += i64::from(k));
-        assert_eq!(distinct_values(&m), vec![12, 16], "equal values collapse");
+        assert_eq!(values(&m), vec![16, 12, 12]);
         assert_eq!(min_entry_by(&m, |_, &v| v), Some((2, &12)));
         retain_where(&mut m, |_, v| *v >= 12);
         assert_eq!(sorted_keys(&m), vec![1, 2, 3]);

@@ -56,4 +56,4 @@ pub use fault::{CrashEvent, FaultPlan};
 pub use message::{Envelope, WireCodec, WireSize};
 pub use metrics::CommStats;
 pub use trace::{PhysEvent, PhysRecord, TraceEvent, TraceRecord, TraceSink, Tracer};
-pub use transport::{ProcTransport, SimTransport, Transport, TransportKind, TransportSel};
+pub use transport::{ProcTransport, Transport, TransportSel};

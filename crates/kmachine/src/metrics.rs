@@ -82,11 +82,6 @@ impl CommStats {
         self.recv_bits.iter().copied().max().unwrap_or(0)
     }
 
-    /// The heaviest per-machine send load.
-    pub fn max_machine_sent_bits(&self) -> u64 {
-        self.sent_bits.iter().copied().max().unwrap_or(0)
-    }
-
     /// Load-balance ratio over supersteps: mean over supersteps of
     /// `max_link_bits / (total_bits / links)`, counting only supersteps
     /// that moved at least `min_bits`. A value close to 1 means perfectly
@@ -354,8 +349,6 @@ mod tests {
     fn machine_maxima() {
         let mut s = CommStats::new(3);
         s.recv_bits = vec![5, 70, 20];
-        s.sent_bits = vec![90, 1, 2];
         assert_eq!(s.max_machine_recv_bits(), 70);
-        assert_eq!(s.max_machine_sent_bits(), 90);
     }
 }

@@ -1,21 +1,18 @@
 //! Pluggable byte transports: the boundary between the model's accounting
 //! and the machinery that actually moves bytes (DESIGN.md §3.12).
 //!
-//! [`crate::bsp::Bsp`] charges rounds and bits analytically; *how* a
-//! superstep's bytes travel is delegated to a [`Transport`]:
-//!
-//! * [`SimTransport`] — the in-process simulator, the accounting oracle.
-//!   Frames loop back untouched; the BSP layer short-circuits it entirely so
-//!   the simulator path stays byte-for-byte the historical one.
-//! * [`ProcTransport`] — a real multi-process backend: one OS worker process
-//!   per machine, spawned by the coordinator, exchanging superstep batches
-//!   over Unix-domain sockets with TCP-ready framing (length-prefixed,
-//!   seq-numbered frames whose payloads are the PR 6 varint batch encoding,
-//!   now as actual bytes rather than a pricing fiction). Per-frame acks make
-//!   delivery confirmable; a worker that dies mid-window is detected,
-//!   respawned, and the window is replayed under a fresh token — the
-//!   crash-stop-with-immediate-restart semantics the PR 5
-//!   [`crate::fault::CrashEvent`] recovery path assumes.
+//! [`crate::bsp::Bsp`] charges rounds and bits analytically; by default it
+//! also delivers in process — the simulator, the accounting oracle. With a
+//! [`Transport`] installed, a superstep's bytes travel through it instead:
+//! [`ProcTransport`] is a real multi-process backend: one OS worker process
+//! per machine, spawned by the coordinator, exchanging superstep batches
+//! over Unix-domain sockets with TCP-ready framing (length-prefixed,
+//! seq-numbered frames whose payloads are the PR 6 varint batch encoding,
+//! now as actual bytes rather than a pricing fiction). Per-frame acks make
+//! delivery confirmable; a worker that dies mid-window is detected,
+//! respawned, and the window is replayed under a fresh token — the
+//! crash-stop-with-immediate-restart semantics the PR 5
+//! [`crate::fault::CrashEvent`] recovery path assumes.
 //!
 //! Workers are payload-agnostic relays: frame payloads are opaque bytes
 //! (encoded/decoded by [`crate::message::WireCodec`] on the coordinator
@@ -55,15 +52,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Which backend a [`Transport`] is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TransportKind {
-    /// In-process simulator (the accounting oracle).
-    Sim,
-    /// Multi-process workers over Unix-domain sockets.
-    Proc,
-}
 
 /// Which backend a configuration selects. `Copy` so it threads through the
 /// per-problem config structs unchanged.
@@ -184,52 +172,12 @@ pub struct PhysStats {
 /// A byte transport for delivery windows. Object-safe so the superstep
 /// layer can hold `Box<dyn Transport>` regardless of payload type.
 pub trait Transport: Send {
-    /// Which backend this is.
-    fn kind(&self) -> TransportKind;
     /// Delivers one window: every frame reaches its destination machine and
     /// comes back to the coordinator, exactly once. Frames are returned in
     /// window-seq order.
     fn exchange(&mut self, frames: Vec<Frame>) -> Vec<Frame>;
     /// Physical-layer counters so far.
     fn phys(&self) -> &PhysStats;
-}
-
-/// The in-process backend: frames loop back unchanged. The BSP layer never
-/// even encodes under this kind (the simulator is the oracle and must stay
-/// byte-identical); the loopback exists so the trait is total.
-#[derive(Debug, Default)]
-pub struct SimTransport {
-    phys: PhysStats,
-}
-
-impl SimTransport {
-    /// A fresh loopback.
-    pub fn new() -> Self {
-        SimTransport::default()
-    }
-}
-
-impl Transport for SimTransport {
-    fn kind(&self) -> TransportKind {
-        TransportKind::Sim
-    }
-
-    fn exchange(&mut self, mut frames: Vec<Frame>) -> Vec<Frame> {
-        self.phys.windows += 1;
-        self.phys.attempts += 1;
-        for (i, f) in frames.iter_mut().enumerate() {
-            f.seq = i as u64;
-            self.phys.frames_sent += 1;
-            self.phys.frames_delivered += 1;
-            self.phys.acks += 1;
-            self.phys.payload_bytes += f.payload.len() as u64;
-        }
-        frames
-    }
-
-    fn phys(&self) -> &PhysStats {
-        &self.phys
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -906,10 +854,6 @@ impl ProcTransport {
 }
 
 impl Transport for ProcTransport {
-    fn kind(&self) -> TransportKind {
-        TransportKind::Proc
-    }
-
     fn exchange(&mut self, frames: Vec<Frame>) -> Vec<Frame> {
         self.phys.windows += 1;
         if frames.is_empty() {
@@ -990,18 +934,6 @@ impl<M: crate::message::WireCodec> CodecBridge<M> {
     }
 }
 
-/// Builds the transport a [`TransportSel`] names (`k` workers for the
-/// process backend).
-pub fn make_transport(sel: TransportSel, k: usize) -> Box<dyn Transport> {
-    match sel {
-        TransportSel::Sim => Box::new(SimTransport::new()),
-        TransportSel::Proc => Box::new(
-            ProcTransport::processes(k)
-                .unwrap_or_else(|e| panic!("spawning {k} transport workers: {e}")),
-        ),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -1025,17 +957,6 @@ mod tests {
         let mut r = WireReader::new(&buf);
         assert_eq!(Frame::decode_from(&mut r).unwrap(), f);
         assert!(r.is_empty());
-    }
-
-    #[test]
-    fn sim_transport_loops_back_and_counts() {
-        let mut t = SimTransport::new();
-        let out = t.exchange(vec![frame(0, 1, b"abc"), frame(1, 0, b"d")]);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].payload, b"abc");
-        assert_eq!(t.phys().frames_sent, 2);
-        assert_eq!(t.phys().payload_bytes, 4);
-        assert_eq!(t.kind(), TransportKind::Sim);
     }
 
     #[test]

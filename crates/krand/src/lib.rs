@@ -17,13 +17,11 @@
 //!    which the simulator can charge to the round counter.
 
 pub mod m61;
-pub mod pairwise;
 pub mod poly;
 pub mod prf;
 pub mod shared;
 
 pub use m61::M61;
-pub use pairwise::PairwiseHash;
 pub use poly::{PolyBatch, PolyHash};
 pub use prf::{split_mix64, Prf};
 pub use shared::SharedRandomness;

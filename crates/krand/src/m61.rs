@@ -110,12 +110,6 @@ impl M61 {
         }
         acc
     }
-
-    /// Multiplicative inverse via Fermat's little theorem (`self != 0`).
-    pub fn inv(self) -> M61 {
-        debug_assert!(self.0 != 0, "inverse of zero");
-        self.pow(P - 2)
-    }
 }
 
 impl std::ops::Add for M61 {
@@ -230,13 +224,5 @@ mod tests {
         assert_eq!(a.pow(4).value(), 81);
         // Fermat: a^(p-1) = 1.
         assert_eq!(a.pow(P - 1).value(), 1);
-    }
-
-    #[test]
-    fn inverse_multiplies_to_one() {
-        for x in [1u64, 2, 7, P - 2, 424_242_424_242] {
-            let a = M61::new(x);
-            assert_eq!(a.mul(a.inv()).value(), 1);
-        }
     }
 }

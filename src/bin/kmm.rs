@@ -323,7 +323,6 @@ fn run_dyn(args: &Args, k: usize, seed: u64, cfg: &EngineConfig) -> ExitCode {
         DynConfig {
             faults: cfg.faults.clone(),
             trace: cfg.trace.clone(),
-            ..DynConfig::default()
         },
     );
     let emit = |batch: usize, up: Option<&UpdateReport>, dc: &mut DynamicCluster| {
