@@ -293,8 +293,6 @@ impl<M> Bsp<M> {
                 attempts: after.attempts - before.attempts,
                 frames_sent: after.frames_sent - before.frames_sent,
                 payload_bytes: after.payload_bytes - before.payload_bytes,
-                frames_delivered: after.frames_delivered - before.frames_delivered,
-                acks: after.acks - before.acks,
                 worker_restarts: after.worker_restarts - before.worker_restarts,
                 micros,
             });

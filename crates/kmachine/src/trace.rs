@@ -303,10 +303,6 @@ event_table! {
             frames_sent: u64,
             /// Payload bytes put on the wire.
             payload_bytes: u64,
-            /// Frames that physically arrived.
-            frames_delivered: u64,
-            /// Acks received.
-            acks: u64,
             /// Worker processes respawned during the window.
             worker_restarts: u64,
             /// Wall-clock duration of the exchange, in microseconds.
@@ -1397,8 +1393,6 @@ mod tests {
                 attempts: 4,
                 frames_sent: 18,
                 payload_bytes: 4096,
-                frames_delivered: 17,
-                acks: 16,
                 worker_restarts: 1,
                 micros: 125,
             },
@@ -1435,8 +1429,6 @@ mod tests {
                 attempts: 0,
                 frames_sent: 0,
                 payload_bytes: 0,
-                frames_delivered: 0,
-                acks: 0,
                 worker_restarts: 0,
                 micros: 0,
             }
@@ -1582,8 +1574,6 @@ mod tests {
             attempts: 1,
             frames_sent: 3,
             payload_bytes: 400,
-            frames_delivered: 3,
-            acks: 3,
             worker_restarts: 0,
             micros: 125,
         });

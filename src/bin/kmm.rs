@@ -34,6 +34,25 @@ const SUBCOMMANDS: &[&str] = &[
     "conn", "mst", "st", "mincut", "dyn", "stcon", "bipart", "gen", "check", "trace", "repro",
 ];
 
+/// The input and run-configuration options every algorithm subcommand reads.
+const RUN_OPTIONS: &str =
+    "input gen n m p extra max-weight k seed faults contract encoding transport trace-out";
+
+/// Each `--key value` subcommand's options: whether it reads [`RUN_OPTIONS`],
+/// and the options only it reads. Anything else is rejected, so a mistyped
+/// flag cannot silently run the default configuration.
+const OPTIONS: &[(&str, bool, &str)] = &[
+    ("conn", true, "report"),
+    ("mst", true, "report both-endpoints print-edges"),
+    ("st", true, "report"),
+    ("mincut", true, "report"),
+    ("dyn", true, "report trace both-endpoints"),
+    ("stcon", true, "s t"),
+    ("bipart", true, ""),
+    ("gen", false, "family n m p extra max-weight seed out"),
+    ("check", false, "root allow"),
+];
+
 /// Minimal argument parser: `--key value` pairs plus boolean `--flag`s.
 struct Args {
     cmd: String,
@@ -75,6 +94,27 @@ impl Args {
 
     fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
+    }
+
+    /// The first option `cmd` does not read, with the list of those it does
+    /// (`None` for an unknown subcommand, which `main` reports as such).
+    fn unknown_option(&self) -> Option<String> {
+        let &(_, run, own) = OPTIONS.iter().find(|(cmd, ..)| *cmd == self.cmd)?;
+        let valid: Vec<&str> = own
+            .split_whitespace()
+            .chain(RUN_OPTIONS.split_whitespace().filter(|_| run))
+            .collect();
+        let bad = self
+            .kv
+            .iter()
+            .map(|(k, _)| k)
+            .chain(&self.flags)
+            .find(|key| !valid.contains(&key.as_str()))?;
+        Some(format!(
+            "unknown option --{bad} for {} (valid options: --{})",
+            self.cmd,
+            valid.join(", --")
+        ))
     }
 }
 
@@ -125,7 +165,12 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn load_graph(args: &Args) -> Result<Graph, String> {
+/// The whole graph: the `--input` file, or the `--gen` stream materialized
+/// as `kmm gen` writes it.
+fn load_graph(args: &Args, seed: u64) -> Result<Graph, String> {
+    if args.get("gen").is_some() {
+        return stream_from_args(args, "gen", seed).map(materialize);
+    }
     let path = args
         .get("input")
         .ok_or("missing --input (or --gen FAMILY for a streamed synthetic input)")?;
@@ -198,7 +243,7 @@ fn cluster_from_args(args: &Args, k: usize, seed: u64, verbose: bool) -> Result<
         }
         Ok(cluster)
     } else {
-        Ok(builder.ingest_graph(&load_graph(args)?))
+        Ok(builder.ingest_graph(&load_graph(args, seed)?))
     }
 }
 
@@ -329,22 +374,10 @@ fn run_dyn(args: &Args, k: usize, seed: u64, cfg: &EngineConfig) -> ExitCode {
         let conn = dc.connectivity(cfg);
         // Read the refresh kind now: the follow-up spanning-forest call is
         // served from the structure the connectivity solve just refreshed.
-        let refresh = match dc.last_refresh() {
-            RefreshKind::Cached => "cached".to_string(),
-            RefreshKind::Incremental { active_vertices } => {
-                format!("incremental({active_vertices})")
-            }
-            RefreshKind::Full => "full".to_string(),
-        };
+        let refresh = refresh_name(dc.last_refresh());
         let st = dc.spanning_forest(cfg);
         let mst = dc.mst(cfg);
-        let mst_refresh = match dc.last_refresh() {
-            RefreshKind::Cached => "cached".to_string(),
-            RefreshKind::Incremental { active_vertices } => {
-                format!("incremental({active_vertices})")
-            }
-            RefreshKind::Full => "full".to_string(),
-        };
+        let mst_refresh = refresh_name(dc.last_refresh());
         if json {
             let mut head = vec![("batch", batch.to_string())];
             if let Some(u) = up {
@@ -403,6 +436,15 @@ fn run_dyn(args: &Args, k: usize, seed: u64, cfg: &EngineConfig) -> ExitCode {
         );
     }
     ExitCode::SUCCESS
+}
+
+/// The trailer's name for a refresh path.
+fn refresh_name(kind: RefreshKind) -> String {
+    match kind {
+        RefreshKind::Cached => "cached".to_string(),
+        RefreshKind::Incremental { active_vertices } => format!("incremental({active_vertices})"),
+        RefreshKind::Full => "full".to_string(),
+    }
 }
 
 /// `kmm __transport-worker DIR MACHINE K`: serve one machine's socket mesh
@@ -575,6 +617,9 @@ fn main() -> ExitCode {
     let Some(args) = Args::parse() else {
         return usage();
     };
+    if let Some(e) = args.unknown_option() {
+        return fail(&e);
+    }
     let k: usize = args.get_num("k").unwrap_or(8);
     let seed: u64 = args.get_num("seed").unwrap_or(42);
     if args.cmd == "check" {
@@ -680,7 +725,7 @@ fn main() -> ExitCode {
         ),
         "dyn" => run_dyn(&args, k, seed, &cfg),
         "stcon" => {
-            let g = match load_graph(&args) {
+            let g = match load_graph(&args, seed) {
                 Ok(g) => g,
                 Err(e) => return fail(&e),
             };
@@ -696,7 +741,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "bipart" => {
-            let g = match load_graph(&args) {
+            let g = match load_graph(&args, seed) {
                 Ok(g) => g,
                 Err(e) => return fail(&e),
             };

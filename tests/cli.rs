@@ -231,6 +231,51 @@ fn k_below_two_is_a_clean_error() {
 }
 
 #[test]
+fn unknown_options_are_rejected_with_the_valid_list() {
+    // A mistyped flag must not silently run the default configuration.
+    for (argv, bad) in [
+        (
+            &[
+                "conn", "--gen", "gnm", "--n", "100", "--k", "2", "--bogus", "3",
+            ][..],
+            "bogus",
+        ),
+        (
+            &["mst", "--gen", "gnm", "--n", "100", "--k", "2", "--contrat"][..],
+            "contrat",
+        ),
+    ] {
+        let out = kmm().args(argv).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{argv:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown option --{bad} for {}", argv[0])),
+            "{err}"
+        );
+        assert!(err.contains("--contract") && err.contains("--gen"), "{err}");
+        assert!(out.stdout.is_empty(), "nothing ran: {out:?}");
+    }
+}
+
+#[test]
+fn stcon_and_bipart_read_a_generated_input() {
+    let out = kmm()
+        .args([
+            "stcon", "--gen", "path", "--n", "50", "--s", "0", "--t", "49", "--k", "2",
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("connected: true"));
+    let out = kmm()
+        .args(["bipart", "--gen", "cycle", "--n", "9", "--k", "2"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("bipartite: false"));
+}
+
+#[test]
 fn missing_input_is_an_error() {
     let out = kmm().args(["conn", "--k", "4"]).output().unwrap();
     assert!(!out.status.success());
