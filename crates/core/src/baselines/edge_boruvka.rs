@@ -19,7 +19,7 @@ use crate::engine::EngineConfig;
 use crate::messages::{id_bits, EdgeKey, Label, Payload};
 use crate::net::Net;
 use crate::proxy::ProxyScheme;
-use crate::session::{Cluster, EdgeBoruvka, EdgeBoruvkaConfig, Problem};
+use crate::session::{Cluster, EdgeBoruvka, Problem};
 use kgraph::graph::Edge;
 use kmachine::det;
 use kmachine::metrics::CommStats;
@@ -27,12 +27,13 @@ use krand::shared::SharedRandomness;
 use rustc_hash::{FxHashMap, FxHashSet};
 
 /// How the baseline learns the labels across its edges.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CheckMode {
     /// Maintain neighbor-label caches; after each merge push every changed
     /// vertex's label once per neighboring machine. The strongest version
     /// of edge checking the k-machine locality allows: `O~(n·k)` bits per
     /// phase (`Θ~(n/k)` rounds overall, the conversion-theorem bound).
+    #[default]
     BatchedPush,
     /// No caches: every phase every machine *tests each incident
     /// cross-machine edge individually* (test + reply, `Θ(log n)` bits
@@ -68,34 +69,29 @@ struct Comp {
 }
 
 impl Problem for EdgeBoruvka {
-    type Config = EdgeBoruvkaConfig;
     type Output = EdgeBoruvkaOutput;
     const NAME: &'static str = "edge-boruvka";
 
-    fn with(cfg: EdgeBoruvkaConfig) -> Self {
-        EdgeBoruvka { cfg }
-    }
-
-    fn config_from(d: &EngineConfig) -> EdgeBoruvkaConfig {
-        EdgeBoruvkaConfig {
-            bandwidth: d.bandwidth,
+    fn with(cfg: EngineConfig) -> Self {
+        EdgeBoruvka {
+            cfg,
             mode: CheckMode::BatchedPush,
         }
     }
 
+    fn cfg(&self) -> &EngineConfig {
+        &self.cfg
+    }
+
     fn solve(&self, cluster: &Cluster) -> EdgeBoruvkaOutput {
         let (sg, seed) = (cluster.sharded(), cluster.seed());
-        let EdgeBoruvkaConfig { bandwidth, mode } = self.cfg;
+        let mode = self.mode;
         let part = sg.partition();
         let k = sg.k();
         let n = sg.n();
         let shared = SharedRandomness::new(seed);
         let scheme = ProxyScheme::new(shared, k);
-        let cfg = EngineConfig {
-            bandwidth,
-            ..EngineConfig::default()
-        };
-        let mut net = Net::new(&cfg, k, n);
+        let mut net = Net::new(&self.cfg, k, n);
         let mut labels: Vec<Label> = (0..n as Label).collect();
         // Each machine's cache of neighbor labels starts exact for free: at
         // phase 0 every label is the vertex id, which hashing makes public.
@@ -356,11 +352,11 @@ mod tests {
     fn per_edge_test_mode_is_exact_and_pays_theta_m_per_phase() {
         let g = generators::randomize_weights(&generators::gnm(200, 3000, 21), 500, 22);
         let cluster = Cluster::builder(4).seed(23).ingest_graph(&g);
-        let per_edge = EdgeBoruvkaConfig {
+        let per_edge = EdgeBoruvka {
             mode: CheckMode::PerEdgeTest,
-            ..EdgeBoruvkaConfig::default()
+            ..EdgeBoruvka::default()
         };
-        let out = cluster.run(EdgeBoruvka::with(per_edge)).output;
+        let out = cluster.run(per_edge).output;
         let reference = refalgo::kruskal(&g);
         assert!(refalgo::is_spanning_forest(&g, &out.edges));
         assert_eq!(out.total_weight, refalgo::forest_weight(&reference));

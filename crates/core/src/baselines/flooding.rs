@@ -19,7 +19,6 @@ use crate::messages::{Label, Payload};
 use crate::net::Net;
 use crate::session::{Cluster, Flooding, Problem};
 use kgraph::ShardedGraph;
-use kmachine::bandwidth::Bandwidth;
 use kmachine::det;
 use kmachine::metrics::CommStats;
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -61,16 +60,15 @@ fn remote_in_index(sg: &ShardedGraph, m: usize) -> FxHashMap<u32, Vec<u32>> {
 }
 
 impl Problem for Flooding {
-    type Config = Bandwidth;
     type Output = FloodingOutput;
     const NAME: &'static str = "flooding";
 
-    fn with(bandwidth: Bandwidth) -> Self {
-        Flooding { bandwidth }
+    fn with(cfg: EngineConfig) -> Self {
+        Flooding { cfg }
     }
 
-    fn config_from(d: &EngineConfig) -> Bandwidth {
-        d.bandwidth
+    fn cfg(&self) -> &EngineConfig {
+        &self.cfg
     }
 
     #[allow(clippy::needless_range_loop)] // machine ids index several parallel structures
@@ -79,11 +77,7 @@ impl Problem for Flooding {
         let part = sg.partition();
         let k = part.k();
         let n = sg.n();
-        let cfg = EngineConfig {
-            bandwidth: self.bandwidth,
-            ..EngineConfig::default()
-        };
-        let mut net = Net::new(&cfg, k, n);
+        let mut net = Net::new(&self.cfg, k, n);
         let mut labels: Vec<Label> = (0..n as Label).collect();
         let remote_in: Vec<FxHashMap<u32, Vec<u32>>> =
             (0..k).map(|m| remote_in_index(sg, m)).collect();

@@ -12,7 +12,6 @@ use crate::net::Net;
 use crate::session::{Cluster, Problem, Referee};
 use kgraph::graph::Edge;
 use kgraph::{refalgo, Graph};
-use kmachine::bandwidth::Bandwidth;
 use kmachine::metrics::CommStats;
 
 /// Referee-collection result.
@@ -25,16 +24,15 @@ pub struct RefereeOutput {
 }
 
 impl Problem for Referee {
-    type Config = Bandwidth;
     type Output = RefereeOutput;
     const NAME: &'static str = "referee";
 
-    fn with(bandwidth: Bandwidth) -> Self {
-        Referee { bandwidth }
+    fn with(cfg: EngineConfig) -> Self {
+        Referee { cfg }
     }
 
-    fn config_from(d: &EngineConfig) -> Bandwidth {
-        d.bandwidth
+    fn cfg(&self) -> &EngineConfig {
+        &self.cfg
     }
 
     /// Collects all edges at machine 0 and solves connectivity there.
@@ -42,11 +40,7 @@ impl Problem for Referee {
         let sg = cluster.sharded();
         let k = sg.k();
         let n = sg.n();
-        let cfg = EngineConfig {
-            bandwidth: self.bandwidth,
-            ..EngineConfig::default()
-        };
-        let mut net = Net::new(&cfg, k, n);
+        let mut net = Net::new(&self.cfg, k, n);
         // Each machine batches the edges its shard owns; the referee's own
         // slice stays local (free).
         let mut collected: Vec<Edge> = sg.view(0).local_edges().collect();
@@ -80,12 +74,21 @@ impl Problem for Referee {
 mod tests {
     use super::*;
     use kgraph::generators;
+    use kmachine::bandwidth::Bandwidth;
+
+    /// The referee at a fixed per-link budget of `bits`.
+    fn at(bits: u64) -> Referee {
+        Referee::with(EngineConfig {
+            bandwidth: Bandwidth::Bits(bits),
+            ..EngineConfig::default()
+        })
+    }
 
     #[test]
     fn referee_answers_correctly_and_pays_collection() {
         let g = generators::gnm(400, 2000, 1);
         let cluster = Cluster::builder(8).seed(2).ingest_graph(&g);
-        let out = cluster.run(Referee::with(Bandwidth::Bits(256))).output;
+        let out = cluster.run(at(256)).output;
         assert_eq!(out.labels, kgraph::refalgo::connected_components(&g));
         // Machine 0 receives ~all edges over 7 links.
         assert!(out.stats.recv_bits[0] > 0);
@@ -94,13 +97,12 @@ mod tests {
 
     #[test]
     fn referee_rounds_scale_with_m_over_k() {
-        let w = Bandwidth::Bits(512);
         let g1 = generators::gnm(500, 2000, 3);
         let g2 = generators::gnm(500, 8000, 4);
         let builder = Cluster::builder(8).seed(5);
         let rounds = |g| {
             let cluster = builder.ingest_graph(g);
-            cluster.run(Referee::with(w)).output.stats.rounds
+            cluster.run(at(512)).output.stats.rounds
         };
         let (r1, r2) = (rounds(&g1), rounds(&g2));
         assert!(

@@ -21,14 +21,13 @@
 
 use crate::engine::EngineConfig;
 use crate::messages::Payload;
-use crate::mst::{minimum_spanning_tree_sharded, MstConfig, MstOutput};
+use crate::mst::{minimum_spanning_tree_sharded, MstOutput};
 use crate::net::Net;
 use crate::session::{Cluster, Problem, RepMst};
 use kgraph::graph::Edge;
 use kgraph::unionfind::UnionFind;
 use kgraph::{Graph, Partition, ShardedGraph};
 use kmachine::metrics::CommStats;
-use kmachine::trace::Tracer;
 
 /// Result of the REP-model MST (same shape as the RVP result, plus the
 /// number of edges that survived filtering).
@@ -45,20 +44,15 @@ pub struct RepMstOutput {
 }
 
 impl Problem for RepMst {
-    type Config = MstConfig;
     type Output = RepMstOutput;
     const NAME: &'static str = "rep-mst";
 
-    fn with(cfg: MstConfig) -> Self {
+    fn with(cfg: EngineConfig) -> Self {
         RepMst { cfg }
     }
 
-    fn config_from(d: &EngineConfig) -> MstConfig {
-        d.clone()
-    }
-
-    fn tracer(&self) -> Tracer {
-        self.cfg.trace.clone()
+    fn cfg(&self) -> &EngineConfig {
+        &self.cfg
     }
 
     /// The model's random *edge* partition is realized by a public hash of

@@ -24,7 +24,6 @@ use crate::messages::Label;
 use crate::session::{Cluster, Connectivity, Problem};
 use kgraph::ShardedGraph;
 use kmachine::metrics::CommStats;
-use kmachine::trace::Tracer;
 
 /// Configuration for a connectivity run: the engine's own knobs, all of
 /// them (Theorem 1 *is* the engine in [`Mode::Connectivity`]).
@@ -92,20 +91,15 @@ pub(crate) fn connected_components_sharded(
 }
 
 impl Problem for Connectivity {
-    type Config = ConnectivityConfig;
     type Output = ConnectivityOutput;
     const NAME: &'static str = "conn";
 
-    fn with(cfg: ConnectivityConfig) -> Self {
+    fn with(cfg: EngineConfig) -> Self {
         Connectivity { cfg }
     }
 
-    fn config_from(d: &EngineConfig) -> ConnectivityConfig {
-        d.clone()
-    }
-
-    fn tracer(&self) -> Tracer {
-        self.cfg.trace.clone()
+    fn cfg(&self) -> &EngineConfig {
+        &self.cfg
     }
 
     fn solve(&self, cluster: &Cluster) -> ConnectivityOutput {

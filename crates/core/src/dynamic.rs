@@ -606,7 +606,7 @@ impl DynamicCluster {
             }
         }
         // Pass 2: route, stage, maintain sketches, dirty the structure.
-        let mut net = self.dyn_net(self.inner.defaults());
+        let mut net = self.dyn_net(&EngineConfig::default());
         let mut inserts = 0usize;
         let mut deletes = 0usize;
         for op in batch.ops() {
@@ -1461,7 +1461,7 @@ impl DynamicCluster {
     }
 
     /// A network for the dynamic layer's own exchanges (update routing under
-    /// the cluster defaults; certification and the MST tiers under the
+    /// the default config; certification and the MST tiers under the
     /// solve's config), with the dynamic layer's fault plan and tracer — so
     /// chaos plans exercise them through the engine's reliable delivery.
     fn dyn_net(&self, ecfg: &EngineConfig) -> Net {
@@ -1589,12 +1589,7 @@ impl DynamicCluster {
     /// cost, never faulted or traced. Requires compacted shards.
     pub fn full_reingest_stats(&self) -> CommStats {
         debug_assert_eq!(self.pending_half_ops(), 0, "compact before measuring");
-        let what_if = EngineConfig {
-            faults: None,
-            trace: Tracer::off(),
-            ..self.inner.defaults().clone()
-        };
-        let mut net = Net::new(&what_if, self.k(), self.n());
+        let mut net = Net::new(&EngineConfig::default(), self.k(), self.n());
         for i in 0..self.k() {
             for e in self.inner.sharded().view(i).local_edges() {
                 for (vertex, other) in [(e.u, e.v), (e.v, e.u)] {

@@ -33,7 +33,6 @@ use crate::engine::EngineConfig;
 use crate::session::{Cluster, MinCut, Problem};
 use kgraph::ShardedGraph;
 use kmachine::metrics::CommStats;
-use kmachine::trace::Tracer;
 use krand::shared::{SharedRandomness, Use};
 
 /// Configuration for the min-cut approximation: the engine's knobs, handed
@@ -57,20 +56,15 @@ pub struct MinCutOutput {
 }
 
 impl Problem for MinCut {
-    type Config = MinCutConfig;
     type Output = MinCutOutput;
     const NAME: &'static str = "mincut";
 
-    fn with(cfg: MinCutConfig) -> Self {
+    fn with(cfg: EngineConfig) -> Self {
         MinCut { cfg }
     }
 
-    fn config_from(d: &EngineConfig) -> MinCutConfig {
-        d.clone()
-    }
-
-    fn tracer(&self) -> Tracer {
-        self.cfg.trace.clone()
+    fn cfg(&self) -> &EngineConfig {
+        &self.cfg
     }
 
     /// Approximates the min cut of a *connected* input; returns
@@ -114,7 +108,10 @@ impl Problem for MinCut {
         // λ is localized around 2^{i*} · Θ(log n); report the geometric pivot.
         // With p = 2^{-i*} the graph disconnected, so λ ≲ 2^{i*} · O(log n);
         // with p = 2^{-(i*-1)} it stayed connected, so λ ≳ 2^{i*-1} / O(log n).
-        let estimate = if i_star == 0 { 0 } else { 1u64 << (i_star - 1) };
+        let estimate = match i_star {
+            0 => 0,
+            i => 1u64.checked_shl(i - 1).unwrap_or(u64::MAX),
+        };
         MinCutOutput {
             estimate,
             disconnecting_probe: i_star,
@@ -147,18 +144,21 @@ fn sample_sharded(sg: &ShardedGraph, shared: &SharedRandomness, probe: u32) -> S
     let prf = shared.prf(Use::MinCutSample { probe });
     let n = sg.n();
     sg.filter_edges(|u, v, w| {
-        // Keep with probability 1 − (1−p)^w: simulate w Bernoulli(p) coins
-        // via one PRF stream per unit of weight (w is small in practice;
-        // cap the loop at 64 units — beyond that survival is certain for
-        // any p ≥ 2^-32 we ever probe... keep exact with the cap noted).
+        // Keep with probability 1 − (1−p)^w. The first 64 units of weight
+        // flip one Bernoulli(p) coin each: all `probe` leading bits of the
+        // unit's PRF value zero (no unit survives at probe ≥ 64) …
         let id = u as u64 * n as u64 + v as u64;
-        let units = w.min(64);
-        (0..units).any(|t| {
-            let h = prf.eval(id, t);
-            // Keep this unit with probability 2^{-probe}: all `probe`
-            // leading bits zero.
-            probe >= 64 || h >> (64 - probe) == 0
-        })
+        let unit = |t| probe < 64 && prf.eval(id, t) >> (64 - probe) == 0;
+        if (0..w.min(64)).any(unit) {
+            return true;
+        }
+        // … and the other w − 64 draw at once: one PRF value, uniform on
+        // [0, 1), against their joint miss probability (1 − p)^(w−64).
+        w > 64 && {
+            let p = (-f64::from(probe)).exp2();
+            let miss = ((w - 64) as f64 * (-p).ln_1p()).exp();
+            (prf.eval(id, 64) >> 11) as f64 * (-53f64).exp2() >= miss
+        }
     })
 }
 
@@ -202,6 +202,22 @@ mod tests {
         // p = 1/2 with w = 16: survival 1 - 2^-16 each.
         let s = sample_sharded(&shard(&g, 4, 5), &shared, 1);
         assert!(s.m() as f64 > 0.99 * g.m() as f64);
+    }
+
+    #[test]
+    fn heavy_edges_sample_by_their_whole_weight() {
+        // A 4-vertex path of uniform weight w has λ = w.
+        for w in [1_000, 1_000_000, 1 << 40] {
+            let g = Graph::from_edges(4, (0..3).map(|i| (i, i + 1, w)));
+            let cluster = Cluster::builder(2).seed(3).ingest_graph(&g);
+            let est = cluster.run(MinCut::default()).output.estimate as f64;
+            let ratio = (est / w as f64).max(w as f64 / est);
+            assert!(ratio <= 8.0, "w = {w}: estimate {est}");
+        }
+        // The heaviest weight samples and estimates without overflowing.
+        let g = Graph::from_edges(2, [(0, 1, u64::MAX)]);
+        let cluster = Cluster::builder(2).seed(3).ingest_graph(&g);
+        assert!(cluster.run(MinCut::default()).output.estimate > 0);
     }
 
     #[test]

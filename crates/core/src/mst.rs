@@ -35,7 +35,6 @@ use crate::session::{Cluster, Mst, Problem};
 use kgraph::graph::Edge;
 use kgraph::ShardedGraph;
 use kmachine::metrics::CommStats;
-use kmachine::trace::Tracer;
 
 /// Which output criterion of Theorem 2 to satisfy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,20 +72,15 @@ pub struct MstOutput {
 }
 
 impl Problem for Mst {
-    type Config = MstConfig;
     type Output = MstOutput;
     const NAME: &'static str = "mst";
 
-    fn with(cfg: MstConfig) -> Self {
+    fn with(cfg: EngineConfig) -> Self {
         Mst { cfg }
     }
 
-    fn config_from(d: &EngineConfig) -> MstConfig {
-        d.clone()
-    }
-
-    fn tracer(&self) -> Tracer {
-        self.cfg.trace.clone()
+    fn cfg(&self) -> &EngineConfig {
+        &self.cfg
     }
 
     fn solve(&self, cluster: &Cluster) -> MstOutput {

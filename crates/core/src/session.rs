@@ -51,28 +51,21 @@ use crate::mincut::MinCutConfig;
 use crate::mst::MstConfig;
 use kgraph::stream::EdgeStream;
 use kgraph::{Graph, Partition, ShardedGraph};
-use kmachine::bandwidth::Bandwidth;
 use kmachine::metrics::CommStats;
-use kmachine::trace::{PhaseSummary, Stopwatch, Tracer};
-use std::sync::atomic::{AtomicU64, Ordering};
+use kmachine::trace::{PhaseSummary, Stopwatch};
 use std::time::Duration;
 
 // ---------------------------------------------------------------------
 // Builder
 // ---------------------------------------------------------------------
 
-/// Builds a [`Cluster`]: the model parameters (`k`, seed and the default
-/// [`EngineConfig`] knobs) plus one ingestion call.
-///
-/// The [`ClusterBuilder::engine`] knobs become the cluster's *defaults*,
-/// used by [`Cluster::run_default`]; a [`Problem`] constructed with an
-/// explicit config ([`Problem::with`]) carries its own settings and
-/// ignores them.
+/// Builds a [`Cluster`]: the model parameters `k` and seed plus one
+/// ingestion call. Every other knob belongs to the run: a [`Problem`]
+/// carries its own [`EngineConfig`] ([`Problem::with`]).
 #[derive(Clone, Debug)]
 pub struct ClusterBuilder {
     k: usize,
     seed: u64,
-    defaults: EngineConfig,
 }
 
 impl ClusterBuilder {
@@ -80,25 +73,13 @@ impl ClusterBuilder {
     /// `k ≥ 2`). Seed defaults to `0`; set it with [`ClusterBuilder::seed`].
     pub fn new(k: usize) -> Self {
         assert!(k >= 2, "the k-machine model requires k >= 2");
-        ClusterBuilder {
-            k,
-            seed: 0,
-            defaults: EngineConfig::default(),
-        }
+        ClusterBuilder { k, seed: 0 }
     }
 
     /// Master seed: drives the vertex partition, the shared randomness and
     /// every Monte-Carlo choice.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the default [`EngineConfig`] (bandwidth, reps, cost model,
-    /// transport, …) that [`Cluster::run_default`] and the dynamic layer
-    /// read.
-    pub fn engine(mut self, defaults: EngineConfig) -> Self {
-        self.defaults = defaults;
         self
     }
 
@@ -127,8 +108,6 @@ impl ClusterBuilder {
         Cluster {
             sg,
             seed: self.seed,
-            defaults: self.defaults.clone(),
-            runs: AtomicU64::new(0),
         }
     }
 }
@@ -138,7 +117,7 @@ impl ClusterBuilder {
 // ---------------------------------------------------------------------
 
 /// A fixed k-machine cluster with an ingested input: per-machine shards,
-/// the public vertex partition, the master seed and the default knobs.
+/// the public vertex partition and the master seed.
 ///
 /// Build one with [`Cluster::builder`], then [`Cluster::run`] any number of
 /// [`Problem`]s against it — ingestion is paid exactly once per cluster
@@ -147,25 +126,10 @@ impl ClusterBuilder {
 /// when the edge set itself evolves, wrap the cluster into a
 /// [`crate::dynamic::DynamicCluster`], which stages updates in place
 /// instead of re-ingesting snapshots.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Cluster {
     sg: ShardedGraph,
     seed: u64,
-    defaults: EngineConfig,
-    // Atomic (not Cell) so `&Cluster` stays shareable across threads — the
-    // counter is diagnostics, it must not cost the type its `Sync`.
-    runs: AtomicU64,
-}
-
-impl Clone for Cluster {
-    fn clone(&self) -> Self {
-        Cluster {
-            sg: self.sg.clone(),
-            seed: self.seed,
-            defaults: self.defaults.clone(),
-            runs: AtomicU64::new(self.runs()),
-        }
-    }
 }
 
 impl Cluster {
@@ -178,12 +142,11 @@ impl Cluster {
     /// common [`RunReport`]. Reusing a cluster is bit-identical to a fresh
     /// one: the shards, partition and seed are the same.
     pub fn run<P: Problem>(&self, problem: P) -> Run<P::Output> {
-        let trace = problem.tracer();
+        let trace = problem.cfg().trace.clone();
         let mark = trace.mark();
         let started = Stopwatch::start();
         let output = problem.solve(self);
         let wall = started.elapsed();
-        self.runs.fetch_add(1, Ordering::Relaxed);
         let phase_breakdown = trace
             .is_on()
             .then(|| kmachine::trace::phase_breakdown(&trace.events_since(mark)))
@@ -203,12 +166,6 @@ impl Cluster {
             phase_breakdown,
         };
         Run { output, report }
-    }
-
-    /// Runs `P` configured from the cluster defaults
-    /// ([`ClusterBuilder::engine`]).
-    pub fn run_default<P: Problem>(&self) -> Run<P::Output> {
-        self.run(P::with(P::config_from(&self.defaults)))
     }
 
     /// Number of machines `k`.
@@ -247,16 +204,6 @@ impl Cluster {
     /// The public vertex partition (home hashing).
     pub fn partition(&self) -> &Partition {
         self.sg.partition()
-    }
-
-    /// The default [`EngineConfig`] knobs set on the builder.
-    pub fn defaults(&self) -> &EngineConfig {
-        &self.defaults
-    }
-
-    /// How many problems have been run on this cluster so far.
-    pub fn runs(&self) -> u64 {
-        self.runs.load(Ordering::Relaxed)
     }
 }
 
@@ -316,28 +263,27 @@ pub struct Run<O> {
 // The Problem trait
 // ---------------------------------------------------------------------
 
-/// An algorithm the cluster can execute: a typed config in, a typed output
-/// out, plus the hooks [`Cluster::run`] uses to fill the [`RunReport`].
+/// An algorithm the cluster can execute: an [`EngineConfig`] in, a typed
+/// output out, plus the hooks [`Cluster::run`] uses to fill the
+/// [`RunReport`].
 ///
 /// Implemented by the four headliners ([`Connectivity`], [`Mst`],
 /// [`SpanningForest`], [`MinCut`]) and the four baselines ([`Flooding`],
 /// [`Referee`], [`EdgeBoruvka`], [`RepMst`]).
 pub trait Problem {
-    /// The problem's configuration type.
-    type Config: Clone;
     /// The problem's output type.
     type Output;
     /// Name used by the CLI, reports and error messages.
     const NAME: &'static str;
 
-    /// Constructs the problem with an explicit config.
-    fn with(cfg: Self::Config) -> Self
+    /// Constructs the problem under `cfg`.
+    fn with(cfg: EngineConfig) -> Self
     where
         Self: Sized;
 
-    /// Derives a config from a cluster's default [`EngineConfig`] knobs
-    /// (used by [`Cluster::run_default`]).
-    fn config_from(defaults: &EngineConfig) -> Self::Config;
+    /// The run configuration. [`Cluster::run`] brackets the solve with its
+    /// tracer to derive [`RunReport::phase_breakdown`] (DESIGN.md §3.14).
+    fn cfg(&self) -> &EngineConfig;
 
     /// Executes the problem against the cluster's shards and seed.
     fn solve(&self, cluster: &Cluster) -> Self::Output;
@@ -353,14 +299,6 @@ pub trait Problem {
     /// Part sketches the run hashed from edges (`0` where not applicable).
     fn sketch_builds(_output: &Self::Output) -> u64 {
         0
-    }
-
-    /// The tracer this problem's config carries (DESIGN.md §3.14).
-    /// [`Cluster::run`] brackets the solve with it to derive
-    /// [`RunReport::phase_breakdown`]. Problems without a trace knob keep
-    /// the default off tracer.
-    fn tracer(&self) -> Tracer {
-        Tracer::off()
     }
 }
 
@@ -402,42 +340,27 @@ pub struct MinCut {
 // ---------------------------------------------------------------------
 
 /// §1.2 baseline: label-propagation flooding, `Θ(n/k + D)` rounds.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct Flooding {
-    /// Per-link bandwidth policy (flooding has no other knobs).
-    pub bandwidth: Bandwidth,
+    /// The run configuration (only its network knobs apply).
+    pub cfg: EngineConfig,
 }
 
 /// §2 warm-up baseline: collect the whole graph at one machine, `Ω(m/k)`.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct Referee {
-    /// Per-link bandwidth policy.
-    pub bandwidth: Bandwidth,
-}
-
-/// Configuration of the [`EdgeBoruvka`] baseline.
-#[derive(Clone, Copy, Debug)]
-pub struct EdgeBoruvkaConfig {
-    /// Per-link bandwidth policy.
-    pub bandwidth: Bandwidth,
-    /// How edge states are learned (batched pushes vs per-edge tests).
-    pub mode: CheckMode,
-}
-
-impl Default for EdgeBoruvkaConfig {
-    fn default() -> Self {
-        EdgeBoruvkaConfig {
-            bandwidth: Bandwidth::default(),
-            mode: CheckMode::BatchedPush,
-        }
-    }
+    /// The run configuration (only its network knobs apply).
+    pub cfg: EngineConfig,
 }
 
 /// §1.2 baseline: GHS-style edge-checking Borůvka MST.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct EdgeBoruvka {
-    /// The run configuration.
-    pub cfg: EdgeBoruvkaConfig,
+    /// The run configuration (only its network knobs apply).
+    pub cfg: EngineConfig,
+    /// How edge states are learned ([`Problem::with`] picks batched
+    /// pushes).
+    pub mode: CheckMode,
 }
 
 /// §1.3 baseline: MST under the random *edge* partition (REP), `Θ~(n/k)`.
@@ -451,7 +374,7 @@ pub struct RepMst {
 mod tests {
     use super::*;
     use kgraph::{generators, refalgo};
-    use kmachine::bandwidth::CostModel;
+    use kmachine::bandwidth::{Bandwidth, CostModel};
 
     #[test]
     fn cluster_reuse_matches_fresh_clusters() {
@@ -467,7 +390,6 @@ mod tests {
             mst.report.stats.total_bits,
             fresh_mst.report.stats.total_bits
         );
-        assert_eq!(cluster.runs(), 2);
     }
 
     #[test]
@@ -482,41 +404,37 @@ mod tests {
         assert_eq!(ra.report.stats.rounds, rb.report.stats.rounds);
     }
 
-    /// `run_default::<P>()` must equal `P::with(the cluster defaults)` and
-    /// must differ from a run that drops the cost model.
-    fn assert_defaults_arrive<P: Problem<Config = EngineConfig>>(cluster: &Cluster) {
-        let knobs = cluster.defaults().clone();
-        let per_link = EngineConfig {
-            cost_model: CostModel::PerLink,
-            ..knobs.clone()
+    /// `P` at a tight budget must price differently per machine than per
+    /// link: the config reached its `Net`.
+    fn assert_cost_model_arrives<P: Problem>(cluster: &Cluster) {
+        let rounds = |cost_model| {
+            let cfg = EngineConfig {
+                bandwidth: Bandwidth::Bits(64),
+                cost_model,
+                ..EngineConfig::default()
+            };
+            cluster.run(P::with(cfg)).report.stats.rounds
         };
-        let by_default = cluster.run_default::<P>().report.stats.rounds;
-        let explicit = cluster.run(P::with(knobs)).report.stats.rounds;
-        let dropped = cluster.run(P::with(per_link)).report.stats.rounds;
-        assert_eq!(by_default, explicit, "{}: defaults vs explicit", P::NAME);
         assert_ne!(
-            by_default,
-            dropped,
+            rounds(CostModel::PerMachine),
+            rounds(CostModel::PerLink),
             "{}: the cost model never arrived",
             P::NAME
         );
     }
 
     #[test]
-    fn run_default_uses_builder_knobs() {
+    fn every_problem_honours_its_config() {
         let g = generators::randomize_weights(&generators::random_connected(160, 320, 3), 100, 4);
-        let cluster = Cluster::builder(4)
-            .seed(5)
-            .engine(EngineConfig {
-                bandwidth: Bandwidth::Bits(64),
-                cost_model: CostModel::PerMachine,
-                ..EngineConfig::default()
-            })
-            .ingest_graph(&g);
-        assert_defaults_arrive::<Connectivity>(&cluster);
-        assert_defaults_arrive::<Mst>(&cluster);
-        assert_defaults_arrive::<SpanningForest>(&cluster);
-        assert_defaults_arrive::<MinCut>(&cluster);
+        let cluster = Cluster::builder(4).seed(5).ingest_graph(&g);
+        assert_cost_model_arrives::<Connectivity>(&cluster);
+        assert_cost_model_arrives::<Mst>(&cluster);
+        assert_cost_model_arrives::<SpanningForest>(&cluster);
+        assert_cost_model_arrives::<MinCut>(&cluster);
+        assert_cost_model_arrives::<Flooding>(&cluster);
+        assert_cost_model_arrives::<Referee>(&cluster);
+        assert_cost_model_arrives::<EdgeBoruvka>(&cluster);
+        assert_cost_model_arrives::<RepMst>(&cluster);
     }
 
     #[test]

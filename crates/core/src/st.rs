@@ -21,11 +21,9 @@
 //! ```
 
 use crate::engine::{Engine, EngineConfig, Mode};
-use crate::mst::MstConfig;
 use crate::session::{Cluster, Problem, SpanningForest};
 use kgraph::graph::Edge;
 use kmachine::metrics::CommStats;
-use kmachine::trace::Tracer;
 
 /// The result of a spanning-forest run.
 #[derive(Clone, Debug)]
@@ -43,20 +41,15 @@ pub struct SpanningForestOutput {
 }
 
 impl Problem for SpanningForest {
-    type Config = MstConfig;
     type Output = SpanningForestOutput;
     const NAME: &'static str = "st";
 
-    fn with(cfg: MstConfig) -> Self {
+    fn with(cfg: EngineConfig) -> Self {
         SpanningForest { cfg }
     }
 
-    fn config_from(d: &EngineConfig) -> MstConfig {
-        d.clone()
-    }
-
-    fn tracer(&self) -> Tracer {
-        self.cfg.trace.clone()
+    fn cfg(&self) -> &EngineConfig {
+        &self.cfg
     }
 
     fn solve(&self, cluster: &Cluster) -> SpanningForestOutput {

@@ -342,11 +342,6 @@ impl<M> Bsp<M> {
         });
     }
 
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref().map(|c| &c.plan)
-    }
-
     /// How many crash events have fired so far (a monotone cursor: callers
     /// snapshot it, run supersteps, and pass the snapshot to
     /// [`Bsp::crashed_since`] to learn what crashed in between).

@@ -61,8 +61,7 @@ pub enum TransportSel {
     #[default]
     Sim,
     /// One OS process per machine (worker executable resolved via
-    /// [`set_worker_exe`], the `KMM_WORKER_EXE` environment variable, or
-    /// the current executable, in that order).
+    /// [`set_worker_exe`], else the current executable).
     Proc,
 }
 
@@ -479,9 +478,9 @@ static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// (integration tests point this at `CARGO_BIN_EXE_kmm`).
 static WORKER_EXE: std::sync::Mutex<Option<PathBuf>> = std::sync::Mutex::new(None);
 
-/// Overrides the worker executable [`ProcTransport::processes`] spawns.
-/// Resolution order: this override, then `KMM_WORKER_EXE`, then the current
-/// executable (which works for the `kmm` CLI itself).
+/// Overrides the worker executable [`ProcTransport::processes`] spawns;
+/// without it the current executable re-execs itself (which works for the
+/// `kmm` CLI itself).
 pub fn set_worker_exe(path: PathBuf) {
     *WORKER_EXE
         .lock()
@@ -493,13 +492,7 @@ fn resolve_worker_exe() -> std::io::Result<PathBuf> {
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
         .clone();
-    if let Some(p) = exe_override {
-        return Ok(p);
-    }
-    if let Some(p) = std::env::var_os("KMM_WORKER_EXE") {
-        return Ok(PathBuf::from(p));
-    }
-    std::env::current_exe()
+    exe_override.map_or_else(std::env::current_exe, Ok)
 }
 
 enum WorkerHandle {

@@ -35,18 +35,24 @@ const SUBCOMMANDS: &[&str] = &[
 ];
 
 /// The input and run-configuration options every algorithm subcommand reads.
+/// A name ending in `?` is a boolean flag; every other option takes a value.
 const RUN_OPTIONS: &str =
-    "input gen n m p extra max-weight k seed faults contract encoding transport trace-out";
+    "input gen n m p extra max-weight k seed faults contract? encoding transport trace-out";
 
-/// Each `--key value` subcommand's options: whether it reads [`RUN_OPTIONS`],
-/// and the options only it reads. Anything else is rejected, so a mistyped
-/// flag cannot silently run the default configuration.
+/// The options whose value is a number: it must parse wherever it is
+/// given, even where the run does not read it (`--m` of a `path`).
+const NUMERIC: &[&str] = &["n", "m", "p", "extra", "max-weight", "k", "seed", "s", "t"];
+
+/// Each subcommand's options: whether it reads [`RUN_OPTIONS`], and the
+/// options only it reads (flags marked with `?`). Anything else is
+/// rejected, so a mistyped flag cannot silently run the default
+/// configuration.
 const OPTIONS: &[(&str, bool, &str)] = &[
     ("conn", true, "report"),
-    ("mst", true, "report both-endpoints print-edges"),
+    ("mst", true, "report both-endpoints? print-edges?"),
     ("st", true, "report"),
     ("mincut", true, "report"),
-    ("dyn", true, "report trace both-endpoints"),
+    ("dyn", true, "report trace both-endpoints?"),
     ("stcon", true, "s t"),
     ("bipart", true, ""),
     ("gen", false, "family n m p extra max-weight seed out"),
@@ -61,24 +67,50 @@ struct Args {
 }
 
 impl Args {
-    fn parse() -> Option<Args> {
-        let mut it = std::env::args().skip(1);
-        let cmd = it.next()?;
-        let mut kv = Vec::new();
-        let mut flags = Vec::new();
-        let rest: Vec<String> = it.collect();
-        let mut i = 0;
-        while i < rest.len() {
-            let a = rest[i].strip_prefix("--")?.to_string();
-            if i + 1 < rest.len() && !rest[i + 1].starts_with("--") {
-                kv.push((a, rest[i + 1].clone()));
-                i += 2;
-            } else {
-                flags.push(a);
-                i += 1;
+    /// Parses the words after the subcommand against its [`OPTIONS`] row.
+    /// An option off the row, a flag followed by a word, a value option
+    /// without a value or given twice, and a numeric option that is not a
+    /// number are errors that name the option.
+    fn parse(&(cmd, run, own): &(&str, bool, &str), words: &[String]) -> Result<Args, String> {
+        let valid: Vec<&str> = own
+            .split_whitespace()
+            .chain(RUN_OPTIONS.split_whitespace().filter(|_| run))
+            .collect();
+        let mut args = Args {
+            cmd: cmd.to_string(),
+            kv: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut words = words.iter().peekable();
+        while let Some(word) = words.next() {
+            let Some(key) = word.strip_prefix("--") else {
+                return Err(format!("unexpected argument `{word}`"));
+            };
+            let value = words.next_if(|v| !v.starts_with("--"));
+            let flag = valid.contains(&format!("{key}?").as_str());
+            if !flag && !valid.contains(&key) {
+                let names: Vec<&str> = valid.iter().map(|o| o.trim_end_matches('?')).collect();
+                return Err(format!(
+                    "unknown option --{key} for {cmd} (valid options: --{})",
+                    names.join(", --")
+                ));
+            }
+            match value {
+                None if flag => args.flags.push(key.to_string()),
+                None => return Err(format!("--{key} needs a value")),
+                Some(v) if flag => {
+                    return Err(format!("--{key} is a flag and takes no value (got `{v}`)"))
+                }
+                Some(_) if args.get(key).is_some() => {
+                    return Err(format!("--{key} is given twice"))
+                }
+                Some(v) if NUMERIC.contains(&key) && v.parse::<f64>().is_err() => {
+                    return Err(format!("--{key} {v}: not a number"))
+                }
+                Some(v) => args.kv.push((key.to_string(), v.clone())),
             }
         }
-        Some(Args { cmd, kv, flags })
+        Ok(args)
     }
 
     fn get(&self, key: &str) -> Option<&str> {
@@ -88,33 +120,15 @@ impl Args {
             .map(|(_, v)| v.as_str())
     }
 
-    fn get_num<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
-        self.get(key)?.parse().ok()
+    /// A numeric option's value: `None` when absent, an error naming the
+    /// option when it is not a number of the expected type.
+    fn get_num<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        let parse = |v: &str| v.parse().map_err(|_| format!("--{key} {v}: not a number"));
+        self.get(key).map(parse).transpose()
     }
 
     fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
-    }
-
-    /// The first option `cmd` does not read, with the list of those it does
-    /// (`None` for an unknown subcommand, which `main` reports as such).
-    fn unknown_option(&self) -> Option<String> {
-        let &(_, run, own) = OPTIONS.iter().find(|(cmd, ..)| *cmd == self.cmd)?;
-        let valid: Vec<&str> = own
-            .split_whitespace()
-            .chain(RUN_OPTIONS.split_whitespace().filter(|_| run))
-            .collect();
-        let bad = self
-            .kv
-            .iter()
-            .map(|(k, _)| k)
-            .chain(&self.flags)
-            .find(|key| !valid.contains(&key.as_str()))?;
-        Some(format!(
-            "unknown option --{bad} for {} (valid options: --{})",
-            self.cmd,
-            valid.join(", --")
-        ))
     }
 }
 
@@ -185,14 +199,14 @@ fn load_graph(args: &Args, seed: u64) -> Result<Graph, String> {
 fn stream_from_args(args: &Args, flag: &str, seed: u64) -> Result<DynEdgeStream, String> {
     let family = args.get(flag).unwrap_or("gnm");
     let n: usize = args
-        .get_num("n")
+        .get_num("n")?
         .ok_or_else(|| format!("--{flag} {family} needs --n"))?;
     if n == 0 {
         return Err("--n must be at least 1".into());
     }
     let s = match family {
         "gnm" => {
-            let m: usize = args.get_num("m").unwrap_or(4 * n);
+            let m: usize = args.get_num("m")?.unwrap_or(4 * n);
             let max = n as u64 * (n as u64 - 1) / 2;
             if m as u64 > max {
                 return Err(format!(
@@ -202,7 +216,7 @@ fn stream_from_args(args: &Args, flag: &str, seed: u64) -> Result<DynEdgeStream,
             generators::gnm_stream(n, m, seed)
         }
         "gnp" => {
-            let p: f64 = args.get_num("p").unwrap_or(0.01);
+            let p: f64 = args.get_num("p")?.unwrap_or(0.01);
             if !(0.0..=1.0).contains(&p) {
                 return Err(format!("--p {p} must lie in [0, 1]"));
             }
@@ -217,11 +231,11 @@ fn stream_from_args(args: &Args, flag: &str, seed: u64) -> Result<DynEdgeStream,
         "star" => generators::star_stream(n.max(2)),
         "tree" => generators::random_tree_stream(n, seed),
         "connected" => {
-            generators::random_connected_stream(n, args.get_num("extra").unwrap_or(n), seed)
+            generators::random_connected_stream(n, args.get_num("extra")?.unwrap_or(n), seed)
         }
         other => return Err(format!("unknown --{flag} family {other}")),
     };
-    match args.get_num::<u64>("max-weight") {
+    match args.get_num::<u64>("max-weight")? {
         Some(0) => Err("--max-weight must be at least 1".into()),
         Some(w) => Ok(generators::weighted_stream(s, w, seed ^ 1)),
         None => Ok(s),
@@ -614,14 +628,24 @@ fn main() -> ExitCode {
         Some("repro") => return run_repro(&raw[2..]),
         _ => {}
     }
-    let Some(args) = Args::parse() else {
+    let Some(cmd) = raw.get(1) else {
         return usage();
     };
-    if let Some(e) = args.unknown_option() {
-        return fail(&e);
-    }
-    let k: usize = args.get_num("k").unwrap_or(8);
-    let seed: u64 = args.get_num("seed").unwrap_or(42);
+    let Some(row) = OPTIONS.iter().find(|(name, ..)| name == cmd) else {
+        eprintln!(
+            "error: unknown subcommand `{cmd}` (valid subcommands: {})",
+            SUBCOMMANDS.join(", ")
+        );
+        return usage();
+    };
+    let args = match Args::parse(row, &raw[2..]) {
+        Ok(args) => args,
+        Err(e) => return fail(&e),
+    };
+    let (k, seed): (usize, u64) = match (args.get_num("k"), args.get_num("seed")) {
+        (Ok(k), Ok(seed)) => (k.unwrap_or(8), seed.unwrap_or(42)),
+        (Err(e), _) | (_, Err(e)) => return fail(&e),
+    };
     if args.cmd == "check" {
         return run_check(&args);
     }
@@ -729,8 +753,10 @@ fn main() -> ExitCode {
                 Ok(g) => g,
                 Err(e) => return fail(&e),
             };
-            let (Some(s), Some(t)) = (args.get_num::<u32>("s"), args.get_num::<u32>("t")) else {
-                return fail("stcon needs --s and --t");
+            let (s, t) = match (args.get_num::<u32>("s"), args.get_num::<u32>("t")) {
+                (Ok(Some(s)), Ok(Some(t))) => (s, t),
+                (Err(e), _) | (_, Err(e)) => return fail(&e),
+                _ => return fail("stcon needs --s and --t"),
             };
             if s as usize >= g.n() || t as usize >= g.n() {
                 return fail("--s/--t out of range");
@@ -767,13 +793,7 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        other => {
-            eprintln!(
-                "error: unknown subcommand `{other}` (valid subcommands: {})",
-                SUBCOMMANDS.join(", ")
-            );
-            usage()
-        }
+        other => unreachable!("`{other}` has a row in OPTIONS but no runner"),
     };
     cfg.trace.flush();
     code

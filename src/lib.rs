@@ -73,8 +73,8 @@ pub mod prelude {
     pub use kconn::mincut::MinCutConfig;
     pub use kconn::mst::{MstConfig, OutputCriterion};
     pub use kconn::session::{
-        Cluster, ClusterBuilder, Connectivity, EdgeBoruvka, EdgeBoruvkaConfig, Flooding, MinCut,
-        Mst, Problem, Referee, RepMst, Run, RunReport, SpanningForest,
+        Cluster, ClusterBuilder, Connectivity, EdgeBoruvka, Flooding, MinCut, Mst, Problem,
+        Referee, RepMst, Run, RunReport, SpanningForest,
     };
     pub use kconn::verify;
     pub use kgraph::stream::{DynEdgeStream, EdgeStream};

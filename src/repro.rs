@@ -21,12 +21,11 @@ use kconn::dynamic::{DynConfig, DynamicCluster, RefreshKind, UpdateBatch, Update
 use kconn::engine::MergeStrategy;
 use kconn::lowerbound::{simulate_scs_two_party, DisjointnessInstance};
 use kconn::session::{
-    Cluster, Connectivity, EdgeBoruvka, EdgeBoruvkaConfig, Flooding, MinCut, Mst, Problem, Referee,
-    RepMst, Run, RunReport, SpanningForest,
+    Cluster, Connectivity, EdgeBoruvka, Flooding, MinCut, Mst, Problem, Referee, RepMst, Run,
+    RunReport, SpanningForest,
 };
 use kconn::{verify, ConnectivityConfig, ConnectivityOutput, MstConfig, OutputCriterion};
 use kgraph::{generators, mincut, refalgo, Graph};
-use kmachine::bandwidth::Bandwidth;
 use kmachine::fault::FaultPlan;
 use kmachine::message::Encoding;
 use kmachine::CostModel;
@@ -1069,9 +1068,13 @@ fn e9(quick: bool) -> (String, Vec<Cell>) {
         let (g, optimum) = weighted_gnm(n, mult * n, 91);
         let c = cluster(&g, k, 93);
         let ours = c.run(Mst::default()).output;
-        let (bandwidth, mode) = (Bandwidth::default(), CheckMode::PerEdgeTest);
-        let per_edge = EdgeBoruvka::with(EdgeBoruvkaConfig { bandwidth, mode });
-        let per_edge = c.run(per_edge).output;
+        let mode = CheckMode::PerEdgeTest;
+        let per_edge = c
+            .run(EdgeBoruvka {
+                mode,
+                ..Default::default()
+            })
+            .output;
         let batched = c.run(EdgeBoruvka::default()).output;
         let weights = [
             ours.total_weight,

@@ -172,6 +172,16 @@ fn current_sizes() -> String {
     out
 }
 
+/// Rewrites the pin at `path` in one step: the new text goes to a sibling
+/// temporary file that is then renamed over the pin, so a test reading the
+/// pin on another thread sees the old file or the new one, never a
+/// truncated one.
+fn rewrite_pin(path: &Path, text: &str) {
+    let tmp = path.with_extension("txt.tmp");
+    fs::write(&tmp, text).expect("write pin");
+    fs::rename(&tmp, path).expect("move pin into place");
+}
+
 fn pinned_totals(sizes: &str) -> (usize, usize) {
     let row = sizes.lines().find_map(|l| l.strip_prefix("total "));
     let mut fields = row.expect("a `total` row").split(' ');
@@ -184,7 +194,7 @@ fn non_test_code_size_does_not_grow_past_the_pin() {
     let got = current_sizes();
     let pin_path = repo_root().join(SIZE_PIN);
     if std::env::var("KMM_UPDATE_API_SURFACE").is_ok() {
-        fs::write(&pin_path, &got).expect("write size pin");
+        rewrite_pin(&pin_path, &got);
         return;
     }
     let want = fs::read_to_string(&pin_path).expect("size pin committed");
@@ -204,7 +214,7 @@ fn public_api_surface_matches_snapshot() {
     let got = current_surface();
     let snap_path = repo_root().join(SNAPSHOT);
     if std::env::var("KMM_UPDATE_API_SURFACE").is_ok() {
-        fs::write(&snap_path, &got).expect("write snapshot");
+        rewrite_pin(&snap_path, &got);
         return;
     }
     let want = fs::read_to_string(&snap_path).unwrap_or_default();

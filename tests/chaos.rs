@@ -62,7 +62,7 @@ fn assert_faulted_counters(id: &str, stats: &CommStats, clean: &CommStats, k: us
 fn connectivity_is_bit_identical_under_every_fault_plan() {
     for s in matrix() {
         let cluster = s.cluster();
-        let baseline = cluster.run(Connectivity::with(s.conn_cfg()));
+        let baseline = cluster.run(Connectivity::with(s.cfg()));
         assert_clean_counters(&s.id, &baseline.report.stats);
         assert_eq!(
             baseline.report.faults_injected, 0,
@@ -73,7 +73,7 @@ fn connectivity_is_bit_identical_under_every_fault_plan() {
             let id = format!("{}/{name}", s.id);
             let faulted = cluster.run(Connectivity::with(ConnectivityConfig {
                 faults: Some(plan),
-                ..s.conn_cfg()
+                ..s.cfg()
             }));
             assert_eq!(
                 faulted.output.labels, baseline.output.labels,
@@ -106,13 +106,13 @@ fn connectivity_is_bit_identical_under_every_fault_plan() {
 fn spanning_forest_is_bit_identical_under_every_fault_plan() {
     for s in sub_matrix(3, 0) {
         let cluster = s.cluster();
-        let baseline = cluster.run(SpanningForest::with(s.mst_cfg()));
+        let baseline = cluster.run(SpanningForest::with(s.cfg()));
         assert_clean_counters(&s.id, &baseline.report.stats);
         for (name, plan) in plans(s.k, s.seed) {
             let id = format!("{}/{name}", s.id);
             let faulted = cluster.run(SpanningForest::with(MstConfig {
                 faults: Some(plan),
-                ..s.mst_cfg()
+                ..s.cfg()
             }));
             assert_eq!(
                 faulted.output.edges, baseline.output.edges,
@@ -131,13 +131,13 @@ fn spanning_forest_is_bit_identical_under_every_fault_plan() {
 fn mst_is_bit_identical_under_every_fault_plan() {
     for s in sub_matrix(4, 1) {
         let cluster = s.cluster();
-        let baseline = cluster.run(Mst::with(s.mst_cfg()));
+        let baseline = cluster.run(Mst::with(s.cfg()));
         assert_clean_counters(&s.id, &baseline.report.stats);
         for (name, plan) in plans(s.k, s.seed) {
             let id = format!("{}/{name}", s.id);
             let faulted = cluster.run(Mst::with(MstConfig {
                 faults: Some(plan),
-                ..s.mst_cfg()
+                ..s.cfg()
             }));
             assert_eq!(
                 faulted.output.edges, baseline.output.edges,
@@ -159,13 +159,13 @@ fn mincut_is_bit_identical_under_every_fault_plan() {
             continue;
         }
         let cluster = s.cluster();
-        let baseline = cluster.run(MinCut::with(s.mincut_cfg()));
+        let baseline = cluster.run(MinCut::with(s.cfg()));
         assert_clean_counters(&s.id, &baseline.report.stats);
         for (name, plan) in plans(s.k, s.seed) {
             let id = format!("{}/{name}", s.id);
             let faulted = cluster.run(MinCut::with(MinCutConfig {
                 faults: Some(plan),
-                ..s.mincut_cfg()
+                ..s.cfg()
             }));
             assert_eq!(
                 faulted.output.estimate, baseline.output.estimate,

@@ -483,6 +483,37 @@ fn streamed_gen_input_runs_without_a_file() {
 }
 
 #[test]
+fn no_flag_or_value_is_silently_dropped() {
+    // Each of these once ran a configuration other than the one asked for,
+    // with exit 0: a flag swallowed its next word, or a bad number fell
+    // back to the default.
+    for (argv, needle) in [
+        (
+            "conn --gen gnm --n 300 --contract 1",
+            "--contract is a flag",
+        ),
+        (
+            "mst --gen gnm --n 300 --print-edges yes",
+            "--print-edges is a flag",
+        ),
+        ("conn --gen gnm --n 300 --k abc", "--k abc: not a number"),
+        (
+            "conn --gen gnm --n 300 --seed x3",
+            "--seed x3: not a number",
+        ),
+        ("conn --gen gnm --n 300 --k", "--k needs a value"),
+        ("conn --gen gnm --n 1e3", "--n 1e3: not a number"),
+        ("conn --gen gnm --n 300 --k 4 --k 5", "--k is given twice"),
+    ] {
+        let out = kmm().args(argv.split(' ')).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{argv}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(needle), "{argv}: want {needle:?} in {err}");
+        assert!(out.stdout.is_empty(), "nothing ran: {out:?}");
+    }
+}
+
+#[test]
 fn gen_parameter_validation_never_panics() {
     // Out-of-range family parameters must be clean errors, same standard
     // as file-input parse failures — streamed into `conn` or written by
@@ -649,6 +680,57 @@ fn dyn_replays_a_trace_with_per_batch_trailers() {
     );
     assert!(text.contains("replayed 3 batches"), "{text}");
     let _ = std::fs::remove_file(trace);
+}
+
+/// The value of `"key": value` in a one-line JSON object, unquoted.
+fn json_field<'a>(obj: &'a str, key: &str) -> &'a str {
+    let rest = obj
+        .split(&format!("\"{key}\": "))
+        .nth(1)
+        .unwrap_or_else(|| panic!("missing {key} in {obj}"));
+    rest.split([',', '}'])
+        .next()
+        .unwrap()
+        .trim()
+        .trim_matches('"')
+}
+
+#[test]
+fn dyn_restricted_refreshes_keep_their_ledger() {
+    // On a sparse gnm (724 components) each refresh re-solves only the
+    // touched components, on the subgraph they induce: the ledger of every
+    // batch is pinned.
+    let trace = tmp("restricted.trace");
+    std::fs::write(
+        &trace,
+        "+ 0 2999 5\n- 0 2999\n+ 10 20 3\n---\n+ 7 1200 9\n+ 100 200 4\n---\n- 7 1200\n",
+    )
+    .unwrap();
+    let out = kmm()
+        .args([
+            "dyn", "--gen", "gnm", "--n", "3000", "--m", "2500", "--k", "8",
+        ])
+        .args(["--seed", "7", "--report", "json", "--trace"])
+        .arg(&trace)
+        .output()
+        .expect("run dyn");
+    let _ = std::fs::remove_file(trace);
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    let got: Vec<String> = text
+        .lines()
+        .map(|row| {
+            let fields = ["refresh", "rounds", "total_bits", "components"];
+            fields.map(|key| json_field(row, key)).join(" ")
+        })
+        .collect();
+    let want = [
+        "full 272 2408458 724",
+        "incremental(2057) 260 2025118 724",
+        "incremental(2058) 260 2026241 722",
+        "incremental(2058) 260 2025843 723",
+    ];
+    assert_eq!(got, want);
 }
 
 #[test]

@@ -45,27 +45,12 @@ impl Scenario {
             .ingest_graph(&self.g)
     }
 
-    /// A `ConnectivityConfig` with this scenario's bandwidth.
-    pub fn conn_cfg(&self) -> ConnectivityConfig {
-        ConnectivityConfig {
+    /// The run configuration every problem of this cell takes: the
+    /// defaults at the scenario's bandwidth.
+    pub fn cfg(&self) -> EngineConfig {
+        EngineConfig {
             bandwidth: self.bandwidth,
-            ..ConnectivityConfig::default()
-        }
-    }
-
-    /// An `MstConfig` with this scenario's bandwidth.
-    pub fn mst_cfg(&self) -> MstConfig {
-        MstConfig {
-            bandwidth: self.bandwidth,
-            ..MstConfig::default()
-        }
-    }
-
-    /// A `MinCutConfig` with this scenario's bandwidth.
-    pub fn mincut_cfg(&self) -> MinCutConfig {
-        MinCutConfig {
-            bandwidth: self.bandwidth,
-            ..MinCutConfig::default()
+            ..EngineConfig::default()
         }
     }
 }

@@ -32,7 +32,7 @@ use rustc_hash::FxHashSet;
 #[test]
 fn connectivity_conforms_on_full_matrix() {
     for s in matrix() {
-        let out = s.cluster().run(Connectivity::with(s.conn_cfg())).output;
+        let out = s.cluster().run(Connectivity::with(s.cfg())).output;
         assert_eq!(
             out.component_count(),
             refalgo::component_count(&s.g),
@@ -61,7 +61,7 @@ fn connectivity_conforms_on_full_matrix() {
 #[test]
 fn mst_conforms_against_kruskal() {
     for s in sub_matrix(2, 0) {
-        let out = s.cluster().run(Mst::with(s.mst_cfg())).output;
+        let out = s.cluster().run(Mst::with(s.cfg())).output;
         assert!(
             refalgo::is_spanning_forest(&s.g, &out.edges),
             "{}: output must span",
@@ -88,7 +88,7 @@ fn mst_both_endpoints_criterion_conforms() {
     for s in sub_matrix(5, 1) {
         let cfg = MstConfig {
             criterion: OutputCriterion::BothEndpoints,
-            ..s.mst_cfg()
+            ..s.cfg()
         };
         let out = s.cluster().run(Mst::with(cfg)).output;
         assert_eq!(
@@ -104,7 +104,7 @@ fn mst_both_endpoints_criterion_conforms() {
 #[test]
 fn spanning_forest_conforms() {
     for s in sub_matrix(4, 2) {
-        let out = s.cluster().run(SpanningForest::with(s.mst_cfg())).output;
+        let out = s.cluster().run(SpanningForest::with(s.cfg())).output;
         assert!(
             refalgo::is_spanning_forest(&s.g, &out.edges),
             "{}: forest must span",
@@ -131,7 +131,7 @@ fn mincut_estimate_brackets_stoer_wagner() {
             continue;
         }
         let lambda = kmm::graph::mincut::stoer_wagner(&s.g).expect("connected graph has a cut");
-        let out = s.cluster().run(MinCut::with(s.mincut_cfg())).output;
+        let out = s.cluster().run(MinCut::with(s.cfg())).output;
         let logn = (s.g.n() as f64).log2();
         let est = out.estimate.max(1) as f64;
         let ratio = (est / lambda as f64).max(lambda as f64 / est);
@@ -158,7 +158,7 @@ fn edge_set(edges: &[kmm::graph::graph::Edge]) -> FxHashSet<(u32, u32)> {
 #[test]
 fn verification_problems_conform() {
     for s in sub_matrix(4, 3) {
-        let cfg = s.conn_cfg();
+        let cfg = s.cfg();
         let g = &s.g;
         let connected = refalgo::is_connected(g);
 
@@ -299,7 +299,7 @@ fn machine_hop_eccentricity(g: &Graph, part: &Partition, src: u32) -> u32 {
 #[test]
 fn flooding_conforms_on_matrix() {
     for s in sub_matrix(2, 1) {
-        let out = s.cluster().run(Flooding::with(s.bandwidth)).output;
+        let out = s.cluster().run(Flooding::with(s.cfg())).output;
         assert_labels_match_reference(&s.id, &out.labels, &s.g);
         // Label 0 starts at vertex 0 and must cross every inter-machine
         // edge on some causal path, one per graph-round; flooding uses the
@@ -319,7 +319,7 @@ fn flooding_conforms_on_matrix() {
 #[test]
 fn referee_conforms_on_matrix() {
     for s in sub_matrix(2, 0) {
-        let out = s.cluster().run(Referee::with(s.bandwidth)).output;
+        let out = s.cluster().run(Referee::with(s.cfg())).output;
         assert_labels_match_reference(&s.id, &out.labels, &s.g);
         assert_stats_sane(&s.id, &out.stats, s.k);
         // The referee hoards everything: every transmitted bit lands on
@@ -343,12 +343,8 @@ fn edge_boruvka_conforms_in_both_check_modes() {
         let want = refalgo::forest_weight(&refalgo::kruskal(&s.g));
         let c = s.cluster();
         for mode in [CheckMode::BatchedPush, CheckMode::PerEdgeTest] {
-            let out = c
-                .run(EdgeBoruvka::with(EdgeBoruvkaConfig {
-                    bandwidth: s.bandwidth,
-                    mode,
-                }))
-                .output;
+            let cfg = s.cfg();
+            let out = c.run(EdgeBoruvka { cfg, mode }).output;
             assert!(
                 refalgo::is_spanning_forest(&s.g, &out.edges),
                 "{}/{mode:?}: spans",
@@ -363,7 +359,7 @@ fn edge_boruvka_conforms_in_both_check_modes() {
 #[test]
 fn rep_mst_conforms_under_edge_partition() {
     for s in sub_matrix(4, 0) {
-        let out = s.cluster().run(RepMst::with(s.mst_cfg())).output;
+        let out = s.cluster().run(RepMst::with(s.cfg())).output;
         assert!(
             refalgo::is_spanning_forest(&s.g, &out.mst.edges),
             "{}: spans",
@@ -402,13 +398,10 @@ fn all_connectivity_algorithms_agree() {
         // ingested cluster: the duplicated per-algorithm dispatch the
         // session API exists to collapse.
         let cl = s.cluster();
-        let a = cl
-            .run(Connectivity::with(s.conn_cfg()))
-            .output
-            .component_count();
-        let b = cl.run(Flooding::with(s.bandwidth)).output.component_count();
+        let a = cl.run(Connectivity::with(s.cfg())).output.component_count();
+        let b = cl.run(Flooding::with(s.cfg())).output.component_count();
         let c = {
-            let mut l = cl.run(Referee::with(s.bandwidth)).output.labels;
+            let mut l = cl.run(Referee::with(s.cfg())).output.labels;
             l.sort_unstable();
             l.dedup();
             l.len()
@@ -426,15 +419,9 @@ fn all_mst_algorithms_agree() {
     for s in sub_matrix(6, 4) {
         let want = refalgo::forest_weight(&refalgo::kruskal(&s.g));
         let cl = s.cluster();
-        let a = cl.run(Mst::with(s.mst_cfg())).output.total_weight;
-        let b = cl
-            .run(EdgeBoruvka::with(EdgeBoruvkaConfig {
-                bandwidth: s.bandwidth,
-                mode: CheckMode::BatchedPush,
-            }))
-            .output
-            .total_weight;
-        let c = cl.run(RepMst::with(s.mst_cfg())).output.mst.total_weight;
+        let a = cl.run(Mst::with(s.cfg())).output.total_weight;
+        let b = cl.run(EdgeBoruvka::with(s.cfg())).output.total_weight;
+        let c = cl.run(RepMst::with(s.cfg())).output.mst.total_weight;
         assert!(
             a == want && b == want && c == want,
             "{}: sketch={a} boruvka={b} rep={c} kruskal={want}",
@@ -454,9 +441,9 @@ fn scenario_runs_are_deterministic() {
         // Rerunning on the same cluster and on a freshly ingested one must
         // both be bit-identical.
         let cl = s.cluster();
-        let a = cl.run(Connectivity::with(s.conn_cfg())).output;
-        let b = cl.run(Connectivity::with(s.conn_cfg())).output;
-        let fresh = s.cluster().run(Connectivity::with(s.conn_cfg())).output;
+        let a = cl.run(Connectivity::with(s.cfg())).output;
+        let b = cl.run(Connectivity::with(s.cfg())).output;
+        let fresh = s.cluster().run(Connectivity::with(s.cfg())).output;
         assert_eq!(a.labels, b.labels, "{}: labels identical", s.id);
         assert_eq!(a.labels, fresh.labels, "{}: fresh-cluster labels", s.id);
         assert_eq!(a.stats.rounds, b.stats.rounds, "{}: rounds identical", s.id);
@@ -465,8 +452,8 @@ fn scenario_runs_are_deterministic() {
             "{}: bits identical",
             s.id
         );
-        let m = cl.run(Mst::with(s.mst_cfg())).output;
-        let m2 = cl.run(Mst::with(s.mst_cfg())).output;
+        let m = cl.run(Mst::with(s.cfg())).output;
+        let m2 = cl.run(Mst::with(s.cfg())).output;
         assert_eq!(m.edges, m2.edges, "{}: MST edges identical", s.id);
     }
 }

@@ -28,7 +28,7 @@ fn contract_conn(s: &common::Scenario, encoding: Encoding) -> ConnectivityConfig
     ConnectivityConfig {
         contract: true,
         encoding,
-        ..s.conn_cfg()
+        ..s.cfg()
     }
 }
 
@@ -37,7 +37,7 @@ fn contract_mst(s: &common::Scenario, encoding: Encoding) -> MstConfig {
     MstConfig {
         contract: true,
         encoding,
-        ..s.mst_cfg()
+        ..s.cfg()
     }
 }
 
@@ -50,7 +50,7 @@ fn contract_mst(s: &common::Scenario, encoding: Encoding) -> MstConfig {
 fn contracted_connectivity_matches_uncontracted_on_full_matrix() {
     for s in matrix() {
         let cluster = s.cluster();
-        let plain = cluster.run(Connectivity::with(s.conn_cfg())).output;
+        let plain = cluster.run(Connectivity::with(s.cfg())).output;
         let contracted = cluster
             .run(Connectivity::with(contract_conn(&s, Encoding::Naive)))
             .output;
@@ -81,7 +81,7 @@ fn contracted_connectivity_matches_uncontracted_on_full_matrix() {
 fn contracted_mst_matches_uncontracted_edge_for_edge() {
     for s in sub_matrix(2, 0) {
         let cluster = s.cluster();
-        let plain = cluster.run(Mst::with(s.mst_cfg())).output;
+        let plain = cluster.run(Mst::with(s.cfg())).output;
         let contracted = cluster
             .run(Mst::with(contract_mst(&s, Encoding::Naive)))
             .output;
@@ -111,7 +111,7 @@ fn contracted_mst_matches_uncontracted_edge_for_edge() {
 fn contracted_spanning_forest_spans_the_same_partition() {
     for s in sub_matrix(3, 1) {
         let cluster = s.cluster();
-        let plain = cluster.run(SpanningForest::with(s.mst_cfg())).output;
+        let plain = cluster.run(SpanningForest::with(s.cfg())).output;
         let contracted = cluster
             .run(SpanningForest::with(contract_mst(&s, Encoding::Naive)))
             .output;
@@ -139,11 +139,11 @@ fn contracted_mincut_estimate_is_unchanged() {
             continue;
         }
         let cluster = s.cluster();
-        let plain = cluster.run(MinCut::with(s.mincut_cfg())).output;
+        let plain = cluster.run(MinCut::with(s.cfg())).output;
         let contracted = cluster
             .run(MinCut::with(MinCutConfig {
                 contract: true,
-                ..s.mincut_cfg()
+                ..s.cfg()
             }))
             .output;
         // Every probe's connectivity verdict is exact either way, so the
@@ -221,7 +221,7 @@ fn varint_encoding_changes_accounting_only() {
             let mk = |encoding| ConnectivityConfig {
                 contract,
                 encoding,
-                ..s.conn_cfg()
+                ..s.cfg()
             };
             let naive = cluster.run(Connectivity::with(mk(Encoding::Naive))).output;
             let varint = cluster.run(Connectivity::with(mk(Encoding::Varint))).output;
@@ -389,7 +389,7 @@ fn contracted_mst_is_bit_identical_under_fault_plans() {
 fn contracted_partitions_are_identical_across_all_ablations() {
     for s in sub_matrix(5, 0) {
         let cluster = s.cluster();
-        let reference = cluster.run(Connectivity::with(s.conn_cfg())).output;
+        let reference = cluster.run(Connectivity::with(s.cfg())).output;
         for encoding in [Encoding::Naive, Encoding::Varint] {
             let out = cluster
                 .run(Connectivity::with(contract_conn(&s, encoding)))

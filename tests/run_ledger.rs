@@ -374,11 +374,9 @@ fn static_cells(ledger: &mut Ledger) {
         ledger.cell(
             id,
             &c4,
-            |_| {
-                EdgeBoruvka::with(EdgeBoruvkaConfig {
-                    mode,
-                    ..EdgeBoruvkaConfig::default()
-                })
+            |_| EdgeBoruvka {
+                mode,
+                ..EdgeBoruvka::default()
             },
             |o| digest_edges(&o.edges),
         );

@@ -36,11 +36,10 @@ fn assert_same_stats(id: &str, what: &str, a: &CommStats, b: &CommStats) {
 fn cluster_reuse_is_bit_identical_to_one_shot_paths() {
     for s in sub_matrix(4, 1) {
         let cluster = s.cluster();
-        let conn = cluster.run(Connectivity::with(s.conn_cfg()));
-        let mst = cluster.run(Mst::with(s.mst_cfg()));
-        let st = cluster.run(SpanningForest::with(s.mst_cfg()));
-        let flood = cluster.run(Flooding::with(s.bandwidth));
-        assert_eq!(cluster.runs(), 4, "{}: four runs recorded", s.id);
+        let conn = cluster.run(Connectivity::with(s.cfg()));
+        let mst = cluster.run(Mst::with(s.cfg()));
+        let st = cluster.run(SpanningForest::with(s.cfg()));
+        let flood = cluster.run(Flooding::with(s.cfg()));
         assert_eq!(conn.report.problem, "conn", "{}: report name", s.id);
         assert_eq!(conn.report.phases, conn.output.phases, "{}: phases", s.id);
         assert_eq!(
@@ -50,10 +49,10 @@ fn cluster_reuse_is_bit_identical_to_one_shot_paths() {
         );
 
         // One fresh single-use cluster per problem.
-        let conn1 = s.cluster().run(Connectivity::with(s.conn_cfg()));
-        let mst1 = s.cluster().run(Mst::with(s.mst_cfg()));
-        let st1 = s.cluster().run(SpanningForest::with(s.mst_cfg()));
-        let flood1 = s.cluster().run(Flooding::with(s.bandwidth));
+        let conn1 = s.cluster().run(Connectivity::with(s.cfg()));
+        let mst1 = s.cluster().run(Mst::with(s.cfg()));
+        let st1 = s.cluster().run(SpanningForest::with(s.cfg()));
+        let flood1 = s.cluster().run(Flooding::with(s.cfg()));
         assert_eq!(conn.output.labels, conn1.output.labels, "{}: labels", s.id);
         assert_eq!(
             conn.output.sketch_builds, conn1.output.sketch_builds,
@@ -74,8 +73,8 @@ fn cluster_reuse_is_bit_identical_to_one_shot_paths() {
         let adopted = Cluster::builder(s.k)
             .seed(s.seed)
             .adopt(ShardedGraph::from_graph(&s.g, &part));
-        let conn2 = adopted.run(Connectivity::with(s.conn_cfg()));
-        let mst2 = adopted.run(Mst::with(s.mst_cfg()));
+        let conn2 = adopted.run(Connectivity::with(s.cfg()));
+        let mst2 = adopted.run(Mst::with(s.cfg()));
         assert_eq!(conn.output.labels, conn2.output.labels, "{}: adopted", s.id);
         assert_eq!(mst.output.edges, mst2.output.edges, "{}: adopted MST", s.id);
         assert_same_stats(
@@ -118,7 +117,6 @@ fn cluster_ingests_exactly_once() {
         before + 1,
         "running seven problems must not re-shard the input"
     );
-    assert_eq!(cluster.runs(), 7);
 }
 
 /// Streamed and materialized ingestion build the same cluster: same shard

@@ -264,7 +264,7 @@ fn breakdown_is_absent_when_tracing_is_off() {
     let run = Cluster::builder(2)
         .seed(1)
         .ingest_graph(&g)
-        .run_default::<Connectivity>();
+        .run(Connectivity::default());
     assert!(run.report.phase_breakdown.is_none(), "off means None");
 }
 

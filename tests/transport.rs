@@ -232,31 +232,41 @@ fn min_cut_and_spanning_forest_are_bit_identical() {
     assert_stats_identical("st/barbell/k3", &sim_st.stats, &proc_st.stats);
 }
 
-#[test]
-fn session_builder_selects_the_proc_backend() {
-    // `ClusterBuilder::engine` threads the selection through the
-    // cluster's `EngineConfig` defaults, so `run_default` exercises the
-    // same path the CLI's `--transport proc` takes.
+/// Runs `P` on both backends under the default config, checks that the
+/// process run's windows really crossed the worker sockets, and pins its
+/// logical stats; returns both outputs for the caller to compare.
+fn on_both_backends<P: Problem>(id: &str, cluster: &Cluster) -> (P::Output, P::Output) {
     use_test_worker_exe();
-    let g = generators::planted_components(120, 2, 4, 0x63);
-    let sim = Cluster::builder(4)
-        .seed(5)
-        .ingest_graph(&g)
-        .run_default::<Connectivity>();
-    let phys = Cluster::builder(4)
-        .seed(5)
-        .engine(EngineConfig {
-            transport: TransportSel::Proc,
-            ..Default::default()
-        })
-        .ingest_graph(&g)
-        .run_default::<Connectivity>();
-    assert_eq!(sim.output.labels, phys.output.labels, "builder labels");
-    assert_stats_identical(
-        "builder/planted-2/k4",
-        &sim.report.stats,
-        &phys.report.stats,
+    let sim = cluster.run(P::with(EngineConfig::default()));
+    let trace = Tracer::recording();
+    let phys = cluster.run(P::with(EngineConfig {
+        transport: TransportSel::Proc,
+        trace: trace.clone(),
+        ..EngineConfig::default()
+    }));
+    assert!(
+        !trace.phys_events().is_empty(),
+        "{id}: no window left the process"
     );
+    assert_stats_identical(id, &sim.report.stats, &phys.report.stats);
+    (sim.output, phys.output)
+}
+
+#[test]
+fn baselines_are_bit_identical_across_backends() {
+    // The baselines open their `Net` from the problem's config, so
+    // `transport` reaches them like every other knob.
+    let g = generators::randomize_weights(&generators::planted_components(120, 2, 4, 0x63), 50, 1);
+    let cluster = Cluster::builder(4).seed(5).ingest_graph(&g);
+    let (a, b) = on_both_backends::<Flooding>("flooding/planted-2/k4", &cluster);
+    assert_eq!(a.labels, b.labels, "flooding labels");
+    let (a, b) = on_both_backends::<Referee>("referee/planted-2/k4", &cluster);
+    assert_eq!(a.labels, b.labels, "referee labels");
+    let (a, b) = on_both_backends::<EdgeBoruvka>("edge-boruvka/planted-2/k4", &cluster);
+    assert_eq!(a.edges, b.edges, "edge-boruvka forest");
+    let (a, b) = on_both_backends::<RepMst>("rep-mst/planted-2/k4", &cluster);
+    assert_eq!(a.mst.edges, b.mst.edges, "rep-mst forest");
+    assert_stats_identical("rep-mst routing", &a.routing, &b.routing);
 }
 
 // ---------------------------------------------------------------------
