@@ -2248,7 +2248,7 @@ mod tests {
         assert_tiles(rows, &run.report.stats, "conn escalation");
         assert_eq!(
             ledger_of(&run.report.stats),
-            (164, 31_940, 134, 582),
+            (114, 31_464, 78, 554),
             "conn escalation: attempt + full refresh, pinned like tests/fixtures/run_ledger.txt"
         );
         assert!(
@@ -2297,7 +2297,7 @@ mod tests {
         assert_tiles(rows, &run.report.stats, "mst escalation");
         assert_eq!(
             ledger_of(&run.report.stats),
-            (112, 12_301, 50, 116),
+            (96, 12_131, 34, 106),
             "mst escalation: attempt + full re-solve, pinned like tests/fixtures/run_ledger.txt"
         );
         assert!(

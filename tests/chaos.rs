@@ -349,7 +349,7 @@ fn crash_recovery_reads_shards_back_from_durable_storage() {
 fn a_crash_mid_epoch_replays_without_the_part_sketch_memo() {
     use kmm::algo::engine::{Engine, Mode};
     /// A superstep in the middle of this run's phase 3.
-    const CRASH_MID_EPOCH: u64 = 66;
+    const CRASH_MID_EPOCH: u64 = 35;
     let g = generators::gnm(3000, 12_000, 0x3E);
     let cluster = Cluster::builder(4).seed(3).ingest_graph(&g);
     let run = |faults: Option<FaultPlan>| {

@@ -407,9 +407,10 @@ fn static_cells(ledger: &mut Ledger) {
 }
 
 /// Superstep index of the first scheduled crash: inside phase 1 of every
-/// engine mode on the static cells' cluster (phase 0 ends before it, phase
-/// 1's first supersteps — `build_supergraph` under contraction — span it).
-const CRASH_IN_PHASE_1: u64 = 24;
+/// engine mode on the static cells' cluster (phase 0 ends before it, and
+/// under contraction phase 1 opens with `build_supergraph`). Phase 1 spans
+/// supersteps 6–14 or 8–16 across the six fault-free traces.
+const CRASH_IN_PHASE_1: u64 = 10;
 
 /// How one batch's three solves ran: `last_refresh()` after each, plus the
 /// incremental-MST tiers its trace segments and phase count show.
