@@ -27,6 +27,34 @@ use kmm::graph::stream::{materialize, DynEdgeStream};
 use kmm::machine::fault::FaultPlan;
 use kmm::prelude::*;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
+
+/// Stdout's state: `0` while writable, [`CLOSED`] once its reader has gone
+/// (`kmm … | head`), [`FAILED`] after any other write error.
+static STDOUT: AtomicU8 = AtomicU8::new(0);
+const CLOSED: u8 = 1;
+const FAILED: u8 = 2;
+
+/// `println!` through [`write_out`].
+macro_rules! outln {
+    ($($arg:tt)*) => { write_out(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+/// The one writer of stdout: a closed pipe ends the output quietly, any
+/// other write error is reported once and fails the run.
+fn write_out(text: std::fmt::Arguments) {
+    use std::io::Write;
+    if STDOUT.load(Relaxed) != 0 {
+        return;
+    }
+    if let Err(e) = std::io::stdout().lock().write_fmt(text) {
+        let closed = e.kind() == std::io::ErrorKind::BrokenPipe;
+        STDOUT.store(if closed { CLOSED } else { FAILED }, Relaxed);
+        if !closed {
+            eprintln!("error: writing stdout: {e}");
+        }
+    }
+}
 
 /// The algorithm/utility subcommands, in help order (kept next to `usage`
 /// so unknown-subcommand errors can list exactly what exists).
@@ -39,8 +67,8 @@ const SUBCOMMANDS: &[&str] = &[
 const RUN_OPTIONS: &str =
     "input gen n m p extra max-weight k seed faults contract? encoding transport trace-out";
 
-/// The options whose value is a number: it must parse wherever it is
-/// given, even where the run does not read it (`--m` of a `path`).
+/// The options whose value is a number: one that does not parse is an
+/// error naming the option.
 const NUMERIC: &[&str] = &["n", "m", "p", "extra", "max-weight", "k", "seed", "s", "t"];
 
 /// Each subcommand's options: whether it reads [`RUN_OPTIONS`], and the
@@ -57,6 +85,20 @@ const OPTIONS: &[(&str, bool, &str)] = &[
     ("bipart", true, ""),
     ("gen", false, "family n m p extra max-weight seed out"),
     ("check", false, "root allow"),
+];
+
+/// The input options, and the ones each `--gen` family reads; `--input
+/// FILE` reads none of the others. Any other one given is an error.
+const INPUT_OPTIONS: &str = "input n m p extra max-weight";
+const FAMILIES: &[(&str, &str)] = &[
+    ("gnm", "n m max-weight"),
+    ("gnp", "n p max-weight"),
+    ("path", "n max-weight"),
+    ("cycle", "n max-weight"),
+    ("grid", "n max-weight"),
+    ("star", "n max-weight"),
+    ("tree", "n max-weight"),
+    ("connected", "n extra max-weight"),
 ];
 
 /// Minimal argument parser: `--key value` pairs plus boolean `--flag`s.
@@ -130,6 +172,20 @@ impl Args {
     fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
+
+    /// Fails naming each of [`INPUT_OPTIONS`] given here that `input`,
+    /// which reads the options `reads`, does not read.
+    fn only_inputs(&self, input: &str, reads: &str) -> Result<(), String> {
+        let reads: Vec<&str> = reads.split_whitespace().collect();
+        let unread: Vec<&str> = INPUT_OPTIONS
+            .split_whitespace()
+            .filter(|o| self.get(o).is_some() && !reads.contains(o))
+            .collect();
+        match unread[..] {
+            [] => Ok(()),
+            _ => Err(format!("{input} does not read --{}", unread.join(", --"))),
+        }
+    }
 }
 
 fn usage() -> ExitCode {
@@ -188,6 +244,7 @@ fn load_graph(args: &Args, seed: u64) -> Result<Graph, String> {
     let path = args
         .get("input")
         .ok_or("missing --input (or --gen FAMILY for a streamed synthetic input)")?;
+    args.only_inputs("--input FILE", "input")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     kmm::graph::io::from_edge_list(&text).map_err(|e| format!("parse {path}: {e}"))
 }
@@ -198,6 +255,10 @@ fn load_graph(args: &Args, seed: u64) -> Result<Graph, String> {
 /// error, never a panic.
 fn stream_from_args(args: &Args, flag: &str, seed: u64) -> Result<DynEdgeStream, String> {
     let family = args.get(flag).unwrap_or("gnm");
+    let Some((_, reads)) = FAMILIES.iter().find(|(name, _)| *name == family) else {
+        return Err(format!("unknown --{flag} family {family}"));
+    };
+    args.only_inputs(&format!("--{flag} {family}"), reads)?;
     let n: usize = args
         .get_num("n")?
         .ok_or_else(|| format!("--{flag} {family} needs --n"))?;
@@ -233,7 +294,7 @@ fn stream_from_args(args: &Args, flag: &str, seed: u64) -> Result<DynEdgeStream,
         "connected" => {
             generators::random_connected_stream(n, args.get_num("extra")?.unwrap_or(n), seed)
         }
-        other => return Err(format!("unknown --{flag} family {other}")),
+        other => unreachable!("`{other}` has a row in FAMILIES but no generator"),
     };
     match args.get_num::<u64>("max-weight")? {
         Some(0) => Err("--max-weight must be at least 1".into()),
@@ -249,16 +310,14 @@ fn stream_from_args(args: &Args, flag: &str, seed: u64) -> Result<DynEdgeStream,
 /// `--n` up to the nearest shape that exists.
 fn cluster_from_args(args: &Args, k: usize, seed: u64, verbose: bool) -> Result<Cluster, String> {
     let builder = Cluster::builder(k).seed(seed);
-    if args.get("gen").is_some() {
-        let stream = stream_from_args(args, "gen", seed)?;
-        let cluster = builder.ingest_stream(stream);
-        if verbose {
-            println!("streamed input: n={} m={} k={k}", cluster.n(), cluster.m());
-        }
-        Ok(cluster)
-    } else {
-        Ok(builder.ingest_graph(&load_graph(args, seed)?))
+    if args.get("gen").is_none() {
+        return Ok(builder.ingest_graph(&load_graph(args, seed)?));
     }
+    let cluster = builder.ingest_stream(stream_from_args(args, "gen", seed)?);
+    if verbose {
+        outln!("streamed input: n={} m={} k={k}", cluster.n(), cluster.m());
+    }
+    Ok(cluster)
 }
 
 /// Whether `--report json` asked for machine-readable output. Any other
@@ -320,63 +379,46 @@ fn run_problem<P: Problem>(
     problem: P,
     answer: impl FnOnce(&P::Output) -> Vec<(&'static str, String)>,
     print: impl FnOnce(&Args, &P::Output),
-) -> ExitCode {
-    let json = match json_mode(args) {
-        Ok(json) => json,
-        Err(e) => return fail(&e),
-    };
-    let cluster = match cluster_from_args(args, k, seed, !json) {
-        Ok(cluster) => cluster,
-        Err(e) => return fail(&e),
-    };
-    let run = cluster.run(problem);
+) -> Result<(), String> {
+    let json = json_mode(args)?;
+    let run = cluster_from_args(args, k, seed, !json)?.run(problem);
     if json {
         let mut head = vec![("transport", format!("\"{}\"", transport.name()))];
         head.extend(answer(&run.output));
-        println!("{}", report_json(&run.report, &head));
+        outln!("{}", report_json(&run.report, &head));
     } else {
         print(args, &run.output);
-        println!("rounds:     {}", run.report.stats.rounds);
-        println!("total bits: {}", run.report.stats.total_bits);
+        outln!("rounds:     {}", run.report.stats.rounds);
+        outln!("total bits: {}", run.report.stats.total_bits);
         if args.get("faults").is_some() {
-            println!(
+            outln!(
                 "faults:     {} injected, {} machine crashes",
-                run.report.faults_injected, run.report.stats.machine_crashes
+                run.report.faults_injected,
+                run.report.stats.machine_crashes
             );
-            println!(
+            outln!(
                 "recovery:   {} rounds, {} retransmit bits",
-                run.report.recovery_rounds, run.report.retransmit_bits
+                run.report.recovery_rounds,
+                run.report.retransmit_bits
             );
         }
-        println!("wall:       {:.1?}", run.report.wall);
+        outln!("wall:       {:.1?}", run.report.wall);
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `kmm dyn`: ingest, wrap into a `DynamicCluster`, replay the `--trace`
 /// batches, and print a per-batch trailer (components, forest size, the
 /// maintained MST's weight/size/refresh path, solve and update-phase
 /// costs) — JSON lines under `--report json`.
-fn run_dyn(args: &Args, k: usize, seed: u64, cfg: &EngineConfig) -> ExitCode {
-    let Some(path) = args.get("trace") else {
-        return fail("dyn needs --trace FILE (`+ u v [w]` / `- u v` / `---` per line)");
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => return fail(&format!("read {path}: {e}")),
-    };
-    let batches = match UpdateBatch::parse_trace(&text) {
-        Ok(b) => b,
-        Err(e) => return fail(&format!("parse {path}: {e}")),
-    };
-    let json = match json_mode(args) {
-        Ok(json) => json,
-        Err(e) => return fail(&e),
-    };
-    let cluster = match cluster_from_args(args, k, seed, !json) {
-        Ok(cluster) => cluster,
-        Err(e) => return fail(&e),
-    };
+fn run_dyn(args: &Args, k: usize, seed: u64, cfg: &EngineConfig) -> Result<(), String> {
+    let path = args
+        .get("trace")
+        .ok_or("dyn needs --trace FILE (`+ u v [w]` / `- u v` / `---` per line)")?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    let batches = UpdateBatch::parse_trace(&text).map_err(|e| format!("parse {path}: {e}"))?;
+    let json = json_mode(args)?;
+    let cluster = cluster_from_args(args, k, seed, !json)?;
     let mut dc = DynamicCluster::wrap(
         cluster,
         DynConfig {
@@ -405,11 +447,11 @@ fn run_dyn(args: &Args, k: usize, seed: u64, cfg: &EngineConfig) -> ExitCode {
             head.push(("mst_refresh", format!("\"{mst_refresh}\"")));
             head.push(("mst_edges", mst.output.edges.len().to_string()));
             head.push(("mst_weight", mst.output.total_weight.to_string()));
-            println!("{}", report_json(&conn.report, &head));
+            outln!("{}", report_json(&conn.report, &head));
         } else {
             match up {
-                None => println!("base solve:"),
-                Some(u) => println!(
+                None => outln!("base solve:"),
+                Some(u) => outln!(
                     "batch {batch}: {} ops (+{}/-{}), update rounds {} bits {}{}",
                     u.ops,
                     u.inserts,
@@ -419,29 +461,32 @@ fn run_dyn(args: &Args, k: usize, seed: u64, cfg: &EngineConfig) -> ExitCode {
                     if u.compacted { ", compacted" } else { "" }
                 ),
             }
-            println!("  refresh:      {refresh}");
-            println!("  components:   {}", conn.output.component_count());
-            println!("  forest edges: {}", st.output.edges.len());
-            println!(
+            outln!("  refresh:      {refresh}");
+            outln!("  components:   {}", conn.output.component_count());
+            outln!("  forest edges: {}", st.output.edges.len());
+            outln!(
                 "  mst:          weight {} over {} edges ({mst_refresh})",
                 mst.output.total_weight,
                 mst.output.edges.len()
             );
-            println!("  rounds:       {}", conn.report.stats.rounds);
-            println!("  total bits:   {}", conn.report.stats.total_bits);
-            println!("  wall:         {:.1?}", conn.report.wall);
+            outln!("  rounds:       {}", conn.report.stats.rounds);
+            outln!("  total bits:   {}", conn.report.stats.total_bits);
+            outln!("  wall:         {:.1?}", conn.report.wall);
         }
     };
     emit(0, None, &mut dc);
     for (i, batch) in batches.iter().enumerate() {
-        match dc.apply(batch) {
-            Ok(up) => emit(i + 1, Some(&up), &mut dc),
-            Err(e) => return fail(&format!("batch {}: {e}", i + 1)),
+        if STDOUT.load(Relaxed) != 0 {
+            break;
         }
+        let up = dc
+            .apply(batch)
+            .map_err(|e| format!("batch {}: {e}", i + 1))?;
+        emit(i + 1, Some(&up), &mut dc);
     }
     if !json {
         let (ins, del) = dc.ops_applied();
-        println!(
+        outln!(
             "replayed {} batches (+{ins}/-{del}), {} compactions, final n={} m={}",
             batches.len(),
             dc.compactions(),
@@ -449,7 +494,7 @@ fn run_dyn(args: &Args, k: usize, seed: u64, cfg: &EngineConfig) -> ExitCode {
             dc.m()
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// The trailer's name for a refresh path.
@@ -463,18 +508,16 @@ fn refresh_name(kind: RefreshKind) -> String {
 
 /// `kmm __transport-worker DIR MACHINE K`: serve one machine's socket mesh
 /// until the coordinator shuts the run down.
-fn run_transport_worker(argv: &[String]) -> ExitCode {
+fn run_transport_worker(argv: &[String]) -> Result<(), String> {
     let (Some(dir), Some(machine), Some(k)) = (
         argv.first(),
         argv.get(1).and_then(|a| a.parse::<usize>().ok()),
         argv.get(2).and_then(|a| a.parse::<usize>().ok()),
     ) else {
-        return fail("__transport-worker needs <dir> <machine> <k>");
+        return Err("__transport-worker needs <dir> <machine> <k>".into());
     };
-    match kmm::machine::transport::worker_main(std::path::Path::new(dir), machine, k) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(&format!("transport worker {machine}: {e}")),
-    }
+    kmm::machine::transport::worker_main(std::path::Path::new(dir), machine, k)
+        .map_err(|e| format!("transport worker {machine}: {e}"))
 }
 
 /// Builds the tracer `--trace-out FILE` asks for: a JSONL file sink for
@@ -496,68 +539,48 @@ fn tracer_from_args(args: &Args) -> Result<Tracer, String> {
 /// `kmm trace summarize FILE` / `kmm trace chrome IN [OUT]`: the offline
 /// inspectors over a `--trace-out` logical JSONL stream. Positional
 /// operands, so this is dispatched before the `--key value` parser runs.
-fn run_trace_tool(argv: &[String]) -> ExitCode {
-    const USAGE: &str = "usage: kmm trace <summarize FILE | chrome IN [OUT]>";
+fn run_trace_tool(argv: &[String]) -> Result<(), String> {
     let read_records = |path: &str| -> Result<Vec<TraceRecord>, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
         kmm::machine::trace::parse_jsonl(&text).map_err(|e| format!("{path}: {e}"))
     };
-    match (
-        argv.first().map(String::as_str),
-        argv.get(1),
-        argv.get(2),
-        argv.len(),
-    ) {
-        (Some("summarize"), Some(path), None, 2) => match read_records(path) {
-            Ok(records) => {
-                print!("{}", kmm::machine::trace::summarize(&records));
-                ExitCode::SUCCESS
-            }
-            Err(e) => fail(&e),
-        },
-        (Some("chrome"), Some(path), out, 2 | 3) => match read_records(path) {
-            Ok(records) => {
-                let json = kmm::machine::trace::chrome_trace(&records);
-                match out {
-                    Some(dst) => {
-                        if let Err(e) = std::fs::write(dst, json) {
-                            return fail(&format!("write {dst}: {e}"));
-                        }
-                        println!("wrote {dst}");
-                        ExitCode::SUCCESS
-                    }
-                    None => {
-                        print!("{json}");
-                        ExitCode::SUCCESS
-                    }
+    let operands = (argv.first().map(String::as_str), argv.get(1), argv.get(2));
+    match (operands, argv.len()) {
+        ((Some("summarize"), Some(path), None), 2) => {
+            let table = kmm::machine::trace::summarize(&read_records(path)?);
+            write_out(format_args!("{table}"));
+        }
+        ((Some("chrome"), Some(path), out), 2 | 3) => {
+            let json = kmm::machine::trace::chrome_trace(&read_records(path)?);
+            match out {
+                Some(dst) => {
+                    std::fs::write(dst, json).map_err(|e| format!("write {dst}: {e}"))?;
+                    outln!("wrote {dst}");
                 }
+                None => write_out(format_args!("{json}")),
             }
-            Err(e) => fail(&e),
-        },
-        _ => fail(USAGE),
+        }
+        _ => return Err("usage: kmm trace <summarize FILE | chrome IN [OUT]>".into()),
     }
+    Ok(())
 }
 
 /// `kmm repro [--quick] [ID ...]`: print the claims table of
 /// `kmm::repro` (DESIGN.md §4) and fail if an expectation is violated.
-fn run_repro(argv: &[String]) -> ExitCode {
+fn run_repro(argv: &[String]) -> Result<(), String> {
     let (flags, ids): (Vec<String>, Vec<String>) =
         argv.iter().cloned().partition(|a| a.starts_with("--"));
     if let Some(bad) = flags.iter().find(|f| *f != "--quick") {
-        return fail(&format!(
+        return Err(format!(
             "repro: unknown option `{bad}` (supported: --quick)"
         ));
     }
-    match kmm::repro::run(&ids, !flags.is_empty()) {
-        Ok((text, pass)) => {
-            print!("{text}");
-            if pass {
-                ExitCode::SUCCESS
-            } else {
-                fail("repro: an expectation is violated (see the FAIL lines above)")
-            }
-        }
-        Err(e) => fail(&format!("repro: {e}")),
+    let (text, pass) =
+        kmm::repro::run(&ids, !flags.is_empty()).map_err(|e| format!("repro: {e}"))?;
+    write_out(format_args!("{text}"));
+    match pass {
+        true => Ok(()),
+        false => Err("repro: an expectation is violated (see the FAIL lines above)".into()),
     }
 }
 
@@ -612,64 +635,52 @@ fn run_check(args: &Args) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    // Re-exec entry of the multi-process transport (DESIGN.md §3.12): the
-    // coordinator spawns `kmm __transport-worker <dir> <machine> <k>` — one
-    // per simulated machine — before normal argument parsing ever runs.
-    // Hidden on purpose: it is an implementation detail of `--transport
-    // proc`, not a user-facing subcommand.
+    // `kmm __transport-worker <dir> <machine> <k>` is the hidden re-exec
+    // entry of `--transport proc`, one per machine (DESIGN.md §3.12). It,
+    // `kmm trace` and `kmm repro` take positional operands: no parser.
     let raw: Vec<String> = std::env::args().collect();
-    if raw.get(1).map(String::as_str) == Some("__transport-worker") {
-        return run_transport_worker(&raw[2..]);
+    let ran = match raw.get(1).map(String::as_str) {
+        Some("__transport-worker") => run_transport_worker(&raw[2..]).map(|()| ExitCode::SUCCESS),
+        Some("trace") => run_trace_tool(&raw[2..]).map(|()| ExitCode::SUCCESS),
+        Some("repro") => run_repro(&raw[2..]).map(|()| ExitCode::SUCCESS),
+        None => return usage(),
+        Some(cmd) => match OPTIONS.iter().find(|(name, ..)| name == &cmd) {
+            Some(row) => Args::parse(row, &raw[2..]).and_then(|args| run(&args)),
+            None => {
+                let valid = SUBCOMMANDS.join(", ");
+                eprintln!("error: unknown subcommand `{cmd}` (valid subcommands: {valid})");
+                return usage();
+            }
+        },
+    };
+    match ran {
+        Err(e) => fail(&e),
+        Ok(_) if STDOUT.load(Relaxed) == FAILED => ExitCode::FAILURE,
+        Ok(code) => code,
     }
-    // `kmm trace` and `kmm repro` take positional operands, so they
-    // bypass the `--key value` parser too.
-    match raw.get(1).map(String::as_str) {
-        Some("trace") => return run_trace_tool(&raw[2..]),
-        Some("repro") => return run_repro(&raw[2..]),
-        _ => {}
-    }
-    let Some(cmd) = raw.get(1) else {
-        return usage();
-    };
-    let Some(row) = OPTIONS.iter().find(|(name, ..)| name == cmd) else {
-        eprintln!(
-            "error: unknown subcommand `{cmd}` (valid subcommands: {})",
-            SUBCOMMANDS.join(", ")
-        );
-        return usage();
-    };
-    let args = match Args::parse(row, &raw[2..]) {
-        Ok(args) => args,
-        Err(e) => return fail(&e),
-    };
-    let (k, seed): (usize, u64) = match (args.get_num("k"), args.get_num("seed")) {
-        (Ok(k), Ok(seed)) => (k.unwrap_or(8), seed.unwrap_or(42)),
-        (Err(e), _) | (_, Err(e)) => return fail(&e),
-    };
+}
+
+/// Runs one parsed subcommand of the [`OPTIONS`] table.
+fn run(args: &Args) -> Result<ExitCode, String> {
+    let k: usize = args.get_num("k")?.unwrap_or(8);
+    let seed: u64 = args.get_num("seed")?.unwrap_or(42);
     if args.cmd == "check" {
-        return run_check(&args);
+        return Ok(run_check(args));
     }
     if args.cmd != "gen" && k < 2 {
-        return fail("the k-machine model requires --k >= 2");
+        return Err("the k-machine model requires --k >= 2".into());
     }
-    let faults = match args.get("faults").map(FaultPlan::parse).transpose() {
-        Ok(f) => f,
-        Err(e) => return fail(&format!("--faults: {e}")),
-    };
+    let faults = args.get("faults").map(FaultPlan::parse).transpose();
+    let faults = faults.map_err(|e| format!("--faults: {e}"))?;
     let encoding = match args.get("encoding") {
         None | Some("naive") => Encoding::Naive,
         Some("varint") => Encoding::Varint,
-        Some(other) => return fail(&format!("--encoding {other}: expected naive or varint")),
+        Some(other) => return Err(format!("--encoding {other}: expected naive or varint")),
     };
-    let transport = match args.get("transport").map(TransportSel::parse) {
-        None => TransportSel::Sim,
-        Some(Ok(t)) => t,
-        Some(Err(e)) => return fail(&format!("--transport: {e}")),
-    };
-    let trace = match tracer_from_args(&args) {
-        Ok(t) => t,
-        Err(e) => return fail(&e),
-    };
+    let transport = args.get("transport").map(TransportSel::parse).transpose();
+    let transport = transport.map_err(|e| format!("--transport: {e}"))?;
+    let transport = transport.unwrap_or(TransportSel::Sim);
+    let trace = tracer_from_args(args)?;
     // The one run configuration every subcommand reads.
     let cfg = EngineConfig {
         faults,
@@ -684,21 +695,21 @@ fn main() -> ExitCode {
         },
         ..EngineConfig::default()
     };
-    let code = match args.cmd.as_str() {
+    let ran = match args.cmd.as_str() {
         "conn" => run_problem(
-            &args,
+            args,
             k,
             seed,
             transport,
             Connectivity::with(cfg.clone()),
             |out| vec![("components", out.component_count().to_string())],
             |_, out| {
-                println!("components: {}", out.component_count());
-                println!("phases:     {}", out.phases);
+                outln!("components: {}", out.component_count());
+                outln!("phases:     {}", out.phases);
             },
         ),
         "mst" => run_problem(
-            &args,
+            args,
             k,
             seed,
             transport,
@@ -710,28 +721,28 @@ fn main() -> ExitCode {
                 ]
             },
             |args, out| {
-                println!("forest edges: {}", out.edges.len());
-                println!("total weight: {}", out.total_weight);
+                outln!("forest edges: {}", out.edges.len());
+                outln!("total weight: {}", out.total_weight);
                 if args.flag("print-edges") {
                     for e in &out.edges {
-                        println!("{} {} {}", e.u, e.v, e.w);
+                        outln!("{} {} {}", e.u, e.v, e.w);
                     }
                 }
             },
         ),
         "st" => run_problem(
-            &args,
+            args,
             k,
             seed,
             transport,
             SpanningForest::with(cfg.clone()),
             |out| vec![("forest_edges", out.edges.len().to_string())],
             |_, out| {
-                println!("forest edges: {}", out.edges.len());
+                outln!("forest edges: {}", out.edges.len());
             },
         ),
         "mincut" => run_problem(
-            &args,
+            args,
             k,
             seed,
             transport,
@@ -743,69 +754,56 @@ fn main() -> ExitCode {
                 ]
             },
             |_, out| {
-                println!("estimate: {}", out.estimate);
-                println!("probes:   {}", out.probes);
+                outln!("estimate: {}", out.estimate);
+                outln!("probes:   {}", out.probes);
             },
         ),
-        "dyn" => run_dyn(&args, k, seed, &cfg),
+        "dyn" => run_dyn(args, k, seed, &cfg),
         "stcon" => {
-            let g = match load_graph(&args, seed) {
-                Ok(g) => g,
-                Err(e) => return fail(&e),
-            };
-            let (s, t) = match (args.get_num::<u32>("s"), args.get_num::<u32>("t")) {
-                (Ok(Some(s)), Ok(Some(t))) => (s, t),
-                (Err(e), _) | (_, Err(e)) => return fail(&e),
-                _ => return fail("stcon needs --s and --t"),
+            let g = load_graph(args, seed)?;
+            let (Some(s), Some(t)) = (args.get_num::<u32>("s")?, args.get_num::<u32>("t")?) else {
+                return Err("stcon needs --s and --t".into());
             };
             if s as usize >= g.n() || t as usize >= g.n() {
-                return fail("--s/--t out of range");
+                return Err("--s/--t out of range".into());
             }
             let v = verify::st_connectivity(&g, s, t, k, seed, &cfg);
-            println!("connected: {}", v.holds);
+            outln!("connected: {}", v.holds);
             print_verdict_costs(&v, &cfg);
-            ExitCode::SUCCESS
+            Ok(())
         }
         "bipart" => {
-            let g = match load_graph(&args, seed) {
-                Ok(g) => g,
-                Err(e) => return fail(&e),
-            };
-            let v = verify::bipartiteness(&g, k, seed, &cfg);
-            println!("bipartite: {}", v.holds);
+            let v = verify::bipartiteness(&load_graph(args, seed)?, k, seed, &cfg);
+            outln!("bipartite: {}", v.holds);
             print_verdict_costs(&v, &cfg);
-            ExitCode::SUCCESS
+            Ok(())
         }
         "gen" => {
-            let g = match stream_from_args(&args, "family", seed) {
-                Ok(stream) => materialize(stream),
-                Err(e) => return fail(&e),
-            };
+            let g = materialize(stream_from_args(args, "family", seed)?);
             let text = kmm::graph::io::to_edge_list(&g);
             match args.get("out") {
                 Some(path) => {
-                    if let Err(e) = std::fs::write(path, text) {
-                        return fail(&format!("write {path}: {e}"));
-                    }
-                    println!("wrote n={} m={} to {path}", g.n(), g.m());
+                    std::fs::write(path, text).map_err(|e| format!("write {path}: {e}"))?;
+                    outln!("wrote n={} m={} to {path}", g.n(), g.m());
                 }
-                None => print!("{text}"),
+                None => write_out(format_args!("{text}")),
             }
-            ExitCode::SUCCESS
+            Ok(())
         }
         other => unreachable!("`{other}` has a row in OPTIONS but no runner"),
     };
     cfg.trace.flush();
-    code
+    ran.map(|()| ExitCode::SUCCESS)
 }
 
 /// The cost trailer shared by `stcon` and `bipart`.
 fn print_verdict_costs(v: &verify::Verdict, cfg: &EngineConfig) {
-    println!("rounds:    {}", v.stats.rounds);
+    outln!("rounds:    {}", v.stats.rounds);
     if cfg.faults.is_some() {
-        println!(
+        outln!(
             "faults:    {} injected, recovery {} rounds",
-            v.stats.faults_injected, v.stats.recovery_rounds
+            v.stats.faults_injected,
+            v.stats.recovery_rounds
         );
     }
 }

@@ -514,6 +514,71 @@ fn no_flag_or_value_is_silently_dropped() {
 }
 
 #[test]
+fn options_the_input_does_not_read_are_rejected() {
+    // Each of these once ran with exit 0, the option silently unread.
+    let file = tmp("unread.txt");
+    std::fs::write(&file, "3 2\n0 1\n1 2\n").unwrap();
+    let file = file.to_str().unwrap();
+    for (argv, named) in [
+        (
+            "conn --gen path --n 50 --m 7 --extra 9 --k 2",
+            "--m, --extra",
+        ),
+        ("conn --input FILE --n 50 --k 2", "--n"),
+        ("conn --input FILE --max-weight 9 --k 2", "--max-weight"),
+        ("st --input FILE --gen path --n 5 --k 2", "--input"),
+        ("gen --family grid --n 9 --p 0.3", "--p"),
+    ] {
+        let args: Vec<&str> = argv
+            .split(' ')
+            .map(|a| if a == "FILE" { file } else { a })
+            .collect();
+        let out = kmm().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{argv}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(named), "{argv}: want {named:?} in {err}");
+        assert!(out.stdout.is_empty(), "nothing ran: {out:?}");
+    }
+    let _ = std::fs::remove_file(file);
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    // `kmm mst … --print-edges | head -1`: the reader leaves after the
+    // first line, and the edge lines meet a closed pipe.
+    use std::io::BufRead;
+    let mut child = kmm()
+        .args([
+            "mst",
+            "--gen",
+            "gnm",
+            "--n",
+            "3000",
+            "--k",
+            "4",
+            "--print-edges",
+        ])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn kmm");
+    let mut first = String::new();
+    let stdout = child.stdout.take().expect("piped stdout");
+    std::io::BufReader::new(stdout)
+        .read_line(&mut first)
+        .expect("read the first line");
+    assert!(first.starts_with("streamed input:"), "{first}");
+    let out = child.wait_with_output().expect("wait for kmm");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "{err}");
+    assert_ne!(out.status.code(), Some(101), "{err}");
+    assert!(
+        out.status.success(),
+        "a closed pipe is not an error: {out:?}"
+    );
+}
+
+#[test]
 fn gen_parameter_validation_never_panics() {
     // Out-of-range family parameters must be clean errors, same standard
     // as file-input parse failures — streamed into `conn` or written by
