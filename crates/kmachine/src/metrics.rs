@@ -35,7 +35,7 @@ pub struct CommStats {
     pub sent_bits: Vec<u64>,
     /// Bits received by each machine.
     pub recv_bits: Vec<u64>,
-    /// Per-superstep load records (bounded: O(polylog) supersteps per run).
+    /// One load record per superstep; a `DynamicCluster` report absorbs every batch's.
     pub superstep_loads: Vec<SuperstepLoad>,
     /// Bits that crossed the tracked machine bipartition, when one is set
     /// (the §4 Alice/Bob simulation harness).
