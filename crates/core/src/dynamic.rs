@@ -502,7 +502,7 @@ pub struct DynamicCluster {
     trajectory: Option<TrajectoryKey>,
     last_refresh: RefreshKind,
     /// Update-phase accounting since the last solve (stamped into the next
-    /// [`RunReport`], then reset) and over the cluster's lifetime. The
+    /// [`RunReport::update`], then reset) and over the cluster's lifetime. The
     /// fault counters cover the routing supersteps, so a batch whose
     /// routing needed recovery is reported even when the solve ran clean.
     epoch: CommStats,
@@ -1182,12 +1182,7 @@ impl DynamicCluster {
     pub fn run_full<P: Problem>(&mut self, problem: P) -> Run<P::Output> {
         self.compact_now();
         let mut run = self.inner.run(problem);
-        let epoch = std::mem::take(&mut self.epoch);
-        run.report.update_rounds = epoch.rounds;
-        run.report.update_bits = epoch.total_bits;
-        run.report.faults_injected += epoch.faults_injected;
-        run.report.retransmit_bits += epoch.retransmit_bits;
-        run.report.recovery_rounds += epoch.recovery_rounds;
+        run.report.update = std::mem::take(&mut self.epoch);
         run
     }
 
@@ -1499,18 +1494,13 @@ impl DynamicCluster {
             .is_on()
             .then(|| phase_breakdown(&self.cfg.trace.events_since(mark)))
             .filter(|rows| !rows.is_empty());
-        let epoch = std::mem::take(&mut self.epoch);
         let run = r.run.as_ref();
         RunReport {
             problem,
             stats: r.total.clone(),
             phases: run.map_or(0, |run| run.phases),
             sketch_builds: run.map_or(0, |run| run.sketch_builds),
-            update_rounds: epoch.rounds,
-            update_bits: epoch.total_bits,
-            faults_injected: r.total.faults_injected + epoch.faults_injected,
-            retransmit_bits: r.total.retransmit_bits + epoch.retransmit_bits,
-            recovery_rounds: r.total.recovery_rounds + epoch.recovery_rounds,
+            update: std::mem::take(&mut self.epoch),
             wall: started.elapsed(),
             phase_breakdown: breakdown,
         }
@@ -1770,7 +1760,7 @@ mod tests {
         assert!(applied.bits > 0);
         let run = dc.connectivity(&cfg);
         assert!(matches!(dc.last_refresh(), RefreshKind::Incremental { .. }));
-        assert!(run.report.update_bits > 0);
+        assert!(run.report.update.total_bits > 0);
         let mutated = mutated_graph(&g, std::slice::from_ref(&batch));
         let fresh = Cluster::builder(k)
             .seed(seed)
@@ -1839,7 +1829,7 @@ mod tests {
         dc.apply(&batch).unwrap();
         let run = dc.run_full(Mst::with(MstConfig::default()));
         assert!(
-            run.report.update_bits > 0,
+            run.report.update.total_bits > 0,
             "update phase must be on the report"
         );
         let mutated = mutated_graph(&g, std::slice::from_ref(&batch));

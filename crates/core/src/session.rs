@@ -151,17 +151,12 @@ impl Cluster {
             .is_on()
             .then(|| kmachine::trace::phase_breakdown(&trace.events_since(mark)))
             .filter(|rows| !rows.is_empty());
-        let stats = P::stats(&output).clone();
         let report = RunReport {
             problem: P::NAME,
             phases: P::phases(&output),
             sketch_builds: P::sketch_builds(&output),
-            update_rounds: 0,
-            update_bits: 0,
-            faults_injected: stats.faults_injected,
-            retransmit_bits: stats.retransmit_bits,
-            recovery_rounds: stats.recovery_rounds,
-            stats,
+            stats: P::stats(&output).clone(),
+            update: CommStats::default(),
             wall,
             phase_breakdown,
         };
@@ -225,22 +220,12 @@ pub struct RunReport {
     pub phases: u32,
     /// Part sketches hashed from edges, anywhere (`0` for sketch-free problems).
     pub sketch_builds: u64,
-    /// Rounds spent routing dynamic update batches since the previous
-    /// solve on the same [`crate::dynamic::DynamicCluster`] (`0` for static
-    /// runs — a plain `Cluster` has no update phase).
-    pub update_rounds: u64,
-    /// Bits moved by the update phase paired with `update_rounds`.
-    pub update_bits: u64,
-    /// Faults the run's [`kmachine::fault::FaultPlan`] injected (`0` for
-    /// fault-free runs; mirrors `stats.faults_injected` so report
-    /// consumers need not dig through [`CommStats`]).
-    pub faults_injected: u64,
-    /// Bits spent masking the faults: retransmissions of lost messages
-    /// plus spurious duplicates (mirrors `stats.retransmit_bits`).
-    pub retransmit_bits: u64,
-    /// Rounds spent on recovery: ack/retransmit rounds plus crash
-    /// rollback/restore (mirrors `stats.recovery_rounds`).
-    pub recovery_rounds: u64,
+    /// The update phase before this solve: what routing dynamic update
+    /// batches cost since the previous solve on the same
+    /// [`crate::dynamic::DynamicCluster`], fault counters included. Not
+    /// part of `stats`; empty for static runs, since a plain `Cluster` has
+    /// no update phase.
+    pub update: CommStats,
     /// Wall-clock time of the simulated run (host-side, not a model cost).
     pub wall: Duration,
     /// Per-phase cost breakdown derived from the run's logical trace

@@ -34,7 +34,7 @@
 
 use crate::fault::FaultPlan;
 use crate::message::{put_varint, BatchWire, Encoding, Envelope, WireCodec, WireError, WireReader};
-use crate::metrics::{CommStats, SuperstepLoad};
+use crate::metrics::CommStats;
 use crate::network::NetworkConfig;
 use crate::trace::{PhysEvent, Stopwatch, TraceEvent, Tracer};
 use crate::transport::{CodecBridge, Frame, Transport};
@@ -512,23 +512,14 @@ impl<M> Bsp<M> {
 
     /// Closes the books on one delivery window — the only place a superstep
     /// is counted and the only `Superstep` emit site: prices the window's
-    /// loads in rounds, adds it to the run totals and the per-superstep
-    /// loads, and traces it (`kinds` runs only when tracing is on). Returns
-    /// the window's rounds.
+    /// loads in rounds, books it into the run totals and traces it (`kinds`
+    /// runs only when tracing is on). The trace event is the only
+    /// per-superstep record. Returns the window's rounds.
     fn close_window(&mut self, w: &Window, kinds: impl FnOnce() -> Vec<(String, u64)>) -> u64 {
         let (max_link, rounds) = (w.max_link(), self.rounds(w));
         let (total, messages) = (w.total, w.messages);
-        self.stats.rounds += rounds;
-        self.stats.supersteps += 1;
-        self.stats.messages += messages;
-        self.stats.total_bits += total;
-        self.stats.max_link_bits = self.stats.max_link_bits.max(max_link);
-        self.stats.superstep_loads.push(SuperstepLoad {
-            max_link_bits: max_link,
-            total_bits: total,
-            messages,
-            rounds,
-        });
+        self.stats
+            .record_superstep(rounds, total, messages, max_link);
         let index = self.stats.supersteps - 1;
         self.trace.emit(|| TraceEvent::Superstep {
             index,

@@ -2,21 +2,10 @@
 //!
 //! Everything the experiments report comes from here: the round counter
 //! (the model's cost measure), bit totals, per-machine loads (the §2
-//! congestion arguments are about machines receiving too much), and
-//! per-superstep link-load records used to validate Lemma 1 empirically.
-
-/// A record of one superstep's communication load.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SuperstepLoad {
-    /// Bits on the most loaded directed link in this superstep.
-    pub max_link_bits: u64,
-    /// Total bits across all links in this superstep.
-    pub total_bits: u64,
-    /// Cross-machine messages delivered.
-    pub messages: u64,
-    /// Rounds charged for this superstep.
-    pub rounds: u64,
-}
+//! congestion arguments are about machines receiving too much), and the
+//! two running sums behind the Lemma 1 link-balance ratio. Every field is
+//! fixed-size: per-superstep loads live only in the logical trace's
+//! `Superstep` events (DESIGN.md §3.14).
 
 /// Cumulative communication statistics for one algorithm run.
 #[derive(Clone, Debug, Default)]
@@ -29,14 +18,14 @@ pub struct CommStats {
     pub messages: u64,
     /// Total cross-machine bits.
     pub total_bits: u64,
-    /// Max cumulative bits over any directed link.
+    /// Bits on the heaviest directed link of any single superstep: the
+    /// max over supersteps of each one's `max_link_bits`, never a sum
+    /// across supersteps.
     pub max_link_bits: u64,
     /// Bits sent by each machine.
     pub sent_bits: Vec<u64>,
     /// Bits received by each machine.
     pub recv_bits: Vec<u64>,
-    /// One load record per superstep; a `DynamicCluster` report absorbs every batch's.
-    pub superstep_loads: Vec<SuperstepLoad>,
     /// Bits that crossed the tracked machine bipartition, when one is set
     /// (the §4 Alice/Bob simulation harness).
     pub cut_bits: u64,
@@ -64,6 +53,11 @@ pub struct CommStats {
     /// `Encoding::Varint` the ratio `total_bits / naive_bits` is the
     /// measured compression.
     pub naive_bits: u64,
+    /// Supersteps that moved at least one bit: the samples of
+    /// [`CommStats::link_imbalance`].
+    busy_supersteps: u64,
+    /// Σ `max_link_bits / total_bits` over the busy supersteps.
+    link_share_sum: f64,
 }
 
 impl CommStats {
@@ -82,34 +76,42 @@ impl CommStats {
         self.recv_bits.iter().copied().max().unwrap_or(0)
     }
 
-    /// Load-balance ratio over supersteps: mean over supersteps of
-    /// `max_link_bits / (total_bits / links)`, counting only supersteps
-    /// that moved at least `min_bits`. A value close to 1 means perfectly
-    /// even link usage; Lemma 1 predicts O(polylog) for proxy routing.
+    /// Books one superstep: its rounds, charged bits, cross-machine
+    /// messages and heaviest directed link. The only place a superstep
+    /// enters the totals (`Bsp` calls it once per delivery window), and
+    /// the one owner of the [`CommStats::link_imbalance`] formula.
+    pub fn record_superstep(&mut self, rounds: u64, bits: u64, messages: u64, max_link_bits: u64) {
+        self.rounds += rounds;
+        self.supersteps += 1;
+        self.messages += messages;
+        self.total_bits += bits;
+        self.max_link_bits = self.max_link_bits.max(max_link_bits);
+        if bits > 0 {
+            self.busy_supersteps += 1;
+            self.link_share_sum += max_link_bits as f64 / bits as f64;
+        }
+    }
+
+    /// Load-balance ratio over the supersteps that moved bits: the mean of
+    /// `max_link_bits / (total_bits / links)`. A value close to 1 means
+    /// perfectly even link usage; Lemma 1 predicts O(polylog) for proxy
+    /// routing. Returns `0.0` when the ratio is undefined: a degenerate
+    /// `links == 0` topology, or no superstep that moved a bit.
     ///
-    /// Returns `0.0` when the ratio is undefined: a degenerate `links == 0`
-    /// topology (division by zero otherwise), or when every superstep's
-    /// bits fall below `min_bits` (no qualifying sample — previously this
-    /// returned a fabricated "perfectly balanced" 1.0, which made empty
-    /// runs indistinguishable from genuinely balanced ones).
+    /// `min_bits` must be `0` or `1`; both select exactly the supersteps
+    /// that moved bits. A higher threshold cannot be answered from running
+    /// sums: filter the trace's `Superstep` events and book the survivors
+    /// into a fresh `CommStats` with [`CommStats::record_superstep`].
     pub fn link_imbalance(&self, links: u64, min_bits: u64) -> f64 {
-        if links == 0 {
+        assert!(
+            min_bits <= 1,
+            "link_imbalance keeps no per-superstep loads: min_bits {min_bits} > 1 \
+             needs the trace's Superstep events"
+        );
+        if links == 0 || self.busy_supersteps == 0 {
             return 0.0;
         }
-        let mut num = 0.0;
-        let mut cnt = 0u64;
-        for l in &self.superstep_loads {
-            if l.total_bits >= min_bits && l.max_link_bits > 0 {
-                let mean = l.total_bits as f64 / links as f64;
-                num += l.max_link_bits as f64 / mean.max(1e-9);
-                cnt += 1;
-            }
-        }
-        if cnt == 0 {
-            0.0
-        } else {
-            num / cnt as f64
-        }
+        links as f64 * self.link_share_sum / self.busy_supersteps as f64
     }
 
     /// Folds another run's statistics into this one (used when an algorithm
@@ -130,14 +132,14 @@ impl CommStats {
         for (a, b) in self.recv_bits.iter_mut().zip(&other.recv_bits) {
             *a += b;
         }
-        self.superstep_loads
-            .extend(other.superstep_loads.iter().copied());
         self.cut_bits += other.cut_bits;
         self.faults_injected += other.faults_injected;
         self.retransmit_bits += other.retransmit_bits;
         self.recovery_rounds += other.recovery_rounds;
         self.machine_crashes += other.machine_crashes;
         self.naive_bits += other.naive_bits;
+        self.busy_supersteps += other.busy_supersteps;
+        self.link_share_sum += other.link_share_sum;
     }
 }
 
@@ -162,74 +164,6 @@ mod tests {
         assert_eq!(a.total_bits, 150);
         assert_eq!(a.sent_bits, vec![60, 50]);
         assert_eq!(a.max_link_bits, 50);
-    }
-
-    #[test]
-    fn imbalance_of_even_load_is_one() {
-        let mut s = CommStats::new(4);
-        // 12 links, 120 bits total, max link 10 => perfectly even.
-        s.superstep_loads.push(SuperstepLoad {
-            max_link_bits: 10,
-            total_bits: 120,
-            messages: 12,
-            rounds: 1,
-        });
-        let r = s.link_imbalance(12, 1);
-        assert!((r - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn imbalance_ignores_tiny_supersteps() {
-        let mut s = CommStats::new(4);
-        s.superstep_loads.push(SuperstepLoad {
-            max_link_bits: 5,
-            total_bits: 5,
-            messages: 1,
-            rounds: 1,
-        });
-        // No superstep qualifies: the ratio is undefined, reported as 0.0.
-        assert_eq!(s.link_imbalance(12, 100), 0.0);
-    }
-
-    #[test]
-    fn imbalance_of_zero_links_is_zero_not_a_division() {
-        let mut s = CommStats::new(2);
-        s.superstep_loads.push(SuperstepLoad {
-            max_link_bits: 40,
-            total_bits: 40,
-            messages: 1,
-            rounds: 1,
-        });
-        let r = s.link_imbalance(0, 1);
-        assert_eq!(r, 0.0, "links == 0 must short-circuit, got {r}");
-        assert!(r.is_finite());
-    }
-
-    #[test]
-    fn imbalance_of_empty_stats_is_zero() {
-        let s = CommStats::new(3);
-        assert_eq!(s.link_imbalance(6, 1), 0.0);
-    }
-
-    #[test]
-    fn imbalance_counts_only_qualifying_supersteps() {
-        let mut s = CommStats::new(4);
-        // Qualifying: ratio 2.0 (max 20 vs mean 120/12 = 10).
-        s.superstep_loads.push(SuperstepLoad {
-            max_link_bits: 20,
-            total_bits: 120,
-            messages: 12,
-            rounds: 1,
-        });
-        // Below min_bits: must not drag the mean.
-        s.superstep_loads.push(SuperstepLoad {
-            max_link_bits: 3,
-            total_bits: 3,
-            messages: 1,
-            rounds: 1,
-        });
-        let r = s.link_imbalance(12, 100);
-        assert!((r - 2.0).abs() < 1e-9, "got {r}");
     }
 
     #[test]
@@ -261,23 +195,60 @@ mod tests {
     }
 
     #[test]
+    fn record_superstep_books_the_totals() {
+        let mut s = CommStats::new(2);
+        s.record_superstep(3, 120, 12, 20);
+        s.record_superstep(1, 30, 2, 25);
+        assert_eq!(
+            (s.rounds, s.supersteps, s.messages, s.total_bits),
+            (4, 2, 14, 150)
+        );
+        assert_eq!(s.max_link_bits, 25, "the heaviest single superstep's link");
+    }
+
+    #[test]
+    fn imbalance_of_even_load_is_one() {
+        let mut s = CommStats::new(4);
+        // 12 links, 120 bits total, max link 10 => perfectly even.
+        s.record_superstep(1, 120, 12, 10);
+        let r = s.link_imbalance(12, 1);
+        assert!((r - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn imbalance_of_zero_links_is_zero_not_a_division() {
+        let mut s = CommStats::new(2);
+        s.record_superstep(1, 40, 1, 40);
+        let r = s.link_imbalance(0, 1);
+        assert_eq!(r, 0.0, "links == 0 must short-circuit, got {r}");
+    }
+
+    #[test]
+    fn imbalance_of_empty_stats_is_zero() {
+        let s = CommStats::new(3);
+        assert_eq!(s.link_imbalance(6, 1), 0.0);
+    }
+
+    #[test]
     fn imbalance_skips_empty_supersteps_even_at_zero_threshold() {
-        // A barrier-only superstep records zero bits; with min_bits = 0 it
-        // passes the threshold test but must still not contribute a
+        // A barrier-only superstep records zero bits; it must not add a
         // 0/0-shaped sample to the mean.
         let mut s = CommStats::new(4);
-        s.superstep_loads.push(SuperstepLoad::default());
-        s.superstep_loads.push(SuperstepLoad {
-            max_link_bits: 20,
-            total_bits: 120,
-            messages: 12,
-            rounds: 1,
-        });
-        let r = s.link_imbalance(12, 0);
-        assert!(
-            (r - 2.0).abs() < 1e-9,
-            "empty superstep polluted the mean: {r}"
-        );
+        s.record_superstep(1, 0, 0, 0);
+        s.record_superstep(1, 120, 12, 20);
+        for min_bits in [0, 1] {
+            let r = s.link_imbalance(12, min_bits);
+            assert!(
+                (r - 2.0).abs() < 1e-9,
+                "empty superstep polluted the mean: {r}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "needs the trace's Superstep events")]
+    fn imbalance_above_one_bit_is_not_answerable_from_totals() {
+        CommStats::new(4).link_imbalance(12, 1_000);
     }
 
     #[test]
@@ -286,51 +257,27 @@ mod tests {
         // is 1.0 by construction, whatever the traffic pattern.
         let mut s = CommStats::new(2);
         for bits in [7u64, 1000, 3] {
-            s.superstep_loads.push(SuperstepLoad {
-                max_link_bits: bits,
-                total_bits: bits,
-                messages: 1,
-                rounds: 1,
-            });
+            s.record_superstep(1, bits, 1, bits);
         }
         let r = s.link_imbalance(1, 1);
         assert!((r - 1.0).abs() < 1e-9, "single-link ratio drifted: {r}");
     }
 
     #[test]
-    fn absorb_preserves_superstep_load_order() {
-        // Folding a sub-protocol's stats appends its loads *after* the
-        // host's — the combined record must read in execution order, and
-        // the imbalance over the fold must not depend on who absorbed whom.
+    fn imbalance_is_fold_order_independent() {
+        // Folding a sub-protocol's stats into a host's, or the other way
+        // round, gives the same ratio: the mean over both runs' supersteps.
         let mut host = CommStats::new(2);
-        host.superstep_loads.push(SuperstepLoad {
-            max_link_bits: 10,
-            total_bits: 20,
-            messages: 2,
-            rounds: 1,
-        });
+        host.record_superstep(1, 20, 2, 10);
         let mut sub = CommStats::new(2);
-        sub.superstep_loads.push(SuperstepLoad {
-            max_link_bits: 30,
-            total_bits: 30,
-            messages: 3,
-            rounds: 2,
-        });
+        sub.record_superstep(2, 30, 3, 30);
         let mut folded = host.clone();
         folded.absorb(&sub);
-        let tails: Vec<u64> = folded
-            .superstep_loads
-            .iter()
-            .map(|l| l.total_bits)
-            .collect();
-        assert_eq!(tails, vec![20, 30], "host loads first, absorbed after");
-
         let mut reversed = sub.clone();
         reversed.absorb(&host);
-        assert!(
-            (folded.link_imbalance(2, 1) - reversed.link_imbalance(2, 1)).abs() < 1e-9,
-            "imbalance must be fold-order independent"
-        );
+        let (a, b) = (folded.link_imbalance(2, 1), reversed.link_imbalance(2, 1));
+        assert!((a - 1.5).abs() < 1e-9, "mean of 1.0 and 2.0, got {a}");
+        assert_eq!(a, b, "imbalance must be fold-order independent");
     }
 
     #[test]

@@ -334,11 +334,12 @@ fn json_mode(args: &Args) -> Result<bool, String> {
 }
 
 /// Serializes a [`RunReport`] (plus caller-provided leading fields, already
-/// JSON-encoded) as one JSON object. Hand-rolled — the build environment
-/// has no serde.
+/// JSON-encoded) as one JSON object. The fault fields count the solve and
+/// its update phase together. Hand-rolled — the build environment has no
+/// serde.
 fn report_json(report: &kmm::algo::session::RunReport, head: &[(&str, String)]) -> String {
     let mut fields: Vec<String> = head.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
-    let s = &report.stats;
+    let (s, u) = (&report.stats, &report.update);
     for (k, v) in [
         ("rounds", s.rounds),
         ("supersteps", s.supersteps),
@@ -348,11 +349,11 @@ fn report_json(report: &kmm::algo::session::RunReport, head: &[(&str, String)]) 
         ("max_machine_recv_bits", s.max_machine_recv_bits()),
         ("phases", report.phases as u64),
         ("sketch_builds", report.sketch_builds),
-        ("update_rounds", report.update_rounds),
-        ("update_bits", report.update_bits),
-        ("faults_injected", report.faults_injected),
-        ("retransmit_bits", report.retransmit_bits),
-        ("recovery_rounds", report.recovery_rounds),
+        ("update_rounds", u.rounds),
+        ("update_bits", u.total_bits),
+        ("faults_injected", s.faults_injected + u.faults_injected),
+        ("retransmit_bits", s.retransmit_bits + u.retransmit_bits),
+        ("recovery_rounds", s.recovery_rounds + u.recovery_rounds),
         ("machine_crashes", s.machine_crashes),
     ] {
         fields.push(format!("\"{k}\": {v}"));
@@ -393,13 +394,13 @@ fn run_problem<P: Problem>(
         if args.get("faults").is_some() {
             outln!(
                 "faults:     {} injected, {} machine crashes",
-                run.report.faults_injected,
+                run.report.stats.faults_injected,
                 run.report.stats.machine_crashes
             );
             outln!(
                 "recovery:   {} rounds, {} retransmit bits",
-                run.report.recovery_rounds,
-                run.report.retransmit_bits
+                run.report.stats.recovery_rounds,
+                run.report.stats.retransmit_bits
             );
         }
         outln!("wall:       {:.1?}", run.report.wall);
@@ -456,8 +457,8 @@ fn run_dyn(args: &Args, k: usize, seed: u64, cfg: &EngineConfig) -> Result<(), S
                     u.ops,
                     u.inserts,
                     u.deletes,
-                    conn.report.update_rounds,
-                    conn.report.update_bits,
+                    conn.report.update.rounds,
+                    conn.report.update.total_bits,
                     if u.compacted { ", compacted" } else { "" }
                 ),
             }

@@ -28,7 +28,8 @@ use kconn::{verify, ConnectivityConfig, ConnectivityOutput, MstConfig, OutputCri
 use kgraph::{generators, mincut, refalgo, Graph};
 use kmachine::fault::FaultPlan;
 use kmachine::message::Encoding;
-use kmachine::CostModel;
+use kmachine::trace::{TraceEvent, Tracer};
+use kmachine::{CommStats, CostModel};
 use krand::prf::Prf;
 use rustc_hash::FxHashSet;
 use std::sync::OnceLock;
@@ -420,9 +421,11 @@ pub fn run(ids: &[String], quick: bool) -> Result<(String, bool), String> {
 /// events always name real machines.
 pub fn chaos_plans(k: usize, seed: u64) -> Vec<(&'static str, FaultPlan)> {
     let mut crash = FaultPlan::new(seed ^ 0xC4A5).with_drop(0.02);
-    // Roughly one crash per Borůvka phase: a phase spans ~8–11 supersteps
-    // and a crash replays it, so events 20 apart land in distinct phases.
-    // (8 apart, with two flag-only supersteps per vote, all hit phase 0.)
+    // Six crashes 20 supersteps apart, each on the next machine. They are
+    // keyed by superstep index, not by phase, and a crash replays its
+    // phase, so they spread over the run without one landing per phase:
+    // E22's connectivity and spanning-forest runs roll back phases
+    // 0, 2, 3, 4, 5, 7 at n = 1 200 and 0, 1, 3, 3, 4, 6 at n = 6 000.
     for j in 0..6u64 {
         crash = crash.with_crash((j as usize + 1) % k, 3 + 20 * j);
     }
@@ -992,13 +995,35 @@ fn e3(quick: bool) -> (String, Vec<Cell>) {
 fn e4(quick: bool) -> (String, Vec<Cell>) {
     let (n, k) = (if quick { 4096 } else { 16384 }, 16);
     let g = generators::planted_components(n, 4, 8, 41);
-    let stats = cluster(&g, k, 42).run(Connectivity::default()).output.stats;
+    let trace = Tracer::recording();
+    cluster(&g, k, 42).run(Connectivity::with(cfg(|c| c.trace = trace.clone())));
+    let events = trace.events();
     let links = (k * (k - 1)) as u64;
+    // The mean max-link over mean-link ratio of the supersteps that moved
+    // at least `min_bits`, read from the trace's per-superstep loads.
+    let imbalance = |min_bits: u64| {
+        let mut heavy = CommStats::default();
+        for r in &events {
+            if let TraceEvent::Superstep {
+                rounds,
+                bits,
+                messages,
+                max_link_bits,
+                ..
+            } = r.event
+            {
+                if bits >= min_bits {
+                    heavy.record_superstep(rounds, bits, messages, max_link_bits);
+                }
+            }
+        }
+        heavy.link_imbalance(links, 1)
+    };
     // Heavy supersteps (≥ 200 kbit) are the sketch aggregation — Lemma 1's
     // regime; the all-supersteps figure includes the near-empty ones.
     let cell = Cell::new("max-link over mean-link")
-        .ratio("heavy_imbalance", stats.link_imbalance(links, 200_000))
-        .ratio("all_imbalance", stats.link_imbalance(links, 1_000));
+        .ratio("heavy_imbalance", imbalance(200_000))
+        .ratio("all_imbalance", imbalance(1_000));
     let workload = format!("planted_components(n = {n}, 4, 8, seed 41), k = {k}, cluster seed 42");
     (workload, vec![cell])
 }
@@ -1374,7 +1399,7 @@ fn e21(quick: bool) -> (String, Vec<Cell>) {
             RefreshKind::Incremental { active_vertices } => Some(active_vertices),
             RefreshKind::Full => None,
         };
-        let incr = report.update_bits + report.stats.total_bits;
+        let incr = report.update.total_bits + report.stats.total_bits;
         let full = dc.full_reingest_stats().total_bits + fresh.stats.total_bits;
         (active, incr, full)
     };
@@ -1416,17 +1441,17 @@ fn e21(quick: bool) -> (String, Vec<Cell>) {
 
 fn e22(quick: bool) -> (String, Vec<Cell>) {
     let cell = |label: String, identical: bool, clean: &RunReport, faulted: &RunReport| {
-        let recovery = faulted.recovery_rounds as f64 / clean.stats.rounds as f64;
-        let retransmit = faulted.retransmit_bits as f64 / clean.stats.total_bits as f64;
+        let recovery = faulted.stats.recovery_rounds as f64 / clean.stats.rounds as f64;
+        let retransmit = faulted.stats.retransmit_bits as f64 / clean.stats.total_bits as f64;
         Cell::new(label)
             .flag("identical", identical)
             .int("base_rounds", clean.stats.rounds)
             .int("faulted_rounds", faulted.stats.rounds)
-            .int("recovery_rounds", faulted.recovery_rounds)
+            .int("recovery_rounds", faulted.stats.recovery_rounds)
             .ratio("recovery/base_rounds", recovery)
-            .int("retransmit_bits", faulted.retransmit_bits)
+            .int("retransmit_bits", faulted.stats.retransmit_bits)
             .ratio("retransmit/base_bits", retransmit)
-            .int("faults_injected", faulted.faults_injected)
+            .int("faults_injected", faulted.stats.faults_injected)
             .int("crashes", faulted.stats.machine_crashes)
     };
     let mut cells = Vec::new();

@@ -35,7 +35,13 @@ fn assert_clean_counters(id: &str, stats: &CommStats) {
 /// nonzero masking cost, all still within the model-accounting invariants
 /// — and the recovery overhead must be exactly separable: subtracting the
 /// recovery counters recovers the fault-free run's cost (DESIGN.md §3.10).
-fn assert_faulted_counters(id: &str, stats: &CommStats, clean: &CommStats, k: usize) {
+fn assert_faulted_counters(
+    id: &str,
+    stats: &CommStats,
+    clean: &CommStats,
+    k: usize,
+    events: &[TraceRecord],
+) {
     assert!(stats.faults_injected > 0, "{id}: the plan never fired");
     assert!(
         stats.retransmit_bits > 0 || stats.recovery_rounds > 0,
@@ -51,7 +57,7 @@ fn assert_faulted_counters(id: &str, stats: &CommStats, clean: &CommStats, k: us
         clean.total_bits,
         "{id}: total_bits − retransmit_bits must equal the fault-free bits"
     );
-    assert_stats_sane(id, stats, k);
+    assert_stats_sane(id, stats, k, events);
 }
 
 // ---------------------------------------------------------------------
@@ -65,16 +71,17 @@ fn connectivity_is_bit_identical_under_every_fault_plan() {
         let baseline = cluster.run(Connectivity::with(s.cfg()));
         assert_clean_counters(&s.id, &baseline.report.stats);
         assert_eq!(
-            baseline.report.faults_injected, 0,
-            "{}: report mirror",
+            baseline.report.update.supersteps, 0,
+            "{}: a static run has no update phase",
             s.id
         );
         for (name, plan) in plans(s.k, s.seed) {
             let id = format!("{}/{name}", s.id);
-            let faulted = cluster.run(Connectivity::with(ConnectivityConfig {
+            let cfg = ConnectivityConfig {
                 faults: Some(plan),
                 ..s.cfg()
-            }));
+            };
+            let faulted = cluster.run(Connectivity::with(cfg.clone()));
             assert_eq!(
                 faulted.output.labels, baseline.output.labels,
                 "{id}: labels must be bit-identical to the fault-free run"
@@ -87,10 +94,12 @@ fn connectivity_is_bit_identical_under_every_fault_plan() {
                 faulted.output.phases, baseline.output.phases,
                 "{id}: phases"
             );
-            assert_faulted_counters(&id, &faulted.report.stats, &baseline.report.stats, s.k);
+            let events = cfg.trace.events();
+            let (stats, clean) = (&faulted.report.stats, &baseline.report.stats);
+            assert_faulted_counters(&id, stats, clean, s.k, &events);
             assert_eq!(
-                faulted.report.recovery_rounds, faulted.report.stats.recovery_rounds,
-                "{id}: report trailer mirrors the stats"
+                faulted.report.update.recovery_rounds, 0,
+                "{id}: a static run's recovery is all in its stats"
             );
         }
     }
@@ -110,10 +119,11 @@ fn spanning_forest_is_bit_identical_under_every_fault_plan() {
         assert_clean_counters(&s.id, &baseline.report.stats);
         for (name, plan) in plans(s.k, s.seed) {
             let id = format!("{}/{name}", s.id);
-            let faulted = cluster.run(SpanningForest::with(MstConfig {
+            let cfg = MstConfig {
                 faults: Some(plan),
                 ..s.cfg()
-            }));
+            };
+            let faulted = cluster.run(SpanningForest::with(cfg.clone()));
             assert_eq!(
                 faulted.output.edges, baseline.output.edges,
                 "{id}: forest edges must replay the exact trajectory"
@@ -122,7 +132,9 @@ fn spanning_forest_is_bit_identical_under_every_fault_plan() {
                 faulted.output.edges_per_machine, baseline.output.edges_per_machine,
                 "{id}: per-machine output distribution"
             );
-            assert_faulted_counters(&id, &faulted.report.stats, &baseline.report.stats, s.k);
+            let events = cfg.trace.events();
+            let (stats, clean) = (&faulted.report.stats, &baseline.report.stats);
+            assert_faulted_counters(&id, stats, clean, s.k, &events);
         }
     }
 }
@@ -135,10 +147,11 @@ fn mst_is_bit_identical_under_every_fault_plan() {
         assert_clean_counters(&s.id, &baseline.report.stats);
         for (name, plan) in plans(s.k, s.seed) {
             let id = format!("{}/{name}", s.id);
-            let faulted = cluster.run(Mst::with(MstConfig {
+            let cfg = MstConfig {
                 faults: Some(plan),
                 ..s.cfg()
-            }));
+            };
+            let faulted = cluster.run(Mst::with(cfg.clone()));
             assert_eq!(
                 faulted.output.edges, baseline.output.edges,
                 "{id}: MST edges"
@@ -147,7 +160,9 @@ fn mst_is_bit_identical_under_every_fault_plan() {
                 faulted.output.total_weight, baseline.output.total_weight,
                 "{id}: MST weight"
             );
-            assert_faulted_counters(&id, &faulted.report.stats, &baseline.report.stats, s.k);
+            let events = cfg.trace.events();
+            let (stats, clean) = (&faulted.report.stats, &baseline.report.stats);
+            assert_faulted_counters(&id, stats, clean, s.k, &events);
         }
     }
 }
@@ -163,10 +178,11 @@ fn mincut_is_bit_identical_under_every_fault_plan() {
         assert_clean_counters(&s.id, &baseline.report.stats);
         for (name, plan) in plans(s.k, s.seed) {
             let id = format!("{}/{name}", s.id);
-            let faulted = cluster.run(MinCut::with(MinCutConfig {
+            let cfg = MinCutConfig {
                 faults: Some(plan),
                 ..s.cfg()
-            }));
+            };
+            let faulted = cluster.run(MinCut::with(cfg.clone()));
             assert_eq!(
                 faulted.output.estimate, baseline.output.estimate,
                 "{id}: min-cut estimate"
@@ -175,7 +191,9 @@ fn mincut_is_bit_identical_under_every_fault_plan() {
                 faulted.output.disconnecting_probe, baseline.output.disconnecting_probe,
                 "{id}: disconnecting probe"
             );
-            assert_faulted_counters(&id, &faulted.report.stats, &baseline.report.stats, s.k);
+            let events = cfg.trace.events();
+            let (stats, clean) = (&faulted.report.stats, &baseline.report.stats);
+            assert_faulted_counters(&id, stats, clean, s.k, &events);
         }
     }
 }
@@ -265,25 +283,26 @@ fn update_routing_faults_are_reported_even_when_the_solve_is_clean() {
     );
     let clean_cfg = ConnectivityConfig::default();
     let base = dc.connectivity(&clean_cfg);
-    assert_eq!(base.report.faults_injected, 0, "no updates routed yet");
+    assert_eq!(
+        base.report.update.faults_injected, 0,
+        "no updates routed yet"
+    );
     dc.apply(&UpdateBatch::new().insert(0, 119, 5).delete(3, 4))
         .expect("valid batch");
     let run = dc.connectivity(&clean_cfg);
     // The solve's engine run is clean, but its certification exchange also
     // runs under the DynConfig plan and lands in the solve stats; the
-    // routing superstep's faults must be reported *on top* of those.
+    // routing superstep's faults are reported beside those, in `update`.
     assert!(
-        run.report.faults_injected > run.output.stats.faults_injected,
-        "routing-superstep faults must reach the report ({} !> {})",
-        run.report.faults_injected,
-        run.output.stats.faults_injected
+        run.report.update.faults_injected > 0,
+        "routing-superstep faults must reach the report"
     );
     assert!(
-        run.report.recovery_rounds > 0,
+        run.report.update.recovery_rounds > 0,
         "dropped update messages cost recovery rounds"
     );
     assert!(
-        run.report.update_rounds > 1,
+        run.report.update.rounds > 1,
         "the faulted routing superstep costs more than the one clean round"
     );
     // And the routed updates still landed exactly: the insert closed the
@@ -333,7 +352,7 @@ fn crash_recovery_reads_shards_back_from_durable_storage() {
         kmm::graph::sharded::rebuild_count() > rebuilds_before,
         "every crash must re-read the shard from durable storage"
     );
-    assert!(faulted.report.recovery_rounds > 0);
+    assert!(faulted.report.stats.recovery_rounds > 0);
     assert!(
         faulted.report.stats.rounds > baseline.report.stats.rounds,
         "aborted phase attempts and restores must cost rounds"
@@ -382,7 +401,8 @@ fn a_crash_mid_epoch_replays_without_the_part_sketch_memo() {
     assert_eq!(faulted.labels, clean.labels);
     assert_eq!(faulted.phases, clean.phases);
     assert_eq!(faulted.stats.machine_crashes, 1);
-    assert_faulted_counters("conn/mid-epoch-crash", &faulted.stats, &clean.stats, 4);
+    let id = "conn/mid-epoch-crash";
+    assert_faulted_counters(id, &faulted.stats, &clean.stats, 4, &events);
 }
 
 // ---------------------------------------------------------------------

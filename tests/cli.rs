@@ -1231,3 +1231,101 @@ fn chaos_smoke_release() {
 fn chaos_smoke() {
     chaos_cell("chaos/debug", ["5000", "15000", "8"], "3@13", "5@35");
 }
+
+/// The fields of a one-line `--report json` object other than `skip`, in
+/// order. No value of a report contains `, `.
+fn json_fields_except<'a>(obj: &'a str, skip: &[&str]) -> Vec<&'a str> {
+    let body = obj.trim().trim_start_matches('{').trim_end_matches('}');
+    let fields = body.split(", ").filter(|field| {
+        let key = field.split(": ").next().unwrap_or_default();
+        !skip.iter().any(|s| key == format!("\"{s}\""))
+    });
+    fields.collect()
+}
+
+/// The process transport is a delivery backend, not a cost model
+/// (DESIGN.md §3.12): `--transport proc` forks one worker per machine and
+/// must print the simulator's report field for field, apart from the
+/// transport's name and the wall-clock.
+fn transport_cell(size: [&str; 4]) {
+    let [n, m, k, seed] = size;
+    let run = |transport: &str| {
+        let args = [
+            "mst", "--gen", "gnm", "--n", n, "--m", m, "--k", k, "--seed", seed,
+        ];
+        stdout_of(&[&args[..], &["--report", "json", "--transport", transport]].concat())
+    };
+    let (sim, proc) = (run("sim"), run("proc"));
+    assert_eq!(json_field(&sim, "transport"), "sim", "{sim}");
+    assert_eq!(json_field(&proc, "transport"), "proc", "{proc}");
+    let skip = ["transport", "wall_ms"];
+    let fields = json_fields_except(&sim, &skip);
+    assert!(fields.contains(&"\"problem\": \"mst\""), "{sim}");
+    assert_eq!(fields, json_fields_except(&proc, &skip));
+}
+
+#[test]
+#[ignore = "release-size cell: cargo test --release --test cli -- --ignored"]
+fn transport_smoke_release() {
+    transport_cell(["2000", "8000", "4", "7"]);
+}
+
+#[test]
+fn transport_smoke() {
+    transport_cell(["500", "2000", "3", "7"]);
+}
+
+/// The trace tiles the report (DESIGN.md §3.14): on a faulted
+/// process-transport MST run, `kmm trace summarize`'s total row carries
+/// the report's rounds, bits, recovery rounds and retransmitted bits.
+fn trace_total_cell(cell: &str, size: [&str; 3]) {
+    let [n, m, k] = size;
+    let trace = tmp(&format!("{}.jsonl", cell.replace('/', "-")));
+    let trace_arg = trace.to_str().unwrap();
+    let faults = "drop=0.2,dup=0.1,crash=1@6,seed=9";
+    let report = stdout_of(&[
+        "mst",
+        "--gen",
+        "gnm",
+        "--n",
+        n,
+        "--m",
+        m,
+        "--k",
+        k,
+        "--seed",
+        "9",
+        "--faults",
+        faults,
+        "--transport",
+        "proc",
+        "--trace-out",
+        trace_arg,
+        "--report",
+        "json",
+    ]);
+    let summary = stdout_of(&["trace", "summarize", trace_arg]);
+    let _ = std::fs::remove_file(&trace);
+    let _ = std::fs::remove_file(format!("{trace_arg}.phys"));
+    let total: Vec<&str> = summary
+        .lines()
+        .find(|l| l.starts_with("total"))
+        .unwrap_or_else(|| panic!("{cell}: no total row:\n{summary}"))
+        .split_whitespace()
+        .collect();
+    let keys = ["rounds", "total_bits", "recovery_rounds", "retransmit_bits"];
+    let want = keys.map(|key| json_field(&report, key));
+    assert_eq!(total[1..5], want, "{cell}: summarize total row vs {report}");
+    assert!(json_num(&report, "recovery_rounds") > 0, "{cell}: {report}");
+}
+
+#[test]
+#[ignore = "release-size cell: cargo test --release --test cli -- --ignored"]
+fn trace_total_smoke_release() {
+    trace_total_cell("trace/release", ["400", "1200", "3"]);
+}
+
+#[test]
+fn trace_total_smoke() {
+    trace_total_cell("trace/debug", ["200", "600", "3"]);
+}

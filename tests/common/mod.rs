@@ -16,6 +16,7 @@
 #![allow(dead_code)]
 
 use kmm::machine::metrics::CommStats;
+use kmm::machine::trace::{TraceEvent, TraceRecord, Tracer};
 use kmm::prelude::*;
 
 /// One cell of the conformance matrix.
@@ -46,10 +47,12 @@ impl Scenario {
     }
 
     /// The run configuration every problem of this cell takes: the
-    /// defaults at the scenario's bandwidth.
+    /// defaults at the scenario's bandwidth, under a fresh recording
+    /// tracer whose events feed [`assert_stats_sane`].
     pub fn cfg(&self) -> EngineConfig {
         EngineConfig {
             bandwidth: self.bandwidth,
+            trace: Tracer::recording(),
             ..EngineConfig::default()
         }
     }
@@ -154,15 +157,26 @@ fn fnv1a(s: &str) -> u64 {
     h
 }
 
+/// Runs `f` and returns its result with the logical events `trace`
+/// recorded meanwhile: one run's events for [`assert_stats_sane`] when
+/// several runs share a tracer.
+pub fn traced<T>(trace: &Tracer, f: impl FnOnce() -> T) -> (T, Vec<TraceRecord>) {
+    let mark = trace.mark();
+    let out = f();
+    (out, trace.events_since(mark))
+}
+
 /// Model-accounting invariants every run must satisfy, whatever the
 /// algorithm (DESIGN.md §3.1): bit conservation, per-link maxima bounded
-/// by totals, and round/superstep consistency.
+/// by totals, and round/superstep consistency. The per-superstep checks
+/// read `events`, the run's logical trace: its `Superstep` events are the
+/// only per-superstep record (DESIGN.md §3.14).
 ///
 /// Two accounting paths are deliberately looser: `charge_modeled_rounds`
 /// (the §2.2 shared-randomness charge) adds send bits and rounds without a
-/// superstep record or receive bits, and `charge_barrier` adds a bare
-/// round — so the per-superstep sums bound the totals from *below*.
-pub fn assert_stats_sane(id: &str, stats: &CommStats, k: usize) {
+/// superstep or receive bits, and `charge_barrier` adds a bare round — so
+/// the per-superstep sums bound the totals from *below*.
+pub fn assert_stats_sane(id: &str, stats: &CommStats, k: usize, events: &[TraceRecord]) {
     assert_eq!(stats.sent_bits.len(), k, "{id}: sent_bits arity");
     assert_eq!(stats.recv_bits.len(), k, "{id}: recv_bits arity");
     let sent: u64 = stats.sent_bits.iter().sum();
@@ -182,42 +196,54 @@ pub fn assert_stats_sane(id: &str, stats: &CommStats, k: usize) {
     if stats.total_bits > 0 {
         assert!(stats.rounds > 0, "{id}: communication must cost rounds");
     }
+    let (mut count, mut rounds, mut bits, mut msgs, mut max_link) = (0, 0, 0, 0, 0);
+    for r in events {
+        if let TraceEvent::Superstep {
+            index,
+            rounds: r_rounds,
+            bits: r_bits,
+            messages,
+            max_link_bits,
+            ..
+        } = r.event
+        {
+            assert!(
+                max_link_bits <= r_bits,
+                "{id}: superstep {index} link max exceeds its total"
+            );
+            assert!(
+                r_bits == 0 || r_rounds >= 1,
+                "{id}: superstep {index} moved bits for free"
+            );
+            count += 1;
+            rounds += r_rounds;
+            bits += r_bits;
+            msgs += messages;
+            max_link = max_link.max(max_link_bits);
+        }
+    }
     assert_eq!(
-        stats.superstep_loads.len() as u64,
-        stats.supersteps,
-        "{id}: one load record per superstep"
+        count, stats.supersteps,
+        "{id}: one Superstep event per superstep"
     );
-    let load_rounds: u64 = stats.superstep_loads.iter().map(|l| l.rounds).sum();
-    let load_bits: u64 = stats.superstep_loads.iter().map(|l| l.total_bits).sum();
-    let load_msgs: u64 = stats.superstep_loads.iter().map(|l| l.messages).sum();
     assert!(
-        load_rounds <= stats.rounds,
-        "{id}: superstep rounds ({load_rounds}) exceed the charged total ({})",
+        rounds <= stats.rounds,
+        "{id}: superstep rounds ({rounds}) exceed the charged total ({})",
         stats.rounds
     );
     assert!(
-        load_bits <= stats.total_bits,
-        "{id}: superstep bits ({load_bits}) exceed the total ({})",
+        bits <= stats.total_bits,
+        "{id}: superstep bits ({bits}) exceed the total ({})",
         stats.total_bits
     );
     assert_eq!(
-        load_msgs, stats.messages,
+        msgs, stats.messages,
         "{id}: per-superstep messages must sum"
     );
-    for (i, l) in stats.superstep_loads.iter().enumerate() {
-        assert!(
-            l.max_link_bits <= l.total_bits,
-            "{id}: superstep {i} link max exceeds its total"
-        );
-        assert!(
-            l.total_bits == 0 || l.rounds >= 1,
-            "{id}: superstep {i} moved bits for free"
-        );
-        assert!(
-            stats.max_link_bits >= l.max_link_bits,
-            "{id}: superstep {i} link max exceeds the cumulative max"
-        );
-    }
+    assert_eq!(
+        max_link, stats.max_link_bits,
+        "{id}: max_link_bits is the heaviest single superstep's link"
+    );
 }
 
 /// The DESIGN.md §3.1 reference for `Bsp::superstep`'s round charge: a

@@ -15,7 +15,7 @@ mod common;
 
 use common::{
     assert_labels_match_reference, assert_stats_sane, bandwidths, fifo_drain, graph_families,
-    matrix, sub_matrix, KS, SEEDS,
+    matrix, sub_matrix, traced, KS, SEEDS,
 };
 use kmm::algo::baselines::edge_boruvka::CheckMode;
 use kmm::algo::verify;
@@ -32,7 +32,8 @@ use rustc_hash::FxHashSet;
 #[test]
 fn connectivity_conforms_on_full_matrix() {
     for s in matrix() {
-        let out = s.cluster().run(Connectivity::with(s.cfg())).output;
+        let cfg = s.cfg();
+        let out = s.cluster().run(Connectivity::with(cfg.clone())).output;
         assert_eq!(
             out.component_count(),
             refalgo::component_count(&s.g),
@@ -49,7 +50,7 @@ fn connectivity_conforms_on_full_matrix() {
             );
         }
         assert!(out.phases > 0, "{}: at least one phase", s.id);
-        assert_stats_sane(&s.id, &out.stats, s.k);
+        assert_stats_sane(&s.id, &out.stats, s.k, &cfg.trace.events());
         assert!(out.stats.rounds > 0, "{}: rounds must be charged", s.id);
     }
 }
@@ -61,7 +62,8 @@ fn connectivity_conforms_on_full_matrix() {
 #[test]
 fn mst_conforms_against_kruskal() {
     for s in sub_matrix(2, 0) {
-        let out = s.cluster().run(Mst::with(s.cfg())).output;
+        let cfg = s.cfg();
+        let out = s.cluster().run(Mst::with(cfg.clone())).output;
         assert!(
             refalgo::is_spanning_forest(&s.g, &out.edges),
             "{}: output must span",
@@ -79,7 +81,7 @@ fn mst_conforms_against_kruskal() {
             "{}: reported weight matches reported edges",
             s.id
         );
-        assert_stats_sane(&s.id, &out.stats, s.k);
+        assert_stats_sane(&s.id, &out.stats, s.k, &cfg.trace.events());
     }
 }
 
@@ -90,21 +92,22 @@ fn mst_both_endpoints_criterion_conforms() {
             criterion: OutputCriterion::BothEndpoints,
             ..s.cfg()
         };
-        let out = s.cluster().run(Mst::with(cfg)).output;
+        let out = s.cluster().run(Mst::with(cfg.clone())).output;
         assert_eq!(
             out.total_weight,
             refalgo::forest_weight(&refalgo::kruskal(&s.g)),
             "{}: criterion (b) weight",
             s.id
         );
-        assert_stats_sane(&s.id, &out.stats, s.k);
+        assert_stats_sane(&s.id, &out.stats, s.k, &cfg.trace.events());
     }
 }
 
 #[test]
 fn spanning_forest_conforms() {
     for s in sub_matrix(4, 2) {
-        let out = s.cluster().run(SpanningForest::with(s.cfg())).output;
+        let cfg = s.cfg();
+        let out = s.cluster().run(SpanningForest::with(cfg.clone())).output;
         assert!(
             refalgo::is_spanning_forest(&s.g, &out.edges),
             "{}: forest must span",
@@ -116,7 +119,7 @@ fn spanning_forest_conforms() {
             "{}: forest size = n - #components",
             s.id
         );
-        assert_stats_sane(&s.id, &out.stats, s.k);
+        assert_stats_sane(&s.id, &out.stats, s.k, &cfg.trace.events());
     }
 }
 
@@ -131,7 +134,8 @@ fn mincut_estimate_brackets_stoer_wagner() {
             continue;
         }
         let lambda = kmm::graph::mincut::stoer_wagner(&s.g).expect("connected graph has a cut");
-        let out = s.cluster().run(MinCut::with(s.cfg())).output;
+        let cfg = s.cfg();
+        let out = s.cluster().run(MinCut::with(cfg.clone())).output;
         let logn = (s.g.n() as f64).log2();
         let est = out.estimate.max(1) as f64;
         let ratio = (est / lambda as f64).max(lambda as f64 / est);
@@ -142,7 +146,7 @@ fn mincut_estimate_brackets_stoer_wagner() {
             out.estimate
         );
         assert!(out.probes > 0, "{}: must probe", s.id);
-        assert_stats_sane(&s.id, &out.stats, s.k);
+        assert_stats_sane(&s.id, &out.stats, s.k, &cfg.trace.events());
     }
 }
 
@@ -165,9 +169,11 @@ fn verification_problems_conform() {
         // spanning connected subgraph: the full edge set is one iff G is
         // connected; dropping a spanning-forest edge always breaks it.
         let all = edge_set(g.edges());
-        let v = verify::spanning_connected_subgraph(g, &all, s.k, s.seed, &cfg);
+        let (v, events) = traced(&cfg.trace, || {
+            verify::spanning_connected_subgraph(g, &all, s.k, s.seed, &cfg)
+        });
         assert_eq!(v.holds, connected, "{}: scs(full)", s.id);
-        assert_stats_sane(&s.id, &v.stats, s.k);
+        assert_stats_sane(&s.id, &v.stats, s.k, &events);
         let forest = refalgo::kruskal(g);
         if let Some(drop) = forest.first() {
             let mut pruned = all.clone();
@@ -181,13 +187,17 @@ fn verification_problems_conform() {
         // one iff m > n - #components.
         let vf = verify::cycle_containment(g, &edge_set(&forest), s.k, s.seed, &cfg);
         assert!(!vf.holds, "{}: forests are acyclic", s.id);
-        let vg = verify::cycle_containment(g, &all, s.k, s.seed, &cfg);
+        let (vg, events) = traced(&cfg.trace, || {
+            verify::cycle_containment(g, &all, s.k, s.seed, &cfg)
+        });
         assert_eq!(vg.holds, refalgo::has_cycle(g), "{}: cycle(full)", s.id);
-        assert_stats_sane(&s.id, &vg.stats, s.k);
+        assert_stats_sane(&s.id, &vg.stats, s.k, &events);
 
         // e-cycle containment for the first graph edge.
         if let Some(e) = g.edges().first() {
-            let ve = verify::e_cycle_containment(g, &all, (e.u, e.v), s.k, s.seed, &cfg);
+            let (ve, events) = traced(&cfg.trace, || {
+                verify::e_cycle_containment(g, &all, (e.u, e.v), s.k, s.seed, &cfg)
+            });
             assert_eq!(
                 ve.holds,
                 refalgo::edge_on_cycle(g, e.u, e.v),
@@ -196,7 +206,7 @@ fn verification_problems_conform() {
                 e.u,
                 e.v
             );
-            assert_stats_sane(&s.id, &ve.stats, s.k);
+            assert_stats_sane(&s.id, &ve.stats, s.k, &events);
         }
 
         // s-t connectivity: endpoints of an edge are connected; vertices in
@@ -207,9 +217,11 @@ fn verification_problems_conform() {
             None => (0, 0),
         };
         if g.m() > 0 {
-            let v = verify::st_connectivity(g, s0, t_conn, s.k, s.seed, &cfg);
+            let (v, events) = traced(&cfg.trace, || {
+                verify::st_connectivity(g, s0, t_conn, s.k, s.seed, &cfg)
+            });
             assert!(v.holds, "{}: edge endpoints are connected", s.id);
-            assert_stats_sane(&s.id, &v.stats, s.k);
+            assert_stats_sane(&s.id, &v.stats, s.k, &events);
         }
         if let Some(t_far) = (0..g.n() as u32).find(|&v| labels[v as usize] != labels[s0 as usize])
         {
@@ -226,19 +238,23 @@ fn verification_problems_conform() {
         if g.degree(0) > 0 {
             let cut: FxHashSet<(u32, u32)> =
                 g.neighbors(0).iter().map(|&(nb, _)| (0, nb)).collect();
-            let v = verify::cut_verification(g, &cut, s.k, s.seed, &cfg);
+            let (v, events) = traced(&cfg.trace, || {
+                verify::cut_verification(g, &cut, s.k, s.seed, &cfg)
+            });
             let reduced = g.without_edges(&cut);
             let expect = refalgo::component_count(&reduced) > refalgo::component_count(g);
             assert_eq!(v.holds, expect, "{}: cut(vertex 0 star)", s.id);
-            assert_stats_sane(&s.id, &v.stats, s.k);
+            assert_stats_sane(&s.id, &v.stats, s.k, &events);
         }
 
         // edge on all s-t paths: a spanning-forest edge of a connected pair.
         if let Some(e) = forest.first() {
-            let v = verify::edge_on_all_paths(g, (e.u, e.v), e.u, e.v, s.k, s.seed, &cfg);
+            let (v, events) = traced(&cfg.trace, || {
+                verify::edge_on_all_paths(g, (e.u, e.v), e.u, e.v, s.k, s.seed, &cfg)
+            });
             let expect = !refalgo::edge_on_cycle(g, e.u, e.v);
             assert_eq!(v.holds, expect, "{}: edge-on-all-paths", s.id);
-            assert_stats_sane(&s.id, &v.stats, s.k);
+            assert_stats_sane(&s.id, &v.stats, s.k, &events);
         }
 
         // s-t cut verification: the full edge set always cuts a connected
@@ -247,20 +263,22 @@ fn verification_problems_conform() {
             let v = verify::st_cut_verification(g, &all, s0, t_conn, s.k, s.seed, &cfg);
             assert!(v.holds, "{}: removing all edges cuts any edge pair", s.id);
             let none = FxHashSet::default();
-            let v = verify::st_cut_verification(g, &none, s0, t_conn, s.k, s.seed, &cfg);
+            let (v, events) = traced(&cfg.trace, || {
+                verify::st_cut_verification(g, &none, s0, t_conn, s.k, s.seed, &cfg)
+            });
             assert!(!v.holds, "{}: the empty set cuts nothing connected", s.id);
-            assert_stats_sane(&s.id, &v.stats, s.k);
+            assert_stats_sane(&s.id, &v.stats, s.k, &events);
         }
 
         // bipartiteness against two-coloring.
-        let v = verify::bipartiteness(g, s.k, s.seed, &cfg);
+        let (v, events) = traced(&cfg.trace, || verify::bipartiteness(g, s.k, s.seed, &cfg));
         assert_eq!(
             v.holds,
             refalgo::bipartition(g).is_some(),
             "{}: bipartiteness",
             s.id
         );
-        assert_stats_sane(&s.id, &v.stats, s.k);
+        assert_stats_sane(&s.id, &v.stats, s.k, &events);
     }
 }
 
@@ -299,7 +317,8 @@ fn machine_hop_eccentricity(g: &Graph, part: &Partition, src: u32) -> u32 {
 #[test]
 fn flooding_conforms_on_matrix() {
     for s in sub_matrix(2, 1) {
-        let out = s.cluster().run(Flooding::with(s.cfg())).output;
+        let cfg = s.cfg();
+        let out = s.cluster().run(Flooding::with(cfg.clone())).output;
         assert_labels_match_reference(&s.id, &out.labels, &s.g);
         // Label 0 starts at vertex 0 and must cross every inter-machine
         // edge on some causal path, one per graph-round; flooding uses the
@@ -312,16 +331,17 @@ fn flooding_conforms_on_matrix() {
             s.id,
             out.graph_rounds
         );
-        assert_stats_sane(&s.id, &out.stats, s.k);
+        assert_stats_sane(&s.id, &out.stats, s.k, &cfg.trace.events());
     }
 }
 
 #[test]
 fn referee_conforms_on_matrix() {
     for s in sub_matrix(2, 0) {
-        let out = s.cluster().run(Referee::with(s.cfg())).output;
+        let cfg = s.cfg();
+        let out = s.cluster().run(Referee::with(cfg.clone())).output;
         assert_labels_match_reference(&s.id, &out.labels, &s.g);
-        assert_stats_sane(&s.id, &out.stats, s.k);
+        assert_stats_sane(&s.id, &out.stats, s.k, &cfg.trace.events());
         // The referee hoards everything: every transmitted bit lands on
         // machine 0. (On e.g. a star whose center is homed at machine 0,
         // all edges can be referee-local and nothing is transmitted.)
@@ -344,14 +364,19 @@ fn edge_boruvka_conforms_in_both_check_modes() {
         let c = s.cluster();
         for mode in [CheckMode::BatchedPush, CheckMode::PerEdgeTest] {
             let cfg = s.cfg();
-            let out = c.run(EdgeBoruvka { cfg, mode }).output;
+            let out = c
+                .run(EdgeBoruvka {
+                    cfg: cfg.clone(),
+                    mode,
+                })
+                .output;
             assert!(
                 refalgo::is_spanning_forest(&s.g, &out.edges),
                 "{}/{mode:?}: spans",
                 s.id
             );
             assert_eq!(out.total_weight, want, "{}/{mode:?}: weight", s.id);
-            assert_stats_sane(&s.id, &out.stats, s.k);
+            assert_stats_sane(&s.id, &out.stats, s.k, &cfg.trace.events());
         }
     }
 }
@@ -359,7 +384,8 @@ fn edge_boruvka_conforms_in_both_check_modes() {
 #[test]
 fn rep_mst_conforms_under_edge_partition() {
     for s in sub_matrix(4, 0) {
-        let out = s.cluster().run(RepMst::with(s.cfg())).output;
+        let cfg = s.cfg();
+        let out = s.cluster().run(RepMst::with(cfg.clone())).output;
         assert!(
             refalgo::is_spanning_forest(&s.g, &out.mst.edges),
             "{}: spans",
@@ -381,7 +407,7 @@ fn rep_mst_conforms_under_edge_partition() {
             "{}: filtering must keep a spanning structure",
             s.id
         );
-        assert_stats_sane(&s.id, &out.mst.stats, s.k);
+        assert_stats_sane(&s.id, &out.mst.stats, s.k, &cfg.trace.events());
     }
 }
 

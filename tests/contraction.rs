@@ -51,9 +51,8 @@ fn contracted_connectivity_matches_uncontracted_on_full_matrix() {
     for s in matrix() {
         let cluster = s.cluster();
         let plain = cluster.run(Connectivity::with(s.cfg())).output;
-        let contracted = cluster
-            .run(Connectivity::with(contract_conn(&s, Encoding::Naive)))
-            .output;
+        let cfg = contract_conn(&s, Encoding::Naive);
+        let contracted = cluster.run(Connectivity::with(cfg.clone())).output;
         // Labels are canonicalized to the minimum vertex per component, so
         // they must be *equal*, not merely partition-equivalent.
         assert_eq!(
@@ -73,7 +72,7 @@ fn contracted_connectivity_matches_uncontracted_on_full_matrix() {
             s.id
         );
         assert_labels_match_reference(&s.id, &contracted.labels, &s.g);
-        assert_stats_sane(&s.id, &contracted.stats, s.k);
+        assert_stats_sane(&s.id, &contracted.stats, s.k, &cfg.trace.events());
     }
 }
 
@@ -82,9 +81,8 @@ fn contracted_mst_matches_uncontracted_edge_for_edge() {
     for s in sub_matrix(2, 0) {
         let cluster = s.cluster();
         let plain = cluster.run(Mst::with(s.cfg())).output;
-        let contracted = cluster
-            .run(Mst::with(contract_mst(&s, Encoding::Naive)))
-            .output;
+        let cfg = contract_mst(&s, Encoding::Naive);
+        let contracted = cluster.run(Mst::with(cfg.clone())).output;
         // Tie-free (w, u, v) keys make the MST unique: the contracted run
         // must reproduce the exact edge set, not just the weight.
         assert_eq!(
@@ -103,7 +101,7 @@ fn contracted_mst_matches_uncontracted_edge_for_edge() {
             "{}: output must span",
             s.id
         );
-        assert_stats_sane(&s.id, &contracted.stats, s.k);
+        assert_stats_sane(&s.id, &contracted.stats, s.k, &cfg.trace.events());
     }
 }
 
@@ -112,9 +110,8 @@ fn contracted_spanning_forest_spans_the_same_partition() {
     for s in sub_matrix(3, 1) {
         let cluster = s.cluster();
         let plain = cluster.run(SpanningForest::with(s.cfg())).output;
-        let contracted = cluster
-            .run(SpanningForest::with(contract_mst(&s, Encoding::Naive)))
-            .output;
+        let cfg = contract_mst(&s, Encoding::Naive);
+        let contracted = cluster.run(SpanningForest::with(cfg.clone())).output;
         // Forest edges are trajectory-dependent, so only the induced
         // structure is pinned: a valid forest with one tree per component.
         assert!(
@@ -128,7 +125,7 @@ fn contracted_spanning_forest_spans_the_same_partition() {
             "{}: forest size = n - #components",
             s.id
         );
-        assert_stats_sane(&s.id, &contracted.stats, s.k);
+        assert_stats_sane(&s.id, &contracted.stats, s.k, &cfg.trace.events());
     }
 }
 
@@ -140,12 +137,11 @@ fn contracted_mincut_estimate_is_unchanged() {
         }
         let cluster = s.cluster();
         let plain = cluster.run(MinCut::with(s.cfg())).output;
-        let contracted = cluster
-            .run(MinCut::with(MinCutConfig {
-                contract: true,
-                ..s.cfg()
-            }))
-            .output;
+        let cfg = MinCutConfig {
+            contract: true,
+            ..s.cfg()
+        };
+        let contracted = cluster.run(MinCut::with(cfg.clone())).output;
         // Every probe's connectivity verdict is exact either way, so the
         // disconnecting probe — hence the estimate — must agree.
         assert_eq!(contracted.estimate, plain.estimate, "{}: estimate", s.id);
@@ -154,7 +150,7 @@ fn contracted_mincut_estimate_is_unchanged() {
             "{}: disconnecting probe",
             s.id
         );
-        assert_stats_sane(&s.id, &contracted.stats, s.k);
+        assert_stats_sane(&s.id, &contracted.stats, s.k, &cfg.trace.events());
     }
 }
 
@@ -224,7 +220,8 @@ fn varint_encoding_changes_accounting_only() {
                 ..s.cfg()
             };
             let naive = cluster.run(Connectivity::with(mk(Encoding::Naive))).output;
-            let varint = cluster.run(Connectivity::with(mk(Encoding::Varint))).output;
+            let varint_cfg = mk(Encoding::Varint);
+            let varint = cluster.run(Connectivity::with(varint_cfg.clone())).output;
             // Delivery and trajectory are encoding-independent.
             assert_eq!(varint.labels, naive.labels, "{id}: labels");
             assert_eq!(
@@ -247,7 +244,7 @@ fn varint_encoding_changes_accounting_only() {
                 varint.stats.messages, naive.stats.messages,
                 "{id}: message counts"
             );
-            assert_stats_sane(&id, &varint.stats, s.k);
+            assert_stats_sane(&id, &varint.stats, s.k, &varint_cfg.trace.events());
         }
     }
 }
@@ -305,10 +302,12 @@ fn contracted_connectivity_is_bit_identical_under_fault_plans() {
         );
         for (name, plan) in plans(s.k, s.seed) {
             let id = format!("{}/{name}", s.id);
-            let faulted = cluster.run(Connectivity::with(ConnectivityConfig {
+            let faulted_cfg = ConnectivityConfig {
                 faults: Some(plan.clone()),
+                trace: Tracer::recording(),
                 ..cfg.clone()
-            }));
+            };
+            let faulted = cluster.run(Connectivity::with(faulted_cfg.clone()));
             assert_eq!(
                 faulted.output.labels, baseline.output.labels,
                 "{id}: labels must replay the contracted trajectory"
@@ -345,7 +344,8 @@ fn contracted_connectivity_is_bit_identical_under_fault_plans() {
                 faulted.report.stats.naive_bits, faulted_naive.report.stats.total_bits,
                 "{id}: naive oracle across encodings under faults"
             );
-            assert_stats_sane(&id, &faulted.report.stats, s.k);
+            let events = faulted_cfg.trace.events();
+            assert_stats_sane(&id, &faulted.report.stats, s.k, &events);
         }
     }
 }
@@ -358,10 +358,12 @@ fn contracted_mst_is_bit_identical_under_fault_plans() {
         let baseline = cluster.run(Mst::with(cfg.clone()));
         for (name, plan) in plans(s.k, s.seed) {
             let id = format!("{}/{name}", s.id);
-            let faulted = cluster.run(Mst::with(MstConfig {
+            let faulted_cfg = MstConfig {
                 faults: Some(plan),
+                trace: Tracer::recording(),
                 ..cfg.clone()
-            }));
+            };
+            let faulted = cluster.run(Mst::with(faulted_cfg.clone()));
             assert_eq!(
                 faulted.output.edges, baseline.output.edges,
                 "{id}: contracted MST edges under chaos"
@@ -375,7 +377,8 @@ fn contracted_mst_is_bit_identical_under_fault_plans() {
                 baseline.report.stats.total_bits,
                 "{id}: bits separability"
             );
-            assert_stats_sane(&id, &faulted.report.stats, s.k);
+            let events = faulted_cfg.trace.events();
+            assert_stats_sane(&id, &faulted.report.stats, s.k, &events);
         }
     }
 }

@@ -14,7 +14,7 @@
 mod common;
 
 use common::{
-    assert_labels_match_reference, assert_stats_sane, bandwidths, graph_families, KS, SEEDS,
+    assert_labels_match_reference, assert_stats_sane, bandwidths, graph_families, traced, KS, SEEDS,
 };
 use kmm::prelude::*;
 use kmm::randomness::prf::Prf;
@@ -127,10 +127,24 @@ fn dynamic_answers_match_fresh_static_runs_across_families() {
                 bandwidth,
                 ..MstConfig::default()
             };
+            // `dc`'s solves and its update layer share one recording tracer,
+            // so each solve's `Superstep` events cover its whole bill.
+            let trace = Tracer::recording();
             let mut dc = DynamicCluster::wrap(
                 Cluster::builder(k).seed(seed).ingest_graph(&g),
-                DynConfig::default(),
+                DynConfig {
+                    trace: trace.clone(),
+                    ..DynConfig::default()
+                },
             );
+            let dc_conn_cfg = ConnectivityConfig {
+                trace: trace.clone(),
+                ..conn_cfg.clone()
+            };
+            let dc_mst_cfg = MstConfig {
+                trace: trace.clone(),
+                ..mst_cfg.clone()
+            };
             // Connectivity and spanning forest only: the sketch MST is not
             // yet exact at low `reps` (ROADMAP item 1(a)).
             let low_cfg = ConnectivityConfig {
@@ -142,8 +156,8 @@ fn dynamic_answers_match_fresh_static_runs_across_families() {
                 DynConfig::default(),
             );
             let mut edges = g.edges().to_vec();
-            dc.connectivity(&conn_cfg); // warm base solves
-            dc.mst(&mst_cfg);
+            dc.connectivity(&dc_conn_cfg); // warm base solves
+            dc.mst(&dc_mst_cfg);
             low.connectivity(&low_cfg);
             let batches = batches_for(&g, seed.wrapping_add(fi as u64 * 101));
             assert!(batches.len() >= 4, "{id}: the pin needs ≥ 4 batches");
@@ -153,9 +167,9 @@ fn dynamic_answers_match_fresh_static_runs_across_families() {
                     .unwrap_or_else(|e| panic!("{id} batch {bi}: {e}"));
                 dc.apply(batch)
                     .unwrap_or_else(|e| panic!("{id} batch {bi}: {e}"));
-                let conn = dc.connectivity(&conn_cfg);
-                let st = dc.spanning_forest(&mst_cfg);
-                let mst = dc.mst(&mst_cfg);
+                let (conn, conn_events) = traced(&trace, || dc.connectivity(&dc_conn_cfg));
+                let (st, st_events) = traced(&trace, || dc.spanning_forest(&dc_mst_cfg));
+                let (mst, mst_events) = traced(&trace, || dc.mst(&dc_mst_cfg));
                 let mutated = Graph::from_dedup_edges(g.n(), edges.clone());
                 let fresh = Cluster::builder(k).seed(seed).ingest_graph(&mutated);
                 let fresh_conn = fresh.run(Connectivity::with(conn_cfg.clone()));
@@ -200,9 +214,9 @@ fn dynamic_answers_match_fresh_static_runs_across_families() {
                     "{id} batch {bi}: forest size"
                 );
                 // Model accounting stays sane through update + certify.
-                assert_stats_sane(&id, &conn.output.stats, k);
-                assert_stats_sane(&id, &st.output.stats, k);
-                assert_stats_sane(&id, &mst.output.stats, k);
+                assert_stats_sane(&id, &conn.output.stats, k, &conn_events);
+                assert_stats_sane(&id, &st.output.stats, k, &st_events);
+                assert_stats_sane(&id, &mst.output.stats, k, &mst_events);
                 // The low-`reps` cell.
                 low.apply(batch)
                     .unwrap_or_else(|e| panic!("{id} batch {bi}: {e}"));
@@ -276,7 +290,7 @@ fn dynamic_mst_matches_static_under_faults() {
                     .unwrap_or_else(|e| panic!("{id} batch {bi}: {e}"));
                 let run_f = faulted.mst(&mst_faulted);
                 let run_c = clean.mst(&mst_clean);
-                fired += run_f.report.faults_injected;
+                fired += run_f.report.stats.faults_injected + run_f.report.update.faults_injected;
                 assert_eq!(
                     run_f.output.edges, run_c.output.edges,
                     "{id} batch {bi}: faulted vs clean dynamic MST"

@@ -149,7 +149,13 @@ fn runs_are_deterministic_and_seed_sensitive() {
 fn stats_invariants_hold() {
     let g = generators::gnm(400, 1200, 13);
     let cluster = Cluster::builder(8).seed(14).ingest_graph(&g);
-    let out = cluster.run(Connectivity::default()).output;
+    let trace = Tracer::recording();
+    let out = cluster
+        .run(Connectivity::with(ConnectivityConfig {
+            trace: trace.clone(),
+            ..ConnectivityConfig::default()
+        }))
+        .output;
     let s = &out.stats;
     let sent: u64 = s.sent_bits.iter().sum();
     let recv: u64 = s.recv_bits.iter().sum();
@@ -160,7 +166,14 @@ fn stats_invariants_hold() {
     assert!(s.rounds > 0);
     assert!(s.max_link_bits <= s.total_bits);
     assert!(s.messages > 0);
-    let sum_rounds: u64 = s.superstep_loads.iter().map(|l| l.rounds).sum();
+    let sum_rounds: u64 = trace
+        .events()
+        .iter()
+        .map(|r| match r.event {
+            TraceEvent::Superstep { rounds, .. } => rounds,
+            _ => 0,
+        })
+        .sum();
     assert!(
         sum_rounds <= s.rounds,
         "superstep rounds plus modeled charges"

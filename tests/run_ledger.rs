@@ -571,8 +571,8 @@ fn dynamic_cells(ledger: &mut Ledger) {
         );
         for r in [&conn.report, &st.report, &mst.report] {
             stats.absorb(&r.stats);
-            stats.rounds += r.update_rounds;
-            stats.total_bits += r.update_bits;
+            stats.rounds += r.update.rounds;
+            stats.total_bits += r.update.total_bits;
         }
         let answer = digest_u64s([
             digest_u64s(conn.output.labels.iter().copied()),

@@ -36,9 +36,10 @@ fn assert_same_stats(id: &str, what: &str, a: &CommStats, b: &CommStats) {
 fn cluster_reuse_is_bit_identical_to_one_shot_paths() {
     for s in sub_matrix(4, 1) {
         let cluster = s.cluster();
-        let conn = cluster.run(Connectivity::with(s.cfg()));
-        let mst = cluster.run(Mst::with(s.cfg()));
-        let st = cluster.run(SpanningForest::with(s.cfg()));
+        let (conn_cfg, mst_cfg, st_cfg) = (s.cfg(), s.cfg(), s.cfg());
+        let conn = cluster.run(Connectivity::with(conn_cfg.clone()));
+        let mst = cluster.run(Mst::with(mst_cfg.clone()));
+        let st = cluster.run(SpanningForest::with(st_cfg.clone()));
         let flood = cluster.run(Flooding::with(s.cfg()));
         assert_eq!(conn.report.problem, "conn", "{}: report name", s.id);
         assert_eq!(conn.report.phases, conn.output.phases, "{}: phases", s.id);
@@ -86,9 +87,9 @@ fn cluster_reuse_is_bit_identical_to_one_shot_paths() {
         assert_same_stats(&s.id, "adopted MST", &mst.report.stats, &mst2.report.stats);
 
         // Every report passes the model-accounting invariants.
-        assert_stats_sane(&s.id, &conn.report.stats, s.k);
-        assert_stats_sane(&s.id, &mst.report.stats, s.k);
-        assert_stats_sane(&s.id, &st.report.stats, s.k);
+        assert_stats_sane(&s.id, &conn.report.stats, s.k, &conn_cfg.trace.events());
+        assert_stats_sane(&s.id, &mst.report.stats, s.k, &mst_cfg.trace.events());
+        assert_stats_sane(&s.id, &st.report.stats, s.k, &st_cfg.trace.events());
     }
 }
 
