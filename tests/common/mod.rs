@@ -16,7 +16,6 @@
 #![allow(dead_code)]
 
 use kmm::machine::metrics::CommStats;
-use kmm::machine::trace::{TraceEvent, TraceRecord, Tracer};
 use kmm::prelude::*;
 
 /// One cell of the conformance matrix.
